@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .linalg import (DomainError, EigenDecomposition, HERMITIAN_TOL, PSD_TOL,
-                     Powers, PsdCheck, congruence, eigh, hermitianize, hs_norm,
-                     is_psd, mat_fn, mat_pow, spectral_norm, validate_hermitian)
+from .linalg import (DomainError, HERMITIAN_TOL, PSD_TOL, Powers, PsdCheck,
+                     eigh, hermitianize, hs_norm, is_psd, mat_pow,
+                     spectral_norm, validate_hermitian)
 from .scalar import (SCALAR_TOL, ScalarCase, ScalarTrial, alpha_of_nu,
                      evaluate, find_non_dominance, heinz, heron,
                      upper_slack, weighted_arith, weighted_geom)
@@ -20,15 +20,15 @@ from .hsnorm import (CERT_HS_TOL, ORACLE_TOL, HsCase, HsContext, HsTrial,
                      certify_hs, heinz_block)
 from .hsnorm import case_by_id as hs_case_by_id
 from .hsnorm import registry as hs_registry
-from .randgen import (DEFAULT_LAW, GenSpec, derive_seed, gen_commuting_pair,
-                      gen_general, gen_ordered_pair, gen_pd, parse_law,
-                      sample_basis, sample_spectrum, trial_rng)
+from .randgen import (DEFAULT_LAW, GenSpec, derive_seed, gen_general,
+                      gen_ordered_pair, gen_pd, parse_law, sample_basis,
+                      sample_spectrum, trial_rng)
 
 __all__ = [
     "__version__",
-    "DomainError", "EigenDecomposition", "HERMITIAN_TOL", "PSD_TOL",
-    "Powers", "PsdCheck", "congruence", "eigh", "hermitianize", "hs_norm",
-    "is_psd", "mat_fn", "mat_pow", "spectral_norm", "validate_hermitian",
+    "DomainError", "HERMITIAN_TOL", "PSD_TOL", "Powers", "PsdCheck", "eigh",
+    "hermitianize", "hs_norm", "is_psd", "mat_pow", "spectral_norm",
+    "validate_hermitian",
     "SCALAR_TOL", "ScalarCase", "ScalarTrial", "alpha_of_nu", "evaluate",
     "find_non_dominance", "heinz", "heron", "upper_slack", "weighted_arith",
     "weighted_geom", "scalar_case_by_id", "scalar_registry",
@@ -38,7 +38,7 @@ __all__ = [
     "operator_registry",
     "CERT_HS_TOL", "ORACLE_TOL", "HsCase", "HsContext", "HsTrial",
     "certify_hs", "heinz_block", "hs_case_by_id", "hs_registry",
-    "DEFAULT_LAW", "GenSpec", "derive_seed", "gen_commuting_pair",
-    "gen_general", "gen_ordered_pair", "gen_pd", "parse_law",
-    "sample_basis", "sample_spectrum", "trial_rng",
+    "DEFAULT_LAW", "GenSpec", "derive_seed", "gen_general",
+    "gen_ordered_pair", "gen_pd", "parse_law", "sample_basis",
+    "sample_spectrum", "trial_rng",
 ]

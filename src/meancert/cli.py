@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Any
 
-from . import __version__, hsnorm, opmeans, runner, scalar
+from . import __version__, opmeans, runner, scalar
 from .linalg import PSD_TOL, DomainError
 from .randgen import DEFAULT_LAW
 from .report import build_report, canonical_json
@@ -98,21 +98,16 @@ def _print_case_line(summary: dict[str, Any]) -> None:
     print("  ".join(parts))
 
 
-def _write_report(path: str | None, command: str, config: dict[str, Any],
-                  cases: list[dict[str, Any]], wall: float) -> None:
-    if path is None:
-        return
-    rep = build_report(command, config, cases, wall, tool=TOOL)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(rep))
-
-
-def _all_cases() -> list[tuple[str, str, Any]]:
-    rows: list[tuple[str, str, Any]] = []
-    for kind, module in (("scalar", scalar), ("operator", opmeans), ("hs", hsnorm)):
-        for case in sorted(module.registry(), key=lambda c: c.case_id):
-            rows.append((case.case_id, kind, case))
-    return rows
+def _finish(path: str | None, command: str, config: dict[str, Any],
+            cases: list[dict[str, Any]], wall: float) -> int:
+    """Print one line per case, write the report if asked; return the exit code."""
+    for s in cases:
+        _print_case_line(s)
+    if path is not None:
+        rep = build_report(command, config, cases, wall, tool=TOOL)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(rep))
+    return 0 if all(s["passed"] for s in cases) else 1
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -120,8 +115,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     kind = opts["kind"]
     if kind not in ("all", "scalar", "operator", "hs"):
         raise DomainError(f"unknown kind {kind!r}")
-    rows = [(cid, k, case) for cid, k, case in _all_cases()
-            if kind in ("all", k)]
+    rows = [(cid, e.kind, e.case) for cid, e in runner.CASES.items()
+            if kind in ("all", e.kind)]
     if opts["format"] == "json":
         payload = [{
             "case": cid,
@@ -152,12 +147,9 @@ def cmd_scalar_sweep(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     grid = f"{len(scalar.A_GRID_13)}x{len(scalar.A_GRID_13)}x{len(nus)}"
     print(f"scalar-sweep  grid={grid}  tol={float(opts['tol']):g}  cases={len(ids)}")
-    for s in summaries:
-        _print_case_line(s)
     config = {"case": ids, "tol": float(opts["tol"]), "nu": opts["nu"],
               "grid": grid}
-    _write_report(opts["out"], "scalar-sweep", config, summaries, wall)
-    return 0 if all(s["passed"] for s in summaries) else 1
+    return _finish(opts["out"], "scalar-sweep", config, summaries, wall)
 
 
 def cmd_matrix_verify(args: argparse.Namespace) -> int:
@@ -189,14 +181,11 @@ def cmd_matrix_verify(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     print(f"matrix-verify  trials={cfg.trials}  seed={cfg.seed}  dims={list(cfg.dims)}"
           f"  tol={cfg.tol:g}  law={cfg.law}  cases={len(ids)}")
-    for s in summaries:
-        _print_case_line(s)
     config = {"case": ids, "trials": cfg.trials, "seed": cfg.seed,
               "dims": list(cfg.dims), "law": cfg.law, "w_law": cfg.w_law,
               "nu": cfg.nu, "tol": cfg.tol, "psd_tol": cfg.psd_tol,
               "complex": cfg.complex_entries, "lenient_x": cfg.lenient_x}
-    _write_report(opts["out"], "matrix-verify", config, summaries, wall)
-    return 0 if all(s["passed"] for s in summaries) else 1
+    return _finish(opts["out"], "matrix-verify", config, summaries, wall)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -219,31 +208,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
     tol = None if opts["tol"] is None else float(opts["tol"])
     record = runner.replay_trial(digest, tol=tol)
     print(canonical_json(record), end="")
-    if record["passed"] or record.get("advisory"):
-        return 0
-    return 1
+    return 0 if record["passed"] or record.get("advisory") else 1
 
 
-def _profile_scalar(ids: list[str], opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
+def _profile_scalar(ids: list[str], nus: list[float],
+                    opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
     a, b = float(opts["a"]), float(opts["b"])
-    n = int(opts["nu_points"])
-    nus = [i / (n - 1) for i in range(n)] if n > 1 else [0.5]
-    cases = {cid: scalar.case_by_id(cid) for cid in ids}
+    cases = {cid: runner.CASES[cid].case for cid in ids}
+    nlinks = {cid: len(case.sides(a, b, 0.5)) - 1 for cid, case in cases.items()}
     header = ["nu"]
-    for cid, case in cases.items():
-        header.extend(f"{cid}:link{i}" for i in range(len(case.sides(a, b, 0.5)) - 1))
+    for cid in ids:
+        header.extend(f"{cid}:link{i}" for i in range(nlinks[cid]))
     rows: list[list[Any]] = []
     upper: dict[str, list[tuple[float, float]]] = {cid: [] for cid in ids}
     for nu in nus:
         row: list[Any] = [nu]
         for cid, case in cases.items():
-            nlinks = len(case.sides(a, b, 0.5)) - 1
             if case.in_domain(nu):
                 trial = scalar.evaluate(case, a, b, nu)
                 row.extend(trial.slacks)
                 upper[cid].append((nu, trial.slacks[-1]))
             else:
-                row.extend([""] * nlinks)
+                row.extend([""] * nlinks[cid])
         rows.append(row)
     notes: list[str] = []
     first = ids[0]
@@ -268,32 +254,27 @@ def _profile_scalar(ids: list[str], opts: dict[str, Any]) -> tuple[list[str], li
     return header, rows, notes
 
 
-def _profile_matrix(ids: list[str], opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
-    n = int(opts["nu_points"])
-    nus = [i / (n - 1) for i in range(n)] if n > 1 else [0.5]
+def _profile_matrix(ids: list[str], nus: list[float],
+                    opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
     header = ["nu"]
-    evals: dict[str, tuple[Any, str, dict[str, Any]]] = {}
+    cfg = runner.RunConfig(trials=1, seed=int(opts["seed"]),
+                           dims=(int(opts["dim"]),), law=str(opts["law"]))
+    digests = {cid: runner.make_digest(cid, cfg, 0) for cid in ids}
     for cid in ids:
-        kind = runner.kind_of(cid)
-        case = (opmeans if kind == "operator" else hsnorm).case_by_id(cid)
-        cfg = runner.RunConfig(trials=1, seed=int(opts["seed"]),
-                               dims=(int(opts["dim"]),), law=str(opts["law"]))
-        digest = runner.make_digest(cid, cfg, 0)
-        evals[cid] = (case, kind, digest)
-        header.extend(f"{cid}:{name}" for name in case.links)
+        header.extend(f"{cid}:{name}" for name in runner.CASES[cid].case.links)
     rows = []
     notes = [f"inputs: dim={int(opts['dim'])} seed={int(opts['seed'])} "
              f"law={opts['law']} trial=0"]
     for nu in nus:
         row: list[Any] = [nu]
         for cid in ids:
-            case, kind, digest = evals[cid]
-            if not case.in_domain(nu):
-                row.extend([""] * len(case.links))
+            entry = runner.CASES[cid]
+            if not entry.case.in_domain(nu):
+                row.extend([""] * len(entry.case.links))
                 continue
-            d = dict(digest, nu=float(nu))
+            d = dict(digests[cid], nu=float(nu))
             rec = runner.run_trial(d, opmeans.CERT_PSD_TOL, PSD_TOL)
-            if kind == "operator":
+            if entry.kind == "operator":
                 row.extend(lc.slack for lc in rec.links)
             else:
                 row.extend(rec.slacks)
@@ -308,14 +289,16 @@ def cmd_gap_profile(args: argparse.Namespace) -> int:
     tokens = _split_tokens(opts["case"])
     if not tokens:
         raise DomainError("gap-profile needs at least one --case")
-    if int(opts["nu_points"]) < 2:
+    n = int(opts["nu_points"])
+    if n < 2:
         raise DomainError("--nu-points must be >= 2")
+    nus = [i / (n - 1) for i in range(n)]
     ids = runner.resolve_cases(tokens, ("scalar", "operator", "hs"))
-    kinds = {runner.kind_of(cid) for cid in ids}
+    kinds = {runner.CASES[cid].kind for cid in ids}
     if kinds <= {"scalar"}:
-        header, rows, notes = _profile_scalar(ids, opts)
+        header, rows, notes = _profile_scalar(ids, nus, opts)
     elif "scalar" not in kinds:
-        header, rows, notes = _profile_matrix(ids, opts)
+        header, rows, notes = _profile_matrix(ids, nus, opts)
     else:
         raise DomainError("gap-profile cannot mix scalar and matrix cases")
     buf = io.StringIO()

@@ -15,31 +15,17 @@ whether the inequality happened to hold, without asserting it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import PSD_TOL, DomainError, Powers, hs_norm, validate_hermitian
+from .linalg import (PSD_TOL, DomainError, Powers, clamp_psd, hs_norm,
+                     validate_hermitian)
+from .scalar import Case, check_unit, find_case, judge_chain
 
 CERT_HS_TOL = 1e-8
 ORACLE_TOL = 1e-10
-
-
-def _check_nu(nu: float) -> None:
-    if not math.isfinite(nu) or nu < 0.0 or nu > 1.0:
-        raise DomainError(f"nu={nu!r} outside [0, 1]")
-
-
-def _clamped_psd_spectrum(w: np.ndarray, psd_tol: float, who: str) -> np.ndarray:
-    scale = max(1.0, float(np.abs(w).max()))
-    lo = float(w.min())
-    if lo < -psd_tol * scale:
-        raise DomainError(
-            f"{who} has eigenvalue {lo:.6e}, negative beyond the clamp window "
-            f"{-psd_tol * scale:.1e}; a positive semidefinite operand is required"
-        )
-    return np.maximum(w, 0.0)
 
 
 class HsContext:
@@ -71,8 +57,8 @@ class HsContext:
         self._d = None
         self._cells = None
         # both operands feed fractional powers, so demand PSD up front
-        _clamped_psd_spectrum(self.pa.eigenvalues, psd_tol, "A")
-        _clamped_psd_spectrum(self.pb.eigenvalues, psd_tol, "B")
+        clamp_psd(self.pa.eigenvalues, psd_tol, "A")
+        clamp_psd(self.pb.eigenvalues, psd_tol, "B")
 
     def heinz_block(self, nu: float) -> np.ndarray:
         got = self._hb.get(nu)
@@ -118,8 +104,8 @@ class HsContext:
             else:
                 la, ua = self.pa.eigenvalues, self.pa.eigenvectors
                 mu, ub = self.pb.eigenvalues, self.pb.eigenvectors
-            la = _clamped_psd_spectrum(la, self.psd_tol, "A")
-            mu = _clamped_psd_spectrum(mu, self.psd_tol, "B")
+            la = clamp_psd(la, self.psd_tol, "A")
+            mu = clamp_psd(mu, self.psd_tol, "B")
             y = ua.conj().T @ self.X @ ub
             self._cells = (la, mu, np.abs(y) ** 2)
         return self._cells
@@ -131,7 +117,7 @@ def heinz_block(A, X, B, nu: float, psd_tol: float = PSD_TOL) -> np.ndarray:
     At scalars this carries the factor 2 against the Heinz mean:
     heinz_block(a, x, b, nu) == 2 * heinz(a, b, nu) * x.
     """
-    _check_nu(nu)
+    check_unit("nu", nu)
     return HsContext(A, B, X, psd_tol).heinz_block(nu)
 
 
@@ -156,22 +142,19 @@ def _d_cells(la, mu):
 
 
 @dataclass(frozen=True)
-class HsCase:
-    """One norm chain: sides must be nondecreasing when the chain holds."""
+class HsCase(Case):
+    """One norm chain: sides must be nondecreasing when the chain holds.
 
-    case_id: str
-    description: str
-    formula: str
-    nu_domain: str
-    in_domain: Callable[[float], bool]
+    ``oracle(la, mu, y2, nu)`` returns the sides rebuilt from the eigenvalue
+    cells, and the (lhs, rhs) coefficient arrays of the diagnosed link
+    (link 0; the final link for hs-cor) for the worst-cell diagnosis.
+    """
+
     x_kind: str  # "general" or "pd"
     links: tuple[str, ...]
     sides: Callable[[HsContext, float], tuple[float, ...]]
-    oracle_sides: Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple[float, ...]]
-    # optional cell diagnosis: (lhs_coef, rhs_coef) for one designated link
-    cell_pair: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
-    cell_link: int = 0
-    extras: Callable[[HsContext, float], dict] | None = None
+    oracle: Callable[[np.ndarray, np.ndarray, np.ndarray, float],
+                     tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]]
 
 
 def _sides_213(ctx: HsContext, nu: float):
@@ -185,29 +168,15 @@ def _sides_213(ctx: HsContext, nu: float):
 
 def _oracle_213(la, mu, y2, nu):
     k = nu ** (nu - 2.0)
+    w = nu * nu * (2.0 - nu)
     h, g, s = _h_cells(la, mu, nu), _g_cells(la, mu), _s_cells(la, mu)
-    return (
-        nu * nu * (2.0 - nu) * _qs(s, y2),
-        _qs(k * h - 4.0 * g, y2),
+    rhs = k * h - 4.0 * g
+    sides = (
+        w * _qs(s, y2),
+        _qs(rhs, y2),
         k * _qs(h, y2) + 4.0 * _qs(g, y2),
     )
-
-
-def _cellpair_213(la, mu, nu):
-    k = nu ** (nu - 2.0)
-    lhs = nu * nu * (2.0 - nu) * _s_cells(la, mu)
-    rhs = np.abs(k * _h_cells(la, mu, nu) - 4.0 * _g_cells(la, mu))
-    return lhs, rhs
-
-
-def _extras_213(ctx: HsContext, nu: float):
-    # per-term split used in the derivation: bound each Heinz summand separately
-    k = nu ** (nu - 2.0)
-    pa, pb, X = ctx.pa, ctx.pb, ctx.X
-    g = ctx.geom_block()
-    s2a = hs_norm(k * (pa.pow(nu) @ X @ pb.pow(1.0 - nu)) - 2.0 * g)
-    s2b = hs_norm(k * (pa.pow(1.0 - nu) @ X @ pb.pow(nu)) - 2.0 * g)
-    return {"proof_split_side2": s2a + s2b}
+    return sides, (w * s, rhs)
 
 
 def _sides_214(ctx: HsContext, nu: float):
@@ -218,40 +187,32 @@ def _sides_214(ctx: HsContext, nu: float):
     )
 
 
+def _curv_weight(la, mu, nu):
+    """Curvature weight nu(1-nu) alpha of the cell route, alpha = 1/max(la, mu)."""
+    return nu * (1.0 - nu) / max(float(la.max()), float(mu.max()))
+
+
 def _oracle_214(la, mu, y2, nu):
-    c = nu * (1.0 - nu) / max(float(la.max()), float(mu.max()))
-    h, d, s = _h_cells(la, mu, nu), _d_cells(la, mu), _s_cells(la, mu)
-    return (_qs(h + c * d, y2), _qs(s, y2))
-
-
-def _cellpair_214(la, mu, nu):
-    c = nu * (1.0 - nu) / max(float(la.max()), float(mu.max()))
-    return _h_cells(la, mu, nu) + c * _d_cells(la, mu), _s_cells(la, mu)
+    c = _curv_weight(la, mu, nu)
+    lhs = _h_cells(la, mu, nu) + c * _d_cells(la, mu)
+    rhs = _s_cells(la, mu)
+    return (_qs(lhs, y2), _qs(rhs, y2)), (lhs, rhs)
 
 
 def _sides_cor(ctx: HsContext, nu: float):
+    # the last two sides are hs-2.14's
     c = nu * (1.0 - nu) * ctx.alpha()
     p = hs_norm(ctx.heinz_block(nu))
     d = hs_norm(ctx.curvature_block())
-    return (
-        p,
-        math.sqrt(p * p + c * c * d * d),
-        hs_norm(ctx.heinz_block(nu) + c * ctx.curvature_block()),
-        hs_norm(ctx.sum_block()),
-    )
+    return (p, math.sqrt(p * p + c * c * d * d)) + _sides_214(ctx, nu)
 
 
 def _oracle_cor(la, mu, y2, nu):
-    c = nu * (1.0 - nu) / max(float(la.max()), float(mu.max()))
-    h, d, s = _h_cells(la, mu, nu), _d_cells(la, mu), _s_cells(la, mu)
-    p = _qs(h, y2)
-    dd = _qs(d, y2)
-    return (p, math.sqrt(p * p + c * c * dd * dd), _qs(h + c * d, y2), _qs(s, y2))
-
-
-def _cellpair_cor(la, mu, nu):
-    c = nu * (1.0 - nu) / max(float(la.max()), float(mu.max()))
-    return _h_cells(la, mu, nu) + c * _d_cells(la, mu), _s_cells(la, mu)
+    tail, pair = _oracle_214(la, mu, y2, nu)
+    c = _curv_weight(la, mu, nu)
+    p = _qs(_h_cells(la, mu, nu), y2)
+    dd = _qs(_d_cells(la, mu), y2)
+    return (p, math.sqrt(p * p + c * c * dd * dd)) + tail, pair
 
 
 def _rR(nu: float) -> tuple[float, float, float, float]:
@@ -276,20 +237,16 @@ def _oracle_thm8(la, mu, y2, nu):
     r, R, rr, RR = _rR(nu)
     h2 = _h_cells(la, mu, nu) / 2.0
     s2 = _s_cells(la, mu) / 2.0
-    g = _qs(_g_cells(la, mu), y2)
-    return (
-        _qs(rr * h2 + (2.0 * r - 1.0) * s2, y2),
+    gc = _g_cells(la, mu)
+    g = _qs(gc, y2)
+    lhs = rr * h2 + (2.0 * r - 1.0) * s2
+    sides = (
+        _qs(lhs, y2),
         2.0 * r * r * g,
         2.0 * R * R * g,
         _qs(RR * h2 + (2.0 * R - 1.0) * s2, y2),
     )
-
-
-def _cellpair_thm8(la, mu, nu):
-    r, R, rr, RR = _rR(nu)
-    lhs = np.abs(rr * _h_cells(la, mu, nu) / 2.0 + (2.0 * r - 1.0) * _s_cells(la, mu) / 2.0)
-    rhs = 2.0 * r * r * _g_cells(la, mu)
-    return lhs, rhs
+    return sides, (lhs, 2.0 * r * r * gc)
 
 
 def _build_registry() -> tuple[HsCase, ...]:
@@ -307,9 +264,6 @@ def _build_registry() -> tuple[HsCase, ...]:
             ("hinge", "triangle"),
             _sides_213,
             _oracle_213,
-            _cellpair_213,
-            0,
-            _extras_213,
         ),
         HsCase(
             "hs-2.14",
@@ -322,8 +276,6 @@ def _build_registry() -> tuple[HsCase, ...]:
             ("main",),
             _sides_214,
             _oracle_214,
-            _cellpair_214,
-            0,
         ),
         HsCase(
             "hs-cor",
@@ -336,8 +288,6 @@ def _build_registry() -> tuple[HsCase, ...]:
             ("monotone", "cross-term", "final"),
             _sides_cor,
             _oracle_cor,
-            _cellpair_cor,
-            2,
         ),
         HsCase(
             "hs-thm8",
@@ -350,14 +300,11 @@ def _build_registry() -> tuple[HsCase, ...]:
             ("lower", "middle", "upper"),
             _sides_thm8,
             _oracle_thm8,
-            _cellpair_thm8,
-            0,
         ),
     )
 
 
 _REGISTRY = _build_registry()
-_BY_ID = {c.case_id: c for c in _REGISTRY}
 
 
 def registry() -> tuple[HsCase, ...]:
@@ -366,11 +313,7 @@ def registry() -> tuple[HsCase, ...]:
 
 
 def case_by_id(case_id: str) -> HsCase:
-    try:
-        return _BY_ID[case_id]
-    except KeyError:
-        known = ", ".join(sorted(_BY_ID))
-        raise DomainError(f"unknown hs case {case_id!r}; known cases: {known}") from None
+    return find_case(_REGISTRY, "hs", case_id)
 
 
 @dataclass(frozen=True)
@@ -386,8 +329,7 @@ class HsTrial:
     advisory: bool  # True when lenient mode waived a failed hypothesis
     oracle_sides: tuple[float, ...]
     oracle_rel_err: float
-    worst_cell: tuple | None  # (i, j, lam_i, mu_j, damage) for the designated link
-    extras: dict = field(default_factory=dict)
+    worst_cell: tuple  # (i, j, lam_i, mu_j, damage) for the diagnosed link
 
 
 def certify_hs(case: HsCase, A, B, X, nu: float,
@@ -401,16 +343,12 @@ def certify_hs(case: HsCase, A, B, X, nu: float,
     unless ``lenient`` is set, in which case the trial is marked advisory:
     the verdict is recorded but carries no certification weight.
     """
-    _check_nu(nu)
-    if not case.in_domain(nu):
-        raise DomainError(
-            f"case {case.case_id} requires nu in {case.nu_domain}, got nu={nu!r}"
-        )
+    case.check_nu(nu)
     hypothesis_met = True
     if case.x_kind == "pd":
         try:
             xh = validate_hermitian(np.asarray(X))
-            _clamped_psd_spectrum(np.linalg.eigvalsh(xh), psd_tol, "X")
+            clamp_psd(np.linalg.eigvalsh(xh), psd_tol, "X")
         except DomainError as exc:
             if not lenient:
                 raise DomainError(
@@ -420,40 +358,25 @@ def certify_hs(case: HsCase, A, B, X, nu: float,
     ctx = HsContext(A, B, X, psd_tol, oracle=oracle)
     sides = tuple(float(s) for s in case.sides(ctx, nu))
     la, mu, y2 = ctx.cell_parts()
-    osides = tuple(float(s) for s in case.oracle_sides(la, mu, y2, nu))
+    osides, (lhs, rhs) = case.oracle(la, mu, y2, nu)
+    osides = tuple(float(s) for s in osides)
     rel_err = max(
         abs(s - o) / max(1.0, abs(s)) for s, o in zip(sides, osides, strict=True)
     )
-    slacks = []
-    min_slack = math.inf
-    worst_link = case.links[0]
-    for i in range(len(sides) - 1):
-        scale = max(1.0, sides[i], sides[i + 1])
-        slack = (sides[i + 1] - sides[i]) / scale
-        slacks.append(slack)
-        if slack < min_slack:
-            min_slack = slack
-            worst_link = case.links[i]
-    passed = min_slack >= -tol
-    worst_cell = None
-    if case.cell_pair is not None:
-        lhs, rhs = case.cell_pair(la, mu, nu)
-        damage = (rhs * rhs - lhs * lhs) * y2
-        i, j = np.unravel_index(int(np.argmin(damage)), damage.shape)
-        worst_cell = (int(i), int(j), float(la[i]), float(mu[j]), float(damage[i, j]))
-    extras = case.extras(ctx, nu) if case.extras is not None else {}
+    _, slacks, worst = judge_chain(sides)
+    damage = (rhs * rhs - lhs * lhs) * y2
+    i, j = np.unravel_index(int(np.argmin(damage)), damage.shape)
     return HsTrial(
         case_id=case.case_id,
         nu=float(nu),
         sides=sides,
         slacks=tuple(slacks),
-        min_slack=min_slack,
-        worst_link=worst_link,
-        passed=passed,
+        min_slack=slacks[worst],
+        worst_link=case.links[worst],
+        passed=slacks[worst] >= -tol,
         hypothesis_met=hypothesis_met,
         advisory=lenient and not hypothesis_met,
         oracle_sides=osides,
         oracle_rel_err=float(rel_err),
-        worst_cell=worst_cell,
-        extras=extras,
+        worst_cell=(int(i), int(j), float(la[i]), float(mu[j]), float(damage[i, j])),
     )

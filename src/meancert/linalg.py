@@ -20,13 +20,12 @@ Conventions
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-8
 PSD_TOL = 1e-9
-RECON_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -67,13 +66,8 @@ def validate_hermitian(M, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return H
 
 
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # ascending, real
-    eigenvectors: np.ndarray  # unitary, columns matching eigenvalues
-
-
-def eigh(M, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+def eigh(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, V) of a Hermitian matrix, eigenvalues ascending."""
     H = validate_hermitian(M, tol)
     try:
         w, V = np.linalg.eigh(H)
@@ -82,48 +76,23 @@ def eigh(M, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
             f"eigendecomposition failed for a {H.shape[0]}x{H.shape[0]} matrix "
             f"(max |entry| {np.abs(H).max():.3e}): {exc}"
         ) from exc
-    return EigenDecomposition(w, V)
+    return w, V
 
 
-def mat_fn(M, f: Callable, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix through its spectrum.
+def clamp_psd(w: np.ndarray, psd_tol: float, who: str) -> np.ndarray:
+    """Clamp eigenvalues in [-psd_tol * scale, 0) to zero, scale = max(1, max|w|).
 
-    ``f`` may be vectorized (numpy ufunc style) or scalar-only; it must be
-    real-valued and finite on every eigenvalue, otherwise a DomainError
-    names the offending eigenvalue.
+    Anything more negative raises DomainError naming ``who`` and the
+    offending eigenvalue.
     """
-    w, V = eigh(M, tol)
-    fw = None
-    with np.errstate(all="ignore"):
-        try:
-            cand = np.asarray(f(w))
-            if cand.shape == w.shape:
-                fw = cand
-        except (TypeError, ValueError, ArithmeticError):
-            fw = None
-    if fw is None:
-        vals = []
-        for k, x in enumerate(w):
-            try:
-                vals.append(f(float(x)))
-            except (ArithmeticError, ValueError) as exc:
-                raise DomainError(
-                    f"f is undefined at eigenvalue {float(x)!r} (index {k}): {exc}"
-                ) from exc
-        fw = np.asarray(vals)
-    if np.iscomplexobj(fw):
-        if np.abs(fw.imag).max() > 0.0:
-            k = int(np.argmax(np.abs(fw.imag)))
-            raise DomainError(
-                f"f is not real-valued at eigenvalue {float(w[k])!r} (index {k})"
-            )
-        fw = fw.real
-    fw = fw.astype(np.float64)
-    bad = ~np.isfinite(fw)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"f is undefined at eigenvalue {float(w[k])!r} (index {k})")
-    return hermitianize((V * fw) @ V.conj().T)
+    scale = max(1.0, float(np.abs(w).max()))
+    lo = float(w.min())
+    if lo < -psd_tol * scale:
+        raise DomainError(
+            f"{who} has eigenvalue {lo:.6e}, negative beyond the clamp window "
+            f"{-psd_tol * scale:.1e}; a positive semidefinite operand is required"
+        )
+    return np.maximum(w, 0.0)
 
 
 def _pow_spectrum(w: np.ndarray, p: float, psd_tol: float) -> np.ndarray:
@@ -134,15 +103,8 @@ def _pow_spectrum(w: np.ndarray, p: float, psd_tol: float) -> np.ndarray:
     strictly positive eigenvalues after clamping.
     """
     p = float(p)
-    scale = max(1.0, float(np.abs(w).max()))
     if p < 0 or not p.is_integer():
-        lo = float(w.min())
-        if lo < -psd_tol * scale:
-            raise DomainError(
-                f"eigenvalue {lo:.6e} is negative beyond the clamp window "
-                f"{-psd_tol * scale:.1e}; t**{p} needs a positive semidefinite matrix"
-            )
-        w = np.maximum(w, 0.0)
+        w = clamp_psd(w, psd_tol, f"the base of t**{p}")
         if p < 0 and float(w.min()) <= 0.0:
             raise DomainError(
                 f"eigenvalue {float(w.min()):.6e} blocks t**{p}; "
@@ -159,9 +121,7 @@ def mat_pow(M, p: float, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL) -
     returns the symmetrized input.  See ``_pow_spectrum`` for the domain
     rules on fractional and negative exponents.
     """
-    w, V = eigh(M, tol)
-    wp = _pow_spectrum(w, p, psd_tol)
-    return hermitianize((V * wp) @ V.conj().T)
+    return Powers(M, psd_tol, tol).pow(p)
 
 
 class PsdCheck(NamedTuple):
@@ -195,24 +155,12 @@ def spectral_norm(M, tol: float = HERMITIAN_TOL) -> float:
     return float(np.abs(w).max())
 
 
-def congruence(S, M, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Congruence transform S M S* of a Hermitian M.
-
-    Invertibility of S is the caller's responsibility; the transform
-    preserves the positive semidefinite cone either way.
-    """
-    S = np.asarray(S)
-    H = validate_hermitian(M, tol)
-    return hermitianize(S @ H @ S.conj().T)
-
-
 class Powers:
     """Cached spectral powers of one Hermitian matrix.
 
     A single eigendecomposition backs every requested power, keeping
     repeated mean evaluations on the same operand cheap and mutually
-    consistent.  Numerically this matches mat_pow exactly: same
-    decomposition, same clamp rules.
+    consistent.  mat_pow is a one-off Powers.
     """
 
     def __init__(self, M, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL):

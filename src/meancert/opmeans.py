@@ -26,13 +26,9 @@ import numpy as np
 
 from . import scalar
 from .linalg import PSD_TOL, DomainError, Powers, hermitianize, is_psd
+from .scalar import Case, check_unit, find_case, first_worst
 
 CERT_PSD_TOL = 1e-8
-
-
-def _check_nu(nu: float) -> None:
-    if not math.isfinite(nu) or nu < 0.0 or nu > 1.0:
-        raise DomainError(f"nu={nu!r} outside [0, 1]")
 
 
 class PairContext:
@@ -69,11 +65,11 @@ class PairContext:
         return self._px
 
     def nabla(self, nu: float = 0.5) -> np.ndarray:
-        _check_nu(nu)
+        check_unit("nu", nu)
         return (1.0 - nu) * self.A + nu * self.B
 
     def geom(self, nu: float = 0.5) -> np.ndarray:
-        _check_nu(nu)
+        check_unit("nu", nu)
         # Boundary identities are exact; the congruence route would only
         # reconstruct A or B through kappa(A)-amplified rounding.
         if nu == 0.0:
@@ -84,17 +80,16 @@ class PairContext:
         return hermitianize(ah @ self._x().pow(nu) @ ah)
 
     def harmonic(self, nu: float = 0.5) -> np.ndarray:
-        _check_nu(nu)
+        check_unit("nu", nu)
         blend = Powers((1.0 - nu) * self.pa.pow(-1.0) + nu * self.pb.pow(-1.0), self.psd_tol)
         return blend.pow(-1.0)
 
     def heinz(self, nu: float) -> np.ndarray:
-        _check_nu(nu)
+        check_unit("nu", nu)
         return (self.geom(nu) + self.geom(1.0 - nu)) / 2.0
 
     def heron(self, alpha: float) -> np.ndarray:
-        if not math.isfinite(alpha) or alpha < 0.0 or alpha > 1.0:
-            raise DomainError(f"alpha={alpha!r} outside [0, 1]")
+        check_unit("alpha", alpha)
         return (1.0 - alpha) * self.geom(0.5) + alpha * self.nabla(0.5)
 
     def corr_lower(self) -> np.ndarray:
@@ -132,25 +127,15 @@ def heron(A, B, alpha: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OperatorCase:
+class OperatorCase(Case):
     """One Loewner chain: gaps(ctx, nu) yields RHS - LHS per link, all PSD when true."""
 
-    case_id: str
-    description: str
-    formula: str
-    nu_domain: str
-    in_domain: Callable[[float], bool]
     requires_ordered: bool
     links: tuple[str, ...]
     gaps: Callable[[PairContext, float], tuple[np.ndarray, ...]]
     # scalar restatement of each link's gap at a commuting eigenvalue pair
     # (lam from A, mu from B; ordered cases assume lam <= mu)
     cells: Callable[[float, float, float], tuple[float, ...]]
-
-
-def _new21_slack(a: float, b: float, nu: float) -> float:
-    case = scalar.case_by_id("new-2.1")
-    return scalar.evaluate(case, a, b, nu).slacks[0]
 
 
 def _gaps_23(ctx: PairContext, nu: float):
@@ -229,14 +214,13 @@ def _cells_27_refine(lam: float, mu: float, nu: float):
     )
 
 
-def _cells_210(lam: float, mu: float, nu: float):
-    case = scalar.case_by_id("comb-2.12")
-    return scalar.evaluate(case, lam, mu, nu).slacks
-
-
-def _cells_heron_zhao(lam: float, mu: float, nu: float):
-    case = scalar.case_by_id("bhatia-heron")
-    return scalar.evaluate(case, lam, mu, nu).slacks
+def _scalar_cells(case_id: str, swap: bool = False):
+    """Cells of a chain with a scalar twin: the twin's raw slacks at
+    (lam, mu), or at (mu, lam) with ``swap``."""
+    case = scalar.case_by_id(case_id)
+    if swap:
+        return lambda lam, mu, nu: scalar.evaluate(case, mu, lam, nu).slacks
+    return lambda lam, mu, nu: scalar.evaluate(case, lam, mu, nu).slacks
 
 
 def _build_registry() -> tuple[OperatorCase, ...]:
@@ -263,7 +247,7 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             False,
             ("main",),
             _gaps_25,
-            lambda lam, mu, nu: (_new21_slack(lam, mu, nu),),
+            _scalar_cells("new-2.1"),
         ),
         OperatorCase(
             "op-2.6",
@@ -274,7 +258,7 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             False,
             ("main",),
             _gaps_26,
-            lambda lam, mu, nu: (_new21_slack(mu, lam, nu),),
+            _scalar_cells("new-2.1", swap=True),
         ),
         OperatorCase(
             "op-2.7-left",
@@ -319,7 +303,7 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             False,
             ("lower", "middle", "upper"),
             _gaps_210,
-            _cells_210,
+            _scalar_cells("comb-2.12"),
         ),
         OperatorCase(
             "op-heron-zhao",
@@ -330,13 +314,12 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             False,
             ("main",),
             _gaps_heron_zhao,
-            _cells_heron_zhao,
+            _scalar_cells("bhatia-heron"),
         ),
     )
 
 
 _REGISTRY = _build_registry()
-_BY_ID = {c.case_id: c for c in _REGISTRY}
 
 
 def registry() -> tuple[OperatorCase, ...]:
@@ -345,11 +328,7 @@ def registry() -> tuple[OperatorCase, ...]:
 
 
 def case_by_id(case_id: str) -> OperatorCase:
-    try:
-        return _BY_ID[case_id]
-    except KeyError:
-        known = ", ".join(sorted(_BY_ID))
-        raise DomainError(f"unknown operator case {case_id!r}; known cases: {known}") from None
+    return find_case(_REGISTRY, "operator", case_id)
 
 
 class LinkCheck(NamedTuple):
@@ -380,11 +359,7 @@ def certify_operator(case: OperatorCase, A, B, nu: float,
     to an ordered-only case, operands that are not PD where required)
     raise DomainError naming the violated predicate.
     """
-    _check_nu(nu)
-    if not case.in_domain(nu):
-        raise DomainError(
-            f"case {case.case_id} requires nu in {case.nu_domain}, got nu={nu!r}"
-        )
+    case.check_nu(nu)
     ctx = PairContext(A, B, psd_tol)
     if case.requires_ordered:
         order = is_psd(ctx.B - ctx.A, tol)
@@ -394,21 +369,19 @@ def certify_operator(case: OperatorCase, A, B, nu: float,
                 f"lam_min(B - A) = {order.lam_min:.6e} at scale {order.scale:.3e}"
             )
     checks = []
-    worst = None
-    worst_witness = None
+    witnesses = []
     for name, gap in zip(case.links, case.gaps(ctx, nu), strict=True):
         res = is_psd(gap, tol)
         slack = res.lam_min / res.scale
         checks.append(LinkCheck(name, res.lam_min, res.scale, slack, res.ok))
-        if worst is None or slack < worst.slack:
-            worst = checks[-1]
-            worst_witness = res.witness
+        witnesses.append(res.witness)
+    worst = first_worst([c.slack for c in checks])
     return OperatorTrial(
         case_id=case.case_id,
         nu=float(nu),
         links=tuple(checks),
-        min_slack=worst.slack,
-        worst_link=worst.name,
+        min_slack=checks[worst].slack,
+        worst_link=checks[worst].name,
         passed=all(c.ok for c in checks),
-        witness=worst_witness,
+        witness=witnesses[worst],
     )

@@ -21,7 +21,6 @@ import numpy as np
 from .linalg import DomainError, hermitianize
 
 DEFAULT_LAW = "log-uniform:0.001:1000.0"
-STRUCTURES = ("general-pd", "diagonal", "ordered-pair", "commuting-pair")
 
 
 def parse_law(law: str) -> tuple[str, tuple[float, ...]]:
@@ -66,17 +65,12 @@ class GenSpec:
 
     dim: int
     law: str = DEFAULT_LAW
-    structure: str = "general-pd"
     seed: int = 0
     complex_entries: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.structure not in STRUCTURES:
-            raise DomainError(
-                f"unknown structure {self.structure!r}; expected one of {STRUCTURES}"
-            )
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         parse_law(self.law)
@@ -129,7 +123,7 @@ def assemble(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def pd_parts(rng: np.random.Generator, dim: int, law: str,
-             complex_entries: bool = False, diagonal: bool = False,
+             complex_entries: bool = False,
              allow_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Draw (lam, Q); spectrum first, then basis (fixed order for replay)."""
     lam = sample_spectrum(rng, law, dim)
@@ -137,8 +131,7 @@ def pd_parts(rng: np.random.Generator, dim: int, law: str,
         raise DomainError(
             f"positive definite generation needs a positive spectrum, got {lam.min()!r}"
         )
-    q = np.eye(dim) if diagonal else sample_basis(rng, dim, complex_entries)
-    return lam, q
+    return lam, sample_basis(rng, dim, complex_entries)
 
 
 def general_entries(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:
@@ -151,8 +144,7 @@ def general_entries(rng: np.random.Generator, dim: int, complex_entries: bool = 
 def gen_pd(spec: GenSpec, trial: int = 0) -> np.ndarray:
     """Random positive definite matrix for (spec, trial)."""
     rng = trial_rng(spec.seed, trial)
-    lam, q = pd_parts(rng, spec.dim, spec.law, spec.complex_entries,
-                      diagonal=spec.structure == "diagonal")
+    lam, q = pd_parts(rng, spec.dim, spec.law, spec.complex_entries)
     return assemble(lam, q)
 
 
@@ -164,22 +156,11 @@ def gen_ordered_pair(spec: GenSpec, trial: int = 0,
     gives the A = B boundary case.
     """
     rng = trial_rng(spec.seed, trial)
-    diag = spec.structure == "diagonal"
-    lam_a, q_a = pd_parts(rng, spec.dim, spec.law, spec.complex_entries, diagonal=diag)
+    lam_a, q_a = pd_parts(rng, spec.dim, spec.law, spec.complex_entries)
     lam_w, q_w = pd_parts(rng, spec.dim, w_law or spec.law, spec.complex_entries,
-                          diagonal=diag, allow_zero=True)
+                          allow_zero=True)
     a = assemble(lam_a, q_a)
     return a, a + assemble(lam_w, q_w)
-
-
-def gen_commuting_pair(spec: GenSpec, trial: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Pair sharing one eigenbasis with independent spectra."""
-    rng = trial_rng(spec.seed, trial)
-    diag = spec.structure == "diagonal"
-    lam_a = sample_spectrum(rng, spec.law, spec.dim)
-    lam_b = sample_spectrum(rng, spec.law, spec.dim)
-    q = np.eye(spec.dim) if diag else sample_basis(rng, spec.dim, spec.complex_entries)
-    return assemble(lam_a, q), assemble(lam_b, q)
 
 
 def gen_general(spec: GenSpec, trial: int = 0) -> np.ndarray:

@@ -9,6 +9,7 @@ worker counts.
 """
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -25,19 +26,53 @@ DEFAULT_DIMS = (1, 2, 3, 5, 8)
 FAILURE_CAP = 10
 
 
-def _ids(module) -> tuple[str, ...]:
-    return tuple(c.case_id for c in module.registry())
+_SCALAR_FIELDS = ("case", "kind", "a", "b", "nu")
+_MATRIX_FIELDS = ("case", "kind", "structure", "dim", "law", "seed", "trial", "nu", "complex")
 
 
-def kind_of(case_id: str) -> str:
-    if case_id in _ids(scalar):
-        return "scalar"
-    if case_id in _ids(opmeans):
-        return "operator"
-    if case_id in _ids(hsnorm):
-        return "hs"
-    known = sorted(_ids(scalar) + _ids(opmeans) + _ids(hsnorm))
-    raise DomainError(f"unknown case id {case_id!r}; known ids: {', '.join(known)}")
+@dataclass(frozen=True)
+class CaseEntry:
+    """One row of the case table."""
+
+    kind: str  # "scalar", "operator" or "hs"
+    case: scalar.Case  # the ScalarCase, OperatorCase or HsCase
+    structure: str | None  # how matrix trials draw (A, B): "general-pd" or "ordered-pair"
+    nu_grid: tuple[float, ...]  # the dyadic 33-grid restricted to the case domain
+    fields: tuple[str, ...]  # the keys of the case's digests
+
+
+def _build_table() -> dict[str, CaseEntry]:
+    table = {}
+    for kind, module in (("scalar", scalar), ("operator", opmeans), ("hs", hsnorm)):
+        for case in sorted(module.registry(), key=lambda c: c.case_id):
+            grid = tuple(g for g in scalar.NU_GRID_33 if case.in_domain(g))
+            structure, fields = None, _SCALAR_FIELDS
+            if kind != "scalar":
+                # Ordered pairs are generated for every op-2.7 variant: the left/right
+                # laws require A <= B, and the refinement is evaluated on the same
+                # population for comparability.
+                ordered = case.case_id.startswith("op-2.7")
+                structure = "ordered-pair" if ordered else "general-pd"
+                fields = _MATRIX_FIELDS + (("w_law",) if ordered else ())
+                if kind == "hs":
+                    fields += ("x_kind",)
+            table[case.case_id] = CaseEntry(kind, case, structure, grid, fields)
+    return table
+
+
+# every registered case by id: scalar, then operator, then hs, each sorted by id
+CASES = _build_table()
+_KIND_TOKENS = {"scalar": "scalar", "op": "operator", "operator": "operator", "hs": "hs"}
+
+
+def case_entry(case_id: str) -> CaseEntry:
+    """The table row of ``case_id``; DomainError listing the known ids."""
+    try:
+        return CASES[case_id]
+    except KeyError:
+        raise DomainError(
+            f"unknown case id {case_id!r}; known ids: {', '.join(sorted(CASES))}"
+        ) from None
 
 
 def resolve_cases(tokens: list[str] | None, kinds: tuple[str, ...]) -> list[str]:
@@ -46,34 +81,25 @@ def resolve_cases(tokens: list[str] | None, kinds: tuple[str, ...]) -> list[str]
     Only ids whose kind is in ``kinds`` are returned; asking for an id of
     the wrong kind is an error rather than a silent skip.
     """
-    pools = {
-        "scalar": sorted(_ids(scalar)),
-        "operator": sorted(_ids(opmeans)),
-        "hs": sorted(_ids(hsnorm)),
-    }
-    allowed = [cid for k in kinds for cid in pools[k]]
+    def pool(kind):
+        return [cid for cid, entry in CASES.items() if entry.kind == kind]
+
+    allowed = [cid for k in kinds for cid in pool(k)]
     if not tokens or tokens == ["all"]:
         return allowed
     out: list[str] = []
     for tok in tokens:
         if tok == "all":
             out.extend(allowed)
-        elif tok in ("op", "operator"):
-            out.extend(pools["operator"])
-        elif tok in ("hs", "scalar"):
-            out.extend(pools[tok])
-        else:
-            kind = kind_of(tok)
-            if kind not in kinds:
-                raise DomainError(
-                    f"case {tok!r} is of kind {kind}; this command handles "
-                    f"{', '.join(kinds)} cases"
-                )
-            out.append(tok)
-    seen: dict[str, None] = {}
-    for cid in out:
-        seen.setdefault(cid)
-    result = list(seen)
+            continue
+        kind = _KIND_TOKENS.get(tok) or case_entry(tok).kind
+        if kind not in kinds:
+            raise DomainError(
+                f"case {tok!r} is of kind {kind}; this command handles "
+                f"{', '.join(kinds)} cases"
+            )
+        out.extend(pool(kind) if tok in _KIND_TOKENS else [tok])
+    result = list(dict.fromkeys(out))
     if not result:
         raise DomainError(f"no cases of kind {kinds} matched {tokens!r}")
     return result
@@ -109,46 +135,27 @@ class RunConfig:
             parse_law(self.w_law)
 
 
-def _case_kind(case_id: str):
-    kind = kind_of(case_id)
-    if kind == "operator":
-        return opmeans.case_by_id(case_id), kind
-    if kind == "hs":
-        return hsnorm.case_by_id(case_id), kind
-    return scalar.case_by_id(case_id), kind
-
-
 def nu_grid_for(case_id: str, nu: float | None) -> list[float]:
     """Admissible nu values: the dyadic 33-grid restricted to the case domain."""
-    case, _ = _case_kind(case_id)
-    if nu is not None:
-        if not case.in_domain(nu):
-            raise DomainError(
-                f"nu={nu!r} is outside the domain {case.nu_domain} of {case_id}"
-            )
-        return [float(nu)]
-    grid = [g for g in scalar.NU_GRID_33 if case.in_domain(g)]
-    if not grid:
-        raise DomainError(f"no admissible nu grid points for {case_id}")
-    return grid
-
-
-def _structure_for(case_id: str) -> str:
-    # Ordered pairs are generated for every op-2.7 variant: the left/right
-    # laws require A <= B, and the refinement is evaluated on the same
-    # population for comparability.
-    return "ordered-pair" if case_id.startswith("op-2.7") else "general-pd"
+    entry = case_entry(case_id)
+    if nu is None:
+        return list(entry.nu_grid)
+    if not entry.case.in_domain(nu):
+        raise DomainError(
+            f"nu={nu!r} is outside the domain {entry.case.nu_domain} of {case_id}"
+        )
+    return [float(nu)]
 
 
 def make_digest(case_id: str, cfg: RunConfig, trial: int) -> dict[str, Any]:
-    case, kind = _case_kind(case_id)
-    grid = nu_grid_for(case_id, cfg.nu)
+    entry = case_entry(case_id)
+    grid = entry.nu_grid if cfg.nu is None else nu_grid_for(case_id, cfg.nu)
     dim = cfg.dims[trial % len(cfg.dims)]
     nu = grid[trial % len(grid)]
     digest: dict[str, Any] = {
         "case": case_id,
-        "kind": kind,
-        "structure": _structure_for(case_id),
+        "kind": entry.kind,
+        "structure": entry.structure,
         "dim": int(dim),
         "law": cfg.law,
         "seed": int(cfg.seed),
@@ -156,12 +163,38 @@ def make_digest(case_id: str, cfg: RunConfig, trial: int) -> dict[str, Any]:
         "nu": float(nu),
         "complex": bool(cfg.complex_entries),
     }
-    if digest["structure"] == "ordered-pair":
+    if entry.structure == "ordered-pair":
         digest["w_law"] = cfg.w_law or cfg.law
-    if kind == "hs":
-        x_kind = "general" if cfg.lenient_x else case.x_kind
-        digest["x_kind"] = x_kind
+    if entry.kind == "hs":
+        digest["x_kind"] = "general" if cfg.lenient_x else entry.case.x_kind
     return digest
+
+
+def check_digest(digest: dict[str, Any]) -> CaseEntry:
+    """Check a digest against the case table and return its case's entry.
+
+    A digest must hold exactly the fields that make_digest (or, for scalar
+    cases, run_scalar_case) writes for its case, with the case's kind and
+    structure; anything else is a DomainError naming the field.
+    """
+    if "case" not in digest:
+        raise DomainError("digest is missing the 'case' field")
+    entry = case_entry(digest["case"])
+    for key, want in (("kind", entry.kind), ("structure", entry.structure)):
+        if key in digest and digest[key] != want:
+            raise DomainError(f"digest field {key!r} is {digest[key]!r}, but "
+                              f"case {digest['case']} has {key} {want!r}")
+    for key in entry.fields:
+        if key not in digest:
+            raise DomainError(f"digest is missing the {key!r} field")
+    unknown = sorted(set(digest).difference(entry.fields))
+    if unknown:
+        raise DomainError(f"digest has unknown field(s) {', '.join(map(repr, unknown))}")
+    # lenient sweeps draw a general X for a pd-X case, never the reverse
+    if entry.kind == "hs" and digest["x_kind"] not in ("general", entry.case.x_kind):
+        raise DomainError(f"digest field 'x_kind' is {digest['x_kind']!r}; case "
+                          f"{digest['case']} takes 'general' or {entry.case.x_kind!r}")
+    return entry
 
 
 def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
@@ -173,15 +206,14 @@ def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
     when general).  Changing this order is a breaking change for replay.
     """
     case_id = digest["case"]
-    kind = digest["kind"]
     dim = int(digest["dim"])
-    cx = bool(digest.get("complex", False))
+    cx = bool(digest["complex"])
     law = digest["law"]
     rng = trial_rng(derive_seed(int(digest["seed"]), case_id), int(digest["trial"]))
 
     lam_a, q_a = pd_parts(rng, dim, law, cx)
     a = assemble(lam_a, q_a)
-    if digest.get("structure") == "ordered-pair":
+    if digest["structure"] == "ordered-pair":
         lam_w, q_w = pd_parts(rng, dim, digest["w_law"], cx, allow_zero=True)
         b = a + assemble(lam_w, q_w)
         lam_b = q_b = None
@@ -189,8 +221,8 @@ def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
         lam_b, q_b = pd_parts(rng, dim, law, cx)
         b = assemble(lam_b, q_b)
     out: dict[str, Any] = {"A": a, "B": b, "nu": float(digest["nu"])}
-    if kind == "hs":
-        if digest.get("x_kind") == "pd":
+    if digest["kind"] == "hs":
+        if digest["x_kind"] == "pd":
             lam_x, q_x = pd_parts(rng, dim, law, cx)
             out["X"] = assemble(lam_x, q_x)
         else:
@@ -202,13 +234,13 @@ def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
 
 def run_trial(digest: dict[str, Any], tol: float, psd_tol: float):
     """Evaluate one trial; returns the module-level trial record."""
-    case, kind = _case_kind(digest["case"])
+    entry = case_entry(digest["case"])
     inputs = build_inputs(digest)
-    if kind == "operator":
-        return opmeans.certify_operator(case, inputs["A"], inputs["B"], inputs["nu"],
+    if entry.kind == "operator":
+        return opmeans.certify_operator(entry.case, inputs["A"], inputs["B"], inputs["nu"],
                                         tol=tol, psd_tol=psd_tol)
-    lenient = digest.get("x_kind") != case.x_kind
-    return hsnorm.certify_hs(case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
+    lenient = digest["x_kind"] != entry.case.x_kind
+    return hsnorm.certify_hs(entry.case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
                              tol=tol, psd_tol=psd_tol, lenient=lenient,
                              oracle=inputs.get("oracle"))
 
@@ -245,14 +277,20 @@ class _Agg:
                     "worst_link": rec.worst_link,
                 })
         if kind == "hs" and rec.oracle_rel_err is not None:
-            if (self.oracle_max_rel_err is None
-                    or rec.oracle_rel_err > self.oracle_max_rel_err):
-                self.oracle_max_rel_err = rec.oracle_rel_err
+            self._fold_oracle_err(rec.oracle_rel_err)
             if rec.oracle_rel_err > hsnorm.ORACLE_TOL:
                 self.oracle_violations += 1
-        key = (rec.min_slack, trial_no)
-        if self.min_slack is None or key < (self.min_slack, self.argmin_trial):
-            self.min_slack = rec.min_slack
+        self._fold_min(rec.min_slack, trial_no, digest)
+
+    def _fold_oracle_err(self, err: float | None) -> None:
+        if err is not None and (self.oracle_max_rel_err is None
+                                or err > self.oracle_max_rel_err):
+            self.oracle_max_rel_err = err
+
+    def _fold_min(self, slack: float, trial_no: int, digest) -> None:
+        # ties go to the lower trial index, whatever the chunking
+        if self.min_slack is None or (slack, trial_no) < (self.min_slack, self.argmin_trial):
+            self.min_slack = slack
             self.argmin_trial = trial_no
             self.argmin_digest = digest
 
@@ -264,27 +302,24 @@ class _Agg:
         self.advisory_trials += other.advisory_trials
         self.advisory_held += other.advisory_held
         self.oracle_violations += other.oracle_violations
-        if other.oracle_max_rel_err is not None:
-            if (self.oracle_max_rel_err is None
-                    or other.oracle_max_rel_err > self.oracle_max_rel_err):
-                self.oracle_max_rel_err = other.oracle_max_rel_err
+        self._fold_oracle_err(other.oracle_max_rel_err)
         room = FAILURE_CAP - len(self.failure_digests)
         if room > 0:
             self.failure_digests.extend(other.failure_digests[:room])
         if other.min_slack is not None:
-            key = (other.min_slack, other.argmin_trial)
-            if self.min_slack is None or key < (self.min_slack, self.argmin_trial):
-                self.min_slack = other.min_slack
-                self.argmin_trial = other.argmin_trial
-                self.argmin_digest = other.argmin_digest
+            self._fold_min(other.min_slack, other.argmin_trial, other.argmin_digest)
 
 
 def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
-    case, kind = _case_kind(case_id)
+    kind = case_entry(case_id).kind
     agg = _Agg()
     for t in range(start, stop):
         digest = make_digest(case_id, cfg, t)
-        rec = run_trial(digest, cfg.tol, cfg.psd_tol)
+        try:
+            rec = run_trial(digest, cfg.tol, cfg.psd_tol)
+        except DomainError as exc:
+            raise DomainError(f"case {case_id} trial {t}: {exc}; "
+                              f"digest: {json.dumps(digest, sort_keys=True)}") from exc
         agg.fold_trial(digest, t, rec, kind)
     return agg
 
@@ -292,7 +327,7 @@ def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
 def run_case(case_id: str, cfg: RunConfig,
              pool: ProcessPoolExecutor | None = None) -> dict[str, Any]:
     """Sweep one case; aggregate is independent of the worker count."""
-    case, kind = _case_kind(case_id)
+    entry = case_entry(case_id)
     nu_grid_for(case_id, cfg.nu)  # fail fast on a bad --nu
     spans = [(s, min(s + CHUNK, cfg.trials)) for s in range(0, cfg.trials, CHUNK)]
     agg = _Agg()
@@ -307,8 +342,8 @@ def run_case(case_id: str, cfg: RunConfig,
     passed = agg.failures == 0 and agg.oracle_violations == 0
     summary: dict[str, Any] = {
         "case": case_id,
-        "kind": kind,
-        "links": list(case.links) if kind in ("operator", "hs") else [],
+        "kind": entry.kind,
+        "links": list(entry.case.links),
         "trials": agg.trials,
         "asserted": asserted,
         "passes": agg.passes,
@@ -318,7 +353,7 @@ def run_case(case_id: str, cfg: RunConfig,
         "argmin": agg.argmin_digest,
         "failure_digests": agg.failure_digests,
     }
-    if kind == "hs":
+    if entry.kind == "hs":
         summary["oracle_max_rel_err"] = agg.oracle_max_rel_err
         summary["oracle_violations"] = agg.oracle_violations
         summary["advisory_trials"] = agg.advisory_trials
@@ -381,25 +416,18 @@ def run_scalar_case(case_id: str,
     }
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[float(np.real(v)), float(np.imag(v))] for v in value.ravel()]
-        return [float(v) for v in value.ravel()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+def _jsonable(value: np.ndarray) -> list:
+    if np.iscomplexobj(value):
+        return [[float(np.real(v)), float(np.imag(v))] for v in value.ravel()]
+    return [float(v) for v in value.ravel()]
 
 
 def replay_trial(digest: dict[str, Any], tol: float | None = None,
                  psd_tol: float = PSD_TOL) -> dict[str, Any]:
     """Re-run one digest and return a JSON-ready trial record."""
-    if "case" not in digest:
-        raise DomainError("digest is missing the 'case' field")
-    kind = digest.get("kind") or kind_of(digest["case"])
-    if kind == "scalar":
-        case = scalar.case_by_id(digest["case"])
-        trial = scalar.evaluate(case, float(digest["a"]), float(digest["b"]),
+    entry = check_digest(digest)
+    if entry.kind == "scalar":
+        trial = scalar.evaluate(entry.case, float(digest["a"]), float(digest["b"]),
                                 float(digest["nu"]),
                                 tol=tol if tol is not None else scalar.SCALAR_TOL)
         return {
@@ -409,14 +437,11 @@ def replay_trial(digest: dict[str, Any], tol: float | None = None,
             "slacks": list(trial.slacks),
             "min_slack": trial.min_slack,
         }
-    for key in ("dim", "law", "seed", "trial", "nu"):
-        if key not in digest:
-            raise DomainError(f"digest is missing the {key!r} field")
     use_tol = tol if tol is not None else opmeans.CERT_PSD_TOL
     rec = run_trial(digest, use_tol, psd_tol)
     out: dict[str, Any] = {"digest": digest, "passed": rec.passed,
                            "min_slack": rec.min_slack, "worst_link": rec.worst_link}
-    if kind == "operator":
+    if entry.kind == "operator":
         out["links"] = [{"name": lc.name, "lam_min": lc.lam_min, "scale": lc.scale,
                          "slack": lc.slack, "ok": lc.ok} for lc in rec.links]
         out["witness"] = _jsonable(rec.witness)
@@ -427,10 +452,5 @@ def replay_trial(digest: dict[str, Any], tol: float | None = None,
         out["hypothesis_met"] = rec.hypothesis_met
         out["oracle_sides"] = list(rec.oracle_sides)
         out["oracle_rel_err"] = rec.oracle_rel_err
-        if rec.worst_cell is not None:
-            i, j, lam, mu, damage = rec.worst_cell
-            out["worst_cell"] = {"i": int(i), "j": int(j), "lam": float(lam),
-                                 "mu": float(mu), "damage": float(damage)}
-        if rec.extras:
-            out["extras"] = {k: _jsonable(v) for k, v in rec.extras.items()}
+        out["worst_cell"] = dict(zip(("i", "j", "lam", "mu", "damage"), rec.worst_cell))
     return out

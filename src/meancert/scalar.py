@@ -35,7 +35,8 @@ def _check_pair(a: float, b: float) -> None:
         raise DomainError(f"means need finite a, b > 0, got a={a!r}, b={b!r}")
 
 
-def _check_unit(name: str, t: float) -> None:
+def check_unit(name: str, t: float) -> None:
+    """Reject a weight outside [0, 1] (or not finite) with DomainError."""
     if not math.isfinite(t) or t < 0.0 or t > 1.0:
         raise DomainError(f"{name}={t!r} outside [0, 1]")
 
@@ -43,34 +44,34 @@ def _check_unit(name: str, t: float) -> None:
 def weighted_arith(a: float, b: float, nu: float) -> float:
     """nu*a + (1-nu)*b."""
     _check_pair(a, b)
-    _check_unit("nu", nu)
+    check_unit("nu", nu)
     return nu * a + (1.0 - nu) * b
 
 
 def weighted_geom(a: float, b: float, nu: float) -> float:
     """a**nu * b**(1-nu)."""
     _check_pair(a, b)
-    _check_unit("nu", nu)
+    check_unit("nu", nu)
     return a ** nu * b ** (1.0 - nu)
 
 
 def heinz(a: float, b: float, nu: float) -> float:
     """(a**nu b**(1-nu) + a**(1-nu) b**nu) / 2, symmetric in nu <-> 1-nu."""
     _check_pair(a, b)
-    _check_unit("nu", nu)
+    check_unit("nu", nu)
     return (a ** nu * b ** (1.0 - nu) + a ** (1.0 - nu) * b ** nu) / 2.0
 
 
 def heron(a: float, b: float, alpha: float) -> float:
     """(1-alpha) sqrt(ab) + alpha (a+b)/2, interpolating geometric to arithmetic."""
     _check_pair(a, b)
-    _check_unit("alpha", alpha)
+    check_unit("alpha", alpha)
     return (1.0 - alpha) * math.sqrt(a * b) + alpha * (a + b) / 2.0
 
 
 def alpha_of_nu(nu: float) -> float:
     """Heron weight 1 - 4(nu - nu^2) matching the Heinz mean at nu."""
-    _check_unit("nu", nu)
+    check_unit("nu", nu)
     return 1.0 - 4.0 * (nu - nu * nu)
 
 
@@ -82,24 +83,33 @@ def _R0(nu: float) -> float:
     return max(nu, 1.0 - nu)
 
 
-def _r1(nu: float) -> float:
-    # second-level distance to the nearest of {0, 1/2, 1}, rescaled
-    return min(2.0 * _r0(nu), 1.0 - 2.0 * _r0(nu))
-
-
 def _sq(a: float, b: float) -> float:
     return (math.sqrt(a) - math.sqrt(b)) ** 2
 
 
 @dataclass(frozen=True)
-class ScalarCase:
-    """One scalar inequality chain: sides(a, b, nu) must be nondecreasing."""
+class Case:
+    """What every registered chain states, whatever its kind."""
 
     case_id: str
     description: str
     formula: str
     nu_domain: str
     in_domain: Callable[[float], bool]
+
+    def check_nu(self, nu: float) -> None:
+        """Reject nu outside [0, 1] or outside the case's domain."""
+        check_unit("nu", nu)
+        if not self.in_domain(nu):
+            raise DomainError(
+                f"case {self.case_id} requires nu in {self.nu_domain}, got nu={nu!r}"
+            )
+
+
+@dataclass(frozen=True)
+class ScalarCase(Case):
+    """One scalar inequality chain: sides(a, b, nu) must be nondecreasing."""
+
     sides: Callable[[float, float, float], tuple[float, ...]]
 
 
@@ -356,7 +366,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
 
 
 _REGISTRY = _build_registry()
-_BY_ID = {c.case_id: c for c in _REGISTRY}
 
 
 def registry() -> tuple[ScalarCase, ...]:
@@ -364,36 +373,55 @@ def registry() -> tuple[ScalarCase, ...]:
     return _REGISTRY
 
 
+def find_case(cases: Sequence[Case], kind: str, case_id: str) -> Case:
+    """The case of ``cases`` with id ``case_id``; DomainError listing the known ids."""
+    for case in cases:
+        if case.case_id == case_id:
+            return case
+    known = ", ".join(sorted(c.case_id for c in cases))
+    raise DomainError(f"unknown {kind} case {case_id!r}; known cases: {known}")
+
+
 def case_by_id(case_id: str) -> ScalarCase:
-    try:
-        return _BY_ID[case_id]
-    except KeyError:
-        known = ", ".join(sorted(_BY_ID))
-        raise DomainError(f"unknown scalar case {case_id!r}; known cases: {known}") from None
+    return find_case(_REGISTRY, "scalar", case_id)
+
+
+def first_worst(values: Sequence[float]) -> int:
+    """Index of the first smallest value: the worst link of a judged chain."""
+    worst = 0
+    for i in range(1, len(values)):
+        if values[i] < values[worst]:
+            worst = i
+    return worst
+
+
+def judge_chain(sides: Sequence[float]) -> tuple[list[float], list[float], int]:
+    """Adjacent slacks of a chain whose sides should be nondecreasing.
+
+    Returns (raws, norms, worst): the raw slacks sides[i+1] - sides[i], the
+    same divided by max(1, |sides[i]|, |sides[i+1]|), and the index of the
+    first smallest normalized slack.
+    """
+    raws = []
+    norms = []
+    for i in range(len(sides) - 1):
+        lo, hi = sides[i], sides[i + 1]
+        raw = hi - lo
+        raws.append(raw)
+        norms.append(raw / max(1.0, abs(lo), abs(hi)))
+    return raws, norms, first_worst(norms)
 
 
 def evaluate(case: ScalarCase, a: float, b: float, nu: float,
              tol: float = SCALAR_TOL) -> ScalarTrial:
     """Evaluate one chain at (a, b, nu) and judge every adjacent link."""
     _check_pair(a, b)
-    _check_unit("nu", nu)
-    if not case.in_domain(nu):
-        raise DomainError(
-            f"case {case.case_id} requires nu in {case.nu_domain}, got nu={nu!r}"
-        )
+    case.check_nu(nu)
     sides = tuple(float(s) for s in case.sides(a, b, nu))
-    slacks = []
-    min_norm = math.inf
-    passed = True
-    for i in range(len(sides) - 1):
-        raw = sides[i + 1] - sides[i]
-        scale = max(1.0, abs(sides[i]), abs(sides[i + 1]))
-        norm = raw / scale
-        slacks.append(raw)
-        min_norm = min(min_norm, norm)
-        if norm < -tol:
-            passed = False
-    return ScalarTrial(case.case_id, a, b, nu, sides, tuple(slacks), min_norm, passed)
+    raws, norms, worst = judge_chain(sides)
+    min_norm = norms[worst]
+    return ScalarTrial(case.case_id, a, b, nu, sides, tuple(raws), min_norm,
+                       min_norm >= -tol)
 
 
 def upper_slack(case: ScalarCase, a: float, b: float, nu: float) -> float | None:
@@ -426,25 +454,19 @@ def find_non_dominance(
 
     first_tighter = None
     second_tighter = None
-    for nu in nu_values:
-        for a in a_values:
-            for b in a_values:
-                s1 = fam_slack(fams[0], a, b, nu)
-                s2 = fam_slack(fams[1], a, b, nu)
-                if s1 is None or s2 is None:
-                    continue
-                point = {"a": a, "b": b, "nu": nu, "first_slack": s1, "second_slack": s2}
-                if first_tighter is None and s1 < s2:
-                    first_tighter = point
-                if second_tighter is None and s2 < s1:
-                    second_tighter = point
-                if first_tighter and second_tighter:
-                    return {
-                        "first": list(first),
-                        "second": list(second),
-                        "first_tighter": first_tighter,
-                        "second_tighter": second_tighter,
-                    }
+    points = ((a, b, nu) for nu in nu_values for a in a_values for b in a_values)
+    for a, b, nu in points:
+        s1 = fam_slack(fams[0], a, b, nu)
+        s2 = fam_slack(fams[1], a, b, nu)
+        if s1 is None or s2 is None:
+            continue
+        point = {"a": a, "b": b, "nu": nu, "first_slack": s1, "second_slack": s2}
+        if first_tighter is None and s1 < s2:
+            first_tighter = point
+        if second_tighter is None and s2 < s1:
+            second_tighter = point
+        if first_tighter and second_tighter:
+            break
     return {
         "first": list(first),
         "second": list(second),

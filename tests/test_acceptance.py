@@ -59,7 +59,7 @@ def test_criterion_1_scalar_grid_exhaustive():
     elapsed = time.perf_counter() - t0
     assert len(summaries) == 18
     for s in summaries:
-        assert s["failures"] == 0, f"{s['case']}: {s['failure_points'][:1]}"
+        assert s["failures"] == 0, f"{s['case']}: {s['failure_digests'][:1]}"
         assert s["passed"] is True
         assert s["trials"] + s["skipped"] == 13 * 13 * 65
     assert elapsed < 10.0, f"scalar grid took {elapsed:.2f}s"

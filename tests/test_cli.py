@@ -7,7 +7,8 @@ from meancert.cli import main
 from meancert.linalg import DomainError
 from meancert.report import (REPORT_SCHEMA, canonical_json, strip_volatile,
                              validate_report)
-from meancert.runner import (RunConfig, make_digest, nu_grid_for,
+from meancert import hsnorm, opmeans, scalar
+from meancert.runner import (CASES, RunConfig, make_digest, nu_grid_for,
                              replay_trial, resolve_cases, run_case)
 
 ALL_CASE_COUNT = 30  # 18 scalar + 8 operator + 4 hs
@@ -37,6 +38,10 @@ class TestResolveCases:
     def test_wrong_kind_rejected(self):
         with pytest.raises(DomainError, match="kind"):
             resolve_cases(["young-1.1"], ("operator", "hs"))
+
+    def test_wrong_kind_token_rejected(self):
+        with pytest.raises(DomainError, match="kind scalar"):
+            resolve_cases(["scalar"], ("operator", "hs"))
 
     def test_unknown_id(self):
         with pytest.raises(DomainError, match="known ids"):
@@ -92,6 +97,101 @@ class TestRunner:
             replay_trial({"kind": "operator"})
         with pytest.raises(DomainError, match="missing"):
             replay_trial({"case": "op-2.3", "kind": "operator"})
+
+
+class TestCaseTable:
+    def test_one_row_per_registered_case(self):
+        assert len(CASES) == ALL_CASE_COUNT
+        for kind, module in (("scalar", scalar), ("operator", opmeans), ("hs", hsnorm)):
+            for case in module.registry():
+                assert CASES[case.case_id].kind == kind
+                assert CASES[case.case_id].case is case
+        assert CASES["op-2.7-left"].structure == "ordered-pair"
+        assert CASES["hs-2.14"].structure == "general-pd"
+
+    def test_sweep_reads_the_table_not_the_registries(self, monkeypatch):
+        calls = []
+        for module in (scalar, opmeans, hsnorm):
+            orig = module.registry
+            monkeypatch.setattr(module, "registry",
+                                lambda orig=orig: calls.append(1) or orig())
+        run_case("op-2.7-left", RunConfig(trials=6))
+        run_case("hs-cor", RunConfig(trials=6))
+        replay_trial(make_digest("hs-2.14", RunConfig(), 3))
+        assert calls == []
+
+
+def hs_digest(**changes):
+    digest = {"case": "hs-2.14", "kind": "hs", "structure": "general-pd",
+              "dim": 2, "law": "log-uniform:0.001:1000.0", "seed": 0,
+              "trial": 1, "nu": 0.25, "complex": False, "x_kind": "pd"}
+    digest.update(changes)
+    return digest
+
+
+def ordered_digest(**changes):
+    digest = make_digest("op-2.7-left", RunConfig(), 2)
+    digest.update(changes)
+    return digest
+
+
+def replay_error(capsys, digest):
+    """Exit code and stderr of replaying ``digest`` through the CLI."""
+    capsys.readouterr()
+    code = main(["replay", "--digest", json.dumps(digest)])
+    return code, capsys.readouterr().err
+
+
+class TestDigestChecks:
+    def test_hs_digest_without_x_kind_rejected(self, capsys):
+        digest = hs_digest()
+        del digest["x_kind"]
+        code, err = replay_error(capsys, digest)
+        assert code == 2 and "'x_kind'" in err
+
+    def test_kind_disagreeing_with_table_rejected(self, capsys):
+        code, err = replay_error(capsys, hs_digest(kind="operator"))
+        assert code == 2 and "'kind'" in err and "hs-2.14" in err
+
+    def test_ordered_pair_digest_without_w_law_rejected(self, capsys):
+        digest = ordered_digest()
+        del digest["w_law"]
+        code, err = replay_error(capsys, digest)
+        assert code == 2 and "'w_law'" in err
+
+    def test_ordered_pair_digest_without_structure_rejected(self, capsys):
+        digest = ordered_digest()
+        del digest["structure"]
+        code, err = replay_error(capsys, digest)
+        assert code == 2 and "'structure'" in err
+        code, err = replay_error(capsys, ordered_digest(structure="general-pd"))
+        assert code == 2 and "'structure'" in err
+
+    def test_unknown_field_rejected(self, capsys):
+        code, err = replay_error(capsys, hs_digest(x_knid="pd"))
+        assert code == 2 and "'x_knid'" in err
+        code, err = replay_error(capsys, {"case": "young-1.1", "kind": "scalar",
+                                          "a": 4.0, "b": 1.0, "nu": 0.25, "dim": 1})
+        assert code == 2 and "'dim'" in err
+
+    def test_x_kind_must_be_general_or_pd(self, capsys):
+        code, err = replay_error(capsys, hs_digest(x_kind="psd"))
+        assert code == 2 and "'x_kind'" in err
+        # a lenient digest (general X for a pd-X case) is still a valid digest
+        assert replay_trial(hs_digest(x_kind="general"))["digest"]["x_kind"] == "general"
+
+
+class TestSweepErrors:
+    def test_trial_error_names_case_and_digest(self, capsys):
+        assert main(["matrix-verify", "--case", "op-2.3", "--trials", "3",
+                     "--law", "explicit:1,2"]) == 2
+        err = capsys.readouterr().err
+        assert "op-2.3" in err and "explicit law lists 2 values but dim=1" in err
+        digest = json.loads(err.split("digest: ", 1)[1])
+        assert digest["case"] == "op-2.3" and digest["trial"] == 0
+        # the digest replays to the same error
+        code, err = replay_error(capsys, digest)
+        assert code == 2 and "explicit law lists 2 values but dim=1" in err
 
 
 class TestListVerb:

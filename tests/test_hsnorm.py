@@ -194,7 +194,7 @@ class TestWorstCell:
         ctx = HsContext(a, b, x)
         la, mu_all, y2 = ctx.cell_parts()
         assert lam == la[i] and mu == mu_all[j]
-        lhs, rhs = case_by_id("hs-2.13").cell_pair(la, mu_all, 0.5)
+        _, (lhs, rhs) = case_by_id("hs-2.13").oracle(la, mu_all, y2, 0.5)
         full = (rhs * rhs - lhs * lhs) * y2
         assert damage == full[i, j] == full.min()
 
@@ -202,9 +202,3 @@ class TestWorstCell:
         assert {c.case_id for c in registry()} == ALL_IDS
         with pytest.raises(DomainError, match="hs-2.14"):
             case_by_id("hs-9.9")
-
-    def test_extras_split_bound(self):
-        # triangle-split diagnostic dominates the grouped side
-        a, b, x = triple(16)
-        t = certify_hs(case_by_id("hs-2.13"), a, b, x, 0.4)
-        assert t.extras["proof_split_side2"] >= t.sides[1] - 1e-10

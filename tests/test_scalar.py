@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from meancert.linalg import DomainError
 from meancert.scalar import (A_GRID_13, NU_GRID_33, NU_GRID_65, SCALAR_TOL,
                              alpha_of_nu, case_by_id, evaluate,
-                             find_non_dominance, heinz, heron, registry,
-                             upper_slack, weighted_arith, weighted_geom)
+                             find_non_dominance, heinz, heron, judge_chain,
+                             registry, upper_slack, weighted_arith,
+                             weighted_geom)
 
 ALL_IDS = {
     "young-1.1", "km-1.3", "km-1.4", "zw-1.5", "zw-1.6", "kai-1.9",
@@ -112,6 +113,15 @@ class TestEvaluate:
             evaluate(case_by_id("zw-1.5"), 1.0, 2.0, 0.75)
         with pytest.raises(DomainError, match="new-2.1"):
             evaluate(case_by_id("new-2.1"), 1.0, 2.0, 0.0)
+
+    def test_judge_chain_slacks_and_first_worst_link(self):
+        raws, norms, worst = judge_chain((0.5, 0.25, 4.0, 2.0))
+        assert raws == [-0.25, 3.75, -2.0]
+        # below unit scale the slack is raw; above, it is relative to the larger side
+        assert norms == [-0.25, 0.9375, -0.5]
+        assert worst == 2
+        # ties go to the first link
+        assert judge_chain((1.0, 0.0, 1.0, 0.0))[2] == 0
 
     def test_upper_slack_matches_sides(self):
         case = case_by_id("cf-1.13")
