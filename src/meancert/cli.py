@@ -19,6 +19,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Any
 
 from . import __version__, opmeans, runner, scalar
@@ -259,7 +260,6 @@ def _profile_matrix(ids: list[str], nus: list[float],
     header = ["nu"]
     cfg = runner.RunConfig(trials=1, seed=int(opts["seed"]),
                            dims=(int(opts["dim"]),), law=str(opts["law"]))
-    digests = {cid: runner.make_digest(cid, cfg, 0) for cid in ids}
     for cid in ids:
         header.extend(f"{cid}:{name}" for name in runner.CASES[cid].case.links)
     rows = []
@@ -272,8 +272,8 @@ def _profile_matrix(ids: list[str], nus: list[float],
             if not entry.case.in_domain(nu):
                 row.extend([""] * len(entry.case.links))
                 continue
-            d = dict(digests[cid], nu=float(nu))
-            rec = runner.run_trial(d, opmeans.CERT_PSD_TOL, PSD_TOL)
+            digest = runner.make_digest(cid, replace(cfg, nu=nu), 0)
+            rec = runner.run_trial(digest, opmeans.CERT_PSD_TOL, PSD_TOL)
             if entry.kind == "operator":
                 row.extend(lc.slack for lc in rec.links)
             else:

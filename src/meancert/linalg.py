@@ -68,15 +68,8 @@ def validate_hermitian(M, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 def eigh(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, V) of a Hermitian matrix, eigenvalues ascending."""
-    H = validate_hermitian(M, tol)
-    try:
-        w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(
-            f"eigendecomposition failed for a {H.shape[0]}x{H.shape[0]} matrix "
-            f"(max |entry| {np.abs(H).max():.3e}): {exc}"
-        ) from exc
-    return w, V
+    p = Powers(M, tol=tol)
+    return p.eigenvalues, p.eigenvectors
 
 
 def clamp_psd(w: np.ndarray, psd_tol: float, who: str) -> np.ndarray:
@@ -160,14 +153,19 @@ class Powers:
 
     A single eigendecomposition backs every requested power, keeping
     repeated mean evaluations on the same operand cheap and mutually
-    consistent.  mat_pow is a one-off Powers.
+    consistent.  It holds the one LAPACK eigendecomposition call: eigh and
+    mat_pow are one-off Powers.
     """
 
     def __init__(self, M, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL):
-        self.matrix = validate_hermitian(M, tol)
-        w, V = eigh(self.matrix, tol)
-        self.eigenvalues = w
-        self.eigenvectors = V
+        H = self.matrix = validate_hermitian(M, tol)
+        try:
+            self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(
+                f"eigendecomposition failed for a {H.shape[0]}x{H.shape[0]} matrix "
+                f"(max |entry| {np.abs(H).max():.3e}): {exc}"
+            ) from exc
         self.psd_tol = psd_tol
         self._cache: dict[float, np.ndarray] = {}
 

@@ -1,9 +1,10 @@
 """Machine-readable run reports.
 
-Reports are plain JSON validated against REPORT_SCHEMA before they are
-written, and serialized canonically (sorted keys, fixed indentation) so
-that two runs with identical inputs produce byte-identical files apart
-from the wall_time_s field.
+Reports are plain JSON, validated against REPORT_SCHEMA (each digest is
+checked as replay checks it) before they are written, and serialized
+canonically (sorted keys, fixed indentation) so that two runs with
+identical inputs produce byte-identical files apart from the wall_time_s
+field.
 """
 from __future__ import annotations
 
@@ -13,21 +14,14 @@ from typing import Any
 
 import jsonschema
 
-SCHEMA_VERSION = "meancert.report/1"
+from .runner import check_digest
 
-_DIGEST = {
-    "type": "object",
-    "properties": {
-        "case": {"type": "string"},
-        "kind": {"enum": ["scalar", "operator", "hs"]},
-    },
-    "required": ["case", "kind"],
-}
+SCHEMA_VERSION = "meancert.report/1"
 
 _FAILURE = {
     "type": "object",
     "properties": {
-        "digest": _DIGEST,
+        "digest": {"type": "object"},
         "min_slack": {"type": "number"},
         "worst_link": {"type": "string"},
     },
@@ -77,7 +71,13 @@ REPORT_SCHEMA = {
 
 
 def validate_report(report: dict[str, Any]) -> None:
+    """Check the report against REPORT_SCHEMA and each digest as replay does."""
     jsonschema.validate(report, REPORT_SCHEMA)
+    for case in report["cases"]:
+        if case["argmin"] is not None:
+            check_digest(case["argmin"])
+        for failure in case["failure_digests"]:
+            check_digest(failure["digest"])
 
 
 def _finite(value: Any) -> Any:

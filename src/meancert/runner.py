@@ -23,11 +23,8 @@ from .randgen import (DEFAULT_LAW, derive_seed, general_entries, parse_law,
 
 CHUNK = 512
 DEFAULT_DIMS = (1, 2, 3, 5, 8)
+MAX_DIM = 1024  # a bound on what a digest or a flag may ask to allocate
 FAILURE_CAP = 10
-
-
-_SCALAR_FIELDS = ("case", "kind", "a", "b", "nu")
-_MATRIX_FIELDS = ("case", "kind", "structure", "dim", "law", "seed", "trial", "nu", "complex")
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,6 @@ class CaseEntry:
     case: scalar.Case  # the ScalarCase, OperatorCase or HsCase
     structure: str | None  # how matrix trials draw (A, B): "general-pd" or "ordered-pair"
     nu_grid: tuple[float, ...]  # the dyadic 33-grid restricted to the case domain
-    fields: tuple[str, ...]  # the keys of the case's digests
 
 
 def _build_table() -> dict[str, CaseEntry]:
@@ -46,17 +42,14 @@ def _build_table() -> dict[str, CaseEntry]:
     for kind, module in (("scalar", scalar), ("operator", opmeans), ("hs", hsnorm)):
         for case in sorted(module.registry(), key=lambda c: c.case_id):
             grid = tuple(g for g in scalar.NU_GRID_33 if case.in_domain(g))
-            structure, fields = None, _SCALAR_FIELDS
+            structure = None
             if kind != "scalar":
                 # Ordered pairs are generated for every op-2.7 variant: the left/right
                 # laws require A <= B, and the refinement is evaluated on the same
                 # population for comparability.
                 ordered = case.case_id.startswith("op-2.7")
                 structure = "ordered-pair" if ordered else "general-pd"
-                fields = _MATRIX_FIELDS + (("w_law",) if ordered else ())
-                if kind == "hs":
-                    fields += ("x_kind",)
-            table[case.case_id] = CaseEntry(kind, case, structure, grid, fields)
+            table[case.case_id] = CaseEntry(kind, case, structure, grid)
     return table
 
 
@@ -124,8 +117,10 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise DomainError(f"dims must be positive, got {self.dims}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not self.dims or any(not 1 <= d <= MAX_DIM for d in self.dims):
+            raise DomainError(f"each dim must lie in 1..{MAX_DIM}, got {self.dims}")
         if self.tol <= 0.0 or self.psd_tol <= 0.0:
             raise DomainError("tolerances must be positive")
         if self.jobs < 1:
@@ -170,31 +165,52 @@ def make_digest(case_id: str, cfg: RunConfig, trial: int) -> dict[str, Any]:
     return digest
 
 
-def check_digest(digest: dict[str, Any]) -> CaseEntry:
-    """Check a digest against the case table and return its case's entry.
+def scalar_digest(case_id: str, a: float, b: float, nu: float) -> dict[str, Any]:
+    """The digest of one scalar grid point; DomainError off the case's domain."""
+    scalar.check_pair(a, b)
+    case_entry(case_id).case.check_nu(nu)
+    return {"case": case_id, "kind": "scalar", "a": float(a), "b": float(b), "nu": float(nu)}
 
-    A digest must hold exactly the fields that make_digest (or, for scalar
-    cases, run_scalar_case) writes for its case, with the case's kind and
-    structure; anything else is a DomainError naming the field.
+
+def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
+    """Check a digest by writing it again from its own values; return the rewrite.
+
+    The writer fixes the keys and the type of each value (an int may stand
+    for a float, a bool for no number) and checks the values, through
+    RunConfig for a matrix digest; the rewrite must equal the digest.
+    Anything else is a DomainError naming the field.
     """
-    if "case" not in digest:
-        raise DomainError("digest is missing the 'case' field")
-    entry = case_entry(digest["case"])
-    for key, want in (("kind", entry.kind), ("structure", entry.structure)):
-        if key in digest and digest[key] != want:
-            raise DomainError(f"digest field {key!r} is {digest[key]!r}, but "
-                              f"case {digest['case']} has {key} {want!r}")
-    for key in entry.fields:
+    case_id = digest.get("case")
+    if type(case_id) is not str:
+        raise DomainError(f"digest field 'case' must hold a case id string, got {case_id!r}")
+    entry = case_entry(case_id)
+    if entry.kind == "scalar":
+        shape = scalar_digest(case_id, 1.0, 1.0, entry.nu_grid[0])
+    else:
+        shape = make_digest(case_id, RunConfig(), 0)
+    for key, want in shape.items():
         if key not in digest:
             raise DomainError(f"digest is missing the {key!r} field")
-    unknown = sorted(set(digest).difference(entry.fields))
+        got = type(digest[key])
+        if got is not type(want) and not (got is int and type(want) is float):
+            raise DomainError(f"digest field {key!r} is {digest[key]!r}, but case "
+                              f"{case_id} writes type {type(want).__name__} there")
+    unknown = sorted(set(digest).difference(shape))
     if unknown:
         raise DomainError(f"digest has unknown field(s) {', '.join(map(repr, unknown))}")
-    # lenient sweeps draw a general X for a pd-X case, never the reverse
-    if entry.kind == "hs" and digest["x_kind"] not in ("general", entry.case.x_kind):
-        raise DomainError(f"digest field 'x_kind' is {digest['x_kind']!r}; case "
-                          f"{digest['case']} takes 'general' or {entry.case.x_kind!r}")
-    return entry
+    if entry.kind == "scalar":
+        rewrite = scalar_digest(case_id, digest["a"], digest["b"], digest["nu"])
+    else:
+        cfg = RunConfig(trials=digest["trial"] + 1, seed=digest["seed"],
+                        dims=(digest["dim"],), law=digest["law"], w_law=digest.get("w_law"),
+                        nu=digest["nu"], complex_entries=digest["complex"],
+                        lenient_x=digest.get("x_kind") == "general")
+        rewrite = make_digest(case_id, cfg, digest["trial"])
+    for key, want in rewrite.items():
+        if digest[key] != want:
+            raise DomainError(f"digest field {key!r} is {digest[key]!r}, but case {case_id} "
+                              f"writes {want!r} there from the digest's other values")
+    return rewrite
 
 
 def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
@@ -206,10 +222,10 @@ def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
     when general).  Changing this order is a breaking change for replay.
     """
     case_id = digest["case"]
-    dim = int(digest["dim"])
-    cx = bool(digest["complex"])
+    dim = digest["dim"]
+    cx = digest["complex"]
     law = digest["law"]
-    rng = trial_rng(derive_seed(int(digest["seed"]), case_id), int(digest["trial"]))
+    rng = trial_rng(derive_seed(digest["seed"], case_id), digest["trial"])
 
     lam_a, q_a = pd_parts(rng, dim, law, cx)
     a = assemble(lam_a, q_a)
@@ -220,7 +236,7 @@ def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
     else:
         lam_b, q_b = pd_parts(rng, dim, law, cx)
         b = assemble(lam_b, q_b)
-    out: dict[str, Any] = {"A": a, "B": b, "nu": float(digest["nu"])}
+    out: dict[str, Any] = {"A": a, "B": b, "nu": digest["nu"]}
     if digest["kind"] == "hs":
         if digest["x_kind"] == "pd":
             lam_x, q_x = pd_parts(rng, dim, law, cx)
@@ -376,7 +392,7 @@ def run_scalar_case(case_id: str,
     case = scalar.case_by_id(case_id)
     points = passes = failures = skipped = 0
     min_slack: float | None = None
-    argmin: dict[str, float] | None = None
+    argmin: dict[str, Any] | None = None
     failure_points: list[dict[str, Any]] = []
     for nu in nu_values:
         if not case.in_domain(nu):
@@ -392,14 +408,12 @@ def run_scalar_case(case_id: str,
                     failures += 1
                     if len(failure_points) < FAILURE_CAP:
                         failure_points.append({
-                            "digest": {"case": case_id, "kind": "scalar",
-                                       "a": a, "b": b, "nu": nu},
+                            "digest": scalar_digest(case_id, a, b, nu),
                             "min_slack": trial.min_slack,
                         })
                 if min_slack is None or trial.min_slack < min_slack:
                     min_slack = trial.min_slack
-                    argmin = {"case": case_id, "kind": "scalar",
-                              "a": a, "b": b, "nu": nu}
+                    argmin = scalar_digest(case_id, a, b, nu)
     return {
         "case": case_id,
         "kind": "scalar",
@@ -425,10 +439,10 @@ def _jsonable(value: np.ndarray) -> list:
 def replay_trial(digest: dict[str, Any], tol: float | None = None,
                  psd_tol: float = PSD_TOL) -> dict[str, Any]:
     """Re-run one digest and return a JSON-ready trial record."""
-    entry = check_digest(digest)
+    digest = check_digest(digest)
+    entry = CASES[digest["case"]]
     if entry.kind == "scalar":
-        trial = scalar.evaluate(entry.case, float(digest["a"]), float(digest["b"]),
-                                float(digest["nu"]),
+        trial = scalar.evaluate(entry.case, digest["a"], digest["b"], digest["nu"],
                                 tol=tol if tol is not None else scalar.SCALAR_TOL)
         return {
             "digest": digest,

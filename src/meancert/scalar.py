@@ -30,7 +30,8 @@ NU_GRID_65 = tuple(j / 64 for j in range(65))
 NU_GRID_33 = tuple(k / 32 for k in range(33))
 
 
-def _check_pair(a: float, b: float) -> None:
+def check_pair(a: float, b: float) -> None:
+    """Reject arguments a, b that are not finite and positive with DomainError."""
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0 or b <= 0:
         raise DomainError(f"means need finite a, b > 0, got a={a!r}, b={b!r}")
 
@@ -43,28 +44,28 @@ def check_unit(name: str, t: float) -> None:
 
 def weighted_arith(a: float, b: float, nu: float) -> float:
     """nu*a + (1-nu)*b."""
-    _check_pair(a, b)
+    check_pair(a, b)
     check_unit("nu", nu)
     return nu * a + (1.0 - nu) * b
 
 
 def weighted_geom(a: float, b: float, nu: float) -> float:
     """a**nu * b**(1-nu)."""
-    _check_pair(a, b)
+    check_pair(a, b)
     check_unit("nu", nu)
     return a ** nu * b ** (1.0 - nu)
 
 
 def heinz(a: float, b: float, nu: float) -> float:
     """(a**nu b**(1-nu) + a**(1-nu) b**nu) / 2, symmetric in nu <-> 1-nu."""
-    _check_pair(a, b)
+    check_pair(a, b)
     check_unit("nu", nu)
     return (a ** nu * b ** (1.0 - nu) + a ** (1.0 - nu) * b ** nu) / 2.0
 
 
 def heron(a: float, b: float, alpha: float) -> float:
     """(1-alpha) sqrt(ab) + alpha (a+b)/2, interpolating geometric to arithmetic."""
-    _check_pair(a, b)
+    check_pair(a, b)
     check_unit("alpha", alpha)
     return (1.0 - alpha) * math.sqrt(a * b) + alpha * (a + b) / 2.0
 
@@ -415,7 +416,7 @@ def judge_chain(sides: Sequence[float]) -> tuple[list[float], list[float], int]:
 def evaluate(case: ScalarCase, a: float, b: float, nu: float,
              tol: float = SCALAR_TOL) -> ScalarTrial:
     """Evaluate one chain at (a, b, nu) and judge every adjacent link."""
-    _check_pair(a, b)
+    check_pair(a, b)
     case.check_nu(nu)
     sides = tuple(float(s) for s in case.sides(a, b, nu))
     raws, norms, worst = judge_chain(sides)

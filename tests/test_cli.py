@@ -8,8 +8,9 @@ from meancert.linalg import DomainError
 from meancert.report import (REPORT_SCHEMA, canonical_json, strip_volatile,
                              validate_report)
 from meancert import hsnorm, opmeans, scalar
-from meancert.runner import (CASES, RunConfig, make_digest, nu_grid_for,
-                             replay_trial, resolve_cases, run_case)
+from meancert import runner
+from meancert.runner import (CASES, MAX_DIM, RunConfig, check_digest, make_digest,
+                             nu_grid_for, replay_trial, resolve_cases, run_case)
 
 ALL_CASE_COUNT = 30  # 18 scalar + 8 operator + 4 hs
 
@@ -179,6 +180,76 @@ class TestDigestChecks:
         assert code == 2 and "'x_kind'" in err
         # a lenient digest (general X for a pd-X case) is still a valid digest
         assert replay_trial(hs_digest(x_kind="general"))["digest"]["x_kind"] == "general"
+
+    @pytest.mark.parametrize("field, value", [
+        ("complex", "no"), ("dim", 3.7), ("dim", True), ("dim", "3"), ("trial", 3.5),
+        ("dim", 0), ("dim", -2), ("seed", 1.0), ("nu", "0.25"),
+    ])
+    def test_value_of_another_type_or_range_rejected(self, capsys, field, value):
+        code, err = replay_error(capsys, hs_digest(**{field: value}))
+        assert code == 2 and field in err
+
+    def test_scalar_value_of_another_type_rejected(self, capsys):
+        for value in ("4", True, None):
+            code, err = replay_error(capsys, {"case": "young-1.1", "kind": "scalar",
+                                              "a": value, "b": 1.0, "nu": 0.25})
+            assert code == 2 and "'a'" in err
+
+    def test_int_stands_for_float(self, capsys):
+        capsys.readouterr()
+        assert main(["replay", "--digest", json.dumps(hs_digest(nu=1))]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec == replay_trial(hs_digest(nu=1.0))
+        assert rec["digest"]["nu"] == 1.0 and isinstance(rec["digest"]["nu"], float)
+        rec = replay_trial({"case": "young-1.1", "kind": "scalar", "a": 4, "b": 1, "nu": 0})
+        assert rec["digest"] == {"case": "young-1.1", "kind": "scalar",
+                                 "a": 4.0, "b": 1.0, "nu": 0.0}
+        assert all(isinstance(rec["digest"][k], float) for k in ("a", "b", "nu"))
+
+    def test_report_digests_rewrite_to_themselves(self, tmp_path):
+        runs = (["matrix-verify", "--case", "all", "--seed", "42", "--trials", "1100"],
+                ["scalar-sweep", "--case", "all"])
+        digests = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"rep-{i}.json"
+            main(argv + ["--out", str(out)])
+            for case in read_report(out)["cases"]:
+                digests.append(case["argmin"])
+                digests.extend(f["digest"] for f in case["failure_digests"])
+        assert len(digests) > 30 and None not in digests
+        for digest in digests:
+            rewrite = check_digest(digest)
+            assert canonical_json(rewrite) == canonical_json(digest)
+
+    def test_report_rejects_what_replay_rejects(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["matrix-verify", "--case", "hs-2.14", "--trials", "5",
+                     "--out", str(out)]) == 0
+        rep = read_report(out)
+        del rep["cases"][0]["argmin"]["x_kind"]
+        with pytest.raises(DomainError, match="'x_kind'"):
+            replay_trial(rep["cases"][0]["argmin"])
+        with pytest.raises(DomainError, match="'x_kind'"):
+            validate_report(rep)
+
+
+class TestRunConfigBounds:
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", "-1", "seed"), ("--dim", str(MAX_DIM + 1), "dim"),
+    ])
+    def test_rejected_before_any_trial_starts(self, capsys, monkeypatch, flag, value, field):
+        started = []
+        for name in ("_run_chunk", "build_inputs"):
+            monkeypatch.setattr(runner, name, lambda *a: started.append(a))
+        assert main(["matrix-verify", "--case", "op-2.3", "--trials", "2",
+                     flag, value]) == 2
+        assert field in capsys.readouterr().err
+        code, err = replay_error(capsys, hs_digest(**{field: int(value)}))
+        assert code == 2 and field in err
+        assert started == []
+
+    def test_dim_bound_is_inclusive(self):
+        assert RunConfig(dims=(1, MAX_DIM)).dims == (1, MAX_DIM)
 
 
 class TestSweepErrors:
