@@ -52,20 +52,59 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return cfg
 
 
+_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          str: ("a string", "strings")}
+
+
+def _config_value(action: argparse.Action, key: str, value: Any) -> Any:
+    """A config file's ``value`` for ``key``, checked against the type its flag parses to.
+
+    An int stands for a float; a bool stands for no number, and nothing
+    else is converted.  Anything else is a DomainError naming the key.
+    """
+    kind = action.type or str
+
+    def fits(v: Any) -> bool:
+        if kind is float:
+            return type(v) in (int, float)
+        return type(v) is kind and (action.choices is None or v in action.choices)
+
+    if isinstance(action, argparse._StoreTrueAction):
+        ok, want = type(value) is bool, "true or false"
+    elif isinstance(action, argparse._AppendAction):
+        ok = type(value) is list and all(fits(v) for v in value)
+        want = f"a list of {_KINDS[kind][1]}, as repeated {action.option_strings[0]} flags"
+    else:
+        ok, want = fits(value), _KINDS[kind][0]
+        if action.choices is not None:
+            want = f"one of {', '.join(map(repr, action.choices))}"
+    if not ok:
+        raise DomainError(f"config key {key!r} must be {want}, got {value!r}")
+    return float(value) if kind is float and type(value) is int else value
+
+
 def _merge(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    """Resolve option values: CLI flag > config file > built-in default."""
+    """Resolve option values: CLI flag > config file > built-in default.
+
+    A config value must have the type its flag parses to (``_config_value``);
+    null stands for an option that defaults to null.
+    """
     cfg = _load_config(getattr(args, "config", None))
     unknown = set(cfg) - set(defaults)
     if unknown:
         raise DomainError(
             f"unknown config keys {sorted(unknown)}; expected {sorted(defaults)}"
         )
+    flags = {action.dest: action for action in args.flags._actions}
+    for key, val in cfg.items():
+        if val is not None or defaults[key] is not None:
+            cfg[key] = _config_value(flags[key], key, val)
     out = {}
     for key, builtin in defaults.items():
         val = getattr(args, key, None)
         if val is None:
-            val = cfg.get(key, builtin)
-        out[key] = val
+            val = cfg.get(key)
+        out[key] = builtin if val is None else val
     return out
 
 
@@ -141,14 +180,14 @@ def cmd_scalar_sweep(args: argparse.Namespace) -> int:
     opts = _merge(args, {"case": None, "tol": scalar.SCALAR_TOL,
                          "nu": None, "out": None})
     ids = runner.resolve_cases(_split_tokens(opts["case"]), ("scalar",))
-    nus = scalar.NU_GRID_65 if opts["nu"] is None else (float(opts["nu"]),)
+    nus = scalar.NU_GRID_65 if opts["nu"] is None else (opts["nu"],)
     t0 = time.perf_counter()
-    summaries = [runner.run_scalar_case(cid, nu_values=nus, tol=float(opts["tol"]))
+    summaries = [runner.run_scalar_case(cid, nu_values=nus, tol=opts["tol"])
                  for cid in ids]
     wall = time.perf_counter() - t0
     grid = f"{len(scalar.A_GRID_13)}x{len(scalar.A_GRID_13)}x{len(nus)}"
-    print(f"scalar-sweep  grid={grid}  tol={float(opts['tol']):g}  cases={len(ids)}")
-    config = {"case": ids, "tol": float(opts["tol"]), "nu": opts["nu"],
+    print(f"scalar-sweep  grid={grid}  tol={opts['tol']:g}  cases={len(ids)}")
+    config = {"case": ids, "tol": opts["tol"], "nu": opts["nu"],
               "grid": grid}
     return _finish(opts["out"], "scalar-sweep", config, summaries, wall)
 
@@ -163,19 +202,17 @@ def cmd_matrix_verify(args: argparse.Namespace) -> int:
     ids = runner.resolve_cases(_split_tokens(opts["case"]), ("operator", "hs"))
     dims = runner.DEFAULT_DIMS
     if opts["dim"] is not None:
-        toks = _split_tokens(opts["dim"] if isinstance(opts["dim"], list)
-                             else [str(opts["dim"])])
+        toks = _split_tokens(opts["dim"])
         try:
             dims = tuple(int(t) for t in toks)
         except ValueError as exc:
             raise DomainError(f"bad --dim value: {exc}") from exc
     cfg = runner.RunConfig(
-        trials=int(opts["trials"]), seed=int(opts["seed"]), dims=dims,
-        law=str(opts["law"]), w_law=opts["w_law"],
-        nu=None if opts["nu"] is None else float(opts["nu"]),
-        tol=float(opts["tol"]), psd_tol=float(opts["psd_tol"]),
-        complex_entries=bool(opts["complex"]), lenient_x=bool(opts["lenient_x"]),
-        jobs=int(opts["jobs"]),
+        trials=opts["trials"], seed=opts["seed"], dims=dims,
+        law=opts["law"], w_law=opts["w_law"], nu=opts["nu"],
+        tol=opts["tol"], psd_tol=opts["psd_tol"],
+        complex_entries=opts["complex"], lenient_x=opts["lenient_x"],
+        jobs=opts["jobs"],
     )
     t0 = time.perf_counter()
     summaries = runner.run_matrix_suite(ids, cfg)
@@ -206,15 +243,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise DomainError(f"digest is not valid JSON: {exc}") from exc
     if not isinstance(digest, dict):
         raise DomainError("digest must be a JSON object")
-    tol = None if opts["tol"] is None else float(opts["tol"])
-    record = runner.replay_trial(digest, tol=tol)
+    record = runner.replay_trial(digest, tol=opts["tol"])
     print(canonical_json(record), end="")
     return 0 if record["passed"] or record.get("advisory") else 1
 
 
 def _profile_scalar(ids: list[str], nus: list[float],
                     opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
-    a, b = float(opts["a"]), float(opts["b"])
+    a, b = opts["a"], opts["b"]
     cases = {cid: runner.CASES[cid].case for cid in ids}
     nlinks = {cid: len(case.sides(a, b, 0.5)) - 1 for cid, case in cases.items()}
     header = ["nu"]
@@ -258,12 +294,11 @@ def _profile_scalar(ids: list[str], nus: list[float],
 def _profile_matrix(ids: list[str], nus: list[float],
                     opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
     header = ["nu"]
-    cfg = runner.RunConfig(trials=1, seed=int(opts["seed"]),
-                           dims=(int(opts["dim"]),), law=str(opts["law"]))
+    cfg = runner.RunConfig(trials=1, seed=opts["seed"], dims=(opts["dim"],), law=opts["law"])
     for cid in ids:
         header.extend(f"{cid}:{name}" for name in runner.CASES[cid].case.links)
     rows = []
-    notes = [f"inputs: dim={int(opts['dim'])} seed={int(opts['seed'])} "
+    notes = [f"inputs: dim={opts['dim']} seed={opts['seed']} "
              f"law={opts['law']} trial=0"]
     for nu in nus:
         row: list[Any] = [nu]
@@ -289,7 +324,7 @@ def cmd_gap_profile(args: argparse.Namespace) -> int:
     tokens = _split_tokens(opts["case"])
     if not tokens:
         raise DomainError("gap-profile needs at least one --case")
-    n = int(opts["nu_points"])
+    n = opts["nu_points"]
     if n < 2:
         raise DomainError("--nu-points must be >= 2")
     nus = [i / (n - 1) for i in range(n)]
@@ -329,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("all", "scalar", "operator", "hs"))
     sp.add_argument("--format", choices=("text", "json"))
     sp.add_argument("--config")
-    sp.set_defaults(fn=cmd_list)
+    sp.set_defaults(fn=cmd_list, flags=sp)
 
     sp = sub.add_parser("scalar-sweep", help="grid sweep of scalar chains")
     sp.add_argument("--case", action="append",
@@ -338,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=float, help="restrict to a single nu")
     sp.add_argument("--out", help="write JSON report here")
     sp.add_argument("--config")
-    sp.set_defaults(fn=cmd_scalar_sweep)
+    sp.set_defaults(fn=cmd_scalar_sweep, flags=sp)
 
     sp = sub.add_parser("matrix-verify",
                         help="randomized certification of matrix cases")
@@ -362,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
     sp.add_argument("--out", help="write JSON report here")
     sp.add_argument("--config")
-    sp.set_defaults(fn=cmd_matrix_verify)
+    sp.set_defaults(fn=cmd_matrix_verify, flags=sp)
 
     sp = sub.add_parser("replay", help="re-run one trial from its digest")
     sp.add_argument("--digest", help="JSON digest, or @path to a file")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--config")
-    sp.set_defaults(fn=cmd_replay)
+    sp.set_defaults(fn=cmd_replay, flags=sp)
 
     sp = sub.add_parser("gap-profile", help="per-link slack profile along nu")
     sp.add_argument("--case", action="append",
@@ -382,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid resolution on [0, 1] (default 129)")
     sp.add_argument("--out", help="write CSV here instead of stdout")
     sp.add_argument("--config")
-    sp.set_defaults(fn=cmd_gap_profile)
+    sp.set_defaults(fn=cmd_gap_profile, flags=sp)
     return p
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .linalg import (PSD_TOL, DomainError, Powers, clamp_psd, hs_norm,
                      validate_hermitian)
-from .scalar import Case, check_unit, find_case, judge_chain
+from .scalar import (Case, check_unit, cubic_weight, find_case, heinz_weight,
+                     judge_chain, tail_weights)
 
 CERT_HS_TOL = 1e-8
 ORACLE_TOL = 1e-10
@@ -94,6 +95,10 @@ class HsContext:
             raise DomainError("alpha undefined: both operands have zero spectral norm")
         return 1.0 / top
 
+    def curv_weight(self, nu: float) -> float:
+        """nu(1-nu) alpha, the weight on the curvature block."""
+        return nu * (1.0 - nu) * self.alpha()
+
     def cell_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(la, mu, |Y|^2) with Y = Ua* X Ub, spectra clamped to [0, inf)."""
         if self._cells is None:
@@ -158,17 +163,17 @@ class HsCase(Case):
 
 
 def _sides_213(ctx: HsContext, nu: float):
-    k = nu ** (nu - 2.0)
+    k = heinz_weight(nu)
     return (
-        hs_norm(nu * nu * (nu - 2.0) * ctx.sum_block()),
+        hs_norm(cubic_weight(nu) * ctx.sum_block()),
         hs_norm(k * ctx.heinz_block(nu) - 4.0 * ctx.geom_block()),
         k * hs_norm(ctx.heinz_block(nu)) + 4.0 * hs_norm(ctx.geom_block()),
     )
 
 
 def _oracle_213(la, mu, y2, nu):
-    k = nu ** (nu - 2.0)
-    w = nu * nu * (2.0 - nu)
+    k = heinz_weight(nu)
+    w = -cubic_weight(nu)
     h, g, s = _h_cells(la, mu, nu), _g_cells(la, mu), _s_cells(la, mu)
     rhs = k * h - 4.0 * g
     sides = (
@@ -180,7 +185,7 @@ def _oracle_213(la, mu, y2, nu):
 
 
 def _sides_214(ctx: HsContext, nu: float):
-    c = nu * (1.0 - nu) * ctx.alpha()
+    c = ctx.curv_weight(nu)
     return (
         hs_norm(ctx.heinz_block(nu) + c * ctx.curvature_block()),
         hs_norm(ctx.sum_block()),
@@ -201,7 +206,7 @@ def _oracle_214(la, mu, y2, nu):
 
 def _sides_cor(ctx: HsContext, nu: float):
     # the last two sides are hs-2.14's
-    c = nu * (1.0 - nu) * ctx.alpha()
+    c = ctx.curv_weight(nu)
     p = hs_norm(ctx.heinz_block(nu))
     d = hs_norm(ctx.curvature_block())
     return (p, math.sqrt(p * p + c * c * d * d)) + _sides_214(ctx, nu)
@@ -215,13 +220,8 @@ def _oracle_cor(la, mu, y2, nu):
     return (p, math.sqrt(p * p + c * c * dd * dd)) + tail, pair
 
 
-def _rR(nu: float) -> tuple[float, float, float, float]:
-    r, R = min(nu, 1.0 - nu), max(nu, 1.0 - nu)
-    return r, R, r ** (2.0 * r), R ** (2.0 * R)
-
-
 def _sides_thm8(ctx: HsContext, nu: float):
-    r, R, rr, RR = _rR(nu)
+    r, R, rr, RR = tail_weights(nu)
     hb2 = ctx.heinz_block(nu) / 2.0
     s2 = ctx.sum_block() / 2.0
     g = hs_norm(ctx.geom_block())
@@ -234,7 +234,7 @@ def _sides_thm8(ctx: HsContext, nu: float):
 
 
 def _oracle_thm8(la, mu, y2, nu):
-    r, R, rr, RR = _rR(nu)
+    r, R, rr, RR = tail_weights(nu)
     h2 = _h_cells(la, mu, nu) / 2.0
     s2 = _s_cells(la, mu) / 2.0
     gc = _g_cells(la, mu)

@@ -17,6 +17,9 @@ Conventions
   error that names the offending eigenvalue.
 * ``is_psd`` is tolerance-relative: it passes iff
   lam_min >= -tol * max(1, ||M||_2).
+* Each function takes one matrix (n, n) or a stack (k, n, n) and treats
+  every matrix of a stack as it would treat that matrix alone, bit for
+  bit: checks run per matrix, and an error reports the first that fails.
 """
 from __future__ import annotations
 
@@ -32,34 +35,55 @@ class DomainError(ValueError):
     """An input fell outside an operation's mathematical domain."""
 
 
+class MixedStack(Exception):
+    """A stack whose matrices fall to different dtypes (some real, some complex).
+
+    One matrix at a time, each keeps its own dtype through the arithmetic
+    that follows, and a real and a complex product round differently; so a
+    stack that would need both is refused, and its caller runs the matrices
+    as stacks of one.
+    """
+
+
+def _first(bad: np.ndarray) -> int:
+    """Index of the first True entry of a per-matrix mask (0-d for one matrix)."""
+    return int(np.flatnonzero(bad)[0])
+
+
 def hermitianize(M: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M*)/2 of a square array."""
+    """Hermitian part (M + M*)/2 of a square array or of each matrix in a stack."""
     M = np.asarray(M)
-    return (M + M.conj().T) / 2
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def validate_hermitian(M, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Check shape, finiteness and symmetry, then return the Hermitian part.
 
-    Asymmetry up to ``tol * max(1, max|entry|)`` is folded away by the
+    ``M`` is one matrix or a stack (..., n, n); every check is made per
+    matrix, and an error reports the first matrix that fails.  Asymmetry
+    up to ``tol * max(1, max|entry|)`` is folded away by the
     symmetrization; anything larger raises DomainError with the measured
     asymmetry.  A complex result with exactly zero imaginary part is
-    returned as float64.
+    returned as float64; a stack only when every matrix has none.
     """
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.size == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.issubdtype(M.dtype, np.number):
         raise DomainError(f"expected a numeric matrix, got dtype {M.dtype}")
     if not np.isfinite(M).all():
         raise DomainError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(M).max()))
-    asym = float(np.abs(M - M.conj().T).max())
-    if asym > tol * scale:
-        raise DomainError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}"
-        )
+    asym = np.abs(M - M.conj().swapaxes(-1, -2))
+    if asym.max() > tol:  # past the smallest window: judge each matrix on its own scale
+        scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+        asym = asym.max(axis=(-2, -1))
+        bad = asym > tol * scale
+        if bad.any():
+            i = _first(bad)
+            raise DomainError(
+                f"matrix is not Hermitian: max asymmetry {float(asym.flat[i]):.3e} "
+                f"exceeds {tol:.1e} * {float(scale.flat[i]):.3e}"
+            )
     H = hermitianize(M)
     if np.iscomplexobj(H) and not H.imag.any():
         H = H.real.copy()
@@ -67,7 +91,7 @@ def validate_hermitian(M, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 
 def eigh(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, V) of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition (w, V) of a Hermitian matrix or stack, eigenvalues ascending."""
     p = Powers(M, tol=tol)
     return p.eigenvalues, p.eigenvectors
 
@@ -75,36 +99,46 @@ def eigh(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
 def clamp_psd(w: np.ndarray, psd_tol: float, who: str) -> np.ndarray:
     """Clamp eigenvalues in [-psd_tol * scale, 0) to zero, scale = max(1, max|w|).
 
-    Anything more negative raises DomainError naming ``who`` and the
-    offending eigenvalue.
+    ``w`` holds one spectrum per row (..., n), each clamped against its own
+    scale.  Anything more negative raises DomainError naming ``who`` and
+    the offending eigenvalue of the first spectrum that has one.
     """
-    scale = max(1.0, float(np.abs(w).max()))
-    lo = float(w.min())
-    if lo < -psd_tol * scale:
+    if w.min() > 0.0:  # nothing to clamp or to reject
+        return w
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
+    lo = w.min(axis=-1)
+    bad = lo < -psd_tol * scale
+    if bad.any():
+        i = _first(bad)
         raise DomainError(
-            f"{who} has eigenvalue {lo:.6e}, negative beyond the clamp window "
-            f"{-psd_tol * scale:.1e}; a positive semidefinite operand is required"
+            f"{who} has eigenvalue {float(lo.flat[i]):.6e}, negative beyond the clamp "
+            f"window {-psd_tol * float(scale.flat[i]):.1e}; a positive semidefinite "
+            "operand is required"
         )
     return np.maximum(w, 0.0)
 
 
 def _pow_spectrum(w: np.ndarray, p: float, psd_tol: float) -> np.ndarray:
-    """Domain-check an eigenvalue vector for t -> t**p and return w**p.
+    """Domain-check eigenvalue rows for t -> t**p and return w**p.
 
     Integer p >= 0 works on any spectrum (with 0**0 = 1).  Fractional
     p >= 0 requires PSD up to the clamp window.  Any p < 0 requires
-    strictly positive eigenvalues after clamping.
+    strictly positive eigenvalues after clamping.  ``p`` is one Python
+    float for all rows: numpy's power takes other paths for an array of
+    exponents, and their last bits differ.
     """
     p = float(p)
     if p < 0 or not p.is_integer():
         w = clamp_psd(w, psd_tol, f"the base of t**{p}")
-        if p < 0 and float(w.min()) <= 0.0:
-            raise DomainError(
-                f"eigenvalue {float(w.min()):.6e} blocks t**{p}; "
-                "a positive definite matrix is required"
-            )
-    with np.errstate(divide="ignore"):
-        return np.power(w, p)
+        if p < 0:
+            lo = w.min(axis=-1)
+            bad = lo <= 0.0
+            if bad.any():
+                raise DomainError(
+                    f"eigenvalue {float(lo.flat[_first(bad)]):.6e} blocks t**{p}; "
+                    "a positive definite matrix is required"
+                )
+    return np.power(w, p)
 
 
 def mat_pow(M, p: float, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -118,6 +152,8 @@ def mat_pow(M, p: float, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL) -
 
 
 class PsdCheck(NamedTuple):
+    """One PSD verdict; for a stack, each field is a list with one entry per matrix."""
+
     ok: bool
     lam_min: float
     scale: float  # max(1, spectral norm), the tolerance reference
@@ -129,12 +165,21 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdCheck:
 
     Passes iff lam_min(M) >= -tol * max(1, ||M||_2).  The witness column
     attains lam_min whether or not the check passes, so failures ship a
-    concrete direction along which positivity breaks.
+    concrete direction along which positivity breaks.  A witness is real
+    when its matrix is, also in a stack of real and complex matrices.
     """
-    w, V = eigh(M)
-    scale = max(1.0, float(np.abs(w).max()))
-    lam = float(w[0])  # ascending order
-    return PsdCheck(lam >= -tol * scale, lam, scale, V[:, 0])
+    p = Powers(M)
+    n = p.dim
+    w = p.eigenvalues.reshape(-1, n)
+    lam = w[:, 0].tolist()  # ascending order, so max|w| is at one end
+    scale = [max(1.0, abs(low), abs(top)) for low, top in zip(lam, w[:, -1].tolist())]
+    ok = [low >= -tol * sc for low, sc in zip(lam, scale)]
+    witness = list(p.eigenvectors.reshape(-1, n, n)[:, :, 0])
+    if p.real_rows is not None:
+        witness = [v.real if real else v for v, real in zip(witness, p.real_rows)]
+    if p.eigenvalues.ndim == 1:
+        return PsdCheck(ok[0], lam[0], scale[0], witness[0])
+    return PsdCheck(ok, lam, scale, witness)
 
 
 def hs_norm(M) -> float:
@@ -149,21 +194,39 @@ def spectral_norm(M, tol: float = HERMITIAN_TOL) -> float:
 
 
 class Powers:
-    """Cached spectral powers of one Hermitian matrix.
+    """Cached spectral powers of one Hermitian matrix or of a stack (k, n, n).
 
     A single eigendecomposition backs every requested power, keeping
     repeated mean evaluations on the same operand cheap and mutually
     consistent.  It holds the one LAPACK eigendecomposition call: eigh and
-    mat_pow are one-off Powers.
+    mat_pow are one-off Powers.  Every operation acts on each matrix of a
+    stack as it would on that matrix alone, bit for bit.
+
+    A complex stack in which some matrices have zero imaginary part keeps
+    their eigenpairs apart (``real_rows``) and decomposes them as real
+    matrices, as one matrix at a time would; it offers eigenpairs but no
+    powers (MixedStack).
     """
 
     def __init__(self, M, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL):
         H = self.matrix = validate_hermitian(M, tol)
+        self.real_rows = None
+        if H.ndim > 2 and np.iscomplexobj(H):
+            real = ~H.imag.any(axis=(-2, -1))
+            if real.any():
+                self.real_rows = real
         try:
-            self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
+            if self.real_rows is None:
+                self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
+            else:
+                real = self.real_rows
+                self.eigenvalues = np.empty(H.shape[:-1])
+                self.eigenvectors = np.empty_like(H)
+                self.eigenvalues[real], self.eigenvectors[real] = np.linalg.eigh(H[real].real)
+                self.eigenvalues[~real], self.eigenvectors[~real] = np.linalg.eigh(H[~real])
         except np.linalg.LinAlgError as exc:
             raise DomainError(
-                f"eigendecomposition failed for a {H.shape[0]}x{H.shape[0]} matrix "
+                f"eigendecomposition failed for a {H.shape[-1]}x{H.shape[-1]} matrix "
                 f"(max |entry| {np.abs(H).max():.3e}): {exc}"
             ) from exc
         self.psd_tol = psd_tol
@@ -171,20 +234,47 @@ class Powers:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def pow(self, p: float) -> np.ndarray:
+        """M**p for every matrix, cached per exponent."""
         p = float(p)
         got = self._cache.get(p)
         if got is None:
-            if p == 1.0:
-                got = self.matrix
-            elif p == 0.0:
-                # 0^0 = 1 convention: M^0 is the identity even on PSD kernels.
-                got = np.eye(self.dim, dtype=self.matrix.dtype)
-            else:
-                wp = _pow_spectrum(self.eigenvalues, p, self.psd_tol)
-                V = self.eigenvectors
-                got = hermitianize((V * wp) @ V.conj().T)
-            self._cache[p] = got
+            got = self._cache[p] = self._power(p)
         return got
+
+    def pow_rows(self, ps) -> np.ndarray:
+        """M_i**p_i for each matrix i of a stack, with one exponent p_i per matrix."""
+        ps = [float(p) for p in ps]
+        if all(p == ps[0] for p in ps):
+            return self.pow(ps[0])
+        return self._power(ps)
+
+    def _power(self, p) -> np.ndarray:
+        """M**p; ``p`` is a float, or a list of one exponent per matrix."""
+        if p == 1.0:
+            return self.matrix
+        if p == 0.0:
+            # 0^0 = 1 convention: M^0 is the identity even on PSD kernels.
+            eye = np.eye(self.dim, dtype=self.matrix.dtype)
+            return np.broadcast_to(eye, self.matrix.shape).copy()
+        if self.real_rows is not None:
+            raise MixedStack("a stack of real and complex matrices has no powers")
+        w = self.eigenvalues
+        if isinstance(p, list):
+            rows: dict[float, list[int]] = {}
+            for i, q in enumerate(p):
+                rows.setdefault(q, []).append(i)
+            wp = np.empty_like(w)
+            for q, idx in rows.items():  # each distinct exponent once
+                wp[idx] = _pow_spectrum(w[idx], q, self.psd_tol)
+        else:
+            wp = _pow_spectrum(w, p, self.psd_tol)
+        V = self.eigenvectors
+        out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))
+        if isinstance(p, list):
+            # matrices of exponent 1 or 0 among others: exactly M, or the identity
+            out[rows.get(1.0, [])] = self.matrix[rows.get(1.0, [])]
+            out[rows.get(0.0, [])] = np.eye(self.dim)
+        return out

@@ -25,19 +25,69 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar
-from .linalg import PSD_TOL, DomainError, Powers, hermitianize, is_psd
-from .scalar import Case, check_unit, find_case, first_worst
+from .linalg import PSD_TOL, DomainError, MixedStack, Powers, hermitianize, is_psd
+from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight, find_case,
+                     first_worst, heinz_weight, tail_weights)
 
 CERT_PSD_TOL = 1e-8
 
 
+def _unit(name: str, t):
+    """Check a weight in [0, 1], or each of a stack's weights (one per matrix).
+
+    Returns a float, or a 1-D float array for a sequence of weights.
+    """
+    if np.ndim(t) == 0:
+        check_unit(name, t)
+        return float(t)
+    t = np.asarray(t, dtype=float)
+    for v in t.tolist():
+        check_unit(name, v)
+    return t
+
+
+def _each(nu, f):
+    """f(nu) for one weight; for a stack's weights, f of each, as an array.
+
+    f runs on Python floats: numpy's array power rounds some chain
+    coefficients, such as nu**(nu - 2), differently in the last bit.
+    """
+    if not isinstance(nu, np.ndarray):
+        return f(nu)
+    return np.array([f(v) for v in nu.tolist()])
+
+
+def _col(nu, f=None):
+    """nu, or the coefficient f(nu), shaped to scale each matrix of a stack.
+
+    For a stack's weights this is a (k, 1, 1) column, or a tuple of
+    columns when f returns a tuple; for one weight, the plain value.
+    """
+    got = nu if f is None else _each(nu, f)
+    if not isinstance(nu, np.ndarray):
+        return got
+    if got.ndim == 1:
+        return got[:, None, None]
+    return tuple(got[:, j, None, None] for j in range(got.shape[1]))
+
+
+def _uniform(nu) -> float | None:
+    """The weight every row shares, or None when the rows differ."""
+    if not isinstance(nu, np.ndarray):
+        return nu
+    first, *rest = nu.tolist()
+    return first if all(v == first for v in rest) else None
+
+
 class PairContext:
-    """Shared eigendecomposition cache for one (A, B) pair.
+    """Shared eigendecomposition cache for one (A, B) pair, or a stack of pairs.
 
     Building the context validates both operands; each derived quantity
     (powers of A and B, powers of X = A^(-1/2) B A^(-1/2), the congruence
     corrections) is computed once and reused across the means and across
-    the registered cases.
+    the registered cases.  A and B may be stacks (k, n, n); a weight is
+    then a float for every pair or a 1-D array with one per pair, and each
+    pair's result equals its result alone, bit for bit.
     """
 
     def __init__(self, A, B, psd_tol: float = PSD_TOL):
@@ -64,33 +114,43 @@ class PairContext:
             self._px = Powers(hermitianize(ai @ self.B @ ai), self.psd_tol)
         return self._px
 
-    def nabla(self, nu: float = 0.5) -> np.ndarray:
-        check_unit("nu", nu)
-        return (1.0 - nu) * self.A + nu * self.B
+    def nabla(self, nu=0.5) -> np.ndarray:
+        w = _col(_unit("nu", nu))
+        return (1.0 - w) * self.A + w * self.B
 
-    def geom(self, nu: float = 0.5) -> np.ndarray:
-        check_unit("nu", nu)
+    def geom(self, nu=0.5) -> np.ndarray:
+        nu = _unit("nu", nu)
         # Boundary identities are exact; the congruence route would only
         # reconstruct A or B through kappa(A)-amplified rounding.
-        if nu == 0.0:
-            return self.A
-        if nu == 1.0:
-            return self.B
+        v = _uniform(nu)
+        if v is not None:
+            if v == 0.0:
+                return self.A
+            if v == 1.0:
+                return self.B
+            ah = self.pa.pow(0.5)
+            return hermitianize(ah @ self._x().pow(v) @ ah)
         ah = self.pa.pow(0.5)
-        return hermitianize(ah @ self._x().pow(nu) @ ah)
+        g = hermitianize(ah @ self._x().pow_rows(nu) @ ah)
+        lo, hi = (nu == 0.0)[:, None, None], (nu == 1.0)[:, None, None]
+        if lo.any() or hi.any():  # those pairs take A or B exactly, as alone
+            if self.A.dtype != self.B.dtype:
+                raise MixedStack("a boundary weight would mix real and complex pairs")
+            g = np.where(lo, self.A, np.where(hi, self.B, g))
+        return g
 
-    def harmonic(self, nu: float = 0.5) -> np.ndarray:
-        check_unit("nu", nu)
-        blend = Powers((1.0 - nu) * self.pa.pow(-1.0) + nu * self.pb.pow(-1.0), self.psd_tol)
+    def harmonic(self, nu=0.5) -> np.ndarray:
+        w = _col(_unit("nu", nu))
+        blend = Powers((1.0 - w) * self.pa.pow(-1.0) + w * self.pb.pow(-1.0), self.psd_tol)
         return blend.pow(-1.0)
 
-    def heinz(self, nu: float) -> np.ndarray:
-        check_unit("nu", nu)
+    def heinz(self, nu) -> np.ndarray:
+        nu = _unit("nu", nu)
         return (self.geom(nu) + self.geom(1.0 - nu)) / 2.0
 
-    def heron(self, alpha: float) -> np.ndarray:
-        check_unit("alpha", alpha)
-        return (1.0 - alpha) * self.geom(0.5) + alpha * self.nabla(0.5)
+    def heron(self, alpha) -> np.ndarray:
+        a = _col(_unit("alpha", alpha))
+        return (1.0 - a) * self.geom(0.5) + a * self.nabla(0.5)
 
     def corr_lower(self) -> np.ndarray:
         """B - 2A + A B^(-1) A, the PSD correction attached to the lower Heinz bound."""
@@ -128,7 +188,10 @@ def heron(A, B, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorCase(Case):
-    """One Loewner chain: gaps(ctx, nu) yields RHS - LHS per link, all PSD when true."""
+    """One Loewner chain: gaps(ctx, nu) yields RHS - LHS per link, all PSD when true.
+
+    nu is a float, or one weight per pair of a stacked context.
+    """
 
     requires_ordered: bool
     links: tuple[str, ...]
@@ -138,42 +201,48 @@ class OperatorCase(Case):
     cells: Callable[[float, float, float], tuple[float, ...]]
 
 
-def _gaps_23(ctx: PairContext, nu: float):
-    k = nu ** (nu - 2.0)
-    return (k * ctx.heinz(nu) - nu * nu * (nu - 2.0) * ctx.nabla(0.5) - 2.0 * ctx.geom(0.5),)
+def _gaps_23(ctx: PairContext, nu):
+    k, w = _col(nu, heinz_weight), _col(nu, cubic_weight)
+    return (k * ctx.heinz(nu) - w * ctx.nabla(0.5) - 2.0 * ctx.geom(0.5),)
 
 
-def _gaps_25(ctx: PairContext, nu: float):
-    k = nu ** (nu - 2.0)
-    lhs = (1.0 - nu * nu + nu ** 3) * ctx.A + (1.0 - nu * nu) * ctx.B
-    rhs = k * ctx.geom(1.0 - nu) + ctx.A + ctx.B - 2.0 * ctx.geom(0.5)
-    return (rhs - lhs,)
+def _cubic_gap(ctx: PairContext, nu, first, second, g):
+    """rhs - lhs of op-2.5 and op-2.6, where lhs weights ``first`` by 1 - nu^2 + nu^3."""
+    k = _col(nu, heinz_weight)
+    p, q = _col(nu, cubic_side_weights)
+    lhs = p * first + q * second
+    return k * g + ctx.A + ctx.B - 2.0 * ctx.geom(0.5) - lhs
 
 
-def _gaps_26(ctx: PairContext, nu: float):
-    k = nu ** (nu - 2.0)
-    lhs = (1.0 - nu * nu + nu ** 3) * ctx.B + (1.0 - nu * nu) * ctx.A
-    rhs = k * ctx.geom(nu) + ctx.A + ctx.B - 2.0 * ctx.geom(0.5)
-    return (rhs - lhs,)
+def _gaps_25(ctx: PairContext, nu):
+    return (_cubic_gap(ctx, nu, ctx.A, ctx.B, ctx.geom(1.0 - nu)),)
 
 
-def _gaps_27_left(ctx: PairContext, nu: float):
-    c = nu * (1.0 - nu) / 2.0
+def _gaps_26(ctx: PairContext, nu):
+    return (_cubic_gap(ctx, nu, ctx.B, ctx.A, ctx.geom(nu)),)
+
+
+def _corr_weight(nu: float) -> float:
+    """nu(1 - nu)/2, the weight on the Heinz correction terms of op-2.7."""
+    return nu * (1.0 - nu) / 2.0
+
+
+def _gaps_27_left(ctx: PairContext, nu):
+    c = _col(nu, _corr_weight)
     return (ctx.nabla(0.5) - ctx.heinz(nu) - c * ctx.corr_lower(),)
 
 
-def _gaps_27_right(ctx: PairContext, nu: float):
-    c = nu * (1.0 - nu) / 2.0
+def _gaps_27_right(ctx: PairContext, nu):
+    c = _col(nu, _corr_weight)
     return (ctx.heinz(nu) + c * ctx.corr_upper() - ctx.nabla(0.5),)
 
 
-def _gaps_27_refine(ctx: PairContext, nu: float):
+def _gaps_27_refine(ctx: PairContext, nu):
     return (ctx.corr_lower(), ctx.nabla(0.5) - ctx.heinz(nu))
 
 
-def _gaps_210(ctx: PairContext, nu: float):
-    r, R = min(nu, 1.0 - nu), max(nu, 1.0 - nu)
-    rr, RR = r ** (2.0 * r), R ** (2.0 * R)
+def _gaps_210(ctx: PairContext, nu):
+    r, R, rr, RR = _col(nu, tail_weights)
     g, h, n = ctx.geom(0.5), ctx.heinz(nu), ctx.nabla(0.5)
     return (
         2.0 * r * r * g - rr * h - (2.0 * r - 1.0) * n,
@@ -182,27 +251,27 @@ def _gaps_210(ctx: PairContext, nu: float):
     )
 
 
-def _gaps_heron_zhao(ctx: PairContext, nu: float):
-    return (ctx.heron(scalar.alpha_of_nu(nu)) - ctx.heinz(nu),)
+def _gaps_heron_zhao(ctx: PairContext, nu):
+    return (ctx.heron(_each(nu, scalar.alpha_of_nu)) - ctx.heinz(nu),)
 
 
 def _cells_23(lam: float, mu: float, nu: float):
-    k = nu ** (nu - 2.0)
+    k = heinz_weight(nu)
     return (
         k * scalar.heinz(lam, mu, nu)
-        - nu * nu * (nu - 2.0) * (lam + mu) / 2.0
+        - cubic_weight(nu) * (lam + mu) / 2.0
         - 2.0 * math.sqrt(lam * mu),
     )
 
 
 def _cells_27_left(lam: float, mu: float, nu: float):
-    c = nu * (1.0 - nu) / 2.0
+    c = _corr_weight(nu)
     corr = mu - 2.0 * lam + lam * lam / mu
     return ((lam + mu) / 2.0 - scalar.heinz(lam, mu, nu) - c * corr,)
 
 
 def _cells_27_right(lam: float, mu: float, nu: float):
-    c = nu * (1.0 - nu) / 2.0
+    c = _corr_weight(nu)
     corr = lam - 2.0 * mu + mu * mu / lam
     return (scalar.heinz(lam, mu, nu) + c * corr - (lam + mu) / 2.0,)
 
@@ -350,38 +419,50 @@ class OperatorTrial:
     witness: np.ndarray  # unit eigenvector attaining the worst link's lam_min
 
 
-def certify_operator(case: OperatorCase, A, B, nu: float,
+def certify_operator(case: OperatorCase, A, B, nu,
                      tol: float = CERT_PSD_TOL,
-                     psd_tol: float = PSD_TOL) -> OperatorTrial:
+                     psd_tol: float = PSD_TOL):
     """Judge every link of one chain at (A, B, nu).
+
+    A and B may be stacks (k, n, n) with one nu per pair; the result is
+    then a list of k trials, each equal bit for bit to the trial of its
+    pair alone, which is how one pair is judged: as a stack of one.
 
     Domain violations (nu outside the case's range, an unordered pair fed
     to an ordered-only case, operands that are not PD where required)
     raise DomainError naming the violated predicate.
     """
-    case.check_nu(nu)
+    A = np.asarray(A)
+    if A.ndim == 2:
+        return certify_operator(case, A[None], np.asarray(B)[None], [nu], tol, psd_tol)[0]
+    nus = [float(v) for v in nu]
+    for v in nus:
+        case.check_nu(v)
     ctx = PairContext(A, B, psd_tol)
     if case.requires_ordered:
         order = is_psd(ctx.B - ctx.A, tol)
-        if not order.ok:
+        if not all(order.ok):
+            i = order.ok.index(False)
             raise DomainError(
                 f"case {case.case_id} requires A <= B in Loewner order; "
-                f"lam_min(B - A) = {order.lam_min:.6e} at scale {order.scale:.3e}"
+                f"lam_min(B - A) = {order.lam_min[i]:.6e} at scale {order.scale[i]:.3e}"
             )
-    checks = []
-    witnesses = []
-    for name, gap in zip(case.links, case.gaps(ctx, nu), strict=True):
-        res = is_psd(gap, tol)
-        slack = res.lam_min / res.scale
-        checks.append(LinkCheck(name, res.lam_min, res.scale, slack, res.ok))
-        witnesses.append(res.witness)
-    worst = first_worst([c.slack for c in checks])
-    return OperatorTrial(
-        case_id=case.case_id,
-        nu=float(nu),
-        links=tuple(checks),
-        min_slack=checks[worst].slack,
-        worst_link=checks[worst].name,
-        passed=all(c.ok for c in checks),
-        witness=witnesses[worst],
-    )
+    # a weight shared by every pair goes in as a float, as for one pair
+    gaps = case.gaps(ctx, nus[0] if len(set(nus)) == 1 else np.array(nus))
+    links = [(name, is_psd(gap, tol)) for name, gap in zip(case.links, gaps, strict=True)]
+    trials = []
+    for i, v in enumerate(nus):
+        checks = [LinkCheck(name, res.lam_min[i], res.scale[i],
+                            res.lam_min[i] / res.scale[i], res.ok[i])
+                  for name, res in links]
+        worst = first_worst([c.slack for c in checks])
+        trials.append(OperatorTrial(
+            case_id=case.case_id,
+            nu=v,
+            links=tuple(checks),
+            min_slack=checks[worst].slack,
+            worst_link=checks[worst].name,
+            passed=all(c.ok for c in checks),
+            witness=links[worst][1].witness[i],
+        ))
+    return trials

@@ -106,32 +106,51 @@ def sample_spectrum(rng: np.random.Generator, law: str, dim: int) -> np.ndarray:
     return center * (1.0 + jitter * rng.uniform(-1.0, 1.0, dim))
 
 
-def sample_basis(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:
-    """Orthogonal (or unitary) basis from QR of iid Gaussians, phase-fixed."""
+def basis_entries(rng: np.random.Generator, dim: int,
+                  complex_entries: bool = False) -> np.ndarray:
+    """The iid Gaussian draws behind one basis (real, or real + 1j * imaginary)."""
     z = rng.standard_normal((dim, dim))
     if complex_entries:
         z = z + 1j * rng.standard_normal((dim, dim))
+    return z
+
+
+def orthonormalize(z: np.ndarray) -> np.ndarray:
+    """Phase-fixed Q from the QR factorization of each matrix in z, (n, n) or (k, n, n)."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def sample_basis(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:
+    """Orthogonal (or unitary) basis from QR of iid Gaussians, phase-fixed."""
+    return orthonormalize(basis_entries(rng, dim, complex_entries))
 
 
 def assemble(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Q diag(lam) Q*, symmetrized."""
-    return hermitianize((q * lam) @ q.conj().T)
+    """Q diag(lam) Q*, symmetrized; for each (lam, Q) of a stack as well."""
+    return hermitianize((q * lam[..., None, :]) @ q.conj().swapaxes(-1, -2))
 
 
-def pd_parts(rng: np.random.Generator, dim: int, law: str,
+def pd_draws(rng: np.random.Generator, dim: int, law: str,
              complex_entries: bool = False,
              allow_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (lam, Q); spectrum first, then basis (fixed order for replay)."""
+    """Draw (lam, basis entries); spectrum first, then basis (fixed order for replay)."""
     lam = sample_spectrum(rng, law, dim)
     if not allow_zero and lam.min() <= 0.0:
         raise DomainError(
             f"positive definite generation needs a positive spectrum, got {lam.min()!r}"
         )
-    return lam, sample_basis(rng, dim, complex_entries)
+    return lam, basis_entries(rng, dim, complex_entries)
+
+
+def pd_parts(rng: np.random.Generator, dim: int, law: str,
+             complex_entries: bool = False,
+             allow_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (lam, Q) with ``pd_draws`` and orthonormalize the basis."""
+    lam, z = pd_draws(rng, dim, law, complex_entries, allow_zero)
+    return lam, orthonormalize(z)
 
 
 def general_entries(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:

@@ -6,6 +6,13 @@ exact inputs bit for bit, so any failure printed by a sweep can be
 replayed standalone.  Sweeps process trials in fixed-size chunks that
 are merged in chunk order, which keeps aggregates byte-identical across
 worker counts.
+
+Within a chunk every trial draws from its own stream, in trial order; the
+trials are then stacked by dimension, and each stack (k, n, n) goes
+through generation and certification at once.  Every stacked operation
+treats each matrix as it would treat it alone, so a trial's record is the
+same bit for bit in any stack, and ``run_trial`` and replay run the same
+code on a stack of one.
 """
 from __future__ import annotations
 
@@ -17,11 +24,14 @@ from typing import Any
 import numpy as np
 
 from . import hsnorm, opmeans, scalar
-from .linalg import PSD_TOL, DomainError
-from .randgen import (DEFAULT_LAW, derive_seed, general_entries, parse_law,
-                      pd_parts, assemble, trial_rng)
+from .linalg import PSD_TOL, DomainError, MixedStack
+from .randgen import (DEFAULT_LAW, assemble, derive_seed, general_entries, orthonormalize,
+                      parse_law, pd_draws, trial_rng)
 
 CHUNK = 512
+# matrix entries (k * n * n) in one stack: a larger dim group is split, which
+# bounds the memory of a stage without changing any bit of its results
+STACK_BUDGET = 1 << 18
 DEFAULT_DIMS = (1, 2, 3, 5, 8)
 MAX_DIM = 1024  # a bound on what a digest or a flag may ask to allocate
 FAILURE_CAP = 10
@@ -172,6 +182,15 @@ def scalar_digest(case_id: str, a: float, b: float, nu: float) -> dict[str, Any]
     return {"case": case_id, "kind": "scalar", "a": float(a), "b": float(b), "nu": float(nu)}
 
 
+# each case's digest keys, and the type its writer gives each value
+_DIGEST_TYPES = {
+    cid: {key: type(value) for key, value in (
+        scalar_digest(cid, 1.0, 1.0, entry.nu_grid[0]) if entry.kind == "scalar"
+        else make_digest(cid, RunConfig(), 0)).items()}
+    for cid, entry in CASES.items()
+}
+
+
 def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     """Check a digest by writing it again from its own values; return the rewrite.
 
@@ -184,18 +203,15 @@ def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     if type(case_id) is not str:
         raise DomainError(f"digest field 'case' must hold a case id string, got {case_id!r}")
     entry = case_entry(case_id)
-    if entry.kind == "scalar":
-        shape = scalar_digest(case_id, 1.0, 1.0, entry.nu_grid[0])
-    else:
-        shape = make_digest(case_id, RunConfig(), 0)
-    for key, want in shape.items():
+    types = _DIGEST_TYPES[case_id]
+    for key, want in types.items():
         if key not in digest:
             raise DomainError(f"digest is missing the {key!r} field")
         got = type(digest[key])
-        if got is not type(want) and not (got is int and type(want) is float):
+        if got is not want and not (got is int and want is float):
             raise DomainError(f"digest field {key!r} is {digest[key]!r}, but case "
-                              f"{case_id} writes type {type(want).__name__} there")
-    unknown = sorted(set(digest).difference(shape))
+                              f"{case_id} writes type {want.__name__} there")
+    unknown = sorted(set(digest).difference(types))
     if unknown:
         raise DomainError(f"digest has unknown field(s) {', '.join(map(repr, unknown))}")
     if entry.kind == "scalar":
@@ -213,52 +229,135 @@ def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     return rewrite
 
 
-def build_inputs(digest: dict[str, Any]) -> dict[str, Any]:
-    """Reconstruct the exact trial inputs described by a digest.
+def draw_trial(digest: dict[str, Any]) -> list[np.ndarray]:
+    """The draws of one trial from its own Philox stream.
 
     Draw order is fixed and documented here: A-spectrum, A-basis, then
     (W-spectrum, W-basis) for ordered pairs or (B-spectrum, B-basis)
     otherwise, then X (spectrum+basis when positive definite, raw entries
     when general).  Changing this order is a breaking change for replay.
+    A basis is drawn as its Gaussian entries; ``build_inputs`` factors it.
     """
-    case_id = digest["case"]
     dim = digest["dim"]
     cx = digest["complex"]
     law = digest["law"]
-    rng = trial_rng(derive_seed(digest["seed"], case_id), digest["trial"])
-
-    lam_a, q_a = pd_parts(rng, dim, law, cx)
-    a = assemble(lam_a, q_a)
+    rng = trial_rng(derive_seed(digest["seed"], digest["case"]), digest["trial"])
+    draws = [*pd_draws(rng, dim, law, cx)]
     if digest["structure"] == "ordered-pair":
-        lam_w, q_w = pd_parts(rng, dim, digest["w_law"], cx, allow_zero=True)
-        b = a + assemble(lam_w, q_w)
-        lam_b = q_b = None
+        draws += pd_draws(rng, dim, digest["w_law"], cx, allow_zero=True)
     else:
-        lam_b, q_b = pd_parts(rng, dim, law, cx)
-        b = assemble(lam_b, q_b)
-    out: dict[str, Any] = {"A": a, "B": b, "nu": digest["nu"]}
+        draws += pd_draws(rng, dim, law, cx)
     if digest["kind"] == "hs":
         if digest["x_kind"] == "pd":
-            lam_x, q_x = pd_parts(rng, dim, law, cx)
-            out["X"] = assemble(lam_x, q_x)
+            draws += pd_draws(rng, dim, law, cx)
         else:
-            out["X"] = general_entries(rng, dim, cx)
-        if lam_b is not None:
-            out["oracle"] = ((lam_a, q_a), (lam_b, q_b))
+            draws.append(general_entries(rng, dim, cx))
+    return draws
+
+
+def build_inputs(digests: list[dict[str, Any]],
+                 draws: list[list[np.ndarray]]) -> dict[str, Any]:
+    """The exact inputs of trials of one case and dim, stacked (k, n, n).
+
+    ``draws`` holds each trial's ``draw_trial``; every basis of the stack
+    is factored in one QR call.  For hs trials on a general pair,
+    ``oracle`` lists each trial's construction-time ((lam_a, Q_a), (lam_b, Q_b)).
+    """
+    first, k = digests[0], len(digests)
+    stacks = [np.array(col) for col in zip(*draws)]
+    npd = len(stacks) // 2  # a (spectrum, basis) pair per PD operand; a general X adds one
+    lams = stacks[0:2 * npd:2]
+    q = orthonormalize(np.concatenate(stacks[1:2 * npd:2]))
+    qs = [q[i * k:(i + 1) * k] for i in range(npd)]
+    a, second, *rest = [assemble(lam, q) for lam, q in zip(lams, qs)]
+    ordered = first["structure"] == "ordered-pair"
+    out: dict[str, Any] = {"A": a, "B": a + second if ordered else second,
+                           "nu": [d["nu"] for d in digests]}
+    if first["kind"] == "hs":
+        out["X"] = rest[0] if rest else stacks[-1]
+        if not ordered:
+            out["oracle"] = [((lams[0][i], qs[0][i]), (lams[1][i], qs[1][i]))
+                             for i in range(k)]
     return out
 
 
-def run_trial(digest: dict[str, Any], tol: float, psd_tol: float):
-    """Evaluate one trial; returns the module-level trial record."""
-    entry = case_entry(digest["case"])
-    inputs = build_inputs(digest)
+def _certify(entry: CaseEntry, digests: list[dict[str, Any]],
+             draws: list[list[np.ndarray]], tol: float, psd_tol: float) -> list:
+    """Trial records of a stack of trials of one case and dim."""
+    inputs = build_inputs(digests, draws)
     if entry.kind == "operator":
         return opmeans.certify_operator(entry.case, inputs["A"], inputs["B"], inputs["nu"],
                                         tol=tol, psd_tol=psd_tol)
-    lenient = digest["x_kind"] != entry.case.x_kind
-    return hsnorm.certify_hs(entry.case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
-                             tol=tol, psd_tol=psd_tol, lenient=lenient,
-                             oracle=inputs.get("oracle"))
+    # one trial at a time: a stacked norm would sum in another order
+    lenient = digests[0]["x_kind"] != entry.case.x_kind
+    oracle = inputs.get("oracle") or [None] * len(digests)
+    return [hsnorm.certify_hs(entry.case, inputs["A"][i], inputs["B"][i], inputs["X"][i], nu,
+                              tol=tol, psd_tol=psd_tol, lenient=lenient, oracle=oracle[i])
+            for i, nu in enumerate(inputs["nu"])]
+
+
+def run_trial(digest: dict[str, Any], tol: float, psd_tol: float):
+    """Evaluate one trial, as a stack of one; returns the module-level trial record."""
+    return _certify(case_entry(digest["case"]), [digest], [draw_trial(digest)],
+                    tol, psd_tol)[0]
+
+
+def _run_stack(entry: CaseEntry, digests: list[dict[str, Any]],
+               draws: list[list[np.ndarray]], tol: float, psd_tol: float):
+    """Records of one stack, and its first failure (index, DomainError) or None.
+
+    A stack that raises, or that would mix real and complex matrices, runs
+    again one trial at a time in trial order, so the failure reported is
+    the first trial that fails on its own, with the message it gives alone.
+    """
+    if len(digests) > 1:
+        try:
+            return _certify(entry, digests, draws, tol, psd_tol), None
+        except (DomainError, MixedStack):
+            pass
+    records = []
+    for i in range(len(digests)):
+        try:
+            records.append(_certify(entry, digests[i:i + 1], draws[i:i + 1], tol, psd_tol)[0])
+        except DomainError as exc:
+            return records, (i, exc)
+    return records, None
+
+
+def _run_trials(entry: CaseEntry, digests: list[dict[str, Any]], tol: float, psd_tol: float):
+    """Records of the trials of ``digests``, and the first failure (index, DomainError) or None.
+
+    Trials draw in trial order and stop at the first draw that fails.  Each
+    dim's trials gather into a stack, which is certified, and its draws
+    dropped, once it holds STACK_BUDGET entries (k * n * n) or the draws end.
+    """
+    records: list = [None] * len(digests)
+    draws: dict[int, list[np.ndarray]] = {}
+    failures: list[tuple[int, DomainError]] = []
+    stacks: dict[int, list[int]] = {}
+
+    def certify(rows: list[int]) -> None:
+        got, bad = _run_stack(entry, [digests[i] for i in rows],
+                              [draws.pop(i) for i in rows], tol, psd_tol)
+        for i, rec in zip(rows, got):
+            records[i] = rec
+        if bad is not None:
+            failures.append((rows[bad[0]], bad[1]))
+
+    for i, digest in enumerate(digests):
+        try:
+            draws[i] = draw_trial(digest)
+        except DomainError as exc:
+            failures.append((i, exc))
+            break
+        dim = digest["dim"]
+        rows = stacks.setdefault(dim, [])
+        rows.append(i)
+        if len(rows) >= STACK_BUDGET // (dim * dim):
+            certify(stacks.pop(dim))
+    for rows in stacks.values():
+        certify(rows)
+    return records, min(failures, key=lambda f: f[0], default=None)
 
 
 @dataclass
@@ -327,16 +426,16 @@ class _Agg:
 
 
 def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
-    kind = case_entry(case_id).kind
+    entry = case_entry(case_id)
+    digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
+    records, failed = _run_trials(entry, digests, cfg.tol, cfg.psd_tol)
+    if failed is not None:
+        i, exc = failed
+        raise DomainError(f"case {case_id} trial {start + i}: {exc}; "
+                          f"digest: {json.dumps(digests[i], sort_keys=True)}") from exc
     agg = _Agg()
-    for t in range(start, stop):
-        digest = make_digest(case_id, cfg, t)
-        try:
-            rec = run_trial(digest, cfg.tol, cfg.psd_tol)
-        except DomainError as exc:
-            raise DomainError(f"case {case_id} trial {t}: {exc}; "
-                              f"digest: {json.dumps(digest, sort_keys=True)}") from exc
-        agg.fold_trial(digest, t, rec, kind)
+    for t, (digest, rec) in enumerate(zip(digests, records), start):
+        agg.fold_trial(digest, t, rec, entry.kind)
     return agg
 
 

@@ -84,6 +84,27 @@ def _R0(nu: float) -> float:
     return max(nu, 1.0 - nu)
 
 
+def heinz_weight(nu: float) -> float:
+    """nu**(nu - 2), the weight on the Heinz mean in the cubic-weight chains."""
+    return nu ** (nu - 2.0)
+
+
+def cubic_weight(nu: float) -> float:
+    """nu^2 (nu - 2), the weight on the arithmetic mean in the cubic-weight chains."""
+    return nu * nu * (nu - 2.0)
+
+
+def cubic_side_weights(nu: float) -> tuple[float, float]:
+    """(1 - nu^2 + nu^3, 1 - nu^2), the weights of new-2.1's left side and its operator forms."""
+    return 1.0 - nu * nu + nu ** 3, 1.0 - nu * nu
+
+
+def tail_weights(nu: float) -> tuple[float, float, float, float]:
+    """(r, R, r**(2r), R**(2R)) with r = min(nu, 1 - nu) and R = max(nu, 1 - nu)."""
+    r, R = _r0(nu), _R0(nu)
+    return r, R, r ** (2.0 * r), R ** (2.0 * R)
+
+
 def _sq(a: float, b: float) -> float:
     return (math.sqrt(a) - math.sqrt(b)) ** 2
 
@@ -137,6 +158,11 @@ def _zw_lower_up(a, b, nu):
     return g, mid, s, qa, qb
 
 
+def _sides_new21(a, b, nu):
+    p, q = cubic_side_weights(nu)
+    return (p * a + q * b, heinz_weight(nu) * weighted_geom(a, b, nu) + _sq(a, b))
+
+
 def _sides_zw15(a, b, nu):
     g, mid, s, qa, qb = _zw_lower_up(a, b, nu)
     r1 = min(2.0 * nu, 1.0 - 2.0 * nu)
@@ -161,26 +187,26 @@ def _sides_zj17(a, b, nu):
 
 
 def _sides_comb211(a, b, nu):
-    r, R = _r0(nu), _R0(nu)
+    r, R, rr, RR = tail_weights(nu)
     g = a ** nu * b ** (1.0 - nu)
     s = _sq(a, b)
     return (
-        r ** (2.0 * r) * g + r * r * s,
+        rr * g + r * r * s,
         nu * nu * a + (1.0 - nu) ** 2 * b,
-        R ** (2.0 * R) * g + R * R * s,
+        RR * g + R * R * s,
     )
 
 
 def _sides_comb212(a, b, nu):
-    r, R = _r0(nu), _R0(nu)
+    r, R, rr, RR = tail_weights(nu)
     h = heinz(a, b, nu)
     am = (a + b) / 2.0
     gm = math.sqrt(a * b)
     return (
-        r ** (2.0 * r) * h + (2.0 * r - 1.0) * am,
+        rr * h + (2.0 * r - 1.0) * am,
         2.0 * r * r * gm,
         2.0 * R * R * gm,
-        R ** (2.0 * R) * h + (2.0 * R - 1.0) * am,
+        RR * h + (2.0 * R - 1.0) * am,
     )
 
 
@@ -339,10 +365,7 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "(1 - v^2 + v^3) a + (1 - v^2) b <= v^(v-2) a^v b^(1-v) + (sqrt(a)-sqrt(b))^2",
             "0 < nu <= 1 (vacuous at nu = 0)",
             lambda nu: 0.0 < nu <= 1.0,
-            lambda a, b, v: (
-                (1.0 - v * v + v ** 3) * a + (1.0 - v * v) * b,
-                v ** (v - 2.0) * weighted_geom(a, b, v) + _sq(a, b),
-            ),
+            _sides_new21,
         ),
         ScalarCase(
             "comb-2.11",

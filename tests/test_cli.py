@@ -364,6 +364,48 @@ class TestMatrixVerifyVerb:
         assert "trails" in capsys.readouterr().err
 
 
+
+class TestConfigValues:
+    """A config value must have the type its flag parses to (int may stand for float)."""
+
+    @pytest.mark.parametrize("config, key", [
+        ({"complex": "no"}, "complex"),   # once ran a complex sweep
+        ({"trials": 2.7}, "trials"),      # once ran 2 trials
+        ({"seed": True}, "seed"),         # once ran seed 1
+        ({"trials": "abc"}, "trials"),    # once a ValueError traceback
+        ({"dim": [3.5]}, "dim"),          # once an AttributeError traceback
+    ])
+    def test_value_of_another_type_rejected(self, tmp_path, capsys, monkeypatch,
+                                            config, key):
+        started = []
+        monkeypatch.setattr(runner, "_run_chunk", lambda *a: started.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["matrix-verify", "--case", "op-2.3", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "Traceback" not in err
+        # a flag that overrides the key does not hide the bad value
+        flag = ["--complex"] if key == "complex" else [f"--{key}", "1"]
+        assert main(["matrix-verify", "--case", "op-2.3", "--config", str(cfg), *flag]) == 2
+        assert started == []
+
+    def test_typed_values_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": ["op-2.3"], "trials": 6, "tol": 1,
+                                   "dim": ["2,3"], "complex": True, "nu": None}))
+        out = tmp_path / "rep.json"
+        assert main(["matrix-verify", "--config", str(cfg), "--out", str(out)]) == 0
+        config = read_report(out)["config"]
+        assert config["tol"] == 1.0 and type(config["tol"]) is float
+        assert config["dims"] == [2, 3] and config["complex"] is True
+
+    def test_null_only_where_the_default_is_null(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": None}))
+        assert main(["matrix-verify", "--case", "op-2.3", "--config", str(cfg)]) == 2
+        assert "config key 'trials'" in capsys.readouterr().err
+
+
 class TestReplayVerb:
     def test_round_trip_from_report(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meancert.linalg import (DomainError, Powers, eigh, hermitianize, hs_norm,
-                             is_psd, mat_pow, spectral_norm, validate_hermitian)
+from meancert.linalg import (DomainError, MixedStack, Powers, clamp_psd, eigh, hermitianize,
+                             hs_norm, is_psd, mat_pow, spectral_norm, validate_hermitian)
 
 
 def rand_pd(dim, seed, lo=0.1, hi=10.0, complex_entries=False):
@@ -183,3 +183,58 @@ class TestPowers:
         p = Powers(m)
         r = p.pow(0.5)
         assert np.allclose(r @ r, m, atol=1e-11 * spectral_norm(m))
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestStacks:
+    """Each matrix of a stack (k, n, n) is treated as it would be alone, bit for bit."""
+
+    @pytest.mark.parametrize("cx", [False, True])
+    def test_powers_and_psd_checks_match_one_at_a_time(self, cx):
+        mats = [rand_pd(4, 30 + i, 1e-3, 1e3, complex_entries=cx) for i in range(6)]
+        stack = Powers(np.stack(mats))
+        exps = [0.5, 0.25, 0.0, 1.0, 0.25, 0.75]
+        for p in (0.5, -0.5, -1.0, 2.0, 0.0, 1.0):
+            got = stack.pow(p)
+            for i, m in enumerate(mats):
+                assert bits(got[i]) == bits(Powers(m).pow(p))
+        got = stack.pow_rows(exps)
+        for i, (m, p) in enumerate(zip(mats, exps)):
+            assert bits(got[i]) == bits(Powers(m).pow(p))
+        res = is_psd(np.stack(mats) - 0.5 * np.eye(4))
+        for i, m in enumerate(mats):
+            one = is_psd(m - 0.5 * np.eye(4))
+            assert (res.ok[i], res.lam_min[i], res.scale[i]) == (one.ok, one.lam_min, one.scale)
+            assert bits(res.witness[i]) == bits(one.witness)
+
+    def test_errors_report_the_first_matrix_that_fails(self):
+        good = rand_pd(3, 40)
+        asym = good + np.triu(np.ones((3, 3)), 1)
+        worse = good + 2 * np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(DomainError) as alone:
+            validate_hermitian(asym)
+        with pytest.raises(DomainError) as stacked:
+            validate_hermitian(np.stack([good, asym, worse]))
+        assert str(stacked.value) == str(alone.value)
+        neg = good - 2 * spectral_norm(good) * np.eye(3)
+        w = np.stack([eigh(m)[0] for m in (good, neg, 2 * neg)])
+        with pytest.raises(DomainError) as alone:
+            clamp_psd(eigh(neg)[0], 1e-9, "B")
+        with pytest.raises(DomainError) as stacked:
+            clamp_psd(w, 1e-9, "B")
+        assert str(stacked.value) == str(alone.value)
+
+    def test_real_and_complex_matrices_in_one_stack(self):
+        real = rand_pd(3, 41).astype(complex)  # complex dtype, zero imaginary part
+        cplx = rand_pd(3, 42, complex_entries=True)
+        stack = np.stack([cplx, real])
+        res = is_psd(stack)
+        for i, m in enumerate((cplx, real)):
+            assert bits(res.witness[i]) == bits(is_psd(m).witness)
+        assert res.witness[1].dtype == np.float64
+        assert Powers(stack).pow(1.0) is not None
+        with pytest.raises(MixedStack):
+            Powers(stack).pow(0.5)

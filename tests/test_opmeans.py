@@ -202,3 +202,47 @@ class TestCertify:
                 if case.in_domain(nu):
                     t = certify_operator(case, a, b, nu)
                     assert t.passed, (case.case_id, nu, t.min_slack)
+
+
+class TestStacks:
+    def test_certify_over_a_stack_equals_each_pair_alone(self):
+        spec = GenSpec(dim=3, law="log-uniform:0.01:100.0", seed=19)
+        pairs = [gen_ordered_pair(spec, t) for t in range(6)]
+        A, B = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+        nus = [0.0, 0.25, 1.0, 0.5, 0.03125, 0.25]
+        for case in registry():
+            ok = [nu for nu in nus if case.in_domain(nu)]
+            got = certify_operator(case, A[:len(ok)], B[:len(ok)], ok)
+            for (a, b), nu, trial in zip(pairs, ok, got):
+                one = certify_operator(case, a, b, nu)
+                assert repr(trial.links) == repr(one.links), case.case_id
+                assert trial.witness.tobytes() == one.witness.tobytes()
+
+    def test_stacked_gaps_equal_the_gaps_of_each_pair(self):
+        # one weight per pair: coefficients such as nu**(nu - 2) and the
+        # spectral powers must round as they do for one pair and a float nu
+        spec = GenSpec(dim=3, law="log-uniform:0.01:100.0", seed=22)
+        nus = np.array(scalar.NU_GRID_33)
+        pairs = [gen_ordered_pair(spec, t) for t in range(len(nus))]
+        for case in registry():
+            keep = [i for i, nu in enumerate(nus) if case.in_domain(nu)]
+            ctx = PairContext(np.stack([pairs[i][0] for i in keep]),
+                              np.stack([pairs[i][1] for i in keep]))
+            gaps = case.gaps(ctx, nus[keep])
+            for row, i in enumerate(keep):
+                alone = case.gaps(PairContext(*pairs[i]), float(nus[i]))
+                for gap, one in zip(gaps, alone, strict=True):
+                    assert gap[row].tobytes() == one.tobytes(), (case.case_id, nus[i])
+
+    def test_weights_per_pair(self):
+        a, b = pair(20)
+        c, d = pair(21)
+        ctx = PairContext(np.stack([a, c]), np.stack([b, d]))
+        g = ctx.geom(np.array([0.0, 0.375]))
+        assert np.array_equal(g[0], a)
+        assert np.array_equal(g[1], PairContext(c, d).geom(0.375))
+        h = ctx.heinz(np.array([0.25, 1.0]))
+        assert np.array_equal(h[0], PairContext(a, b).heinz(0.25))
+        assert np.array_equal(h[1], PairContext(c, d).heinz(1.0))
+        with pytest.raises(DomainError, match="nu=1.5"):
+            ctx.geom(np.array([0.5, 1.5]))

@@ -1,14 +1,20 @@
-"""The traced benchmark patches meancert attributes by name.
+"""The benchmark's hooks and checks, run against the current tree.
 
 perfbench/spans.py wraps each layer's functions where callers look them
 up.  Entering ``Tracer().installed()`` looks every one of those names up,
 so a refactor that deletes or renames one fails here, in the fast tests,
-instead of only in the benchmark's own self-tests.
+instead of only in the benchmark's own self-tests.  A smoke run of the
+``op-sweep`` workload applies the benchmark's output checks (replays bit
+for bit, the verdict set, repeated sweeps) to the trial kernel.
 """
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -26,3 +32,13 @@ def test_tracer_installs_and_restores_every_hook():
         for (owner, attr), orig in zip(hooks, originals):
             assert owner.__dict__[attr] is not orig, f"{attr} was not wrapped"
     assert [owner.__dict__[attr] for owner, attr in hooks] == originals
+
+
+def test_op_sweep_smoke_run_passes_the_benchmark_checks():
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "op-sweep", "--seed", "3",
+         "--seconds", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0
