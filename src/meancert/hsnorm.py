@@ -23,7 +23,7 @@ import numpy as np
 from .linalg import (PSD_TOL, DomainError, Powers, clamp_psd, hs_norm,
                      validate_hermitian)
 from .scalar import (Case, check_unit, cubic_weight, find_case, heinz_weight,
-                     judge_chain, tail_weights)
+                     judge_chain, require_finite, tail_weights)
 
 CERT_HS_TOL = 1e-8
 ORACLE_TOL = 1e-10
@@ -341,7 +341,8 @@ def certify_hs(case: HsCase, A, B, X, nu: float,
 
     When the case hypothesizes a PSD X, a violating X raises DomainError
     unless ``lenient`` is set, in which case the trial is marked advisory:
-    the verdict is recorded but carries no certification weight.
+    the verdict is recorded but carries no certification weight.  A side of
+    either route that is not finite raises DomainError naming the route.
     """
     case.check_nu(nu)
     hypothesis_met = True
@@ -357,13 +358,15 @@ def certify_hs(case: HsCase, A, B, X, nu: float,
             hypothesis_met = False
     ctx = HsContext(A, B, X, psd_tol, oracle=oracle)
     sides = tuple(float(s) for s in case.sides(ctx, nu))
+    _, slacks, worst = judge_chain(sides, f"the direct route of {case.case_id}")
     la, mu, y2 = ctx.cell_parts()
     osides, (lhs, rhs) = case.oracle(la, mu, y2, nu)
     osides = tuple(float(s) for s in osides)
     rel_err = max(
         abs(s - o) / max(1.0, abs(s)) for s, o in zip(sides, osides, strict=True)
     )
-    _, slacks, worst = judge_chain(sides)
+    if not math.isfinite(rel_err):
+        require_finite(osides, "side", f"the oracle route of {case.case_id}")
     damage = (rhs * rhs - lhs * lhs) * y2
     i, j = np.unravel_index(int(np.argmin(damage)), damage.shape)
     return HsTrial(

@@ -9,7 +9,7 @@ come with an eigenvalue witness.
 Conventions
 -----------
 * A matrix is accepted as Hermitian when its asymmetry max|M - M*| stays
-  below ``hermitian_tol * max(1, max|entry|)``; it is then replaced by its
+  below ``HERMITIAN_TOL * max(1, max|entry|)``; it is then replaced by its
   Hermitian part (M + M*)/2.  Complex inputs whose imaginary part vanishes
   exactly drop to float64 (real-symmetric fast path).
 * Fractional powers clamp eigenvalues in [-psd_tol * scale, 0) to zero,
@@ -56,12 +56,12 @@ def hermitianize(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
-def validate_hermitian(M, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def validate_hermitian(M) -> np.ndarray:
     """Check shape, finiteness and symmetry, then return the Hermitian part.
 
     ``M`` is one matrix or a stack (..., n, n); every check is made per
     matrix, and an error reports the first matrix that fails.  Asymmetry
-    up to ``tol * max(1, max|entry|)`` is folded away by the
+    up to ``HERMITIAN_TOL * max(1, max|entry|)`` is folded away by the
     symmetrization; anything larger raises DomainError with the measured
     asymmetry.  A complex result with exactly zero imaginary part is
     returned as float64; a stack only when every matrix has none.
@@ -74,15 +74,15 @@ def validate_hermitian(M, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if not np.isfinite(M).all():
         raise DomainError("matrix contains non-finite entries")
     asym = np.abs(M - M.conj().swapaxes(-1, -2))
-    if asym.max() > tol:  # past the smallest window: judge each matrix on its own scale
+    if asym.max() > HERMITIAN_TOL:  # past the smallest window: judge each on its own scale
         scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
         asym = asym.max(axis=(-2, -1))
-        bad = asym > tol * scale
+        bad = asym > HERMITIAN_TOL * scale
         if bad.any():
             i = _first(bad)
             raise DomainError(
                 f"matrix is not Hermitian: max asymmetry {float(asym.flat[i]):.3e} "
-                f"exceeds {tol:.1e} * {float(scale.flat[i]):.3e}"
+                f"exceeds {HERMITIAN_TOL:.1e} * {float(scale.flat[i]):.3e}"
             )
     H = hermitianize(M)
     if np.iscomplexobj(H) and not H.imag.any():
@@ -90,9 +90,9 @@ def validate_hermitian(M, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return H
 
 
-def eigh(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, V) of a Hermitian matrix or stack, eigenvalues ascending."""
-    p = Powers(M, tol=tol)
+    p = Powers(M)
     return p.eigenvalues, p.eigenvectors
 
 
@@ -141,14 +141,14 @@ def _pow_spectrum(w: np.ndarray, p: float, psd_tol: float) -> np.ndarray:
     return np.power(w, p)
 
 
-def mat_pow(M, p: float, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def mat_pow(M, p: float, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Matrix power M**p via the spectral decomposition.
 
     mat_pow(M, 0) is the identity (0**0 = 1 convention), mat_pow(M, 1)
     returns the symmetrized input.  See ``_pow_spectrum`` for the domain
     rules on fractional and negative exponents.
     """
-    return Powers(M, psd_tol, tol).pow(p)
+    return Powers(M, psd_tol).pow(p)
 
 
 class PsdCheck(NamedTuple):
@@ -187,9 +187,9 @@ def hs_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M)))
 
 
-def spectral_norm(M, tol: float = HERMITIAN_TOL) -> float:
+def spectral_norm(M) -> float:
     """Largest absolute eigenvalue of a Hermitian matrix."""
-    w, _ = eigh(M, tol)
+    w, _ = eigh(M)
     return float(np.abs(w).max())
 
 
@@ -208,8 +208,8 @@ class Powers:
     powers (MixedStack).
     """
 
-    def __init__(self, M, psd_tol: float = PSD_TOL, tol: float = HERMITIAN_TOL):
-        H = self.matrix = validate_hermitian(M, tol)
+    def __init__(self, M, psd_tol: float = PSD_TOL):
+        H = self.matrix = validate_hermitian(M)
         self.real_rows = None
         if H.ndim > 2 and np.iscomplexobj(H):
             real = ~H.imag.any(axis=(-2, -1))

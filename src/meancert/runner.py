@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class RunConfig:
     w_law: str | None = None
     nu: float | None = None
     tol: float = opmeans.CERT_PSD_TOL
-    psd_tol: float = PSD_TOL
+    psd_tol: ClassVar[float] = PSD_TOL  # not a field, as no digest records it
     complex_entries: bool = False
     lenient_x: bool = False
     jobs: int = 1
@@ -131,7 +131,7 @@ class RunConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not self.dims or any(not 1 <= d <= MAX_DIM for d in self.dims):
             raise DomainError(f"each dim must lie in 1..{MAX_DIM}, got {self.dims}")
-        if self.tol <= 0.0 or self.psd_tol <= 0.0:
+        if self.tol <= 0.0:
             raise DomainError("tolerances must be positive")
         if self.jobs < 1:
             raise DomainError(f"jobs must be >= 1, got {self.jobs}")
@@ -281,6 +281,9 @@ def build_inputs(digests: list[dict[str, Any]],
     return out
 
 
+# A result past the range of floats is a DomainError (a matrix or a chain side
+# that is not finite), never a verdict; numpy need not warn on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def _certify(entry: CaseEntry, digests: list[dict[str, Any]],
              draws: list[list[np.ndarray]], tol: float, psd_tol: float) -> list:
     """Trial records of a stack of trials of one case and dim."""
@@ -302,54 +305,26 @@ def run_trial(digest: dict[str, Any], tol: float, psd_tol: float):
                     tol, psd_tol)[0]
 
 
-def _run_stack(entry: CaseEntry, digests: list[dict[str, Any]],
-               draws: list[list[np.ndarray]], tol: float, psd_tol: float):
-    """Records of one stack, and its first failure (index, DomainError) or None.
+def _run_trials(entry: CaseEntry, digests: list[dict[str, Any]], tol: float,
+                psd_tol: float) -> list:
+    """Records of the trials of ``digests``, certified as stacks.
 
-    A stack that raises, or that would mix real and complex matrices, runs
-    again one trial at a time in trial order, so the failure reported is
-    the first trial that fails on its own, with the message it gives alone.
-    """
-    if len(digests) > 1:
-        try:
-            return _certify(entry, digests, draws, tol, psd_tol), None
-        except (DomainError, MixedStack):
-            pass
-    records = []
-    for i in range(len(digests)):
-        try:
-            records.append(_certify(entry, digests[i:i + 1], draws[i:i + 1], tol, psd_tol)[0])
-        except DomainError as exc:
-            return records, (i, exc)
-    return records, None
-
-
-def _run_trials(entry: CaseEntry, digests: list[dict[str, Any]], tol: float, psd_tol: float):
-    """Records of the trials of ``digests``, and the first failure (index, DomainError) or None.
-
-    Trials draw in trial order and stop at the first draw that fails.  Each
-    dim's trials gather into a stack, which is certified, and its draws
-    dropped, once it holds STACK_BUDGET entries (k * n * n) or the draws end.
+    Trials draw in trial order.  Each dim's trials gather into a stack, which
+    is certified, and its draws dropped, once it holds STACK_BUDGET entries
+    (k * n * n) or the draws end.
     """
     records: list = [None] * len(digests)
     draws: dict[int, list[np.ndarray]] = {}
-    failures: list[tuple[int, DomainError]] = []
     stacks: dict[int, list[int]] = {}
 
     def certify(rows: list[int]) -> None:
-        got, bad = _run_stack(entry, [digests[i] for i in rows],
-                              [draws.pop(i) for i in rows], tol, psd_tol)
+        got = _certify(entry, [digests[i] for i in rows], [draws.pop(i) for i in rows],
+                       tol, psd_tol)
         for i, rec in zip(rows, got):
             records[i] = rec
-        if bad is not None:
-            failures.append((rows[bad[0]], bad[1]))
 
     for i, digest in enumerate(digests):
-        try:
-            draws[i] = draw_trial(digest)
-        except DomainError as exc:
-            failures.append((i, exc))
-            break
+        draws[i] = draw_trial(digest)
         dim = digest["dim"]
         rows = stacks.setdefault(dim, [])
         rows.append(i)
@@ -357,7 +332,7 @@ def _run_trials(entry: CaseEntry, digests: list[dict[str, Any]], tol: float, psd
             certify(stacks.pop(dim))
     for rows in stacks.values():
         certify(rows)
-    return records, min(failures, key=lambda f: f[0], default=None)
+    return records
 
 
 @dataclass
@@ -428,11 +403,18 @@ class _Agg:
 def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
     entry = case_entry(case_id)
     digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
-    records, failed = _run_trials(entry, digests, cfg.tol, cfg.psd_tol)
-    if failed is not None:
-        i, exc = failed
-        raise DomainError(f"case {case_id} trial {start + i}: {exc}; "
-                          f"digest: {json.dumps(digests[i], sort_keys=True)}") from exc
+    try:
+        records = _run_trials(entry, digests, cfg.tol, cfg.psd_tol)
+    except (DomainError, MixedStack):
+        # Run the chunk again one trial at a time, as replay runs a digest, so
+        # the error is that of the first trial whose replay fails.
+        records = []
+        for t, digest in enumerate(digests, start):
+            try:
+                records.append(run_trial(digest, cfg.tol, cfg.psd_tol))
+            except DomainError as exc:
+                raise DomainError(f"case {case_id} trial {t}: {exc}; "
+                                  f"digest: {json.dumps(digest, sort_keys=True)}") from exc
     agg = _Agg()
     for t, (digest, rec) in enumerate(zip(digests, records), start):
         agg.fold_trial(digest, t, rec, entry.kind)
@@ -535,8 +517,7 @@ def _jsonable(value: np.ndarray) -> list:
     return [float(v) for v in value.ravel()]
 
 
-def replay_trial(digest: dict[str, Any], tol: float | None = None,
-                 psd_tol: float = PSD_TOL) -> dict[str, Any]:
+def replay_trial(digest: dict[str, Any], tol: float | None = None) -> dict[str, Any]:
     """Re-run one digest and return a JSON-ready trial record."""
     digest = check_digest(digest)
     entry = CASES[digest["case"]]
@@ -551,7 +532,7 @@ def replay_trial(digest: dict[str, Any], tol: float | None = None,
             "min_slack": trial.min_slack,
         }
     use_tol = tol if tol is not None else opmeans.CERT_PSD_TOL
-    rec = run_trial(digest, use_tol, psd_tol)
+    rec = run_trial(digest, use_tol, PSD_TOL)
     out: dict[str, Any] = {"digest": digest, "passed": rec.passed,
                            "min_slack": rec.min_slack, "worst_link": rec.worst_link}
     if entry.kind == "operator":

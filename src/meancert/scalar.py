@@ -419,12 +419,23 @@ def first_worst(values: Sequence[float]) -> int:
     return worst
 
 
-def judge_chain(sides: Sequence[float]) -> tuple[list[float], list[float], int]:
+def require_finite(values: Sequence[float], label: str, who: str) -> None:
+    """DomainError "{label} {i} of {who} is nan, ..." for the first value not finite:
+    the arithmetic left the range of floats, which is a domain error, never a verdict."""
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise DomainError(f"{label} {i} of {who} is {v!r}, not a finite number; "
+                              "these inputs take the arithmetic out of the range of floats")
+
+
+def judge_chain(sides: Sequence[float],
+                who: str = "the chain") -> tuple[list[float], list[float], int]:
     """Adjacent slacks of a chain whose sides should be nondecreasing.
 
     Returns (raws, norms, worst): the raw slacks sides[i+1] - sides[i], the
     same divided by max(1, |sides[i]|, |sides[i+1]|), and the index of the
-    first smallest normalized slack.
+    first smallest normalized slack.  A side or a slack that is not finite
+    is a DomainError naming ``who`` (see ``require_finite``).
     """
     raws = []
     norms = []
@@ -433,6 +444,9 @@ def judge_chain(sides: Sequence[float]) -> tuple[list[float], list[float], int]:
         raw = hi - lo
         raws.append(raw)
         norms.append(raw / max(1.0, abs(lo), abs(hi)))
+    if not math.isfinite(sum(raws)):  # as soon as a side or a slack is not
+        require_finite(sides, "side", who)
+        require_finite(raws, "the slack of link", who)
     return raws, norms, first_worst(norms)
 
 
@@ -441,8 +455,12 @@ def evaluate(case: ScalarCase, a: float, b: float, nu: float,
     """Evaluate one chain at (a, b, nu) and judge every adjacent link."""
     check_pair(a, b)
     case.check_nu(nu)
-    sides = tuple(float(s) for s in case.sides(a, b, nu))
-    raws, norms, worst = judge_chain(sides)
+    try:
+        sides = tuple(float(s) for s in case.sides(a, b, nu))
+    except OverflowError as exc:  # a float power past the range of floats
+        raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
+                          f"nu={nu!r}: {exc}") from exc
+    raws, norms, worst = judge_chain(sides, case.case_id)
     min_norm = norms[worst]
     return ScalarTrial(case.case_id, a, b, nu, sides, tuple(raws), min_norm,
                        min_norm >= -tol)

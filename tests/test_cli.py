@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meancert
 from meancert.cli import main
-from meancert.linalg import DomainError
+from meancert.linalg import PSD_TOL, DomainError
 from meancert.report import (REPORT_SCHEMA, canonical_json, strip_volatile,
                              validate_report)
 from meancert import hsnorm, opmeans, scalar
@@ -82,6 +88,11 @@ class TestRunner:
         cfg = RunConfig(trials=4, seed=0)
         assert make_digest("op-2.7-refine", cfg, 0)["structure"] == "ordered-pair"
         assert make_digest("op-2.3", cfg, 0)["structure"] == "general-pd"
+
+    def test_clamp_window_is_no_run_config_field(self):
+        assert RunConfig().psd_tol == PSD_TOL
+        with pytest.raises(TypeError):
+            RunConfig(psd_tol=1e-6)
 
     def test_run_config_validation(self):
         with pytest.raises(DomainError):
@@ -252,6 +263,25 @@ class TestRunConfigBounds:
         assert RunConfig(dims=(1, MAX_DIM)).dims == (1, MAX_DIM)
 
 
+def cli(*args):
+    """Exit code and stderr of the CLI in a fresh process, where every warning is printed."""
+    src = Path(meancert.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "meancert.cli", *args], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    return run.returncode, run.stderr
+
+
+# sweeps that end in a domain error: a draw, an operator input, and hs sides that
+# are nan through overflow (1e150) and through underflow (1e-160)
+SWEEP_ERRORS = {
+    "draw": ["--case", "op-2.3", "--law", "explicit:1,2", "--dim", "2,1"],
+    "op-overflow": ["--case", "op-2.7-right", "--law", "explicit:1e308", "--dim", "2"],
+    "hs-overflow": ["--case", "hs", "--law", "explicit:1e150", "--dim", "2", "--trials", "40"],
+    "hs-underflow": ["--case", "hs-cor", "--law", "explicit:1e-160", "--dim", "2",
+                     "--trials", "40"],
+}
+
+
 class TestSweepErrors:
     def test_trial_error_names_case_and_digest(self, capsys):
         assert main(["matrix-verify", "--case", "op-2.3", "--trials", "3",
@@ -263,6 +293,29 @@ class TestSweepErrors:
         # the digest replays to the same error
         code, err = replay_error(capsys, digest)
         assert code == 2 and "explicit law lists 2 values but dim=1" in err
+
+    @pytest.mark.parametrize("flags", SWEEP_ERRORS.values(), ids=SWEEP_ERRORS)
+    def test_error_replays_to_the_same_error(self, tmp_path, flags):
+        out = tmp_path / "report.json"
+        code, err = cli("matrix-verify", *flags, "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        message, digest = re.fullmatch(
+            r"error: case \S+ trial \d+: (.*); digest: (\{.*\})\n", err).groups()
+        assert cli("replay", "--digest", digest) == (2, f"error: {message}\n")
+
+
+class TestNonFinite:
+    """A chain side beyond the range of floats is a domain error, never a verdict."""
+
+    @pytest.mark.parametrize("digest", [
+        {"case": "cf-1.13", "kind": "scalar", "a": 1e200, "b": 1.0, "nu": 0.5},  # a float power
+        {"case": "heinz-1.14", "kind": "scalar", "a": 1e308, "b": 1e308, "nu": 0.5},  # inf - inf
+    ], ids=["overflow", "nan"])
+    def test_scalar_replay_exits_2(self, digest):
+        code, err = cli("replay", "--digest", json.dumps(digest))
+        assert code == 2 and digest["case"] in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 class TestListVerb:
@@ -356,6 +409,16 @@ class TestMatrixVerifyVerb:
         assert "trials=8" in capsys.readouterr().out
         assert main(["matrix-verify", "--config", str(cfg), "--trials", "4"]) == 0
         assert "trials=4" in capsys.readouterr().out
+
+    def test_clamp_window_is_no_option(self, tmp_path, capsys):
+        # a digest does not record the clamp window, so no sweep may set it
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix-verify", "--case", "op-2.3", "--psd-tol", "1e-6"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"psd_tol": 1e-6}))
+        assert main(["matrix-verify", "--case", "op-2.3", "--config", str(cfg)]) == 2
+        assert "unknown config keys ['psd_tol']" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,15 +3,17 @@
 perfbench/spans.py wraps each layer's functions where callers look them
 up.  Entering ``Tracer().installed()`` looks every one of those names up,
 so a refactor that deletes or renames one fails here, in the fast tests,
-instead of only in the benchmark's own self-tests.  A smoke run of the
-``op-sweep`` workload applies the benchmark's output checks (replays bit
-for bit, the verdict set, repeated sweeps) to the trial kernel.
+instead of only in the benchmark's own self-tests.  A smoke run of each
+workload applies the benchmark's output checks (replays bit for bit, the
+verdict set, repeated sweeps) to the operator, hs and scalar paths.
 """
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -34,9 +36,10 @@ def test_tracer_installs_and_restores_every_hook():
     assert [owner.__dict__[attr] for owner, attr in hooks] == originals
 
 
-def test_op_sweep_smoke_run_passes_the_benchmark_checks():
+@pytest.mark.parametrize("workload", ["op-sweep", "hs-sweep", "replay-scalar"])
+def test_smoke_run_passes_the_benchmark_checks(workload):
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "op-sweep", "--seed", "3",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "1", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]

@@ -123,6 +123,13 @@ class TestEvaluate:
         # ties go to the first link
         assert judge_chain((1.0, 0.0, 1.0, 0.0))[2] == 0
 
+    def test_judge_chain_rejects_what_is_not_finite(self):
+        with pytest.raises(DomainError, match="side 1 of op-x is nan"):
+            judge_chain((1.0, math.nan, 2.0), "op-x")
+        # finite sides whose difference overflows
+        with pytest.raises(DomainError, match="slack of link 0 of op-x is inf"):
+            judge_chain((-1e308, 1e308), "op-x")
+
     def test_upper_slack_matches_sides(self):
         case = case_by_id("cf-1.13")
         t = evaluate(case, 2.0, 5.0, 0.3)
