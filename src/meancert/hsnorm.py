@@ -6,7 +6,9 @@ norms.  The oracle route diagonalizes A = Ua diag(la) Ua* and
 B = Ub diag(mu) Ub*, transports X into the eigenbases as Y = Ua* X Ub,
 and rewrites each side as sqrt(sum_ij c(la_i, mu_j)^2 |y_ij|^2).  The two
 routes must agree tightly (ORACLE_TOL); the cell form also localizes a
-failure to the most damaging eigenvalue pair.
+failure to the most damaging eigenvalue pair.  Both routes take a stack of
+triples (k, n, n) at once and treat each triple as they treat it alone,
+bit for bit.
 
 Chains whose hypotheses demand a positive semidefinite X enforce that
 hypothesis by default; a lenient mode accepts arbitrary X and records
@@ -15,12 +17,13 @@ whether the inequality happened to hold, without asserting it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import (PSD_TOL, DomainError, Powers, clamp_psd, hs_norm,
+from .linalg import (PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms, power_rows,
                      validate_hermitian)
 from .scalar import (Case, check_unit, cubic_weight, find_case, heinz_weight,
                      judge_chain, require_finite, tail_weights)
@@ -30,43 +33,53 @@ ORACLE_TOL = 1e-10
 
 
 class HsContext:
-    """Cached quantities for one (A, B, X) triple.
+    """Cached quantities for one (A, B, X) triple, or for a stack (k, n, n) of them.
 
-    ``oracle`` optionally supplies construction-time decompositions
-    ((la, Ua), (mu, Ub)) of A and B, making the cell route independent of
-    the eigensolver; otherwise the context's own decompositions are used.
+    A weight ``nu`` is a float, for every triple, or a 1-D array with one
+    per triple of a stack.  Every block, coefficient and norm of a triple
+    equals its value for that triple alone, bit for bit; a norm or a
+    coefficient that depends on the matrices is a (k, 1, 1) column for a
+    stack, (1, 1) for one triple.  ``oracle`` optionally supplies
+    construction-time decompositions ((la, Ua), (mu, Ub)) of A and B,
+    stacked like them, making the cell route independent of the
+    eigensolver; otherwise the context's own decompositions are used.
     """
 
     def __init__(self, A, B, X, psd_tol: float = PSD_TOL, oracle=None):
         self.pa = Powers(A, psd_tol)
         self.pb = Powers(B, psd_tol)
         X = np.asarray(X)
-        n = self.pa.dim
-        if self.pb.dim != n or X.shape != (n, n):
+        shape = self.pa.matrix.shape
+        if self.pb.matrix.shape != shape or X.shape != shape:
             raise DomainError(
-                f"shape mismatch: A is {self.pa.matrix.shape}, B is "
-                f"{self.pb.matrix.shape}, X is {X.shape}"
+                f"shape mismatch: A is {shape}, B is {self.pb.matrix.shape}, X is {X.shape}"
             )
         if not np.isfinite(X).all():
             raise DomainError("X contains non-finite entries")
         self.X = X
         self.psd_tol = psd_tol
         self._oracle = oracle
-        self._hb: dict[float, np.ndarray] = {}
+        self._hb: dict = {}
         self._g = None
         self._s = None
         self._d = None
+        self._alpha = None
         self._cells = None
         # both operands feed fractional powers, so demand PSD up front
         clamp_psd(self.pa.eigenvalues, psd_tol, "A")
         clamp_psd(self.pb.eigenvalues, psd_tol, "B")
 
-    def heinz_block(self, nu: float) -> np.ndarray:
-        got = self._hb.get(nu)
+    def heinz_block(self, nu) -> np.ndarray:
+        pa, pb = self.pa, self.pb
+        if isinstance(nu, np.ndarray):
+            key, pa_pow, pb_pow = tuple(nu.tolist()), pa.pow_rows, pb.pow_rows
+        else:  # one weight for every triple: its powers are cached
+            key, pa_pow, pb_pow = nu, pa.pow, pb.pow
+        got = self._hb.get(key)
         if got is None:
-            pa, pb, X = self.pa, self.pb, self.X
-            got = pa.pow(nu) @ X @ pb.pow(1.0 - nu) + pa.pow(1.0 - nu) @ X @ pb.pow(nu)
-            self._hb[nu] = got
+            X = self.X
+            got = pa_pow(nu) @ X @ pb_pow(1.0 - nu) + pa_pow(1.0 - nu) @ X @ pb_pow(nu)
+            self._hb[key] = got
         return got
 
     def geom_block(self) -> np.ndarray:
@@ -88,15 +101,19 @@ class HsContext:
             self._d = self.pa.pow(2.0) @ self.X + self.X @ self.pb.pow(2.0) - 2.0 * axb
         return self._d
 
-    def alpha(self) -> float:
-        """min(1/||A||, 1/||B||) for PSD operands."""
-        top = max(float(self.pa.eigenvalues.max()), float(self.pb.eigenvalues.max()))
-        if top <= 0.0:
-            raise DomainError("alpha undefined: both operands have zero spectral norm")
-        return 1.0 / top
+    def alpha(self) -> np.ndarray:
+        """min(1/||A||, 1/||B||) for PSD operands, per triple."""
+        if self._alpha is None:
+            # eigenvalues ascend, so each spectrum's largest is its last
+            top = np.maximum(self.pa.eigenvalues[..., -1], self.pb.eigenvalues[..., -1])
+            if (top <= 0.0).any():
+                raise DomainError("alpha undefined: both operands have zero spectral norm")
+            self._alpha = 1.0 / top[..., None, None]
+        return self._alpha
 
-    def curv_weight(self, nu: float) -> float:
+    def curv_weight(self, nu) -> np.ndarray:
         """nu(1-nu) alpha, the weight on the curvature block."""
+        nu = col(nu)
         return nu * (1.0 - nu) * self.alpha()
 
     def cell_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,7 +128,7 @@ class HsContext:
                 mu, ub = self.pb.eigenvalues, self.pb.eigenvectors
             la = clamp_psd(la, self.psd_tol, "A")
             mu = clamp_psd(mu, self.psd_tol, "B")
-            y = ua.conj().T @ self.X @ ub
+            y = ua.conj().swapaxes(-1, -2) @ self.X @ ub
             self._cells = (la, mu, np.abs(y) ** 2)
         return self._cells
 
@@ -126,54 +143,72 @@ def heinz_block(A, X, B, nu: float, psd_tol: float = PSD_TOL) -> np.ndarray:
     return HsContext(A, B, X, psd_tol).heinz_block(nu)
 
 
-def _qs(coef: np.ndarray, y2: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(coef * coef * y2)))
+def _qs(coef: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """sqrt(sum_ij coef_ij^2 y2_ij) per matrix, as a column like ``hs_norms``'s."""
+    return np.sqrt((coef * coef * y2).sum(axis=(-2, -1), keepdims=True))
+
+
+def _pows(v: np.ndarray, e) -> np.ndarray:
+    """v ** e, where e is one exponent or one per row of v (see ``power_rows``).
+
+    ``**`` takes shortcuts for some exponents, such as a square root for
+    0.5, that ``np.power`` does not, so it stays the operator of one triple.
+    """
+    if not isinstance(e, np.ndarray):
+        return v ** e
+    return power_rows(v, e.tolist(), operator.pow)
 
 
 def _h_cells(la, mu, nu):
-    return np.outer(la ** nu, mu ** (1.0 - nu)) + np.outer(la ** (1.0 - nu), mu ** nu)
+    rest = 1.0 - nu
+    return (_pows(la, nu)[..., :, None] * _pows(mu, rest)[..., None, :]
+            + _pows(la, rest)[..., :, None] * _pows(mu, nu)[..., None, :])
 
 
 def _g_cells(la, mu):
-    return np.sqrt(np.outer(la, mu))
+    return np.sqrt(la[..., :, None] * mu[..., None, :])
 
 
 def _s_cells(la, mu):
-    return la[:, None] + mu[None, :]
+    return la[..., :, None] + mu[..., None, :]
 
 
 def _d_cells(la, mu):
-    return (la[:, None] - mu[None, :]) ** 2
+    return (la[..., :, None] - mu[..., None, :]) ** 2
 
 
 @dataclass(frozen=True)
 class HsCase(Case):
     """One norm chain: sides must be nondecreasing when the chain holds.
 
-    ``oracle(la, mu, y2, nu)`` returns the sides rebuilt from the eigenvalue
-    cells, and the (lhs, rhs) coefficient arrays of the diagnosed link
-    (link 0; the final link for hs-cor) for the worst-cell diagnosis.
+    ``sides(ctx, nu)`` returns each side as a column of ``HsContext``'s
+    shape.  ``oracle(la, mu, y2, nu)`` returns the sides rebuilt from the
+    eigenvalue cells, in the same shape, and the (lhs, rhs) coefficient
+    arrays of the diagnosed link (link 0; the final link for hs-cor) for
+    the worst-cell diagnosis.  nu is a float, or one weight per triple of
+    a stack.
     """
 
     x_kind: str  # "general" or "pd"
     links: tuple[str, ...]
-    sides: Callable[[HsContext, float], tuple[float, ...]]
-    oracle: Callable[[np.ndarray, np.ndarray, np.ndarray, float],
-                     tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]]
+    sides: Callable[[HsContext, Any], tuple[np.ndarray, ...]]
+    oracle: Callable[[np.ndarray, np.ndarray, np.ndarray, Any],
+                     tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]]
 
 
-def _sides_213(ctx: HsContext, nu: float):
-    k = heinz_weight(nu)
+def _sides_213(ctx: HsContext, nu):
+    k = col(nu, heinz_weight)
+    h, g = ctx.heinz_block(nu), ctx.geom_block()
     return (
-        hs_norm(cubic_weight(nu) * ctx.sum_block()),
-        hs_norm(k * ctx.heinz_block(nu) - 4.0 * ctx.geom_block()),
-        k * hs_norm(ctx.heinz_block(nu)) + 4.0 * hs_norm(ctx.geom_block()),
+        hs_norms(col(nu, cubic_weight) * ctx.sum_block()),
+        hs_norms(k * h - 4.0 * g),
+        k * hs_norms(h) + 4.0 * hs_norms(g),
     )
 
 
 def _oracle_213(la, mu, y2, nu):
-    k = heinz_weight(nu)
-    w = -cubic_weight(nu)
+    k = col(nu, heinz_weight)
+    w = -col(nu, cubic_weight)
     h, g, s = _h_cells(la, mu, nu), _g_cells(la, mu), _s_cells(la, mu)
     rhs = k * h - 4.0 * g
     sides = (
@@ -184,57 +219,60 @@ def _oracle_213(la, mu, y2, nu):
     return sides, (w * s, rhs)
 
 
-def _sides_214(ctx: HsContext, nu: float):
+def _sides_214(ctx: HsContext, nu):
     c = ctx.curv_weight(nu)
     return (
-        hs_norm(ctx.heinz_block(nu) + c * ctx.curvature_block()),
-        hs_norm(ctx.sum_block()),
+        hs_norms(ctx.heinz_block(nu) + c * ctx.curvature_block()),
+        hs_norms(ctx.sum_block()),
     )
 
 
-def _curv_weight(la, mu, nu):
-    """Curvature weight nu(1-nu) alpha of the cell route, alpha = 1/max(la, mu)."""
-    return nu * (1.0 - nu) / max(float(la.max()), float(mu.max()))
+def _curved_cells(la, mu, nu):
+    """(h, d, c): the Heinz and curvature cells and the curvature weight
+    nu(1-nu) alpha of the cell route, alpha = 1/max(la, mu)."""
+    v = col(nu)
+    top = np.maximum(la.max(axis=-1), mu.max(axis=-1))[..., None, None]
+    return _h_cells(la, mu, nu), _d_cells(la, mu), v * (1.0 - v) / top
 
 
-def _oracle_214(la, mu, y2, nu):
-    c = _curv_weight(la, mu, nu)
-    lhs = _h_cells(la, mu, nu) + c * _d_cells(la, mu)
+def _oracle_214(la, mu, y2, nu, cells=None):
+    h, d, c = cells or _curved_cells(la, mu, nu)
+    lhs = h + c * d
     rhs = _s_cells(la, mu)
     return (_qs(lhs, y2), _qs(rhs, y2)), (lhs, rhs)
 
 
-def _sides_cor(ctx: HsContext, nu: float):
+def _sides_cor(ctx: HsContext, nu):
     # the last two sides are hs-2.14's
     c = ctx.curv_weight(nu)
-    p = hs_norm(ctx.heinz_block(nu))
-    d = hs_norm(ctx.curvature_block())
-    return (p, math.sqrt(p * p + c * c * d * d)) + _sides_214(ctx, nu)
+    p = hs_norms(ctx.heinz_block(nu))
+    d = hs_norms(ctx.curvature_block())
+    return (p, np.sqrt(p * p + c * c * d * d)) + _sides_214(ctx, nu)
 
 
 def _oracle_cor(la, mu, y2, nu):
-    tail, pair = _oracle_214(la, mu, y2, nu)
-    c = _curv_weight(la, mu, nu)
-    p = _qs(_h_cells(la, mu, nu), y2)
-    dd = _qs(_d_cells(la, mu), y2)
-    return (p, math.sqrt(p * p + c * c * dd * dd)) + tail, pair
+    h, d, c = cells = _curved_cells(la, mu, nu)
+    tail, pair = _oracle_214(la, mu, y2, nu, cells)
+    p = _qs(h, y2)
+    dd = _qs(d, y2)
+    return (p, np.sqrt(p * p + c * c * dd * dd)) + tail, pair
 
 
-def _sides_thm8(ctx: HsContext, nu: float):
-    r, R, rr, RR = tail_weights(nu)
+def _sides_thm8(ctx: HsContext, nu):
+    r, R, rr, RR = col(nu, tail_weights)
     hb2 = ctx.heinz_block(nu) / 2.0
     s2 = ctx.sum_block() / 2.0
-    g = hs_norm(ctx.geom_block())
+    g = hs_norms(ctx.geom_block())
     return (
-        hs_norm(rr * hb2 + (2.0 * r - 1.0) * s2),
+        hs_norms(rr * hb2 + (2.0 * r - 1.0) * s2),
         2.0 * r * r * g,
         2.0 * R * R * g,
-        hs_norm(RR * hb2 + (2.0 * R - 1.0) * s2),
+        hs_norms(RR * hb2 + (2.0 * R - 1.0) * s2),
     )
 
 
 def _oracle_thm8(la, mu, y2, nu):
-    r, R, rr, RR = tail_weights(nu)
+    r, R, rr, RR = col(nu, tail_weights)
     h2 = _h_cells(la, mu, nu) / 2.0
     s2 = _s_cells(la, mu) / 2.0
     gc = _g_cells(la, mu)
@@ -332,54 +370,92 @@ class HsTrial:
     worst_cell: tuple  # (i, j, lam_i, mu_j, damage) for the diagnosed link
 
 
-def certify_hs(case: HsCase, A, B, X, nu: float,
+def _x_hypothesis(case: HsCase, X: np.ndarray, psd_tol: float, lenient: bool) -> list[bool]:
+    """Whether each X of a stack meets the case's hypothesis of a PSD X.
+
+    The stack is checked at once.  If that fails, a violation raises
+    DomainError unless ``lenient`` is set; then each X is judged as a stack
+    of one, as it is alone, and so is each X of a stack in which some
+    complex X have no imaginary part (alone, those decompose as real).
+    """
+    if case.x_kind != "pd":
+        return [True] * len(X)
+    try:
+        xh = validate_hermitian(X)
+        if xh.dtype.kind != "c" or xh.imag.any(axis=(-2, -1)).all():
+            clamp_psd(np.linalg.eigvalsh(xh), psd_tol, "X")
+            return [True] * len(X)
+    except DomainError as exc:
+        if not lenient:
+            raise DomainError(
+                f"case {case.case_id} hypothesizes a positive semidefinite X: {exc}"
+            ) from exc
+        if len(X) == 1:
+            return [False]
+    return [_x_hypothesis(case, x[None], psd_tol, lenient)[0] for x in X]
+
+
+def _rows(sides) -> list[tuple[float, ...]]:
+    """Columns of side values, one per side, as rows of floats, one per triple."""
+    return list(zip(*(s.ravel().tolist() for s in sides)))
+
+
+def certify_hs(case: HsCase, A, B, X, nu,
                tol: float = CERT_HS_TOL,
                psd_tol: float = PSD_TOL,
                lenient: bool = False,
-               oracle=None) -> HsTrial:
+               oracle=None):
     """Judge one norm chain at (A, B, X, nu) through both evaluation routes.
+
+    A, B and X may be stacks (k, n, n) with one nu per triple, and
+    ``oracle`` stacked like them; the result is then a list of k trials,
+    each equal bit for bit to the trial of its triple alone, which is how
+    one triple is judged: as a stack of one.
 
     When the case hypothesizes a PSD X, a violating X raises DomainError
     unless ``lenient`` is set, in which case the trial is marked advisory:
     the verdict is recorded but carries no certification weight.  A side of
     either route that is not finite raises DomainError naming the route.
     """
-    case.check_nu(nu)
-    hypothesis_met = True
-    if case.x_kind == "pd":
-        try:
-            xh = validate_hermitian(np.asarray(X))
-            clamp_psd(np.linalg.eigvalsh(xh), psd_tol, "X")
-        except DomainError as exc:
-            if not lenient:
-                raise DomainError(
-                    f"case {case.case_id} hypothesizes a positive semidefinite X: {exc}"
-                ) from exc
-            hypothesis_met = False
+    A = np.asarray(A)
+    if A.ndim == 2:
+        if oracle is not None:
+            oracle = tuple((np.asarray(lam)[None], np.asarray(q)[None]) for lam, q in oracle)
+        return certify_hs(case, A[None], np.asarray(B)[None], np.asarray(X)[None], [nu],
+                          tol, psd_tol, lenient, oracle)[0]
+    nus = [float(v) for v in nu]
+    for v in nus:
+        case.check_nu(v)
+    X = np.asarray(X)
+    met = _x_hypothesis(case, X, psd_tol, lenient)
     ctx = HsContext(A, B, X, psd_tol, oracle=oracle)
-    sides = tuple(float(s) for s in case.sides(ctx, nu))
-    _, slacks, worst = judge_chain(sides, f"the direct route of {case.case_id}")
+    # a weight shared by every triple goes in as a float, as for one triple
+    w = nus[0] if len(set(nus)) == 1 else np.array(nus)
+    sides = _rows(case.sides(ctx, w))
+    judged = [judge_chain(s, f"the direct route of {case.case_id}") for s in sides]
     la, mu, y2 = ctx.cell_parts()
-    osides, (lhs, rhs) = case.oracle(la, mu, y2, nu)
-    osides = tuple(float(s) for s in osides)
-    rel_err = max(
-        abs(s - o) / max(1.0, abs(s)) for s, o in zip(sides, osides, strict=True)
-    )
-    if not math.isfinite(rel_err):
-        require_finite(osides, "side", f"the oracle route of {case.case_id}")
+    osides, (lhs, rhs) = case.oracle(la, mu, y2, w)
     damage = (rhs * rhs - lhs * lhs) * y2
-    i, j = np.unravel_index(int(np.argmin(damage)), damage.shape)
-    return HsTrial(
-        case_id=case.case_id,
-        nu=float(nu),
-        sides=sides,
-        slacks=tuple(slacks),
-        min_slack=slacks[worst],
-        worst_link=case.links[worst],
-        passed=slacks[worst] >= -tol,
-        hypothesis_met=hypothesis_met,
-        advisory=lenient and not hypothesis_met,
-        oracle_sides=osides,
-        oracle_rel_err=float(rel_err),
-        worst_cell=(int(i), int(j), float(la[i]), float(mu[j]), float(damage[i, j])),
-    )
+    n = damage.shape[-1]
+    cells = damage.reshape(len(nus), -1).argmin(axis=1).tolist()
+    trials = []
+    for r, (s, o, (_, slacks, worst)) in enumerate(zip(sides, _rows(osides), judged)):
+        rel_err = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(s, o, strict=True))
+        if not math.isfinite(rel_err):
+            require_finite(o, "side", f"the oracle route of {case.case_id}")
+        i, j = divmod(cells[r], n)
+        trials.append(HsTrial(
+            case_id=case.case_id,
+            nu=nus[r],
+            sides=s,
+            slacks=tuple(slacks),
+            min_slack=slacks[worst],
+            worst_link=case.links[worst],
+            passed=slacks[worst] >= -tol,
+            hypothesis_met=met[r],
+            advisory=lenient and not met[r],
+            oracle_sides=o,
+            oracle_rel_err=rel_err,
+            worst_cell=(i, j, float(la[r, i]), float(mu[r, j]), float(damage[r, i, j])),
+        ))
+    return trials

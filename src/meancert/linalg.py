@@ -50,6 +50,31 @@ def _first(bad: np.ndarray) -> int:
     return int(np.flatnonzero(bad)[0])
 
 
+def each(nu, f):
+    """f(nu) for one weight; for a stack's weights (a 1-D array), f of each, as an array.
+
+    f runs on Python floats: numpy's array power rounds some chain
+    coefficients, such as nu**(nu - 2), differently in the last bit.
+    """
+    if not isinstance(nu, np.ndarray):
+        return f(nu)
+    return np.array([f(v) for v in nu.tolist()])
+
+
+def col(nu, f=None):
+    """nu, or the coefficient f(nu), shaped to scale each matrix of a stack.
+
+    For a stack's weights this is a (k, 1, 1) column, or a tuple of
+    columns when f returns a tuple; for one weight, the plain value.
+    """
+    got = nu if f is None else each(nu, f)
+    if not isinstance(nu, np.ndarray):
+        return got
+    if got.ndim == 1:
+        return got[:, None, None]
+    return tuple(got[:, j, None, None] for j in range(got.shape[1]))
+
+
 def hermitianize(M: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M*)/2 of a square array or of each matrix in a stack."""
     M = np.asarray(M)
@@ -118,27 +143,64 @@ def clamp_psd(w: np.ndarray, psd_tol: float, who: str) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def _pow_spectrum(w: np.ndarray, p: float, psd_tol: float) -> np.ndarray:
+def _pow_base(w: np.ndarray, neg, psd_tol: float, t: str) -> np.ndarray:
+    """Eigenvalue rows ``w`` clamped for a fractional or negative power ``t``.
+
+    Fractional p >= 0 requires PSD up to the clamp window.  Any p < 0
+    requires strictly positive eigenvalues after clamping: ``neg`` says
+    which rows have p < 0, as one bool for all or as a mask of rows.
+    """
+    w = clamp_psd(w, psd_tol, f"the base of {t}")
+    if neg.any() if isinstance(neg, np.ndarray) else neg:
+        lo = w.min(axis=-1)
+        bad = neg & (lo <= 0.0)
+        if bad.any():
+            raise DomainError(
+                f"eigenvalue {float(lo.flat[_first(bad)]):.6e} blocks {t}; "
+                "a positive definite matrix is required"
+            )
+    return w
+
+
+def _pow_spectrum(w: np.ndarray, p, psd_tol: float) -> np.ndarray:
     """Domain-check eigenvalue rows for t -> t**p and return w**p.
 
-    Integer p >= 0 works on any spectrum (with 0**0 = 1).  Fractional
-    p >= 0 requires PSD up to the clamp window.  Any p < 0 requires
-    strictly positive eigenvalues after clamping.  ``p`` is one Python
-    float for all rows: numpy's power takes other paths for an array of
-    exponents, and their last bits differ.
+    Integer p >= 0 works on any spectrum (with 0**0 = 1); see ``_pow_base``
+    for the other exponents.  ``p`` is one Python float for all rows, or a
+    list with one per row: the rows are then checked in one pass, and the
+    power runs once per distinct exponent (``power_rows``).
     """
-    p = float(p)
-    if p < 0 or not p.is_integer():
-        w = clamp_psd(w, psd_tol, f"the base of t**{p}")
-        if p < 0:
-            lo = w.min(axis=-1)
-            bad = lo <= 0.0
-            if bad.any():
-                raise DomainError(
-                    f"eigenvalue {float(lo.flat[_first(bad)]):.6e} blocks t**{p}; "
-                    "a positive definite matrix is required"
-                )
-    return np.power(w, p)
+    if not isinstance(p, list):
+        p = float(p)
+        if p < 0 or not p.is_integer():
+            w = _pow_base(w, p < 0, psd_tol, f"t**{p}")
+        return np.power(w, p)
+    ps = np.array(p)
+    checked = (ps < 0) | (ps != np.floor(ps))
+    if checked.any():
+        w = w.copy()
+        w[checked] = _pow_base(w[checked], ps[checked] < 0, psd_tol, "t**p")
+    return power_rows(w, p)
+
+
+def power_rows(v: np.ndarray, ps: list[float], power=np.power) -> np.ndarray:
+    """power(v[i], ps[i]) for each row i of v, with a Python float exponent per row.
+
+    The rows are sorted by exponent, and ``power`` runs once per distinct
+    exponent, on a Python float, over a contiguous run of rows, as it runs
+    over one matrix's rows: numpy's power takes other paths for an array
+    of exponents, and for a base laid out in reverse, and their last bits
+    differ.
+    """
+    order = np.argsort(ps, kind="stable")
+    sp = np.asarray(ps)[order]
+    sv = v[order]
+    starts = [0, *(np.flatnonzero(sp[1:] != sp[:-1]) + 1).tolist(), len(ps)]
+    for a, b in zip(starts, starts[1:]):
+        sv[a:b] = power(sv[a:b], float(sp[a]))
+    out = np.empty_like(v)
+    out[order] = sv
+    return out
 
 
 def mat_pow(M, p: float, psd_tol: float = PSD_TOL) -> np.ndarray:
@@ -182,9 +244,29 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdCheck:
     return PsdCheck(ok, lam, scale, witness)
 
 
-def hs_norm(M) -> float:
-    """Hilbert-Schmidt (Frobenius) norm of any rectangular array."""
-    return float(np.linalg.norm(np.asarray(M)))
+def hs_norms(M) -> np.ndarray:
+    """Hilbert-Schmidt (Frobenius) norm of each matrix of a stack (..., m, n),
+    as an array (..., 1, 1).
+
+    Each norm equals ``np.linalg.norm`` of its matrix bit for bit, as that
+    takes the same BLAS dot of the raveled matrix with itself (for a complex
+    matrix, of its real part and of its imaginary part, then adds the two).
+    A matmul of (1, mn) by (mn, 1) runs that dot once per matrix of a stack,
+    where a stacked sum or ``einsum`` would add in another order.
+    """
+    v = M.reshape(M.shape[:-2] + (1, -1))
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+    return np.sqrt(v @ v.swapaxes(-1, -2))
+
+
+def hs_norm(M):
+    """Hilbert-Schmidt (Frobenius) norm of an array of at most two axes, as a
+    float, or of each matrix of a stack (k, m, n), as an array (k,)."""
+    M = np.asarray(M)
+    norms = hs_norms(M)[..., 0, 0]
+    return norms if M.ndim > 2 else float(norms)
 
 
 def spectral_norm(M) -> float:
@@ -211,7 +293,7 @@ class Powers:
     def __init__(self, M, psd_tol: float = PSD_TOL):
         H = self.matrix = validate_hermitian(M)
         self.real_rows = None
-        if H.ndim > 2 and np.iscomplexobj(H):
+        if H.ndim > 2 and H.dtype.kind == "c":
             real = ~H.imag.any(axis=(-2, -1))
             if real.any():
                 self.real_rows = real
@@ -261,20 +343,12 @@ class Powers:
             return np.broadcast_to(eye, self.matrix.shape).copy()
         if self.real_rows is not None:
             raise MixedStack("a stack of real and complex matrices has no powers")
-        w = self.eigenvalues
-        if isinstance(p, list):
-            rows: dict[float, list[int]] = {}
-            for i, q in enumerate(p):
-                rows.setdefault(q, []).append(i)
-            wp = np.empty_like(w)
-            for q, idx in rows.items():  # each distinct exponent once
-                wp[idx] = _pow_spectrum(w[idx], q, self.psd_tol)
-        else:
-            wp = _pow_spectrum(w, p, self.psd_tol)
+        wp = _pow_spectrum(self.eigenvalues, p, self.psd_tol)
         V = self.eigenvectors
         out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))
         if isinstance(p, list):
             # matrices of exponent 1 or 0 among others: exactly M, or the identity
-            out[rows.get(1.0, [])] = self.matrix[rows.get(1.0, [])]
-            out[rows.get(0.0, [])] = np.eye(self.dim)
+            ps = np.array(p)
+            out[ps == 1.0] = self.matrix[ps == 1.0]
+            out[ps == 0.0] = np.eye(self.dim)
         return out

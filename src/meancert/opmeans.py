@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar
-from .linalg import PSD_TOL, DomainError, MixedStack, Powers, hermitianize, is_psd
+from .linalg import (PSD_TOL, DomainError, MixedStack, Powers, col, each, hermitianize,
+                     is_psd)
 from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight, find_case,
                      first_worst, heinz_weight, tail_weights)
 
@@ -44,31 +45,6 @@ def _unit(name: str, t):
     for v in t.tolist():
         check_unit(name, v)
     return t
-
-
-def _each(nu, f):
-    """f(nu) for one weight; for a stack's weights, f of each, as an array.
-
-    f runs on Python floats: numpy's array power rounds some chain
-    coefficients, such as nu**(nu - 2), differently in the last bit.
-    """
-    if not isinstance(nu, np.ndarray):
-        return f(nu)
-    return np.array([f(v) for v in nu.tolist()])
-
-
-def _col(nu, f=None):
-    """nu, or the coefficient f(nu), shaped to scale each matrix of a stack.
-
-    For a stack's weights this is a (k, 1, 1) column, or a tuple of
-    columns when f returns a tuple; for one weight, the plain value.
-    """
-    got = nu if f is None else _each(nu, f)
-    if not isinstance(nu, np.ndarray):
-        return got
-    if got.ndim == 1:
-        return got[:, None, None]
-    return tuple(got[:, j, None, None] for j in range(got.shape[1]))
 
 
 def _uniform(nu) -> float | None:
@@ -115,7 +91,7 @@ class PairContext:
         return self._px
 
     def nabla(self, nu=0.5) -> np.ndarray:
-        w = _col(_unit("nu", nu))
+        w = col(_unit("nu", nu))
         return (1.0 - w) * self.A + w * self.B
 
     def geom(self, nu=0.5) -> np.ndarray:
@@ -140,7 +116,7 @@ class PairContext:
         return g
 
     def harmonic(self, nu=0.5) -> np.ndarray:
-        w = _col(_unit("nu", nu))
+        w = col(_unit("nu", nu))
         blend = Powers((1.0 - w) * self.pa.pow(-1.0) + w * self.pb.pow(-1.0), self.psd_tol)
         return blend.pow(-1.0)
 
@@ -149,7 +125,7 @@ class PairContext:
         return (self.geom(nu) + self.geom(1.0 - nu)) / 2.0
 
     def heron(self, alpha) -> np.ndarray:
-        a = _col(_unit("alpha", alpha))
+        a = col(_unit("alpha", alpha))
         return (1.0 - a) * self.geom(0.5) + a * self.nabla(0.5)
 
     def corr_lower(self) -> np.ndarray:
@@ -202,14 +178,14 @@ class OperatorCase(Case):
 
 
 def _gaps_23(ctx: PairContext, nu):
-    k, w = _col(nu, heinz_weight), _col(nu, cubic_weight)
+    k, w = col(nu, heinz_weight), col(nu, cubic_weight)
     return (k * ctx.heinz(nu) - w * ctx.nabla(0.5) - 2.0 * ctx.geom(0.5),)
 
 
 def _cubic_gap(ctx: PairContext, nu, first, second, g):
     """rhs - lhs of op-2.5 and op-2.6, where lhs weights ``first`` by 1 - nu^2 + nu^3."""
-    k = _col(nu, heinz_weight)
-    p, q = _col(nu, cubic_side_weights)
+    k = col(nu, heinz_weight)
+    p, q = col(nu, cubic_side_weights)
     lhs = p * first + q * second
     return k * g + ctx.A + ctx.B - 2.0 * ctx.geom(0.5) - lhs
 
@@ -228,12 +204,12 @@ def _corr_weight(nu: float) -> float:
 
 
 def _gaps_27_left(ctx: PairContext, nu):
-    c = _col(nu, _corr_weight)
+    c = col(nu, _corr_weight)
     return (ctx.nabla(0.5) - ctx.heinz(nu) - c * ctx.corr_lower(),)
 
 
 def _gaps_27_right(ctx: PairContext, nu):
-    c = _col(nu, _corr_weight)
+    c = col(nu, _corr_weight)
     return (ctx.heinz(nu) + c * ctx.corr_upper() - ctx.nabla(0.5),)
 
 
@@ -242,7 +218,7 @@ def _gaps_27_refine(ctx: PairContext, nu):
 
 
 def _gaps_210(ctx: PairContext, nu):
-    r, R, rr, RR = _col(nu, tail_weights)
+    r, R, rr, RR = col(nu, tail_weights)
     g, h, n = ctx.geom(0.5), ctx.heinz(nu), ctx.nabla(0.5)
     return (
         2.0 * r * r * g - rr * h - (2.0 * r - 1.0) * n,
@@ -252,7 +228,7 @@ def _gaps_210(ctx: PairContext, nu):
 
 
 def _gaps_heron_zhao(ctx: PairContext, nu):
-    return (ctx.heron(_each(nu, scalar.alpha_of_nu)) - ctx.heinz(nu),)
+    return (ctx.heron(each(nu, scalar.alpha_of_nu)) - ctx.heinz(nu),)
 
 
 def _cells_23(lam: float, mu: float, nu: float):

@@ -13,6 +13,8 @@ downstream oracles.
 """
 from __future__ import annotations
 
+import functools
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -23,33 +25,35 @@ from .linalg import DomainError, hermitianize
 DEFAULT_LAW = "log-uniform:0.001:1000.0"
 
 
+@functools.lru_cache(maxsize=256)
 def parse_law(law: str) -> tuple[str, tuple[float, ...]]:
-    """Parse a spectrum law string into (kind, params).
+    """Parse a spectrum law string into (kind, params), once per string.
 
-    Supported laws:
+    Supported laws, every number finite:
       log-uniform:LO:HI     eigenvalues exp-uniform on [LO, HI], LO > 0
-      explicit:V1,V2,...    fixed values (a single value broadcasts)
-      clustered:C:J         C * (1 + J * uniform(-1, 1)), 0 <= J < 1
+      explicit:V1,V2,...    fixed values >= 0 (a single value broadcasts)
+      clustered:C:J         C * (1 + J * uniform(-1, 1)), C > 0, 0 <= J < 1
     """
     kind, _, rest = str(law).partition(":")
     try:
         if kind == "log-uniform":
             lo_s, _, hi_s = rest.partition(":")
             lo, hi = float(lo_s), float(hi_s)
-            if not (0.0 < lo <= hi):
-                raise DomainError(f"log-uniform needs 0 < lo <= hi, got {law!r}")
+            if not (0.0 < lo <= hi < math.inf):
+                raise DomainError(f"log-uniform needs finite 0 < lo <= hi, got {law!r}")
             return kind, (lo, hi)
         if kind == "explicit":
             vals = tuple(float(v) for v in rest.split(","))
-            if not vals or any(v < 0.0 for v in vals):
-                raise DomainError(f"explicit law needs nonnegative values, got {law!r}")
+            if not vals or not all(0.0 <= v < math.inf for v in vals):
+                raise DomainError(f"explicit law needs finite nonnegative values, got {law!r}")
             return kind, vals
         if kind == "clustered":
             c_s, _, j_s = rest.partition(":")
             center, jitter = float(c_s), float(j_s)
-            if center <= 0.0 or not (0.0 <= jitter < 1.0):
+            if not (0.0 < center < math.inf and 0.0 <= jitter < 1.0):
                 raise DomainError(
-                    f"clustered law needs center > 0 and 0 <= jitter < 1, got {law!r}"
+                    f"clustered law needs a finite center > 0 and 0 <= jitter < 1, "
+                    f"got {law!r}"
                 )
             return kind, (center, jitter)
     except ValueError as exc:
@@ -76,8 +80,9 @@ class GenSpec:
         parse_law(self.law)
 
 
+@functools.lru_cache(maxsize=256)
 def derive_seed(seed: int, label: str) -> int:
-    """Stable per-label sub-seed (crc-based, independent of hash salting)."""
+    """Stable per-label sub-seed (crc-based, independent of hash salting), once per pair."""
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     return (int(seed) << 32) ^ zlib.crc32(label.encode("utf-8"))

@@ -8,6 +8,7 @@ field.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any
@@ -70,9 +71,24 @@ REPORT_SCHEMA = {
 }
 
 
+@functools.cache
+def _validator() -> jsonschema.protocols.Validator:
+    """The REPORT_SCHEMA validator, built on first use (checking the schema
+    itself costs ten times as much as checking a report against it)."""
+    cls = jsonschema.validators.validator_for(REPORT_SCHEMA)
+    cls.check_schema(REPORT_SCHEMA)
+    return cls(REPORT_SCHEMA)
+
+
 def validate_report(report: dict[str, Any]) -> None:
-    """Check the report against REPORT_SCHEMA and each digest as replay does."""
-    jsonschema.validate(report, REPORT_SCHEMA)
+    """Check the report against REPORT_SCHEMA and each digest as replay does.
+
+    A report off the schema raises ``jsonschema.ValidationError``, the
+    error that ``jsonschema.validate`` would raise.
+    """
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(report))
+    if error is not None:
+        raise error
     for case in report["cases"]:
         if case["argmin"] is not None:
             check_digest(case["argmin"])

@@ -131,8 +131,7 @@ class RunConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not self.dims or any(not 1 <= d <= MAX_DIM for d in self.dims):
             raise DomainError(f"each dim must lie in 1..{MAX_DIM}, got {self.dims}")
-        if self.tol <= 0.0:
-            raise DomainError("tolerances must be positive")
+        scalar.check_tol(self.tol)
         if self.jobs < 1:
             raise DomainError(f"jobs must be >= 1, got {self.jobs}")
         parse_law(self.law)
@@ -261,7 +260,8 @@ def build_inputs(digests: list[dict[str, Any]],
 
     ``draws`` holds each trial's ``draw_trial``; every basis of the stack
     is factored in one QR call.  For hs trials on a general pair,
-    ``oracle`` lists each trial's construction-time ((lam_a, Q_a), (lam_b, Q_b)).
+    ``oracle`` holds the construction-time ((lam_a, Q_a), (lam_b, Q_b)),
+    stacked like A and B.
     """
     first, k = digests[0], len(digests)
     stacks = [np.array(col) for col in zip(*draws)]
@@ -276,8 +276,7 @@ def build_inputs(digests: list[dict[str, Any]],
     if first["kind"] == "hs":
         out["X"] = rest[0] if rest else stacks[-1]
         if not ordered:
-            out["oracle"] = [((lams[0][i], qs[0][i]), (lams[1][i], qs[1][i]))
-                             for i in range(k)]
+            out["oracle"] = ((lams[0], qs[0]), (lams[1], qs[1]))
     return out
 
 
@@ -286,17 +285,15 @@ def build_inputs(digests: list[dict[str, Any]],
 @np.errstate(over="ignore", invalid="ignore")
 def _certify(entry: CaseEntry, digests: list[dict[str, Any]],
              draws: list[list[np.ndarray]], tol: float, psd_tol: float) -> list:
-    """Trial records of a stack of trials of one case and dim."""
+    """Trial records of a stack of trials of one case and dim, certified in one call."""
     inputs = build_inputs(digests, draws)
     if entry.kind == "operator":
         return opmeans.certify_operator(entry.case, inputs["A"], inputs["B"], inputs["nu"],
                                         tol=tol, psd_tol=psd_tol)
-    # one trial at a time: a stacked norm would sum in another order
     lenient = digests[0]["x_kind"] != entry.case.x_kind
-    oracle = inputs.get("oracle") or [None] * len(digests)
-    return [hsnorm.certify_hs(entry.case, inputs["A"][i], inputs["B"][i], inputs["X"][i], nu,
-                              tol=tol, psd_tol=psd_tol, lenient=lenient, oracle=oracle[i])
-            for i, nu in enumerate(inputs["nu"])]
+    return hsnorm.certify_hs(entry.case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
+                             tol=tol, psd_tol=psd_tol, lenient=lenient,
+                             oracle=inputs.get("oracle"))
 
 
 def run_trial(digest: dict[str, Any], tol: float, psd_tol: float):
@@ -471,6 +468,7 @@ def run_scalar_case(case_id: str,
                     tol: float = scalar.SCALAR_TOL) -> dict[str, Any]:
     """Deterministic grid sweep of one scalar chain (no randomness)."""
     case = scalar.case_by_id(case_id)
+    scalar.check_tol(tol)
     points = passes = failures = skipped = 0
     min_slack: float | None = None
     argmin: dict[str, Any] | None = None
@@ -520,6 +518,8 @@ def _jsonable(value: np.ndarray) -> list:
 def replay_trial(digest: dict[str, Any], tol: float | None = None) -> dict[str, Any]:
     """Re-run one digest and return a JSON-ready trial record."""
     digest = check_digest(digest)
+    if tol is not None:
+        scalar.check_tol(tol)
     entry = CASES[digest["case"]]
     if entry.kind == "scalar":
         trial = scalar.evaluate(entry.case, digest["a"], digest["b"], digest["nu"],

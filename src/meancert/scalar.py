@@ -42,6 +42,12 @@ def check_unit(name: str, t: float) -> None:
         raise DomainError(f"{name}={t!r} outside [0, 1]")
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite number > 0 with DomainError."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def weighted_arith(a: float, b: float, nu: float) -> float:
     """nu*a + (1-nu)*b."""
     check_pair(a, b)

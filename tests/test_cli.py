@@ -318,6 +318,48 @@ class TestNonFinite:
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+# settings that are not finite, or not a tolerance at all: each must exit 2 before
+# any trial or grid point runs, never give a verdict or a traceback
+BAD_SETTINGS = {
+    "matrix-tol-nan": (["matrix-verify", "--case", "op-2.3", "--tol", "nan", "--trials", "5"],
+                       "tol must be a finite number > 0, got nan"),
+    "scalar-tol-nan": (["scalar-sweep", "--case", "new-2.1", "--tol", "nan"],
+                       "tol must be a finite number > 0, got nan"),
+    "law-inf-hi": (["matrix-verify", "--case", "op-2.3", "--law", "log-uniform:1:inf"],
+                   "log-uniform needs finite 0 < lo <= hi"),
+    "law-explicit-nan": (["matrix-verify", "--case", "hs-2.14", "--law", "explicit:nan"],
+                         "explicit law needs finite nonnegative values"),
+    "law-explicit-inf": (["matrix-verify", "--case", "op-2.3", "--law", "explicit:inf"],
+                         "explicit law needs finite nonnegative values"),
+    "law-clustered-nan": (["matrix-verify", "--case", "op-2.3", "--law", "clustered:nan:0.1"],
+                          "clustered law needs a finite center > 0"),
+}
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("argv, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS)
+    def test_sweep_exits_2_before_any_trial(self, capsys, monkeypatch, argv, message):
+        started = []
+        monkeypatch.setattr(runner, "_run_chunk", lambda *a: started.append(a))
+        monkeypatch.setattr(scalar, "evaluate", lambda *a, **k: started.append(a))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert started == []
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("case_id", ["op-2.3", "hs-2.14", "km-1.3"])
+    def test_replay_tol_exits_2(self, capsys, tol, case_id):
+        digest = (scalar_digest_of(case_id) if CASES[case_id].kind == "scalar"
+                  else make_digest(case_id, RunConfig(), 0))
+        assert main(["replay", "--digest", json.dumps(digest), "--tol", tol]) == 2
+        assert f"tol must be a finite number > 0, got {float(tol)!r}" in capsys.readouterr().err
+
+
+def scalar_digest_of(case_id):
+    return runner.scalar_digest(case_id, 2.0, 0.5, CASES[case_id].nu_grid[1])
+
+
 class TestListVerb:
     def test_text_lists_everything(self, capsys):
         assert main(["list"]) == 0
@@ -533,6 +575,27 @@ class TestReportModule:
         import jsonschema
         with pytest.raises(jsonschema.ValidationError):
             validate_report({"schema": "meancert.report/1", "bogus": 1})
+
+    def test_validator_is_built_once_on_first_use(self, tmp_path):
+        import jsonschema
+        from meancert import report
+        jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+        out = tmp_path / "report.json"
+        assert main(["matrix-verify", "--case", "op-2.3", "--trials", "5",
+                     "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert report._validator.cache_info().currsize == 1
+        rep["cases"][0]["trials"] = -1
+        with pytest.raises(jsonschema.ValidationError, match="-1 is less than the minimum"):
+            validate_report(rep)
+        # importing the package builds nothing
+        src = Path(meancert.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", "import meancert.cli, meancert.report as r; "
+             "print(r._validator.cache_info().currsize)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120)
+        assert probe.stdout == "0\n"
 
     def test_canonical_json_sorted_and_newline(self):
         s = canonical_json({"b": 1, "a": 2})

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meancert import scalar
+from meancert import hsnorm, scalar
 from meancert.hsnorm import (CERT_HS_TOL, ORACLE_TOL, HsContext, case_by_id,
                              certify_hs, heinz_block, registry)
 from meancert.linalg import DomainError, hs_norm
@@ -202,3 +202,50 @@ class TestWorstCell:
         assert {c.case_id for c in registry()} == ALL_IDS
         with pytest.raises(DomainError, match="hs-2.14"):
             case_by_id("hs-9.9")
+
+
+def scaled_stack(rng, k, n, cx):
+    """k matrices of size n with entries at scales e^-30 ... e^30."""
+    scale = np.exp(rng.uniform(-30.0, 30.0, (k, 1, 1)))
+    m = rng.standard_normal((k, n, n)) * scale
+    if cx:
+        m = m + 1j * rng.standard_normal((k, n, n)) * scale
+    return m
+
+
+class TestStackedSums:
+    """The stacked norms and cell sums add in the order of one matrix alone."""
+
+    @pytest.mark.parametrize("cx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
+    def test_hs_norm_of_a_stack_is_linalg_norm_of_each(self, n, cx):
+        m = scaled_stack(np.random.default_rng(n), 60, n, cx)
+        want = np.array([np.linalg.norm(x) for x in m])
+        assert hs_norm(m).tobytes() == want.tobytes()
+        assert np.array([hs_norm(x) for x in m]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
+    def test_cell_sums_of_a_stack_are_sums_of_each(self, n):
+        rng = np.random.default_rng(100 + n)
+        coef = scaled_stack(rng, 60, n, False)
+        y2 = np.abs(scaled_stack(rng, 60, n, True)) ** 2
+        want = [math.sqrt(float(np.sum(c * c * y))) for c, y in zip(coef, y2)]
+        assert hsnorm._qs(coef, y2)[:, 0, 0].tolist() == want
+        assert np.sum(coef, axis=(-2, -1)).tolist() == [float(np.sum(c)) for c in coef]
+
+
+class TestStacks:
+    def test_stack_equals_each_triple_alone(self):
+        trips = [triple(30 + i, dim=3, complex_entries=True, x_pd=True) for i in range(6)]
+        a, b, x = (np.array(m) for m in zip(*trips))
+        x[2] = -x[2]  # this X breaks the hypothesis of the PSD-X cases
+        for case in registry():
+            nus = [v if case.in_domain(v) else 0.125 for v in (0.0, 0.25, 0.5, 0.25, 0.96875, 1.0)]
+            if case.x_kind == "pd":
+                with pytest.raises(DomainError, match="hypothesizes"):
+                    certify_hs(case, a, b, x, nus)
+            got = certify_hs(case, a, b, x, nus, lenient=True)
+            alone = [certify_hs(case, *t, nu, lenient=True) for t, nu in zip(zip(a, b, x), nus)]
+            assert repr(got) == repr(alone)
+            assert [t.hypothesis_met for t in got] == [case.x_kind == "general" or i != 2
+                                                      for i in range(6)]

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from meancert import runner
+from meancert import hsnorm, runner
 from meancert.cli import main
 from meancert.linalg import DomainError
 from meancert.report import canonical_json, strip_volatile
@@ -72,6 +72,33 @@ def test_hs_sweep_records_equal_run_trial(monkeypatch, cx):
     cfg = RunConfig(trials=30, seed=1, dims=(1, 4, 2), complex_entries=cx)
     for case_id in HS:
         assert_sweep_equals_run_trial(monkeypatch, case_id, cfg)
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("nu", [None, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("cx", [False, True])
+@pytest.mark.parametrize("law", LAWS, ids=["log-uniform", "clustered", "w-explicit-0"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_hs_sweep_records_equal_run_trial_on_every_config(monkeypatch, seed, law, cx, nu,
+                                                          lenient):
+    cfg = RunConfig(trials=30, seed=seed, dims=(1, 4, 2), nu=nu, complex_entries=cx,
+                    lenient_x=lenient, **law)
+    for case_id in HS:
+        if nu is None or CASES[case_id].case.in_domain(nu):
+            assert_sweep_equals_run_trial(monkeypatch, case_id, cfg)
+
+
+def test_hs_stack_is_certified_in_one_call(monkeypatch):
+    sizes = []
+    certify = hsnorm.certify_hs
+
+    def spy(case, A, B, X, nu, **kwargs):
+        sizes.append((np.shape(A), len(nu)))
+        return certify(case, A, B, X, nu, **kwargs)
+
+    monkeypatch.setattr(hsnorm, "certify_hs", spy)
+    run_case("hs-cor", RunConfig(trials=20, dims=(3, 1)))
+    assert sizes == [((10, 3, 3), 10), ((10, 1, 1), 10)]
 
 
 def test_stack_budget_of_one_row_keeps_the_report(tmp_path, monkeypatch):
