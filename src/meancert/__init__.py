@@ -12,17 +12,14 @@ from .scalar import case_by_id as scalar_case_by_id
 from .scalar import registry as scalar_registry
 from .opmeans import (CERT_PSD_TOL, LinkCheck, OperatorCase, OperatorTrial,
                       PairContext, certify_operator, geom, harmonic, nabla)
-from .opmeans import heinz as operator_heinz
-from .opmeans import heron as operator_heron
 from .opmeans import case_by_id as operator_case_by_id
 from .opmeans import registry as operator_registry
 from .hsnorm import (CERT_HS_TOL, ORACLE_TOL, HsCase, HsContext, HsTrial,
                      certify_hs, heinz_block)
 from .hsnorm import case_by_id as hs_case_by_id
 from .hsnorm import registry as hs_registry
-from .randgen import (DEFAULT_LAW, GenSpec, derive_seed, gen_general,
-                      gen_ordered_pair, gen_pd, parse_law, sample_basis,
-                      sample_spectrum, trial_rng)
+from .randgen import (DEFAULT_LAW, derive_seed, parse_law, sample_spectrum,
+                      trial_rng)
 
 __all__ = [
     "__version__",
@@ -34,11 +31,8 @@ __all__ = [
     "weighted_geom", "scalar_case_by_id", "scalar_registry",
     "CERT_PSD_TOL", "LinkCheck", "OperatorCase", "OperatorTrial",
     "PairContext", "certify_operator", "geom", "harmonic", "nabla",
-    "operator_heinz", "operator_heron", "operator_case_by_id",
-    "operator_registry",
+    "operator_case_by_id", "operator_registry",
     "CERT_HS_TOL", "ORACLE_TOL", "HsCase", "HsContext", "HsTrial",
     "certify_hs", "heinz_block", "hs_case_by_id", "hs_registry",
-    "DEFAULT_LAW", "GenSpec", "derive_seed", "gen_general",
-    "gen_ordered_pair", "gen_pd", "parse_law", "sample_basis",
-    "sample_spectrum", "trial_rng",
+    "DEFAULT_LAW", "derive_seed", "parse_law", "sample_spectrum", "trial_rng",
 ]

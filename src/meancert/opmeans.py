@@ -121,10 +121,12 @@ class PairContext:
         return blend.pow(-1.0)
 
     def heinz(self, nu) -> np.ndarray:
+        """Heinz mean (geom(nu) + geom(1-nu)) / 2, symmetric in nu <-> 1-nu."""
         nu = _unit("nu", nu)
         return (self.geom(nu) + self.geom(1.0 - nu)) / 2.0
 
     def heron(self, alpha) -> np.ndarray:
+        """Heron mean (1-alpha) geom(0.5) + alpha nabla(0.5)."""
         a = col(_unit("alpha", alpha))
         return (1.0 - a) * self.geom(0.5) + a * self.nabla(0.5)
 
@@ -150,16 +152,6 @@ def geom(A, B, nu: float = 0.5) -> np.ndarray:
 def harmonic(A, B, nu: float = 0.5) -> np.ndarray:
     """Weighted harmonic mean ((1-nu) A^(-1) + nu B^(-1))^(-1)."""
     return PairContext(A, B).harmonic(nu)
-
-
-def heinz(A, B, nu: float) -> np.ndarray:
-    """Heinz mean (geom(A,B,nu) + geom(A,B,1-nu)) / 2, symmetric in nu <-> 1-nu."""
-    return PairContext(A, B).heinz(nu)
-
-
-def heron(A, B, alpha: float) -> np.ndarray:
-    """Heron mean (1-alpha) geom(A,B) + alpha nabla(A,B)."""
-    return PairContext(A, B).heron(alpha)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Seeded random matrix generation with construction-time ground truth.
+"""Seeded random matrix draws with construction-time ground truth.
 
-Every output is a pure function of (spec, trial index).  Each trial gets
-its own counter-derived Philox stream via numpy's SeedSequence spawn
-keys, so results never depend on evaluation order or parallelism, and a
-trial can be regenerated in isolation from its digest.
+A trial's draws are a pure function of (seed, trial index): each trial
+gets its own counter-derived Philox stream via numpy's SeedSequence spawn
+keys, so draws never depend on evaluation order or parallelism.
+``runner.draw_trial`` fixes what one trial draws and in which order, and
+``runner.inputs`` rebuilds a trial's matrices from its digest alone.
 
 Positive definite matrices are assembled as Q diag(lam) Q* with lam drawn
 from a configurable spectrum law and Q orthogonal (or unitary) from a QR
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,49 +35,28 @@ def parse_law(law: str) -> tuple[str, tuple[float, ...]]:
       clustered:C:J         C * (1 + J * uniform(-1, 1)), C > 0, 0 <= J < 1
     """
     kind, _, rest = str(law).partition(":")
+    if kind not in ("log-uniform", "explicit", "clustered"):
+        raise DomainError(
+            f"unknown spectrum law kind {kind!r}; expected log-uniform, explicit or clustered"
+        )
+    # only the float parse is wrapped: a range check's DomainError is a ValueError too
     try:
-        if kind == "log-uniform":
-            lo_s, _, hi_s = rest.partition(":")
-            lo, hi = float(lo_s), float(hi_s)
-            if not (0.0 < lo <= hi < math.inf):
-                raise DomainError(f"log-uniform needs finite 0 < lo <= hi, got {law!r}")
-            return kind, (lo, hi)
         if kind == "explicit":
-            vals = tuple(float(v) for v in rest.split(","))
-            if not vals or not all(0.0 <= v < math.inf for v in vals):
-                raise DomainError(f"explicit law needs finite nonnegative values, got {law!r}")
-            return kind, vals
-        if kind == "clustered":
-            c_s, _, j_s = rest.partition(":")
-            center, jitter = float(c_s), float(j_s)
-            if not (0.0 < center < math.inf and 0.0 <= jitter < 1.0):
-                raise DomainError(
-                    f"clustered law needs a finite center > 0 and 0 <= jitter < 1, "
-                    f"got {law!r}"
-                )
-            return kind, (center, jitter)
+            params = tuple(float(v) for v in rest.split(","))
+        else:
+            first, _, second = rest.partition(":")
+            params = (float(first), float(second))
     except ValueError as exc:
         raise DomainError(f"malformed spectrum law {law!r}: {exc}") from exc
-    raise DomainError(
-        f"unknown spectrum law kind {kind!r}; expected log-uniform, explicit or clustered"
-    )
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Configuration for one random matrix stream."""
-
-    dim: int
-    law: str = DEFAULT_LAW
-    seed: int = 0
-    complex_entries: bool = False
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        parse_law(self.law)
+    if kind == "log-uniform" and not (0.0 < params[0] <= params[1] < math.inf):
+        raise DomainError(f"log-uniform needs finite 0 < lo <= hi, got {law!r}")
+    if kind == "explicit" and not all(0.0 <= v < math.inf for v in params):
+        raise DomainError(f"explicit law needs finite nonnegative values, got {law!r}")
+    if kind == "clustered" and not (0.0 < params[0] < math.inf and 0.0 <= params[1] < 1.0):
+        raise DomainError(
+            f"clustered law needs a finite center > 0 and 0 <= jitter < 1, got {law!r}"
+        )
+    return kind, params
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,11 +107,6 @@ def orthonormalize(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def sample_basis(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:
-    """Orthogonal (or unitary) basis from QR of iid Gaussians, phase-fixed."""
-    return orthonormalize(basis_entries(rng, dim, complex_entries))
-
-
 def assemble(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Q diag(lam) Q*, symmetrized; for each (lam, Q) of a stack as well."""
     return hermitianize((q * lam[..., None, :]) @ q.conj().swapaxes(-1, -2))
@@ -150,44 +124,8 @@ def pd_draws(rng: np.random.Generator, dim: int, law: str,
     return lam, basis_entries(rng, dim, complex_entries)
 
 
-def pd_parts(rng: np.random.Generator, dim: int, law: str,
-             complex_entries: bool = False,
-             allow_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (lam, Q) with ``pd_draws`` and orthonormalize the basis."""
-    lam, z = pd_draws(rng, dim, law, complex_entries, allow_zero)
-    return lam, orthonormalize(z)
-
-
 def general_entries(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:
     x = rng.standard_normal((dim, dim))
     if complex_entries:
         x = (x + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     return x
-
-
-def gen_pd(spec: GenSpec, trial: int = 0) -> np.ndarray:
-    """Random positive definite matrix for (spec, trial)."""
-    rng = trial_rng(spec.seed, trial)
-    lam, q = pd_parts(rng, spec.dim, spec.law, spec.complex_entries)
-    return assemble(lam, q)
-
-
-def gen_ordered_pair(spec: GenSpec, trial: int = 0,
-                     w_law: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (A, B) with A <= B by construction: B = A + W, W PSD.
-
-    W draws from ``w_law`` (default: the spec's law); an explicit zero law
-    gives the A = B boundary case.
-    """
-    rng = trial_rng(spec.seed, trial)
-    lam_a, q_a = pd_parts(rng, spec.dim, spec.law, spec.complex_entries)
-    lam_w, q_w = pd_parts(rng, spec.dim, w_law or spec.law, spec.complex_entries,
-                          allow_zero=True)
-    a = assemble(lam_a, q_a)
-    return a, a + assemble(lam_w, q_w)
-
-
-def gen_general(spec: GenSpec, trial: int = 0) -> np.ndarray:
-    """Square matrix of iid standard normal entries (complex per config)."""
-    rng = trial_rng(spec.seed, trial)
-    return general_entries(rng, spec.dim, spec.complex_entries)

@@ -280,6 +280,23 @@ def build_inputs(digests: list[dict[str, Any]],
     return out
 
 
+def inputs(digest: dict[str, Any]) -> dict[str, Any]:
+    """The 2-D inputs of one matrix trial, rebuilt from its digest as ``replay`` rebuilds them.
+
+    Returns ``A``, ``B`` and ``nu``; an hs trial adds ``X`` and, on a general
+    pair, the construction-time ``oracle`` ((lam_a, Q_a), (lam_b, Q_b)).
+    They are row 0 of ``build_inputs`` on a stack of one, after ``check_digest``.
+    """
+    digest = check_digest(digest)
+    if digest["kind"] == "scalar":
+        raise DomainError(f"case {digest['case']} is a scalar case; it draws no matrices")
+    stack = build_inputs([digest], [draw_trial(digest)])
+    out = {key: stack[key][0] for key in ("A", "B", "nu", "X") if key in stack}
+    if "oracle" in stack:
+        out["oracle"] = tuple((lam[0], q[0]) for lam, q in stack["oracle"])
+    return out
+
+
 # A result past the range of floats is a DomainError (a matrix or a chain side
 # that is not finite), never a verdict; numpy need not warn on the way there.
 @np.errstate(over="ignore", invalid="ignore")
@@ -469,6 +486,8 @@ def run_scalar_case(case_id: str,
     """Deterministic grid sweep of one scalar chain (no randomness)."""
     case = scalar.case_by_id(case_id)
     scalar.check_tol(tol)
+    for nu in nu_values:
+        scalar.check_unit("nu", nu)
     points = passes = failures = skipped = 0
     min_slack: float | None = None
     argmin: dict[str, Any] | None = None

@@ -20,12 +20,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from meancert import hsnorm, opmeans, randgen, scalar
+from meancert import hsnorm, opmeans, scalar
 from meancert.cli import main
 from meancert.linalg import is_psd, spectral_norm
 from meancert.report import canonical_json, strip_volatile
-from meancert.runner import (DEFAULT_DIMS, RunConfig, run_matrix_suite,
-                             run_scalar_case)
+from meancert.runner import (DEFAULT_DIMS, RunConfig, inputs, make_digest,
+                             run_matrix_suite, run_scalar_case)
 
 OP_IDS = [c.case_id for c in opmeans.registry()]
 HS_IDS = [c.case_id for c in hsnorm.registry()]
@@ -270,11 +270,9 @@ def test_criterion_6_geometric_mean_swap_identity():
     for trial in range(1000):
         dim = DEFAULT_DIMS[trial % len(DEFAULT_DIMS)]
         cx = trial % 3 == 0
-        sa = randgen.GenSpec(dim=dim, law=law, complex_entries=cx,
-                             seed=randgen.derive_seed(314, f"swap-a-{dim}"))
-        sb = randgen.GenSpec(dim=dim, law=law, complex_entries=cx,
-                             seed=randgen.derive_seed(314, f"swap-b-{dim}"))
-        A, B = randgen.gen_pd(sa, trial), randgen.gen_pd(sb, trial)
+        got = inputs(make_digest("op-2.3", RunConfig(seed=314, dims=(dim,), law=law,
+                                                     complex_entries=cx), trial))
+        A, B = got["A"], got["B"]
         fwd = opmeans.PairContext(A, B)
         rev = opmeans.PairContext(B, A)
         for nu in scalar.NU_GRID_33:
@@ -299,11 +297,9 @@ def test_criterion_7_chain_collapse_at_half():
 
     for k in range(30):
         dim = DEFAULT_DIMS[k % len(DEFAULT_DIMS)]
-        spec_a = randgen.GenSpec(dim=dim, seed=randgen.derive_seed(7, f"ca-{dim}"),
-                                 complex_entries=k % 2 == 1)
-        spec_b = randgen.GenSpec(dim=dim, seed=randgen.derive_seed(7, f"cb-{dim}"),
-                                 complex_entries=k % 2 == 1)
-        A, B = randgen.gen_pd(spec_a, k), randgen.gen_pd(spec_b, k)
+        got = inputs(make_digest("hs-thm8", RunConfig(seed=7, dims=(dim,),
+                                                      complex_entries=k % 2 == 1), k))
+        A, B, X = got["A"], got["B"], got["X"]
         ctx = opmeans.PairContext(A, B)
         h, g, n = ctx.heinz(0.5), ctx.geom(0.5), ctx.nabla(0.5)
         sides = (0.5 * h + 0.0 * n, 0.5 * g, 0.5 * g, 0.5 * h + 0.0 * n)
@@ -312,9 +308,6 @@ def test_criterion_7_chain_collapse_at_half():
             for j in range(i + 1, 4):
                 assert spectral_norm(sides[i] - sides[j]) <= 1e-10 * scale
 
-        spec_x = randgen.GenSpec(dim=dim, seed=randgen.derive_seed(7, f"cx-{dim}"),
-                                 complex_entries=k % 2 == 1)
-        X = randgen.gen_general(spec_x, k)
         t = hsnorm.certify_hs(hsnorm.case_by_id("hs-thm8"), A, B, X, 0.5)
         for i in range(4):
             for j in range(i + 1, 4):

@@ -325,14 +325,24 @@ BAD_SETTINGS = {
                        "tol must be a finite number > 0, got nan"),
     "scalar-tol-nan": (["scalar-sweep", "--case", "new-2.1", "--tol", "nan"],
                        "tol must be a finite number > 0, got nan"),
+    "scalar-nu-nan": (["scalar-sweep", "--case", "young-1.1", "--nu", "nan"],
+                      "nu=nan outside [0, 1]"),
+    "scalar-nu-inf": (["scalar-sweep", "--case", "young-1.1", "--nu", "inf"],
+                      "nu=inf outside [0, 1]"),
+    "scalar-nu-2": (["scalar-sweep", "--case", "young-1.1", "--nu", "2"],
+                    "nu=2.0 outside [0, 1]"),
     "law-inf-hi": (["matrix-verify", "--case", "op-2.3", "--law", "log-uniform:1:inf"],
-                   "log-uniform needs finite 0 < lo <= hi"),
+                   "log-uniform needs finite 0 < lo <= hi, got 'log-uniform:1:inf'"),
     "law-explicit-nan": (["matrix-verify", "--case", "hs-2.14", "--law", "explicit:nan"],
-                         "explicit law needs finite nonnegative values"),
+                         "explicit law needs finite nonnegative values, got 'explicit:nan'"),
     "law-explicit-inf": (["matrix-verify", "--case", "op-2.3", "--law", "explicit:inf"],
-                         "explicit law needs finite nonnegative values"),
+                         "explicit law needs finite nonnegative values, got 'explicit:inf'"),
     "law-clustered-nan": (["matrix-verify", "--case", "op-2.3", "--law", "clustered:nan:0.1"],
-                          "clustered law needs a finite center > 0"),
+                          "clustered law needs a finite center > 0 and 0 <= jitter < 1, "
+                          "got 'clustered:nan:0.1'"),
+    "law-malformed": (["matrix-verify", "--case", "op-2.3", "--law", "log-uniform:1:x"],
+                      "malformed spectrum law 'log-uniform:1:x': "
+                      "could not convert string to float: 'x'"),
 }
 
 
@@ -343,8 +353,7 @@ class TestNonFiniteSettings:
         monkeypatch.setattr(runner, "_run_chunk", lambda *a: started.append(a))
         monkeypatch.setattr(scalar, "evaluate", lambda *a, **k: started.append(a))
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

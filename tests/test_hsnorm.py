@@ -7,17 +7,17 @@ from meancert import hsnorm, scalar
 from meancert.hsnorm import (CERT_HS_TOL, ORACLE_TOL, HsContext, case_by_id,
                              certify_hs, heinz_block, registry)
 from meancert.linalg import DomainError, hs_norm
-from meancert.randgen import GenSpec, gen_general, gen_pd
+from meancert.runner import RunConfig, inputs, make_digest
 
 ALL_IDS = {"hs-2.13", "hs-2.14", "hs-cor", "hs-thm8"}
 
 
 def triple(seed, dim=4, complex_entries=False, x_pd=False):
-    spec = GenSpec(dim=dim, law="log-uniform:0.1:10.0", seed=seed,
-                   complex_entries=complex_entries)
-    a, b = gen_pd(spec, 0), gen_pd(spec, 1)
-    x = gen_pd(spec, 2) if x_pd else gen_general(spec, 2)
-    return a, b, x
+    """(A, B, X) of trial 0 of an hs case whose X is PD (hs-2.14) or general (hs-2.13)."""
+    cfg = RunConfig(dims=(dim,), law="log-uniform:0.1:10.0", seed=seed,
+                    complex_entries=complex_entries)
+    got = inputs(make_digest("hs-2.14" if x_pd else "hs-2.13", cfg, 0))
+    return got["A"], got["B"], got["X"]
 
 
 def one_by_one(a, b, x):

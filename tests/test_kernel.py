@@ -11,11 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from meancert import hsnorm, runner
+from meancert import hsnorm, opmeans, runner
 from meancert.cli import main
 from meancert.linalg import DomainError
 from meancert.report import canonical_json, strip_volatile
-from meancert.runner import CASES, RunConfig, make_digest, run_case, run_trial
+from meancert.runner import CASES, RunConfig, inputs, make_digest, run_case, run_trial
 
 OPERATOR = [cid for cid, e in CASES.items() if e.kind == "operator"]
 HS = [cid for cid, e in CASES.items() if e.kind == "hs"]
@@ -86,6 +86,63 @@ def test_hs_sweep_records_equal_run_trial_on_every_config(monkeypatch, seed, law
     for case_id in HS:
         if nu is None or CASES[case_id].case.in_domain(nu):
             assert_sweep_equals_run_trial(monkeypatch, case_id, cfg)
+
+
+@pytest.mark.parametrize("cx", [False, True])
+@pytest.mark.parametrize("case_id", OPERATOR + HS)
+def test_certifying_inputs_equals_run_trial(case_id, cx):
+    """A library caller certifying ``inputs(digest)`` gets the record replay gets."""
+    entry = CASES[case_id]
+    cfg = RunConfig(seed=2, dims=(1, 3, 8), complex_entries=cx)
+    for trial in range(6):
+        digest = make_digest(case_id, cfg, trial)
+        got = inputs(digest)
+        assert got["A"].shape == got["B"].shape == (cfg.dims[trial % 3],) * 2
+        if entry.kind == "operator":
+            rec = opmeans.certify_operator(entry.case, got["A"], got["B"], got["nu"],
+                                           tol=cfg.tol)
+        else:
+            rec = hsnorm.certify_hs(entry.case, got["A"], got["B"], got["X"], got["nu"],
+                                    tol=cfg.tol, oracle=got["oracle"])
+        assert_same_record(rec, run_trial(digest, cfg.tol, cfg.psd_tol))
+
+
+def _changed(case_id, drop=None, **changes):
+    digest = {**make_digest(case_id, RunConfig(dims=(3,)), 1), **changes}
+    digest.pop(drop, None)
+    return digest
+
+
+BAD_DIGESTS = {
+    "dim-float": _changed("hs-2.14", dim=3.7),
+    "dim-bool": _changed("hs-2.14", dim=True),
+    "dim-zero": _changed("hs-2.14", dim=0),
+    "seed-float": _changed("hs-2.14", seed=1.0),
+    "nu-string": _changed("hs-2.14", nu="0.25"),
+    "complex-string": _changed("hs-2.14", complex="no"),
+    "law-unknown": _changed("hs-2.14", law="nope:1"),
+    "x-kind-missing": _changed("hs-2.14", drop="x_kind"),
+    "x-kind-psd": _changed("hs-2.14", x_kind="psd"),
+    "kind-wrong": _changed("hs-2.14", kind="operator"),
+    "field-unknown": _changed("op-2.3", x_knid="pd"),
+    "w-law-missing": _changed("op-2.7-left", drop="w_law"),
+    "structure-wrong": _changed("op-2.7-left", structure="general-pd"),
+    "case-missing": {"kind": "operator"},
+}
+
+
+@pytest.mark.parametrize("digest", BAD_DIGESTS.values(), ids=BAD_DIGESTS)
+def test_inputs_rejects_what_replay_rejects(digest):
+    with pytest.raises(DomainError) as replayed:
+        runner.replay_trial(digest)
+    with pytest.raises(DomainError) as built:
+        inputs(digest)
+    assert str(built.value) == str(replayed.value)
+
+
+def test_inputs_of_a_scalar_digest_is_an_error():
+    with pytest.raises(DomainError, match="scalar case"):
+        inputs(runner.scalar_digest("young-1.1", 4.0, 1.0, 0.25))
 
 
 def test_hs_stack_is_certified_in_one_call(monkeypatch):

@@ -6,17 +6,19 @@ import pytest
 from meancert import scalar
 from meancert.linalg import DomainError, hs_norm, is_psd, mat_pow, spectral_norm
 from meancert.opmeans import (PairContext, case_by_id, certify_operator, geom,
-                              harmonic, heinz, heron, nabla, registry)
-from meancert.randgen import GenSpec, gen_ordered_pair, gen_pd
+                              harmonic, nabla, registry)
+from meancert.runner import RunConfig, inputs, make_digest
 
 ALL_IDS = {"op-2.3", "op-2.5", "op-2.6", "op-2.7-left", "op-2.7-right",
            "op-2.7-refine", "op-2.10", "op-heron-zhao"}
 
 
-def pair(seed, dim=4, complex_entries=False):
-    spec = GenSpec(dim=dim, law="log-uniform:0.1:10.0", seed=seed,
-                   complex_entries=complex_entries)
-    return gen_pd(spec, 0), gen_pd(spec, 1)
+def pair(seed, dim=4, complex_entries=False, case="op-2.3", trial=0,
+         law="log-uniform:0.1:10.0"):
+    """(A, B) of one trial of ``case``, rebuilt from its digest."""
+    cfg = RunConfig(dims=(dim,), law=law, seed=seed, complex_entries=complex_entries)
+    got = inputs(make_digest(case, cfg, trial))
+    return got["A"], got["B"]
 
 
 def rel_close(x, y, tol):
@@ -63,16 +65,18 @@ class TestMeans:
 
     def test_heinz_symmetric(self):
         a, b = pair(5)
-        assert np.allclose(heinz(a, b, 0.2), heinz(a, b, 0.8), atol=1e-12)
+        ctx = PairContext(a, b)
+        assert np.allclose(ctx.heinz(0.2), ctx.heinz(0.8), atol=1e-12)
 
     def test_heron_endpoints(self):
         a, b = pair(6)
-        assert np.array_equal(heron(a, b, 1.0), nabla(a, b, 0.5))
-        assert np.allclose(heron(a, b, 0.0), geom(a, b, 0.5))
+        ctx = PairContext(a, b)
+        assert np.array_equal(ctx.heron(1.0), nabla(a, b, 0.5))
+        assert np.allclose(ctx.heron(0.0), geom(a, b, 0.5))
 
     def test_heinz_half_is_geom(self):
         a, b = pair(7)
-        assert np.array_equal(heinz(a, b, 0.5), geom(a, b, 0.5))
+        assert np.array_equal(PairContext(a, b).heinz(0.5), geom(a, b, 0.5))
 
     def test_complex_pair(self):
         a, b = pair(8, complex_entries=True)
@@ -92,7 +96,7 @@ class TestMeans:
         with pytest.raises(DomainError):
             geom(a, b, 1.5)
         with pytest.raises(DomainError):
-            heron(a, b, -0.2)
+            PairContext(a, b).heron(-0.2)
         with pytest.raises(DomainError):
             geom(np.diag([1.0, -1.0]), b, 0.5)  # A must be PD
         with pytest.raises(DomainError):
@@ -173,13 +177,12 @@ class TestCertify:
                              2.0 * np.eye(3), np.eye(3), 0.5)
 
     def test_ordered_pair_accepted(self):
-        spec = GenSpec(dim=4, law="log-uniform:0.1:10.0", seed=15)
-        a, b = gen_ordered_pair(spec, 0)
+        a, b = pair(15, case="op-2.7-left")
         for cid in ("op-2.7-left", "op-2.7-right", "op-2.7-refine"):
             assert certify_operator(case_by_id(cid), a, b, 0.375).passed
 
     def test_boundary_equality_at_a_equals_b(self):
-        a = gen_pd(GenSpec(dim=3, law="log-uniform:0.1:10.0", seed=16), 0)
+        a, _ = pair(16, dim=3)
         t = certify_operator(case_by_id("op-2.7-left"), a, a.copy(), 0.5)
         assert t.passed
         assert abs(t.min_slack) < 1e-10
@@ -192,12 +195,9 @@ class TestCertify:
         assert t1.links == t2.links
 
     def test_all_true_cases_pass_spot_check(self):
-        spec = GenSpec(dim=5, law="log-uniform:0.01:100.0", seed=18)
+        # each case on its own trial: an ordered pair for every op-2.7 variant
         for case in registry():
-            if case.requires_ordered or case.case_id == "op-2.7-refine":
-                a, b = gen_ordered_pair(spec, 3)
-            else:
-                a, b = gen_pd(spec, 4), gen_pd(spec, 5)
+            a, b = pair(18, dim=5, case=case.case_id, trial=3, law="log-uniform:0.01:100.0")
             for nu in (0.03125, 0.5, 1.0):
                 if case.in_domain(nu):
                     t = certify_operator(case, a, b, nu)
@@ -206,8 +206,8 @@ class TestCertify:
 
 class TestStacks:
     def test_certify_over_a_stack_equals_each_pair_alone(self):
-        spec = GenSpec(dim=3, law="log-uniform:0.01:100.0", seed=19)
-        pairs = [gen_ordered_pair(spec, t) for t in range(6)]
+        pairs = [pair(19, dim=3, case="op-2.7-left", trial=t, law="log-uniform:0.01:100.0")
+                 for t in range(6)]
         A, B = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
         nus = [0.0, 0.25, 1.0, 0.5, 0.03125, 0.25]
         for case in registry():
@@ -221,9 +221,9 @@ class TestStacks:
     def test_stacked_gaps_equal_the_gaps_of_each_pair(self):
         # one weight per pair: coefficients such as nu**(nu - 2) and the
         # spectral powers must round as they do for one pair and a float nu
-        spec = GenSpec(dim=3, law="log-uniform:0.01:100.0", seed=22)
         nus = np.array(scalar.NU_GRID_33)
-        pairs = [gen_ordered_pair(spec, t) for t in range(len(nus))]
+        pairs = [pair(22, dim=3, case="op-2.7-left", trial=t, law="log-uniform:0.01:100.0")
+                 for t in range(len(nus))]
         for case in registry():
             keep = [i for i, nu in enumerate(nus) if case.in_domain(nu)]
             ctx = PairContext(np.stack([pairs[i][0] for i in keep]),

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from meancert.linalg import DomainError, is_psd
-from meancert.randgen import (GenSpec, assemble, derive_seed, gen_general,
-                              gen_ordered_pair, gen_pd, parse_law, pd_parts,
-                              sample_basis, sample_spectrum, trial_rng)
+from meancert.randgen import assemble, derive_seed, parse_law, sample_spectrum, trial_rng
+from meancert.runner import RunConfig, draw_trial, inputs, make_digest
+
+
+def digest(case="op-2.3", trial=0, dim=4, **cfg):
+    """The digest of one trial of ``case``, as a sweep at one dim writes it."""
+    return make_digest(case, RunConfig(dims=(dim,), **cfg), trial)
+
+
+def raw(draws):
+    return b"".join(d.tobytes() for d in draws)
 
 
 class TestParseLaw:
@@ -30,34 +38,32 @@ class TestParseLaw:
             parse_law(bad)
 
 
-class TestGenSpec:
-    def test_validates_on_construction(self):
-        with pytest.raises(DomainError):
-            GenSpec(dim=0)
-        with pytest.raises(DomainError):
-            GenSpec(dim=2, seed=-1)
-        with pytest.raises(DomainError):
-            GenSpec(dim=2, law="nope:1")
+class TestDigestValues:
+    def test_inputs_check_the_digest(self):
+        for field, value in (("dim", 0), ("seed", -1), ("law", "nope:1")):
+            with pytest.raises(DomainError):
+                inputs({**digest(dim=2), field: value})
 
 
 class TestDeterminism:
     def test_same_trial_same_bytes(self):
-        spec = GenSpec(dim=5, seed=123)
-        assert gen_pd(spec, 7).tobytes() == gen_pd(spec, 7).tobytes()
+        d = digest(trial=7, dim=5, seed=123)
+        assert raw(draw_trial(d)) == raw(draw_trial(d))
+        assert inputs(d)["A"].tobytes() == inputs(d)["A"].tobytes()
 
     def test_trials_independent_of_order(self):
-        spec = GenSpec(dim=4, seed=9)
-        forward = [gen_pd(spec, t).tobytes() for t in range(5)]
-        backward = [gen_pd(spec, t).tobytes() for t in reversed(range(5))]
+        digests = [digest(trial=t, seed=9) for t in range(5)]
+        forward = [raw(draw_trial(d)) for d in digests]
+        backward = [raw(draw_trial(d)) for d in reversed(digests)]
         assert forward == backward[::-1]
 
     def test_different_trials_differ(self):
-        spec = GenSpec(dim=4, seed=9)
-        assert gen_pd(spec, 0).tobytes() != gen_pd(spec, 1).tobytes()
+        assert (inputs(digest(trial=0, seed=9))["A"].tobytes()
+                != inputs(digest(trial=1, seed=9))["A"].tobytes())
 
     def test_different_seeds_differ(self):
-        a = gen_pd(GenSpec(dim=4, seed=1), 0)
-        b = gen_pd(GenSpec(dim=4, seed=2), 0)
+        a = inputs(digest(seed=1))["A"]
+        b = inputs(digest(seed=2))["A"]
         assert a.tobytes() != b.tobytes()
 
     def test_derive_seed_stable_and_label_sensitive(self):
@@ -78,7 +84,7 @@ class TestDeterminism:
 class TestSpectraAndBases:
     def test_explicit_diagonal_exact(self):
         # an explicit law is drawn exactly; in the identity basis it is the diagonal
-        lam, _ = pd_parts(trial_rng(0, 0), 3, "explicit:2,3,4")
+        lam = draw_trial(digest(dim=3, law="explicit:2,3,4"))[0]
         assert np.array_equal(assemble(lam, np.eye(3)), np.diag([2.0, 3.0, 4.0]))
 
     def test_explicit_broadcast(self):
@@ -90,8 +96,7 @@ class TestSpectraAndBases:
             sample_spectrum(trial_rng(0, 0), "explicit:1,2", 3)
 
     def test_spectrum_fidelity(self):
-        spec = GenSpec(dim=4, law="explicit:0.5,1,2,8")
-        w = np.linalg.eigvalsh(gen_pd(spec, 0))
+        w = np.linalg.eigvalsh(inputs(digest(law="explicit:0.5,1,2,8"))["A"])
         assert np.allclose(sorted(w), [0.5, 1.0, 2.0, 8.0], rtol=1e-10)
 
     def test_log_uniform_range(self):
@@ -105,59 +110,56 @@ class TestSpectraAndBases:
         assert np.all((w >= 4.0) & (w <= 6.0))
 
     def test_basis_orthonormal(self):
-        q = sample_basis(trial_rng(3, 0), 6)
+        (_, q), _ = inputs(digest("hs-2.14", dim=6, seed=3))["oracle"]
         assert np.allclose(q.T @ q, np.eye(6), atol=1e-12)
 
     def test_unitary_basis(self):
-        q = sample_basis(trial_rng(4, 0), 5, complex_entries=True)
+        (_, q), _ = inputs(digest("hs-2.14", dim=5, seed=4, complex_entries=True))["oracle"]
         assert np.allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
 
     def test_condition_number_reaches_law_bounds(self):
-        spec = GenSpec(dim=8, law="log-uniform:0.001:1000.0", seed=5)
-        conds = [np.linalg.cond(gen_pd(spec, t)) for t in range(50)]
+        conds = [np.linalg.cond(inputs(digest(trial=t, dim=8, law="log-uniform:0.001:1000.0",
+                                              seed=5))["A"]) for t in range(50)]
         assert max(conds) > 1e4  # the law spans six decades
 
 
 class TestPairs:
     def test_ordered_pair_is_ordered(self):
-        spec = GenSpec(dim=5, seed=6)
         for t in range(30):
-            a, b = gen_ordered_pair(spec, t)
-            assert is_psd(b - a, 1e-10).ok
+            got = inputs(digest("op-2.7-left", trial=t, dim=5, seed=6))
+            assert is_psd(got["B"] - got["A"], 1e-10).ok
 
     def test_ordered_pair_zero_gap(self):
-        spec = GenSpec(dim=4, seed=7)
-        a, b = gen_ordered_pair(spec, 0, w_law="explicit:0")
-        assert np.array_equal(a, b)
+        got = inputs(digest("op-2.7-left", seed=7, w_law="explicit:0"))
+        assert np.array_equal(got["A"], got["B"])
 
     def test_ordered_pair_custom_w_law(self):
-        spec = GenSpec(dim=3, seed=8)
-        a, b = gen_ordered_pair(spec, 0, w_law="explicit:1")
-        w = np.linalg.eigvalsh(b - a)
+        got = inputs(digest("op-2.7-left", dim=3, seed=8, w_law="explicit:1"))
+        w = np.linalg.eigvalsh(got["B"] - got["A"])
         assert np.allclose(w, 1.0, atol=1e-12)
 
     def test_pd_outputs_are_pd(self):
-        spec = GenSpec(dim=6, seed=10, complex_entries=True)
         for t in range(10):
-            m = gen_pd(spec, t)
-            assert np.allclose(m, m.conj().T)
-            assert np.linalg.eigvalsh(m).min() > 0
+            got = inputs(digest(trial=t, dim=6, seed=10, complex_entries=True))
+            for m in (got["A"], got["B"]):
+                assert np.allclose(m, m.conj().T)
+                assert np.linalg.eigvalsh(m).min() > 0
 
 
 class TestGeneral:
     def test_shape_and_dtype(self):
-        spec = GenSpec(dim=4, seed=11)
-        x = gen_general(spec, 0)
+        x = inputs(digest("hs-2.13", seed=11))["X"]
         assert x.shape == (4, 4) and x.dtype == np.float64
 
     def test_complex_unit_variance(self):
-        spec = GenSpec(dim=8, seed=12, complex_entries=True)
-        samples = np.concatenate([gen_general(spec, t).ravel() for t in range(200)])
+        samples = np.concatenate([
+            inputs(digest("hs-2.13", trial=t, dim=8, seed=12, complex_entries=True))["X"].ravel()
+            for t in range(200)])
         assert abs(np.mean(samples.real)) < 0.02
         assert abs(np.var(samples) - 1.0) < 0.05  # Re and Im each carry 1/2
 
     def test_real_moments(self):
-        spec = GenSpec(dim=8, seed=13)
-        samples = np.concatenate([gen_general(spec, t).ravel() for t in range(200)])
+        samples = np.concatenate([inputs(digest("hs-2.13", trial=t, dim=8, seed=13))["X"].ravel()
+                                  for t in range(200)])
         assert abs(np.mean(samples)) < 0.02
         assert abs(np.var(samples) - 1.0) < 0.05
