@@ -177,6 +177,8 @@ def cmd_scalar_sweep(args: argparse.Namespace) -> int:
                          "nu": None, "out": None})
     ids = runner.resolve_cases(_split_tokens(opts["case"]), ("scalar",))
     nus = scalar.NU_GRID_65 if opts["nu"] is None else (opts["nu"],)
+    for cid in ids:  # a given nu off a case's domain would check no point of it
+        runner.nu_grid_for(cid, opts["nu"])
     t0 = time.perf_counter()
     summaries = [runner.run_scalar_case(cid, nu_values=nus, tol=opts["tol"])
                  for cid in ids]
@@ -247,6 +249,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def _profile_scalar(ids: list[str], nus: list[float],
                     opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
     a, b = opts["a"], opts["b"]
+    scalar.check_pair(a, b)  # before sides(a, b, 0.5) counts the links
     cases = {cid: runner.CASES[cid].case for cid in ids}
     nlinks = {cid: len(case.sides(a, b, 0.5)) - 1 for cid, case in cases.items()}
     header = ["nu"]

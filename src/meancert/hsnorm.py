@@ -375,16 +375,14 @@ def _x_hypothesis(case: HsCase, X: np.ndarray, psd_tol: float, lenient: bool) ->
 
     The stack is checked at once.  If that fails, a violation raises
     DomainError unless ``lenient`` is set; then each X is judged as a stack
-    of one, as it is alone, and so is each X of a stack in which some
-    complex X have no imaginary part (alone, those decompose as real).
+    of one, as it is alone.
     """
     if case.x_kind != "pd":
         return [True] * len(X)
     try:
         xh = validate_hermitian(X)
-        if xh.dtype.kind != "c" or xh.imag.any(axis=(-2, -1)).all():
-            clamp_psd(np.linalg.eigvalsh(xh), psd_tol, "X")
-            return [True] * len(X)
+        clamp_psd(np.linalg.eigvalsh(xh), psd_tol, "X")
+        return [True] * len(X)
     except DomainError as exc:
         if not lenient:
             raise DomainError(

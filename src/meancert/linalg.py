@@ -10,8 +10,9 @@ Conventions
 -----------
 * A matrix is accepted as Hermitian when its asymmetry max|M - M*| stays
   below ``HERMITIAN_TOL * max(1, max|entry|)``; it is then replaced by its
-  Hermitian part (M + M*)/2.  Complex inputs whose imaginary part vanishes
-  exactly drop to float64 (real-symmetric fast path).
+  Hermitian part (M + M*)/2.  A matrix keeps the dtype it came in with: a
+  complex input stays complex even when its imaginary part is zero, and a
+  caller that wants the real path passes ``M.real``.
 * Fractional powers clamp eigenvalues in [-psd_tol * scale, 0) to zero,
   where scale = max(1, spectral norm).  Anything more negative is a domain
   error that names the offending eigenvalue.
@@ -33,16 +34,6 @@ PSD_TOL = 1e-9
 
 class DomainError(ValueError):
     """An input fell outside an operation's mathematical domain."""
-
-
-class MixedStack(Exception):
-    """A stack whose matrices fall to different dtypes (some real, some complex).
-
-    One matrix at a time, each keeps its own dtype through the arithmetic
-    that follows, and a real and a complex product round differently; so a
-    stack that would need both is refused, and its caller runs the matrices
-    as stacks of one.
-    """
 
 
 def _first(bad: np.ndarray) -> int:
@@ -88,8 +79,7 @@ def validate_hermitian(M) -> np.ndarray:
     matrix, and an error reports the first matrix that fails.  Asymmetry
     up to ``HERMITIAN_TOL * max(1, max|entry|)`` is folded away by the
     symmetrization; anything larger raises DomainError with the measured
-    asymmetry.  A complex result with exactly zero imaginary part is
-    returned as float64; a stack only when every matrix has none.
+    asymmetry.  The result has the dtype of ``M``.
     """
     M = np.asarray(M)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.size == 0:
@@ -109,10 +99,7 @@ def validate_hermitian(M) -> np.ndarray:
                 f"matrix is not Hermitian: max asymmetry {float(asym.flat[i]):.3e} "
                 f"exceeds {HERMITIAN_TOL:.1e} * {float(scale.flat[i]):.3e}"
             )
-    H = hermitianize(M)
-    if np.iscomplexobj(H) and not H.imag.any():
-        H = H.real.copy()
-    return H
+    return hermitianize(M)
 
 
 def eigh(M) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +214,8 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdCheck:
 
     Passes iff lam_min(M) >= -tol * max(1, ||M||_2).  The witness column
     attains lam_min whether or not the check passes, so failures ship a
-    concrete direction along which positivity breaks.  A witness is real
-    when its matrix is, also in a stack of real and complex matrices.
+    concrete direction along which positivity breaks.  A witness has the
+    dtype of its matrix.
     """
     p = Powers(M)
     n = p.dim
@@ -237,8 +224,6 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdCheck:
     scale = [max(1.0, abs(low), abs(top)) for low, top in zip(lam, w[:, -1].tolist())]
     ok = [low >= -tol * sc for low, sc in zip(lam, scale)]
     witness = list(p.eigenvectors.reshape(-1, n, n)[:, :, 0])
-    if p.real_rows is not None:
-        witness = [v.real if real else v for v, real in zip(witness, p.real_rows)]
     if p.eigenvalues.ndim == 1:
         return PsdCheck(ok[0], lam[0], scale[0], witness[0])
     return PsdCheck(ok, lam, scale, witness)
@@ -283,29 +268,12 @@ class Powers:
     consistent.  It holds the one LAPACK eigendecomposition call: eigh and
     mat_pow are one-off Powers.  Every operation acts on each matrix of a
     stack as it would on that matrix alone, bit for bit.
-
-    A complex stack in which some matrices have zero imaginary part keeps
-    their eigenpairs apart (``real_rows``) and decomposes them as real
-    matrices, as one matrix at a time would; it offers eigenpairs but no
-    powers (MixedStack).
     """
 
     def __init__(self, M, psd_tol: float = PSD_TOL):
         H = self.matrix = validate_hermitian(M)
-        self.real_rows = None
-        if H.ndim > 2 and H.dtype.kind == "c":
-            real = ~H.imag.any(axis=(-2, -1))
-            if real.any():
-                self.real_rows = real
         try:
-            if self.real_rows is None:
-                self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
-            else:
-                real = self.real_rows
-                self.eigenvalues = np.empty(H.shape[:-1])
-                self.eigenvectors = np.empty_like(H)
-                self.eigenvalues[real], self.eigenvectors[real] = np.linalg.eigh(H[real].real)
-                self.eigenvalues[~real], self.eigenvectors[~real] = np.linalg.eigh(H[~real])
+            self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
         except np.linalg.LinAlgError as exc:
             raise DomainError(
                 f"eigendecomposition failed for a {H.shape[-1]}x{H.shape[-1]} matrix "
@@ -341,8 +309,6 @@ class Powers:
             # 0^0 = 1 convention: M^0 is the identity even on PSD kernels.
             eye = np.eye(self.dim, dtype=self.matrix.dtype)
             return np.broadcast_to(eye, self.matrix.shape).copy()
-        if self.real_rows is not None:
-            raise MixedStack("a stack of real and complex matrices has no powers")
         wp = _pow_spectrum(self.eigenvalues, p, self.psd_tol)
         V = self.eigenvectors
         out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))

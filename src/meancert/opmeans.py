@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar
-from .linalg import (PSD_TOL, DomainError, MixedStack, Powers, col, each, hermitianize,
+from .linalg import (PSD_TOL, DomainError, Powers, col, each, hermitianize,
                      is_psd)
 from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight, find_case,
                      first_worst, heinz_weight, tail_weights)
@@ -110,8 +110,6 @@ class PairContext:
         g = hermitianize(ah @ self._x().pow_rows(nu) @ ah)
         lo, hi = (nu == 0.0)[:, None, None], (nu == 1.0)[:, None, None]
         if lo.any() or hi.any():  # those pairs take A or B exactly, as alone
-            if self.A.dtype != self.B.dtype:
-                raise MixedStack("a boundary weight would mix real and complex pairs")
             g = np.where(lo, self.A, np.where(hi, self.B, g))
         return g
 

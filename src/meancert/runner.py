@@ -24,7 +24,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from . import hsnorm, opmeans, scalar
-from .linalg import PSD_TOL, DomainError, MixedStack
+from .linalg import PSD_TOL, DomainError
 from .randgen import (DEFAULT_LAW, assemble, derive_seed, general_entries, orthonormalize,
                       parse_law, pd_draws, trial_rng)
 
@@ -34,6 +34,7 @@ CHUNK = 512
 STACK_BUDGET = 1 << 18
 DEFAULT_DIMS = (1, 2, 3, 5, 8)
 MAX_DIM = 1024  # a bound on what a digest or a flag may ask to allocate
+MAX_JOBS = 256  # a bound on the worker processes a flag may ask to start
 FAILURE_CAP = 10
 
 
@@ -132,22 +133,20 @@ class RunConfig:
         if not self.dims or any(not 1 <= d <= MAX_DIM for d in self.dims):
             raise DomainError(f"each dim must lie in 1..{MAX_DIM}, got {self.dims}")
         scalar.check_tol(self.tol)
-        if self.jobs < 1:
-            raise DomainError(f"jobs must be >= 1, got {self.jobs}")
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise DomainError(f"jobs must lie in 1..{MAX_JOBS}, got {self.jobs}")
         parse_law(self.law)
         if self.w_law is not None:
             parse_law(self.w_law)
 
 
 def nu_grid_for(case_id: str, nu: float | None) -> list[float]:
-    """Admissible nu values: the dyadic 33-grid restricted to the case domain."""
+    """Admissible nu values: the dyadic 33-grid restricted to the case domain,
+    or ``[nu]`` for a given nu, which ``Case.check_nu`` checks."""
     entry = case_entry(case_id)
     if nu is None:
         return list(entry.nu_grid)
-    if not entry.case.in_domain(nu):
-        raise DomainError(
-            f"nu={nu!r} is outside the domain {entry.case.nu_domain} of {case_id}"
-        )
+    entry.case.check_nu(nu)
     return [float(nu)]
 
 
@@ -419,7 +418,7 @@ def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
     digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
     try:
         records = _run_trials(entry, digests, cfg.tol, cfg.psd_tol)
-    except (DomainError, MixedStack):
+    except DomainError:
         # Run the chunk again one trial at a time, as replay runs a digest, so
         # the error is that of the first trial whose replay fails.
         records = []
@@ -442,7 +441,7 @@ def run_case(case_id: str, cfg: RunConfig,
     nu_grid_for(case_id, cfg.nu)  # fail fast on a bad --nu
     spans = [(s, min(s + CHUNK, cfg.trials)) for s in range(0, cfg.trials, CHUNK)]
     agg = _Agg()
-    if pool is not None and len(spans) > 1:
+    if pool is not None:
         futures = [pool.submit(_run_chunk, case_id, cfg, a, b) for a, b in spans]
         for fut in futures:
             agg.merge(fut.result())
@@ -473,8 +472,11 @@ def run_case(case_id: str, cfg: RunConfig,
 
 
 def run_matrix_suite(case_ids: list[str], cfg: RunConfig) -> list[dict[str, Any]]:
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # The pool starts all its workers on its first submit, so it gets no more
+    # than a case has chunks, and there is no pool for one chunk.
+    workers = min(cfg.jobs, -(-cfg.trials // CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return [run_case(cid, cfg, pool) for cid in case_ids]
     return [run_case(cid, cfg) for cid in case_ids]
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from meancert.report import (REPORT_SCHEMA, canonical_json, strip_volatile,
                              validate_report)
 from meancert import hsnorm, opmeans, scalar
 from meancert import runner
-from meancert.runner import (CASES, MAX_DIM, RunConfig, check_digest, make_digest,
+from meancert.runner import (CASES, MAX_DIM, MAX_JOBS, RunConfig, check_digest, make_digest,
                              nu_grid_for, replay_trial, resolve_cases, run_case)
 
 ALL_CASE_COUNT = 30  # 18 scalar + 8 operator + 4 hs
@@ -60,7 +61,8 @@ class TestRunner:
         grid = nu_grid_for("op-2.3", None)
         assert 0.0 not in grid and 1.0 in grid and len(grid) == 32
         assert nu_grid_for("op-2.10", None) == [k / 32 for k in range(33)]
-        with pytest.raises(DomainError, match="domain"):
+        with pytest.raises(DomainError,
+                           match=r"^case op-2\.3 requires nu in 0 < nu <= 1, got nu=0\.0$"):
             nu_grid_for("op-2.3", 0.0)
 
     def test_digest_round_trips_min_slack(self):
@@ -77,6 +79,32 @@ class TestRunner:
         s1 = run_matrix_suite(["op-2.3"], cfg1)
         s2 = run_matrix_suite(["op-2.3"], cfg2)
         assert canonical_json(s1) == canonical_json(s2)
+
+    @pytest.mark.parametrize("jobs, trials, workers", [
+        (2, 512, None), (MAX_JOBS, 600, 2), (2, 1100, 2), (4, 1100, 3),
+    ])
+    def test_pool_starts_a_worker_per_chunk_at_most(self, monkeypatch, jobs, trials, workers):
+        sizes = []
+
+        class Pool:  # records its size and runs each chunk in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(runner, "_run_chunk", lambda *a: runner._Agg())
+        runner.run_matrix_suite(["op-2.3", "hs-2.14"], RunConfig(trials=trials, jobs=jobs))
+        assert sizes == ([] if workers is None else [workers])
 
     def test_failure_digests_capped(self):
         cfg = RunConfig(trials=700, seed=0, nu=0.5)
@@ -318,8 +346,8 @@ class TestNonFinite:
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
-# settings that are not finite, or not a tolerance at all: each must exit 2 before
-# any trial or grid point runs, never give a verdict or a traceback
+# settings that are not finite, not a tolerance at all, or out of range: each must
+# exit 2 before any trial or grid point runs, never give a verdict or a traceback
 BAD_SETTINGS = {
     "matrix-tol-nan": (["matrix-verify", "--case", "op-2.3", "--tol", "nan", "--trials", "5"],
                        "tol must be a finite number > 0, got nan"),
@@ -331,6 +359,15 @@ BAD_SETTINGS = {
                       "nu=inf outside [0, 1]"),
     "scalar-nu-2": (["scalar-sweep", "--case", "young-1.1", "--nu", "2"],
                     "nu=2.0 outside [0, 1]"),
+    # a nu off one case's domain once checked no point of that case and passed it
+    "scalar-nu-off-domain": (["scalar-sweep", "--case", "km-1.3,new-2.1", "--nu", "0"],
+                             "case new-2.1 requires nu in 0 < nu <= 1 (vacuous at nu = 0), "
+                             "got nu=0.0"),
+    "matrix-nu-off-domain": (["matrix-verify", "--case", "op-2.3", "--nu", "0"],
+                             "case op-2.3 requires nu in 0 < nu <= 1, got nu=0.0"),
+    "matrix-jobs-over-max": (["matrix-verify", "--case", "op-2.3", "--trials", "600",
+                              "--jobs", "257"],
+                             "jobs must lie in 1..256, got 257"),
     "law-inf-hi": (["matrix-verify", "--case", "op-2.3", "--law", "log-uniform:1:inf"],
                    "log-uniform needs finite 0 < lo <= hi, got 'log-uniform:1:inf'"),
     "law-explicit-nan": (["matrix-verify", "--case", "hs-2.14", "--law", "explicit:nan"],
@@ -444,14 +481,15 @@ class TestMatrixVerifyVerb:
         assert case["failures"] == 0
 
     def test_jobs_byte_identity(self, tmp_path):
-        reps = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"rep{jobs}.json"
-            assert main(["matrix-verify", "--case", "op-2.5,hs-2.14",
-                         "--trials", "96", "--seed", "42", "--jobs", jobs,
-                         "--out", str(out)]) == 0
-            reps.append(strip_volatile(read_report(out)))
-        assert canonical_json(reps[0]) == canonical_json(reps[1])
+        for entries in ([], ["--complex"]):
+            reps = []
+            for jobs in ("1", "2"):  # 600 trials are two chunks, so jobs 2 runs a pool
+                out = tmp_path / f"rep{jobs}.json"
+                assert main(["matrix-verify", "--case", "op-2.5,hs-2.14",
+                             "--trials", "600", "--seed", "42", "--jobs", jobs,
+                             *entries, "--out", str(out)]) == 0
+                reps.append(strip_volatile(read_report(out)))
+            assert canonical_json(reps[0]) == canonical_json(reps[1])
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -574,6 +612,13 @@ class TestGapProfileVerb:
 
     def test_mixed_kinds_rejected(self, capsys):
         assert main(["gap-profile", "--case", "op-2.3,young-1.1"]) == 2
+
+    @pytest.mark.parametrize("case_id", [cid for cid, e in CASES.items() if e.kind == "scalar"])
+    @pytest.mark.parametrize("a, b", [("-1", "1"), ("1", "0")])
+    def test_non_positive_pair_exits_2(self, capsys, case_id, a, b):
+        assert main(["gap-profile", "--case", case_id, "--a", a, "--b", b]) == 2
+        assert capsys.readouterr().err == (
+            f"error: means need finite a, b > 0, got a={float(a)!r}, b={float(b)!r}\n")
 
     def test_requires_case(self, capsys):
         assert main(["gap-profile"]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meancert.linalg import (DomainError, MixedStack, Powers, clamp_psd, eigh, hermitianize,
+from meancert.linalg import (DomainError, Powers, clamp_psd, eigh, hermitianize,
                              hs_norm, is_psd, mat_pow, spectral_norm, validate_hermitian)
 
 
@@ -39,10 +39,6 @@ class TestValidateHermitian:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             validate_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_real_cast_for_zero_imag(self):
-        m = np.array([[2.0 + 0j, 1.0], [1.0, 2.0]])
-        assert not np.iscomplexobj(validate_hermitian(m))
 
     def test_complex_hermitian_kept(self):
         m = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
@@ -227,14 +223,20 @@ class TestStacks:
             clamp_psd(w, 1e-9, "B")
         assert str(stacked.value) == str(alone.value)
 
-    def test_real_and_complex_matrices_in_one_stack(self):
+    def test_zero_imaginary_matrix_keeps_complex_dtype(self):
         real = rand_pd(3, 41).astype(complex)  # complex dtype, zero imaginary part
         cplx = rand_pd(3, 42, complex_entries=True)
-        stack = np.stack([cplx, real])
-        res = is_psd(stack)
-        for i, m in enumerate((cplx, real)):
-            assert bits(res.witness[i]) == bits(is_psd(m).witness)
-        assert res.witness[1].dtype == np.float64
-        assert Powers(stack).pow(1.0) is not None
-        with pytest.raises(MixedStack):
-            Powers(stack).pow(0.5)
+        mats = (cplx, real)
+        stack = np.stack(mats)
+        assert validate_hermitian(stack).dtype == complex
+        assert validate_hermitian(real).dtype == complex
+        p = Powers(stack)
+        assert p.eigenvectors.dtype == complex
+        res, root = is_psd(stack), p.pow(0.5)
+        assert root.dtype == complex
+        for i, m in enumerate(mats):
+            one = is_psd(m)
+            assert one.witness.dtype == res.witness[i].dtype == complex
+            assert (res.ok[i], res.lam_min[i], res.scale[i]) == (one.ok, one.lam_min, one.scale)
+            assert bits(res.witness[i]) == bits(one.witness)
+            assert bits(root[i]) == bits(Powers(m).pow(0.5))
