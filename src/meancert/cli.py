@@ -22,8 +22,8 @@ import time
 from dataclasses import replace
 from typing import Any
 
-from . import __version__, opmeans, runner, scalar
-from .linalg import PSD_TOL, DomainError
+from . import __version__, runner, scalar
+from .linalg import CERT_PSD_TOL, PSD_TOL, DomainError
 from .randgen import DEFAULT_LAW
 from .report import build_report, canonical_json
 
@@ -153,22 +153,22 @@ def _finish(path: str | None, command: str, config: dict[str, Any],
 def cmd_list(args: argparse.Namespace) -> int:
     opts = _merge(args, {"kind": "all", "format": "text"})
     kind = opts["kind"]
-    rows = [(cid, e.kind, e.case) for cid, e in runner.CASES.items()
-            if kind in ("all", e.kind)]
+    cases = [case for case in runner.CASES.values() if kind in ("all", case.kind)]
     if opts["format"] == "json":
         payload = [{
-            "case": cid,
-            "kind": k,
+            "case": case.case_id,
+            "kind": case.kind,
             "nu_domain": case.nu_domain,
             "links": list(getattr(case, "links", ())),
             "formula": case.formula,
             "description": case.description,
-        } for cid, k, case in rows]
+        } for case in cases]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    for cid, k, case in rows:
+    for case in cases:
         links = ",".join(getattr(case, "links", ())) or "-"
-        print(f"{cid:<16}{k:<10}{case.nu_domain:<20}links={links:<28}{case.description}")
+        print(f"{case.case_id:<16}{case.kind:<10}{case.nu_domain:<19} "
+              f"links={links:<28}{case.description}")
     return 0
 
 
@@ -193,7 +193,7 @@ def cmd_scalar_sweep(args: argparse.Namespace) -> int:
 def cmd_matrix_verify(args: argparse.Namespace) -> int:
     opts = _merge(args, {
         "case": None, "trials": 10000, "seed": 0, "dim": None,
-        "tol": opmeans.CERT_PSD_TOL, "law": DEFAULT_LAW,
+        "tol": CERT_PSD_TOL, "law": DEFAULT_LAW,
         "w_law": None, "nu": None, "complex": False, "lenient_x": False,
         "jobs": 1, "out": None,
     })
@@ -250,7 +250,7 @@ def _profile_scalar(ids: list[str], nus: list[float],
                     opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
     a, b = opts["a"], opts["b"]
     scalar.check_pair(a, b)  # before sides(a, b, 0.5) counts the links
-    cases = {cid: runner.CASES[cid].case for cid in ids}
+    cases = {cid: runner.CASES[cid] for cid in ids}
     nlinks = {cid: len(case.sides(a, b, 0.5)) - 1 for cid, case in cases.items()}
     header = ["nu"]
     for cid in ids:
@@ -295,20 +295,20 @@ def _profile_matrix(ids: list[str], nus: list[float],
     header = ["nu"]
     cfg = runner.RunConfig(trials=1, seed=opts["seed"], dims=(opts["dim"],), law=opts["law"])
     for cid in ids:
-        header.extend(f"{cid}:{name}" for name in runner.CASES[cid].case.links)
+        header.extend(f"{cid}:{name}" for name in runner.CASES[cid].links)
     rows = []
     notes = [f"inputs: dim={opts['dim']} seed={opts['seed']} "
              f"law={opts['law']} trial=0"]
     for nu in nus:
         row: list[Any] = [nu]
         for cid in ids:
-            entry = runner.CASES[cid]
-            if not entry.case.in_domain(nu):
-                row.extend([""] * len(entry.case.links))
+            case = runner.CASES[cid]
+            if not case.in_domain(nu):
+                row.extend([""] * len(case.links))
                 continue
             digest = runner.make_digest(cid, replace(cfg, nu=nu), 0)
-            rec = runner.run_trial(digest, opmeans.CERT_PSD_TOL, PSD_TOL)
-            if entry.kind == "operator":
+            rec = runner.run_trial(digest, CERT_PSD_TOL, PSD_TOL)
+            if case.kind == "operator":
                 row.extend(lc.slack for lc in rec.links)
             else:
                 row.extend(rec.slacks)

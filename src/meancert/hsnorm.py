@@ -19,16 +19,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
-from .linalg import (PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms, power_rows,
-                     validate_hermitian)
+from .linalg import (CERT_PSD_TOL, PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
+                     power_rows, validate_hermitian)
 from .scalar import (Case, check_unit, cubic_weight, find_case, heinz_weight,
                      judge_chain, require_finite, tail_weights)
 
-CERT_HS_TOL = 1e-8
 ORACLE_TOL = 1e-10
 
 
@@ -189,6 +188,8 @@ class HsCase(Case):
     a stack.
     """
 
+    kind: ClassVar[str] = "hs"
+    structure: ClassVar[str] = "general-pd"  # how a trial draws (A, B), as for an operator case
     x_kind: str  # "general" or "pd"
     links: tuple[str, ...]
     sides: Callable[[HsContext, Any], tuple[np.ndarray, ...]]
@@ -288,8 +289,6 @@ def _oracle_thm8(la, mu, y2, nu):
 
 
 def _build_registry() -> tuple[HsCase, ...]:
-    full = lambda nu: 0.0 <= nu <= 1.0
-    pos = lambda nu: 0.0 < nu <= 1.0
     return (
         HsCase(
             "hs-2.13",
@@ -297,7 +296,6 @@ def _build_registry() -> tuple[HsCase, ...]:
             "||v^2 (v-2)(AX + XB)||_2 <= ||v^(v-2) Hb_v(A, X, B) - 4 A^(1/2) X B^(1/2)||_2 "
             "<= v^(v-2) ||Hb_v||_2 + 4 ||A^(1/2) X B^(1/2)||_2",
             "0 < nu <= 1",
-            pos,
             "general",
             ("hinge", "triangle"),
             _sides_213,
@@ -309,7 +307,6 @@ def _build_registry() -> tuple[HsCase, ...]:
             "||Hb_v(A, X, B) + v(1-v) alpha (A^2 X + X B^2 - 2 A X B)||_2 <= ||A X + X B||_2, "
             "alpha = min(1/||A||, 1/||B||)",
             "0 <= nu <= 1",
-            full,
             "pd",
             ("main",),
             _sides_214,
@@ -321,7 +318,6 @@ def _build_registry() -> tuple[HsCase, ...]:
             "||Hb_v||_2 <= sqrt(||Hb_v||_2^2 + c^2 ||D||_2^2) <= ||Hb_v + c D||_2 "
             "<= ||A X + X B||_2,  c = v(1-v) alpha,  D = A^2 X + X B^2 - 2 A X B",
             "0 <= nu <= 1",
-            full,
             "pd",
             ("monotone", "cross-term", "final"),
             _sides_cor,
@@ -333,7 +329,6 @@ def _build_registry() -> tuple[HsCase, ...]:
             "||r^(2r) Hb_v/2 + (2r-1)(AX + XB)/2||_2 <= 2 r^2 ||A^(1/2) X B^(1/2)||_2 "
             "<= 2 R^2 ||A^(1/2) X B^(1/2)||_2 <= ||R^(2R) Hb_v/2 + (2R-1)(AX + XB)/2||_2",
             "0 <= nu <= 1",
-            full,
             "general",
             ("lower", "middle", "upper"),
             _sides_thm8,
@@ -399,7 +394,7 @@ def _rows(sides) -> list[tuple[float, ...]]:
 
 
 def certify_hs(case: HsCase, A, B, X, nu,
-               tol: float = CERT_HS_TOL,
+               tol: float = CERT_PSD_TOL,
                psd_tol: float = PSD_TOL,
                lenient: bool = False,
                oracle=None):

@@ -30,6 +30,9 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-8
 PSD_TOL = 1e-9
+# the default tol of every certification: a Loewner gap's relative lam_min and a
+# norm chain's normalized slack must each be >= -CERT_PSD_TOL
+CERT_PSD_TOL = 1e-8
 
 
 class DomainError(ValueError):

@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from . import scalar
-from .linalg import (PSD_TOL, DomainError, Powers, col, each, hermitianize,
-                     is_psd)
+from .linalg import (CERT_PSD_TOL, PSD_TOL, DomainError, Powers, col, each,
+                     hermitianize, is_psd)
 from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight, find_case,
                      first_worst, heinz_weight, tail_weights)
-
-CERT_PSD_TOL = 1e-8
 
 
 def _unit(name: str, t):
@@ -113,11 +111,6 @@ class PairContext:
             g = np.where(lo, self.A, np.where(hi, self.B, g))
         return g
 
-    def harmonic(self, nu=0.5) -> np.ndarray:
-        w = col(_unit("nu", nu))
-        blend = Powers((1.0 - w) * self.pa.pow(-1.0) + w * self.pb.pow(-1.0), self.psd_tol)
-        return blend.pow(-1.0)
-
     def heinz(self, nu) -> np.ndarray:
         """Heinz mean (geom(nu) + geom(1-nu)) / 2, symmetric in nu <-> 1-nu."""
         nu = _unit("nu", nu)
@@ -147,11 +140,6 @@ def geom(A, B, nu: float = 0.5) -> np.ndarray:
     return PairContext(A, B).geom(nu)
 
 
-def harmonic(A, B, nu: float = 0.5) -> np.ndarray:
-    """Weighted harmonic mean ((1-nu) A^(-1) + nu B^(-1))^(-1)."""
-    return PairContext(A, B).harmonic(nu)
-
-
 @dataclass(frozen=True)
 class OperatorCase(Case):
     """One Loewner chain: gaps(ctx, nu) yields RHS - LHS per link, all PSD when true.
@@ -159,7 +147,11 @@ class OperatorCase(Case):
     nu is a float, or one weight per pair of a stacked context.
     """
 
+    kind: ClassVar[str] = "operator"
     requires_ordered: bool
+    # how a trial draws (A, B): "ordered-pair" (B = A + W, W drawn from its own
+    # law) or "general-pd" (A and B drawn alike)
+    structure: str
     links: tuple[str, ...]
     gaps: Callable[[PairContext, float], tuple[np.ndarray, ...]]
     # scalar restatement of each link's gap at a commuting eigenvalue pair
@@ -259,16 +251,14 @@ def _scalar_cells(case_id: str, swap: bool = False):
 
 
 def _build_registry() -> tuple[OperatorCase, ...]:
-    full = lambda nu: 0.0 <= nu <= 1.0
-    pos = lambda nu: 0.0 < nu <= 1.0
     return (
         OperatorCase(
             "op-2.3",
             "cubic-weight lower bound on the scaled Heinz mean",
             "v^2 (v-2) (A nabla B) + 2 (A # B) <= v^(v-2) H_v(A, B)",
             "0 < nu <= 1",
-            pos,
             False,
+            "general-pd",
             ("main",),
             _gaps_23,
             _cells_23,
@@ -278,8 +268,8 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "cubic-weight bound against the rescaled geometric mean, weight on A",
             "(1 - v^2 + v^3) A + (1 - v^2) B <= v^(v-2) (A #_{1-v} B) + A + B - 2 (A # B)",
             "0 < nu <= 1",
-            pos,
             False,
+            "general-pd",
             ("main",),
             _gaps_25,
             _scalar_cells("new-2.1"),
@@ -289,8 +279,8 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "cubic-weight bound against the rescaled geometric mean, weight on B",
             "(1 - v^2 + v^3) B + (1 - v^2) A <= v^(v-2) (A #_v B) + A + B - 2 (A # B)",
             "0 < nu <= 1",
-            pos,
             False,
+            "general-pd",
             ("main",),
             _gaps_26,
             _scalar_cells("new-2.1", swap=True),
@@ -300,8 +290,8 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "corrected lower Heinz bound on an ordered pair",
             "H_v(A, B) + v(1-v)/2 (B - 2A + A B^(-1) A) <= A nabla B,  for A <= B",
             "0 <= nu <= 1",
-            full,
             True,
+            "ordered-pair",
             ("main",),
             _gaps_27_left,
             _cells_27_left,
@@ -311,8 +301,8 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "corrected upper Heinz bound on an ordered pair",
             "A nabla B <= H_v(A, B) + v(1-v)/2 (A - 2B + B A^(-1) B),  for A <= B",
             "0 <= nu <= 1",
-            full,
             True,
+            "ordered-pair",
             ("main",),
             _gaps_27_right,
             _cells_27_right,
@@ -322,8 +312,8 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "positivity of the Heinz correction term and the implied Heinz bound",
             "0 <= B - 2A + A B^(-1) A  and  H_v(A, B) <= A nabla B",
             "0 <= nu <= 1",
-            full,
             False,
+            "ordered-pair",  # the population of op-2.7-left and -right, to compare
             ("correction", "heinz"),
             _gaps_27_refine,
             _cells_27_refine,
@@ -334,8 +324,8 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "r^(2r) H_v + (2r-1)(A nabla B) <= 2 r^2 (A # B) <= 2 R^2 (A # B) "
             "<= R^(2R) H_v + (2R-1)(A nabla B)",
             "0 <= nu <= 1",
-            full,
             False,
+            "general-pd",
             ("lower", "middle", "upper"),
             _gaps_210,
             _scalar_cells("comb-2.12"),
@@ -345,8 +335,8 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "Heinz mean dominated by the Heron mean at the matched weight",
             "H_v(A, B) <= F_{alpha(v)}(A, B),  alpha(v) = 1 - 4(v - v^2)",
             "0 <= nu <= 1",
-            full,
             False,
+            "general-pd",
             ("main",),
             _gaps_heron_zhao,
             _scalar_cells("bhatia-heron"),

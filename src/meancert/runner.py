@@ -24,7 +24,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from . import hsnorm, opmeans, scalar
-from .linalg import PSD_TOL, DomainError
+from .linalg import CERT_PSD_TOL, PSD_TOL, DomainError
 from .randgen import (DEFAULT_LAW, assemble, derive_seed, general_entries, orthonormalize,
                       parse_law, pd_draws, trial_rng)
 
@@ -38,39 +38,16 @@ MAX_JOBS = 256  # a bound on the worker processes a flag may ask to start
 FAILURE_CAP = 10
 
 
-@dataclass(frozen=True)
-class CaseEntry:
-    """One row of the case table."""
-
-    kind: str  # "scalar", "operator" or "hs"
-    case: scalar.Case  # the ScalarCase, OperatorCase or HsCase
-    structure: str | None  # how matrix trials draw (A, B): "general-pd" or "ordered-pair"
-    nu_grid: tuple[float, ...]  # the dyadic 33-grid restricted to the case domain
-
-
-def _build_table() -> dict[str, CaseEntry]:
-    table = {}
-    for kind, module in (("scalar", scalar), ("operator", opmeans), ("hs", hsnorm)):
-        for case in sorted(module.registry(), key=lambda c: c.case_id):
-            grid = tuple(g for g in scalar.NU_GRID_33 if case.in_domain(g))
-            structure = None
-            if kind != "scalar":
-                # Ordered pairs are generated for every op-2.7 variant: the left/right
-                # laws require A <= B, and the refinement is evaluated on the same
-                # population for comparability.
-                ordered = case.case_id.startswith("op-2.7")
-                structure = "ordered-pair" if ordered else "general-pd"
-            table[case.case_id] = CaseEntry(kind, case, structure, grid)
-    return table
-
-
 # every registered case by id: scalar, then operator, then hs, each sorted by id
-CASES = _build_table()
+CASES: dict[str, scalar.Case] = {
+    case.case_id: case for module in (scalar, opmeans, hsnorm)
+    for case in sorted(module.registry(), key=lambda c: c.case_id)
+}
 _KIND_TOKENS = {"scalar": "scalar", "op": "operator", "operator": "operator", "hs": "hs"}
 
 
-def case_entry(case_id: str) -> CaseEntry:
-    """The table row of ``case_id``; DomainError listing the known ids."""
+def case_by_id(case_id: str) -> scalar.Case:
+    """The registered case ``case_id``, of any kind; DomainError listing the known ids."""
     try:
         return CASES[case_id]
     except KeyError:
@@ -86,7 +63,7 @@ def resolve_cases(tokens: list[str] | None, kinds: tuple[str, ...]) -> list[str]
     the wrong kind is an error rather than a silent skip.
     """
     def pool(kind):
-        return [cid for cid, entry in CASES.items() if entry.kind == kind]
+        return [cid for cid, case in CASES.items() if case.kind == kind]
 
     allowed = [cid for k in kinds for cid in pool(k)]
     if not tokens or tokens == ["all"]:
@@ -96,7 +73,7 @@ def resolve_cases(tokens: list[str] | None, kinds: tuple[str, ...]) -> list[str]
         if tok == "all":
             out.extend(allowed)
             continue
-        kind = _KIND_TOKENS.get(tok) or case_entry(tok).kind
+        kind = _KIND_TOKENS.get(tok) or case_by_id(tok).kind
         if kind not in kinds:
             raise DomainError(
                 f"case {tok!r} is of kind {kind}; this command handles "
@@ -119,7 +96,7 @@ class RunConfig:
     law: str = DEFAULT_LAW
     w_law: str | None = None
     nu: float | None = None
-    tol: float = opmeans.CERT_PSD_TOL
+    tol: float = CERT_PSD_TOL
     psd_tol: ClassVar[float] = PSD_TOL  # not a field, as no digest records it
     complex_entries: bool = False
     lenient_x: bool = False
@@ -143,22 +120,22 @@ class RunConfig:
 def nu_grid_for(case_id: str, nu: float | None) -> list[float]:
     """Admissible nu values: the dyadic 33-grid restricted to the case domain,
     or ``[nu]`` for a given nu, which ``Case.check_nu`` checks."""
-    entry = case_entry(case_id)
+    case = case_by_id(case_id)
     if nu is None:
-        return list(entry.nu_grid)
-    entry.case.check_nu(nu)
+        return list(case.nu_grid)
+    case.check_nu(nu)
     return [float(nu)]
 
 
 def make_digest(case_id: str, cfg: RunConfig, trial: int) -> dict[str, Any]:
-    entry = case_entry(case_id)
-    grid = entry.nu_grid if cfg.nu is None else nu_grid_for(case_id, cfg.nu)
+    case = case_by_id(case_id)
+    grid = case.nu_grid if cfg.nu is None else nu_grid_for(case_id, cfg.nu)
     dim = cfg.dims[trial % len(cfg.dims)]
     nu = grid[trial % len(grid)]
     digest: dict[str, Any] = {
         "case": case_id,
-        "kind": entry.kind,
-        "structure": entry.structure,
+        "kind": case.kind,
+        "structure": case.structure,
         "dim": int(dim),
         "law": cfg.law,
         "seed": int(cfg.seed),
@@ -166,26 +143,26 @@ def make_digest(case_id: str, cfg: RunConfig, trial: int) -> dict[str, Any]:
         "nu": float(nu),
         "complex": bool(cfg.complex_entries),
     }
-    if entry.structure == "ordered-pair":
+    if case.structure == "ordered-pair":
         digest["w_law"] = cfg.w_law or cfg.law
-    if entry.kind == "hs":
-        digest["x_kind"] = "general" if cfg.lenient_x else entry.case.x_kind
+    if case.kind == "hs":
+        digest["x_kind"] = "general" if cfg.lenient_x else case.x_kind
     return digest
 
 
 def scalar_digest(case_id: str, a: float, b: float, nu: float) -> dict[str, Any]:
     """The digest of one scalar grid point; DomainError off the case's domain."""
     scalar.check_pair(a, b)
-    case_entry(case_id).case.check_nu(nu)
+    case_by_id(case_id).check_nu(nu)
     return {"case": case_id, "kind": "scalar", "a": float(a), "b": float(b), "nu": float(nu)}
 
 
 # each case's digest keys, and the type its writer gives each value
 _DIGEST_TYPES = {
     cid: {key: type(value) for key, value in (
-        scalar_digest(cid, 1.0, 1.0, entry.nu_grid[0]) if entry.kind == "scalar"
+        scalar_digest(cid, 1.0, 1.0, case.nu_grid[0]) if case.kind == "scalar"
         else make_digest(cid, RunConfig(), 0)).items()}
-    for cid, entry in CASES.items()
+    for cid, case in CASES.items()
 }
 
 
@@ -200,7 +177,7 @@ def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     case_id = digest.get("case")
     if type(case_id) is not str:
         raise DomainError(f"digest field 'case' must hold a case id string, got {case_id!r}")
-    entry = case_entry(case_id)
+    kind = case_by_id(case_id).kind
     types = _DIGEST_TYPES[case_id]
     for key, want in types.items():
         if key not in digest:
@@ -212,7 +189,7 @@ def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     unknown = sorted(set(digest).difference(types))
     if unknown:
         raise DomainError(f"digest has unknown field(s) {', '.join(map(repr, unknown))}")
-    if entry.kind == "scalar":
+    if kind == "scalar":
         rewrite = scalar_digest(case_id, digest["a"], digest["b"], digest["nu"])
     else:
         cfg = RunConfig(trials=digest["trial"] + 1, seed=digest["seed"],
@@ -299,26 +276,26 @@ def inputs(digest: dict[str, Any]) -> dict[str, Any]:
 # A result past the range of floats is a DomainError (a matrix or a chain side
 # that is not finite), never a verdict; numpy need not warn on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def _certify(entry: CaseEntry, digests: list[dict[str, Any]],
+def _certify(case: scalar.Case, digests: list[dict[str, Any]],
              draws: list[list[np.ndarray]], tol: float, psd_tol: float) -> list:
     """Trial records of a stack of trials of one case and dim, certified in one call."""
     inputs = build_inputs(digests, draws)
-    if entry.kind == "operator":
-        return opmeans.certify_operator(entry.case, inputs["A"], inputs["B"], inputs["nu"],
+    if case.kind == "operator":
+        return opmeans.certify_operator(case, inputs["A"], inputs["B"], inputs["nu"],
                                         tol=tol, psd_tol=psd_tol)
-    lenient = digests[0]["x_kind"] != entry.case.x_kind
-    return hsnorm.certify_hs(entry.case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
+    lenient = digests[0]["x_kind"] != case.x_kind
+    return hsnorm.certify_hs(case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
                              tol=tol, psd_tol=psd_tol, lenient=lenient,
                              oracle=inputs.get("oracle"))
 
 
 def run_trial(digest: dict[str, Any], tol: float, psd_tol: float):
     """Evaluate one trial, as a stack of one; returns the module-level trial record."""
-    return _certify(case_entry(digest["case"]), [digest], [draw_trial(digest)],
+    return _certify(case_by_id(digest["case"]), [digest], [draw_trial(digest)],
                     tol, psd_tol)[0]
 
 
-def _run_trials(entry: CaseEntry, digests: list[dict[str, Any]], tol: float,
+def _run_trials(case: scalar.Case, digests: list[dict[str, Any]], tol: float,
                 psd_tol: float) -> list:
     """Records of the trials of ``digests``, certified as stacks.
 
@@ -331,7 +308,7 @@ def _run_trials(entry: CaseEntry, digests: list[dict[str, Any]], tol: float,
     stacks: dict[int, list[int]] = {}
 
     def certify(rows: list[int]) -> None:
-        got = _certify(entry, [digests[i] for i in rows], [draws.pop(i) for i in rows],
+        got = _certify(case, [digests[i] for i in rows], [draws.pop(i) for i in rows],
                        tol, psd_tol)
         for i, rec in zip(rows, got):
             records[i] = rec
@@ -414,10 +391,10 @@ class _Agg:
 
 
 def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
-    entry = case_entry(case_id)
+    case = case_by_id(case_id)
     digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
     try:
-        records = _run_trials(entry, digests, cfg.tol, cfg.psd_tol)
+        records = _run_trials(case, digests, cfg.tol, cfg.psd_tol)
     except DomainError:
         # Run the chunk again one trial at a time, as replay runs a digest, so
         # the error is that of the first trial whose replay fails.
@@ -430,14 +407,14 @@ def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
                                   f"digest: {json.dumps(digest, sort_keys=True)}") from exc
     agg = _Agg()
     for t, (digest, rec) in enumerate(zip(digests, records), start):
-        agg.fold_trial(digest, t, rec, entry.kind)
+        agg.fold_trial(digest, t, rec, case.kind)
     return agg
 
 
 def run_case(case_id: str, cfg: RunConfig,
              pool: ProcessPoolExecutor | None = None) -> dict[str, Any]:
     """Sweep one case; aggregate is independent of the worker count."""
-    entry = case_entry(case_id)
+    case = case_by_id(case_id)
     nu_grid_for(case_id, cfg.nu)  # fail fast on a bad --nu
     spans = [(s, min(s + CHUNK, cfg.trials)) for s in range(0, cfg.trials, CHUNK)]
     agg = _Agg()
@@ -452,8 +429,8 @@ def run_case(case_id: str, cfg: RunConfig,
     passed = agg.failures == 0 and agg.oracle_violations == 0
     summary: dict[str, Any] = {
         "case": case_id,
-        "kind": entry.kind,
-        "links": list(entry.case.links),
+        "kind": case.kind,
+        "links": list(case.links),
         "trials": agg.trials,
         "asserted": asserted,
         "passes": agg.passes,
@@ -463,7 +440,7 @@ def run_case(case_id: str, cfg: RunConfig,
         "argmin": agg.argmin_digest,
         "failure_digests": agg.failure_digests,
     }
-    if entry.kind == "hs":
+    if case.kind == "hs":
         summary["oracle_max_rel_err"] = agg.oracle_max_rel_err
         summary["oracle_violations"] = agg.oracle_violations
         summary["advisory_trials"] = agg.advisory_trials
@@ -541,9 +518,9 @@ def replay_trial(digest: dict[str, Any], tol: float | None = None) -> dict[str, 
     digest = check_digest(digest)
     if tol is not None:
         scalar.check_tol(tol)
-    entry = CASES[digest["case"]]
-    if entry.kind == "scalar":
-        trial = scalar.evaluate(entry.case, digest["a"], digest["b"], digest["nu"],
+    case = CASES[digest["case"]]
+    if case.kind == "scalar":
+        trial = scalar.evaluate(case, digest["a"], digest["b"], digest["nu"],
                                 tol=tol if tol is not None else scalar.SCALAR_TOL)
         return {
             "digest": digest,
@@ -552,11 +529,11 @@ def replay_trial(digest: dict[str, Any], tol: float | None = None) -> dict[str, 
             "slacks": list(trial.slacks),
             "min_slack": trial.min_slack,
         }
-    use_tol = tol if tol is not None else opmeans.CERT_PSD_TOL
+    use_tol = tol if tol is not None else CERT_PSD_TOL
     rec = run_trial(digest, use_tol, PSD_TOL)
     out: dict[str, Any] = {"digest": digest, "passed": rec.passed,
                            "min_slack": rec.min_slack, "worst_link": rec.worst_link}
-    if entry.kind == "operator":
+    if case.kind == "operator":
         out["links"] = [{"name": lc.name, "lam_min": lc.lam_min, "scale": lc.scale,
                          "slack": lc.slack, "ok": lc.ok} for lc in rec.links]
         out["witness"] = _jsonable(rec.witness)

@@ -17,8 +17,11 @@ weights like r**(2r) extend continuously to r = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import operator
+import re
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, ClassVar, Sequence
 
 from .linalg import DomainError
 
@@ -115,15 +118,43 @@ def _sq(a: float, b: float) -> float:
     return (math.sqrt(a) - math.sqrt(b)) ** 2
 
 
+# the leading "lo op nu op hi" of a domain label: op is < or <=, a bound is n or n/m
+_DOMAIN = re.compile(r"(\d+(?:/\d+)?) (<=?) nu (<=?) (\d+(?:/\d+)?)(?: |$)")
+_COMPARE = {"<": operator.lt, "<=": operator.le}
+
+
 @dataclass(frozen=True)
 class Case:
-    """What every registered chain states, whatever its kind."""
+    """What every registered chain states, whatever its kind.
 
+    ``nu_domain`` is the chain's hypothesis on nu, and the only place it is
+    written: its leading ``lo op nu op hi`` defines ``in_domain`` and
+    ``nu_grid``, the dyadic 33-grid restricted to the domain.  A label
+    outside that grammar raises ValueError when the case is built.
+    """
+
+    kind: ClassVar[str]  # "scalar", "operator" or "hs"
     case_id: str
     description: str
     formula: str
     nu_domain: str
-    in_domain: Callable[[float], bool]
+    _bounds: tuple = field(init=False, repr=False, compare=False)
+    nu_grid: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = _DOMAIN.match(self.nu_domain)
+        if m is None:
+            raise ValueError(f"case {self.case_id}: domain {self.nu_domain!r} does not start "
+                             "with 'lo op nu op hi' (op < or <=, each bound n or n/m)")
+        lo, lo_op, hi_op, hi = m.groups()
+        bounds = (float(Fraction(lo)), _COMPARE[lo_op], _COMPARE[hi_op], float(Fraction(hi)))
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "nu_grid", tuple(v for v in NU_GRID_33 if self.in_domain(v)))
+
+    def in_domain(self, nu: float) -> bool:
+        """Whether nu satisfies the ``lo op nu op hi`` of ``nu_domain``."""
+        lo, lo_op, hi_op, hi = self._bounds
+        return lo_op(lo, nu) and hi_op(nu, hi)
 
     def check_nu(self, nu: float) -> None:
         """Reject nu outside [0, 1] or outside the case's domain."""
@@ -138,6 +169,7 @@ class Case:
 class ScalarCase(Case):
     """One scalar inequality chain: sides(a, b, nu) must be nondecreasing."""
 
+    kind: ClassVar[str] = "scalar"
     sides: Callable[[float, float, float], tuple[float, ...]]
 
 
@@ -217,14 +249,12 @@ def _sides_comb212(a, b, nu):
 
 
 def _build_registry() -> tuple[ScalarCase, ...]:
-    full = lambda nu: 0.0 <= nu <= 1.0
     cases = [
         ScalarCase(
             "young-1.1",
             "weighted arithmetic-geometric mean inequality",
             "a^v b^(1-v) <= v a + (1-v) b",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (weighted_geom(a, b, v), weighted_arith(a, b, v)),
         ),
         ScalarCase(
@@ -232,7 +262,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "refined Young lower bound with square-root difference correction",
             "a^v b^(1-v) + r0 (sqrt(a)-sqrt(b))^2 <= v a + (1-v) b,  r0 = min(v, 1-v)",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (
                 weighted_geom(a, b, v) + _r0(v) * _sq(a, b),
                 weighted_arith(a, b, v),
@@ -243,7 +272,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "reversed Young bound with square-root difference correction",
             "v a + (1-v) b <= a^v b^(1-v) + R0 (sqrt(a)-sqrt(b))^2,  R0 = max(v, 1-v)",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (
                 weighted_arith(a, b, v),
                 weighted_geom(a, b, v) + _R0(v) * _sq(a, b),
@@ -255,7 +283,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "a^(1-v) b^v + v (sqrt(a)-sqrt(b))^2 + r1 ((ab)^(1/4)-sqrt(a))^2 <= (1-v) a + v b "
             "<= a^(1-v) b^v + (1-v) (sqrt(a)-sqrt(b))^2 - r1 ((ab)^(1/4)-sqrt(b))^2,  r1 = min(2v, 1-2v)",
             "0 < nu <= 1/2",
-            lambda nu: 0.0 < nu <= 0.5,
             _sides_zw15,
         ),
         ScalarCase(
@@ -264,7 +291,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "a^(1-v) b^v + (1-v) (sqrt(a)-sqrt(b))^2 + r1 ((ab)^(1/4)-sqrt(b))^2 <= (1-v) a + v b "
             "<= a^(1-v) b^v + v (sqrt(a)-sqrt(b))^2 - r1 ((ab)^(1/4)-sqrt(a))^2,  r1 = min(2-2v, 2v-1)",
             "1/2 < nu < 1",
-            lambda nu: 0.5 < nu < 1.0,
             _sides_zw16,
         ),
         ScalarCase(
@@ -272,7 +298,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "squared-weight Young refinement, lower weight range",
             "(v^2 a)^v b^(1-v) + v^2 (sqrt(a)-sqrt(b))^2 <= v^2 a + (1-v)^2 b",
             "0 <= nu <= 1/2",
-            lambda nu: 0.0 <= nu <= 0.5,
             lambda a, b, v: (
                 (v * v * a) ** v * b ** (1.0 - v) + v * v * _sq(a, b),
                 v * v * a + (1.0 - v) ** 2 * b,
@@ -283,7 +308,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "squared-weight Young refinement, upper weight range",
             "a^v ((1-v)^2 b)^(1-v) + (1-v)^2 (sqrt(a)-sqrt(b))^2 <= v^2 a + (1-v)^2 b",
             "1/2 <= nu <= 1",
-            lambda nu: 0.5 <= nu <= 1.0,
             lambda a, b, v: (
                 a ** v * ((1.0 - v) ** 2 * b) ** (1.0 - v) + (1.0 - v) ** 2 * _sq(a, b),
                 v * v * a + (1.0 - v) ** 2 * b,
@@ -294,7 +318,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "reversed squared-weight Young bound, upper weight range",
             "v^2 a + (1-v)^2 b <= v^2 (sqrt(a)-sqrt(b))^2 + (v^2 a)^v b^(1-v)",
             "1/2 <= nu <= 1",
-            lambda nu: 0.5 <= nu <= 1.0,
             lambda a, b, v: (
                 v * v * a + (1.0 - v) ** 2 * b,
                 v * v * _sq(a, b) + (v * v * a) ** v * b ** (1.0 - v),
@@ -305,7 +328,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "reversed squared-weight Young bound, lower weight range",
             "v^2 a + (1-v)^2 b <= (1-v)^2 (sqrt(a)-sqrt(b))^2 + a^v ((1-v)^2 b)^(1-v)",
             "0 <= nu <= 1/2",
-            lambda nu: 0.0 <= nu <= 0.5,
             lambda a, b, v: (
                 v * v * a + (1.0 - v) ** 2 * b,
                 (1.0 - v) ** 2 * _sq(a, b) + a ** v * ((1.0 - v) ** 2 * b) ** (1.0 - v),
@@ -317,7 +339,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "a^v b^(1-v) + v(1-v)(a-b)^2/(2 max(a,b)) <= v a + (1-v) b "
             "<= a^v b^(1-v) + v(1-v)(a-b)^2/(2 min(a,b))",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (
                 weighted_geom(a, b, v) + v * (1.0 - v) * (a - b) ** 2 / (2.0 * max(a, b)),
                 weighted_arith(a, b, v),
@@ -329,7 +350,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "Heinz mean interpolates geometric to arithmetic",
             "sqrt(ab) <= H_v(a,b) <= (a+b)/2",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (math.sqrt(a * b), heinz(a, b, v), (a + b) / 2.0),
         ),
         ScalarCase(
@@ -337,7 +357,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "Heron mean interpolates geometric to arithmetic (nu acts as alpha)",
             "sqrt(ab) <= F_alpha(a,b) <= (a+b)/2",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (math.sqrt(a * b), heron(a, b, v), (a + b) / 2.0),
         ),
         ScalarCase(
@@ -345,7 +364,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "refined Heinz upper bound with square-root difference correction",
             "H_v(a,b) + r0 (sqrt(a)-sqrt(b))^2 <= (a+b)/2,  r0 = min(v, 1-v)",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (heinz(a, b, v) + _r0(v) * _sq(a, b), (a + b) / 2.0),
         ),
         ScalarCase(
@@ -354,7 +372,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "H_v <= (1-4r0) H_0 + 4 r0 H_{1/4}  on [0,1/4]u[3/4,1];  "
             "H_v <= (4r0-1) H_{1/2} + 2(1-2r0) H_{1/4}  on [1/4,3/4];  both at the boundaries",
             "0 <= nu <= 1",
-            full,
             _sides_zj17,
         ),
         ScalarCase(
@@ -362,7 +379,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "Heinz mean dominated by the Heron mean at the matched weight",
             "H_v(a,b) <= F_{alpha(v)}(a,b),  alpha(v) = 1 - 4(v - v^2)",
             "0 <= nu <= 1",
-            full,
             lambda a, b, v: (heinz(a, b, v), heron(a, b, alpha_of_nu(v))),
         ),
         ScalarCase(
@@ -370,7 +386,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "cubic-weight Young-type bound against a rescaled geometric mean",
             "(1 - v^2 + v^3) a + (1 - v^2) b <= v^(v-2) a^v b^(1-v) + (sqrt(a)-sqrt(b))^2",
             "0 < nu <= 1 (vacuous at nu = 0)",
-            lambda nu: 0.0 < nu <= 1.0,
             _sides_new21,
         ),
         ScalarCase(
@@ -379,7 +394,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "r^(2r) a^v b^(1-v) + r^2 (sqrt(a)-sqrt(b))^2 <= v^2 a + (1-v)^2 b "
             "<= R^(2R) a^v b^(1-v) + R^2 (sqrt(a)-sqrt(b))^2,  r = min(v,1-v), R = max(v,1-v)",
             "0 <= nu <= 1",
-            full,
             _sides_comb211,
         ),
         ScalarCase(
@@ -388,7 +402,6 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "r^(2r) H_v + (2r-1)(a+b)/2 <= 2 r^2 sqrt(ab) <= 2 R^2 sqrt(ab) "
             "<= R^(2R) H_v + (2R-1)(a+b)/2",
             "0 <= nu <= 1",
-            full,
             _sides_comb212,
         ),
     ]
@@ -471,53 +484,3 @@ def evaluate(case: ScalarCase, a: float, b: float, nu: float,
     return ScalarTrial(case.case_id, a, b, nu, sides, tuple(raws), min_norm,
                        min_norm >= -tol)
 
-
-def upper_slack(case: ScalarCase, a: float, b: float, nu: float) -> float | None:
-    """Raw slack of the final (upper-bound) link, or None outside the domain."""
-    if not case.in_domain(nu):
-        return None
-    sides = case.sides(a, b, nu)
-    return float(sides[-1] - sides[-2])
-
-
-def find_non_dominance(
-    first: Sequence[str] = ("new-2.1",),
-    second: Sequence[str] = ("zw-1.5", "zw-1.6"),
-    a_values: Sequence[float] = A_GRID_13,
-    nu_values: Sequence[float] = NU_GRID_65,
-) -> dict:
-    """Search a grid for inputs where each family's upper bound is strictly tighter.
-
-    The compared quantity is the raw slack of each case's final link (how far
-    the upper bound sits above the quantity it dominates); for a family the
-    slack at nu is the minimum over members whose domain contains nu.  Returns
-    the first witness of each kind, or None in that slot when the grid holds
-    no such point.
-    """
-    fams = ([case_by_id(c) for c in first], [case_by_id(c) for c in second])
-
-    def fam_slack(fam, a, b, nu):
-        vals = [s for c in fam if (s := upper_slack(c, a, b, nu)) is not None]
-        return min(vals) if vals else None
-
-    first_tighter = None
-    second_tighter = None
-    points = ((a, b, nu) for nu in nu_values for a in a_values for b in a_values)
-    for a, b, nu in points:
-        s1 = fam_slack(fams[0], a, b, nu)
-        s2 = fam_slack(fams[1], a, b, nu)
-        if s1 is None or s2 is None:
-            continue
-        point = {"a": a, "b": b, "nu": nu, "first_slack": s1, "second_slack": s2}
-        if first_tighter is None and s1 < s2:
-            first_tighter = point
-        if second_tighter is None and s2 < s1:
-            second_tighter = point
-        if first_tighter and second_tighter:
-            break
-    return {
-        "first": list(first),
-        "second": list(second),
-        "first_tighter": first_tighter,
-        "second_tighter": second_tighter,
-    }

@@ -12,8 +12,10 @@ that, so the literal zero-failure checks for those two cases are marked
 xfail(strict=True) and a companion test proves the counterexamples are
 real at extended precision.
 """
+import csv
 import json
 import math
+import re
 import time
 
 import mpmath
@@ -80,11 +82,11 @@ def test_criterion_2_equality_structure():
         return rhs - lhs
 
     for a in (0.25, 1.0, 3.7, 64.0):
-        got = scalar.upper_slack(case, a, a, 1.0)
+        got = scalar.evaluate(case, a, a, 1.0).slacks[-1]
         assert abs(got) <= 1e-12
         assert abs(float(mp_slack(a, a, 1))) <= 1e-40
 
-    got = scalar.upper_slack(case, 4.0, 1.0, 0.5)
+    got = scalar.evaluate(case, 4.0, 1.0, 0.5).slacks[-1]
     want = float(mp_slack(4, 1, "0.5"))
     assert got > 1e-6
     assert rel_close(got, want, 1e-12)
@@ -316,30 +318,30 @@ def test_criterion_7_chain_collapse_at_half():
 
 def test_criterion_8_non_dominance_witnesses(tmp_path, capsys):
     """The upper bound of new-2.1 neither dominates nor is dominated by the
-    zw-1.5/zw-1.6 pair: the grid search finds a witness in each direction,
-    both recheck against direct slack evaluation, and the gap-profile
-    command emits them."""
-    found = scalar.find_non_dominance()
-    for key in ("first_tighter", "second_tighter"):
-        w = found[key]
-        assert w is not None
-        assert rel_close(w["first_slack"],
-                         scalar.upper_slack(scalar.case_by_id("new-2.1"),
-                                            w["a"], w["b"], w["nu"]), 1e-12)
-        pair = [scalar.upper_slack(scalar.case_by_id(c), w["a"], w["b"], w["nu"])
-                for c in ("zw-1.5", "zw-1.6")]
-        assert rel_close(w["second_slack"],
-                         min(s for s in pair if s is not None), 1e-12)
-    assert found["first_tighter"]["first_slack"] < found["first_tighter"]["second_slack"]
-    assert found["second_tighter"]["second_slack"] < found["second_tighter"]["first_slack"]
-
+    zw-1.5/zw-1.6 pair: gap-profile names a witness in each direction, and
+    each witness's final-link slacks, as its CSV holds them, are the ones
+    that ``evaluate`` gives."""
     out = tmp_path / "profile.csv"
     assert main(["gap-profile", "--case", "new-2.1,zw-1.5,zw-1.6",
                  "--a", "1", "--b", "2", "--nu-points", "65",
                  "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "new-2.1 tighter than" in text
-    assert "tighter than new-2.1" in text
+    notes = re.findall(r"^(\S+) tighter than (\S+) at a=1 b=2 nu=(\S+):",
+                       capsys.readouterr().out, re.M)
+    with open(out, encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    profile = {float(row[0]): row for row in rows}
+    witnesses = set()
+    for tighter, looser, nu in notes:
+        row = profile[float(nu)]
+        upper = {}
+        for cid in (tighter, looser):
+            last = max(i for i, name in enumerate(header) if name.startswith(f"{cid}:"))
+            upper[cid] = float(row[last])
+            assert upper[cid] == scalar.evaluate(scalar.case_by_id(cid), 1.0, 2.0,
+                                                 float(nu)).slacks[-1]
+        assert upper[tighter] < upper[looser]
+        witnesses.add("new-2.1" if tighter == "new-2.1" else "zw")
+    assert witnesses == {"new-2.1", "zw"}
 
 
 def test_criterion_9_report_determinism(tmp_path):

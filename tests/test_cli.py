@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -139,15 +141,82 @@ class TestRunner:
             replay_trial({"case": "op-2.3", "kind": "operator"})
 
 
+# each case's domain, pinned as literals: membership of DOMAIN_POINTS (0, 1/2
+# and 1 with their float neighbours, then the neighbours outside [0, 1]), the
+# first and last index of the contiguous part of NU_GRID_65 in the domain, and
+# the length of nu_grid
+DOMAIN_POINTS = (-0.0, 0.0, math.nextafter(0.0, 1.0), math.nextafter(0.5, 0.0), 0.5,
+                 math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0,
+                 math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0))
+DOMAINS = {
+    "bhatia-heron": ("1111111100", 0, 64, 33),
+    "bk-1.11": ("0000111100", 32, 64, 17),
+    "bk-1.12": ("1111100000", 0, 32, 17),
+    "cf-1.13": ("1111111100", 0, 64, 33),
+    "comb-2.11": ("1111111100", 0, 64, 33),
+    "comb-2.12": ("1111111100", 0, 64, 33),
+    "heinz-1.14": ("1111111100", 0, 64, 33),
+    "heron-1.15": ("1111111100", 0, 64, 33),
+    "kai-1.10": ("0000111100", 32, 64, 17),
+    "kai-1.9": ("1111100000", 0, 32, 17),
+    "km-1.3": ("1111111100", 0, 64, 33),
+    "km-1.4": ("1111111100", 0, 64, 33),
+    "km-heinz-1.16": ("1111111100", 0, 64, 33),
+    "new-2.1": ("0011111100", 1, 64, 32),
+    "young-1.1": ("1111111100", 0, 64, 33),
+    "zj-1.17": ("1111111100", 0, 64, 33),
+    "zw-1.5": ("0011100000", 1, 32, 16),
+    "zw-1.6": ("0000011000", 33, 63, 15),
+    "op-2.10": ("1111111100", 0, 64, 33),
+    "op-2.3": ("0011111100", 1, 64, 32),
+    "op-2.5": ("0011111100", 1, 64, 32),
+    "op-2.6": ("0011111100", 1, 64, 32),
+    "op-2.7-left": ("1111111100", 0, 64, 33),
+    "op-2.7-refine": ("1111111100", 0, 64, 33),
+    "op-2.7-right": ("1111111100", 0, 64, 33),
+    "op-heron-zhao": ("1111111100", 0, 64, 33),
+    "hs-2.13": ("0011111100", 1, 64, 32),
+    "hs-2.14": ("1111111100", 0, 64, 33),
+    "hs-cor": ("1111111100", 0, 64, 33),
+    "hs-thm8": ("1111111100", 0, 64, 33),
+}
+
+
 class TestCaseTable:
     def test_one_row_per_registered_case(self):
         assert len(CASES) == ALL_CASE_COUNT
+        assert sorted(CASES) == sorted(DOMAINS)
         for kind, module in (("scalar", scalar), ("operator", opmeans), ("hs", hsnorm)):
             for case in module.registry():
-                assert CASES[case.case_id].kind == kind
-                assert CASES[case.case_id].case is case
-        assert CASES["op-2.7-left"].structure == "ordered-pair"
-        assert CASES["hs-2.14"].structure == "general-pd"
+                assert CASES[case.case_id] is case
+                assert case.kind == kind
+        ordered = {cid for cid, case in CASES.items()
+                   if getattr(case, "structure", None) == "ordered-pair"}
+        assert ordered == {"op-2.7-left", "op-2.7-right", "op-2.7-refine"}
+        assert {case.structure for case in CASES.values() if case.kind != "scalar"
+                and case.case_id not in ordered} == {"general-pd"}
+        # op-2.7-refine draws ordered pairs but does not require them
+        assert {cid for cid, case in CASES.items()
+                if getattr(case, "requires_ordered", False)} == {"op-2.7-left", "op-2.7-right"}
+
+    @pytest.mark.parametrize("case_id", sorted(DOMAINS))
+    def test_domain_label_gives_the_stated_domain(self, case_id):
+        case = CASES[case_id]
+        members, first, last, grid = DOMAINS[case_id]
+        assert "".join("01"[case.in_domain(nu)] for nu in DOMAIN_POINTS) == members
+        inside = [nu for nu in scalar.NU_GRID_65 if case.in_domain(nu)]
+        assert inside == list(scalar.NU_GRID_65[first:last + 1])
+        assert case.nu_grid == tuple(nu for nu in scalar.NU_GRID_33 if case.in_domain(nu))
+        assert len(case.nu_grid) == grid
+
+    @pytest.mark.parametrize("label", ["nu in [0, 1]", "0 <= v <= 1", "0 =< nu <= 1",
+                                       "0.5 <= nu <= 1", "0 <= nu <= 1/", "0 <= nu <= 1x",
+                                       " 0 <= nu <= 1", "0 <= nu <=  1"])
+    def test_label_outside_the_grammar_raises(self, label):
+        with pytest.raises(ValueError, match="does not start with 'lo op nu op hi'"):
+            scalar.ScalarCase("bad", "d", "f", label, lambda a, b, v: (a, b))
+        with pytest.raises(ValueError, match="does not start with 'lo op nu op hi'"):
+            dataclasses.replace(CASES["op-2.3"], nu_domain=label)
 
     def test_sweep_reads_the_table_not_the_registries(self, monkeypatch):
         calls = []
@@ -414,6 +483,12 @@ class TestListVerb:
         for cid in ("young-1.1", "op-2.10", "hs-thm8"):
             assert cid in out
 
+    def test_text_columns_are_apart(self, capsys):
+        # a domain label longer than its column still leaves a space before links=
+        assert main(["list"]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            assert re.search(r"\S\s+links=", line), line
+
     def test_json_format(self, capsys):
         assert main(["list", "--format", "json", "--kind", "operator"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -613,7 +688,8 @@ class TestGapProfileVerb:
     def test_mixed_kinds_rejected(self, capsys):
         assert main(["gap-profile", "--case", "op-2.3,young-1.1"]) == 2
 
-    @pytest.mark.parametrize("case_id", [cid for cid, e in CASES.items() if e.kind == "scalar"])
+    @pytest.mark.parametrize("case_id", [cid for cid, case in CASES.items()
+                                         if case.kind == "scalar"])
     @pytest.mark.parametrize("a, b", [("-1", "1"), ("1", "0")])
     def test_non_positive_pair_exits_2(self, capsys, case_id, a, b):
         assert main(["gap-profile", "--case", case_id, "--a", a, "--b", b]) == 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from meancert import hsnorm, scalar
-from meancert.hsnorm import (CERT_HS_TOL, ORACLE_TOL, HsContext, case_by_id,
-                             certify_hs, heinz_block, registry)
+from meancert.hsnorm import (ORACLE_TOL, HsContext, case_by_id, certify_hs,
+                             heinz_block, registry)
 from meancert.linalg import DomainError, hs_norm
 from meancert.runner import RunConfig, inputs, make_digest
 

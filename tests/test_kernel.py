@@ -17,8 +17,8 @@ from meancert.linalg import DomainError
 from meancert.report import canonical_json, strip_volatile
 from meancert.runner import CASES, RunConfig, inputs, make_digest, run_case, run_trial
 
-OPERATOR = [cid for cid, e in CASES.items() if e.kind == "operator"]
-HS = [cid for cid, e in CASES.items() if e.kind == "hs"]
+OPERATOR = [cid for cid, case in CASES.items() if case.kind == "operator"]
+HS = [cid for cid, case in CASES.items() if case.kind == "hs"]
 LAWS = [{}, {"law": "clustered:1:0.5"}, {"w_law": "explicit:0"}]
 
 
@@ -63,7 +63,7 @@ def assert_sweep_equals_run_trial(monkeypatch, case_id, cfg):
 def test_operator_sweep_records_equal_run_trial(monkeypatch, seed, law, cx, nu):
     cfg = RunConfig(trials=30, seed=seed, dims=(1, 4, 2), nu=nu, complex_entries=cx, **law)
     for case_id in OPERATOR:
-        if nu is None or CASES[case_id].case.in_domain(nu):
+        if nu is None or CASES[case_id].in_domain(nu):
             assert_sweep_equals_run_trial(monkeypatch, case_id, cfg)
 
 
@@ -84,7 +84,7 @@ def test_hs_sweep_records_equal_run_trial_on_every_config(monkeypatch, seed, law
     cfg = RunConfig(trials=30, seed=seed, dims=(1, 4, 2), nu=nu, complex_entries=cx,
                     lenient_x=lenient, **law)
     for case_id in HS:
-        if nu is None or CASES[case_id].case.in_domain(nu):
+        if nu is None or CASES[case_id].in_domain(nu):
             assert_sweep_equals_run_trial(monkeypatch, case_id, cfg)
 
 
@@ -92,17 +92,17 @@ def test_hs_sweep_records_equal_run_trial_on_every_config(monkeypatch, seed, law
 @pytest.mark.parametrize("case_id", OPERATOR + HS)
 def test_certifying_inputs_equals_run_trial(case_id, cx):
     """A library caller certifying ``inputs(digest)`` gets the record replay gets."""
-    entry = CASES[case_id]
+    case = CASES[case_id]
     cfg = RunConfig(seed=2, dims=(1, 3, 8), complex_entries=cx)
     for trial in range(6):
         digest = make_digest(case_id, cfg, trial)
         got = inputs(digest)
         assert got["A"].shape == got["B"].shape == (cfg.dims[trial % 3],) * 2
-        if entry.kind == "operator":
-            rec = opmeans.certify_operator(entry.case, got["A"], got["B"], got["nu"],
+        if case.kind == "operator":
+            rec = opmeans.certify_operator(case, got["A"], got["B"], got["nu"],
                                            tol=cfg.tol)
         else:
-            rec = hsnorm.certify_hs(entry.case, got["A"], got["B"], got["X"], got["nu"],
+            rec = hsnorm.certify_hs(case, got["A"], got["B"], got["X"], got["nu"],
                                     tol=cfg.tol, oracle=got["oracle"])
         assert_same_record(rec, run_trial(digest, cfg.tol, cfg.psd_tol))
 
@@ -249,7 +249,7 @@ def test_zero_imaginary_matrix_stays_in_its_complex_stack(monkeypatch):
     stacks = []
     certify = runner._certify
     monkeypatch.setattr(runner, "_certify",
-                        lambda entry, digests, *a: stacks.append(len(digests))
-                        or certify(entry, digests, *a))
+                        lambda case, digests, *a: stacks.append(len(digests))
+                        or certify(case, digests, *a))
     assert_sweep_equals_run_trial(monkeypatch, "op-2.10", cfg)
     assert stacks == [16] + [1] * 16  # one stack, then only the comparison's run_trial calls

@@ -5,8 +5,8 @@ import pytest
 
 from meancert import scalar
 from meancert.linalg import DomainError, hs_norm, is_psd, mat_pow, spectral_norm
-from meancert.opmeans import (PairContext, case_by_id, certify_operator, geom,
-                              harmonic, nabla, registry)
+from meancert.opmeans import (PairContext, case_by_id, certify_operator, geom, nabla,
+                              registry)
 from meancert.runner import RunConfig, inputs, make_digest
 
 ALL_IDS = {"op-2.3", "op-2.5", "op-2.6", "op-2.7-left", "op-2.7-right",
@@ -56,12 +56,10 @@ class TestMeans:
         rhs = geom(s @ a @ s.conj().T, s @ b @ s.conj().T, 0.3)
         assert rel_close(lhs, rhs, 1e-8)
 
-    def test_harmonic_geom_nabla_ordering(self):
+    def test_geom_nabla_ordering(self):
         a, b = pair(4)
         for nu in (0.2, 0.5, 0.8):
-            h, g, n = harmonic(a, b, nu), geom(a, b, nu), nabla(a, b, nu)
-            assert is_psd(g - h, 1e-8).ok
-            assert is_psd(n - g, 1e-8).ok
+            assert is_psd(nabla(a, b, nu) - geom(a, b, nu), 1e-8).ok
 
     def test_heinz_symmetric(self):
         a, b = pair(5)
@@ -83,13 +81,6 @@ class TestMeans:
         g = geom(a, b, 0.5)
         assert np.allclose(g, g.conj().T)
         assert is_psd(nabla(a, b, 0.5) - g, 1e-8).ok
-
-    def test_harmonic_closed_form_commuting(self):
-        a = np.diag([2.0, 4.0])
-        b = np.diag([6.0, 12.0])
-        got = harmonic(a, b, 0.5)
-        want = np.diag([2 * 2.0 * 6.0 / 8.0, 2 * 4.0 * 12.0 / 16.0])
-        assert np.allclose(got, want, rtol=1e-13)
 
     def test_domain_errors(self):
         a, b = pair(9)

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meancert.linalg import DomainError
-from meancert.scalar import (A_GRID_13, NU_GRID_33, NU_GRID_65, SCALAR_TOL,
-                             alpha_of_nu, case_by_id, evaluate,
-                             find_non_dominance, heinz, heron, judge_chain,
-                             registry, upper_slack, weighted_arith,
+from meancert.scalar import (NU_GRID_33, NU_GRID_65, alpha_of_nu, case_by_id, evaluate,
+                             heinz, heron, judge_chain, registry, weighted_arith,
                              weighted_geom)
 
 ALL_IDS = {
@@ -130,12 +128,6 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="slack of link 0 of op-x is inf"):
             judge_chain((-1e308, 1e308), "op-x")
 
-    def test_upper_slack_matches_sides(self):
-        case = case_by_id("cf-1.13")
-        t = evaluate(case, 2.0, 5.0, 0.3)
-        assert upper_slack(case, 2.0, 5.0, 0.3) == t.sides[-1] - t.sides[-2]
-        assert upper_slack(case_by_id("zw-1.6"), 2.0, 5.0, 0.3) is None
-
     @given(pos, pos, st.sampled_from(NU_GRID_65))
     @settings(max_examples=300, deadline=None)
     def test_all_chains_hold(self, a, b, nu):
@@ -208,25 +200,3 @@ class TestHighPrecisionOracle:
             for lo, hi in zip(want, want[1:]):
                 assert lo <= hi + mp.mpf("1e-45")
 
-
-class TestNonDominance:
-    def test_default_grid_finds_both_witnesses(self):
-        res = find_non_dominance()
-        assert res["first"] == ["new-2.1"]
-        assert res["second"] == ["zw-1.5", "zw-1.6"]
-        ft, st_ = res["first_tighter"], res["second_tighter"]
-        assert ft is not None and st_ is not None
-        assert ft["first_slack"] < ft["second_slack"]
-        assert st_["second_slack"] < st_["first_slack"]
-
-    def test_witness_points_recheck(self):
-        res = find_non_dominance()
-        for key, cmp in (("first_tighter", "first_slack"),
-                         ("second_tighter", "second_slack")):
-            p = res[key]
-            s_new = upper_slack(case_by_id("new-2.1"), p["a"], p["b"], p["nu"])
-            zw = [upper_slack(case_by_id(c), p["a"], p["b"], p["nu"])
-                  for c in ("zw-1.5", "zw-1.6")]
-            s_zw = min(v for v in zw if v is not None)
-            want = s_new if key == "first_tighter" else s_zw
-            assert p[cmp] == want
