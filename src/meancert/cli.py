@@ -165,9 +165,10 @@ def cmd_list(args: argparse.Namespace) -> int:
         } for case in cases]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
+    width = max(len(case.nu_domain) for case in cases)
     for case in cases:
         links = ",".join(getattr(case, "links", ())) or "-"
-        print(f"{case.case_id:<16}{case.kind:<10}{case.nu_domain:<19} "
+        print(f"{case.case_id:<16}{case.kind:<10}{case.nu_domain:<{width}} "
               f"links={links:<28}{case.description}")
     return 0
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .linalg import (CERT_PSD_TOL, PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
                      power_rows, validate_hermitian)
-from .scalar import (Case, check_unit, cubic_weight, find_case, heinz_weight,
-                     judge_chain, require_finite, tail_weights)
+from .scalar import (Case, cubic_weight, heinz_weight, judge_chain, require_finite,
+                     tail_weights)
 
 ORACLE_TOL = 1e-10
 
@@ -69,6 +69,7 @@ class HsContext:
         clamp_psd(self.pb.eigenvalues, psd_tol, "B")
 
     def heinz_block(self, nu) -> np.ndarray:
+        """A^nu X B^(1-nu) + A^(1-nu) X B^nu; at 1x1 it is 2 * heinz(a, b, nu) * x."""
         pa, pb = self.pa, self.pb
         if isinstance(nu, np.ndarray):
             key, pa_pow, pb_pow = tuple(nu.tolist()), pa.pow_rows, pb.pow_rows
@@ -130,16 +131,6 @@ class HsContext:
             y = ua.conj().swapaxes(-1, -2) @ self.X @ ub
             self._cells = (la, mu, np.abs(y) ** 2)
         return self._cells
-
-
-def heinz_block(A, X, B, nu: float, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """A^nu X B^(1-nu) + A^(1-nu) X B^nu for PSD A, B and arbitrary X.
-
-    At scalars this carries the factor 2 against the Heinz mean:
-    heinz_block(a, x, b, nu) == 2 * heinz(a, b, nu) * x.
-    """
-    check_unit("nu", nu)
-    return HsContext(A, B, X, psd_tol).heinz_block(nu)
 
 
 def _qs(coef: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -343,10 +334,6 @@ _REGISTRY = _build_registry()
 def registry() -> tuple[HsCase, ...]:
     """All registered Hilbert-Schmidt cases, in fixed order."""
     return _REGISTRY
-
-
-def case_by_id(case_id: str) -> HsCase:
-    return find_case(_REGISTRY, "hs", case_id)
 
 
 @dataclass(frozen=True)

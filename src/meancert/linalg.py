@@ -193,16 +193,6 @@ def power_rows(v: np.ndarray, ps: list[float], power=np.power) -> np.ndarray:
     return out
 
 
-def mat_pow(M, p: float, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Matrix power M**p via the spectral decomposition.
-
-    mat_pow(M, 0) is the identity (0**0 = 1 convention), mat_pow(M, 1)
-    returns the symmetrized input.  See ``_pow_spectrum`` for the domain
-    rules on fractional and negative exponents.
-    """
-    return Powers(M, psd_tol).pow(p)
-
-
 class PsdCheck(NamedTuple):
     """One PSD verdict; for a stack, each field is a list with one entry per matrix."""
 
@@ -249,28 +239,14 @@ def hs_norms(M) -> np.ndarray:
     return np.sqrt(v @ v.swapaxes(-1, -2))
 
 
-def hs_norm(M):
-    """Hilbert-Schmidt (Frobenius) norm of an array of at most two axes, as a
-    float, or of each matrix of a stack (k, m, n), as an array (k,)."""
-    M = np.asarray(M)
-    norms = hs_norms(M)[..., 0, 0]
-    return norms if M.ndim > 2 else float(norms)
-
-
-def spectral_norm(M) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix."""
-    w, _ = eigh(M)
-    return float(np.abs(w).max())
-
-
 class Powers:
     """Cached spectral powers of one Hermitian matrix or of a stack (k, n, n).
 
     A single eigendecomposition backs every requested power, keeping
     repeated mean evaluations on the same operand cheap and mutually
-    consistent.  It holds the one LAPACK eigendecomposition call: eigh and
-    mat_pow are one-off Powers.  Every operation acts on each matrix of a
-    stack as it would on that matrix alone, bit for bit.
+    consistent.  It holds the one LAPACK eigendecomposition call: eigh is a
+    one-off Powers.  Every operation acts on each matrix of a stack as it
+    would on that matrix alone, bit for bit.
     """
 
     def __init__(self, M, psd_tol: float = PSD_TOL):

@@ -1,12 +1,13 @@
 """Operator means on positive definite matrices and certified Loewner chains.
 
-Weight convention: nu weights the SECOND operand, so nabla(A, B, 0) == A
-and geom(A, B, 1) == B.  The scalar module weights the first argument;
-on commuting pairs geom(A, B, nu) therefore matches
-weighted_geom(a, b, 1 - nu) eigenvalue by eigenvalue.  The two conventions
-are never mixed inside a formula: every registered case is written
-entirely in the operator convention, and its ``cells`` callable restates
-the same chain through the scalar module for diagonal cross-checks.
+Weight convention: nu weights the SECOND operand, so
+PairContext(A, B).nabla(0) == A and geom(A, B, 1) == B.  The scalar
+module weights the first argument; on commuting pairs geom(A, B, nu)
+therefore matches weighted_geom(a, b, 1 - nu) eigenvalue by eigenvalue.
+The two conventions are never mixed inside a formula: every registered
+case is written entirely in the operator convention, and its ``cells``
+callable restates the same chain through the scalar module for diagonal
+cross-checks.
 
 The geometric mean is computed as
 A^(1/2) (A^(-1/2) B A^(-1/2))^nu A^(1/2), never via Cholesky, so A must be
@@ -27,7 +28,7 @@ import numpy as np
 from . import scalar
 from .linalg import (CERT_PSD_TOL, PSD_TOL, DomainError, Powers, col, each,
                      hermitianize, is_psd)
-from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight, find_case,
+from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight,
                      first_worst, heinz_weight, tail_weights)
 
 
@@ -128,11 +129,6 @@ class PairContext:
     def corr_upper(self) -> np.ndarray:
         """A - 2B + B A^(-1) B."""
         return self.A - 2.0 * self.B + hermitianize(self.B @ self.pa.pow(-1.0) @ self.B)
-
-
-def nabla(A, B, nu: float = 0.5) -> np.ndarray:
-    """Weighted arithmetic mean (1-nu) A + nu B."""
-    return PairContext(A, B).nabla(nu)
 
 
 def geom(A, B, nu: float = 0.5) -> np.ndarray:
@@ -244,7 +240,7 @@ def _cells_27_refine(lam: float, mu: float, nu: float):
 def _scalar_cells(case_id: str, swap: bool = False):
     """Cells of a chain with a scalar twin: the twin's raw slacks at
     (lam, mu), or at (mu, lam) with ``swap``."""
-    case = scalar.case_by_id(case_id)
+    case = {c.case_id: c for c in scalar.registry()}[case_id]
     if swap:
         return lambda lam, mu, nu: scalar.evaluate(case, mu, lam, nu).slacks
     return lambda lam, mu, nu: scalar.evaluate(case, lam, mu, nu).slacks
@@ -350,10 +346,6 @@ _REGISTRY = _build_registry()
 def registry() -> tuple[OperatorCase, ...]:
     """All registered operator cases, in fixed order."""
     return _REGISTRY
-
-
-def case_by_id(case_id: str) -> OperatorCase:
-    return find_case(_REGISTRY, "operator", case_id)
 
 
 class LinkCheck(NamedTuple):

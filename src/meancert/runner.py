@@ -56,6 +56,12 @@ def case_by_id(case_id: str) -> scalar.Case:
         ) from None
 
 
+def _check_kind(token: str, kind: str, kinds: tuple[str, ...]) -> None:
+    if kind not in kinds:
+        raise DomainError(f"case {token!r} is of kind {kind}; this command handles "
+                          f"{', '.join(kinds)} cases")
+
+
 def resolve_cases(tokens: list[str] | None, kinds: tuple[str, ...]) -> list[str]:
     """Expand case tokens ("all", "op", "hs", "scalar", exact ids) to ids.
 
@@ -74,11 +80,7 @@ def resolve_cases(tokens: list[str] | None, kinds: tuple[str, ...]) -> list[str]
             out.extend(allowed)
             continue
         kind = _KIND_TOKENS.get(tok) or case_by_id(tok).kind
-        if kind not in kinds:
-            raise DomainError(
-                f"case {tok!r} is of kind {kind}; this command handles "
-                f"{', '.join(kinds)} cases"
-            )
+        _check_kind(tok, kind, kinds)
         out.extend(pool(kind) if tok in _KIND_TOKENS else [tok])
     result = list(dict.fromkeys(out))
     if not result:
@@ -463,7 +465,8 @@ def run_scalar_case(case_id: str,
                     nu_values=scalar.NU_GRID_65,
                     tol: float = scalar.SCALAR_TOL) -> dict[str, Any]:
     """Deterministic grid sweep of one scalar chain (no randomness)."""
-    case = scalar.case_by_id(case_id)
+    case = case_by_id(case_id)
+    _check_kind(case_id, case.kind, ("scalar",))
     scalar.check_tol(tol)
     for nu in nu_values:
         scalar.check_unit("nu", nu)

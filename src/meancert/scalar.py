@@ -416,19 +416,6 @@ def registry() -> tuple[ScalarCase, ...]:
     return _REGISTRY
 
 
-def find_case(cases: Sequence[Case], kind: str, case_id: str) -> Case:
-    """The case of ``cases`` with id ``case_id``; DomainError listing the known ids."""
-    for case in cases:
-        if case.case_id == case_id:
-            return case
-    known = ", ".join(sorted(c.case_id for c in cases))
-    raise DomainError(f"unknown {kind} case {case_id!r}; known cases: {known}")
-
-
-def case_by_id(case_id: str) -> ScalarCase:
-    return find_case(_REGISTRY, "scalar", case_id)
-
-
 def first_worst(values: Sequence[float]) -> int:
     """Index of the first smallest value: the worst link of a judged chain."""
     worst = 0

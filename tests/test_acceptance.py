@@ -24,9 +24,8 @@ import pytest
 
 from meancert import hsnorm, opmeans, scalar
 from meancert.cli import main
-from meancert.linalg import is_psd, spectral_norm
 from meancert.report import canonical_json, strip_volatile
-from meancert.runner import (DEFAULT_DIMS, RunConfig, inputs, make_digest,
+from meancert.runner import (DEFAULT_DIMS, RunConfig, case_by_id, inputs, make_digest,
                              run_matrix_suite, run_scalar_case)
 
 OP_IDS = [c.case_id for c in opmeans.registry()]
@@ -72,7 +71,7 @@ def test_criterion_2_equality_structure():
 
     Both values are checked against a 50-digit restatement of the chain.
     """
-    case = scalar.case_by_id("new-2.1")
+    case = case_by_id("new-2.1")
     mpmath.mp.dps = 50
 
     def mp_slack(a, b, nu):
@@ -155,7 +154,7 @@ def test_criterion_4_counterexamples_genuine(hs_suite):
 
     one = np.eye(1)
     # hs-2.13 at (A, B, X, nu) = (4, 1, 1, 1): sides are exactly (5, 3, 13)
-    t = hsnorm.certify_hs(hsnorm.case_by_id("hs-2.13"), 4.0 * one, one, one, 1.0)
+    t = hsnorm.certify_hs(case_by_id("hs-2.13"), 4.0 * one, one, one, 1.0)
     assert t.sides == (5.0, 3.0, 13.0)
     assert not t.passed and t.worst_link == "hinge"
     assert t.worst_cell is not None and t.worst_cell[-1] < 0.0
@@ -163,7 +162,7 @@ def test_criterion_4_counterexamples_genuine(hs_suite):
     assert 5 > 3
 
     # hs-thm8 at (4, 1, 1, 0.1): the lower link loses by a wide margin
-    t8 = hsnorm.certify_hs(hsnorm.case_by_id("hs-thm8"), 4.0 * one, one, one, 0.1)
+    t8 = hsnorm.certify_hs(case_by_id("hs-thm8"), 4.0 * one, one, one, 0.1)
     assert not t8.passed and t8.worst_link == "lower"
     mpmath.mp.dps = 50
     r = mpmath.mpf(1) / 10
@@ -280,7 +279,7 @@ def test_criterion_6_geometric_mean_swap_identity():
         for nu in scalar.NU_GRID_33:
             g1 = fwd.geom(nu)
             g2 = rev.geom(1.0 - nu)
-            err = spectral_norm(g1 - g2) / spectral_norm(g1)
+            err = np.linalg.norm(g1 - g2, 2) / np.linalg.norm(g1, 2)
             worst = max(worst, err)
     assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
 
@@ -288,7 +287,7 @@ def test_criterion_6_geometric_mean_swap_identity():
 def test_criterion_7_chain_collapse_at_half():
     """At nu = 1/2 every four-sided chain degenerates: all sides agree
     pairwise to 1e-10 relative, in scalar, Loewner, and norm form."""
-    case = scalar.case_by_id("comb-2.12")
+    case = case_by_id("comb-2.12")
     for a in scalar.A_GRID_13:
         for b in scalar.A_GRID_13:
             sides = case.sides(a, b, 0.5)
@@ -305,12 +304,12 @@ def test_criterion_7_chain_collapse_at_half():
         ctx = opmeans.PairContext(A, B)
         h, g, n = ctx.heinz(0.5), ctx.geom(0.5), ctx.nabla(0.5)
         sides = (0.5 * h + 0.0 * n, 0.5 * g, 0.5 * g, 0.5 * h + 0.0 * n)
-        scale = max(1.0, spectral_norm(sides[0]))
+        scale = max(1.0, np.linalg.norm(sides[0], 2))
         for i in range(4):
             for j in range(i + 1, 4):
-                assert spectral_norm(sides[i] - sides[j]) <= 1e-10 * scale
+                assert np.linalg.norm(sides[i] - sides[j], 2) <= 1e-10 * scale
 
-        t = hsnorm.certify_hs(hsnorm.case_by_id("hs-thm8"), A, B, X, 0.5)
+        t = hsnorm.certify_hs(case_by_id("hs-thm8"), A, B, X, 0.5)
         for i in range(4):
             for j in range(i + 1, 4):
                 assert rel_close(t.sides[i], t.sides[j], 1e-10)
@@ -337,7 +336,7 @@ def test_criterion_8_non_dominance_witnesses(tmp_path, capsys):
         for cid in (tighter, looser):
             last = max(i for i, name in enumerate(header) if name.startswith(f"{cid}:"))
             upper[cid] = float(row[last])
-            assert upper[cid] == scalar.evaluate(scalar.case_by_id(cid), 1.0, 2.0,
+            assert upper[cid] == scalar.evaluate(case_by_id(cid), 1.0, 2.0,
                                                  float(nu)).slacks[-1]
         assert upper[tighter] < upper[looser]
         witnesses.add("new-2.1" if tighter == "new-2.1" else "zw")

@@ -59,6 +59,11 @@ class TestResolveCases:
 
 
 class TestRunner:
+    def test_scalar_case_of_another_kind_raises(self):
+        with pytest.raises(DomainError, match="^case 'op-2.3' is of kind operator; "
+                                              "this command handles scalar cases$"):
+            runner.run_scalar_case("op-2.3")
+
     def test_nu_grid_respects_domain(self):
         grid = nu_grid_for("op-2.3", None)
         assert 0.0 not in grid and 1.0 in grid and len(grid) == 32
@@ -484,10 +489,12 @@ class TestListVerb:
             assert cid in out
 
     def test_text_columns_are_apart(self, capsys):
-        # a domain label longer than its column still leaves a space before links=
+        # the domain column fits the longest label, so links= starts at one column
         assert main(["list"]) == 0
-        for line in capsys.readouterr().out.splitlines():
+        lines = capsys.readouterr().out.splitlines()
+        for line in lines:
             assert re.search(r"\S\s+links=", line), line
+        assert len({line.index("links=") for line in lines}) == 1
 
     def test_json_format(self, capsys):
         assert main(["list", "--format", "json", "--kind", "operator"]) == 0

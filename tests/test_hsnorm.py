@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from meancert import hsnorm, scalar
-from meancert.hsnorm import (ORACLE_TOL, HsContext, case_by_id, certify_hs,
-                             heinz_block, registry)
-from meancert.linalg import DomainError, hs_norm
-from meancert.runner import RunConfig, inputs, make_digest
+from meancert.hsnorm import ORACLE_TOL, HsContext, certify_hs, registry
+from meancert.linalg import DomainError, hs_norms
+from meancert.runner import RunConfig, case_by_id, inputs, make_digest
 
 ALL_IDS = {"hs-2.13", "hs-2.14", "hs-cor", "hs-thm8"}
 
@@ -40,19 +39,19 @@ class TestHeinzBlock:
 
     def test_scalar_factor_two(self):
         # at 1x1 the block carries a factor 2 against the Heinz mean
-        got = heinz_block(np.array([[9.0]]), np.array([[1.7]]),
-                          np.array([[4.0]]), 0.25)[0, 0]
+        got = HsContext(np.array([[9.0]]), np.array([[4.0]]),
+                        np.array([[1.7]])).heinz_block(0.25)[0, 0]
         assert got == pytest.approx(2.0 * scalar.heinz(9.0, 4.0, 0.25) * 1.7,
                                     rel=1e-14)
 
     def test_symmetric_in_nu(self):
         a, b, x = triple(2)
-        assert np.allclose(heinz_block(a, x, b, 0.2), heinz_block(a, x, b, 0.8),
-                           atol=1e-12)
+        ctx = HsContext(a, b, x)
+        assert np.allclose(ctx.heinz_block(0.2), ctx.heinz_block(0.8), atol=1e-12)
 
     def test_rejects_indefinite_operand(self):
         with pytest.raises(DomainError, match="positive semidefinite"):
-            heinz_block(np.diag([1.0, -1.0]), np.eye(2), np.eye(2), 0.5)
+            HsContext(np.diag([1.0, -1.0]), np.eye(2), np.eye(2)).heinz_block(0.5)
 
 
 class TestDualRoute:
@@ -128,13 +127,13 @@ class TestFrozenPoints:
     def test_hs_thm8_four_sides_collapse_at_half(self):
         a, b, x = triple(7)
         t = certify_hs(case_by_id("hs-thm8"), a, b, x, 0.5)
-        g = hs_norm(HsContext(a, b, x).geom_block())
+        g = np.linalg.norm(HsContext(a, b, x).geom_block())
         for s in t.sides:
             assert s == pytest.approx(0.5 * g, rel=1e-14)
         assert t.passed
 
     def test_hs_thm8_matches_scalar_comb_at_1x1(self):
-        comb = scalar.case_by_id("comb-2.12")
+        comb = case_by_id("comb-2.12")
         for a, b, nu in [(4.0, 1.0, 0.25), (0.5, 8.0, 0.8125), (3.0, 3.0, 0.5)]:
             t = certify_hs(case_by_id("hs-thm8"), *one_by_one(a, b, 1.0), nu)
             sc = scalar.evaluate(comb, a, b, nu).sides
@@ -221,8 +220,8 @@ class TestStackedSums:
     def test_hs_norm_of_a_stack_is_linalg_norm_of_each(self, n, cx):
         m = scaled_stack(np.random.default_rng(n), 60, n, cx)
         want = np.array([np.linalg.norm(x) for x in m])
-        assert hs_norm(m).tobytes() == want.tobytes()
-        assert np.array([hs_norm(x) for x in m]).tobytes() == want.tobytes()
+        assert hs_norms(m)[:, 0, 0].tobytes() == want.tobytes()
+        assert np.array([hs_norms(x)[0, 0] for x in m]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
     def test_cell_sums_of_a_stack_are_sums_of_each(self, n):

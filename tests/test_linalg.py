@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meancert.linalg import (DomainError, Powers, clamp_psd, eigh, hermitianize,
-                             hs_norm, is_psd, mat_pow, spectral_norm, validate_hermitian)
+from meancert.linalg import (DomainError, Powers, clamp_psd, eigh, hermitianize, hs_norms,
+                             is_psd, validate_hermitian)
 
 
 def rand_pd(dim, seed, lo=0.1, hi=10.0, complex_entries=False):
@@ -56,7 +56,7 @@ class TestEigh:
         m = rand_pd(5, 0)
         w, v = eigh(m)
         rec = (v * w) @ v.conj().T
-        assert np.allclose(rec, m, atol=1e-12 * spectral_norm(m))
+        assert np.allclose(rec, m, atol=1e-12 * np.linalg.norm(m, 2))
 
     def test_ascending_order(self):
         w, _ = eigh(rand_pd(6, 1))
@@ -64,47 +64,50 @@ class TestEigh:
 
 
 class TestMatPow:
+    """M**p through a one-off Powers(M).pow(p)."""
+
     def test_integer_power_matches_product(self):
         m = rand_pd(4, 3)
-        assert np.allclose(mat_pow(m, 3), m @ m @ m,
-                           rtol=1e-12, atol=1e-12 * spectral_norm(m) ** 3)
+        assert np.allclose(Powers(m).pow(3), m @ m @ m,
+                           rtol=1e-12, atol=1e-12 * np.linalg.norm(m, 2) ** 3)
 
     def test_sqrt_squares_back(self):
         m = rand_pd(5, 4)
-        r = mat_pow(m, 0.5)
-        assert np.allclose(r @ r, m, atol=1e-11 * spectral_norm(m))
+        r = Powers(m).pow(0.5)
+        assert np.allclose(r @ r, m, atol=1e-11 * np.linalg.norm(m, 2))
 
     def test_inverse(self):
         m = rand_pd(4, 5)
-        assert np.allclose(mat_pow(m, -1.0) @ m, np.eye(4), atol=1e-9)
+        assert np.allclose(Powers(m).pow(-1.0) @ m, np.eye(4), atol=1e-9)
 
     def test_homomorphism(self):
         m = rand_pd(4, 6)
-        lhs = mat_pow(m, 0.7)
-        rhs = mat_pow(m, 0.3) @ mat_pow(m, 0.4)
-        assert np.allclose(lhs, rhs, atol=1e-11 * spectral_norm(lhs))
+        p = Powers(m)
+        lhs = p.pow(0.7)
+        rhs = p.pow(0.3) @ p.pow(0.4)
+        assert np.allclose(lhs, rhs, atol=1e-11 * np.linalg.norm(lhs, 2))
 
     def test_zero_power_is_identity(self):
-        assert np.allclose(mat_pow(rand_pd(3, 7), 0.0), np.eye(3), atol=1e-13)
+        assert np.allclose(Powers(rand_pd(3, 7)).pow(0.0), np.eye(3), atol=1e-13)
 
     def test_clamps_roundoff_negative(self):
         # eigenvalue -1e-14 sits inside the clamp window and maps to 0
         m = np.diag([-1e-14, 1.0])
-        r = mat_pow(m, 0.5)
+        r = Powers(m).pow(0.5)
         assert r[0, 0] == 0.0
         assert r[1, 1] == pytest.approx(1.0)
 
     def test_rejects_genuinely_negative_for_fractional(self):
         with pytest.raises(DomainError, match="eigenvalue"):
-            mat_pow(np.diag([-1.0, 1.0]), 0.5)
+            Powers(np.diag([-1.0, 1.0])).pow(0.5)
 
     def test_rejects_singular_for_negative_power(self):
         with pytest.raises(DomainError):
-            mat_pow(np.diag([0.0, 1.0]), -1.0)
+            Powers(np.diag([0.0, 1.0])).pow(-1.0)
 
     def test_integer_power_allows_indefinite(self):
         m = np.diag([-2.0, 3.0])
-        assert np.allclose(mat_pow(m, 2), np.diag([4.0, 9.0]))
+        assert np.allclose(Powers(m).pow(2), np.diag([4.0, 9.0]))
 
 
 class TestIsPsd:
@@ -138,18 +141,15 @@ class TestIsPsd:
 
 class TestNorms:
     def test_hs_norm_frozen(self):
-        assert hs_norm(np.diag([3.0, 4.0])) == 5.0
+        assert hs_norms(np.diag([3.0, 4.0]))[0, 0] == 5.0
 
     def test_hs_norm_unitary_invariance(self):
         m = rand_pd(5, 8)
         q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((5, 5)))
-        assert hs_norm(q @ m @ q.T) == pytest.approx(hs_norm(m), rel=1e-12)
+        assert hs_norms(q @ m @ q.T)[0, 0] == pytest.approx(hs_norms(m)[0, 0], rel=1e-12)
 
     def test_hs_norm_not_square_ok(self):
-        assert hs_norm(np.array([[1.0, 2.0, 2.0]])) == 3.0
-
-    def test_spectral_norm(self):
-        assert spectral_norm(np.diag([3.0, -7.0])) == pytest.approx(7.0)
+        assert hs_norms(np.array([[1.0, 2.0, 2.0]]))[0, 0] == 3.0
 
 
 class TestPowers:
@@ -167,9 +167,11 @@ class TestPowers:
         assert p.pow(0.5) is p.pow(0.5)
 
     def test_matches_mat_pow(self):
+        # a power of a Powers that holds others equals that of a one-off Powers
         m = rand_pd(5, 14)
         p = Powers(m)
-        assert np.allclose(p.pow(-0.5), mat_pow(m, -0.5), atol=1e-10)
+        p.pow(0.5)
+        assert np.array_equal(p.pow(-0.5), Powers(m).pow(-0.5))
 
     def test_dim(self):
         assert Powers(rand_pd(6, 15)).dim == 6
@@ -178,7 +180,7 @@ class TestPowers:
         m = rand_pd(4, 16, complex_entries=True)
         p = Powers(m)
         r = p.pow(0.5)
-        assert np.allclose(r @ r, m, atol=1e-11 * spectral_norm(m))
+        assert np.allclose(r @ r, m, atol=1e-11 * np.linalg.norm(m, 2))
 
 
 def bits(a):
@@ -215,7 +217,7 @@ class TestStacks:
         with pytest.raises(DomainError) as stacked:
             validate_hermitian(np.stack([good, asym, worse]))
         assert str(stacked.value) == str(alone.value)
-        neg = good - 2 * spectral_norm(good) * np.eye(3)
+        neg = good - 2 * np.linalg.norm(good, 2) * np.eye(3)
         w = np.stack([eigh(m)[0] for m in (good, neg, 2 * neg)])
         with pytest.raises(DomainError) as alone:
             clamp_psd(eigh(neg)[0], 1e-9, "B")

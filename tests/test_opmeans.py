@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from meancert import scalar
-from meancert.linalg import DomainError, hs_norm, is_psd, mat_pow, spectral_norm
-from meancert.opmeans import (PairContext, case_by_id, certify_operator, geom, nabla,
-                              registry)
-from meancert.runner import RunConfig, inputs, make_digest
+from meancert.linalg import DomainError, Powers, is_psd
+from meancert.opmeans import PairContext, certify_operator, geom, registry
+from meancert.runner import RunConfig, case_by_id, inputs, make_digest
 
 ALL_IDS = {"op-2.3", "op-2.5", "op-2.6", "op-2.7-left", "op-2.7-right",
            "op-2.7-refine", "op-2.10", "op-heron-zhao"}
@@ -22,7 +19,8 @@ def pair(seed, dim=4, complex_entries=False, case="op-2.3", trial=0,
 
 
 def rel_close(x, y, tol):
-    return spectral_norm(x - y) <= tol * max(1.0, spectral_norm(x), spectral_norm(y))
+    norm = np.linalg.norm
+    return norm(x - y, 2) <= tol * max(1.0, norm(x, 2), norm(y, 2))
 
 
 class TestMeans:
@@ -34,7 +32,7 @@ class TestMeans:
     def test_geom_identity_left_gives_power(self):
         _, b = pair(1)
         for nu in (0.25, 0.5, 0.75):
-            assert rel_close(geom(np.eye(4), b, nu), mat_pow(b, nu), 1e-12)
+            assert rel_close(geom(np.eye(4), b, nu), Powers(b).pow(nu), 1e-12)
 
     def test_geom_scalars_commute(self):
         # commuting pair: geometric mean reduces to eigenvalue formula
@@ -59,7 +57,7 @@ class TestMeans:
     def test_geom_nabla_ordering(self):
         a, b = pair(4)
         for nu in (0.2, 0.5, 0.8):
-            assert is_psd(nabla(a, b, nu) - geom(a, b, nu), 1e-8).ok
+            assert is_psd(PairContext(a, b).nabla(nu) - geom(a, b, nu), 1e-8).ok
 
     def test_heinz_symmetric(self):
         a, b = pair(5)
@@ -69,7 +67,7 @@ class TestMeans:
     def test_heron_endpoints(self):
         a, b = pair(6)
         ctx = PairContext(a, b)
-        assert np.array_equal(ctx.heron(1.0), nabla(a, b, 0.5))
+        assert np.array_equal(ctx.heron(1.0), PairContext(a, b).nabla(0.5))
         assert np.allclose(ctx.heron(0.0), geom(a, b, 0.5))
 
     def test_heinz_half_is_geom(self):
@@ -80,7 +78,7 @@ class TestMeans:
         a, b = pair(8, complex_entries=True)
         g = geom(a, b, 0.5)
         assert np.allclose(g, g.conj().T)
-        assert is_psd(nabla(a, b, 0.5) - g, 1e-8).ok
+        assert is_psd(PairContext(a, b).nabla(0.5) - g, 1e-8).ok
 
     def test_domain_errors(self):
         a, b = pair(9)
@@ -114,13 +112,13 @@ class TestGapStructure:
         ctx = PairContext(a, b)
         (gap,) = case_by_id("op-2.3").gaps(ctx, 1.0)
         want = 2.0 * (ctx.nabla(0.5) - ctx.geom(0.5))
-        assert np.allclose(gap, want, atol=1e-10 * spectral_norm(want))
+        assert np.allclose(gap, want, atol=1e-10 * np.linalg.norm(want, 2))
 
     def test_op210_collapses_at_half(self):
         a, b = pair(11)
         ctx = PairContext(a, b)
         for gap in case_by_id("op-2.10").gaps(ctx, 0.5):
-            assert spectral_norm(gap) == 0.0
+            assert np.linalg.norm(gap, 2) == 0.0
 
     def test_diagonal_gaps_match_scalar_cells(self):
         # commuting case: each link's gap eigenvalues are the scalar slacks
@@ -135,7 +133,7 @@ class TestGapStructure:
                 want = [case.cells(la, mu, nu)[k] for la, mu in zip(lams, mus)]
                 assert np.allclose(got, want, rtol=1e-10, atol=1e-12), case.case_id
                 off = gap - np.diag(np.diag(gap))
-                assert spectral_norm(off) <= 1e-10 * max(1.0, spectral_norm(gap))
+                assert np.linalg.norm(off, 2) <= 1e-10 * max(1.0, np.linalg.norm(gap, 2))
 
 
 class TestCertify:

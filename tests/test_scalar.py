@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meancert.linalg import DomainError
-from meancert.scalar import (NU_GRID_33, NU_GRID_65, alpha_of_nu, case_by_id, evaluate,
-                             heinz, heron, judge_chain, registry, weighted_arith,
-                             weighted_geom)
+from meancert.runner import case_by_id
+from meancert.scalar import (NU_GRID_33, NU_GRID_65, alpha_of_nu, evaluate, heinz, heron,
+                             judge_chain, registry, weighted_arith, weighted_geom)
 
 ALL_IDS = {
     "young-1.1", "km-1.3", "km-1.4", "zw-1.5", "zw-1.6", "kai-1.9",
