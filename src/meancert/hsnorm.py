@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (CERT_PSD_TOL, PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
                      power_rows, validate_hermitian)
+from .opmeans import checked_weight
 from .scalar import (Case, cubic_weight, heinz_weight, judge_chain, require_finite,
                      tail_weights)
 
@@ -69,7 +70,8 @@ class HsContext:
         clamp_psd(self.pb.eigenvalues, psd_tol, "B")
 
     def heinz_block(self, nu) -> np.ndarray:
-        """A^nu X B^(1-nu) + A^(1-nu) X B^nu; at 1x1 it is 2 * heinz(a, b, nu) * x."""
+        """A^nu X B^(1-nu) + A^(1-nu) X B^nu for nu, or each row's nu, in [0, 1];
+        at 1x1 it is 2 * heinz(a, b, nu) * x."""
         pa, pb = self.pa, self.pb
         if isinstance(nu, np.ndarray):
             key, pa_pow, pb_pow = tuple(nu.tolist()), pa.pow_rows, pb.pow_rows
@@ -77,6 +79,7 @@ class HsContext:
             key, pa_pow, pb_pow = nu, pa.pow, pb.pow
         got = self._hb.get(key)
         if got is None:
+            checked_weight("nu", nu)
             X = self.X
             got = pa_pow(nu) @ X @ pb_pow(1.0 - nu) + pa_pow(1.0 - nu) @ X @ pb_pow(nu)
             self._hb[key] = got

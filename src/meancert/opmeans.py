@@ -32,7 +32,7 @@ from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight,
                      first_worst, heinz_weight, tail_weights)
 
 
-def _unit(name: str, t):
+def checked_weight(name: str, t):
     """Check a weight in [0, 1], or each of a stack's weights (one per matrix).
 
     Returns a float, or a 1-D float array for a sequence of weights.
@@ -90,11 +90,11 @@ class PairContext:
         return self._px
 
     def nabla(self, nu=0.5) -> np.ndarray:
-        w = col(_unit("nu", nu))
+        w = col(checked_weight("nu", nu))
         return (1.0 - w) * self.A + w * self.B
 
     def geom(self, nu=0.5) -> np.ndarray:
-        nu = _unit("nu", nu)
+        nu = checked_weight("nu", nu)
         # Boundary identities are exact; the congruence route would only
         # reconstruct A or B through kappa(A)-amplified rounding.
         v = _uniform(nu)
@@ -114,12 +114,12 @@ class PairContext:
 
     def heinz(self, nu) -> np.ndarray:
         """Heinz mean (geom(nu) + geom(1-nu)) / 2, symmetric in nu <-> 1-nu."""
-        nu = _unit("nu", nu)
+        nu = checked_weight("nu", nu)
         return (self.geom(nu) + self.geom(1.0 - nu)) / 2.0
 
     def heron(self, alpha) -> np.ndarray:
         """Heron mean (1-alpha) geom(0.5) + alpha nabla(0.5)."""
-        a = col(_unit("alpha", alpha))
+        a = col(checked_weight("alpha", alpha))
         return (1.0 - a) * self.geom(0.5) + a * self.nabla(0.5)
 
     def corr_lower(self) -> np.ndarray:

@@ -417,6 +417,7 @@ def run_case(case_id: str, cfg: RunConfig,
              pool: ProcessPoolExecutor | None = None) -> dict[str, Any]:
     """Sweep one case; aggregate is independent of the worker count."""
     case = case_by_id(case_id)
+    _check_kind(case_id, case.kind, ("operator", "hs"))
     nu_grid_for(case_id, cfg.nu)  # fail fast on a bad --nu
     spans = [(s, min(s + CHUNK, cfg.trials)) for s in range(0, cfg.trials, CHUNK)]
     agg = _Agg()
@@ -464,15 +465,18 @@ def run_scalar_case(case_id: str,
                     a_values=scalar.A_GRID_13,
                     nu_values=scalar.NU_GRID_65,
                     tol: float = scalar.SCALAR_TOL) -> dict[str, Any]:
-    """Deterministic grid sweep of one scalar chain (no randomness)."""
+    """Deterministic grid sweep of one scalar chain: the grid is checked once, then
+    each point of the domain goes through ``scalar.judge_point``, building no record."""
     case = case_by_id(case_id)
     _check_kind(case_id, case.kind, ("scalar",))
     scalar.check_tol(tol)
     for nu in nu_values:
         scalar.check_unit("nu", nu)
-    points = passes = failures = skipped = 0
-    min_slack: float | None = None
-    argmin: dict[str, Any] | None = None
+    for a in a_values:
+        for b in a_values:
+            scalar.check_pair(a, b)
+    passes = failures = skipped = 0
+    min_slack = best = None
     failure_points: list[dict[str, Any]] = []
     for nu in nu_values:
         if not case.in_domain(nu):
@@ -480,20 +484,18 @@ def run_scalar_case(case_id: str,
             continue
         for a in a_values:
             for b in a_values:
-                trial = scalar.evaluate(case, a, b, nu, tol=tol)
-                points += 1
-                if trial.passed:
+                _, _, norms, worst = scalar.judge_point(case, a, b, nu)
+                slack = norms[worst]
+                if slack >= -tol:
                     passes += 1
                 else:
                     failures += 1
                     if len(failure_points) < FAILURE_CAP:
-                        failure_points.append({
-                            "digest": scalar_digest(case_id, a, b, nu),
-                            "min_slack": trial.min_slack,
-                        })
-                if min_slack is None or trial.min_slack < min_slack:
-                    min_slack = trial.min_slack
-                    argmin = scalar_digest(case_id, a, b, nu)
+                        failure_points.append({"digest": scalar_digest(case_id, a, b, nu),
+                                               "min_slack": slack})
+                if min_slack is None or slack < min_slack:
+                    min_slack, best = slack, (a, b, nu)
+    points = passes + failures
     return {
         "case": case_id,
         "kind": "scalar",
@@ -505,7 +507,7 @@ def run_scalar_case(case_id: str,
         "skipped": skipped,
         "passed": failures == 0,
         "min_slack": min_slack,
-        "argmin": argmin,
+        "argmin": scalar_digest(case_id, *best) if best else None,
         "failure_digests": failure_points,
     }
 

@@ -7,9 +7,11 @@ opposite convention (weight on the second operand); diagonal reductions
 map nu there to 1 - nu here.
 
 Every registered case is a chain of sides expected to be nondecreasing on
-its domain.  evaluate() reports raw adjacent slacks plus a normalized
-minimum used for the pass verdict: link i passes iff
+its domain.  judge_chain() gives the raw adjacent slacks and the normalized
+ones used for the pass verdict: link i passes iff
 sides[i] <= sides[i+1] + tol * max(1, |sides[i]|, |sides[i+1]|).
+judge_point() judges one point unchecked: evaluate() checks it first and
+builds a ScalarTrial; the grid sweep checks its grid once and builds none.
 
 0**0 is taken as 1 throughout (Python float semantics already agree), so
 weights like r**(2r) extend continuously to r = 0.
@@ -456,18 +458,24 @@ def judge_chain(sides: Sequence[float],
     return raws, norms, first_worst(norms)
 
 
+def judge_point(case: ScalarCase, a: float, b: float,
+                nu: float) -> tuple[tuple[float, ...], list[float], list[float], int]:
+    """(sides, raws, norms, worst): the float sides of ``case`` at (a, b, nu) and
+    their ``judge_chain``.  The point is not checked; callers check it first."""
+    try:
+        sides = tuple(map(float, case.sides(a, b, nu)))
+    except OverflowError as exc:  # a float power past the range of floats
+        raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
+                          f"nu={nu!r}: {exc}") from exc
+    return (sides, *judge_chain(sides, case.case_id))
+
+
 def evaluate(case: ScalarCase, a: float, b: float, nu: float,
              tol: float = SCALAR_TOL) -> ScalarTrial:
     """Evaluate one chain at (a, b, nu) and judge every adjacent link."""
     check_pair(a, b)
     case.check_nu(nu)
-    try:
-        sides = tuple(float(s) for s in case.sides(a, b, nu))
-    except OverflowError as exc:  # a float power past the range of floats
-        raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
-                          f"nu={nu!r}: {exc}") from exc
-    raws, norms, worst = judge_chain(sides, case.case_id)
-    min_norm = norms[worst]
-    return ScalarTrial(case.case_id, a, b, nu, sides, tuple(raws), min_norm,
-                       min_norm >= -tol)
+    sides, raws, norms, worst = judge_point(case, a, b, nu)
+    return ScalarTrial(case.case_id, a, b, nu, sides, tuple(raws), norms[worst],
+                       norms[worst] >= -tol)
 

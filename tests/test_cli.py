@@ -64,6 +64,11 @@ class TestRunner:
                                               "this command handles scalar cases$"):
             runner.run_scalar_case("op-2.3")
 
+    def test_matrix_sweep_of_a_scalar_case_raises(self):
+        with pytest.raises(DomainError, match="^case 'young-1.1' is of kind scalar; "
+                                              "this command handles operator, hs cases$"):
+            run_case("young-1.1", RunConfig(trials=2))
+
     def test_nu_grid_respects_domain(self):
         grid = nu_grid_for("op-2.3", None)
         assert 0.0 not in grid and 1.0 in grid and len(grid) == 32
@@ -185,6 +190,76 @@ DOMAINS = {
     "hs-cor": ("1111111100", 0, 64, 33),
     "hs-thm8": ("1111111100", 0, 64, 33),
 }
+
+
+def fold_of_evaluate(case_id, a_values, nu_values):
+    """The fields of a scalar sweep, from ``evaluate`` at each point in (nu, a, b) order."""
+    case = CASES[case_id]
+    out = {"trials": 0, "skipped": 0, "passes": 0, "min_slack": None, "argmin": None,
+           "failure_digests": []}
+    for nu in nu_values:
+        if not case.in_domain(nu):
+            out["skipped"] += len(a_values) ** 2
+            continue
+        for a in a_values:
+            for b in a_values:
+                trial = scalar.evaluate(case, a, b, nu)
+                digest = runner.scalar_digest(case_id, a, b, nu)
+                out["trials"] += 1
+                if trial.passed:
+                    out["passes"] += 1
+                elif len(out["failure_digests"]) < runner.FAILURE_CAP:
+                    out["failure_digests"].append({"digest": digest,
+                                                   "min_slack": trial.min_slack})
+                if out["min_slack"] is None or trial.min_slack < out["min_slack"]:
+                    out["min_slack"], out["argmin"] = trial.min_slack, digest
+    return out
+
+
+REVERSED_YOUNG = scalar.ScalarCase(
+    "young-1.1", "reversed Young inequality, false off the diagonal",
+    "v a + (1-v) b <= a^v b^(1-v)", "0 <= nu <= 1",
+    lambda a, b, v: (scalar.weighted_arith(a, b, v), scalar.weighted_geom(a, b, v)))
+
+
+class TestScalarSweep:
+    @pytest.mark.parametrize("nu_values", [scalar.NU_GRID_65, (0.375,)], ids=["grid", "one-nu"])
+    @pytest.mark.parametrize("case_id", [cid for cid, c in CASES.items() if c.kind == "scalar"])
+    def test_sweep_is_a_fold_of_evaluate(self, case_id, nu_values):
+        got = runner.run_scalar_case(case_id, nu_values=nu_values)
+        want = fold_of_evaluate(case_id, scalar.A_GRID_13, nu_values)
+        assert {key: got[key] for key in want} == want
+
+    def test_failures_are_counted_capped_and_replayed(self, monkeypatch):
+        monkeypatch.setitem(CASES, "young-1.1", REVERSED_YOUNG)
+        got = runner.run_scalar_case("young-1.1")
+        grid = scalar.A_GRID_13
+        strict = [(a, b, nu) for nu in scalar.NU_GRID_65 for a in grid for b in grid
+                  if a != b and 0.0 < nu < 1.0]
+        assert got["failures"] == len(strict) == 156 * 63
+        assert got["passes"] == 169 * 65 - len(strict)
+        assert len(got["failure_digests"]) == runner.FAILURE_CAP
+        assert [f["digest"] for f in got["failure_digests"]] == [
+            runner.scalar_digest("young-1.1", *point) for point in strict[:runner.FAILURE_CAP]]
+        for failure in [*got["failure_digests"], {"digest": got["argmin"],
+                                                  "min_slack": got["min_slack"]}]:
+            replayed = replay_trial(failure["digest"])
+            assert not replayed["passed"]
+            assert replayed["min_slack"].hex() == failure["min_slack"].hex()
+
+    @pytest.mark.parametrize("case_id, a_values, message", [
+        ("cf-1.13", (1.0, 1e300),
+         r"^a side of cf-1\.13 overflows at a=1\.0, b=1e\+300, nu=0\.0: "),
+        ("heinz-1.14", (1.7e308,),
+         r"^side 0 of heinz-1\.14 is inf, not a finite number; "
+         r"these inputs take the arithmetic out of the range of floats$"),
+        # comb-2.11 takes its powers without a mean's check: the grid check must see these
+        ("comb-2.11", (1.0, 0.0), r"^means need finite a, b > 0, got a=1\.0, b=0\.0$"),
+        ("comb-2.11", (1.0, math.nan), r"^means need finite a, b > 0, got a=1\.0, b=nan$"),
+    ], ids=["overflow", "inf-side", "zero", "nan"])
+    def test_error_texts(self, case_id, a_values, message):
+        with pytest.raises(DomainError, match=message):
+            runner.run_scalar_case(case_id, a_values=a_values)
 
 
 class TestCaseTable:
@@ -463,6 +538,7 @@ class TestNonFiniteSettings:
         started = []
         monkeypatch.setattr(runner, "_run_chunk", lambda *a: started.append(a))
         monkeypatch.setattr(scalar, "evaluate", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(scalar, "judge_point", lambda *a: started.append(a))
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []

@@ -49,6 +49,12 @@ class TestHeinzBlock:
         ctx = HsContext(a, b, x)
         assert np.allclose(ctx.heinz_block(0.2), ctx.heinz_block(0.8), atol=1e-12)
 
+    @pytest.mark.parametrize("nu", [1.5, np.array([0.5, 1.5])], ids=["float", "row"])
+    def test_rejects_a_weight_outside_the_unit_interval(self, nu):
+        eye = np.eye(2) * np.ones(np.shape(nu) + (1, 1))  # one triple per weight
+        with pytest.raises(DomainError, match=r"^nu=1\.5 outside \[0, 1\]$"):
+            HsContext(eye, 2.0 * eye, eye, 1e-9).heinz_block(nu)
+
     def test_rejects_indefinite_operand(self):
         with pytest.raises(DomainError, match="positive semidefinite"):
             HsContext(np.diag([1.0, -1.0]), np.eye(2), np.eye(2)).heinz_block(0.5)

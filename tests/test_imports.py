@@ -1,17 +1,24 @@
-"""Every module of the package and of the tests uses each name it imports.
+"""Every module of the package and of the tests uses each name it imports,
+and every function or class the package defines has a user.
 
-``meancert/__init__.py`` is left out: its imports are the package's
-re-exports, which ``test_readme`` checks against ``__all__``.
+``meancert/__init__.py`` is left out of the import scan: its imports are
+the package's re-exports, which ``test_readme`` checks against ``__all__``.
 """
 import ast
 import pathlib
 
 import pytest
 
+import meancert
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in [*(ROOT / "src" / "meancert").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "meancert").glob("*.py"))
+MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
+# definitions that only callers outside the package use, and why
+UNREFERENCED_OK = {
+    "report.strip_volatile": "tests compare reports byte for byte with the timings removed",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +42,31 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources: dict[str, str], exported=()) -> list[str]:
+    """``module.name`` of each module-level function or class in ``sources``
+    (module name -> source) whose name no expression of any of them reads,
+    as a name or as an attribute, and that ``exported`` does not list."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_the_scan_sees_a_dead_definition():
+    sources = {"a": "def used():\n    pass\nclass Dead:\n    pass\ndef exported():\n    pass\n",
+               "b": "from .a import used\nused()\nx.attr_use\ndef attr_use():\n    pass\n"}
+    assert dead_definitions(sources, exported=["exported"]) == ["a.Dead"]
+
+
+def test_every_definition_has_a_user():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert sorted(dead_definitions(sources, meancert.__all__)) == sorted(UNREFERENCED_OK)
