@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import Any
 
 from . import __version__, runner, scalar
-from .linalg import CERT_PSD_TOL, PSD_TOL, DomainError
+from .linalg import CERT_PSD_TOL, DomainError
 from .randgen import DEFAULT_LAW
 from .report import build_report, canonical_json
 
@@ -308,7 +308,7 @@ def _profile_matrix(ids: list[str], nus: list[float],
                 row.extend([""] * len(case.links))
                 continue
             digest = runner.make_digest(cid, replace(cfg, nu=nu), 0)
-            rec = runner.run_trial(digest, CERT_PSD_TOL, PSD_TOL)
+            rec = runner.run_trial(digest, CERT_PSD_TOL)
             if case.kind == "operator":
                 row.extend(lc.slack for lc in rec.links)
             else:

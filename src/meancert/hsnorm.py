@@ -23,7 +23,7 @@ from typing import Any, Callable, ClassVar
 
 import numpy as np
 
-from .linalg import (CERT_PSD_TOL, PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
+from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
                      power_rows, validate_hermitian)
 from .opmeans import checked_weight
 from .scalar import (Case, cubic_weight, heinz_weight, judge_chain, require_finite,
@@ -45,9 +45,9 @@ class HsContext:
     eigensolver; otherwise the context's own decompositions are used.
     """
 
-    def __init__(self, A, B, X, psd_tol: float = PSD_TOL, oracle=None):
-        self.pa = Powers(A, psd_tol)
-        self.pb = Powers(B, psd_tol)
+    def __init__(self, A, B, X, *, oracle=None):
+        self.pa = Powers(A)
+        self.pb = Powers(B)
         X = np.asarray(X)
         shape = self.pa.matrix.shape
         if self.pb.matrix.shape != shape or X.shape != shape:
@@ -57,7 +57,6 @@ class HsContext:
         if not np.isfinite(X).all():
             raise DomainError("X contains non-finite entries")
         self.X = X
-        self.psd_tol = psd_tol
         self._oracle = oracle
         self._hb: dict = {}
         self._g = None
@@ -66,8 +65,8 @@ class HsContext:
         self._alpha = None
         self._cells = None
         # both operands feed fractional powers, so demand PSD up front
-        clamp_psd(self.pa.eigenvalues, psd_tol, "A")
-        clamp_psd(self.pb.eigenvalues, psd_tol, "B")
+        clamp_psd(self.pa.eigenvalues, "A")
+        clamp_psd(self.pb.eigenvalues, "B")
 
     def heinz_block(self, nu) -> np.ndarray:
         """A^nu X B^(1-nu) + A^(1-nu) X B^nu for nu, or each row's nu, in [0, 1];
@@ -129,8 +128,8 @@ class HsContext:
             else:
                 la, ua = self.pa.eigenvalues, self.pa.eigenvectors
                 mu, ub = self.pb.eigenvalues, self.pb.eigenvectors
-            la = clamp_psd(la, self.psd_tol, "A")
-            mu = clamp_psd(mu, self.psd_tol, "B")
+            la = clamp_psd(la, "A")
+            mu = clamp_psd(mu, "B")
             y = ua.conj().swapaxes(-1, -2) @ self.X @ ub
             self._cells = (la, mu, np.abs(y) ** 2)
         return self._cells
@@ -355,7 +354,7 @@ class HsTrial:
     worst_cell: tuple  # (i, j, lam_i, mu_j, damage) for the diagnosed link
 
 
-def _x_hypothesis(case: HsCase, X: np.ndarray, psd_tol: float, lenient: bool) -> list[bool]:
+def _x_hypothesis(case: HsCase, X: np.ndarray, lenient: bool) -> list[bool]:
     """Whether each X of a stack meets the case's hypothesis of a PSD X.
 
     The stack is checked at once.  If that fails, a violation raises
@@ -366,7 +365,7 @@ def _x_hypothesis(case: HsCase, X: np.ndarray, psd_tol: float, lenient: bool) ->
         return [True] * len(X)
     try:
         xh = validate_hermitian(X)
-        clamp_psd(np.linalg.eigvalsh(xh), psd_tol, "X")
+        clamp_psd(np.linalg.eigvalsh(xh), "X")
         return [True] * len(X)
     except DomainError as exc:
         if not lenient:
@@ -375,7 +374,7 @@ def _x_hypothesis(case: HsCase, X: np.ndarray, psd_tol: float, lenient: bool) ->
             ) from exc
         if len(X) == 1:
             return [False]
-    return [_x_hypothesis(case, x[None], psd_tol, lenient)[0] for x in X]
+    return [_x_hypothesis(case, x[None], lenient)[0] for x in X]
 
 
 def _rows(sides) -> list[tuple[float, ...]]:
@@ -383,9 +382,8 @@ def _rows(sides) -> list[tuple[float, ...]]:
     return list(zip(*(s.ravel().tolist() for s in sides)))
 
 
-def certify_hs(case: HsCase, A, B, X, nu,
+def certify_hs(case: HsCase, A, B, X, nu, *,
                tol: float = CERT_PSD_TOL,
-               psd_tol: float = PSD_TOL,
                lenient: bool = False,
                oracle=None):
     """Judge one norm chain at (A, B, X, nu) through both evaluation routes.
@@ -405,13 +403,13 @@ def certify_hs(case: HsCase, A, B, X, nu,
         if oracle is not None:
             oracle = tuple((np.asarray(lam)[None], np.asarray(q)[None]) for lam, q in oracle)
         return certify_hs(case, A[None], np.asarray(B)[None], np.asarray(X)[None], [nu],
-                          tol, psd_tol, lenient, oracle)[0]
+                          tol=tol, lenient=lenient, oracle=oracle)[0]
     nus = [float(v) for v in nu]
     for v in nus:
         case.check_nu(v)
     X = np.asarray(X)
-    met = _x_hypothesis(case, X, psd_tol, lenient)
-    ctx = HsContext(A, B, X, psd_tol, oracle=oracle)
+    met = _x_hypothesis(case, X, lenient)
+    ctx = HsContext(A, B, X, oracle=oracle)
     # a weight shared by every triple goes in as a float, as for one triple
     w = nus[0] if len(set(nus)) == 1 else np.array(nus)
     sides = _rows(case.sides(ctx, w))

@@ -13,7 +13,7 @@ Conventions
   Hermitian part (M + M*)/2.  A matrix keeps the dtype it came in with: a
   complex input stays complex even when its imaginary part is zero, and a
   caller that wants the real path passes ``M.real``.
-* Fractional powers clamp eigenvalues in [-psd_tol * scale, 0) to zero,
+* Fractional powers clamp eigenvalues in [-PSD_TOL * scale, 0) to zero,
   where scale = max(1, spectral norm).  Anything more negative is a domain
   error that names the offending eigenvalue.
 * ``is_psd`` is tolerance-relative: it passes iff
@@ -111,8 +111,8 @@ def eigh(M) -> tuple[np.ndarray, np.ndarray]:
     return p.eigenvalues, p.eigenvectors
 
 
-def clamp_psd(w: np.ndarray, psd_tol: float, who: str) -> np.ndarray:
-    """Clamp eigenvalues in [-psd_tol * scale, 0) to zero, scale = max(1, max|w|).
+def clamp_psd(w: np.ndarray, who: str) -> np.ndarray:
+    """Clamp eigenvalues in [-PSD_TOL * scale, 0) to zero, scale = max(1, max|w|).
 
     ``w`` holds one spectrum per row (..., n), each clamped against its own
     scale.  Anything more negative raises DomainError naming ``who`` and
@@ -122,25 +122,25 @@ def clamp_psd(w: np.ndarray, psd_tol: float, who: str) -> np.ndarray:
         return w
     scale = np.maximum(1.0, np.abs(w).max(axis=-1))
     lo = w.min(axis=-1)
-    bad = lo < -psd_tol * scale
+    bad = lo < -PSD_TOL * scale
     if bad.any():
         i = _first(bad)
         raise DomainError(
             f"{who} has eigenvalue {float(lo.flat[i]):.6e}, negative beyond the clamp "
-            f"window {-psd_tol * float(scale.flat[i]):.1e}; a positive semidefinite "
+            f"window {-PSD_TOL * float(scale.flat[i]):.1e}; a positive semidefinite "
             "operand is required"
         )
     return np.maximum(w, 0.0)
 
 
-def _pow_base(w: np.ndarray, neg, psd_tol: float, t: str) -> np.ndarray:
+def _pow_base(w: np.ndarray, neg, t: str) -> np.ndarray:
     """Eigenvalue rows ``w`` clamped for a fractional or negative power ``t``.
 
     Fractional p >= 0 requires PSD up to the clamp window.  Any p < 0
     requires strictly positive eigenvalues after clamping: ``neg`` says
     which rows have p < 0, as one bool for all or as a mask of rows.
     """
-    w = clamp_psd(w, psd_tol, f"the base of {t}")
+    w = clamp_psd(w, f"the base of {t}")
     if neg.any() if isinstance(neg, np.ndarray) else neg:
         lo = w.min(axis=-1)
         bad = neg & (lo <= 0.0)
@@ -152,7 +152,7 @@ def _pow_base(w: np.ndarray, neg, psd_tol: float, t: str) -> np.ndarray:
     return w
 
 
-def _pow_spectrum(w: np.ndarray, p, psd_tol: float) -> np.ndarray:
+def _pow_spectrum(w: np.ndarray, p) -> np.ndarray:
     """Domain-check eigenvalue rows for t -> t**p and return w**p.
 
     Integer p >= 0 works on any spectrum (with 0**0 = 1); see ``_pow_base``
@@ -163,13 +163,13 @@ def _pow_spectrum(w: np.ndarray, p, psd_tol: float) -> np.ndarray:
     if not isinstance(p, list):
         p = float(p)
         if p < 0 or not p.is_integer():
-            w = _pow_base(w, p < 0, psd_tol, f"t**{p}")
+            w = _pow_base(w, p < 0, f"t**{p}")
         return np.power(w, p)
     ps = np.array(p)
     checked = (ps < 0) | (ps != np.floor(ps))
     if checked.any():
         w = w.copy()
-        w[checked] = _pow_base(w[checked], ps[checked] < 0, psd_tol, "t**p")
+        w[checked] = _pow_base(w[checked], ps[checked] < 0, "t**p")
     return power_rows(w, p)
 
 
@@ -249,7 +249,7 @@ class Powers:
     would on that matrix alone, bit for bit.
     """
 
-    def __init__(self, M, psd_tol: float = PSD_TOL):
+    def __init__(self, M):
         H = self.matrix = validate_hermitian(M)
         try:
             self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
@@ -258,7 +258,6 @@ class Powers:
                 f"eigendecomposition failed for a {H.shape[-1]}x{H.shape[-1]} matrix "
                 f"(max |entry| {np.abs(H).max():.3e}): {exc}"
             ) from exc
-        self.psd_tol = psd_tol
         self._cache: dict[float, np.ndarray] = {}
 
     @property
@@ -288,7 +287,7 @@ class Powers:
             # 0^0 = 1 convention: M^0 is the identity even on PSD kernels.
             eye = np.eye(self.dim, dtype=self.matrix.dtype)
             return np.broadcast_to(eye, self.matrix.shape).copy()
-        wp = _pow_spectrum(self.eigenvalues, p, self.psd_tol)
+        wp = _pow_spectrum(self.eigenvalues, p)
         V = self.eigenvectors
         out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))
         if isinstance(p, list):

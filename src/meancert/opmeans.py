@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from . import scalar
-from .linalg import (CERT_PSD_TOL, PSD_TOL, DomainError, Powers, col, each,
+from .linalg import (CERT_PSD_TOL, DomainError, Powers, col, each,
                      hermitianize, is_psd)
 from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight,
                      first_worst, heinz_weight, tail_weights)
@@ -65,14 +65,13 @@ class PairContext:
     pair's result equals its result alone, bit for bit.
     """
 
-    def __init__(self, A, B, psd_tol: float = PSD_TOL):
-        self.pa = Powers(A, psd_tol)
-        self.pb = Powers(B, psd_tol)
+    def __init__(self, A, B):
+        self.pa = Powers(A)
+        self.pb = Powers(B)
         if self.pa.matrix.shape != self.pb.matrix.shape:
             raise DomainError(
                 f"operand shapes differ: {self.pa.matrix.shape} vs {self.pb.matrix.shape}"
             )
-        self.psd_tol = psd_tol
         self._px: Powers | None = None
 
     @property
@@ -86,7 +85,7 @@ class PairContext:
     def _x(self) -> Powers:
         if self._px is None:
             ai = self.pa.pow(-0.5)
-            self._px = Powers(hermitianize(ai @ self.B @ ai), self.psd_tol)
+            self._px = Powers(hermitianize(ai @ self.B @ ai))
         return self._px
 
     def nabla(self, nu=0.5) -> np.ndarray:
@@ -368,8 +367,7 @@ class OperatorTrial:
 
 
 def certify_operator(case: OperatorCase, A, B, nu,
-                     tol: float = CERT_PSD_TOL,
-                     psd_tol: float = PSD_TOL):
+                     tol: float = CERT_PSD_TOL):
     """Judge every link of one chain at (A, B, nu).
 
     A and B may be stacks (k, n, n) with one nu per pair; the result is
@@ -382,11 +380,11 @@ def certify_operator(case: OperatorCase, A, B, nu,
     """
     A = np.asarray(A)
     if A.ndim == 2:
-        return certify_operator(case, A[None], np.asarray(B)[None], [nu], tol, psd_tol)[0]
+        return certify_operator(case, A[None], np.asarray(B)[None], [nu], tol)[0]
     nus = [float(v) for v in nu]
     for v in nus:
         case.check_nu(v)
-    ctx = PairContext(A, B, psd_tol)
+    ctx = PairContext(A, B)
     if case.requires_ordered:
         order = is_psd(ctx.B - ctx.A, tol)
         if not all(order.ok):

@@ -119,7 +119,7 @@ def pd_draws(rng: np.random.Generator, dim: int, law: str,
     lam = sample_spectrum(rng, law, dim)
     if not allow_zero and lam.min() <= 0.0:
         raise DomainError(
-            f"positive definite generation needs a positive spectrum, got {lam.min()!r}"
+            f"positive definite generation needs a positive spectrum, got {float(lam.min())}"
         )
     return lam, basis_entries(rng, dim, complex_entries)
 

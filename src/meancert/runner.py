@@ -7,8 +7,8 @@ replayed standalone.  Sweeps process trials in fixed-size chunks that
 are merged in chunk order, which keeps aggregates byte-identical across
 worker counts.
 
-Within a chunk every trial draws from its own stream, in trial order; the
-trials are then stacked by dimension, and each stack (k, n, n) goes
+Within a chunk the trials are stacked by dimension and run stack by stack:
+each stack (k, n, n) draws its trials, each from its own stream, then goes
 through generation and certification at once.  Every stacked operation
 treats each matrix as it would treat it alone, so a trial's record is the
 same bit for bit in any stack, and ``run_trial`` and replay run the same
@@ -278,52 +278,44 @@ def inputs(digest: dict[str, Any]) -> dict[str, Any]:
 # A result past the range of floats is a DomainError (a matrix or a chain side
 # that is not finite), never a verdict; numpy need not warn on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def _certify(case: scalar.Case, digests: list[dict[str, Any]],
-             draws: list[list[np.ndarray]], tol: float, psd_tol: float) -> list:
-    """Trial records of a stack of trials of one case and dim, certified in one call."""
-    inputs = build_inputs(digests, draws)
+def _certify(case: scalar.Case, digests: list[dict[str, Any]], tol: float) -> list:
+    """Trial records of a stack of trials of one case and dim, drawn and certified at once."""
+    inputs = build_inputs(digests, [draw_trial(d) for d in digests])
     if case.kind == "operator":
-        return opmeans.certify_operator(case, inputs["A"], inputs["B"], inputs["nu"],
-                                        tol=tol, psd_tol=psd_tol)
+        return opmeans.certify_operator(case, inputs["A"], inputs["B"], inputs["nu"], tol=tol)
     lenient = digests[0]["x_kind"] != case.x_kind
     return hsnorm.certify_hs(case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
-                             tol=tol, psd_tol=psd_tol, lenient=lenient,
-                             oracle=inputs.get("oracle"))
+                             tol=tol, lenient=lenient, oracle=inputs.get("oracle"))
 
 
-def run_trial(digest: dict[str, Any], tol: float, psd_tol: float):
-    """Evaluate one trial, as a stack of one; returns the module-level trial record."""
-    return _certify(case_by_id(digest["case"]), [digest], [draw_trial(digest)],
-                    tol, psd_tol)[0]
+def run_trial(digest: dict[str, Any], tol: float, psd_tol: float = PSD_TOL):
+    """Evaluate one trial, as a stack of one; returns the module-level trial record.
+
+    Every trial clamps at ``PSD_TOL``; ``psd_tol`` is kept for callers that
+    still pass it, and any other value is a DomainError.
+    """
+    if psd_tol != PSD_TOL:
+        raise DomainError(f"the clamp window is fixed at PSD_TOL = {PSD_TOL:g}, got {psd_tol}")
+    return _certify(case_by_id(digest["case"]), [digest], tol)[0]
 
 
-def _run_trials(case: scalar.Case, digests: list[dict[str, Any]], tol: float,
-                psd_tol: float) -> list:
+def _run_trials(case: scalar.Case, digests: list[dict[str, Any]], tol: float) -> list:
     """Records of the trials of ``digests``, certified as stacks.
 
-    Trials draw in trial order.  Each dim's trials gather into a stack, which
-    is certified, and its draws dropped, once it holds STACK_BUDGET entries
-    (k * n * n) or the draws end.
+    The trials are grouped by dim, in order of first appearance, and each
+    group is cut, in trial order, into stacks of STACK_BUDGET entries
+    (k * n * n); a stack draws just before it is certified.
     """
-    records: list = [None] * len(digests)
-    draws: dict[int, list[np.ndarray]] = {}
-    stacks: dict[int, list[int]] = {}
-
-    def certify(rows: list[int]) -> None:
-        got = _certify(case, [digests[i] for i in rows], [draws.pop(i) for i in rows],
-                       tol, psd_tol)
-        for i, rec in zip(rows, got):
-            records[i] = rec
-
+    by_dim: dict[int, list[int]] = {}
     for i, digest in enumerate(digests):
-        draws[i] = draw_trial(digest)
-        dim = digest["dim"]
-        rows = stacks.setdefault(dim, [])
-        rows.append(i)
-        if len(rows) >= STACK_BUDGET // (dim * dim):
-            certify(stacks.pop(dim))
-    for rows in stacks.values():
-        certify(rows)
+        by_dim.setdefault(digest["dim"], []).append(i)
+    records: list = [None] * len(digests)
+    for dim, rows in by_dim.items():
+        size = max(1, STACK_BUDGET // (dim * dim))
+        for s in range(0, len(rows), size):
+            stack = rows[s:s + size]
+            for i, rec in zip(stack, _certify(case, [digests[i] for i in stack], tol)):
+                records[i] = rec
     return records
 
 
@@ -396,14 +388,14 @@ def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
     case = case_by_id(case_id)
     digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
     try:
-        records = _run_trials(case, digests, cfg.tol, cfg.psd_tol)
+        records = _run_trials(case, digests, cfg.tol)
     except DomainError:
         # Run the chunk again one trial at a time, as replay runs a digest, so
         # the error is that of the first trial whose replay fails.
         records = []
         for t, digest in enumerate(digests, start):
             try:
-                records.append(run_trial(digest, cfg.tol, cfg.psd_tol))
+                records.append(run_trial(digest, cfg.tol))
             except DomainError as exc:
                 raise DomainError(f"case {case_id} trial {t}: {exc}; "
                                   f"digest: {json.dumps(digest, sort_keys=True)}") from exc
@@ -535,7 +527,7 @@ def replay_trial(digest: dict[str, Any], tol: float | None = None) -> dict[str, 
             "min_slack": trial.min_slack,
         }
     use_tol = tol if tol is not None else CERT_PSD_TOL
-    rec = run_trial(digest, use_tol, PSD_TOL)
+    rec = run_trial(digest, use_tol)
     out: dict[str, Any] = {"digest": digest, "passed": rec.passed,
                            "min_slack": rec.min_slack, "worst_link": rec.worst_link}
     if case.kind == "operator":

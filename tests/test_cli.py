@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import meancert
@@ -16,7 +18,7 @@ from meancert.cli import main
 from meancert.linalg import PSD_TOL, DomainError
 from meancert.report import (REPORT_SCHEMA, canonical_json, strip_volatile,
                              validate_report)
-from meancert import hsnorm, opmeans, scalar
+from meancert import hsnorm, linalg, opmeans, scalar
 from meancert import runner
 from meancert.runner import (CASES, MAX_DIM, MAX_JOBS, RunConfig, check_digest, make_digest,
                              nu_grid_for, replay_trial, resolve_cases, run_case)
@@ -133,6 +135,28 @@ class TestRunner:
         assert RunConfig().psd_tol == PSD_TOL
         with pytest.raises(TypeError):
             RunConfig(psd_tol=1e-6)
+
+    def test_clamp_window_is_no_parameter(self):
+        exported = [getattr(meancert, name) for name in meancert.__all__]
+        for obj in [*exported, linalg.clamp_psd]:
+            if callable(obj):
+                fn = obj.__init__ if isinstance(obj, type) else obj
+                assert "psd_tol" not in inspect.signature(fn).parameters, obj
+
+    def test_run_trial_takes_only_the_fixed_clamp_window(self):
+        cfg = RunConfig(trials=1, dims=(2,))
+        digest = make_digest("op-2.3", cfg, 0)
+        assert runner.run_trial(digest, cfg.tol, RunConfig.psd_tol).passed
+        with pytest.raises(DomainError) as exc:
+            runner.run_trial(digest, cfg.tol, 1e-6)
+        assert str(exc.value) == "the clamp window is fixed at PSD_TOL = 1e-09, got 1e-06"
+
+    def test_old_positional_clamp_window_is_a_type_error(self):
+        eye = np.eye(2)
+        with pytest.raises(TypeError):
+            hsnorm.HsContext(eye, 2.0 * eye, eye, 1e-9)
+        with pytest.raises(TypeError):
+            hsnorm.certify_hs(CASES["hs-thm8"], eye, 2.0 * eye, eye, 0.5, 1e-8, 1e-9)
 
     def test_run_config_validation(self):
         with pytest.raises(DomainError):
@@ -448,10 +472,13 @@ def cli(*args):
     return run.returncode, run.stderr
 
 
-# sweeps that end in a domain error: a draw, an operator input, and hs sides that
-# are nan through overflow (1e150) and through underflow (1e-160)
+# sweeps that end in a domain error: a draw, a spectrum drawn past the range of
+# floats, an operator input, and hs sides that are nan through overflow (1e150)
+# and through underflow (1e-160)
 SWEEP_ERRORS = {
     "draw": ["--case", "op-2.3", "--law", "explicit:1,2", "--dim", "2,1"],
+    "draw-overflow": ["--case", "op-2.3", "--law", "clustered:1.7e308:0.5", "--dim", "2",
+                      "--trials", "3"],
     "op-overflow": ["--case", "op-2.7-right", "--law", "explicit:1e308", "--dim", "2"],
     "hs-overflow": ["--case", "hs", "--law", "explicit:1e150", "--dim", "2", "--trials", "40"],
     "hs-underflow": ["--case", "hs-cor", "--law", "explicit:1e-160", "--dim", "2",
@@ -470,6 +497,19 @@ class TestSweepErrors:
         # the digest replays to the same error
         code, err = replay_error(capsys, digest)
         assert code == 2 and "explicit law lists 2 values but dim=1" in err
+
+    def test_zero_spectrum_error_prints_a_python_float(self, capsys):
+        assert main(["matrix-verify", "--case", "hs-2.14", "--trials", "5", "--dim", "2",
+                     "--law", "explicit:0,1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: case hs-2.14 trial 0: positive definite generation needs a positive "
+            'spectrum, got 0.0; digest: {"case": "hs-2.14", "complex": false, "dim": 2, '
+            '"kind": "hs", "law": "explicit:0,1", "nu": 0.0, "seed": 0, '
+            '"structure": "general-pd", "trial": 0, "x_kind": "pd"}\n')
+        assert main(["gap-profile", "--case", "hs-2.14", "--dim", "2",
+                     "--law", "explicit:0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: positive definite generation needs a positive spectrum, got 0.0\n")
 
     @pytest.mark.parametrize("flags", SWEEP_ERRORS.values(), ids=SWEEP_ERRORS)
     def test_error_replays_to_the_same_error(self, tmp_path, flags):

@@ -53,7 +53,7 @@ class TestHeinzBlock:
     def test_rejects_a_weight_outside_the_unit_interval(self, nu):
         eye = np.eye(2) * np.ones(np.shape(nu) + (1, 1))  # one triple per weight
         with pytest.raises(DomainError, match=r"^nu=1\.5 outside \[0, 1\]$"):
-            HsContext(eye, 2.0 * eye, eye, 1e-9).heinz_block(nu)
+            HsContext(eye, 2.0 * eye, eye).heinz_block(nu)
 
     def test_rejects_indefinite_operand(self):
         with pytest.raises(DomainError, match="positive semidefinite"):

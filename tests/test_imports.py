@@ -1,5 +1,6 @@
 """Every module of the package and of the tests uses each name it imports,
-and every function or class the package defines has a user.
+every function or class the package defines has a user, and every
+parameter of the package's functions is read.
 
 ``meancert/__init__.py`` is left out of the import scan: its imports are
 the package's re-exports, which ``test_readme`` checks against ``__all__``.
@@ -70,3 +71,37 @@ def test_the_scan_sees_a_dead_definition():
 def test_every_definition_has_a_user():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert sorted(dead_definitions(sources, meancert.__all__)) == sorted(UNREFERENCED_OK)
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``name(parameter)`` for each parameter of a function or lambda in
+    ``source``, other than ``self`` and ``cls``, that its body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+        elif isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        else:
+            continue
+        a = node.args
+        params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  *filter(None, [a.vararg, a.kwarg])]]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}({p})" for p in params
+                   if p not in ("self", "cls") and p not in read]
+    return unread
+
+
+def test_the_scan_sees_an_unread_parameter():
+    source = ("def f(self, a, b=0, *args, knob=1e-9, **kw):\n"
+              "    def g(c):\n        return a + b\n"
+              "    b = kw\n    return g, args\n"
+              "key = lambda cls, row: 0\n")
+    assert unread_parameters(source) == ["f(knob)", "g(c)", "lambda(row)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

@@ -104,7 +104,7 @@ def test_certifying_inputs_equals_run_trial(case_id, cx):
         else:
             rec = hsnorm.certify_hs(case, got["A"], got["B"], got["X"], got["nu"],
                                     tol=cfg.tol, oracle=got["oracle"])
-        assert_same_record(rec, run_trial(digest, cfg.tol, cfg.psd_tol))
+        assert_same_record(rec, run_trial(digest, cfg.tol))
 
 
 def _changed(case_id, drop=None, **changes):
@@ -231,7 +231,7 @@ def test_stack_error_names_the_lowest_trial_that_fails_alone(monkeypatch):
     cfg = RunConfig(trials=20, dims=(3,))  # one stack, trial 7 is its row 7
     digest = make_digest("op-2.3", cfg, 7)
     with pytest.raises(DomainError) as alone:
-        run_trial(digest, cfg.tol, cfg.psd_tol)
+        run_trial(digest, cfg.tol)
     assert "the base of t**" in str(alone.value)
     with pytest.raises(DomainError) as sweep:
         run_case("op-2.3", cfg)

@@ -220,9 +220,9 @@ class TestStacks:
         neg = good - 2 * np.linalg.norm(good, 2) * np.eye(3)
         w = np.stack([eigh(m)[0] for m in (good, neg, 2 * neg)])
         with pytest.raises(DomainError) as alone:
-            clamp_psd(eigh(neg)[0], 1e-9, "B")
+            clamp_psd(eigh(neg)[0], "B")
         with pytest.raises(DomainError) as stacked:
-            clamp_psd(w, 1e-9, "B")
+            clamp_psd(w, "B")
         assert str(stacked.value) == str(alone.value)
 
     def test_zero_imaginary_matrix_keeps_complex_dtype(self):
