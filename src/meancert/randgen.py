@@ -1,10 +1,21 @@
 """Seeded random matrix draws with construction-time ground truth.
 
 A trial's draws are a pure function of (seed, trial index): each trial
-gets its own counter-derived Philox stream via numpy's SeedSequence spawn
-keys, so draws never depend on evaluation order or parallelism.
-``runner.draw_trial`` fixes what one trial draws and in which order, and
-``runner.inputs`` rebuilds a trial's matrices from its digest alone.
+gets its own counter-based Philox stream (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), so draws never depend on evaluation
+order or parallelism.  The stream of trial t under entropy e (the case's
+``derive_seed``) is keyed by ``SeedSequence(e, spawn_key=(t,))
+.generate_state(2, np.uint64)``, numpy's documented seeding hash after
+O'Neill's ``seed_seq_fe``.  ``trial_key`` computes that key itself: the
+pool mixed from e alone is cached per entropy, and a trial mixes in its
+one 32-bit word and hashes the pool out.  ``seek`` then resets a Philox
+generator to counter 0 under that key, which is the state
+``Philox(SeedSequence(e, spawn_key=(t,)))`` starts in, so a sweep keeps one
+generator per stack.  The keys depend on numpy's algorithm staying as it
+is; ``tests/test_randgen.py::TestStreams`` pins them against
+``np.random.SeedSequence``.  ``runner.draw_trial`` fixes what one trial
+draws and in which order, and ``runner.inputs`` rebuilds a trial's
+matrices from its digest alone.
 
 Positive definite matrices are assembled as Q diag(lam) Q* with lam drawn
 from a configurable spectrum law and Q orthogonal (or unitary) from a QR
@@ -67,10 +78,96 @@ def derive_seed(seed: int, label: str) -> int:
     return (int(seed) << 32) ^ zlib.crc32(label.encode("utf-8"))
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one trial: independent across trial indices."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
-    return np.random.Generator(np.random.Philox(ss))
+# the constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (h, h * mult) pairs of ``count`` successive hash steps; h starts at ``init``."""
+    out, h = [], init
+    for _ in range(count):
+        out.append((h, h * mult & _MASK32))
+        h = h * mult & _MASK32
+    return out
+
+
+def _hash(value: int, consts: tuple[int, int]) -> int:
+    h, h_next = consts
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+# the output hash of generate_state over the four pool words
+_OUT = _hash_consts(_INIT_B, _MULT_B, _POOL)
+
+
+@functools.lru_cache(maxsize=256)
+def _entropy_pool(entropy: int) -> tuple[tuple[int, int, int], ...]:
+    """SeedSequence's pool mixed from ``entropy`` alone, once per entropy.
+
+    Returns one lane per pool word: (_MIX_L * word, and the hash constants
+    with which the spawn word is mixed into it).  The run entropy is cut
+    into 32-bit words, low first, and padded with zeros to the pool size,
+    as SeedSequence pads it when there is a spawn key.
+    """
+    words = []
+    while True:
+        words.append(entropy & _MASK32)
+        entropy >>= 32
+        if not entropy:
+            break
+    words += [0] * (_POOL - len(words))
+    extra = len(words) - _POOL
+    # hashmix steps: one per pool word, 12 to mix the pool, 4 per extra word
+    # and 4 for the spawn word; the constants do not depend on the values
+    consts = iter(_hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + extra + 1)))
+    pool = [_hash(w, next(consts)) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts)))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(w, next(consts)))
+    return tuple((_MIX_L * p & _MASK32, *next(consts)) for p in pool)
+
+
+def trial_key(entropy: int, trial: int) -> tuple[int, int]:
+    """The Philox key of trial ``trial``'s stream under ``entropy``:
+    ``SeedSequence(entropy, spawn_key=(trial,)).generate_state(2, np.uint64)``,
+    for a trial index of one 32-bit word."""
+    if not 0 <= trial <= _MASK32:
+        raise DomainError(f"a trial index must lie in 0..{_MASK32}, got {trial}")
+    out = []
+    for (mixed, h, h_next), consts in zip(_entropy_pool(entropy), _OUT):
+        value = (trial ^ h) * h_next & _MASK32
+        r = (mixed - _MIX_R * (value ^ value >> 16)) & _MASK32
+        out.append(_hash(r ^ r >> 16, consts))
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def seek(rng: np.random.Generator, entropy: int, trial: int) -> np.random.Generator:
+    """Reset ``rng``, a Philox generator, to the start of trial ``trial``'s stream."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": trial_key(entropy, trial)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
+def trial_rng(entropy: int, trial: int) -> np.random.Generator:
+    """A new generator at the start of trial ``trial``'s stream."""
+    return seek(np.random.Generator(np.random.Philox(0)), entropy, trial)
 
 
 def sample_spectrum(rng: np.random.Generator, law: str, dim: int) -> np.ndarray:
@@ -113,15 +210,20 @@ def assemble(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def pd_draws(rng: np.random.Generator, dim: int, law: str,
-             complex_entries: bool = False,
-             allow_zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (lam, basis entries); spectrum first, then basis (fixed order for replay)."""
-    lam = sample_spectrum(rng, law, dim)
-    if not allow_zero and lam.min() <= 0.0:
+             complex_entries: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (lam, basis entries); spectrum first, then basis (fixed order for replay).
+
+    The spectrum is not checked here: ``check_positive`` checks a stack's
+    spectra at once."""
+    return sample_spectrum(rng, law, dim), basis_entries(rng, dim, complex_entries)
+
+
+def check_positive(lam: np.ndarray) -> None:
+    """DomainError unless every eigenvalue of ``lam`` (any shape) is positive."""
+    if lam.min() <= 0.0:
         raise DomainError(
             f"positive definite generation needs a positive spectrum, got {float(lam.min())}"
         )
-    return lam, basis_entries(rng, dim, complex_entries)
 
 
 def general_entries(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:

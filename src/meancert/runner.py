@@ -25,8 +25,8 @@ import numpy as np
 
 from . import hsnorm, opmeans, scalar
 from .linalg import CERT_PSD_TOL, PSD_TOL, DomainError
-from .randgen import (DEFAULT_LAW, assemble, derive_seed, general_entries, orthonormalize,
-                      parse_law, pd_draws, trial_rng)
+from .randgen import (DEFAULT_LAW, assemble, check_positive, derive_seed, general_entries,
+                      orthonormalize, parse_law, pd_draws, seek)
 
 CHUNK = 512
 # matrix entries (k * n * n) in one stack: a larger dim group is split, which
@@ -35,6 +35,7 @@ STACK_BUDGET = 1 << 18
 DEFAULT_DIMS = (1, 2, 3, 5, 8)
 MAX_DIM = 1024  # a bound on what a digest or a flag may ask to allocate
 MAX_JOBS = 256  # a bound on the worker processes a flag may ask to start
+MAX_TRIALS = 2**32  # so that each trial index is one 32-bit word of its stream's key
 FAILURE_CAP = 10
 
 
@@ -105,8 +106,8 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise DomainError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not self.dims or any(not 1 <= d <= MAX_DIM for d in self.dims):
@@ -194,6 +195,9 @@ def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     if kind == "scalar":
         rewrite = scalar_digest(case_id, digest["a"], digest["b"], digest["nu"])
     else:
+        if not 0 <= digest["trial"] < MAX_TRIALS:
+            raise DomainError(f"digest field 'trial' must lie in 0..{MAX_TRIALS - 1}, "
+                              f"got {digest['trial']}")
         cfg = RunConfig(trials=digest["trial"] + 1, seed=digest["seed"],
                         dims=(digest["dim"],), law=digest["law"], w_law=digest.get("w_law"),
                         nu=digest["nu"], complex_entries=digest["complex"],
@@ -206,22 +210,29 @@ def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     return rewrite
 
 
-def draw_trial(digest: dict[str, Any]) -> list[np.ndarray]:
+def draw_trial(digest: dict[str, Any], rng: np.random.Generator) -> list[np.ndarray]:
     """The draws of one trial from its own Philox stream.
 
+    ``rng`` is a Philox generator; it is first reset (``randgen.seek``) to
+    the start of the trial's stream, so one generator serves a whole stack.
     Draw order is fixed and documented here: A-spectrum, A-basis, then
     (W-spectrum, W-basis) for ordered pairs or (B-spectrum, B-basis)
     otherwise, then X (spectrum+basis when positive definite, raw entries
     when general).  Changing this order is a breaking change for replay.
-    A basis is drawn as its Gaussian entries; ``build_inputs`` factors it.
+    A basis is drawn as its Gaussian entries; ``build_inputs`` factors it
+    and checks the spectra.
     """
     dim = digest["dim"]
     cx = digest["complex"]
     law = digest["law"]
-    rng = trial_rng(derive_seed(digest["seed"], digest["case"]), digest["trial"])
+    seek(rng, derive_seed(digest["seed"], digest["case"]), digest["trial"])
     draws = [*pd_draws(rng, dim, law, cx)]
     if digest["structure"] == "ordered-pair":
-        draws += pd_draws(rng, dim, digest["w_law"], cx, allow_zero=True)
+        try:
+            draws += pd_draws(rng, dim, digest["w_law"], cx)
+        except DomainError:
+            check_positive(draws[0])  # A was drawn first, so its check comes first
+            raise
     else:
         draws += pd_draws(rng, dim, law, cx)
     if digest["kind"] == "hs":
@@ -236,19 +247,23 @@ def build_inputs(digests: list[dict[str, Any]],
                  draws: list[list[np.ndarray]]) -> dict[str, Any]:
     """The exact inputs of trials of one case and dim, stacked (k, n, n).
 
-    ``draws`` holds each trial's ``draw_trial``; every basis of the stack
-    is factored in one QR call.  For hs trials on a general pair,
-    ``oracle`` holds the construction-time ((lam_a, Q_a), (lam_b, Q_b)),
-    stacked like A and B.
+    ``draws`` holds each trial's ``draw_trial``.  The spectra of each
+    positive definite operand (all but the W of an ordered pair) are checked
+    at once, in draw order, and every basis of the stack is factored in one
+    QR call.  For hs trials on a general pair, ``oracle`` holds the
+    construction-time ((lam_a, Q_a), (lam_b, Q_b)), stacked like A and B.
     """
     first, k = digests[0], len(digests)
+    ordered = first["structure"] == "ordered-pair"
     stacks = [np.array(col) for col in zip(*draws)]
     npd = len(stacks) // 2  # a (spectrum, basis) pair per PD operand; a general X adds one
     lams = stacks[0:2 * npd:2]
+    for i, lam in enumerate(lams):
+        if not (ordered and i == 1):
+            check_positive(lam)
     q = orthonormalize(np.concatenate(stacks[1:2 * npd:2]))
     qs = [q[i * k:(i + 1) * k] for i in range(npd)]
     a, second, *rest = [assemble(lam, q) for lam, q in zip(lams, qs)]
-    ordered = first["structure"] == "ordered-pair"
     out: dict[str, Any] = {"A": a, "B": a + second if ordered else second,
                            "nu": [d["nu"] for d in digests]}
     if first["kind"] == "hs":
@@ -268,11 +283,18 @@ def inputs(digest: dict[str, Any]) -> dict[str, Any]:
     digest = check_digest(digest)
     if digest["kind"] == "scalar":
         raise DomainError(f"case {digest['case']} is a scalar case; it draws no matrices")
-    stack = build_inputs([digest], [draw_trial(digest)])
+    stack = _draw([digest])
     out = {key: stack[key][0] for key in ("A", "B", "nu", "X") if key in stack}
     if "oracle" in stack:
         out["oracle"] = tuple((lam[0], q[0]) for lam, q in stack["oracle"])
     return out
+
+
+def _draw(digests: list[dict[str, Any]]) -> dict[str, Any]:
+    """``build_inputs`` of the trials' draws, from one generator that
+    ``draw_trial`` resets to each trial's own stream."""
+    rng = np.random.Generator(np.random.Philox(0))
+    return build_inputs(digests, [draw_trial(d, rng) for d in digests])
 
 
 # A result past the range of floats is a DomainError (a matrix or a chain side
@@ -280,7 +302,7 @@ def inputs(digest: dict[str, Any]) -> dict[str, Any]:
 @np.errstate(over="ignore", invalid="ignore")
 def _certify(case: scalar.Case, digests: list[dict[str, Any]], tol: float) -> list:
     """Trial records of a stack of trials of one case and dim, drawn and certified at once."""
-    inputs = build_inputs(digests, [draw_trial(d) for d in digests])
+    inputs = _draw(digests)
     if case.kind == "operator":
         return opmeans.certify_operator(case, inputs["A"], inputs["B"], inputs["nu"], tol=tol)
     lenient = digests[0]["x_kind"] != case.x_kind
@@ -299,18 +321,19 @@ def run_trial(digest: dict[str, Any], tol: float, psd_tol: float = PSD_TOL):
     return _certify(case_by_id(digest["case"]), [digest], tol)[0]
 
 
-def _run_trials(case: scalar.Case, digests: list[dict[str, Any]], tol: float) -> list:
-    """Records of the trials of ``digests``, certified as stacks.
+def run_stacks(digests: list[dict[str, Any]], tol: float) -> list:
+    """Records of the matrix trials of ``digests``, certified as stacks.
 
-    The trials are grouped by dim, in order of first appearance, and each
-    group is cut, in trial order, into stacks of STACK_BUDGET entries
-    (k * n * n); a stack draws just before it is certified.
+    The trials are grouped by case and dim, in order of first appearance,
+    and each group is cut, in trial order, into stacks of STACK_BUDGET
+    entries (k * n * n); a stack draws just before it is certified.
     """
-    by_dim: dict[int, list[int]] = {}
+    groups: dict[tuple[str, int], list[int]] = {}
     for i, digest in enumerate(digests):
-        by_dim.setdefault(digest["dim"], []).append(i)
+        groups.setdefault((digest["case"], digest["dim"]), []).append(i)
     records: list = [None] * len(digests)
-    for dim, rows in by_dim.items():
+    for (case_id, dim), rows in groups.items():
+        case = case_by_id(case_id)
         size = max(1, STACK_BUDGET // (dim * dim))
         for s in range(0, len(rows), size):
             stack = rows[s:s + size]
@@ -388,7 +411,7 @@ def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
     case = case_by_id(case_id)
     digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
     try:
-        records = _run_trials(case, digests, cfg.tol)
+        records = run_stacks(digests, cfg.tol)
     except DomainError:
         # Run the chunk again one trial at a time, as replay runs a digest, so
         # the error is that of the first trial whose replay fails.

@@ -20,8 +20,8 @@ from meancert.report import (REPORT_SCHEMA, canonical_json, strip_volatile,
                              validate_report)
 from meancert import hsnorm, linalg, opmeans, scalar
 from meancert import runner
-from meancert.runner import (CASES, MAX_DIM, MAX_JOBS, RunConfig, check_digest, make_digest,
-                             nu_grid_for, replay_trial, resolve_cases, run_case)
+from meancert.runner import (CASES, MAX_DIM, MAX_JOBS, MAX_TRIALS, RunConfig, check_digest,
+                             make_digest, nu_grid_for, replay_trial, resolve_cases, run_case)
 
 ALL_CASE_COUNT = 30  # 18 scalar + 8 operator + 4 hs
 
@@ -463,6 +463,23 @@ class TestRunConfigBounds:
     def test_dim_bound_is_inclusive(self):
         assert RunConfig(dims=(1, MAX_DIM)).dims == (1, MAX_DIM)
 
+    def test_trials_bound(self, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(runner, "_run_chunk", lambda *a: started.append(a))
+        assert main(["matrix-verify", "--case", "op-2.3", "--trials", str(MAX_TRIALS + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trials must lie in 1..{MAX_TRIALS}, got {MAX_TRIALS + 1}\n")
+        assert started == []
+        assert RunConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+
+    def test_trial_index_is_one_key_word(self, capsys):
+        # the last index replays; the next would need a second word of the stream's key
+        assert replay_trial(hs_digest(trial=MAX_TRIALS - 1))["digest"]["trial"] == MAX_TRIALS - 1
+        for trial in (MAX_TRIALS, -1):
+            code, err = replay_error(capsys, hs_digest(trial=trial))
+            assert code == 2 and err == (f"error: digest field 'trial' must lie in "
+                                         f"0..{MAX_TRIALS - 1}, got {trial}\n")
+
 
 def cli(*args):
     """Exit code and stderr of the CLI in a fresh process, where every warning is printed."""
@@ -797,6 +814,32 @@ class TestGapProfileVerb:
         mid = [r for r in rows if float(r["nu"]) == 0.5][0]
         for link in ("lower", "middle", "upper"):
             assert float(mid[f"op-2.10:{link}"]) == 0.0
+
+    def test_matrix_profile_is_one_stack_per_case(self, tmp_path, monkeypatch):
+        stacks = []
+        certify = runner._certify
+        monkeypatch.setattr(runner, "_certify", lambda case, digests, tol: stacks.append(
+            (case.case_id, len(digests))) or certify(case, digests, tol))
+        ids = ["op-2.10", "hs-2.14"]
+        out = tmp_path / "gp.csv"
+        assert main(["gap-profile", "--case", ",".join(ids), "--dim", "3", "--nu-points", "33",
+                     "--out", str(out)]) == 0
+        nus = [i / 32 for i in range(33)]
+        assert stacks == [(cid, sum(map(CASES[cid].in_domain, nus))) for cid in ids]
+        # each point is the record of its trial run alone
+        cfg = RunConfig(trials=1, dims=(3,))
+        for row, nu in zip(list(csv.reader(open(out)))[1:], nus):
+            want = [f"{nu:.17g}"]
+            for cid in ids:
+                case = CASES[cid]
+                if not case.in_domain(nu):
+                    want += [""] * len(case.links)
+                    continue
+                rec = runner.run_trial(make_digest(cid, dataclasses.replace(cfg, nu=nu), 0),
+                                       cfg.tol)
+                slacks = [lc.slack for lc in rec.links] if case.kind == "operator" else rec.slacks
+                want += [f"{v:.17g}" for v in slacks]
+            assert row == want
 
     def test_scalar_profile_emits_witnesses(self, tmp_path, capsys):
         out = tmp_path / "gp.csv"

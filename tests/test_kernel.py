@@ -175,9 +175,9 @@ def test_large_dim_group_is_split_under_the_budget(monkeypatch):
     sizes, held = [], [0]
     draw, build = runner.draw_trial, runner.build_inputs
 
-    def draw_spy(digest):
+    def draw_spy(digest, rng):
         held.append(held[-1] + 1)  # trials drawn and not yet built
-        return draw(digest)
+        return draw(digest, rng)
 
     def build_spy(digests, draws):
         sizes.append(len(digests))

@@ -1,11 +1,16 @@
+import random
 import zlib
 
 import numpy as np
 import pytest
 
+from meancert import runner
 from meancert.linalg import DomainError, is_psd
-from meancert.randgen import assemble, derive_seed, parse_law, sample_spectrum, trial_rng
-from meancert.runner import RunConfig, draw_trial, inputs, make_digest
+from meancert.randgen import (assemble, derive_seed, parse_law, sample_spectrum, seek, trial_key,
+                              trial_rng)
+from meancert.runner import CASES, RunConfig, build_inputs, draw_trial, inputs, make_digest
+
+MATRIX = [cid for cid, case in CASES.items() if case.kind != "scalar"]
 
 
 def digest(case="op-2.3", trial=0, dim=4, **cfg):
@@ -15,6 +20,17 @@ def digest(case="op-2.3", trial=0, dim=4, **cfg):
 
 def raw(draws):
     return b"".join(d.tobytes() for d in draws)
+
+
+def fresh(digest):
+    """The draws of ``digest`` from a new generator."""
+    return draw_trial(digest, np.random.Generator(np.random.Philox(0)))
+
+
+def reference_rng(entropy, trial):
+    """The stream of a trial as numpy's SeedSequence spawns it."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy,
+                                                                       spawn_key=(trial,))))
 
 
 class TestParseLaw:
@@ -45,17 +61,117 @@ class TestDigestValues:
                 inputs({**digest(dim=2), field: value})
 
 
+class TestStreams:
+    # derive_seed of these seeds is an entropy of 1, 2, 3, 4 and 5 32-bit words
+    SEEDS = (0, 1, 2**32, 2**70, 2**100)
+
+    def test_keys_equal_numpy_seed_sequence(self):
+        # fails, before replay does, if numpy changes its seeding algorithm
+        for seed in self.SEEDS:
+            entropy = derive_seed(seed, "op-2.3")
+            for trial in [*range(601), 2**32 - 1]:
+                want = np.random.SeedSequence(entropy, spawn_key=(trial,)).generate_state(
+                    2, np.uint64)
+                assert trial_key(entropy, trial) == tuple(int(w) for w in want), (seed, trial)
+
+    def test_seeds_cover_one_to_five_entropy_words(self):
+        words = [-(-derive_seed(seed, "op-2.3").bit_length() // 32) for seed in self.SEEDS]
+        assert words == [1, 2, 3, 4, 5]
+
+    def test_trial_index_is_one_word(self):
+        with pytest.raises(DomainError, match="trial index"):
+            trial_key(5, 2**32)
+        with pytest.raises(DomainError, match="trial index"):
+            trial_key(5, -1)
+
+    def test_seek_equals_a_fresh_stream(self):
+        rng = trial_rng(0, 0)
+        rng.standard_normal(3)  # a used generator, its buffer partly spent
+        for entropy, trial in ((derive_seed(7, "hs-2.14"), 12),
+                               (derive_seed(2**100, "x"), 2**32 - 1)):
+            ref = reference_rng(entropy, trial)
+            seek(rng, entropy, trial)
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+            assert rng.uniform(size=3).tobytes() == ref.uniform(size=3).tobytes()
+            assert trial_rng(entropy, trial).random(4).tobytes() == reference_rng(
+                entropy, trial).random(4).tobytes()
+
+    @pytest.mark.parametrize("case_id", MATRIX)
+    @pytest.mark.parametrize("cfg", [{}, {"complex_entries": True}, {"lenient_x": True},
+                                     {"w_law": "explicit:0"}, {"seed": 2**70}],
+                             ids=["real", "complex", "lenient-x", "w-explicit-0", "seed-2^70"])
+    def test_draws_equal_seed_sequence_streams(self, monkeypatch, case_id, cfg):
+        digests = [make_digest(case_id, RunConfig(dims=(1, 2, 3), **cfg), t) for t in range(12)]
+        got = [raw(fresh(d)) for d in digests]
+        # the same draws from the reference stream, which draw_trial must not reset
+        monkeypatch.setattr(runner, "seek", lambda rng, entropy, trial: rng)
+        want = [raw(draw_trial(d, reference_rng(derive_seed(d["seed"], d["case"]), d["trial"])))
+                for d in digests]
+        assert got == want
+
+
+class TestPositiveSpectra:
+    """Spectra are checked once per stack, in build_inputs, in draw order."""
+
+    def build(self, case_id, changes, **cfg):
+        d = digest(case_id, dim=3, **cfg)
+        draws = fresh(d)
+        for index, lam in changes.items():
+            draws[index] = np.array(lam)
+        return build_inputs([d], [draws])
+
+    @pytest.mark.parametrize("case_id, changes, got", [
+        ("op-2.3", {0: [1.0, 0.0, 2.0]}, "0.0"),  # A
+        ("op-2.3", {2: [1.0, -1.5, 2.0]}, "-1.5"),  # B
+        ("hs-2.14", {4: [-2.0, 1.0, 1.0]}, "-2.0"),  # a positive definite X
+        ("hs-2.14", {0: [1.0, 0.0, 1.0], 4: [-2.0, 1.0, 1.0]}, "0.0"),  # A comes first
+    ])
+    def test_error_names_the_first_operand_that_fails(self, case_id, changes, got):
+        with pytest.raises(DomainError) as exc:
+            self.build(case_id, changes)
+        assert str(exc.value) == (
+            f"positive definite generation needs a positive spectrum, got {got}")
+
+    def test_w_of_an_ordered_pair_is_exempt(self):
+        built = self.build("op-2.7-left", {2: [0.0, 0.0, 0.0]})
+        assert np.array_equal(built["A"], built["B"])
+
+    def test_a_comes_before_a_w_that_cannot_be_drawn(self):
+        d = digest("op-2.7-left", dim=1, law="explicit:0", w_law="explicit:1,2")
+        with pytest.raises(DomainError, match="positive spectrum, got 0.0"):
+            fresh(d)
+        with pytest.raises(DomainError, match="lists 2 values but dim=1"):
+            fresh({**d, "law": "explicit:1"})
+
+    def test_a_stack_takes_one_check_per_operand(self, monkeypatch):
+        seen = []
+        check = runner.check_positive
+        monkeypatch.setattr(runner, "check_positive", lambda lam: seen.append(lam.shape)
+                            or check(lam))
+        ds = [digest("hs-2.14", trial=t, dim=3) for t in range(6)]
+        build_inputs(ds, [fresh(d) for d in ds])
+        assert seen == [(6, 3)] * 3
+
+
 class TestDeterminism:
     def test_same_trial_same_bytes(self):
         d = digest(trial=7, dim=5, seed=123)
-        assert raw(draw_trial(d)) == raw(draw_trial(d))
+        assert raw(fresh(d)) == raw(fresh(d))
         assert inputs(d)["A"].tobytes() == inputs(d)["A"].tobytes()
 
     def test_trials_independent_of_order(self):
-        digests = [digest(trial=t, seed=9) for t in range(5)]
-        forward = [raw(draw_trial(d)) for d in digests]
-        backward = [raw(draw_trial(d)) for d in reversed(digests)]
+        digests = [digest(case, trial=t, seed=9) for case in ("op-2.3", "op-2.7-left", "hs-2.13")
+                   for t in range(8)]
+        forward = [raw(fresh(d)) for d in digests]
+        backward = [raw(fresh(d)) for d in reversed(digests)]
         assert forward == backward[::-1]
+        # one generator, reused across the trials in shuffled order, gives the same bytes
+        order = list(range(len(digests)))
+        random.Random(3).shuffle(order)
+        rng = trial_rng(0, 0)
+        reused = {i: raw(draw_trial(digests[i], rng)) for i in order}
+        assert [reused[i] for i in range(len(digests))] == forward
 
     def test_different_trials_differ(self):
         assert (inputs(digest(trial=0, seed=9))["A"].tobytes()
@@ -84,7 +200,7 @@ class TestDeterminism:
 class TestSpectraAndBases:
     def test_explicit_diagonal_exact(self):
         # an explicit law is drawn exactly; in the identity basis it is the diagonal
-        lam = draw_trial(digest(dim=3, law="explicit:2,3,4"))[0]
+        lam = fresh(digest(dim=3, law="explicit:2,3,4"))[0]
         assert np.array_equal(assemble(lam, np.eye(3)), np.diag([2.0, 3.0, 4.0]))
 
     def test_explicit_broadcast(self):
