@@ -28,6 +28,7 @@ from .randgen import DEFAULT_LAW
 from .report import build_report, canonical_json
 
 TOOL = f"meancert {__version__}"
+MAX_NU_POINTS = 2**16 + 1  # a bound on the gap-profile rows a flag may ask for
 
 
 def _split_tokens(values: list[str] | None) -> list[str] | None:
@@ -302,13 +303,7 @@ def _profile_matrix(ids: list[str], nus: list[float],
     # every point is trial 0 at its own nu: a case's points are one stack
     digests = [runner.make_digest(cid, replace(cfg, nu=nu), 0)
                for nu in nus for cid in ids if runner.CASES[cid].in_domain(nu)]
-    try:
-        records = iter(runner.run_stacks(digests, CERT_PSD_TOL))
-    except DomainError:
-        # point by point, in row order, so the error is the first point's, as replay raises it
-        for digest in digests:
-            runner.run_trial(digest, CERT_PSD_TOL)
-        raise
+    records = iter(runner.run_stacks(digests, CERT_PSD_TOL))
     rows = []
     for nu in nus:
         row: list[Any] = [nu]
@@ -332,8 +327,8 @@ def cmd_gap_profile(args: argparse.Namespace) -> int:
     if not tokens:
         raise DomainError("gap-profile needs at least one --case")
     n = opts["nu_points"]
-    if n < 2:
-        raise DomainError("--nu-points must be >= 2")
+    if not 2 <= n <= MAX_NU_POINTS:
+        raise DomainError(f"nu_points must lie in 2..{MAX_NU_POINTS}, got {n}")
     nus = [i / (n - 1) for i in range(n)]
     ids = runner.resolve_cases(tokens, ("scalar", "operator", "hs"))
     kinds = {runner.CASES[cid].kind for cid in ids}

@@ -33,15 +33,17 @@ ORACLE_TOL = 1e-10
 
 
 class HsContext:
-    """Cached quantities for one (A, B, X) triple, or for a stack (k, n, n) of them.
+    """The decompositions of one (A, B, X) triple, or of a stack (k, n, n) of them,
+    and the blocks and coefficients the chains are built from.
 
     A weight ``nu`` is a float, for every triple, or a 1-D array with one
     per triple of a stack.  Every block, coefficient and norm of a triple
     equals its value for that triple alone, bit for bit; a norm or a
     coefficient that depends on the matrices is a (k, 1, 1) column for a
-    stack, (1, 1) for one triple.  ``oracle`` optionally supplies
-    construction-time decompositions ((la, Ua), (mu, Ub)) of A and B,
-    stacked like them, making the cell route independent of the
+    stack, (1, 1) for one triple.  Each method computes afresh: a chain
+    that reads a block twice computes it once itself.  ``oracle``
+    optionally supplies construction-time decompositions ((la, Ua), (mu, Ub))
+    of A and B, stacked like them, making the cell route independent of the
     eigensolver; otherwise the context's own decompositions are used.
     """
 
@@ -58,12 +60,6 @@ class HsContext:
             raise DomainError("X contains non-finite entries")
         self.X = X
         self._oracle = oracle
-        self._hb: dict = {}
-        self._g = None
-        self._s = None
-        self._d = None
-        self._alpha = None
-        self._cells = None
         # both operands feed fractional powers, so demand PSD up front
         clamp_psd(self.pa.eigenvalues, "A")
         clamp_psd(self.pb.eigenvalues, "B")
@@ -71,47 +67,32 @@ class HsContext:
     def heinz_block(self, nu) -> np.ndarray:
         """A^nu X B^(1-nu) + A^(1-nu) X B^nu for nu, or each row's nu, in [0, 1];
         at 1x1 it is 2 * heinz(a, b, nu) * x."""
-        pa, pb = self.pa, self.pb
-        if isinstance(nu, np.ndarray):
-            key, pa_pow, pb_pow = tuple(nu.tolist()), pa.pow_rows, pb.pow_rows
-        else:  # one weight for every triple: its powers are cached
-            key, pa_pow, pb_pow = nu, pa.pow, pb.pow
-        got = self._hb.get(key)
-        if got is None:
-            checked_weight("nu", nu)
-            X = self.X
-            got = pa_pow(nu) @ X @ pb_pow(1.0 - nu) + pa_pow(1.0 - nu) @ X @ pb_pow(nu)
-            self._hb[key] = got
-        return got
+        checked_weight("nu", nu)
+        pa, pb, X = self.pa, self.pb, self.X
+        rows = isinstance(nu, np.ndarray)  # one weight per triple
+        pa_pow, pb_pow = (pa.pow_rows, pb.pow_rows) if rows else (pa.pow, pb.pow)
+        return pa_pow(nu) @ X @ pb_pow(1.0 - nu) + pa_pow(1.0 - nu) @ X @ pb_pow(nu)
 
     def geom_block(self) -> np.ndarray:
         """A^(1/2) X B^(1/2)."""
-        if self._g is None:
-            self._g = self.pa.pow(0.5) @ self.X @ self.pb.pow(0.5)
-        return self._g
+        return self.pa.pow(0.5) @ self.X @ self.pb.pow(0.5)
 
     def sum_block(self) -> np.ndarray:
         """A X + X B."""
-        if self._s is None:
-            self._s = self.pa.matrix @ self.X + self.X @ self.pb.matrix
-        return self._s
+        return self.pa.matrix @ self.X + self.X @ self.pb.matrix
 
     def curvature_block(self) -> np.ndarray:
         """A^2 X + X B^2 - 2 A X B."""
-        if self._d is None:
-            axb = self.pa.matrix @ self.X @ self.pb.matrix
-            self._d = self.pa.pow(2.0) @ self.X + self.X @ self.pb.pow(2.0) - 2.0 * axb
-        return self._d
+        axb = self.pa.matrix @ self.X @ self.pb.matrix
+        return self.pa.pow(2.0) @ self.X + self.X @ self.pb.pow(2.0) - 2.0 * axb
 
     def alpha(self) -> np.ndarray:
         """min(1/||A||, 1/||B||) for PSD operands, per triple."""
-        if self._alpha is None:
-            # eigenvalues ascend, so each spectrum's largest is its last
-            top = np.maximum(self.pa.eigenvalues[..., -1], self.pb.eigenvalues[..., -1])
-            if (top <= 0.0).any():
-                raise DomainError("alpha undefined: both operands have zero spectral norm")
-            self._alpha = 1.0 / top[..., None, None]
-        return self._alpha
+        # eigenvalues ascend, so each spectrum's largest is its last
+        top = np.maximum(self.pa.eigenvalues[..., -1], self.pb.eigenvalues[..., -1])
+        if (top <= 0.0).any():
+            raise DomainError("alpha undefined: both operands have zero spectral norm")
+        return 1.0 / top[..., None, None]
 
     def curv_weight(self, nu) -> np.ndarray:
         """nu(1-nu) alpha, the weight on the curvature block."""
@@ -120,19 +101,17 @@ class HsContext:
 
     def cell_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(la, mu, |Y|^2) with Y = Ua* X Ub, spectra clamped to [0, inf)."""
-        if self._cells is None:
-            if self._oracle is not None:
-                (la, ua), (mu, ub) = self._oracle
-                la, mu = np.asarray(la, dtype=float), np.asarray(mu, dtype=float)
-                ua, ub = np.asarray(ua), np.asarray(ub)
-            else:
-                la, ua = self.pa.eigenvalues, self.pa.eigenvectors
-                mu, ub = self.pb.eigenvalues, self.pb.eigenvectors
-            la = clamp_psd(la, "A")
-            mu = clamp_psd(mu, "B")
-            y = ua.conj().swapaxes(-1, -2) @ self.X @ ub
-            self._cells = (la, mu, np.abs(y) ** 2)
-        return self._cells
+        if self._oracle is not None:
+            (la, ua), (mu, ub) = self._oracle
+            la, mu = np.asarray(la, dtype=float), np.asarray(mu, dtype=float)
+            ua, ub = np.asarray(ua), np.asarray(ub)
+        else:
+            la, ua = self.pa.eigenvalues, self.pa.eigenvectors
+            mu, ub = self.pb.eigenvalues, self.pb.eigenvectors
+        la = clamp_psd(la, "A")
+        mu = clamp_psd(mu, "B")
+        y = ua.conj().swapaxes(-1, -2) @ self.X @ ub
+        return la, mu, np.abs(y) ** 2
 
 
 def _qs(coef: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -213,12 +192,15 @@ def _oracle_213(la, mu, y2, nu):
     return sides, (w * s, rhs)
 
 
+def _corrected(h, d, c, s):
+    """hs-2.14's sides from its blocks: the Heinz block h, the curvature block d,
+    its weight c and the sum block s."""
+    return hs_norms(h + c * d), hs_norms(s)
+
+
 def _sides_214(ctx: HsContext, nu):
     c = ctx.curv_weight(nu)
-    return (
-        hs_norms(ctx.heinz_block(nu) + c * ctx.curvature_block()),
-        hs_norms(ctx.sum_block()),
-    )
+    return _corrected(ctx.heinz_block(nu), ctx.curvature_block(), c, ctx.sum_block())
 
 
 def _curved_cells(la, mu, nu):
@@ -229,26 +211,28 @@ def _curved_cells(la, mu, nu):
     return _h_cells(la, mu, nu), _d_cells(la, mu), v * (1.0 - v) / top
 
 
-def _oracle_214(la, mu, y2, nu, cells=None):
-    h, d, c = cells or _curved_cells(la, mu, nu)
+def _corrected_cells(h, d, c, s, y2):
+    """hs-2.14's oracle sides and diagnosed pair from its cells, as ``_corrected``."""
     lhs = h + c * d
-    rhs = _s_cells(la, mu)
-    return (_qs(lhs, y2), _qs(rhs, y2)), (lhs, rhs)
+    return (_qs(lhs, y2), _qs(s, y2)), (lhs, s)
+
+
+def _oracle_214(la, mu, y2, nu):
+    return _corrected_cells(*_curved_cells(la, mu, nu), _s_cells(la, mu), y2)
 
 
 def _sides_cor(ctx: HsContext, nu):
-    # the last two sides are hs-2.14's
+    # the last two sides are hs-2.14's, from the same blocks
     c = ctx.curv_weight(nu)
-    p = hs_norms(ctx.heinz_block(nu))
-    d = hs_norms(ctx.curvature_block())
-    return (p, np.sqrt(p * p + c * c * d * d)) + _sides_214(ctx, nu)
+    h, d = ctx.heinz_block(nu), ctx.curvature_block()
+    p, dn = hs_norms(h), hs_norms(d)
+    return (p, np.sqrt(p * p + c * c * dn * dn)) + _corrected(h, d, c, ctx.sum_block())
 
 
 def _oracle_cor(la, mu, y2, nu):
-    h, d, c = cells = _curved_cells(la, mu, nu)
-    tail, pair = _oracle_214(la, mu, y2, nu, cells)
-    p = _qs(h, y2)
-    dd = _qs(d, y2)
+    h, d, c = _curved_cells(la, mu, nu)
+    tail, pair = _corrected_cells(h, d, c, _s_cells(la, mu), y2)
+    p, dd = _qs(h, y2), _qs(d, y2)
     return (p, np.sqrt(p * p + c * c * dd * dd)) + tail, pair
 
 

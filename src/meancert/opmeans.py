@@ -46,14 +46,6 @@ def checked_weight(name: str, t):
     return t
 
 
-def _uniform(nu) -> float | None:
-    """The weight every row shares, or None when the rows differ."""
-    if not isinstance(nu, np.ndarray):
-        return nu
-    first, *rest = nu.tolist()
-    return first if all(v == first for v in rest) else None
-
-
 class PairContext:
     """Shared eigendecomposition cache for one (A, B) pair, or a stack of pairs.
 
@@ -96,14 +88,13 @@ class PairContext:
         nu = checked_weight("nu", nu)
         # Boundary identities are exact; the congruence route would only
         # reconstruct A or B through kappa(A)-amplified rounding.
-        v = _uniform(nu)
-        if v is not None:
-            if v == 0.0:
+        if not isinstance(nu, np.ndarray):
+            if nu == 0.0:
                 return self.A
-            if v == 1.0:
+            if nu == 1.0:
                 return self.B
             ah = self.pa.pow(0.5)
-            return hermitianize(ah @ self._x().pow(v) @ ah)
+            return hermitianize(ah @ self._x().pow(nu) @ ah)
         ah = self.pa.pow(0.5)
         g = hermitianize(ah @ self._x().pow_rows(nu) @ ah)
         lo, hi = (nu == 0.0)[:, None, None], (nu == 1.0)[:, None, None]

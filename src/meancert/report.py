@@ -26,6 +26,7 @@ _FAILURE = {
         "worst_link": {"type": "string"},
     },
     "required": ["digest", "min_slack"],
+    "additionalProperties": False,
 }
 
 _CASE = {
@@ -50,6 +51,7 @@ _CASE = {
     },
     "required": ["case", "kind", "trials", "passes", "failures", "passed",
                  "min_slack", "argmin", "failure_digests"],
+    "additionalProperties": False,
 }
 
 REPORT_SCHEMA = {

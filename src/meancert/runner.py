@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -326,27 +326,42 @@ def run_stacks(digests: list[dict[str, Any]], tol: float) -> list:
 
     The trials are grouped by case and dim, in order of first appearance,
     and each group is cut, in trial order, into stacks of STACK_BUDGET
-    entries (k * n * n); a stack draws just before it is certified.
+    entries (k * n * n); a stack draws just before it is certified.  If a
+    stack raises DomainError, every trial runs again alone through
+    ``run_trial``, in order, as replay runs its digest, and the first error
+    is raised again naming the trial's case, index and digest.
     """
     groups: dict[tuple[str, int], list[int]] = {}
     for i, digest in enumerate(digests):
         groups.setdefault((digest["case"], digest["dim"]), []).append(i)
     records: list = [None] * len(digests)
-    for (case_id, dim), rows in groups.items():
-        case = case_by_id(case_id)
-        size = max(1, STACK_BUDGET // (dim * dim))
-        for s in range(0, len(rows), size):
-            stack = rows[s:s + size]
-            for i, rec in zip(stack, _certify(case, [digests[i] for i in stack], tol)):
-                records[i] = rec
+    try:
+        for (case_id, dim), rows in groups.items():
+            case = case_by_id(case_id)
+            size = max(1, STACK_BUDGET // (dim * dim))
+            for s in range(0, len(rows), size):
+                stack = rows[s:s + size]
+                for i, rec in zip(stack, _certify(case, [digests[i] for i in stack], tol)):
+                    records[i] = rec
+    except DomainError:
+        records = []
+        for digest in digests:
+            try:
+                records.append(run_trial(digest, tol))
+            except DomainError as exc:
+                raise DomainError(f"case {digest['case']} trial {digest['trial']}: {exc}; "
+                                  f"digest: {json.dumps(digest, sort_keys=True)}") from exc
     return records
 
 
 @dataclass
 class _Agg:
+    """The fold of a case's trials, or of a scalar case's grid points, and its summary."""
+
     trials: int = 0
     passes: int = 0
     failures: int = 0
+    skipped: int = 0
     advisory_trials: int = 0
     advisory_held: int = 0
     oracle_violations: int = 0
@@ -379,6 +394,22 @@ class _Agg:
                 self.oracle_violations += 1
         self._fold_min(rec.min_slack, trial_no, digest)
 
+    def fold_row(self, slacks: list[float], tol: float,
+                 digest_of: Callable[[int], dict[str, Any]]) -> None:
+        """Fold the next row of scalar grid points: point i passes iff
+        ``slacks[i] >= -tol``, and ``digest_of(i)`` writes its digest."""
+        first_no = self.trials
+        failed = [i for i, slack in enumerate(slacks) if slack < -tol]
+        self.trials += len(slacks)
+        self.passes += len(slacks) - len(failed)
+        self.failures += len(failed)
+        room = FAILURE_CAP - len(self.failure_digests)
+        self.failure_digests += [{"digest": digest_of(i), "min_slack": slacks[i]}
+                                 for i in failed[:room]]
+        if slacks:  # the row's first smallest slack is its candidate argmin
+            i = min(range(len(slacks)), key=slacks.__getitem__)
+            self._fold_min(slacks[i], first_no + i, digest_of(i))
+
     def _fold_oracle_err(self, err: float | None) -> None:
         if err is not None and (self.oracle_max_rel_err is None
                                 or err > self.oracle_max_rel_err):
@@ -406,25 +437,36 @@ class _Agg:
         if other.min_slack is not None:
             self._fold_min(other.min_slack, other.argmin_trial, other.argmin_digest)
 
+    def summary(self, case: scalar.Case) -> dict[str, Any]:
+        """The report entry of ``case``: a scalar case adds ``skipped``, an hs
+        case its oracle and advisory counts."""
+        out: dict[str, Any] = {
+            "case": case.case_id,
+            "kind": case.kind,
+            "links": list(getattr(case, "links", ())),
+            "trials": self.trials,
+            "asserted": self.trials - self.advisory_trials,
+            "passes": self.passes,
+            "failures": self.failures,
+        }
+        if case.kind == "scalar":
+            out["skipped"] = self.skipped
+        out.update(passed=self.failures == 0 and self.oracle_violations == 0,
+                   min_slack=self.min_slack, argmin=self.argmin_digest,
+                   failure_digests=self.failure_digests)
+        if case.kind == "hs":
+            out.update(oracle_max_rel_err=self.oracle_max_rel_err,
+                       oracle_violations=self.oracle_violations,
+                       advisory_trials=self.advisory_trials, advisory_held=self.advisory_held)
+        return out
+
 
 def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
-    case = case_by_id(case_id)
+    kind = case_by_id(case_id).kind
     digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
-    try:
-        records = run_stacks(digests, cfg.tol)
-    except DomainError:
-        # Run the chunk again one trial at a time, as replay runs a digest, so
-        # the error is that of the first trial whose replay fails.
-        records = []
-        for t, digest in enumerate(digests, start):
-            try:
-                records.append(run_trial(digest, cfg.tol))
-            except DomainError as exc:
-                raise DomainError(f"case {case_id} trial {t}: {exc}; "
-                                  f"digest: {json.dumps(digest, sort_keys=True)}") from exc
     agg = _Agg()
-    for t, (digest, rec) in enumerate(zip(digests, records), start):
-        agg.fold_trial(digest, t, rec, case.kind)
+    for t, (digest, rec) in enumerate(zip(digests, run_stacks(digests, cfg.tol)), start):
+        agg.fold_trial(digest, t, rec, kind)
     return agg
 
 
@@ -443,27 +485,7 @@ def run_case(case_id: str, cfg: RunConfig,
     else:
         for a, b in spans:
             agg.merge(_run_chunk(case_id, cfg, a, b))
-    asserted = agg.trials - agg.advisory_trials
-    passed = agg.failures == 0 and agg.oracle_violations == 0
-    summary: dict[str, Any] = {
-        "case": case_id,
-        "kind": case.kind,
-        "links": list(case.links),
-        "trials": agg.trials,
-        "asserted": asserted,
-        "passes": agg.passes,
-        "failures": agg.failures,
-        "passed": passed,
-        "min_slack": agg.min_slack,
-        "argmin": agg.argmin_digest,
-        "failure_digests": agg.failure_digests,
-    }
-    if case.kind == "hs":
-        summary["oracle_max_rel_err"] = agg.oracle_max_rel_err
-        summary["oracle_violations"] = agg.oracle_violations
-        summary["advisory_trials"] = agg.advisory_trials
-        summary["advisory_held"] = agg.advisory_held
-    return summary
+    return agg.summary(case)
 
 
 def run_matrix_suite(case_ids: list[str], cfg: RunConfig) -> list[dict[str, Any]]:
@@ -481,50 +503,27 @@ def run_scalar_case(case_id: str,
                     nu_values=scalar.NU_GRID_65,
                     tol: float = scalar.SCALAR_TOL) -> dict[str, Any]:
     """Deterministic grid sweep of one scalar chain: the grid is checked once, then
-    each point of the domain goes through ``scalar.judge_point``, building no record."""
+    each point of the domain goes through ``scalar.judge_point``, building no record,
+    and each row of points at one nu is folded at once."""
     case = case_by_id(case_id)
     _check_kind(case_id, case.kind, ("scalar",))
     scalar.check_tol(tol)
     for nu in nu_values:
         scalar.check_unit("nu", nu)
-    for a in a_values:
-        for b in a_values:
-            scalar.check_pair(a, b)
-    passes = failures = skipped = 0
-    min_slack = best = None
-    failure_points: list[dict[str, Any]] = []
+    pairs = [(a, b) for a in a_values for b in a_values]
+    for a, b in pairs:
+        scalar.check_pair(a, b)
+    agg = _Agg()
     for nu in nu_values:
         if not case.in_domain(nu):
-            skipped += len(a_values) * len(a_values)
+            agg.skipped += len(pairs)
             continue
-        for a in a_values:
-            for b in a_values:
-                _, _, norms, worst = scalar.judge_point(case, a, b, nu)
-                slack = norms[worst]
-                if slack >= -tol:
-                    passes += 1
-                else:
-                    failures += 1
-                    if len(failure_points) < FAILURE_CAP:
-                        failure_points.append({"digest": scalar_digest(case_id, a, b, nu),
-                                               "min_slack": slack})
-                if min_slack is None or slack < min_slack:
-                    min_slack, best = slack, (a, b, nu)
-    points = passes + failures
-    return {
-        "case": case_id,
-        "kind": "scalar",
-        "links": [],
-        "trials": points,
-        "asserted": points,
-        "passes": passes,
-        "failures": failures,
-        "skipped": skipped,
-        "passed": failures == 0,
-        "min_slack": min_slack,
-        "argmin": scalar_digest(case_id, *best) if best else None,
-        "failure_digests": failure_points,
-    }
+        slacks = []
+        for a, b in pairs:
+            _, _, norms, worst = scalar.judge_point(case, a, b, nu)
+            slacks.append(norms[worst])
+        agg.fold_row(slacks, tol, lambda i, nu=nu: scalar_digest(case_id, *pairs[i], nu))
+    return agg.summary(case)
 
 
 def _jsonable(value: np.ndarray) -> list:

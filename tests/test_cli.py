@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import meancert
-from meancert.cli import main
+from meancert.cli import MAX_NU_POINTS, main
 from meancert.linalg import PSD_TOL, DomainError
 from meancert.report import (REPORT_SCHEMA, canonical_json, strip_volatile,
                              validate_report)
@@ -502,6 +502,14 @@ SWEEP_ERRORS = {
                      "--trials", "40"],
 }
 
+# gap-profile runs each case's points as one stack of trial 0 at each nu: a
+# draw, an operator input and hs sides that are nan through overflow
+PROFILE_ERRORS = {
+    "draw": ["--case", "hs-2.14", "--dim", "2", "--law", "explicit:0"],
+    "op-overflow": ["--case", "op-2.7-right", "--law", "explicit:1e308", "--dim", "2"],
+    "hs-overflow": ["--case", "hs", "--law", "explicit:1e150", "--dim", "2"],
+}
+
 
 class TestSweepErrors:
     def test_trial_error_names_case_and_digest(self, capsys):
@@ -526,17 +534,32 @@ class TestSweepErrors:
         assert main(["gap-profile", "--case", "hs-2.14", "--dim", "2",
                      "--law", "explicit:0"]) == 2
         assert capsys.readouterr().err == (
-            "error: positive definite generation needs a positive spectrum, got 0.0\n")
+            "error: case hs-2.14 trial 0: positive definite generation needs a positive "
+            'spectrum, got 0.0; digest: {"case": "hs-2.14", "complex": false, "dim": 2, '
+            '"kind": "hs", "law": "explicit:0", "nu": 0.0, "seed": 0, '
+            '"structure": "general-pd", "trial": 0, "x_kind": "pd"}\n')
 
     @pytest.mark.parametrize("flags", SWEEP_ERRORS.values(), ids=SWEEP_ERRORS)
     def test_error_replays_to_the_same_error(self, tmp_path, flags):
         out = tmp_path / "report.json"
         code, err = cli("matrix-verify", *flags, "--out", str(out))
         assert code == 2 and not out.exists()
-        assert "Traceback" not in err and "RuntimeWarning" not in err
-        message, digest = re.fullmatch(
-            r"error: case \S+ trial \d+: (.*); digest: (\{.*\})\n", err).groups()
-        assert cli("replay", "--digest", digest) == (2, f"error: {message}\n")
+        assert_replays_to_the_same_error(err)
+
+    @pytest.mark.parametrize("flags", PROFILE_ERRORS.values(), ids=PROFILE_ERRORS)
+    def test_profile_error_replays_to_the_same_error(self, tmp_path, flags):
+        out = tmp_path / "profile.csv"
+        code, err = cli("gap-profile", *flags, "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert_replays_to_the_same_error(err)
+
+
+def assert_replays_to_the_same_error(err):
+    """A sweep's error names its case, trial and digest; the digest replays to it."""
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    message, digest = re.fullmatch(
+        r"error: case \S+ trial \d+: (.*); digest: (\{.*\})\n", err).groups()
+    assert cli("replay", "--digest", digest) == (2, f"error: {message}\n")
 
 
 class TestNonFinite:
@@ -865,12 +888,43 @@ class TestGapProfileVerb:
     def test_requires_case(self, capsys):
         assert main(["gap-profile"]) == 2
 
+    @pytest.mark.parametrize("n", [1, MAX_NU_POINTS + 1, 10**9])
+    def test_nu_points_bound(self, tmp_path, capsys, monkeypatch, n):
+        started = []
+        monkeypatch.setattr(runner, "run_stacks", lambda *a: started.append(a))
+        want = f"error: nu_points must lie in 2..{MAX_NU_POINTS}, got {n}\n"
+        assert main(["gap-profile", "--case", "op-2.3", "--nu-points", str(n)]) == 2
+        assert capsys.readouterr().err == want
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": ["op-2.3"], "nu_points": n}))
+        assert main(["gap-profile", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == want
+        assert started == []
+
+    def test_nu_points_bound_is_inclusive(self, tmp_path):
+        out = tmp_path / "gp.csv"
+        assert main(["gap-profile", "--case", "young-1.1", "--nu-points", str(MAX_NU_POINTS),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + MAX_NU_POINTS
+
 
 class TestReportModule:
     def test_schema_rejects_extra_fields(self):
         import jsonschema
         with pytest.raises(jsonschema.ValidationError):
             validate_report({"schema": "meancert.report/1", "bogus": 1})
+
+    def test_schema_rejects_unknown_case_and_failure_fields(self):
+        import jsonschema
+        from meancert.report import build_report
+        hs = run_case("hs-2.13", RunConfig(trials=20, nu=0.5))
+        scalar_case = runner.run_scalar_case("young-1.1")
+        assert hs["failure_digests"]
+        build_report("matrix-verify", {}, [hs], 0.0, tool="t")
+        for bad in (dict(hs, bogus=1), dict(scalar_case, bogus=1),
+                    dict(hs, failure_digests=[dict(hs["failure_digests"][0], bogus=1)])):
+            with pytest.raises(jsonschema.ValidationError, match="'bogus' was unexpected"):
+                build_report("matrix-verify", {}, [bad], 0.0, tool="t")
 
     def test_validator_is_built_once_on_first_use(self, tmp_path):
         import jsonschema

@@ -254,3 +254,24 @@ class TestStacks:
             assert repr(got) == repr(alone)
             assert [t.hypothesis_met for t in got] == [case.x_kind == "general" or i != 2
                                                       for i in range(6)]
+
+
+class TestSharedSides:
+    """hs-cor's last two sides are hs-2.14's, built from the same blocks on both routes."""
+
+    @pytest.mark.parametrize("nus", [[0.375] * 16, [(7 * i % 33) / 32 for i in range(16)]],
+                             ids=["shared-nu", "mixed-nu"])  # mixed: 0 and 1 among others
+    @pytest.mark.parametrize("cx", [False, True], ids=["real", "complex"])
+    def test_cor_tail_is_hs_214_bit_for_bit(self, cx, nus):
+        cfg = RunConfig(dims=(3,), seed=40, complex_entries=cx)
+        trials = [inputs(make_digest("hs-cor", cfg, t)) for t in range(len(nus))]
+        a, b, x = (np.array([t[key] for t in trials]) for key in "ABX")
+        oracle = tuple((np.array([t["oracle"][i][0] for t in trials]),
+                        np.array([t["oracle"][i][1] for t in trials])) for i in range(2))
+        for extra in ({}, {"oracle": oracle}):
+            cor = certify_hs(case_by_id("hs-cor"), a, b, x, nus, **extra)
+            base = certify_hs(case_by_id("hs-2.14"), a, b, x, nus, **extra)
+            for c, t in zip(cor, base, strict=True):
+                assert repr(c.sides[2:]) == repr(t.sides)
+                assert repr(c.oracle_sides[2:]) == repr(t.oracle_sides)
+                assert repr(c.worst_cell) == repr(t.worst_cell)

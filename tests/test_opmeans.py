@@ -235,3 +235,12 @@ class TestStacks:
         assert np.array_equal(h[1], PairContext(c, d).heinz(1.0))
         with pytest.raises(DomainError, match="nu=1.5"):
             ctx.geom(np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.71875, 1.0])
+    def test_equal_weights_per_pair_are_one_weight(self, nu):
+        # the per-pair path takes each distinct weight once, as a float, and
+        # puts back A and B exactly at 0 and 1
+        pairs = [pair(23, case="op-2.7-left", trial=t) for t in range(8)]
+        ctx = PairContext(np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]))
+        assert ctx.geom(np.full(8, nu)).tobytes() == ctx.geom(nu).tobytes()
+        assert ctx.heinz(np.full(8, nu)).tobytes() == ctx.heinz(nu).tobytes()
