@@ -242,27 +242,43 @@ def hs_norms(M) -> np.ndarray:
 class Powers:
     """Cached spectral powers of one Hermitian matrix or of a stack (k, n, n).
 
-    A single eigendecomposition backs every requested power, keeping
-    repeated mean evaluations on the same operand cheap and mutually
-    consistent.  It holds the one LAPACK eigendecomposition call: eigh is a
-    one-off Powers.  Every operation acts on each matrix of a stack as it
-    would on that matrix alone, bit for bit.
+    The matrix is validated on construction, and at most one
+    eigendecomposition, on first read of ``eigenvalues``, ``eigenvectors``
+    or a power other than M**1 and M**0, backs every requested power,
+    keeping repeated mean evaluations on the same operand cheap and
+    mutually consistent.  It holds the one LAPACK eigendecomposition call:
+    eigh is a one-off Powers.  Every operation acts on each matrix of a
+    stack as it would on that matrix alone, bit for bit.
     """
 
     def __init__(self, M):
-        H = self.matrix = validate_hermitian(M)
-        try:
-            self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(
-                f"eigendecomposition failed for a {H.shape[-1]}x{H.shape[-1]} matrix "
-                f"(max |entry| {np.abs(H).max():.3e}): {exc}"
-            ) from exc
+        self.matrix = validate_hermitian(M)
+        self._eigh: tuple[np.ndarray, np.ndarray] | None = None
         self._cache: dict[float, np.ndarray] = {}
+
+    def _decomposed(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._eigh is None:
+            H = self.matrix
+            try:
+                self._eigh = np.linalg.eigh(H)
+            except np.linalg.LinAlgError as exc:
+                raise DomainError(
+                    f"eigendecomposition failed for a {H.shape[-1]}x{H.shape[-1]} matrix "
+                    f"(max |entry| {np.abs(H).max():.3e}): {exc}"
+                ) from exc
+        return self._eigh
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._decomposed()[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._decomposed()[1]
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
+        return self.matrix.shape[-1]
 
     def pow(self, p: float) -> np.ndarray:
         """M**p for every matrix, cached per exponent."""

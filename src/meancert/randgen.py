@@ -13,9 +13,16 @@ generator to counter 0 under that key, which is the state
 ``Philox(SeedSequence(e, spawn_key=(t,)))`` starts in, so a sweep keeps one
 generator per stack.  The keys depend on numpy's algorithm staying as it
 is; ``tests/test_randgen.py::TestStreams`` pins them against
-``np.random.SeedSequence``.  ``runner.draw_trial`` fixes what one trial
+``np.random.SeedSequence``.  ``runner.draw_stack`` fixes what each trial
 draws and in which order, and ``runner.inputs`` rebuilds a trial's
 matrices from its digest alone.
+
+A stack draws in one pass.  Each law is parsed once (``uniform_bounds``:
+a log-uniform law's bounds take one log each), each trial's uniforms go
+into its row of a (k, n) array, and ``spectra`` maps all rows at once
+after the draws, with the elementwise operations one row alone would
+take, so a stack's rows equal the same trials drawn as stacks of one, bit
+for bit.  ``sample_spectrum`` is ``spectra`` on a stack of one.
 
 Positive definite matrices are assembled as Q diag(lam) Q* with lam drawn
 from a configurable spectrum law and Q orthogonal (or unitary) from a QR
@@ -111,13 +118,14 @@ _OUT = _hash_consts(_INIT_B, _MULT_B, _POOL)
 
 
 @functools.lru_cache(maxsize=256)
-def _entropy_pool(entropy: int) -> tuple[tuple[int, int, int], ...]:
+def _entropy_pool(entropy: int) -> tuple[tuple[int, ...], ...]:
     """SeedSequence's pool mixed from ``entropy`` alone, once per entropy.
 
-    Returns one lane per pool word: (_MIX_L * word, and the hash constants
-    with which the spawn word is mixed into it).  The run entropy is cut
-    into 32-bit words, low first, and padded with zeros to the pool size,
-    as SeedSequence pads it when there is a spawn key.
+    Returns one lane per pool word: (_MIX_L * word, the hash constants with
+    which the spawn word is mixed into it, then the constants with which
+    the word is hashed out).  The run entropy is cut into 32-bit words, low
+    first, and padded with zeros to the pool size, as SeedSequence pads it
+    when there is a spawn key.
     """
     words = []
     while True:
@@ -138,7 +146,7 @@ def _entropy_pool(entropy: int) -> tuple[tuple[int, int, int], ...]:
     for w in words[_POOL:]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], _hash(w, next(consts)))
-    return tuple((_MIX_L * p & _MASK32, *next(consts)) for p in pool)
+    return tuple((_MIX_L * p & _MASK32, *next(consts), *out) for p, out in zip(pool, _OUT))
 
 
 def trial_key(entropy: int, trial: int) -> tuple[int, int]:
@@ -148,10 +156,11 @@ def trial_key(entropy: int, trial: int) -> tuple[int, int]:
     if not 0 <= trial <= _MASK32:
         raise DomainError(f"a trial index must lie in 0..{_MASK32}, got {trial}")
     out = []
-    for (mixed, h, h_next), consts in zip(_entropy_pool(entropy), _OUT):
+    for mixed, h, h_next, out_h, out_next in _entropy_pool(entropy):
         value = (trial ^ h) * h_next & _MASK32
         r = (mixed - _MIX_R * (value ^ value >> 16)) & _MASK32
-        out.append(_hash(r ^ r >> 16, consts))
+        value = (r ^ r >> 16 ^ out_h) * out_next & _MASK32
+        out.append(value ^ value >> 16)
     return out[0] | out[1] << 32, out[2] | out[3] << 32
 
 
@@ -170,30 +179,44 @@ def trial_rng(entropy: int, trial: int) -> np.random.Generator:
     return seek(np.random.Generator(np.random.Philox(0)), entropy, trial)
 
 
-def sample_spectrum(rng: np.random.Generator, law: str, dim: int) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def uniform_bounds(law: str) -> tuple[float, float] | None:
+    """The bounds of the uniforms ``law`` draws, one per eigenvalue, once per
+    law (a log-uniform law's take one log each); None for an explicit law,
+    which draws nothing."""
     kind, params = parse_law(law)
     if kind == "log-uniform":
-        lo, hi = params
-        return np.exp(rng.uniform(np.log(lo), np.log(hi), dim))
-    if kind == "explicit":
-        if len(params) == 1:
-            return np.full(dim, params[0])
-        if len(params) != dim:
-            raise DomainError(
-                f"explicit law lists {len(params)} values but dim={dim}"
-            )
-        return np.asarray(params, dtype=float)
-    center, jitter = params
-    return center * (1.0 + jitter * rng.uniform(-1.0, 1.0, dim))
+        return np.log(params[0]), np.log(params[1])
+    return (-1.0, 1.0) if kind == "clustered" else None
 
 
-def basis_entries(rng: np.random.Generator, dim: int,
-                  complex_entries: bool = False) -> np.ndarray:
-    """The iid Gaussian draws behind one basis (real, or real + 1j * imaginary)."""
-    z = rng.standard_normal((dim, dim))
-    if complex_entries:
-        z = z + 1j * rng.standard_normal((dim, dim))
-    return z
+def spectra(law: str, u: np.ndarray) -> np.ndarray:
+    """The spectra of ``law`` from its uniforms ``u``, one (k, dim) row per
+    trial, drawn within ``uniform_bounds(law)``; an explicit law reads only
+    the shape of ``u``.
+
+    Every row is mapped at once, elementwise, as that row alone would be:
+    exp of the log-uniform draws, the clustered law's c * (1 + j * U), or the
+    explicit values broadcast.  An explicit list of more than one value that
+    does not give one per column is a DomainError.
+    """
+    kind, params = parse_law(law)
+    if kind == "log-uniform":
+        return np.exp(u)
+    if kind == "clustered":
+        center, jitter = params
+        return center * (1.0 + jitter * u)
+    if len(params) not in (1, u.shape[-1]):
+        raise DomainError(f"explicit law lists {len(params)} values but dim={u.shape[-1]}")
+    return np.broadcast_to(np.array(params), u.shape).copy()
+
+
+def sample_spectrum(rng: np.random.Generator, law: str, dim: int) -> np.ndarray:
+    """One spectrum of ``dim`` eigenvalues under ``law``, drawn from ``rng``:
+    ``spectra`` on a stack of one."""
+    bounds = uniform_bounds(law)
+    u = np.empty((1, dim)) if bounds is None else rng.uniform(*bounds, (1, dim))
+    return spectra(law, u)[0]
 
 
 def orthonormalize(z: np.ndarray) -> np.ndarray:
@@ -209,25 +232,9 @@ def assemble(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     return hermitianize((q * lam[..., None, :]) @ q.conj().swapaxes(-1, -2))
 
 
-def pd_draws(rng: np.random.Generator, dim: int, law: str,
-             complex_entries: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (lam, basis entries); spectrum first, then basis (fixed order for replay).
-
-    The spectrum is not checked here: ``check_positive`` checks a stack's
-    spectra at once."""
-    return sample_spectrum(rng, law, dim), basis_entries(rng, dim, complex_entries)
-
-
 def check_positive(lam: np.ndarray) -> None:
     """DomainError unless every eigenvalue of ``lam`` (any shape) is positive."""
     if lam.min() <= 0.0:
         raise DomainError(
             f"positive definite generation needs a positive spectrum, got {float(lam.min())}"
         )
-
-
-def general_entries(rng: np.random.Generator, dim: int, complex_entries: bool = False) -> np.ndarray:
-    x = rng.standard_normal((dim, dim))
-    if complex_entries:
-        x = (x + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    return x

@@ -17,6 +17,7 @@ code on a stack of one.
 from __future__ import annotations
 
 import json
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import hsnorm, opmeans, scalar
 from .linalg import CERT_PSD_TOL, PSD_TOL, DomainError
-from .randgen import (DEFAULT_LAW, assemble, check_positive, derive_seed, general_entries,
-                      orthonormalize, parse_law, pd_draws, seek)
+from .randgen import (DEFAULT_LAW, assemble, check_positive, derive_seed, orthonormalize,
+                      parse_law, seek, spectra, uniform_bounds)
 
 CHUNK = 512
 # matrix entries (k * n * n) in one stack: a larger dim group is split, which
@@ -169,6 +170,11 @@ _DIGEST_TYPES = {
 }
 
 
+# what the trials of a stack share: every field of the case's digests but trial and nu
+_STACK_FIELDS = {cid: operator.itemgetter(*(key for key in types if key not in ("trial", "nu")))
+                 for cid, types in _DIGEST_TYPES.items()}
+
+
 def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     """Check a digest by writing it again from its own values; return the rewrite.
 
@@ -210,64 +216,84 @@ def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     return rewrite
 
 
-def draw_trial(digest: dict[str, Any], rng: np.random.Generator) -> list[np.ndarray]:
-    """The draws of one trial from its own Philox stream.
+def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
+    """The draws of a stack of trials that share every digest field but trial
+    and nu, each trial from its own Philox stream, as stacked columns.
 
-    ``rng`` is a Philox generator; it is first reset (``randgen.seek``) to
-    the start of the trial's stream, so one generator serves a whole stack.
-    Draw order is fixed and documented here: A-spectrum, A-basis, then
-    (W-spectrum, W-basis) for ordered pairs or (B-spectrum, B-basis)
-    otherwise, then X (spectrum+basis when positive definite, raw entries
-    when general).  Changing this order is a breaking change for replay.
-    A basis is drawn as its Gaussian entries; ``build_inputs`` factors it
-    and checks the spectra.
+    One generator serves the stack: ``randgen.seek`` resets it to the start
+    of each trial's stream.  Draw order within a trial is fixed and
+    documented here: A-spectrum, A-basis, then (W-spectrum, W-basis) for
+    ordered pairs or (B-spectrum, B-basis) otherwise, then X (spectrum and
+    basis when positive definite, raw entries when general).  A basis or a
+    general X is its real Gaussian entries, then, for complex entries, its
+    imaginary ones.  Changing this order is a breaking change for replay.
+
+    The columns are, per positive definite operand in draw order, its (k, n)
+    spectra and (k, n, n) basis entries, then a general X's entries.  Each
+    law is parsed once per stack and mapped once over all rows, after the
+    draws.  A W whose law cannot be drawn at this dim raises DomainError
+    after A's spectra are checked, as A is drawn first.
     """
-    dim = digest["dim"]
-    cx = digest["complex"]
-    law = digest["law"]
-    seek(rng, derive_seed(digest["seed"], digest["case"]), digest["trial"])
-    draws = [*pd_draws(rng, dim, law, cx)]
-    if digest["structure"] == "ordered-pair":
+    first, k = digests[0], len(digests)
+    n, cx = first["dim"], first["complex"]
+    ordered = first["structure"] == "ordered-pair"
+    laws = [first["law"], first["w_law"] if ordered else first["law"]]
+    general_x = first["kind"] == "hs" and first["x_kind"] != "pd"
+    if first["kind"] == "hs" and not general_x:
+        laws.append(first["law"])
+    # a general X draws no spectrum
+    bounds = [uniform_bounds(law) for law in laws] + [None] * general_x
+    uniforms = np.empty((len(bounds), k, n))
+    # the Gaussian entries of each basis, and of a general X: real, then imaginary
+    entries = np.empty((len(bounds), 1 + cx, k, n, n))
+    parts = range(1 + cx)
+    rng = np.random.Generator(np.random.Philox(0))
+    uniform, normal = rng.uniform, rng.standard_normal
+    entropy = derive_seed(first["seed"], first["case"])
+    for i, digest in enumerate(digests):
+        seek(rng, entropy, digest["trial"])
+        for j, bound in enumerate(bounds):
+            if bound is not None:
+                uniforms[j, i] = uniform(bound[0], bound[1], n)
+            for part in parts:
+                normal(out=entries[j, part, i])
+    bases = entries[:, 0] + 1j * entries[:, 1] if cx else entries[:, 0]
+    columns: list[np.ndarray] = []
+    for j, law in enumerate(laws):
         try:
-            draws += pd_draws(rng, dim, digest["w_law"], cx)
+            columns += [spectra(law, uniforms[j]), bases[j]]
         except DomainError:
-            check_positive(draws[0])  # A was drawn first, so its check comes first
+            if columns:  # A was drawn first, so its check comes first
+                check_positive(columns[0])
             raise
-    else:
-        draws += pd_draws(rng, dim, law, cx)
-    if digest["kind"] == "hs":
-        if digest["x_kind"] == "pd":
-            draws += pd_draws(rng, dim, law, cx)
-        else:
-            draws.append(general_entries(rng, dim, cx))
-    return draws
+    if general_x:
+        columns.append(bases[-1] / np.sqrt(2.0) if cx else bases[-1])
+    return columns
 
 
-def build_inputs(digests: list[dict[str, Any]],
-                 draws: list[list[np.ndarray]]) -> dict[str, Any]:
-    """The exact inputs of trials of one case and dim, stacked (k, n, n).
+def build_inputs(digests: list[dict[str, Any]], columns: list[np.ndarray]) -> dict[str, Any]:
+    """The exact inputs of a stack of trials, stacked (k, n, n).
 
-    ``draws`` holds each trial's ``draw_trial``.  The spectra of each
-    positive definite operand (all but the W of an ordered pair) are checked
-    at once, in draw order, and every basis of the stack is factored in one
-    QR call.  For hs trials on a general pair, ``oracle`` holds the
-    construction-time ((lam_a, Q_a), (lam_b, Q_b)), stacked like A and B.
+    ``columns`` is the stack's ``draw_stack``.  The spectra of each positive
+    definite operand (all but the W of an ordered pair) are checked at once,
+    in draw order, and every basis of the stack is factored in one QR call.
+    For hs trials on a general pair, ``oracle`` holds the construction-time
+    ((lam_a, Q_a), (lam_b, Q_b)), stacked like A and B.
     """
     first, k = digests[0], len(digests)
     ordered = first["structure"] == "ordered-pair"
-    stacks = [np.array(col) for col in zip(*draws)]
-    npd = len(stacks) // 2  # a (spectrum, basis) pair per PD operand; a general X adds one
-    lams = stacks[0:2 * npd:2]
+    npd = len(columns) // 2  # a (spectrum, basis) pair per PD operand; a general X adds one
+    lams = columns[0:2 * npd:2]
     for i, lam in enumerate(lams):
         if not (ordered and i == 1):
             check_positive(lam)
-    q = orthonormalize(np.concatenate(stacks[1:2 * npd:2]))
+    q = orthonormalize(np.concatenate(columns[1:2 * npd:2]))
     qs = [q[i * k:(i + 1) * k] for i in range(npd)]
     a, second, *rest = [assemble(lam, q) for lam, q in zip(lams, qs)]
     out: dict[str, Any] = {"A": a, "B": a + second if ordered else second,
                            "nu": [d["nu"] for d in digests]}
     if first["kind"] == "hs":
-        out["X"] = rest[0] if rest else stacks[-1]
+        out["X"] = rest[0] if rest else columns[-1]
         if not ordered:
             out["oracle"] = ((lams[0], qs[0]), (lams[1], qs[1]))
     return out
@@ -291,17 +317,16 @@ def inputs(digest: dict[str, Any]) -> dict[str, Any]:
 
 
 def _draw(digests: list[dict[str, Any]]) -> dict[str, Any]:
-    """``build_inputs`` of the trials' draws, from one generator that
-    ``draw_trial`` resets to each trial's own stream."""
-    rng = np.random.Generator(np.random.Philox(0))
-    return build_inputs(digests, [draw_trial(d, rng) for d in digests])
+    """``build_inputs`` of the stack's ``draw_stack``."""
+    return build_inputs(digests, draw_stack(digests))
 
 
 # A result past the range of floats is a DomainError (a matrix or a chain side
 # that is not finite), never a verdict; numpy need not warn on the way there.
 @np.errstate(over="ignore", invalid="ignore")
 def _certify(case: scalar.Case, digests: list[dict[str, Any]], tol: float) -> list:
-    """Trial records of a stack of trials of one case and dim, drawn and certified at once."""
+    """Trial records of a stack of trials that share every digest field but
+    trial and nu, drawn and certified at once."""
     inputs = _draw(digests)
     if case.kind == "operator":
         return opmeans.certify_operator(case, inputs["A"], inputs["B"], inputs["nu"], tol=tol)
@@ -324,21 +349,23 @@ def run_trial(digest: dict[str, Any], tol: float, psd_tol: float = PSD_TOL):
 def run_stacks(digests: list[dict[str, Any]], tol: float) -> list:
     """Records of the matrix trials of ``digests``, certified as stacks.
 
-    The trials are grouped by case and dim, in order of first appearance,
-    and each group is cut, in trial order, into stacks of STACK_BUDGET
-    entries (k * n * n); a stack draws just before it is certified.  If a
-    stack raises DomainError, every trial runs again alone through
-    ``run_trial``, in order, as replay runs its digest, and the first error
-    is raised again naming the trial's case, index and digest.
+    The trials are grouped by every digest field but trial and nu (all that
+    a stack's draws and certification read once for the stack), in order of
+    first appearance, and each group is cut, in trial order, into stacks of
+    STACK_BUDGET entries (k * n * n); a stack draws just before it is
+    certified.  If a stack raises DomainError, every trial runs again alone
+    through ``run_trial``, in order, as replay runs its digest, and the first
+    error is raised again naming the trial's case, index and digest.
     """
-    groups: dict[tuple[str, int], list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, digest in enumerate(digests):
-        groups.setdefault((digest["case"], digest["dim"]), []).append(i)
+        groups.setdefault(_STACK_FIELDS[digest["case"]](digest), []).append(i)
     records: list = [None] * len(digests)
     try:
-        for (case_id, dim), rows in groups.items():
-            case = case_by_id(case_id)
-            size = max(1, STACK_BUDGET // (dim * dim))
+        for rows in groups.values():
+            first = digests[rows[0]]
+            case = case_by_id(first["case"])
+            size = max(1, STACK_BUDGET // (first["dim"] ** 2))
             for s in range(0, len(rows), size):
                 stack = rows[s:s + size]
                 for i, rec in zip(stack, _certify(case, [digests[i] for i in stack], tol)):

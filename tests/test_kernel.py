@@ -6,14 +6,16 @@ same code on a stack of one.  These tests hold the two to each other,
 field by field, and check the error and memory rules of the stacks.
 """
 import dataclasses
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
 from meancert import hsnorm, opmeans, runner
 from meancert.cli import main
-from meancert.linalg import DomainError
+from meancert.linalg import CERT_PSD_TOL, DomainError
 from meancert.report import canonical_json, strip_volatile
 from meancert.runner import CASES, RunConfig, inputs, make_digest, run_case, run_trial
 
@@ -107,6 +109,64 @@ def test_certifying_inputs_equals_run_trial(case_id, cx):
         assert_same_record(rec, run_trial(digest, cfg.tol))
 
 
+def test_trials_that_draw_differently_never_share_a_stack(monkeypatch):
+    # one case and dim, but any field the draws read may differ: seed, law,
+    # w_law, complex entries and x_kind
+    configs = [{}, {"seed": 3}, {"law": "clustered:1:0.5"}, {"complex_entries": True},
+               {"lenient_x": True}, {"w_law": "explicit:0"}]
+    digests = [make_digest(case_id, RunConfig(dims=(3, 1), **cfg), t)
+               for case_id in ("op-2.3", "op-2.7-left", "hs-2.14", "hs-thm8")
+               for cfg in configs for t in range(6)]
+    random.Random(1).shuffle(digests)
+    stacks = []
+    certify = runner._certify
+    monkeypatch.setattr(runner, "_certify", lambda case, ds, tol: stacks.append(ds)
+                        or certify(case, ds, tol))
+    records = runner.run_stacks(digests, CERT_PSD_TOL)
+    for stack in stacks:
+        drawn = [{k: v for k, v in d.items() if k not in ("trial", "nu")} for d in stack]
+        assert all(d == drawn[0] for d in drawn)
+    assert len(stacks) < len(digests)
+    for digest, rec in zip(digests, records):
+        assert_same_record(rec, run_trial(digest, CERT_PSD_TOL))
+
+
+# np.linalg.eigh calls of one stacked certify_operator: one for A, one for
+# X = A^-1/2 B A^-1/2, one per link, one for the order check of an
+# ordered-only case, and one for B only where a link reads B^-1
+EIGH_PER_STACK = {"op-2.3": 3, "op-2.5": 3, "op-2.6": 3, "op-2.7-left": 5,
+                  "op-2.7-right": 4, "op-2.7-refine": 5, "op-2.10": 5, "op-heron-zhao": 3}
+
+# sha256 of replay's record of trial 5 (seed 0, dim 3) of each operator case,
+# as written when every operand was decomposed on construction: deciding
+# which operands to decompose changes no bit of a record
+REPLAY_SHA256 = {
+    "op-2.10": "62911c69db09b9ffe3a6d5693ce51c76f77f6bdf27b9fa9936c97fdf7fe78efa",
+    "op-2.3": "28bc2877f3e5af067197b3a1c4192e20736123191274ff0b5258e1699b83bb1b",
+    "op-2.5": "224b1c117072570aab9146cd1fd9a03ec13058f63d40ce8d724df6e7e28f21e8",
+    "op-2.6": "f04b7858fecb92fdae0cba5abb5875e42d63fb31b204a0eb1498e1735e764fa7",
+    "op-2.7-left": "4248b9c51e5782c278bebdeac8a0b41f55925d06c286a84f014f8d647fb50642",
+    "op-2.7-refine": "01eac99b42f524edeae115c0103ab0b05d07375a1ffbd07bc38d3bbfb770b2f7",
+    "op-2.7-right": "6e04725dbf4406d3a9ef3511a3cc61bbadd4790ee96b9a178a484452e16a6db4",
+    "op-heron-zhao": "1054d0216db5286ed830aaae7783a17148d9b09a7934e65dcd9211370b1b534d",
+}
+
+
+@pytest.mark.parametrize("case_id", OPERATOR)
+def test_a_stack_decomposes_only_what_its_links_read(monkeypatch, case_id):
+    digests = [make_digest(case_id, RunConfig(dims=(3,)), t) for t in range(8)]
+    stack = runner.build_inputs(digests, runner.draw_stack(digests))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+    records = opmeans.certify_operator(CASES[case_id], stack["A"], stack["B"], stack["nu"])
+    assert calls == [(8, 3, 3)] * EIGH_PER_STACK[case_id]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert_same_record(records[5], run_trial(digests[5], CERT_PSD_TOL))
+    record = canonical_json(runner.replay_trial(digests[5]))
+    assert hashlib.sha256(record.encode()).hexdigest() == REPLAY_SHA256[case_id]
+
+
 def _changed(case_id, drop=None, **changes):
     digest = {**make_digest(case_id, RunConfig(dims=(3,)), 1), **changes}
     digest.pop(drop, None)
@@ -173,18 +233,18 @@ def test_stack_budget_of_one_row_keeps_the_report(tmp_path, monkeypatch):
 
 def test_large_dim_group_is_split_under_the_budget(monkeypatch):
     sizes, held = [], [0]
-    draw, build = runner.draw_trial, runner.build_inputs
+    draw, build = runner.draw_stack, runner.build_inputs
 
-    def draw_spy(digest, rng):
-        held.append(held[-1] + 1)  # trials drawn and not yet built
-        return draw(digest, rng)
+    def draw_spy(digests):
+        held.append(held[-1] + len(digests))  # trials drawn and not yet built
+        return draw(digests)
 
-    def build_spy(digests, draws):
+    def build_spy(digests, columns):
         sizes.append(len(digests))
         held.append(held[-1] - len(digests))
-        return build(digests, draws)
+        return build(digests, columns)
 
-    monkeypatch.setattr(runner, "draw_trial", draw_spy)
+    monkeypatch.setattr(runner, "draw_stack", draw_spy)
     monkeypatch.setattr(runner, "build_inputs", build_spy)
     cfg = RunConfig(trials=20, dims=(4, 1))
     whole = run_case("op-2.10", cfg)

@@ -8,7 +8,7 @@ from meancert import runner
 from meancert.linalg import DomainError, is_psd
 from meancert.randgen import (assemble, derive_seed, parse_law, sample_spectrum, seek, trial_key,
                               trial_rng)
-from meancert.runner import CASES, RunConfig, build_inputs, draw_trial, inputs, make_digest
+from meancert.runner import CASES, RunConfig, build_inputs, draw_stack, inputs, make_digest
 
 MATRIX = [cid for cid, case in CASES.items() if case.kind != "scalar"]
 
@@ -23,14 +23,61 @@ def raw(draws):
 
 
 def fresh(digest):
-    """The draws of ``digest`` from a new generator."""
-    return draw_trial(digest, np.random.Generator(np.random.Philox(0)))
+    """The draws of ``digest``, drawn as a stack of one: row 0 of each column."""
+    return [column[0] for column in draw_stack([digest])]
+
+
+def dim_groups(digests):
+    """The digests of each dim, in trial order: the stacks a sweep's chunk draws."""
+    groups = {}
+    for d in digests:
+        groups.setdefault(d["dim"], []).append(d)
+    return list(groups.values())
 
 
 def reference_rng(entropy, trial):
     """The stream of a trial as numpy's SeedSequence spawns it."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy,
                                                                        spawn_key=(trial,))))
+
+
+def reference_draws(d):
+    """One trial's draws, written out from its reference stream in the documented
+    order: per positive definite operand (A, then W or B, then a PD X) its
+    spectrum and its basis entries, then a general X's entries."""
+    rng = reference_rng(derive_seed(d["seed"], d["case"]), d["trial"])
+    n, cx = d["dim"], d["complex"]
+
+    def spectrum(law):
+        kind, params = parse_law(law)
+        if kind == "log-uniform":
+            return np.exp(rng.uniform(np.log(params[0]), np.log(params[1]), n))
+        if kind == "clustered":
+            return params[0] * (1.0 + params[1] * rng.uniform(-1.0, 1.0, n))
+        return np.full(n, params[0]) if len(params) == 1 else np.array(params)
+
+    def entries():
+        z = rng.standard_normal((n, n))
+        return z + 1j * rng.standard_normal((n, n)) if cx else z
+
+    laws = [d["law"], d.get("w_law", d["law"])]
+    if d["kind"] == "hs" and d["x_kind"] == "pd":
+        laws.append(d["law"])
+    draws = []
+    for law in laws:
+        draws += [spectrum(law), entries()]
+    if d["kind"] == "hs" and d["x_kind"] == "general":
+        x = entries()
+        draws.append(x / np.sqrt(2.0) if cx else x)
+    return draws
+
+
+STREAM_CONFIGS = {
+    "real": {}, "complex": {"complex_entries": True}, "lenient-x": {"lenient_x": True},
+    "w-explicit-0": {"w_law": "explicit:0"}, "seed-2^70": {"seed": 2**70},
+    "clustered": {"law": "clustered:2:0.5", "complex_entries": True},
+    "explicit-list": {"law": "explicit:1,2.5,3", "dims": (3,)},
+}
 
 
 class TestParseLaw:
@@ -98,17 +145,26 @@ class TestStreams:
                 entropy, trial).random(4).tobytes()
 
     @pytest.mark.parametrize("case_id", MATRIX)
-    @pytest.mark.parametrize("cfg", [{}, {"complex_entries": True}, {"lenient_x": True},
-                                     {"w_law": "explicit:0"}, {"seed": 2**70}],
-                             ids=["real", "complex", "lenient-x", "w-explicit-0", "seed-2^70"])
-    def test_draws_equal_seed_sequence_streams(self, monkeypatch, case_id, cfg):
-        digests = [make_digest(case_id, RunConfig(dims=(1, 2, 3), **cfg), t) for t in range(12)]
-        got = [raw(fresh(d)) for d in digests]
-        # the same draws from the reference stream, which draw_trial must not reset
-        monkeypatch.setattr(runner, "seek", lambda rng, entropy, trial: rng)
-        want = [raw(draw_trial(d, reference_rng(derive_seed(d["seed"], d["case"]), d["trial"])))
-                for d in digests]
-        assert got == want
+    @pytest.mark.parametrize("cfg", STREAM_CONFIGS.values(), ids=STREAM_CONFIGS)
+    def test_draws_equal_seed_sequence_streams(self, case_id, cfg):
+        cfg = {"dims": (1, 2, 3), **cfg}
+        digests = [make_digest(case_id, RunConfig(**cfg), t) for t in range(12)]
+        for group in dim_groups(digests):
+            columns = draw_stack(group)
+            for i, d in enumerate(group):
+                assert raw(column[i] for column in columns) == raw(reference_draws(d)), d
+
+    @pytest.mark.parametrize("case_id", MATRIX)
+    @pytest.mark.parametrize("cfg", STREAM_CONFIGS.values(), ids=STREAM_CONFIGS)
+    def test_stack_rows_equal_stacks_of_one(self, case_id, cfg):
+        # every map over a stack's rows (exp, the clustered law, the complex
+        # entries) gives each row the bits it gives that row alone
+        cfg = {"dims": (1, 2, 3, 5, 8), **cfg}
+        digests = [make_digest(case_id, RunConfig(**cfg), t) for t in range(60)]
+        for group in dim_groups(digests):
+            columns = draw_stack(group)
+            for i, d in enumerate(group):
+                assert raw(column[i] for column in columns) == raw(fresh(d)), d
 
 
 class TestPositiveSpectra:
@@ -116,10 +172,10 @@ class TestPositiveSpectra:
 
     def build(self, case_id, changes, **cfg):
         d = digest(case_id, dim=3, **cfg)
-        draws = fresh(d)
+        columns = draw_stack([d])
         for index, lam in changes.items():
-            draws[index] = np.array(lam)
-        return build_inputs([d], [draws])
+            columns[index] = np.array([lam])
+        return build_inputs([d], columns)
 
     @pytest.mark.parametrize("case_id, changes, got", [
         ("op-2.3", {0: [1.0, 0.0, 2.0]}, "0.0"),  # A
@@ -150,7 +206,7 @@ class TestPositiveSpectra:
         monkeypatch.setattr(runner, "check_positive", lambda lam: seen.append(lam.shape)
                             or check(lam))
         ds = [digest("hs-2.14", trial=t, dim=3) for t in range(6)]
-        build_inputs(ds, [fresh(d) for d in ds])
+        build_inputs(ds, draw_stack(ds))
         assert seen == [(6, 3)] * 3
 
 
@@ -166,12 +222,13 @@ class TestDeterminism:
         forward = [raw(fresh(d)) for d in digests]
         backward = [raw(fresh(d)) for d in reversed(digests)]
         assert forward == backward[::-1]
-        # one generator, reused across the trials in shuffled order, gives the same bytes
-        order = list(range(len(digests)))
-        random.Random(3).shuffle(order)
-        rng = trial_rng(0, 0)
-        reused = {i: raw(draw_trial(digests[i], rng)) for i in order}
-        assert [reused[i] for i in range(len(digests))] == forward
+        # a stack of one case's trials in shuffled order gives each trial the same bytes
+        for case in range(3):
+            order = list(range(8 * case, 8 * case + 8))
+            random.Random(case).shuffle(order)
+            columns = draw_stack([digests[i] for i in order])
+            for row, i in enumerate(order):
+                assert raw(column[row] for column in columns) == forward[i]
 
     def test_different_trials_differ(self):
         assert (inputs(digest(trial=0, seed=9))["A"].tobytes()
