@@ -251,9 +251,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def _profile_scalar(ids: list[str], nus: list[float],
                     opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
     a, b = opts["a"], opts["b"]
-    scalar.check_pair(a, b)  # before sides(a, b, 0.5) counts the links
+    scalar.check_pair(a, b)  # before the sides at nu = 0.5 count the links
     cases = {cid: runner.CASES[cid] for cid in ids}
-    nlinks = {cid: len(case.sides(a, b, 0.5)) - 1 for cid, case in cases.items()}
+    nlinks = {cid: len(scalar.judge_point(case, a, b, 0.5)[1]) for cid, case in cases.items()}
     header = ["nu"]
     for cid in ids:
         header.extend(f"{cid}:link{i}" for i in range(nlinks[cid]))

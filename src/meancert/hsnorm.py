@@ -1,14 +1,18 @@
 """Hilbert-Schmidt norm chains for Heinz-type blocks.
 
-Every registered chain is evaluated through two independent routes per
-trial.  The direct route forms the matrix expressions and takes Frobenius
-norms.  The oracle route diagonalizes A = Ua diag(la) Ua* and
-B = Ub diag(mu) Ub*, transports X into the eigenbases as Y = Ua* X Ub,
-and rewrites each side as sqrt(sum_ij c(la_i, mu_j)^2 |y_ij|^2).  The two
-routes must agree tightly (ORACLE_TOL); the cell form also localizes a
-failure to the most damaging eigenvalue pair.  Both routes take a stack of
-triples (k, n, n) at once and treat each triple as they treat it alone,
-bit for bit.
+Each registered chain is one function ``chain(ops, nu)`` over a small set
+of blocks (Heinz, geometric, sum, curvature), their ``norm`` and the
+curvature weight, and every trial runs it under two interpreters.  The
+direct route, ``HsContext``, forms the blocks as matrices and takes
+Frobenius norms.  The oracle route, ``Cells``, diagonalizes
+A = Ua diag(la) Ua* and B = Ub diag(mu) Ub*, transports X into the
+eigenbases as Y = Ua* X Ub, and reads each block as its coefficients
+c(la_i, mu_j) on the cells, so that a norm is
+sqrt(sum_ij c(la_i, mu_j)^2 |y_ij|^2) (the Schur-multiplier form of the
+hs norm).  The two routes must agree tightly (ORACLE_TOL); the cell form
+also localizes a failure to the most damaging eigenvalue pair.  Both
+routes take a stack of triples (k, n, n) at once and treat each triple as
+they treat it alone, bit for bit.
 
 Chains whose hypotheses demand a positive semidefinite X enforce that
 hypothesis by default; a lenient mode accepts arbitrary X and records
@@ -23,18 +27,19 @@ from typing import Any, Callable, ClassVar
 
 import numpy as np
 
+from . import scalar
 from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
                      power_rows, validate_hermitian)
 from .opmeans import checked_weight
-from .scalar import (Case, cubic_weight, heinz_weight, judge_chain, require_finite,
-                     tail_weights)
+from .scalar import Case, judge_chain, require_finite
 
 ORACLE_TOL = 1e-10
 
 
 class HsContext:
     """The decompositions of one (A, B, X) triple, or of a stack (k, n, n) of them,
-    and the blocks and coefficients the chains are built from.
+    and the blocks and coefficients the chains are built from: the direct
+    route's interpreter of a chain, whose ``norm`` is the Frobenius norm.
 
     A weight ``nu`` is a float, for every triple, or a 1-D array with one
     per triple of a stack.  Every block, coefficient and norm of a triple
@@ -46,6 +51,8 @@ class HsContext:
     of A and B, stacked like them, making the cell route independent of the
     eigensolver; otherwise the context's own decompositions are used.
     """
+
+    norm = staticmethod(hs_norms)
 
     def __init__(self, A, B, X, *, oracle=None):
         self.pa = Powers(A)
@@ -59,6 +66,11 @@ class HsContext:
         if not np.isfinite(X).all():
             raise DomainError("X contains non-finite entries")
         self.X = X
+        if oracle is not None:
+            shapes = [np.shape(part) for pair in oracle for part in pair]
+            if shapes != [shape[:-1], shape] * 2:
+                raise DomainError(f"oracle ((la, Ua), (mu, Ub)) has shapes {shapes}, "
+                                  f"not those of eigendecompositions of A and B {shape}")
         self._oracle = oracle
         # both operands feed fractional powers, so demand PSD up front
         clamp_psd(self.pa.eigenvalues, "A")
@@ -130,139 +142,99 @@ def _pows(v: np.ndarray, e) -> np.ndarray:
     return power_rows(v, e.tolist(), operator.pow)
 
 
-def _h_cells(la, mu, nu):
-    rest = 1.0 - nu
-    return (_pows(la, nu)[..., :, None] * _pows(mu, rest)[..., None, :]
-            + _pows(la, rest)[..., :, None] * _pows(mu, nu)[..., None, :])
+class Cells:
+    """The oracle route's reading of the blocks of ``HsContext``: each block
+    is its coefficient c(la_i, mu_j) on the eigenvalue cells, an (n, n)
+    array per triple, and its norm sums c^2 against y2 = |Ua* X Ub|^2.
 
+    la and mu are the clamped spectra of A and B, (k, n) for a stack, as
+    ``HsContext.cell_parts`` returns them with y2.
+    """
 
-def _g_cells(la, mu):
-    return np.sqrt(la[..., :, None] * mu[..., None, :])
+    def __init__(self, la: np.ndarray, mu: np.ndarray, y2: np.ndarray):
+        self.la, self.mu, self.y2 = la, mu, y2
 
+    def norm(self, coef: np.ndarray) -> np.ndarray:
+        return _qs(coef, self.y2)
 
-def _s_cells(la, mu):
-    return la[..., :, None] + mu[..., None, :]
+    def heinz_block(self, nu) -> np.ndarray:
+        rest = 1.0 - nu
+        la, mu = self.la, self.mu
+        return (_pows(la, nu)[..., :, None] * _pows(mu, rest)[..., None, :]
+                + _pows(la, rest)[..., :, None] * _pows(mu, nu)[..., None, :])
 
+    def geom_block(self) -> np.ndarray:
+        return np.sqrt(self.la[..., :, None] * self.mu[..., None, :])
 
-def _d_cells(la, mu):
-    return (la[..., :, None] - mu[..., None, :]) ** 2
+    def sum_block(self) -> np.ndarray:
+        return self.la[..., :, None] + self.mu[..., None, :]
+
+    def curvature_block(self) -> np.ndarray:
+        return (self.la[..., :, None] - self.mu[..., None, :]) ** 2
+
+    def curv_weight(self, nu) -> np.ndarray:
+        """nu(1-nu)/max(la, mu): alpha divides here, where ``HsContext`` multiplies
+        by its reciprocal; each route keeps its own rounding."""
+        v = col(nu)
+        top = np.maximum(self.la.max(axis=-1), self.mu.max(axis=-1))[..., None, None]
+        return v * (1.0 - v) / top
 
 
 @dataclass(frozen=True)
 class HsCase(Case):
     """One norm chain: sides must be nondecreasing when the chain holds.
 
-    ``sides(ctx, nu)`` returns each side as a column of ``HsContext``'s
-    shape.  ``oracle(la, mu, y2, nu)`` returns the sides rebuilt from the
-    eigenvalue cells, in the same shape, and the (lhs, rhs) coefficient
-    arrays of the diagnosed link (link 0; the final link for hs-cor) for
-    the worst-cell diagnosis.  nu is a float, or one weight per triple of
-    a stack.
+    ``chain(ops, nu)`` builds the chain from the blocks of ``ops``, an
+    ``HsContext`` (the direct route) or a ``Cells`` (the oracle route), and
+    returns (sides, (lhs, rhs)): each side as a column of the context's
+    shape, and the two blocks of the diagnosed link (link 0; the final link
+    for hs-cor), which the cell route's worst-cell diagnosis reads.  nu is
+    a float, or one weight per triple of a stack.
     """
 
     kind: ClassVar[str] = "hs"
     structure: ClassVar[str] = "general-pd"  # how a trial draws (A, B), as for an operator case
     x_kind: str  # "general" or "pd"
     links: tuple[str, ...]
-    sides: Callable[[HsContext, Any], tuple[np.ndarray, ...]]
-    oracle: Callable[[np.ndarray, np.ndarray, np.ndarray, Any],
-                     tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]]
+    chain: Callable[[Any, Any], tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]]
 
 
-def _sides_213(ctx: HsContext, nu):
-    k = col(nu, heinz_weight)
-    h, g = ctx.heinz_block(nu), ctx.geom_block()
-    return (
-        hs_norms(col(nu, cubic_weight) * ctx.sum_block()),
-        hs_norms(k * h - 4.0 * g),
-        k * hs_norms(h) + 4.0 * hs_norms(g),
-    )
+def _chain_213(ops, nu):
+    k = col(nu, scalar.heinz_weight)
+    h, g = ops.heinz_block(nu), ops.geom_block()
+    lhs, rhs = col(nu, scalar.cubic_weight) * ops.sum_block(), k * h - 4.0 * g
+    return (ops.norm(lhs), ops.norm(rhs), k * ops.norm(h) + 4.0 * ops.norm(g)), (lhs, rhs)
 
 
-def _oracle_213(la, mu, y2, nu):
-    k = col(nu, heinz_weight)
-    w = -col(nu, cubic_weight)
-    h, g, s = _h_cells(la, mu, nu), _g_cells(la, mu), _s_cells(la, mu)
-    rhs = k * h - 4.0 * g
-    sides = (
-        w * _qs(s, y2),
-        _qs(rhs, y2),
-        k * _qs(h, y2) + 4.0 * _qs(g, y2),
-    )
-    return sides, (w * s, rhs)
+def _chain_214(ops, nu):
+    lhs = ops.heinz_block(nu) + ops.curv_weight(nu) * ops.curvature_block()
+    rhs = ops.sum_block()
+    return (ops.norm(lhs), ops.norm(rhs)), (lhs, rhs)
 
 
-def _corrected(h, d, c, s):
-    """hs-2.14's sides from its blocks: the Heinz block h, the curvature block d,
-    its weight c and the sum block s."""
-    return hs_norms(h + c * d), hs_norms(s)
-
-
-def _sides_214(ctx: HsContext, nu):
-    c = ctx.curv_weight(nu)
-    return _corrected(ctx.heinz_block(nu), ctx.curvature_block(), c, ctx.sum_block())
-
-
-def _curved_cells(la, mu, nu):
-    """(h, d, c): the Heinz and curvature cells and the curvature weight
-    nu(1-nu) alpha of the cell route, alpha = 1/max(la, mu)."""
-    v = col(nu)
-    top = np.maximum(la.max(axis=-1), mu.max(axis=-1))[..., None, None]
-    return _h_cells(la, mu, nu), _d_cells(la, mu), v * (1.0 - v) / top
-
-
-def _corrected_cells(h, d, c, s, y2):
-    """hs-2.14's oracle sides and diagnosed pair from its cells, as ``_corrected``."""
-    lhs = h + c * d
-    return (_qs(lhs, y2), _qs(s, y2)), (lhs, s)
-
-
-def _oracle_214(la, mu, y2, nu):
-    return _corrected_cells(*_curved_cells(la, mu, nu), _s_cells(la, mu), y2)
-
-
-def _sides_cor(ctx: HsContext, nu):
+def _chain_cor(ops, nu):
     # the last two sides are hs-2.14's, from the same blocks
-    c = ctx.curv_weight(nu)
-    h, d = ctx.heinz_block(nu), ctx.curvature_block()
-    p, dn = hs_norms(h), hs_norms(d)
-    return (p, np.sqrt(p * p + c * c * dn * dn)) + _corrected(h, d, c, ctx.sum_block())
+    c = ops.curv_weight(nu)
+    h, d = ops.heinz_block(nu), ops.curvature_block()
+    lhs, rhs = h + c * d, ops.sum_block()
+    p, dn = ops.norm(h), ops.norm(d)
+    return (p, np.sqrt(p * p + c * c * dn * dn), ops.norm(lhs), ops.norm(rhs)), (lhs, rhs)
 
 
-def _oracle_cor(la, mu, y2, nu):
-    h, d, c = _curved_cells(la, mu, nu)
-    tail, pair = _corrected_cells(h, d, c, _s_cells(la, mu), y2)
-    p, dd = _qs(h, y2), _qs(d, y2)
-    return (p, np.sqrt(p * p + c * c * dd * dd)) + tail, pair
-
-
-def _sides_thm8(ctx: HsContext, nu):
-    r, R, rr, RR = col(nu, tail_weights)
-    hb2 = ctx.heinz_block(nu) / 2.0
-    s2 = ctx.sum_block() / 2.0
-    g = hs_norms(ctx.geom_block())
-    return (
-        hs_norms(rr * hb2 + (2.0 * r - 1.0) * s2),
-        2.0 * r * r * g,
-        2.0 * R * R * g,
-        hs_norms(RR * hb2 + (2.0 * R - 1.0) * s2),
-    )
-
-
-def _oracle_thm8(la, mu, y2, nu):
-    r, R, rr, RR = col(nu, tail_weights)
-    h2 = _h_cells(la, mu, nu) / 2.0
-    s2 = _s_cells(la, mu) / 2.0
-    gc = _g_cells(la, mu)
-    g = _qs(gc, y2)
-    lhs = rr * h2 + (2.0 * r - 1.0) * s2
+def _chain_thm8(ops, nu):
+    r, R, rr, RR = col(nu, scalar.tail_weights)
+    hb2 = ops.heinz_block(nu) / 2.0
+    s2 = ops.sum_block() / 2.0
+    gb = ops.geom_block()
+    g = ops.norm(gb)
+    lhs = rr * hb2 + (2.0 * r - 1.0) * s2
     sides = (
-        _qs(lhs, y2),
+        ops.norm(lhs),
         2.0 * r * r * g,
         2.0 * R * R * g,
-        _qs(RR * h2 + (2.0 * R - 1.0) * s2, y2),
+        ops.norm(RR * hb2 + (2.0 * R - 1.0) * s2),
     )
-    return sides, (lhs, 2.0 * r * r * gc)
+    return sides, (lhs, 2.0 * r * r * gb)
 
 
 def _build_registry() -> tuple[HsCase, ...]:
@@ -275,8 +247,7 @@ def _build_registry() -> tuple[HsCase, ...]:
             "0 < nu <= 1",
             "general",
             ("hinge", "triangle"),
-            _sides_213,
-            _oracle_213,
+            _chain_213,
         ),
         HsCase(
             "hs-2.14",
@@ -286,8 +257,7 @@ def _build_registry() -> tuple[HsCase, ...]:
             "0 <= nu <= 1",
             "pd",
             ("main",),
-            _sides_214,
-            _oracle_214,
+            _chain_214,
         ),
         HsCase(
             "hs-cor",
@@ -297,8 +267,7 @@ def _build_registry() -> tuple[HsCase, ...]:
             "0 <= nu <= 1",
             "pd",
             ("monotone", "cross-term", "final"),
-            _sides_cor,
-            _oracle_cor,
+            _chain_cor,
         ),
         HsCase(
             "hs-thm8",
@@ -308,8 +277,7 @@ def _build_registry() -> tuple[HsCase, ...]:
             "0 <= nu <= 1",
             "general",
             ("lower", "middle", "upper"),
-            _sides_thm8,
-            _oracle_thm8,
+            _chain_thm8,
         ),
     )
 
@@ -396,19 +364,19 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
     ctx = HsContext(A, B, X, oracle=oracle)
     # a weight shared by every triple goes in as a float, as for one triple
     w = nus[0] if len(set(nus)) == 1 else np.array(nus)
-    sides = _rows(case.sides(ctx, w))
+    sides = _rows(case.chain(ctx, w)[0])
     judged = [judge_chain(s, f"the direct route of {case.case_id}") for s in sides]
-    la, mu, y2 = ctx.cell_parts()
-    osides, (lhs, rhs) = case.oracle(la, mu, y2, w)
-    damage = (rhs * rhs - lhs * lhs) * y2
+    cells = Cells(*ctx.cell_parts())
+    osides, (lhs, rhs) = case.chain(cells, w)
+    damage = (rhs * rhs - lhs * lhs) * cells.y2
     n = damage.shape[-1]
-    cells = damage.reshape(len(nus), -1).argmin(axis=1).tolist()
+    worst_cells = damage.reshape(len(nus), -1).argmin(axis=1).tolist()
     trials = []
     for r, (s, o, (_, slacks, worst)) in enumerate(zip(sides, _rows(osides), judged)):
         rel_err = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(s, o, strict=True))
         if not math.isfinite(rel_err):
             require_finite(o, "side", f"the oracle route of {case.case_id}")
-        i, j = divmod(cells[r], n)
+        i, j = divmod(worst_cells[r], n)
         trials.append(HsTrial(
             case_id=case.case_id,
             nu=nus[r],
@@ -421,6 +389,7 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
             advisory=lenient and not met[r],
             oracle_sides=o,
             oracle_rel_err=rel_err,
-            worst_cell=(i, j, float(la[r, i]), float(mu[r, j]), float(damage[r, i, j])),
+            worst_cell=(i, j, float(cells.la[r, i]), float(cells.mu[r, j]),
+                        float(damage[r, i, j])),
         ))
     return trials

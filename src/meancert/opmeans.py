@@ -5,9 +5,9 @@ PairContext(A, B).nabla(0) == A and geom(A, B, 1) == B.  The scalar
 module weights the first argument; on commuting pairs geom(A, B, nu)
 therefore matches weighted_geom(a, b, 1 - nu) eigenvalue by eigenvalue.
 The two conventions are never mixed inside a formula: every registered
-case is written entirely in the operator convention, and its ``cells``
-callable restates the same chain through the scalar module for diagonal
-cross-checks.
+case is written entirely in the operator convention.  Its coefficients
+come from the scalar module's helpers, looked up through the module, so
+each helper is bound in one place for the scalar, operator and hs chains.
 
 The geometric mean is computed as
 A^(1/2) (A^(-1/2) B A^(-1/2))^nu A^(1/2), never via Cholesky, so A must be
@@ -19,7 +19,6 @@ its tolerance scale, and the worst link ships an eigenvector witness.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
@@ -28,8 +27,7 @@ import numpy as np
 from . import scalar
 from .linalg import (CERT_PSD_TOL, DomainError, Powers, col, each,
                      hermitianize, is_psd)
-from .scalar import (Case, check_unit, cubic_side_weights, cubic_weight,
-                     first_worst, heinz_weight, tail_weights)
+from .scalar import Case, check_unit, first_worst
 
 
 def checked_weight(name: str, t):
@@ -140,20 +138,17 @@ class OperatorCase(Case):
     structure: str
     links: tuple[str, ...]
     gaps: Callable[[PairContext, float], tuple[np.ndarray, ...]]
-    # scalar restatement of each link's gap at a commuting eigenvalue pair
-    # (lam from A, mu from B; ordered cases assume lam <= mu)
-    cells: Callable[[float, float, float], tuple[float, ...]]
 
 
 def _gaps_23(ctx: PairContext, nu):
-    k, w = col(nu, heinz_weight), col(nu, cubic_weight)
+    k, w = col(nu, scalar.heinz_weight), col(nu, scalar.cubic_weight)
     return (k * ctx.heinz(nu) - w * ctx.nabla(0.5) - 2.0 * ctx.geom(0.5),)
 
 
 def _cubic_gap(ctx: PairContext, nu, first, second, g):
     """rhs - lhs of op-2.5 and op-2.6, where lhs weights ``first`` by 1 - nu^2 + nu^3."""
-    k = col(nu, heinz_weight)
-    p, q = col(nu, cubic_side_weights)
+    k = col(nu, scalar.heinz_weight)
+    p, q = col(nu, scalar.cubic_side_weights)
     lhs = p * first + q * second
     return k * g + ctx.A + ctx.B - 2.0 * ctx.geom(0.5) - lhs
 
@@ -186,7 +181,7 @@ def _gaps_27_refine(ctx: PairContext, nu):
 
 
 def _gaps_210(ctx: PairContext, nu):
-    r, R, rr, RR = col(nu, tail_weights)
+    r, R, rr, RR = col(nu, scalar.tail_weights)
     g, h, n = ctx.geom(0.5), ctx.heinz(nu), ctx.nabla(0.5)
     return (
         2.0 * r * r * g - rr * h - (2.0 * r - 1.0) * n,
@@ -197,43 +192,6 @@ def _gaps_210(ctx: PairContext, nu):
 
 def _gaps_heron_zhao(ctx: PairContext, nu):
     return (ctx.heron(each(nu, scalar.alpha_of_nu)) - ctx.heinz(nu),)
-
-
-def _cells_23(lam: float, mu: float, nu: float):
-    k = heinz_weight(nu)
-    return (
-        k * scalar.heinz(lam, mu, nu)
-        - cubic_weight(nu) * (lam + mu) / 2.0
-        - 2.0 * math.sqrt(lam * mu),
-    )
-
-
-def _cells_27_left(lam: float, mu: float, nu: float):
-    c = _corr_weight(nu)
-    corr = mu - 2.0 * lam + lam * lam / mu
-    return ((lam + mu) / 2.0 - scalar.heinz(lam, mu, nu) - c * corr,)
-
-
-def _cells_27_right(lam: float, mu: float, nu: float):
-    c = _corr_weight(nu)
-    corr = lam - 2.0 * mu + mu * mu / lam
-    return (scalar.heinz(lam, mu, nu) + c * corr - (lam + mu) / 2.0,)
-
-
-def _cells_27_refine(lam: float, mu: float, nu: float):
-    return (
-        mu - 2.0 * lam + lam * lam / mu,
-        (lam + mu) / 2.0 - scalar.heinz(lam, mu, nu),
-    )
-
-
-def _scalar_cells(case_id: str, swap: bool = False):
-    """Cells of a chain with a scalar twin: the twin's raw slacks at
-    (lam, mu), or at (mu, lam) with ``swap``."""
-    case = {c.case_id: c for c in scalar.registry()}[case_id]
-    if swap:
-        return lambda lam, mu, nu: scalar.evaluate(case, mu, lam, nu).slacks
-    return lambda lam, mu, nu: scalar.evaluate(case, lam, mu, nu).slacks
 
 
 def _build_registry() -> tuple[OperatorCase, ...]:
@@ -247,7 +205,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "general-pd",
             ("main",),
             _gaps_23,
-            _cells_23,
         ),
         OperatorCase(
             "op-2.5",
@@ -258,7 +215,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "general-pd",
             ("main",),
             _gaps_25,
-            _scalar_cells("new-2.1"),
         ),
         OperatorCase(
             "op-2.6",
@@ -269,7 +225,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "general-pd",
             ("main",),
             _gaps_26,
-            _scalar_cells("new-2.1", swap=True),
         ),
         OperatorCase(
             "op-2.7-left",
@@ -280,7 +235,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "ordered-pair",
             ("main",),
             _gaps_27_left,
-            _cells_27_left,
         ),
         OperatorCase(
             "op-2.7-right",
@@ -291,7 +245,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "ordered-pair",
             ("main",),
             _gaps_27_right,
-            _cells_27_right,
         ),
         OperatorCase(
             "op-2.7-refine",
@@ -302,7 +255,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "ordered-pair",  # the population of op-2.7-left and -right, to compare
             ("correction", "heinz"),
             _gaps_27_refine,
-            _cells_27_refine,
         ),
         OperatorCase(
             "op-2.10",
@@ -314,7 +266,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "general-pd",
             ("lower", "middle", "upper"),
             _gaps_210,
-            _scalar_cells("comb-2.12"),
         ),
         OperatorCase(
             "op-heron-zhao",
@@ -325,7 +276,6 @@ def _build_registry() -> tuple[OperatorCase, ...]:
             "general-pd",
             ("main",),
             _gaps_heron_zhao,
-            _scalar_cells("bhatia-heron"),
         ),
     )
 

@@ -21,6 +21,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from operator_cells import CELLS
 
 from meancert import hsnorm, opmeans, scalar
 from meancert.cli import main
@@ -177,8 +178,9 @@ def test_criterion_4_counterexamples_genuine(hs_suite):
 def test_criterion_5_diagonal_equivalence():
     """On commuting (diagonal / 1x1) inputs the matrix verdicts coincide with
     the scalar ones: per-link eigenvalue extremes match the scalar cells, and
-    1x1 norm sides match the scalar chain (Heinz blocks carry a factor 2,
-    with the convention swap folded into each case's cell map)."""
+    1x1 norm sides match the scalar chain (Heinz blocks carry a factor 2).
+    The references are the tests' own: ``operator_cells.CELLS``, which folds
+    in the convention swap, and ``_scalar_twin_sides``."""
     rng = np.random.default_rng(20240817)
     mismatches = 0
     op_trials = 0
@@ -193,7 +195,7 @@ def test_criterion_5_diagonal_equivalence():
                 mus = 10.0 ** rng.uniform(-3, 3, dim)
             nu = float(rng.choice(grid))
             trial = opmeans.certify_operator(case, np.diag(lams), np.diag(mus), nu)
-            cells = np.array([case.cells(l, m, nu) for l, m in zip(lams, mus)])
+            cells = np.array([CELLS[case.case_id](l, m, nu) for l, m in zip(lams, mus)])
             scalar_pass = True
             for j, link in enumerate(trial.links):
                 col = cells[:, j]

@@ -874,6 +874,13 @@ class TestGapProfileVerb:
         rows = list(csv.reader(open(out)))
         assert rows[0][0] == "nu" and len(rows) == 66
 
+    def test_scalar_profile_that_overflows_exits_2_as_replay_does(self, capsys):
+        assert main(["gap-profile", "--case", "cf-1.13", "--a", "1e300", "--b", "1"]) == 2
+        err = capsys.readouterr().err
+        digest = {"case": "cf-1.13", "kind": "scalar", "a": 1e300, "b": 1.0, "nu": 0.5}
+        assert replay_error(capsys, digest) == (2, err)
+        assert err.startswith("error: a side of cf-1.13 overflows at a=1e+300, b=1.0, nu=0.5")
+
     def test_mixed_kinds_rejected(self, capsys):
         assert main(["gap-profile", "--case", "op-2.3,young-1.1"]) == 2
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meancert import hsnorm, scalar
-from meancert.hsnorm import ORACLE_TOL, HsContext, certify_hs, registry
+from meancert.hsnorm import ORACLE_TOL, Cells, HsContext, certify_hs, registry
 from meancert.linalg import DomainError, hs_norms
 from meancert.runner import RunConfig, case_by_id, inputs, make_digest
 
@@ -87,6 +87,18 @@ class TestDualRoute:
         t = certify_hs(case_by_id("hs-thm8"), a, b, x, 0.25,
                        oracle=((la, qa), (mu, qb)))
         assert t.oracle_rel_err <= ORACLE_TOL
+
+    def test_malformed_oracle_is_a_domain_error(self):
+        a, b, x = triple(7, dim=3)
+        (la, qa), (mu, qb) = np.linalg.eigh(a), np.linalg.eigh(b)
+        case = case_by_id("hs-thm8")
+        for oracle in [((la[:1], qa), (mu, qb)), ((la, qa), (mu, np.hstack([qb, qb]))),
+                       ((la, qa),)]:
+            with pytest.raises(DomainError, match="oracle"):
+                certify_hs(case, a, b, x, 0.25, oracle=oracle)
+        # a stack's oracle is stacked like A and B
+        with pytest.raises(DomainError, match="oracle"):
+            certify_hs(case, a[None], b[None], x[None], [0.25], oracle=((la, qa), (mu, qb)))
 
     def test_zero_x_degenerate(self):
         a, b, _ = triple(6)
@@ -199,7 +211,7 @@ class TestWorstCell:
         ctx = HsContext(a, b, x)
         la, mu_all, y2 = ctx.cell_parts()
         assert lam == la[i] and mu == mu_all[j]
-        _, (lhs, rhs) = case_by_id("hs-2.13").oracle(la, mu_all, y2, 0.5)
+        _, (lhs, rhs) = case_by_id("hs-2.13").chain(Cells(la, mu_all, y2), 0.5)
         full = (rhs * rhs - lhs * lhs) * y2
         assert damage == full[i, j] == full.min()
 

@@ -1,6 +1,6 @@
 """Every module of the package and of the tests uses each name it imports,
-every function or class the package defines has a user, and every
-parameter of the package's functions is read.
+every function or class the package defines has a user, every parameter
+of the package's functions is read, and so is every field of its classes.
 
 ``meancert/__init__.py`` is left out of the import scan: its imports are
 the package's re-exports, which ``test_readme`` checks against ``__all__``.
@@ -19,6 +19,11 @@ MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
 # definitions that only callers outside the package use, and why
 UNREFERENCED_OK = {
     "report.strip_volatile": "tests compare reports byte for byte with the timings removed",
+}
+# fields of the package's classes that only callers outside the package read, and why
+UNREAD_FIELDS_OK = {
+    "ScalarTrial.a": "a trial names the point it judged; library callers and tests read it",
+    "ScalarTrial.b": "a trial names the point it judged; library callers and tests read it",
 }
 
 
@@ -105,3 +110,28 @@ def test_the_scan_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``Class.field`` for each annotated field of a class in ``sources``
+    (module name -> source) that no expression of any of them reads as an
+    attribute; assigning it does not count."""
+    trees = [ast.parse(source) for source in sources.values()]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{stmt.target.id}" for tree in trees for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_the_scan_sees_an_unread_field():
+    sources = {"a": "class C:\n    x: int\n    y: int = 0\n    z: ClassVar[str]\n"
+                    "    def f(self):\n        self.y = self.x\n",
+               "b": "def g(c):\n    return c.z\n"}
+    assert unread_fields(sources) == ["C.y"]
+
+
+def test_every_field_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert sorted(unread_fields(sources)) == sorted(UNREAD_FIELDS_OK)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from operator_cells import CELLS
 
 from meancert import scalar
+from meancert.hsnorm import certify_hs
 from meancert.linalg import DomainError, Powers, is_psd
 from meancert.opmeans import PairContext, certify_operator, geom, registry
 from meancert.runner import RunConfig, case_by_id, inputs, make_digest
@@ -130,10 +132,30 @@ class TestGapStructure:
             gaps = case.gaps(ctx, nu)
             for k, gap in enumerate(gaps):
                 got = np.diag(gap)
-                want = [case.cells(la, mu, nu)[k] for la, mu in zip(lams, mus)]
+                want = [CELLS[case.case_id](la, mu, nu)[k] for la, mu in zip(lams, mus)]
                 assert np.allclose(got, want, rtol=1e-10, atol=1e-12), case.case_id
                 off = gap - np.diag(np.diag(gap))
                 assert np.linalg.norm(off, 2) <= 1e-10 * max(1.0, np.linalg.norm(gap, 2))
+
+
+class TestCoefficientBinding:
+    def test_patching_a_scalar_helper_moves_every_chain_that_reads_it(self, monkeypatch):
+        # each coefficient helper is looked up through the scalar module, on every route
+        hs = inputs(make_digest("hs-2.13", RunConfig(dims=(3,), seed=20), 0))
+        a, b, x = hs["A"], hs["B"], hs["X"]
+
+        def reads():
+            t = certify_hs(case_by_id("hs-2.13"), a, b, x, 0.25)
+            return (scalar.evaluate(case_by_id("new-2.1"), 2.0, 3.0, 0.25).sides,
+                    case_by_id("op-2.3").gaps(PairContext(a, b), 0.25)[0],
+                    t.sides, t.oracle_sides)
+
+        before = reads()
+        weight = scalar.heinz_weight
+        monkeypatch.setattr(scalar, "heinz_weight", lambda nu: 2.0 * weight(nu))
+        for name, was, now in zip(["new-2.1", "op-2.3", "hs direct", "hs oracle"],
+                                  before, reads(), strict=True):
+            assert not np.array_equal(was, now), name
 
 
 class TestCertify:
