@@ -253,7 +253,8 @@ def _profile_scalar(ids: list[str], nus: list[float],
     a, b = opts["a"], opts["b"]
     scalar.check_pair(a, b)  # before the sides at nu = 0.5 count the links
     cases = {cid: runner.CASES[cid] for cid in ids}
-    nlinks = {cid: len(scalar.judge_point(case, a, b, 0.5)[1]) for cid, case in cases.items()}
+    nlinks = {cid: scalar.judge_row(case, [(a, b)], 0.5)[1].shape[1]
+              for cid, case in cases.items()}
     header = ["nu"]
     for cid in ids:
         header.extend(f"{cid}:link{i}" for i in range(nlinks[cid]))

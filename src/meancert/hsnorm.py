@@ -20,7 +20,6 @@ whether the inequality happened to hold, without asserting it.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
@@ -31,7 +30,7 @@ from . import scalar
 from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
                      power_rows, validate_hermitian)
 from .opmeans import checked_weight
-from .scalar import Case, judge_chain, require_finite
+from .scalar import Case, judge_chains, require_finite
 
 ORACLE_TOL = 1e-10
 
@@ -329,11 +328,9 @@ def _x_hypothesis(case: HsCase, X: np.ndarray, lenient: bool) -> list[bool]:
     return [_x_hypothesis(case, x[None], lenient)[0] for x in X]
 
 
-def _rows(sides) -> list[tuple[float, ...]]:
-    """Columns of side values, one per side, as rows of floats, one per triple."""
-    return list(zip(*(s.ravel().tolist() for s in sides)))
-
-
+# A result past the range of floats is a DomainError (a matrix or a chain side
+# that is not finite), never a verdict; numpy need not warn on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def certify_hs(case: HsCase, A, B, X, nu, *,
                tol: float = CERT_PSD_TOL,
                lenient: bool = False,
@@ -359,35 +356,42 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
     nus = [float(v) for v in nu]
     for v in nus:
         case.check_nu(v)
+    k = len(nus)
     X = np.asarray(X)
     met = _x_hypothesis(case, X, lenient)
     ctx = HsContext(A, B, X, oracle=oracle)
     # a weight shared by every triple goes in as a float, as for one triple
     w = nus[0] if len(set(nus)) == 1 else np.array(nus)
-    sides = _rows(case.chain(ctx, w)[0])
-    judged = [judge_chain(s, f"the direct route of {case.case_id}") for s in sides]
+    # each side is a (k, 1, 1) column; the chains of the stack are the rows of (k, m)
+    sides = np.concatenate(case.chain(ctx, w)[0], axis=-1).reshape(k, -1)
+    _, slacks, worst = judge_chains(sides, f"the direct route of {case.case_id}")
     cells = Cells(*ctx.cell_parts())
     osides, (lhs, rhs) = case.chain(cells, w)
+    osides = np.concatenate(osides, axis=-1).reshape(k, -1)
+    rel_errs = (np.abs(sides - osides) / np.maximum(np.abs(sides), 1.0)).max(axis=1)
+    finite = np.isfinite(rel_errs)  # the direct sides are finite, so an oracle side is not
+    if not finite.all():
+        require_finite(osides[int(finite.argmin())].tolist(), "side",
+                       f"the oracle route of {case.case_id}")
     damage = (rhs * rhs - lhs * lhs) * cells.y2
     n = damage.shape[-1]
-    worst_cells = damage.reshape(len(nus), -1).argmin(axis=1).tolist()
+    worst_cells = damage.reshape(k, -1).argmin(axis=1).tolist()
     trials = []
-    for r, (s, o, (_, slacks, worst)) in enumerate(zip(sides, _rows(osides), judged)):
-        rel_err = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(s, o, strict=True))
-        if not math.isfinite(rel_err):
-            require_finite(o, "side", f"the oracle route of {case.case_id}")
+    for r, (s, o, row, link, rel_err) in enumerate(zip(
+            sides.tolist(), osides.tolist(), slacks.tolist(), worst.tolist(),
+            rel_errs.tolist())):
         i, j = divmod(worst_cells[r], n)
         trials.append(HsTrial(
             case_id=case.case_id,
             nu=nus[r],
-            sides=s,
-            slacks=tuple(slacks),
-            min_slack=slacks[worst],
-            worst_link=case.links[worst],
-            passed=slacks[worst] >= -tol,
+            sides=tuple(s),
+            slacks=tuple(row),
+            min_slack=row[link],
+            worst_link=case.links[link],
+            passed=row[link] >= -tol,
             hypothesis_met=met[r],
             advisory=lenient and not met[r],
-            oracle_sides=o,
+            oracle_sides=tuple(o),
             oracle_rel_err=rel_err,
             worst_cell=(i, j, float(cells.la[r, i]), float(cells.mu[r, j]),
                         float(damage[r, i, j])),

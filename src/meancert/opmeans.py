@@ -307,6 +307,9 @@ class OperatorTrial:
     witness: np.ndarray  # unit eigenvector attaining the worst link's lam_min
 
 
+# A result past the range of floats is a DomainError (a matrix that is not
+# finite), never a verdict; numpy need not warn on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def certify_operator(case: OperatorCase, A, B, nu,
                      tol: float = CERT_PSD_TOL):
     """Judge every link of one chain at (A, B, nu).

@@ -316,14 +316,14 @@ def inputs(digest: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
+# A spectrum or a matrix drawn past the range of floats is not finite, which
+# certification rejects with a DomainError; numpy need not warn on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def _draw(digests: list[dict[str, Any]]) -> dict[str, Any]:
     """``build_inputs`` of the stack's ``draw_stack``."""
     return build_inputs(digests, draw_stack(digests))
 
 
-# A result past the range of floats is a DomainError (a matrix or a chain side
-# that is not finite), never a verdict; numpy need not warn on the way there.
-@np.errstate(over="ignore", invalid="ignore")
 def _certify(case: scalar.Case, digests: list[dict[str, Any]], tol: float) -> list:
     """Trial records of a stack of trials that share every digest field but
     trial and nu, drawn and certified at once."""
@@ -421,21 +421,21 @@ class _Agg:
                 self.oracle_violations += 1
         self._fold_min(rec.min_slack, trial_no, digest)
 
-    def fold_row(self, slacks: list[float], tol: float,
+    def fold_row(self, slacks: np.ndarray, tol: float,
                  digest_of: Callable[[int], dict[str, Any]]) -> None:
         """Fold the next row of scalar grid points: point i passes iff
         ``slacks[i] >= -tol``, and ``digest_of(i)`` writes its digest."""
         first_no = self.trials
-        failed = [i for i, slack in enumerate(slacks) if slack < -tol]
+        failed = np.flatnonzero(slacks < -tol).tolist()
         self.trials += len(slacks)
         self.passes += len(slacks) - len(failed)
         self.failures += len(failed)
         room = FAILURE_CAP - len(self.failure_digests)
-        self.failure_digests += [{"digest": digest_of(i), "min_slack": slacks[i]}
+        self.failure_digests += [{"digest": digest_of(i), "min_slack": slacks[i].item()}
                                  for i in failed[:room]]
-        if slacks:  # the row's first smallest slack is its candidate argmin
-            i = min(range(len(slacks)), key=slacks.__getitem__)
-            self._fold_min(slacks[i], first_no + i, digest_of(i))
+        # the row's first smallest slack is its candidate argmin
+        i = int(slacks.argmin())
+        self._fold_min(slacks[i].item(), first_no + i, digest_of(i))
 
     def _fold_oracle_err(self, err: float | None) -> None:
         if err is not None and (self.oracle_max_rel_err is None
@@ -530,8 +530,8 @@ def run_scalar_case(case_id: str,
                     nu_values=scalar.NU_GRID_65,
                     tol: float = scalar.SCALAR_TOL) -> dict[str, Any]:
     """Deterministic grid sweep of one scalar chain: the grid is checked once, then
-    each point of the domain goes through ``scalar.judge_point``, building no record,
-    and each row of points at one nu is folded at once."""
+    each row of points at one nu in the domain is judged in one ``scalar.judge_row``
+    call, building no record, and folded at once."""
     case = case_by_id(case_id)
     _check_kind(case_id, case.kind, ("scalar",))
     scalar.check_tol(tol)
@@ -545,11 +545,10 @@ def run_scalar_case(case_id: str,
         if not case.in_domain(nu):
             agg.skipped += len(pairs)
             continue
-        slacks = []
-        for a, b in pairs:
-            _, _, norms, worst = scalar.judge_point(case, a, b, nu)
-            slacks.append(norms[worst])
-        agg.fold_row(slacks, tol, lambda i, nu=nu: scalar_digest(case_id, *pairs[i], nu))
+        if pairs:
+            _, _, norms, worst = scalar.judge_row(case, pairs, nu)
+            agg.fold_row(norms[np.arange(len(pairs)), worst],
+                         tol, lambda i, nu=nu: scalar_digest(case_id, *pairs[i], nu))
     return agg.summary(case)
 
 

@@ -7,11 +7,16 @@ opposite convention (weight on the second operand); diagonal reductions
 map nu there to 1 - nu here.
 
 Every registered case is a chain of sides expected to be nondecreasing on
-its domain.  judge_chain() gives the raw adjacent slacks and the normalized
-ones used for the pass verdict: link i passes iff
+its domain.  judge_chains() judges a stack of chains, one per row of an
+array, giving the raw adjacent slacks and the normalized ones used for the
+pass verdict: link i passes iff
 sides[i] <= sides[i+1] + tol * max(1, |sides[i]|, |sides[i+1]|).
-judge_point() judges one point unchecked: evaluate() checks it first and
-builds a ScalarTrial; the grid sweep checks its grid once and builds none.
+judge_row() evaluates a chain's sides at a row of points (a, b) at one nu
+as Python floats, unchecked, and judges them in one call: the grid sweep
+checks its grid once and judges each nu row, building no record, and
+evaluate() checks its point and judges a row of one.  The means the
+chains call are unchecked kernels; weighted_geom() and the other public
+means are checked wrappers around them.
 
 0**0 is taken as 1 throughout (Python float semantics already agree), so
 weights like r**(2r) extend continuously to r = 0.
@@ -24,6 +29,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
+
+import numpy as np
 
 from .linalg import DomainError
 
@@ -53,38 +60,58 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must be a finite number > 0, got {tol!r}")
 
 
+def _arith(a: float, b: float, nu: float) -> float:
+    return nu * a + (1.0 - nu) * b
+
+
+def _geom(a: float, b: float, nu: float) -> float:
+    return a ** nu * b ** (1.0 - nu)
+
+
+def _heinz(a: float, b: float, nu: float) -> float:
+    return (a ** nu * b ** (1.0 - nu) + a ** (1.0 - nu) * b ** nu) / 2.0
+
+
+def _heron(a: float, b: float, alpha: float) -> float:
+    return (1.0 - alpha) * math.sqrt(a * b) + alpha * (a + b) / 2.0
+
+
+def _alpha(nu: float) -> float:
+    return 1.0 - 4.0 * (nu - nu * nu)
+
+
 def weighted_arith(a: float, b: float, nu: float) -> float:
     """nu*a + (1-nu)*b."""
     check_pair(a, b)
     check_unit("nu", nu)
-    return nu * a + (1.0 - nu) * b
+    return _arith(a, b, nu)
 
 
 def weighted_geom(a: float, b: float, nu: float) -> float:
     """a**nu * b**(1-nu)."""
     check_pair(a, b)
     check_unit("nu", nu)
-    return a ** nu * b ** (1.0 - nu)
+    return _geom(a, b, nu)
 
 
 def heinz(a: float, b: float, nu: float) -> float:
     """(a**nu b**(1-nu) + a**(1-nu) b**nu) / 2, symmetric in nu <-> 1-nu."""
     check_pair(a, b)
     check_unit("nu", nu)
-    return (a ** nu * b ** (1.0 - nu) + a ** (1.0 - nu) * b ** nu) / 2.0
+    return _heinz(a, b, nu)
 
 
 def heron(a: float, b: float, alpha: float) -> float:
     """(1-alpha) sqrt(ab) + alpha (a+b)/2, interpolating geometric to arithmetic."""
     check_pair(a, b)
     check_unit("alpha", alpha)
-    return (1.0 - alpha) * math.sqrt(a * b) + alpha * (a + b) / 2.0
+    return _heron(a, b, alpha)
 
 
 def alpha_of_nu(nu: float) -> float:
     """Heron weight 1 - 4(nu - nu^2) matching the Heinz mean at nu."""
     check_unit("nu", nu)
-    return 1.0 - 4.0 * (nu - nu * nu)
+    return _alpha(nu)
 
 
 def _r0(nu: float) -> float:
@@ -200,7 +227,7 @@ def _zw_lower_up(a, b, nu):
 
 def _sides_new21(a, b, nu):
     p, q = cubic_side_weights(nu)
-    return (p * a + q * b, heinz_weight(nu) * weighted_geom(a, b, nu) + _sq(a, b))
+    return (p * a + q * b, heinz_weight(nu) * _geom(a, b, nu) + _sq(a, b))
 
 
 def _sides_zw15(a, b, nu):
@@ -219,11 +246,11 @@ def _sides_zj17(a, b, nu):
     r = _r0(nu)
     branches = []
     if nu <= 0.25 or nu >= 0.75:
-        branches.append((1.0 - 4.0 * r) * heinz(a, b, 0.0) + 4.0 * r * heinz(a, b, 0.25))
+        branches.append((1.0 - 4.0 * r) * _heinz(a, b, 0.0) + 4.0 * r * _heinz(a, b, 0.25))
     if 0.25 <= nu <= 0.75:
-        branches.append((4.0 * r - 1.0) * heinz(a, b, 0.5) + 2.0 * (1.0 - 2.0 * r) * heinz(a, b, 0.25))
+        branches.append((4.0 * r - 1.0) * _heinz(a, b, 0.5) + 2.0 * (1.0 - 2.0 * r) * _heinz(a, b, 0.25))
     # at the branch boundaries both bounds apply; certify against the tighter one
-    return (heinz(a, b, nu), min(branches))
+    return (_heinz(a, b, nu), min(branches))
 
 
 def _sides_comb211(a, b, nu):
@@ -239,7 +266,7 @@ def _sides_comb211(a, b, nu):
 
 def _sides_comb212(a, b, nu):
     r, R, rr, RR = tail_weights(nu)
-    h = heinz(a, b, nu)
+    h = _heinz(a, b, nu)
     am = (a + b) / 2.0
     gm = math.sqrt(a * b)
     return (
@@ -257,7 +284,7 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "weighted arithmetic-geometric mean inequality",
             "a^v b^(1-v) <= v a + (1-v) b",
             "0 <= nu <= 1",
-            lambda a, b, v: (weighted_geom(a, b, v), weighted_arith(a, b, v)),
+            lambda a, b, v: (_geom(a, b, v), _arith(a, b, v)),
         ),
         ScalarCase(
             "km-1.3",
@@ -265,8 +292,8 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "a^v b^(1-v) + r0 (sqrt(a)-sqrt(b))^2 <= v a + (1-v) b,  r0 = min(v, 1-v)",
             "0 <= nu <= 1",
             lambda a, b, v: (
-                weighted_geom(a, b, v) + _r0(v) * _sq(a, b),
-                weighted_arith(a, b, v),
+                _geom(a, b, v) + _r0(v) * _sq(a, b),
+                _arith(a, b, v),
             ),
         ),
         ScalarCase(
@@ -275,8 +302,8 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "v a + (1-v) b <= a^v b^(1-v) + R0 (sqrt(a)-sqrt(b))^2,  R0 = max(v, 1-v)",
             "0 <= nu <= 1",
             lambda a, b, v: (
-                weighted_arith(a, b, v),
-                weighted_geom(a, b, v) + _R0(v) * _sq(a, b),
+                _arith(a, b, v),
+                _geom(a, b, v) + _R0(v) * _sq(a, b),
             ),
         ),
         ScalarCase(
@@ -342,9 +369,9 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "<= a^v b^(1-v) + v(1-v)(a-b)^2/(2 min(a,b))",
             "0 <= nu <= 1",
             lambda a, b, v: (
-                weighted_geom(a, b, v) + v * (1.0 - v) * (a - b) ** 2 / (2.0 * max(a, b)),
-                weighted_arith(a, b, v),
-                weighted_geom(a, b, v) + v * (1.0 - v) * (a - b) ** 2 / (2.0 * min(a, b)),
+                _geom(a, b, v) + v * (1.0 - v) * (a - b) ** 2 / (2.0 * max(a, b)),
+                _arith(a, b, v),
+                _geom(a, b, v) + v * (1.0 - v) * (a - b) ** 2 / (2.0 * min(a, b)),
             ),
         ),
         ScalarCase(
@@ -352,21 +379,21 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "Heinz mean interpolates geometric to arithmetic",
             "sqrt(ab) <= H_v(a,b) <= (a+b)/2",
             "0 <= nu <= 1",
-            lambda a, b, v: (math.sqrt(a * b), heinz(a, b, v), (a + b) / 2.0),
+            lambda a, b, v: (math.sqrt(a * b), _heinz(a, b, v), (a + b) / 2.0),
         ),
         ScalarCase(
             "heron-1.15",
             "Heron mean interpolates geometric to arithmetic (nu acts as alpha)",
             "sqrt(ab) <= F_alpha(a,b) <= (a+b)/2",
             "0 <= nu <= 1",
-            lambda a, b, v: (math.sqrt(a * b), heron(a, b, v), (a + b) / 2.0),
+            lambda a, b, v: (math.sqrt(a * b), _heron(a, b, v), (a + b) / 2.0),
         ),
         ScalarCase(
             "km-heinz-1.16",
             "refined Heinz upper bound with square-root difference correction",
             "H_v(a,b) + r0 (sqrt(a)-sqrt(b))^2 <= (a+b)/2,  r0 = min(v, 1-v)",
             "0 <= nu <= 1",
-            lambda a, b, v: (heinz(a, b, v) + _r0(v) * _sq(a, b), (a + b) / 2.0),
+            lambda a, b, v: (_heinz(a, b, v) + _r0(v) * _sq(a, b), (a + b) / 2.0),
         ),
         ScalarCase(
             "zj-1.17",
@@ -381,7 +408,7 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "Heinz mean dominated by the Heron mean at the matched weight",
             "H_v(a,b) <= F_{alpha(v)}(a,b),  alpha(v) = 1 - 4(v - v^2)",
             "0 <= nu <= 1",
-            lambda a, b, v: (heinz(a, b, v), heron(a, b, alpha_of_nu(v))),
+            lambda a, b, v: (_heinz(a, b, v), _heron(a, b, _alpha(v))),
         ),
         ScalarCase(
             "new-2.1",
@@ -436,46 +463,59 @@ def require_finite(values: Sequence[float], label: str, who: str) -> None:
                               "these inputs take the arithmetic out of the range of floats")
 
 
-def judge_chain(sides: Sequence[float],
-                who: str = "the chain") -> tuple[list[float], list[float], int]:
-    """Adjacent slacks of a chain whose sides should be nondecreasing.
+@np.errstate(over="ignore", invalid="ignore")  # what is not finite raises below instead
+def judge_chains(sides: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacent slacks of a stack of chains, one per row of ``sides`` (k, m),
+    whose sides should be nondecreasing.
 
-    Returns (raws, norms, worst): the raw slacks sides[i+1] - sides[i], the
-    same divided by max(1, |sides[i]|, |sides[i+1]|), and the index of the
-    first smallest normalized slack.  A side or a slack that is not finite
-    is a DomainError naming ``who`` (see ``require_finite``).
+    Returns (raws, norms, worst): the raw slacks sides[:, i+1] - sides[:, i],
+    the same divided by max(1, |sides[:, i]|, |sides[:, i+1]|), both (k, m-1),
+    and each row's index of its first smallest normalized slack (0.0 and -0.0
+    tie, so the first of them is the worst).  A side or a slack that is not
+    finite is a DomainError naming ``who`` (see ``require_finite``), for the
+    first row that holds one.
     """
-    raws = []
-    norms = []
-    for i in range(len(sides) - 1):
-        lo, hi = sides[i], sides[i + 1]
-        raw = hi - lo
-        raws.append(raw)
-        norms.append(raw / max(1.0, abs(lo), abs(hi)))
-    if not math.isfinite(sum(raws)):  # as soon as a side or a slack is not
-        require_finite(sides, "side", who)
-        require_finite(raws, "the slack of link", who)
-    return raws, norms, first_worst(norms)
+    raws = sides[:, 1:] - sides[:, :-1]
+    scale = np.maximum(np.abs(sides), 1.0)
+    norms = raws / np.maximum(scale[:, :-1], scale[:, 1:])
+    # a side that is not finite makes the slacks next to it not finite
+    if not np.isfinite(raws).all():
+        r = int(np.isfinite(raws).all(axis=1).argmin())
+        require_finite(sides[r].tolist(), "side", who)
+        require_finite(raws[r].tolist(), "the slack of link", who)
+    return raws, norms, norms.argmin(axis=1)
 
 
-def judge_point(case: ScalarCase, a: float, b: float,
-                nu: float) -> tuple[tuple[float, ...], list[float], list[float], int]:
-    """(sides, raws, norms, worst): the float sides of ``case`` at (a, b, nu) and
-    their ``judge_chain``.  The point is not checked; callers check it first."""
+def judge_row(case: ScalarCase, pairs: Sequence[tuple[float, float]],
+              nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sides, raws, norms, worst) of ``case`` at each (a, b) of ``pairs`` and one nu:
+    the sides (k, m), evaluated as Python floats, and their ``judge_chains``.
+
+    The points are not checked; callers check them first.  A side that
+    overflows is a DomainError naming its point, after the points before it
+    are judged, so the error is the first point's in the order of ``pairs``.
+    """
+    chain = case.sides
+    rows = []
     try:
-        sides = tuple(map(float, case.sides(a, b, nu)))
+        for a, b in pairs:
+            rows.append(chain(a, b, nu))
     except OverflowError as exc:  # a float power past the range of floats
+        if rows:
+            judge_chains(np.array(rows, dtype=float), case.case_id)
         raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
                           f"nu={nu!r}: {exc}") from exc
-    return (sides, *judge_chain(sides, case.case_id))
+    sides = np.array(rows, dtype=float)
+    return (sides, *judge_chains(sides, case.case_id))
 
 
 def evaluate(case: ScalarCase, a: float, b: float, nu: float,
              tol: float = SCALAR_TOL) -> ScalarTrial:
-    """Evaluate one chain at (a, b, nu) and judge every adjacent link."""
+    """Evaluate one chain at (a, b, nu) and judge every adjacent link: ``judge_row``
+    on one point, which the grid sweep runs on a row of them."""
     check_pair(a, b)
     case.check_nu(nu)
-    sides, raws, norms, worst = judge_point(case, a, b, nu)
-    return ScalarTrial(case.case_id, a, b, nu, sides, tuple(raws), norms[worst],
-                       norms[worst] >= -tol)
-
+    sides, raws, norms, worst = judge_row(case, [(a, b)], nu)
+    slack = norms[0, worst[0]].item()
+    return ScalarTrial(case.case_id, a, b, nu, tuple(sides[0].tolist()),
+                       tuple(raws[0].tolist()), slack, slack >= -tol)

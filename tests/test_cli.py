@@ -618,7 +618,7 @@ class TestNonFiniteSettings:
         started = []
         monkeypatch.setattr(runner, "_run_chunk", lambda *a: started.append(a))
         monkeypatch.setattr(scalar, "evaluate", lambda *a, **k: started.append(a))
-        monkeypatch.setattr(scalar, "judge_point", lambda *a: started.append(a))
+        monkeypatch.setattr(scalar, "judge_row", lambda *a: started.append(a))
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,22 @@ class TestDualRoute:
         # a stack's oracle is stacked like A and B
         with pytest.raises(DomainError, match="oracle"):
             certify_hs(case, a[None], b[None], x[None], [0.25], oracle=((la, qa), (mu, qb)))
+
+    @pytest.mark.parametrize("link", [0, 1])
+    def test_oracle_side_not_finite_is_an_error(self, link):
+        # a nan after the first side once left the oracle's relative error finite
+        case = case_by_id("hs-2.14")
+
+        def spoiled(ops, nu):
+            sides, blocks = case.chain(ops, nu)
+            if isinstance(ops, Cells):
+                sides = tuple(s * math.nan if i == link else s for i, s in enumerate(sides))
+            return sides, blocks
+
+        a, b, x = triple(3, dim=3, x_pd=True)
+        with pytest.raises(DomainError, match=f"^side {link} of the oracle route of hs-2.14 "
+                                              "is nan, not a finite number"):
+            certify_hs(dataclasses.replace(case, chain=spoiled), a, b, x, 0.5)
 
     def test_zero_x_degenerate(self):
         a, b, _ = triple(6)

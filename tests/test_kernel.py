@@ -167,6 +167,71 @@ def test_a_stack_decomposes_only_what_its_links_read(monkeypatch, case_id):
     assert hashlib.sha256(record.encode()).hexdigest() == REPLAY_SHA256[case_id]
 
 
+# sha256 of replay's record of trial 5 (seed 0, dim 3) of each hs case, as
+# written when each trial's chain was judged alone as a row of Python floats
+HS_REPLAY_SHA256 = {
+    "hs-2.13": "bb7bd7eb5b4130c78bda5e26677372b1fe935872669ac49dda2004bc1e4eaef7",
+    "hs-2.14": "f4a185b4a0aa008c4bf1955e05cd5d24865ceddceaf3bf3ea2134dd32d4f3192",
+    "hs-cor": "02612c175d3ae056f78a48c32610060f32f7668a5d89b4885879a3d1cc99d2cb",
+    "hs-thm8": "758c73e25623402a44149b09599d9113cd0cb1f1673844f072433daaa7f8febe",
+}
+
+# sha256 of the scalar-sweep report without its timings, for every case on the
+# full grid and for the cases whose domain holds nu = 0.375 at that nu alone,
+# as written when each grid point was judged alone as a row of Python floats
+SCALAR_REPORT_SHA256 = {
+    "grid": "4fd439f85ee53f1af3aeda55a611e5d9f1a71874064b85ff7ff4add466945627",
+    "one-nu": "fa2accc31be519fbe3fc865e0ac1f606d0dd9fa9e20818238cb2d82cbb5b1dc6",
+}
+
+
+@pytest.mark.parametrize("case_id", HS)
+def test_hs_replay_record_is_pinned(case_id):
+    record = canonical_json(runner.replay_trial(make_digest(case_id, RunConfig(dims=(3,)), 5)))
+    assert hashlib.sha256(record.encode()).hexdigest() == HS_REPLAY_SHA256[case_id]
+
+
+@pytest.mark.parametrize("which", SCALAR_REPORT_SHA256)
+def test_scalar_report_is_pinned(tmp_path, capsys, which):
+    if which == "grid":
+        flags = ["--case", "all"]
+    else:
+        flags = ["--case", ",".join(cid for cid, case in CASES.items()
+                                    if case.kind == "scalar" and case.in_domain(0.375)),
+                 "--nu", "0.375"]
+    out = tmp_path / "report.json"
+    assert main(["scalar-sweep", *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        text = canonical_json(strip_volatile(json.load(fh)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_REPORT_SHA256[which]
+
+
+# inputs past the range of floats: matrices drawn not finite (op), and hs sides
+# that turn nan through overflow (1e200) and through underflow (1e-160)
+NOT_FINITE = {"op-overflow": ("op-2.7-right", "explicit:1e308", 0),
+              "hs-overflow": ("hs-2.14", "explicit:1e200", 1),
+              "hs-underflow": ("hs-cor", "explicit:1e-160", 1)}
+
+
+@pytest.mark.parametrize("case_id, law, trial", NOT_FINITE.values(), ids=NOT_FINITE)
+def test_certifying_inputs_past_floats_raises_without_a_warning(case_id, law, trial):
+    """A library caller gets replay's DomainError; the suite makes any RuntimeWarning
+    an error, so a warning on the way would fail here instead."""
+    digest = make_digest(case_id, RunConfig(dims=(2,), law=law), trial)
+    with pytest.raises(DomainError) as replayed:
+        run_trial(digest, CERT_PSD_TOL)
+    got = inputs(digest)
+    case = CASES[case_id]
+    with pytest.raises(DomainError) as direct:
+        if case.kind == "operator":
+            opmeans.certify_operator(case, got["A"], got["B"], got["nu"])
+        else:
+            hsnorm.certify_hs(case, got["A"], got["B"], got["X"], got["nu"],
+                              oracle=got["oracle"])
+    assert str(direct.value) == str(replayed.value)
+
+
 def _changed(case_id, drop=None, **changes):
     digest = {**make_digest(case_id, RunConfig(dims=(3,)), 1), **changes}
     digest.pop(drop, None)

@@ -1,14 +1,17 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_judge import judge_chain
 from meancert.linalg import DomainError
 from meancert.runner import case_by_id
-from meancert.scalar import (NU_GRID_33, NU_GRID_65, alpha_of_nu, evaluate, heinz, heron,
-                             judge_chain, registry, weighted_arith, weighted_geom)
+from meancert.scalar import (A_GRID_13, NU_GRID_33, NU_GRID_65, ScalarCase, alpha_of_nu,
+                             evaluate, heinz, heron, judge_chains, judge_row, registry,
+                             weighted_arith, weighted_geom)
 
 ALL_IDS = {
     "young-1.1", "km-1.3", "km-1.4", "zw-1.5", "zw-1.6", "kai-1.9",
@@ -113,20 +116,20 @@ class TestEvaluate:
             evaluate(case_by_id("new-2.1"), 1.0, 2.0, 0.0)
 
     def test_judge_chain_slacks_and_first_worst_link(self):
-        raws, norms, worst = judge_chain((0.5, 0.25, 4.0, 2.0))
-        assert raws == [-0.25, 3.75, -2.0]
+        raws, norms, worst = judge_chains(np.array([(0.5, 0.25, 4.0, 2.0),
+                                                    (1.0, 0.0, 1.0, 0.0)]), "op-x")
+        assert raws[0].tolist() == [-0.25, 3.75, -2.0]
         # below unit scale the slack is raw; above, it is relative to the larger side
-        assert norms == [-0.25, 0.9375, -0.5]
-        assert worst == 2
+        assert norms[0].tolist() == [-0.25, 0.9375, -0.5]
         # ties go to the first link
-        assert judge_chain((1.0, 0.0, 1.0, 0.0))[2] == 0
+        assert worst.tolist() == [2, 0]
 
     def test_judge_chain_rejects_what_is_not_finite(self):
         with pytest.raises(DomainError, match="side 1 of op-x is nan"):
-            judge_chain((1.0, math.nan, 2.0), "op-x")
+            judge_chains(np.array([(1.0, 2.0, 3.0), (1.0, math.nan, 2.0)]), "op-x")
         # finite sides whose difference overflows
         with pytest.raises(DomainError, match="slack of link 0 of op-x is inf"):
-            judge_chain((-1e308, 1e308), "op-x")
+            judge_chains(np.array([(-1e308, 1e308)]), "op-x")
 
     @given(pos, pos, st.sampled_from(NU_GRID_65))
     @settings(max_examples=300, deadline=None)
@@ -134,6 +137,87 @@ class TestEvaluate:
         for case in registry():
             if case.in_domain(nu):
                 assert evaluate(case, a, b, nu).passed, (case.case_id, a, b, nu)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_judged_as_reference(sides, raws, norms, worst, who="op-x"):
+    """Each row of a stacked judgement equals the per-point reference, bit for bit."""
+    for row, (s, r, n, w) in enumerate(zip(sides.tolist(), raws, norms, worst.tolist())):
+        ref_raws, ref_norms, ref_worst = judge_chain(s, who)
+        assert (hexes(r), hexes(n), w) == (hexes(ref_raws), hexes(ref_norms), ref_worst), row
+
+
+def reference_error(sides, who="op-x"):
+    with pytest.raises(DomainError) as exc:
+        judge_chain(sides, who)
+    return str(exc.value)
+
+
+# stacks of chains of 2, 3 and 4 sides; in each, the second chain holds a tie
+# (an equality for 2 sides), the third 0.0 against -0.0 (a tie of its own), the
+# fourth only sides below unit size
+HAND_ROWS = [
+    [(0.5, 0.25), (3.0, 3.0), (0.0, -0.0), (0.25, -0.75), (-1e308, 0.0), (7.0, 2.0)],
+    [(0.5, 0.25, 4.0), (1.0, 0.0, -1.0), (-0.0, 0.0, -0.0), (0.3, 0.1, 0.2),
+     (5e-324, 0.0, 1e-300), (2.0, 1.0, 2.0)],
+    [(0.5, 0.25, 4.0, 2.0), (1.0, 0.0, 1.0, 0.0), (0.0, -0.0, 0.0, -0.0),
+     (0.9, -0.9, 0.5, -0.1), (1e300, 1e300, 1e300, 1e300), (-3.0, 4.0, -3.0, 4.0)],
+]
+
+
+class TestStackedJudge:
+    """``judge_chains`` judges a stack as the per-point reference judges each row."""
+
+    @pytest.mark.parametrize("case_id", sorted(ALL_IDS))
+    def test_every_grid_row_matches_the_reference(self, case_id):
+        case = case_by_id(case_id)
+        pairs = [(a, b) for a in A_GRID_13 for b in A_GRID_13]
+        for nu in filter(case.in_domain, NU_GRID_65):
+            sides, raws, norms, worst = judge_row(case, pairs, nu)
+            ref = [tuple(map(float, case.sides(a, b, nu))) for a, b in pairs]
+            assert [hexes(s) for s in sides.tolist()] == [hexes(s) for s in ref]
+            assert_judged_as_reference(sides, raws.tolist(), norms.tolist(), worst, case_id)
+
+    @pytest.mark.parametrize("rows", HAND_ROWS, ids=["2-sides", "3-sides", "4-sides"])
+    def test_hand_rows_match_the_reference(self, rows):
+        sides = np.array(rows)
+        raws, norms, worst = judge_chains(sides, "op-x")
+        assert_judged_as_reference(sides, raws.tolist(), norms.tolist(), worst)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_side_not_finite_at_each_position(self, m, bad):
+        for pos in range(m):
+            row = [float(i) for i in range(m)]
+            row[pos] = bad
+            later = [math.nan] * m  # a later row's error never comes first
+            with pytest.raises(DomainError) as exc:
+                judge_chains(np.array([list(range(m)), row, later], dtype=float), "op-x")
+            assert str(exc.value) == reference_error(row)
+            assert f"side {pos} of op-x is {bad!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_slack_not_finite_at_each_link(self, m):
+        for link in range(m - 1):
+            # finite sides whose difference at ``link`` overflows
+            row = [-1e308] * (link + 1) + [1e308] * (m - link - 1)
+            with pytest.raises(DomainError) as exc:
+                judge_chains(np.array([[0.0] * m, row]), "op-x")
+            assert str(exc.value) == reference_error(row)
+            assert f"the slack of link {link} of op-x is inf" in str(exc.value)
+
+    def test_the_error_is_the_first_failing_points(self):
+        # a * b is inf past the range of floats, and b ** 2.0 raises OverflowError
+        case = ScalarCase("t", "d", "f", "0 <= nu <= 1", lambda a, b, v: (a * b, b ** 2.0))
+        inf_side, overflow = (1e300, 1e10), (1.0, 1e200)
+        with pytest.raises(DomainError, match=r"^side 0 of t is inf, "):
+            judge_row(case, [(1.0, 1.0), inf_side, overflow], 0.5)
+        with pytest.raises(DomainError, match=r"^a side of t overflows at a=1\.0, b=1e\+200, "
+                                              r"nu=0\.5: "):
+            judge_row(case, [(1.0, 1.0), overflow, inf_side], 0.5)
 
 
 # Independent high-precision restatements of a few representative chains.
