@@ -10,10 +10,10 @@ O'Neill's ``seed_seq_fe``.  ``trial_key`` computes that key itself: the
 pool mixed from e alone is cached per entropy, and a trial mixes in its
 one 32-bit word and hashes the pool out.  ``seek`` then resets a Philox
 generator to counter 0 under that key, which is the state
-``Philox(SeedSequence(e, spawn_key=(t,)))`` starts in, so a sweep keeps one
-generator per stack.  The keys depend on numpy's algorithm staying as it
-is; ``tests/test_randgen.py::TestStreams`` pins them against
-``np.random.SeedSequence``.  ``runner.draw_stack`` fixes what each trial
+``Philox(SeedSequence(e, spawn_key=(t,)))`` starts in, so a process keeps
+one generator (``trial_rng``) for all its trials.  The keys depend on
+numpy's algorithm staying as it is; ``tests/test_randgen.py::TestStreams``
+pins them against ``np.random.SeedSequence``.  ``runner.draw_stack`` fixes what each trial
 draws and in which order, and ``runner.inputs`` rebuilds a trial's
 matrices from its digest alone.
 
@@ -174,9 +174,19 @@ def seek(rng: np.random.Generator, entropy: int, trial: int) -> np.random.Genera
     return rng
 
 
+# One generator serves the process: ``seek`` overwrites its whole state, so a
+# new one would cost its SeedSequence seeding (11-18 us) for nothing.
+_RNG = np.random.Generator(np.random.Philox(0))
+
+
 def trial_rng(entropy: int, trial: int) -> np.random.Generator:
-    """A new generator at the start of trial ``trial``'s stream."""
-    return seek(np.random.Generator(np.random.Philox(0)), entropy, trial)
+    """The process's generator, reset to the start of trial ``trial``'s stream.
+
+    There is one per process, so the next ``trial_rng`` call, or the next
+    stack that ``runner.draw_stack`` draws, resets it again: draw from it
+    before that.
+    """
+    return seek(_RNG, entropy, trial)
 
 
 @functools.lru_cache(maxsize=256)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any
-
-import jsonschema
+from typing import Any, Callable
 
 from .runner import check_digest
 
@@ -73,12 +71,18 @@ REPORT_SCHEMA = {
 
 
 @functools.cache
-def _validator() -> jsonschema.protocols.Validator:
-    """The REPORT_SCHEMA validator, built on first use (checking the schema
-    itself costs ten times as much as checking a report against it)."""
+def _validator() -> Callable[[dict[str, Any]], Exception | None]:
+    """The REPORT_SCHEMA check, built on first use: it returns the best
+    match of a report's schema errors, or None.  jsonschema is imported
+    here, as ``replay``, ``list`` and ``gap-profile`` never check a report,
+    and checking the schema itself costs ten times as much as checking a
+    report against it."""
+    import jsonschema
+
     cls = jsonschema.validators.validator_for(REPORT_SCHEMA)
     cls.check_schema(REPORT_SCHEMA)
-    return cls(REPORT_SCHEMA)
+    validator = cls(REPORT_SCHEMA)
+    return lambda report: jsonschema.exceptions.best_match(validator.iter_errors(report))
 
 
 def validate_report(report: dict[str, Any]) -> None:
@@ -87,7 +91,7 @@ def validate_report(report: dict[str, Any]) -> None:
     A report off the schema raises ``jsonschema.ValidationError``, the
     error that ``jsonschema.validate`` would raise.
     """
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(report))
+    error = _validator()(report)
     if error is not None:
         raise error
     for case in report["cases"]:

@@ -27,7 +27,7 @@ import numpy as np
 from . import hsnorm, opmeans, scalar
 from .linalg import CERT_PSD_TOL, PSD_TOL, DomainError
 from .randgen import (DEFAULT_LAW, assemble, check_positive, derive_seed, orthonormalize,
-                      parse_law, seek, spectra, uniform_bounds)
+                      parse_law, spectra, trial_rng, uniform_bounds)
 
 CHUNK = 512
 # matrix entries (k * n * n) in one stack: a larger dim group is split, which
@@ -220,13 +220,13 @@ def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
     """The draws of a stack of trials that share every digest field but trial
     and nu, each trial from its own Philox stream, as stacked columns.
 
-    One generator serves the stack: ``randgen.seek`` resets it to the start
-    of each trial's stream.  Draw order within a trial is fixed and
-    documented here: A-spectrum, A-basis, then (W-spectrum, W-basis) for
-    ordered pairs or (B-spectrum, B-basis) otherwise, then X (spectrum and
-    basis when positive definite, raw entries when general).  A basis or a
-    general X is its real Gaussian entries, then, for complex entries, its
-    imaginary ones.  Changing this order is a breaking change for replay.
+    The process's one generator serves the stack: ``randgen.trial_rng``
+    resets it to the start of each trial's stream.  Draw order within a
+    trial is fixed and documented here: A-spectrum, A-basis, then
+    (W-spectrum, W-basis) for ordered pairs or (B-spectrum, B-basis)
+    otherwise, then X (spectrum and basis when positive definite, raw
+    entries when general).  A basis or a general X is its real Gaussian
+    entries, then, for complex entries, its imaginary ones.  Changing this order is a breaking change for replay.
 
     The columns are, per positive definite operand in draw order, its (k, n)
     spectra and (k, n, n) basis entries, then a general X's entries.  Each
@@ -247,16 +247,14 @@ def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
     # the Gaussian entries of each basis, and of a general X: real, then imaginary
     entries = np.empty((len(bounds), 1 + cx, k, n, n))
     parts = range(1 + cx)
-    rng = np.random.Generator(np.random.Philox(0))
-    uniform, normal = rng.uniform, rng.standard_normal
     entropy = derive_seed(first["seed"], first["case"])
     for i, digest in enumerate(digests):
-        seek(rng, entropy, digest["trial"])
+        rng = trial_rng(entropy, digest["trial"])
         for j, bound in enumerate(bounds):
             if bound is not None:
-                uniforms[j, i] = uniform(bound[0], bound[1], n)
+                uniforms[j, i] = rng.uniform(bound[0], bound[1], n)
             for part in parts:
-                normal(out=entries[j, part, i])
+                rng.standard_normal(out=entries[j, part, i])
     bases = entries[:, 0] + 1j * entries[:, 1] if cx else entries[:, 0]
     columns: list[np.ndarray] = []
     for j, law in enumerate(laws):
@@ -423,7 +421,7 @@ class _Agg:
 
     def fold_row(self, slacks: np.ndarray, tol: float,
                  digest_of: Callable[[int], dict[str, Any]]) -> None:
-        """Fold the next row of scalar grid points: point i passes iff
+        """Fold the next scalar grid points, in grid order: point i passes iff
         ``slacks[i] >= -tol``, and ``digest_of(i)`` writes its digest."""
         first_no = self.trials
         failed = np.flatnonzero(slacks < -tol).tolist()
@@ -433,7 +431,7 @@ class _Agg:
         room = FAILURE_CAP - len(self.failure_digests)
         self.failure_digests += [{"digest": digest_of(i), "min_slack": slacks[i].item()}
                                  for i in failed[:room]]
-        # the row's first smallest slack is its candidate argmin
+        # the first smallest slack is the points' candidate argmin
         i = int(slacks.argmin())
         self._fold_min(slacks[i].item(), first_no + i, digest_of(i))
 
@@ -530,25 +528,27 @@ def run_scalar_case(case_id: str,
                     nu_values=scalar.NU_GRID_65,
                     tol: float = scalar.SCALAR_TOL) -> dict[str, Any]:
     """Deterministic grid sweep of one scalar chain: the grid is checked once, then
-    each row of points at one nu in the domain is judged in one ``scalar.judge_row``
-    call, building no record, and folded at once."""
+    every point at a nu in the domain is judged in one ``scalar.judge_grid`` call,
+    building no record, and folded at once."""
     case = case_by_id(case_id)
     _check_kind(case_id, case.kind, ("scalar",))
     scalar.check_tol(tol)
     for nu in nu_values:
         scalar.check_unit("nu", nu)
-    pairs = [(a, b) for a in a_values for b in a_values]
-    for a, b in pairs:
-        scalar.check_pair(a, b)
-    agg = _Agg()
-    for nu in nu_values:
-        if not case.in_domain(nu):
-            agg.skipped += len(pairs)
-            continue
-        if pairs:
-            _, _, norms, worst = scalar.judge_row(case, pairs, nu)
-            agg.fold_row(norms[np.arange(len(pairs)), worst],
-                         tol, lambda i, nu=nu: scalar_digest(case_id, *pairs[i], nu))
+    for a in a_values:
+        for b in a_values:
+            scalar.check_pair(a, b)
+    m = len(a_values)
+    nus = [nu for nu in nu_values if case.in_domain(nu)]
+    agg = _Agg(skipped=(len(nu_values) - len(nus)) * m * m)
+    if nus and m:
+        _, _, norms, worst = scalar.judge_grid(case, nus, a_values)
+
+        def digest_of(i: int) -> dict[str, Any]:
+            j, point = divmod(i, m * m)
+            return scalar_digest(case_id, a_values[point // m], a_values[point % m], nus[j])
+
+        agg.fold_row(norms[np.arange(len(norms)), worst], tol, digest_of)
     return agg.summary(case)
 
 

@@ -11,12 +11,20 @@ its domain.  judge_chains() judges a stack of chains, one per row of an
 array, giving the raw adjacent slacks and the normalized ones used for the
 pass verdict: link i passes iff
 sides[i] <= sides[i+1] + tol * max(1, |sides[i]|, |sides[i+1]|).
-judge_row() evaluates a chain's sides at a row of points (a, b) at one nu
-as Python floats, unchecked, and judges them in one call: the grid sweep
-checks its grid once and judges each nu row, building no record, and
-evaluate() checks its point and judges a row of one.  The means the
-chains call are unchecked kernels; weighted_geom() and the other public
-means are checked wrappers around them.
+judge_grid() evaluates a chain's sides at a whole grid of points at once,
+on broadcast arrays, unchecked, and judges them in one call: the grid
+sweep checks its grid once and builds no record.  judge_row() evaluates
+them at a row of points (a, b) at one nu as Python floats; evaluate()
+checks its point and judges a row of one.  The means the chains call are
+unchecked kernels; weighted_geom() and the other public means are checked
+wrappers around them.
+
+Every side and coefficient helper takes Python floats or numpy arrays and
+gives the same bits either way.  Each takes its powers, square roots,
+minima, maxima and branches through _pow, _sqrt, _min, _max and _where,
+which are the Python operations on floats.  On arrays _pow applies float
+``**`` to each element, because np.power rounds some pairs differently in
+the last bit; np.sqrt and comparisons are exact as they are.
 
 0**0 is taken as 1 throughout (Python float semantics already agree), so
 weights like r**(2r) extend continuously to r = 0.
@@ -60,20 +68,50 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must be a finite number > 0, got {tol!r}")
 
 
+def _pow(x, y):
+    """x ** y as Python floats take it; on arrays, float ``**`` on each element
+    of their broadcast (never np.power, which differs in the last bit)."""
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return x ** y
+    x, y = np.broadcast_arrays(x, y)
+    return np.fromiter(map(operator.pow, x.ravel().tolist(), y.ravel().tolist()),
+                       float, x.size).reshape(x.shape)
+
+
+def _sqrt(x):
+    """math.sqrt of a float, np.sqrt of an array: both are correctly rounded."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _where(cond, x, y):
+    """x where ``cond`` holds, else y: np.where for an array of conditions."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _min(x, y):
+    """min(x, y), with Python's rule for ties and NaN: x unless y < x."""
+    return _where(y < x, y, x)
+
+
+def _max(x, y):
+    """max(x, y), with Python's rule for ties and NaN: x unless y > x."""
+    return _where(y > x, y, x)
+
+
 def _arith(a: float, b: float, nu: float) -> float:
     return nu * a + (1.0 - nu) * b
 
 
 def _geom(a: float, b: float, nu: float) -> float:
-    return a ** nu * b ** (1.0 - nu)
+    return _pow(a, nu) * _pow(b, 1.0 - nu)
 
 
 def _heinz(a: float, b: float, nu: float) -> float:
-    return (a ** nu * b ** (1.0 - nu) + a ** (1.0 - nu) * b ** nu) / 2.0
+    return (_pow(a, nu) * _pow(b, 1.0 - nu) + _pow(a, 1.0 - nu) * _pow(b, nu)) / 2.0
 
 
 def _heron(a: float, b: float, alpha: float) -> float:
-    return (1.0 - alpha) * math.sqrt(a * b) + alpha * (a + b) / 2.0
+    return (1.0 - alpha) * _sqrt(a * b) + alpha * (a + b) / 2.0
 
 
 def _alpha(nu: float) -> float:
@@ -115,16 +153,16 @@ def alpha_of_nu(nu: float) -> float:
 
 
 def _r0(nu: float) -> float:
-    return min(nu, 1.0 - nu)
+    return _min(nu, 1.0 - nu)
 
 
 def _R0(nu: float) -> float:
-    return max(nu, 1.0 - nu)
+    return _max(nu, 1.0 - nu)
 
 
 def heinz_weight(nu: float) -> float:
     """nu**(nu - 2), the weight on the Heinz mean in the cubic-weight chains."""
-    return nu ** (nu - 2.0)
+    return _pow(nu, nu - 2.0)
 
 
 def cubic_weight(nu: float) -> float:
@@ -134,17 +172,17 @@ def cubic_weight(nu: float) -> float:
 
 def cubic_side_weights(nu: float) -> tuple[float, float]:
     """(1 - nu^2 + nu^3, 1 - nu^2), the weights of new-2.1's left side and its operator forms."""
-    return 1.0 - nu * nu + nu ** 3, 1.0 - nu * nu
+    return 1.0 - nu * nu + _pow(nu, 3), 1.0 - nu * nu
 
 
 def tail_weights(nu: float) -> tuple[float, float, float, float]:
     """(r, R, r**(2r), R**(2R)) with r = min(nu, 1 - nu) and R = max(nu, 1 - nu)."""
     r, R = _r0(nu), _R0(nu)
-    return r, R, r ** (2.0 * r), R ** (2.0 * R)
+    return r, R, _pow(r, 2.0 * r), _pow(R, 2.0 * R)
 
 
 def _sq(a: float, b: float) -> float:
-    return (math.sqrt(a) - math.sqrt(b)) ** 2
+    return _pow(_sqrt(a) - _sqrt(b), 2)
 
 
 # the leading "lo op nu op hi" of a domain label: op is < or <=, a bound is n or n/m
@@ -216,12 +254,12 @@ class ScalarTrial:
 
 def _zw_lower_up(a, b, nu):
     # shared pieces of the two-sided refined Young sandwich
-    g = a ** (1.0 - nu) * b ** nu
+    g = _pow(a, 1.0 - nu) * _pow(b, nu)
     mid = (1.0 - nu) * a + nu * b
     s = _sq(a, b)
-    q = (a * b) ** 0.25
-    qa = (q - math.sqrt(a)) ** 2
-    qb = (q - math.sqrt(b)) ** 2
+    q = _pow(a * b, 0.25)
+    qa = _pow(q - _sqrt(a), 2)
+    qb = _pow(q - _sqrt(b), 2)
     return g, mid, s, qa, qb
 
 
@@ -232,34 +270,35 @@ def _sides_new21(a, b, nu):
 
 def _sides_zw15(a, b, nu):
     g, mid, s, qa, qb = _zw_lower_up(a, b, nu)
-    r1 = min(2.0 * nu, 1.0 - 2.0 * nu)
+    r1 = _min(2.0 * nu, 1.0 - 2.0 * nu)
     return (g + nu * s + r1 * qa, mid, g + (1.0 - nu) * s - r1 * qb)
 
 
 def _sides_zw16(a, b, nu):
     g, mid, s, qa, qb = _zw_lower_up(a, b, nu)
-    r1 = min(2.0 - 2.0 * nu, 2.0 * nu - 1.0)
+    r1 = _min(2.0 - 2.0 * nu, 2.0 * nu - 1.0)
     return (g + (1.0 - nu) * s + r1 * qb, mid, g + nu * s - r1 * qa)
 
 
 def _sides_zj17(a, b, nu):
     r = _r0(nu)
-    branches = []
-    if nu <= 0.25 or nu >= 0.75:
-        branches.append((1.0 - 4.0 * r) * _heinz(a, b, 0.0) + 4.0 * r * _heinz(a, b, 0.25))
-    if 0.25 <= nu <= 0.75:
-        branches.append((4.0 * r - 1.0) * _heinz(a, b, 0.5) + 2.0 * (1.0 - 2.0 * r) * _heinz(a, b, 0.25))
+    h4 = _heinz(a, b, 0.25)
+    outer = (1.0 - 4.0 * r) * _heinz(a, b, 0.0) + 4.0 * r * h4
+    inner = (4.0 * r - 1.0) * _heinz(a, b, 0.5) + 2.0 * (1.0 - 2.0 * r) * h4
+    in_outer = (nu <= 0.25) | (nu >= 0.75)
+    in_inner = (0.25 <= nu) & (nu <= 0.75)
     # at the branch boundaries both bounds apply; certify against the tighter one
-    return (_heinz(a, b, nu), min(branches))
+    bound = _where(in_outer & in_inner, _min(outer, inner), _where(in_outer, outer, inner))
+    return (_heinz(a, b, nu), bound)
 
 
 def _sides_comb211(a, b, nu):
     r, R, rr, RR = tail_weights(nu)
-    g = a ** nu * b ** (1.0 - nu)
+    g = _pow(a, nu) * _pow(b, 1.0 - nu)
     s = _sq(a, b)
     return (
         rr * g + r * r * s,
-        nu * nu * a + (1.0 - nu) ** 2 * b,
+        nu * nu * a + _pow(1.0 - nu, 2) * b,
         RR * g + R * R * s,
     )
 
@@ -268,7 +307,7 @@ def _sides_comb212(a, b, nu):
     r, R, rr, RR = tail_weights(nu)
     h = _heinz(a, b, nu)
     am = (a + b) / 2.0
-    gm = math.sqrt(a * b)
+    gm = _sqrt(a * b)
     return (
         rr * h + (2.0 * r - 1.0) * am,
         2.0 * r * r * gm,
@@ -328,8 +367,8 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "(v^2 a)^v b^(1-v) + v^2 (sqrt(a)-sqrt(b))^2 <= v^2 a + (1-v)^2 b",
             "0 <= nu <= 1/2",
             lambda a, b, v: (
-                (v * v * a) ** v * b ** (1.0 - v) + v * v * _sq(a, b),
-                v * v * a + (1.0 - v) ** 2 * b,
+                _pow(v * v * a, v) * _pow(b, 1.0 - v) + v * v * _sq(a, b),
+                v * v * a + _pow(1.0 - v, 2) * b,
             ),
         ),
         ScalarCase(
@@ -338,8 +377,8 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "a^v ((1-v)^2 b)^(1-v) + (1-v)^2 (sqrt(a)-sqrt(b))^2 <= v^2 a + (1-v)^2 b",
             "1/2 <= nu <= 1",
             lambda a, b, v: (
-                a ** v * ((1.0 - v) ** 2 * b) ** (1.0 - v) + (1.0 - v) ** 2 * _sq(a, b),
-                v * v * a + (1.0 - v) ** 2 * b,
+                _pow(a, v) * _pow(_pow(1.0 - v, 2) * b, 1.0 - v) + _pow(1.0 - v, 2) * _sq(a, b),
+                v * v * a + _pow(1.0 - v, 2) * b,
             ),
         ),
         ScalarCase(
@@ -348,8 +387,8 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "v^2 a + (1-v)^2 b <= v^2 (sqrt(a)-sqrt(b))^2 + (v^2 a)^v b^(1-v)",
             "1/2 <= nu <= 1",
             lambda a, b, v: (
-                v * v * a + (1.0 - v) ** 2 * b,
-                v * v * _sq(a, b) + (v * v * a) ** v * b ** (1.0 - v),
+                v * v * a + _pow(1.0 - v, 2) * b,
+                v * v * _sq(a, b) + _pow(v * v * a, v) * _pow(b, 1.0 - v),
             ),
         ),
         ScalarCase(
@@ -358,8 +397,8 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "v^2 a + (1-v)^2 b <= (1-v)^2 (sqrt(a)-sqrt(b))^2 + a^v ((1-v)^2 b)^(1-v)",
             "0 <= nu <= 1/2",
             lambda a, b, v: (
-                v * v * a + (1.0 - v) ** 2 * b,
-                (1.0 - v) ** 2 * _sq(a, b) + a ** v * ((1.0 - v) ** 2 * b) ** (1.0 - v),
+                v * v * a + _pow(1.0 - v, 2) * b,
+                _pow(1.0 - v, 2) * _sq(a, b) + _pow(a, v) * _pow(_pow(1.0 - v, 2) * b, 1.0 - v),
             ),
         ),
         ScalarCase(
@@ -369,9 +408,9 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "<= a^v b^(1-v) + v(1-v)(a-b)^2/(2 min(a,b))",
             "0 <= nu <= 1",
             lambda a, b, v: (
-                _geom(a, b, v) + v * (1.0 - v) * (a - b) ** 2 / (2.0 * max(a, b)),
+                _geom(a, b, v) + v * (1.0 - v) * _pow(a - b, 2) / (2.0 * _max(a, b)),
                 _arith(a, b, v),
-                _geom(a, b, v) + v * (1.0 - v) * (a - b) ** 2 / (2.0 * min(a, b)),
+                _geom(a, b, v) + v * (1.0 - v) * _pow(a - b, 2) / (2.0 * _min(a, b)),
             ),
         ),
         ScalarCase(
@@ -379,14 +418,14 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "Heinz mean interpolates geometric to arithmetic",
             "sqrt(ab) <= H_v(a,b) <= (a+b)/2",
             "0 <= nu <= 1",
-            lambda a, b, v: (math.sqrt(a * b), _heinz(a, b, v), (a + b) / 2.0),
+            lambda a, b, v: (_sqrt(a * b), _heinz(a, b, v), (a + b) / 2.0),
         ),
         ScalarCase(
             "heron-1.15",
             "Heron mean interpolates geometric to arithmetic (nu acts as alpha)",
             "sqrt(ab) <= F_alpha(a,b) <= (a+b)/2",
             "0 <= nu <= 1",
-            lambda a, b, v: (math.sqrt(a * b), _heron(a, b, v), (a + b) / 2.0),
+            lambda a, b, v: (_sqrt(a * b), _heron(a, b, v), (a + b) / 2.0),
         ),
         ScalarCase(
             "km-heinz-1.16",
@@ -506,6 +545,36 @@ def judge_row(case: ScalarCase, pairs: Sequence[tuple[float, float]],
         raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
                           f"nu={nu!r}: {exc}") from exc
     sides = np.array(rows, dtype=float)
+    return (sides, *judge_chains(sides, case.case_id))
+
+
+def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sides, raws, norms, worst) of ``case`` at every point (a, b) of
+    ``a_values`` x ``a_values`` at every nu of ``nus``, one row per point in
+    (nu, a, b) order: the sides of one ``case.sides`` call on broadcast arrays
+    nu (k, 1, 1), a (1, m, 1) and b (1, 1, m), so a term of nu alone is taken
+    once per nu and a term of (a, b) alone once, and one ``judge_chains`` call.
+
+    The points are not checked; callers check them first.  The sides are
+    bit for bit those of ``judge_row``.  If a power overflows, the grid is
+    judged again through ``judge_row``, one nu at a time, so an error is the
+    first failing point's in (nu, a, b) order.
+    """
+    nu = np.array(nus, dtype=float).reshape(-1, 1, 1)
+    a = np.array(a_values, dtype=float).reshape(1, -1, 1)
+    b = a.reshape(1, 1, -1)
+    try:
+        # what is not finite raises in judge_chains instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = case.sides(a, b, nu)
+    except OverflowError:  # a float power past the range of floats
+        pairs = [(x, y) for x in a_values for y in a_values]
+        rows = [judge_row(case, pairs, v) for v in nus]
+        return tuple(np.concatenate(parts) for parts in zip(*rows))
+    shape = (nu.size, a.size, a.size)
+    sides = np.stack([np.broadcast_to(c, shape) for c in columns], axis=-1)
+    sides = sides.reshape(-1, len(columns))
     return (sides, *judge_chains(sides, case.case_id))
 
 

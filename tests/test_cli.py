@@ -22,6 +22,7 @@ from meancert import hsnorm, linalg, opmeans, scalar
 from meancert import runner
 from meancert.runner import (CASES, MAX_DIM, MAX_JOBS, MAX_TRIALS, RunConfig, check_digest,
                              make_digest, nu_grid_for, replay_trial, resolve_cases, run_case)
+from test_scalar import WIDE_GRIDS, WIDE_NUS
 
 ALL_CASE_COUNT = 30  # 18 scalar + 8 operator + 4 hs
 
@@ -240,19 +241,43 @@ def fold_of_evaluate(case_id, a_values, nu_values):
     return out
 
 
+# young-1.1's own sides, reversed: they take arrays as well as floats, as a sweep needs
 REVERSED_YOUNG = scalar.ScalarCase(
     "young-1.1", "reversed Young inequality, false off the diagonal",
     "v a + (1-v) b <= a^v b^(1-v)", "0 <= nu <= 1",
-    lambda a, b, v: (scalar.weighted_arith(a, b, v), scalar.weighted_geom(a, b, v)))
+    lambda a, b, v, young=CASES["young-1.1"].sides: young(a, b, v)[::-1])
 
 
 class TestScalarSweep:
-    @pytest.mark.parametrize("nu_values", [scalar.NU_GRID_65, (0.375,)], ids=["grid", "one-nu"])
+    @pytest.mark.parametrize("a_values, nu_values", [
+        (scalar.A_GRID_13, scalar.NU_GRID_65), (scalar.A_GRID_13, (0.375,)),
+        *((grid, WIDE_NUS) for grid in WIDE_GRIDS.values())], ids=["grid", "one-nu", *WIDE_GRIDS])
     @pytest.mark.parametrize("case_id", [cid for cid, c in CASES.items() if c.kind == "scalar"])
-    def test_sweep_is_a_fold_of_evaluate(self, case_id, nu_values):
-        got = runner.run_scalar_case(case_id, nu_values=nu_values)
-        want = fold_of_evaluate(case_id, scalar.A_GRID_13, nu_values)
+    def test_sweep_is_a_fold_of_evaluate(self, case_id, a_values, nu_values):
+        got = runner.run_scalar_case(case_id, a_values=a_values, nu_values=nu_values)
+        want = fold_of_evaluate(case_id, a_values, nu_values)
         assert {key: got[key] for key in want} == want
+
+    # cf-1.13 at nu in (0, 1): (a, b) = (1e-300, 1e150) gives the side inf (a finite
+    # curvature term over 2 min(a, b)), and (1e-300, 1e160) overflows (a - b) ** 2
+    @pytest.mark.parametrize("nu_values, first", [
+        ((0.5, 0.0), (1e-300, 1e150, 0.5)),
+        ((0.0, 0.5), (1e-300, 1e160, 0.0)),
+        ((0.5,), (1e-300, 1e150, 0.5)),
+    ], ids=["inf-side-first", "overflow-first", "inf-side-alone"])
+    def test_the_error_is_the_first_failing_points(self, nu_values, first):
+        grid = (1e-300, 1e150, 1e160) if len(nu_values) > 1 else (1e-300, 1e150)
+        errors = []
+        for run in (lambda: runner.run_scalar_case("cf-1.13", a_values=grid,
+                                                   nu_values=nu_values),
+                    lambda: scalar.judge_row(CASES["cf-1.13"], [first[:2]], first[2]),
+                    lambda: replay_trial(runner.scalar_digest("cf-1.13", *first))):
+            with pytest.raises(DomainError) as exc:
+                run()
+            errors.append(str(exc.value))
+        assert errors == [errors[0]] * 3
+        assert errors[0].startswith("side 2 of cf-1.13 is inf" if first[2] else
+                                    "a side of cf-1.13 overflows at a=1e-300, b=1e+160")
 
     def test_failures_are_counted_capped_and_replayed(self, monkeypatch):
         monkeypatch.setitem(CASES, "young-1.1", REVERSED_YOUNG)
@@ -618,7 +643,7 @@ class TestNonFiniteSettings:
         started = []
         monkeypatch.setattr(runner, "_run_chunk", lambda *a: started.append(a))
         monkeypatch.setattr(scalar, "evaluate", lambda *a, **k: started.append(a))
-        monkeypatch.setattr(scalar, "judge_row", lambda *a: started.append(a))
+        monkeypatch.setattr(scalar, "judge_grid", lambda *a: started.append(a))
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []
@@ -953,6 +978,16 @@ class TestReportModule:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
             timeout=120)
         assert probe.stdout == "0\n"
+
+    def test_importing_the_cli_loads_no_jsonschema(self):
+        src = Path(meancert.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys, meancert.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('jsonschema', 'referencing', 'rpds')))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120)
+        assert probe.stdout == "[]\n"
 
     def test_canonical_json_sorted_and_newline(self):
         s = canonical_json({"b": 1, "a": 2})

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 from chain_judge import judge_chain
 from meancert.linalg import DomainError
 from meancert.runner import case_by_id
+from meancert import scalar
 from meancert.scalar import (A_GRID_13, NU_GRID_33, NU_GRID_65, ScalarCase, alpha_of_nu,
-                             evaluate, heinz, heron, judge_chains, judge_row, registry,
-                             weighted_arith, weighted_geom)
+                             evaluate, heinz, heron, judge_chains, judge_grid, judge_row,
+                             registry, weighted_arith, weighted_geom)
 
 ALL_IDS = {
     "young-1.1", "km-1.3", "km-1.4", "zw-1.5", "zw-1.6", "kai-1.9",
@@ -19,6 +22,15 @@ ALL_IDS = {
     "km-heinz-1.16", "zj-1.17", "bhatia-heron", "new-2.1", "comb-2.11",
     "comb-2.12",
 }
+
+# magnitude grids other than A_GRID_13, seeded: uniform on [1e-3, 1e3], and log-normal
+# with sigma 5 (about 1e-6 to 1e6)
+WIDE_GRIDS = {
+    "uniform": tuple(np.random.default_rng(0).uniform(1e-3, 1e3, 6).tolist()),
+    "log-normal": tuple(np.exp(np.random.default_rng(1).normal(0.0, 5.0, 6)).tolist()),
+}
+# the domain endpoints, zj-1.17's branch points 1/4 and 3/4, and random weights
+WIDE_NUS = (0.0, 0.25, 0.5, 0.75, 1.0, *np.random.default_rng(2).uniform(0.0, 1.0, 6).tolist())
 
 pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -218,6 +230,97 @@ class TestStackedJudge:
         with pytest.raises(DomainError, match=r"^a side of t overflows at a=1\.0, b=1e\+200, "
                                               r"nu=0\.5: "):
             judge_row(case, [(1.0, 1.0), overflow, inf_side], 0.5)
+
+
+def assert_same_bits(got, want):
+    assert [(g.dtype, g.shape, g.tobytes()) for g in got] == [
+        (w.dtype, w.shape, w.tobytes()) for w in want]
+
+
+class TestGridPass:
+    """``judge_grid`` reads each chain on broadcast arrays bit for bit as
+    ``judge_row`` reads it on Python floats."""
+
+    @pytest.mark.parametrize("grid", [A_GRID_13, *WIDE_GRIDS.values()],
+                             ids=["a-grid-13", *WIDE_GRIDS])
+    @pytest.mark.parametrize("case_id", sorted(ALL_IDS))
+    def test_grid_equals_its_rows(self, case_id, grid):
+        case = case_by_id(case_id)
+        nus = [nu for nu in (*NU_GRID_65, *WIDE_NUS) if case.in_domain(nu)]
+        pairs = [(a, b) for a in grid for b in grid]
+        rows = [judge_row(case, pairs, nu) for nu in nus]
+        assert_same_bits(judge_grid(case, nus, grid),
+                         [np.concatenate(parts) for parts in zip(*rows)])
+
+    @pytest.mark.parametrize("helper", [scalar.heinz_weight, scalar.cubic_weight,
+                                        scalar.cubic_side_weights, scalar.tail_weights])
+    def test_coefficient_helpers_read_arrays_as_floats(self, helper):
+        nus = [nu for nu in (*NU_GRID_65, *WIDE_NUS) if nu > 0.0]  # nu**(nu - 2) needs nu > 0
+        floats = [helper(nu) for nu in nus]
+        got = helper(np.array(nus).reshape(-1, 1, 1))
+        if not isinstance(got, tuple):
+            floats, got = [(f,) for f in floats], (got,)
+        assert {type(v) for f in floats for v in f} == {float}
+        assert_same_bits([g.ravel() for g in got], [np.array(col) for col in zip(*floats)])
+
+    def test_pow_takes_float_pow_on_each_element(self):
+        x = np.array(WIDE_GRIDS["log-normal"]).reshape(-1, 1)
+        y = np.array(WIDE_NUS)
+        want = np.array([[p ** q for q in WIDE_NUS] for p in x.ravel().tolist()])
+        assert_same_bits([scalar._pow(x, y)], [want])
+        assert scalar._pow(2.0, 0.5) == 2.0 ** 0.5
+        with pytest.raises(OverflowError):
+            scalar._pow(np.array([1.0, 1e200]), 2)
+
+    def test_min_max_and_where_keep_pythons_rules(self):
+        # ties of 0.0 and -0.0, and NaN, go as Python's min and max take them
+        x, y = [0.0, -0.0, 1.0, math.nan, 2.0], [-0.0, 0.0, math.nan, 1.0, 1.0]
+        for op, ref in ((scalar._min, min), (scalar._max, max)):
+            want = hexes([ref(p, q) for p, q in zip(x, y)])
+            assert hexes(op(np.array(x), np.array(y))) == want
+            assert hexes([op(p, q) for p, q in zip(x, y)]) == want
+        assert scalar._where(True, 1.0, 2.0) == 1.0
+        assert scalar._where(np.array([True, False]), 1.0, 2.0).tolist() == [1.0, 2.0]
+
+
+# the only functions of scalar.py that may take float ``**`` and math.sqrt themselves
+EXACT_HELPERS = {"_pow", "_sqrt"}
+
+
+def inexact_ops(source: str) -> list[str]:
+    """``line: expression`` of each ``**``, ``math.sqrt``, ``np.power``, ``pow``,
+    ``min`` or ``max`` in a function or lambda of ``source`` other than the
+    exact helpers: on arrays each would round differently from floats, or fail."""
+    tree = ast.parse(source)
+    def inside(pick):
+        return {id(n) for f in ast.walk(tree) if pick(f) for n in ast.walk(f)}
+    scanned = (inside(lambda f: isinstance(f, (ast.FunctionDef, ast.Lambda)))
+               - inside(lambda f: isinstance(f, ast.FunctionDef) and f.name in EXACT_HELPERS))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) not in scanned:
+            continue
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+                or isinstance(node, ast.Attribute)
+                and ast.unparse(node) in ("math.sqrt", "np.power", "numpy.power")
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("min", "max", "pow")):
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{line}: {text}" for line, _, text in sorted(found)]
+
+
+def test_the_scan_sees_an_inexact_op():
+    source = ("GRID = [2.0 ** k for k in range(3)]\n"
+              "def _pow(x, y):\n    return x ** y\n"
+              "def _sqrt(x):\n    return math.sqrt(x)\n"
+              "def side(a, b, v):\n    v **= 2\n    return a ** v, math.sqrt(a), min(a, b)\n"
+              "side2 = lambda a, b: max(a, b) + np.power(a, b)\n")
+    assert inexact_ops(source) == ["7: v **= 2", "8: a ** v", "8: math.sqrt",
+                                   "8: min(a, b)", "9: max(a, b)", "9: np.power"]
+
+
+def test_sides_and_coefficients_take_exact_ops_only():
+    assert inexact_ops(pathlib.Path(scalar.__file__).read_text(encoding="utf-8")) == []
 
 
 # Independent high-precision restatements of a few representative chains.
