@@ -133,12 +133,12 @@ def _qs(coef: np.ndarray, y2: np.ndarray) -> np.ndarray:
 def _pows(v: np.ndarray, e) -> np.ndarray:
     """v ** e, where e is one exponent or one per row of v (see ``power_rows``).
 
-    ``**`` takes shortcuts for some exponents, such as a square root for
-    0.5, that ``np.power`` does not, so it stays the operator of one triple.
+    A triple alone takes ``**`` on a float, so a stack's rows whose exponent
+    numpy takes a shortcut for (a square root for 0.5) run ``**`` again.
     """
     if not isinstance(e, np.ndarray):
         return v ** e
-    return power_rows(v, e.tolist(), operator.pow)
+    return power_rows(v, e, operator.pow)
 
 
 class Cells:

@@ -33,6 +33,10 @@ PSD_TOL = 1e-9
 # the default tol of every certification: a Loewner gap's relative lam_min and a
 # norm chain's normalized slack must each be >= -CERT_PSD_TOL
 CERT_PSD_TOL = 1e-8
+# numpy's power by a float exponent runs reciprocal, sqrt or square for these,
+# whose last bits differ from its power by an array of exponents; for every
+# other exponent a contiguous row's bits are the same either way
+FAST_POWERS = (-1.0, 0.5, 2.0)
 
 
 class DomainError(ValueError):
@@ -157,8 +161,8 @@ def _pow_spectrum(w: np.ndarray, p) -> np.ndarray:
 
     Integer p >= 0 works on any spectrum (with 0**0 = 1); see ``_pow_base``
     for the other exponents.  ``p`` is one Python float for all rows, or a
-    list with one per row: the rows are then checked in one pass, and the
-    power runs once per distinct exponent (``power_rows``).
+    list with one per row: the rows are then checked in one pass, and
+    raised in one broadcast power (``power_rows``).
     """
     if not isinstance(p, list):
         p = float(p)
@@ -170,26 +174,19 @@ def _pow_spectrum(w: np.ndarray, p) -> np.ndarray:
     if checked.any():
         w = w.copy()
         w[checked] = _pow_base(w[checked], ps[checked] < 0, "t**p")
-    return power_rows(w, p)
+    return power_rows(w, ps)
 
 
-def power_rows(v: np.ndarray, ps: list[float], power=np.power) -> np.ndarray:
-    """power(v[i], ps[i]) for each row i of v, with a Python float exponent per row.
-
-    The rows are sorted by exponent, and ``power`` runs once per distinct
-    exponent, on a Python float, over a contiguous run of rows, as it runs
-    over one matrix's rows: numpy's power takes other paths for an array
-    of exponents, and for a base laid out in reverse, and their last bits
-    differ.
-    """
-    order = np.argsort(ps, kind="stable")
-    sp = np.asarray(ps)[order]
-    sv = v[order]
-    starts = [0, *(np.flatnonzero(sp[1:] != sp[:-1]) + 1).tolist(), len(ps)]
-    for a, b in zip(starts, starts[1:]):
-        sv[a:b] = power(sv[a:b], float(sp[a]))
-    out = np.empty_like(v)
-    out[order] = sv
+def power_rows(v: np.ndarray, ps: np.ndarray, power=np.power) -> np.ndarray:
+    """power(v[i], ps[i]) for each row i of v, as a contiguous array, bit for bit:
+    one np.power of the C-contiguous base by the column of exponents, whose rows
+    at numpy's float-exponent shortcuts (``FAST_POWERS``) run ``power`` again."""
+    v = np.ascontiguousarray(v)
+    out = np.power(v, ps[:, None])
+    for p in FAST_POWERS:
+        rows = ps == p
+        if rows.any():
+            out[rows] = power(v[rows], p)
     return out
 
 

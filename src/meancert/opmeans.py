@@ -33,14 +33,16 @@ from .scalar import Case, check_unit, first_worst
 def checked_weight(name: str, t):
     """Check a weight in [0, 1], or each of a stack's weights (one per matrix).
 
-    Returns a float, or a 1-D float array for a sequence of weights.
+    Returns a float, or a 1-D float array for a sequence of weights.  A stack
+    is checked in one pass, and walked only to report its first bad weight.
     """
     if np.ndim(t) == 0:
         check_unit(name, t)
         return float(t)
     t = np.asarray(t, dtype=float)
-    for v in t.tolist():
-        check_unit(name, v)
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        for v in t.tolist():
+            check_unit(name, v)
     return t
 
 

@@ -207,6 +207,72 @@ def test_scalar_report_is_pinned(tmp_path, capsys, which):
     assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_REPORT_SHA256[which]
 
 
+# sha256 of every trial record of a 128-trial sweep (seed 0, default dims and
+# draws) of each matrix case, real and complex, as written when a stack raised
+# its spectra to each distinct exponent in a separate power call.  The replays
+# pinned above are stacks of one; these hold the stacked powers.
+STACKED_SWEEP_SHA256 = {
+    False: {
+        "op-2.10": "ea03b5a926d049f74ce239d00eb54baeda9469429b035bdc5eeae142667b0735",
+        "op-2.3": "5885c9195ef64c13b0e03f4e7a0f0b6da25d23023080ef726b7f1ba8eeebedb7",
+        "op-2.5": "57e926809e5d4046adee4e889429bcdc53110c0b9dd2f787391e40b520ac1783",
+        "op-2.6": "b3fb3e917334da210f4a4a41a6d2672ebcb23c189615b6620a95ee6506f3b300",
+        "op-2.7-left": "e1c56e4f4637145b3a9b851f52dffb29f5d84f98d26ba66370fa01a45f022c18",
+        "op-2.7-refine": "7b44bbd6d6bdcd03cd2b98afe36d37ca1875ee79cfee1303c76f34a19ef73da9",
+        "op-2.7-right": "419a92ded719961b938d1a05c5af55ea805bdc5f75ec4e7300be7506fa16bda4",
+        "op-heron-zhao": "5fc4ecf6831a676b24a1e99b01f017e7c7c0430e5428b02eef56af55cb3f093d",
+        "hs-2.13": "060c5ee161620121fc4192720544e3bc10295c9bda548e50a439c7ba4e796120",
+        "hs-2.14": "5f3f155825c6e2e8b889d88f120d87d4298a2fb5723dbe35e69471792a7863a3",
+        "hs-cor": "c2df3f0e535fb0e2d8b6916cb06956da86e7962607e213dc6c402aee19ddf01c",
+        "hs-thm8": "656e4ab78b97e94706ff3766402092d414240e91204a152e676349d3b3738d3e",
+    },
+    True: {
+        "op-2.10": "257550c47fcc34e15ca02bd92bce34218a2de111be667b769a85bd4041cd8d3d",
+        "op-2.3": "6730a72ddc8f1daa4e24f0f34679dc1047dfec1a6df11bda313ac9a68893a013",
+        "op-2.5": "e4e434057717a5236e110aea0abd59adf246ae4f9d2c09d498f2c5371ee0e014",
+        "op-2.6": "b72e580ee495b62e05496bf6b1755eb431a5979892c0f55d60f56e3df3da0579",
+        "op-2.7-left": "1da71a2a67d3f3db0db2aeca56180e8cce4dbcdcefdd9db5a14d146ceef4d6dc",
+        "op-2.7-refine": "00a94b4651f8563028b4fad2c6602991304110e671581641eb51ea4a1ea23c74",
+        "op-2.7-right": "e8a39c9561333bd331c4ec2366e3b4ec69f7595732e79d83631eb6011fba432e",
+        "op-heron-zhao": "1993f2b972721d4f37e9107a29a39d1ea9cd3392f1ed54aef78df257cf7bf860",
+        "hs-2.13": "c46d0d3fc5482a2c9b45664569fe0a4b429c2d159a7f02decf3e5ae8a2ba8be4",
+        "hs-2.14": "e652568df8948903eb9a147d8b002d89fe3dfbd8dc2dbaddf5fb309dde6fde8b",
+        "hs-cor": "494dfdb5eb16398b2c32a4bdf4f606826aae9f9977bfd7cb89bde2b0144ce3a1",
+        "hs-thm8": "5d982e90e5a1bba698d400c798d046a3d6e83c5a5405e3dfedac29f86cd4b9c6",
+    },
+}
+
+
+def record_bits(rec) -> str:
+    """Every field of a trial record: floats by ``float.hex``, arrays by their bytes."""
+    def enc(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, np.ndarray):
+            return f"{v.dtype.str}{v.shape}{v.tobytes().hex()}"
+        if isinstance(v, tuple):
+            return "(" + ",".join(enc(x) for x in v) + ")"
+        return repr(v)
+    return ";".join(enc(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+
+
+@pytest.mark.parametrize("cx", [False, True], ids=["real", "complex"])
+def test_stacked_sweep_records_are_pinned(monkeypatch, cx):
+    seen = {}
+    fold = runner._Agg.fold_trial
+
+    def spy(agg, digest, trial_no, rec, kind):
+        seen.setdefault(rec.case_id, []).append(record_bits(rec))
+        fold(agg, digest, trial_no, rec, kind)
+
+    monkeypatch.setattr(runner._Agg, "fold_trial", spy)
+    runner.run_matrix_suite(OPERATOR + HS, RunConfig(trials=128, seed=0, complex_entries=cx))
+    assert {cid: len(recs) for cid, recs in seen.items()} == dict.fromkeys(OPERATOR + HS, 128)
+    got = {cid: hashlib.sha256("\n".join(recs).encode()).hexdigest()
+           for cid, recs in seen.items()}
+    assert got == STACKED_SWEEP_SHA256[cx]
+
+
 # inputs past the range of floats: matrices drawn not finite (op), and hs sides
 # that turn nan through overflow (1e200) and through underflow (1e-160)
 NOT_FINITE = {"op-overflow": ("op-2.7-right", "explicit:1e308", 0),

@@ -1,10 +1,12 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meancert.linalg import (DomainError, Powers, clamp_psd, eigh, hermitianize, hs_norms,
-                             is_psd, validate_hermitian)
+from meancert.linalg import (FAST_POWERS, DomainError, Powers, clamp_psd, eigh, hermitianize,
+                             hs_norms, is_psd, power_rows, validate_hermitian)
 
 
 def rand_pd(dim, seed, lo=0.1, hi=10.0, complex_entries=False):
@@ -242,3 +244,67 @@ class TestStacks:
             assert (res.ok[i], res.lam_min[i], res.scale[i]) == (one.ok, one.lam_min, one.scale)
             assert bits(res.witness[i]) == bits(one.witness)
             assert bits(root[i]) == bits(Powers(m).pow(0.5))
+
+
+# every k/64 in [-2, 3], a non-dyadic weight, a negative zero and numpy's
+# shortcut exponents (already among the k/64, named again for the record)
+EXPONENTS = [k / 64 for k in range(-128, 193)] + [1 / 3, -0.0, *FAST_POWERS]
+SPECIAL_BASES = [0.0, 5e-324, 1e-300, 3.7e-301, 1e300, 2.2e299, 1.0]
+POWERS = pytest.mark.parametrize("power", [np.power, operator.pow], ids=["np.power", "pow"])
+
+
+def u64(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def spectra(k, n, seed):
+    """(k, n) bases, log-uniform over 1e-17..1e17 with a tenth of them special."""
+    rng = np.random.default_rng(seed)
+    v = np.exp(rng.uniform(-40.0, 40.0, (k, n)))
+    special = rng.random((k, n)) < 0.1
+    v[special] = rng.choice(SPECIAL_BASES, int(special.sum()))
+    return v
+
+
+def row_exponents(k, seed):
+    """k exponents from EXPONENTS; every one of them once k reaches their count."""
+    rng = np.random.default_rng(seed)
+    if k >= len(EXPONENTS):
+        return rng.permutation(np.resize(EXPONENTS, k))
+    return rng.choice(EXPONENTS, k)
+
+
+@np.errstate(all="ignore")  # zero to a negative power, 1e300 cubed
+def assert_rows_alone(v, ps, power):
+    got = power_rows(v, ps, power)
+    for i, p in enumerate(ps.tolist()):
+        assert u64(got[i]).tolist() == u64(power(np.ascontiguousarray(v[i]), p)).tolist(), p
+
+
+class TestPowerRows:
+    """``power_rows`` equals the power of each row alone, on a Python float, as uint64 bits."""
+
+    @POWERS
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17])
+    def test_equals_each_row_alone(self, power, n):
+        for k in (1, 2, 7, 64, 333, 1000):
+            v, e = spectra(k, n, seed=k + n), row_exponents(k, seed=k * n)
+            assert_rows_alone(v, e, power)
+
+    @POWERS
+    def test_strided_or_reversed_base_is_taken_as_contiguous_rows(self, power):
+        big = spectra(200, 34, seed=5)
+        e = row_exponents(100, seed=6)
+        for v in (big[::2, ::2], big[:100, ::-1], big[::-2, 17:], big[:100, :17].T.copy().T):
+            assert_rows_alone(v, e, power)
+
+    @POWERS
+    def test_only_the_shortcut_exponents_differ_from_an_array_of_exponents(self, power):
+        # numpy's power on a float exponent matches its power on an array of
+        # that exponent everywhere but at FAST_POWERS: a numpy that takes a
+        # shortcut for another exponent fails here, and power_rows must grow
+        v = spectra(1, 4096, seed=7)[0]
+        with np.errstate(all="ignore"):
+            differ = [p for p in EXPONENTS if u64(power(v, p)).tolist()
+                      != u64(np.power(v, np.full_like(v, p))).tolist()]
+        assert sorted(set(differ) - set(FAST_POWERS)) == []

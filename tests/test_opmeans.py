@@ -258,6 +258,26 @@ class TestStacks:
         with pytest.raises(DomainError, match="nu=1.5"):
             ctx.geom(np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("bad", [1.5, -0.25, 1.0000000000000002, -5e-324,
+                                     float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_bad_weight_in_a_stack_reads_as_that_weight_alone(self, bad, row):
+        pairs = [pair(24 + t) for t in range(3)]
+        ctx = PairContext(np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]))
+        weights = np.array([0.25, 0.5, 0.75])
+        weights[row] = bad
+        if row == 0:
+            weights[2] = 2.0  # a later bad weight is not the one reported
+        for name, stacked, alone in (("nabla", ctx.nabla, PairContext(*pairs[row]).nabla),
+                                     ("geom", ctx.geom, PairContext(*pairs[row]).geom),
+                                     ("heinz", ctx.heinz, PairContext(*pairs[row]).heinz),
+                                     ("heron", ctx.heron, PairContext(*pairs[row]).heron)):
+            with pytest.raises(DomainError) as one:
+                alone(bad)
+            with pytest.raises(DomainError) as many:
+                stacked(weights)
+            assert str(many.value) == str(one.value), name
+
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.71875, 1.0])
     def test_equal_weights_per_pair_are_one_weight(self, nu):
         # the per-pair path takes each distinct weight once, as a float, and
