@@ -347,21 +347,21 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
     the verdict is recorded but carries no certification weight.  A side of
     either route that is not finite raises DomainError naming the route.
     """
-    A = np.asarray(A)
-    if A.ndim == 2:
+    A, X = np.asarray(A), np.asarray(X)
+    one = A.ndim == 2
+    if one:
+        A, B, X, nu = A[None], np.asarray(B)[None], X[None], [nu]
         if oracle is not None:
             oracle = tuple((np.asarray(lam)[None], np.asarray(q)[None]) for lam, q in oracle)
-        return certify_hs(case, A[None], np.asarray(B)[None], np.asarray(X)[None], [nu],
-                          tol=tol, lenient=lenient, oracle=oracle)[0]
     nus = [float(v) for v in nu]
-    for v in nus:
+    weights = dict.fromkeys(nus)
+    for v in weights:
         case.check_nu(v)
     k = len(nus)
-    X = np.asarray(X)
     met = _x_hypothesis(case, X, lenient)
     ctx = HsContext(A, B, X, oracle=oracle)
     # a weight shared by every triple goes in as a float, as for one triple
-    w = nus[0] if len(set(nus)) == 1 else np.array(nus)
+    w = nus[0] if len(weights) == 1 else np.array(nus)
     # each side is a (k, 1, 1) column; the chains of the stack are the rows of (k, m)
     sides = np.concatenate(case.chain(ctx, w)[0], axis=-1).reshape(k, -1)
     _, slacks, worst = judge_chains(sides, f"the direct route of {case.case_id}")
@@ -396,4 +396,4 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
             worst_cell=(i, j, float(cells.la[r, i]), float(cells.mu[r, j]),
                         float(damage[r, i, j])),
         ))
-    return trials
+    return trials[0] if one else trials

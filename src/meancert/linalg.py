@@ -9,10 +9,17 @@ come with an eigenvalue witness.
 Conventions
 -----------
 * A matrix is accepted as Hermitian when its asymmetry max|M - M*| stays
-  below ``HERMITIAN_TOL * max(1, max|entry|)``; it is then replaced by its
-  Hermitian part (M + M*)/2.  A matrix keeps the dtype it came in with: a
-  complex input stays complex even when its imaginary part is zero, and a
-  caller that wants the real path passes ``M.real``.
+  below ``HERMITIAN_TOL * max(1, max|entry|)``.  An exactly Hermitian
+  matrix (asymmetry 0) is kept as it is, in a copy; any other is replaced
+  by its Hermitian part (M + M*)/2, which must be finite.  A matrix keeps
+  the dtype it came in with: a complex input stays complex even when its
+  imaginary part is zero, and a caller that wants the real path passes
+  ``M.real``.
+* Validation is at the boundary.  A matrix the package builds exactly
+  Hermitian (a Hermitian part, or a real linear combination or
+  ``np.where`` of exactly Hermitian arrays) enters ``Powers`` and
+  ``is_psd`` with ``hermitian=True``: its shape and finiteness are
+  checked, not its symmetry.
 * Fractional powers clamp eigenvalues in [-PSD_TOL * scale, 0) to zero,
   where scale = max(1, spectral norm).  Anything more negative is a domain
   error that names the offending eigenvalue.
@@ -79,24 +86,37 @@ def hermitianize(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
-def validate_hermitian(M) -> np.ndarray:
+def validate_hermitian(M, *, hermitian: bool = False) -> np.ndarray:
     """Check shape, finiteness and symmetry, then return the Hermitian part.
 
     ``M`` is one matrix or a stack (..., n, n); every check is made per
-    matrix, and an error reports the first matrix that fails.  Asymmetry
-    up to ``HERMITIAN_TOL * max(1, max|entry|)`` is folded away by the
-    symmetrization; anything larger raises DomainError with the measured
-    asymmetry.  The result has the dtype of ``M``.
+    matrix, and an error reports the first matrix that fails.  An exactly
+    Hermitian ``M`` (asymmetry 0) is returned as it is, in a new array:
+    (M + M*)/2 would give it back, save for the sign of a zero entry and
+    where it overflows.  Asymmetry up
+    to ``HERMITIAN_TOL * max(1, max|entry|)`` is folded away by the
+    symmetrization, whose result must be finite; anything larger raises
+    DomainError with the measured asymmetry.  The result has the dtype of
+    ``M``.
+
+    ``hermitian=True`` says that the package built ``M`` exactly Hermitian
+    (see the module notes): its symmetry is not measured, and ``M`` itself
+    is returned.
     """
     M = np.asarray(M)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.size == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not np.issubdtype(M.dtype, np.number):
+    if not issubclass(M.dtype.type, np.number):
         raise DomainError(f"expected a numeric matrix, got dtype {M.dtype}")
     if not np.isfinite(M).all():
         raise DomainError("matrix contains non-finite entries")
+    if hermitian:
+        return M
     asym = np.abs(M - M.conj().swapaxes(-1, -2))
-    if asym.max() > HERMITIAN_TOL:  # past the smallest window: judge each on its own scale
+    top = asym.max()
+    if top == 0.0:
+        return M.copy()
+    if top > HERMITIAN_TOL:  # past the smallest window: judge each on its own scale
         scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
         asym = asym.max(axis=(-2, -1))
         bad = asym > HERMITIAN_TOL * scale
@@ -106,7 +126,11 @@ def validate_hermitian(M) -> np.ndarray:
                 f"matrix is not Hermitian: max asymmetry {float(asym.flat[i]):.3e} "
                 f"exceeds {HERMITIAN_TOL:.1e} * {float(scale.flat[i]):.3e}"
             )
-    return hermitianize(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = hermitianize(M)
+    if not np.isfinite(H).all():
+        raise DomainError("the Hermitian part (M + M*)/2 of the matrix is not finite")
+    return H
 
 
 def eigh(M) -> tuple[np.ndarray, np.ndarray]:
@@ -161,20 +185,19 @@ def _pow_spectrum(w: np.ndarray, p) -> np.ndarray:
 
     Integer p >= 0 works on any spectrum (with 0**0 = 1); see ``_pow_base``
     for the other exponents.  ``p`` is one Python float for all rows, or a
-    list with one per row: the rows are then checked in one pass, and
-    raised in one broadcast power (``power_rows``).
+    float array with one per row: the rows are then checked in one pass,
+    and raised in one broadcast power (``power_rows``).
     """
-    if not isinstance(p, list):
+    if not isinstance(p, np.ndarray):
         p = float(p)
         if p < 0 or not p.is_integer():
             w = _pow_base(w, p < 0, f"t**{p}")
         return np.power(w, p)
-    ps = np.array(p)
-    checked = (ps < 0) | (ps != np.floor(ps))
+    checked = (p < 0) | (p != np.floor(p))
     if checked.any():
         w = w.copy()
-        w[checked] = _pow_base(w[checked], ps[checked] < 0, "t**p")
-    return power_rows(w, ps)
+        w[checked] = _pow_base(w[checked], p[checked] < 0, "t**p")
+    return power_rows(w, p)
 
 
 def power_rows(v: np.ndarray, ps: np.ndarray, power=np.power) -> np.ndarray:
@@ -199,15 +222,15 @@ class PsdCheck(NamedTuple):
     witness: np.ndarray  # unit eigenvector attaining lam_min
 
 
-def is_psd(M, tol: float = PSD_TOL) -> PsdCheck:
+def is_psd(M, tol: float = PSD_TOL, *, hermitian: bool = False) -> PsdCheck:
     """Tolerance-relative PSD test with an eigenvector witness.
 
     Passes iff lam_min(M) >= -tol * max(1, ||M||_2).  The witness column
     attains lam_min whether or not the check passes, so failures ship a
     concrete direction along which positivity breaks.  A witness has the
-    dtype of its matrix.
+    dtype of its matrix.  ``hermitian`` is as for ``validate_hermitian``.
     """
-    p = Powers(M)
+    p = Powers(M, hermitian=hermitian)
     n = p.dim
     w = p.eigenvalues.reshape(-1, n)
     lam = w[:, 0].tolist()  # ascending order, so max|w| is at one end
@@ -246,10 +269,12 @@ class Powers:
     mutually consistent.  It holds the one LAPACK eigendecomposition call:
     eigh is a one-off Powers.  Every operation acts on each matrix of a
     stack as it would on that matrix alone, bit for bit.
+
+    ``hermitian`` is as for ``validate_hermitian``.
     """
 
-    def __init__(self, M):
-        self.matrix = validate_hermitian(M)
+    def __init__(self, M, *, hermitian: bool = False):
+        self.matrix = validate_hermitian(M, hermitian=hermitian)
         self._eigh: tuple[np.ndarray, np.ndarray] | None = None
         self._cache: dict[float, np.ndarray] = {}
 
@@ -287,25 +312,25 @@ class Powers:
 
     def pow_rows(self, ps) -> np.ndarray:
         """M_i**p_i for each matrix i of a stack, with one exponent p_i per matrix."""
-        ps = [float(p) for p in ps]
-        if all(p == ps[0] for p in ps):
+        ps = np.asarray(ps, dtype=float)
+        if (ps == ps[0]).all():
             return self.pow(ps[0])
         return self._power(ps)
 
     def _power(self, p) -> np.ndarray:
-        """M**p; ``p`` is a float, or a list of one exponent per matrix."""
-        if p == 1.0:
+        """M**p; ``p`` is a float, or an array of one exponent per matrix."""
+        rows = isinstance(p, np.ndarray)
+        if not rows and p == 1.0:
             return self.matrix
-        if p == 0.0:
+        if not rows and p == 0.0:
             # 0^0 = 1 convention: M^0 is the identity even on PSD kernels.
             eye = np.eye(self.dim, dtype=self.matrix.dtype)
             return np.broadcast_to(eye, self.matrix.shape).copy()
         wp = _pow_spectrum(self.eigenvalues, p)
         V = self.eigenvectors
         out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))
-        if isinstance(p, list):
+        if rows:
             # matrices of exponent 1 or 0 among others: exactly M, or the identity
-            ps = np.array(p)
-            out[ps == 1.0] = self.matrix[ps == 1.0]
-            out[ps == 0.0] = np.eye(self.dim)
+            out[p == 1.0] = self.matrix[p == 1.0]
+            out[p == 0.0] = np.eye(self.dim)
         return out

@@ -16,6 +16,10 @@ positive definite while B may be positive semidefinite.
 Certification is pairwise: a chain M1 <= M2 <= ... is judged link by link
 through is_psd(M[i+1] - M[i]); each link reports its minimum eigenvalue,
 its tolerance scale, and the worst link ships an eigenvector witness.
+``certify_operator`` checks each weight once, and the gap builders take the
+context's unchecked kernels (``_nabla``, ``_geom``, ``_heinz``, ``_heron``);
+the public means check their weights.  A gap, and X = A^(-1/2) B A^(-1/2),
+is exactly Hermitian by construction, so only its finiteness is checked.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 from . import scalar
 from .linalg import (CERT_PSD_TOL, DomainError, Powers, col, each,
                      hermitianize, is_psd)
-from .scalar import Case, check_unit, first_worst
+from .scalar import Case, check_unit
 
 
 def checked_weight(name: str, t):
@@ -77,15 +81,30 @@ class PairContext:
     def _x(self) -> Powers:
         if self._px is None:
             ai = self.pa.pow(-0.5)
-            self._px = Powers(hermitianize(ai @ self.B @ ai))
+            self._px = Powers(hermitianize(ai @ self.B @ ai), hermitian=True)
         return self._px
 
     def nabla(self, nu=0.5) -> np.ndarray:
-        w = col(checked_weight("nu", nu))
-        return (1.0 - w) * self.A + w * self.B
+        return self._nabla(checked_weight("nu", nu))
 
     def geom(self, nu=0.5) -> np.ndarray:
-        nu = checked_weight("nu", nu)
+        return self._geom(checked_weight("nu", nu))
+
+    def heinz(self, nu) -> np.ndarray:
+        """Heinz mean (geom(nu) + geom(1-nu)) / 2, symmetric in nu <-> 1-nu."""
+        return self._heinz(checked_weight("nu", nu))
+
+    def heron(self, alpha) -> np.ndarray:
+        """Heron mean (1-alpha) geom(0.5) + alpha nabla(0.5)."""
+        return self._heron(checked_weight("alpha", alpha))
+
+    # The kernels of the means take checked weights: a float, or a float array.
+
+    def _nabla(self, nu) -> np.ndarray:
+        w = col(nu)
+        return (1.0 - w) * self.A + w * self.B
+
+    def _geom(self, nu) -> np.ndarray:
         # Boundary identities are exact; the congruence route would only
         # reconstruct A or B through kappa(A)-amplified rounding.
         if not isinstance(nu, np.ndarray):
@@ -102,15 +121,12 @@ class PairContext:
             g = np.where(lo, self.A, np.where(hi, self.B, g))
         return g
 
-    def heinz(self, nu) -> np.ndarray:
-        """Heinz mean (geom(nu) + geom(1-nu)) / 2, symmetric in nu <-> 1-nu."""
-        nu = checked_weight("nu", nu)
-        return (self.geom(nu) + self.geom(1.0 - nu)) / 2.0
+    def _heinz(self, nu) -> np.ndarray:
+        return (self._geom(nu) + self._geom(1.0 - nu)) / 2.0
 
-    def heron(self, alpha) -> np.ndarray:
-        """Heron mean (1-alpha) geom(0.5) + alpha nabla(0.5)."""
-        a = col(checked_weight("alpha", alpha))
-        return (1.0 - a) * self.geom(0.5) + a * self.nabla(0.5)
+    def _heron(self, alpha) -> np.ndarray:
+        a = col(alpha)
+        return (1.0 - a) * self._geom(0.5) + a * self._nabla(0.5)
 
     def corr_lower(self) -> np.ndarray:
         """B - 2A + A B^(-1) A, the PSD correction attached to the lower Heinz bound."""
@@ -144,7 +160,7 @@ class OperatorCase(Case):
 
 def _gaps_23(ctx: PairContext, nu):
     k, w = col(nu, scalar.heinz_weight), col(nu, scalar.cubic_weight)
-    return (k * ctx.heinz(nu) - w * ctx.nabla(0.5) - 2.0 * ctx.geom(0.5),)
+    return (k * ctx._heinz(nu) - w * ctx._nabla(0.5) - 2.0 * ctx._geom(0.5),)
 
 
 def _cubic_gap(ctx: PairContext, nu, first, second, g):
@@ -152,15 +168,15 @@ def _cubic_gap(ctx: PairContext, nu, first, second, g):
     k = col(nu, scalar.heinz_weight)
     p, q = col(nu, scalar.cubic_side_weights)
     lhs = p * first + q * second
-    return k * g + ctx.A + ctx.B - 2.0 * ctx.geom(0.5) - lhs
+    return k * g + ctx.A + ctx.B - 2.0 * ctx._geom(0.5) - lhs
 
 
 def _gaps_25(ctx: PairContext, nu):
-    return (_cubic_gap(ctx, nu, ctx.A, ctx.B, ctx.geom(1.0 - nu)),)
+    return (_cubic_gap(ctx, nu, ctx.A, ctx.B, ctx._geom(1.0 - nu)),)
 
 
 def _gaps_26(ctx: PairContext, nu):
-    return (_cubic_gap(ctx, nu, ctx.B, ctx.A, ctx.geom(nu)),)
+    return (_cubic_gap(ctx, nu, ctx.B, ctx.A, ctx._geom(nu)),)
 
 
 def _corr_weight(nu: float) -> float:
@@ -170,21 +186,21 @@ def _corr_weight(nu: float) -> float:
 
 def _gaps_27_left(ctx: PairContext, nu):
     c = col(nu, _corr_weight)
-    return (ctx.nabla(0.5) - ctx.heinz(nu) - c * ctx.corr_lower(),)
+    return (ctx._nabla(0.5) - ctx._heinz(nu) - c * ctx.corr_lower(),)
 
 
 def _gaps_27_right(ctx: PairContext, nu):
     c = col(nu, _corr_weight)
-    return (ctx.heinz(nu) + c * ctx.corr_upper() - ctx.nabla(0.5),)
+    return (ctx._heinz(nu) + c * ctx.corr_upper() - ctx._nabla(0.5),)
 
 
 def _gaps_27_refine(ctx: PairContext, nu):
-    return (ctx.corr_lower(), ctx.nabla(0.5) - ctx.heinz(nu))
+    return (ctx.corr_lower(), ctx._nabla(0.5) - ctx._heinz(nu))
 
 
 def _gaps_210(ctx: PairContext, nu):
     r, R, rr, RR = col(nu, scalar.tail_weights)
-    g, h, n = ctx.geom(0.5), ctx.heinz(nu), ctx.nabla(0.5)
+    g, h, n = ctx._geom(0.5), ctx._heinz(nu), ctx._nabla(0.5)
     return (
         2.0 * r * r * g - rr * h - (2.0 * r - 1.0) * n,
         (2.0 * R * R - 2.0 * r * r) * g,
@@ -193,7 +209,7 @@ def _gaps_210(ctx: PairContext, nu):
 
 
 def _gaps_heron_zhao(ctx: PairContext, nu):
-    return (ctx.heron(each(nu, scalar.alpha_of_nu)) - ctx.heinz(nu),)
+    return (ctx._heron(each(nu, scalar._alpha)) - ctx._heinz(nu),)
 
 
 def _build_registry() -> tuple[OperatorCase, ...]:
@@ -325,14 +341,16 @@ def certify_operator(case: OperatorCase, A, B, nu,
     raise DomainError naming the violated predicate.
     """
     A = np.asarray(A)
-    if A.ndim == 2:
-        return certify_operator(case, A[None], np.asarray(B)[None], [nu], tol)[0]
+    one = A.ndim == 2
+    if one:
+        A, B, nu = A[None], np.asarray(B)[None], [nu]
     nus = [float(v) for v in nu]
-    for v in nus:
+    weights = dict.fromkeys(nus)
+    for v in weights:
         case.check_nu(v)
     ctx = PairContext(A, B)
     if case.requires_ordered:
-        order = is_psd(ctx.B - ctx.A, tol)
+        order = is_psd(ctx.B - ctx.A, tol, hermitian=True)
         if not all(order.ok):
             i = order.ok.index(False)
             raise DomainError(
@@ -340,21 +358,18 @@ def certify_operator(case: OperatorCase, A, B, nu,
                 f"lam_min(B - A) = {order.lam_min[i]:.6e} at scale {order.scale[i]:.3e}"
             )
     # a weight shared by every pair goes in as a float, as for one pair
-    gaps = case.gaps(ctx, nus[0] if len(set(nus)) == 1 else np.array(nus))
-    links = [(name, is_psd(gap, tol)) for name, gap in zip(case.links, gaps, strict=True)]
-    trials = []
-    for i, v in enumerate(nus):
-        checks = [LinkCheck(name, res.lam_min[i], res.scale[i],
-                            res.lam_min[i] / res.scale[i], res.ok[i])
-                  for name, res in links]
-        worst = first_worst([c.slack for c in checks])
-        trials.append(OperatorTrial(
-            case_id=case.case_id,
-            nu=v,
-            links=tuple(checks),
-            min_slack=checks[worst].slack,
-            worst_link=checks[worst].name,
-            passed=all(c.ok for c in checks),
-            witness=links[worst][1].witness[i],
-        ))
-    return trials
+    gaps = case.gaps(ctx, nus[0] if len(weights) == 1 else np.array(nus))
+    links = [is_psd(gap, tol, hermitian=True) for gap in gaps]
+    # each link's checks over the stack, then each trial's first smallest slack
+    rows = [[LinkCheck(name, low, sc, low / sc, ok)
+             for low, sc, ok in zip(res.lam_min, res.scale, res.ok)]
+            for name, res in zip(case.links, links, strict=True)]
+    worst, at = list(rows[0]), [0] * len(nus)
+    for j in range(1, len(rows)):
+        for i, check in enumerate(rows[j]):
+            if check.slack < worst[i].slack:
+                worst[i], at[i] = check, j
+    passed = [all(oks) for oks in zip(*[res.ok for res in links])]
+    trials = [OperatorTrial(case.case_id, v, checks, w.slack, w.name, ok, links[j].witness[i])
+              for i, (v, checks, w, j, ok) in enumerate(zip(nus, zip(*rows), worst, at, passed))]
+    return trials[0] if one else trials

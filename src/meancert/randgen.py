@@ -6,23 +6,32 @@ numbers: as easy as 1, 2, 3", SC 2011), so draws never depend on evaluation
 order or parallelism.  The stream of trial t under entropy e (the case's
 ``derive_seed``) is keyed by ``SeedSequence(e, spawn_key=(t,))
 .generate_state(2, np.uint64)``, numpy's documented seeding hash after
-O'Neill's ``seed_seq_fe``.  ``trial_key`` computes that key itself: the
-pool mixed from e alone is cached per entropy, and a trial mixes in its
-one 32-bit word and hashes the pool out.  ``seek`` then resets a Philox
-generator to counter 0 under that key, which is the state
-``Philox(SeedSequence(e, spawn_key=(t,)))`` starts in, so a process keeps
-one generator (``trial_rng``) for all its trials.  The keys depend on
-numpy's algorithm staying as it is; ``tests/test_randgen.py::TestStreams``
-pins them against ``np.random.SeedSequence``.  ``runner.draw_stack`` fixes what each trial
+O'Neill's ``seed_seq_fe``.  ``trial_keys`` computes those keys itself,
+for a stack's trials in one call: the pool mixed from e alone is cached
+per entropy, and a trial mixes in its one 32-bit word and hashes the pool
+out.  A Philox generator set to counter 0 under that key, with an empty
+buffer, is in the state ``Philox(SeedSequence(e, spawn_key=(t,)))``
+starts in, so a process keeps one generator for all its trials:
+``stream_template`` gives it with one such state whose key slot takes
+each trial's key in turn, and ``seek`` (``trial_rng``) resets it to one
+trial's stream.  The keys depend on numpy's algorithm staying as it is;
+``tests/test_randgen.py::TestStreams`` pins them against
+``np.random.SeedSequence``.  ``runner.draw_stack`` fixes what each trial
 draws and in which order, and ``runner.inputs`` rebuilds a trial's
 matrices from its digest alone.
 
-A stack draws in one pass.  Each law is parsed once (``uniform_bounds``:
-a log-uniform law's bounds take one log each), each trial's uniforms go
-into its row of a (k, n) array, and ``spectra`` maps all rows at once
-after the draws, with the elementwise operations one row alone would
-take, so a stack's rows equal the same trials drawn as stacks of one, bit
-for bit.  ``sample_spectrum`` is ``spectra`` on a stack of one.
+A stack draws in one pass.  Each trial's uniforms are drawn raw, doubles
+in [0, 1) from ``Generator.random``, into its row of a (k, n) array;
+``random`` takes from the stream what ``uniform`` takes.  After the
+draws, each law is parsed once and ``spectra`` maps all rows at once: to
+the law's bounds (``uniform_bounds``: a log-uniform law's take one log
+each) as lo + (hi - lo) * u, numpy's own formula for ``uniform``, then on
+to the spectrum, with the elementwise operations one row alone would
+take.  So a stack's rows equal the same trials drawn as stacks of one,
+and each equals numpy's ``uniform`` draw, bit for bit; the latter holds
+as long as numpy's C does not fuse its formula into one multiply-add,
+which ``tests/test_randgen.py`` checks over a law that spans 1e-300 to
+1e300.  ``sample_spectrum`` is ``spectra`` on a stack of one.
 
 Positive definite matrices are assembled as Q diag(lam) Q* with lam drawn
 from a configurable spectrum law and Q orthogonal (or unitary) from a QR
@@ -35,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import zlib
+from typing import Any
 
 import numpy as np
 
@@ -149,34 +159,61 @@ def _entropy_pool(entropy: int) -> tuple[tuple[int, ...], ...]:
     return tuple((_MIX_L * p & _MASK32, *next(consts), *out) for p, out in zip(pool, _OUT))
 
 
-def trial_key(entropy: int, trial: int) -> tuple[int, int]:
-    """The Philox key of trial ``trial``'s stream under ``entropy``:
+def trial_keys(entropy: int, trials) -> list[tuple[int, int]]:
+    """The Philox key of each trial's stream under ``entropy``, in order:
     ``SeedSequence(entropy, spawn_key=(trial,)).generate_state(2, np.uint64)``,
-    for a trial index of one 32-bit word."""
-    if not 0 <= trial <= _MASK32:
-        raise DomainError(f"a trial index must lie in 0..{_MASK32}, got {trial}")
-    out = []
-    for mixed, h, h_next, out_h, out_next in _entropy_pool(entropy):
-        value = (trial ^ h) * h_next & _MASK32
-        r = (mixed - _MIX_R * (value ^ value >> 16)) & _MASK32
-        value = (r ^ r >> 16 ^ out_h) * out_next & _MASK32
-        out.append(value ^ value >> 16)
-    return out[0] | out[1] << 32, out[2] | out[3] << 32
+    for trial indices of one 32-bit word each.  One call serves a stack."""
+    lanes = _entropy_pool(entropy)
+    words = []
+    for trial in trials:
+        if not 0 <= trial <= _MASK32:
+            raise DomainError(f"a trial index must lie in 0..{_MASK32}, got {trial}")
+        for mixed, h, h_next, out_h, out_next in lanes:
+            value = (trial ^ h) * h_next & _MASK32
+            r = (mixed - _MIX_R * (value ^ value >> 16)) & _MASK32
+            value = (r ^ r >> 16 ^ out_h) * out_next & _MASK32
+            words.append(value ^ value >> 16)
+    # each key takes four words in turn: the low and high halves of its two uint64s
+    quads = [iter(words)] * _POOL
+    return [(w0 | w1 << 32, w2 | w3 << 32) for w0, w1, w2, w3 in zip(*quads)]
 
 
-def seek(rng: np.random.Generator, entropy: int, trial: int) -> np.random.Generator:
-    """Reset ``rng``, a Philox generator, to the start of trial ``trial``'s stream."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": trial_key(entropy, trial)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
+def trial_key(entropy: int, trial: int) -> tuple[int, int]:
+    """The Philox key of trial ``trial``'s stream under ``entropy`` (``trial_keys``)."""
+    return trial_keys(entropy, (trial,))[0]
 
 
 # One generator serves the process: ``seek`` overwrites its whole state, so a
 # new one would cost its SeedSequence seeding (11-18 us) for nothing.
 _RNG = np.random.Generator(np.random.Philox(0))
+
+
+def stream_template() -> tuple[np.random.Generator, dict[str, Any], dict[str, Any]]:
+    """The process's generator, a Philox state at the start of a stream, and
+    that state's key slot.
+
+    The state is counter 0 and an empty buffer, the state
+    ``Philox(SeedSequence(e, spawn_key=(t,)))`` starts in once ``slot["key"]``
+    holds trial t's key (``trial_keys``).  Assigning it to a generator's
+    ``bit_generator.state`` starts that stream; the setter copies what it
+    reads, so one state serves every trial of a stack, at no call per
+    trial.  The generator is the one ``trial_rng`` resets, so draw from it
+    before the next reset.
+    """
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return _RNG, state, state["state"]
+
+
+def seek(rng: np.random.Generator, entropy: int, trial: int) -> np.random.Generator:
+    """Reset ``rng``, a Philox generator, to the start of trial ``trial``'s stream."""
+    _, state, slot = stream_template()
+    slot["key"] = trial_key(entropy, trial)
+    rng.bit_generator.state = state
+    return rng
 
 
 def trial_rng(entropy: int, trial: int) -> np.random.Generator:
@@ -201,16 +238,22 @@ def uniform_bounds(law: str) -> tuple[float, float] | None:
 
 
 def spectra(law: str, u: np.ndarray) -> np.ndarray:
-    """The spectra of ``law`` from its uniforms ``u``, one (k, dim) row per
-    trial, drawn within ``uniform_bounds(law)``; an explicit law reads only
-    the shape of ``u``.
+    """The spectra of ``law`` from its raw uniforms ``u``, doubles in [0, 1)
+    as ``Generator.random`` draws them, one (k, dim) row per trial; an
+    explicit law reads only the shape of ``u``.
 
-    Every row is mapped at once, elementwise, as that row alone would be:
-    exp of the log-uniform draws, the clustered law's c * (1 + j * U), or the
-    explicit values broadcast.  An explicit list of more than one value that
-    does not give one per column is a DomainError.
+    Every row is mapped at once, elementwise, as that row alone would be.
+    The uniforms go to ``uniform_bounds(law)`` as lo + (hi - lo) * u, the
+    formula of numpy's ``Generator.uniform(lo, hi)`` (its bits assume that
+    numpy's C does not fuse it into one multiply-add); then come exp of the
+    log-uniform draws, the clustered law's c * (1 + j * U), or the explicit
+    values broadcast.  An explicit list of more than one value that does not
+    give one per column is a DomainError.
     """
     kind, params = parse_law(law)
+    if kind != "explicit":
+        lo, hi = uniform_bounds(law)
+        u = lo + (hi - lo) * u
     if kind == "log-uniform":
         return np.exp(u)
     if kind == "clustered":
@@ -224,8 +267,7 @@ def spectra(law: str, u: np.ndarray) -> np.ndarray:
 def sample_spectrum(rng: np.random.Generator, law: str, dim: int) -> np.ndarray:
     """One spectrum of ``dim`` eigenvalues under ``law``, drawn from ``rng``:
     ``spectra`` on a stack of one."""
-    bounds = uniform_bounds(law)
-    u = np.empty((1, dim)) if bounds is None else rng.uniform(*bounds, (1, dim))
+    u = np.empty((1, dim)) if uniform_bounds(law) is None else rng.random((1, dim))
     return spectra(law, u)[0]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import hsnorm, opmeans, scalar
 from .linalg import CERT_PSD_TOL, PSD_TOL, DomainError
 from .randgen import (DEFAULT_LAW, assemble, check_positive, derive_seed, orthonormalize,
-                      parse_law, spectra, trial_rng, uniform_bounds)
+                      parse_law, spectra, stream_template, trial_keys, uniform_bounds)
 
 CHUNK = 512
 # matrix entries (k * n * n) in one stack: a larger dim group is split, which
@@ -220,19 +220,24 @@ def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
     """The draws of a stack of trials that share every digest field but trial
     and nu, each trial from its own Philox stream, as stacked columns.
 
-    The process's one generator serves the stack: ``randgen.trial_rng``
-    resets it to the start of each trial's stream.  Draw order within a
-    trial is fixed and documented here: A-spectrum, A-basis, then
+    The stack's keys come from one ``randgen.trial_keys`` call, and the
+    process's one generator serves the stack through one start state
+    (``randgen.stream_template``) that takes each trial's key in turn: a
+    trial's stream starts at one state assignment, with no Python call.
+    Draw order within a trial is fixed and documented here: A-spectrum, A-basis, then
     (W-spectrum, W-basis) for ordered pairs or (B-spectrum, B-basis)
     otherwise, then X (spectrum and basis when positive definite, raw
     entries when general).  A basis or a general X is its real Gaussian
     entries, then, for complex entries, its imaginary ones.  Changing this order is a breaking change for replay.
 
     The columns are, per positive definite operand in draw order, its (k, n)
-    spectra and (k, n, n) basis entries, then a general X's entries.  Each
-    law is parsed once per stack and mapped once over all rows, after the
-    draws.  A W whose law cannot be drawn at this dim raises DomainError
-    after A's spectra are checked, as A is drawn first.
+    spectra and (k, n, n) basis entries, then a general X's entries.  A
+    spectrum's uniforms are drawn raw, doubles in [0, 1) (``random``, which
+    takes from the stream what ``uniform`` takes), and each law is parsed
+    once per stack and mapped once over all rows, to its bounds and on to
+    its spectra (``randgen.spectra``), after the draws.  A W whose law
+    cannot be drawn at this dim raises DomainError after A's spectra are
+    checked, as A is drawn first.
     """
     first, k = digests[0], len(digests)
     n, cx = first["dim"], first["complex"]
@@ -241,20 +246,23 @@ def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
     general_x = first["kind"] == "hs" and first["x_kind"] != "pd"
     if first["kind"] == "hs" and not general_x:
         laws.append(first["law"])
-    # a general X draws no spectrum
-    bounds = [uniform_bounds(law) for law in laws] + [None] * general_x
-    uniforms = np.empty((len(bounds), k, n))
+    # which operands draw a spectrum's uniforms: a general X and an explicit law do not
+    draws = [uniform_bounds(law) is not None for law in laws] + [False] * general_x
+    uniforms = np.empty((len(draws), k, n))
     # the Gaussian entries of each basis, and of a general X: real, then imaginary
-    entries = np.empty((len(bounds), 1 + cx, k, n, n))
+    entries = np.empty((len(draws), 1 + cx, k, n, n))
     parts = range(1 + cx)
-    entropy = derive_seed(first["seed"], first["case"])
-    for i, digest in enumerate(digests):
-        rng = trial_rng(entropy, digest["trial"])
-        for j, bound in enumerate(bounds):
-            if bound is not None:
-                uniforms[j, i] = rng.uniform(bound[0], bound[1], n)
+    keys = trial_keys(derive_seed(first["seed"], first["case"]), [d["trial"] for d in digests])
+    rng, state, slot = stream_template()
+    bit_generator, random, normal = rng.bit_generator, rng.random, rng.standard_normal
+    for i, key in enumerate(keys):
+        slot["key"] = key
+        bit_generator.state = state
+        for j, drawn in enumerate(draws):
+            if drawn:
+                random(out=uniforms[j, i])
             for part in parts:
-                rng.standard_normal(out=entries[j, part, i])
+                normal(out=entries[j, part, i])
     bases = entries[:, 0] + 1j * entries[:, 1] if cx else entries[:, 0]
     columns: list[np.ndarray] = []
     for j, law in enumerate(laws):

@@ -484,15 +484,6 @@ def registry() -> tuple[ScalarCase, ...]:
     return _REGISTRY
 
 
-def first_worst(values: Sequence[float]) -> int:
-    """Index of the first smallest value: the worst link of a judged chain."""
-    worst = 0
-    for i in range(1, len(values)):
-        if values[i] < values[worst]:
-            worst = i
-    return worst
-
-
 def require_finite(values: Sequence[float], label: str, who: str) -> None:
     """DomainError "{label} {i} of {who} is nan, ..." for the first value not finite:
     the arithmetic left the range of floats, which is a domain error, never a verdict."""

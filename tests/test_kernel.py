@@ -9,11 +9,12 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from meancert import hsnorm, opmeans, runner
+from meancert import hsnorm, opmeans, runner, scalar
 from meancert.cli import main
 from meancert.linalg import CERT_PSD_TOL, DomainError
 from meancert.report import canonical_json, strip_volatile
@@ -444,3 +445,62 @@ def test_zero_imaginary_matrix_stays_in_its_complex_stack(monkeypatch):
                         or certify(case, digests, *a))
     assert_sweep_equals_run_trial(monkeypatch, "op-2.10", cfg)
     assert stacks == [16] + [1] * 16  # one stack, then only the comparison's run_trial calls
+
+
+# Python-level calls a trial adds to a stack: (calls(26) - calls(1)) / 25 for
+# runner._certify on stacks of trials 0..25 and of trial 0 alone, at dim 3, on
+# CPython 3.11 (where a comprehension is a call of its own).  What remains per
+# trial is its stream's key, its weight's check (one per distinct nu), its
+# chain coefficients and its record; a helper called per trial in the draw or
+# record loops shows here as a count, where a timing could not tell it.
+CALLS_PER_TRIAL = {
+    "op-2.10": 18.44, "op-2.3": 8.96, "op-2.5": 9.64, "op-2.6": 9.64, "op-2.7-left": 10.4,
+    "op-2.7-refine": 10.36, "op-2.7-right": 9.88, "op-heron-zhao": 8.24,
+    "hs-2.13": 12.24, "hs-2.14": 6.64, "hs-cor": 6.64, "hs-thm8": 25.12,
+}
+
+
+def python_calls(case, digests) -> int:
+    """Python-level calls (sys.setprofile "call" events) of one runner._certify,
+    after a first run has filled the caches it reads."""
+    runner._certify(case, digests, CERT_PSD_TOL)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        runner._certify(case, digests, CERT_PSD_TOL)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("case_id", OPERATOR + HS)
+def test_python_calls_per_trial_stay_bounded(case_id):
+    digests = [make_digest(case_id, RunConfig(dims=(3,)), t) for t in range(26)]
+    case = CASES[case_id]
+    per_trial = (python_calls(case, digests) - python_calls(case, digests[:1])) / 25
+    assert per_trial <= CALLS_PER_TRIAL[case_id]
+
+
+@pytest.mark.parametrize("case_id", OPERATOR + HS)
+def test_each_distinct_weight_is_checked_once(monkeypatch, case_id):
+    # check_nu checks each distinct nu once, in order of first appearance, and
+    # the gaps of an operator chain take the unchecked kernels of the means
+    digests = [make_digest(case_id, RunConfig(dims=(2,)), t) for t in range(40)]
+    stack = runner.build_inputs(digests, runner.draw_stack(digests))
+    seen = []
+    check = scalar.check_unit
+    monkeypatch.setattr(scalar, "check_unit", lambda name, t: seen.append(t) or check(name, t))
+    monkeypatch.setattr(opmeans, "checked_weight", None)
+    case = CASES[case_id]
+    if case.kind == "operator":
+        opmeans.certify_operator(case, stack["A"], stack["B"], stack["nu"])
+    else:
+        hsnorm.certify_hs(case, stack["A"], stack["B"], stack["X"], stack["nu"],
+                          oracle=stack["oracle"] if "oracle" in stack else None)
+    assert seen == list(dict.fromkeys(stack["nu"]))
+    assert len(seen) < len(digests)

@@ -46,6 +46,53 @@ class TestValidateHermitian:
         m = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
         assert np.iscomplexobj(validate_hermitian(m))
 
+    @pytest.mark.parametrize("cx", [False, True])
+    def test_exactly_hermitian_input_keeps_the_bits_of_its_hermitian_part(self, cx):
+        # the package's matrices are Hermitian parts, so exactly Hermitian: the result
+        # is the matrix itself, as the symmetrization gave it
+        mats = [rand_pd(n, 50 + n, 1e-3, 1e3, complex_entries=cx) for n in (1, 2, 3, 5, 8)]
+        zeros = hermitianize(np.diag([1.0, -0.0, 2.0]) + (0j if cx else 0.0))
+        mats += [zeros, hermitianize(np.stack([mats[2], -mats[2], 0.0 * mats[2]]))]
+        for m in mats:
+            assert bits(validate_hermitian(m)) == bits(hermitianize(m))
+            assert bits(Powers(m).eigenvalues) == bits(np.linalg.eigh(hermitianize(m))[0])
+
+    def test_result_is_a_new_array(self):
+        # a Powers decomposes on first read, after the caller's array may have changed
+        m = rand_pd(3, 60)
+        kept = m.copy()
+        p = Powers(m)
+        assert not np.shares_memory(validate_hermitian(m), m)
+        m[0, 1] = m[1, 0] = 99.0
+        assert bits(p.matrix) == bits(kept)
+        assert bits(p.eigenvalues) == bits(np.linalg.eigh(kept)[0])
+
+    def test_huge_exactly_hermitian_entries_keep_their_eigenvalues(self):
+        # (M + M*)/2 would overflow 1e308 to inf; an exactly Hermitian M is kept
+        m = np.diag([1e308, 2.0])
+        assert list(eigh(m)[0]) == [2.0, 1e308]
+        res = is_psd(m)
+        assert (res.ok, res.lam_min, res.scale) == (True, 2.0, 1e308)
+        assert list(eigh(m.astype(complex))[0]) == [2.0, 1e308]
+
+    @pytest.mark.parametrize("cx", [False, True])
+    def test_an_overflowing_hermitian_part_is_a_domain_error(self, cx):
+        # asymmetry 0.5 is within the window at this scale, but the symmetrization overflows
+        m = np.array([[1.7e308, 1.0], [1.5, 1.0]]) + (0j if cx else 0.0)
+        for got in (m, np.stack([np.eye(2), m])):
+            with pytest.raises(DomainError, match=r"Hermitian part \(M \+ M\*\)/2"):
+                validate_hermitian(got)
+            with pytest.raises(DomainError, match=r"Hermitian part \(M \+ M\*\)/2"):
+                is_psd(got)
+
+    def test_a_built_matrix_is_checked_only_for_finiteness(self):
+        m = rand_pd(3, 61)
+        assert validate_hermitian(m, hermitian=True) is m
+        assert Powers(m, hermitian=True).matrix is m
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="^matrix contains non-finite entries$"):
+                Powers(np.diag([1.0, bad]), hermitian=True)
+
 
 class TestEigh:
     def test_frozen_2x2(self):

@@ -245,6 +245,21 @@ class TestStacks:
                 for gap, one in zip(gaps, alone, strict=True):
                     assert gap[row].tobytes() == one.tobytes(), (case.case_id, nus[i])
 
+    @pytest.mark.parametrize("cx", [False, True])
+    def test_every_gap_and_x_is_exactly_hermitian(self, cx):
+        # certify_operator checks only the finiteness of X = A^-1/2 B A^-1/2, of
+        # B - A and of each gap, which holds them Hermitian to the last bit
+        nus = np.array(scalar.NU_GRID_33)
+        pairs = [pair(25, dim=4, complex_entries=cx, case="op-2.7-left", trial=t,
+                      law="log-uniform:0.001:1000.0") for t in range(len(nus))]
+        for case in registry():
+            keep = [i for i, nu in enumerate(nus) if case.in_domain(nu)]
+            ctx = PairContext(np.stack([pairs[i][0] for i in keep]),
+                              np.stack([pairs[i][1] for i in keep]))
+            for w in (nus[keep], float(nus[keep[1]])):
+                for m in (*case.gaps(ctx, w), ctx._x().matrix, ctx.B - ctx.A):
+                    assert np.array_equal(m, m.conj().swapaxes(-1, -2)), case.case_id
+
     def test_weights_per_pair(self):
         a, b = pair(20)
         c, d = pair(21)

@@ -72,12 +72,21 @@ def reference_draws(d):
     return draws
 
 
+# RunConfig fields, plus "trials": how many trials the stream tests draw
 STREAM_CONFIGS = {
     "real": {}, "complex": {"complex_entries": True}, "lenient-x": {"lenient_x": True},
     "w-explicit-0": {"w_law": "explicit:0"}, "seed-2^70": {"seed": 2**70},
     "clustered": {"law": "clustered:2:0.5", "complex_entries": True},
     "explicit-list": {"law": "explicit:1,2.5,3", "dims": (3,)},
+    # one stack of 128 whose uniforms span numpy's uniform(lo, hi) over a wide range
+    "wide-law-stack": {"law": "log-uniform:1e-300:1e300", "dims": (2,), "trials": 128},
 }
+
+
+def stream_digests(case_id, cfg, trials, dims):
+    """The digests of a stream test: ``cfg``'s trials, or ``trials`` over ``dims``."""
+    cfg = {"dims": dims, "trials": trials, **cfg}
+    return [make_digest(case_id, RunConfig(**cfg), t) for t in range(cfg["trials"])]
 
 
 class TestParseLaw:
@@ -147,8 +156,7 @@ class TestStreams:
     @pytest.mark.parametrize("case_id", MATRIX)
     @pytest.mark.parametrize("cfg", STREAM_CONFIGS.values(), ids=STREAM_CONFIGS)
     def test_draws_equal_seed_sequence_streams(self, case_id, cfg):
-        cfg = {"dims": (1, 2, 3), **cfg}
-        digests = [make_digest(case_id, RunConfig(**cfg), t) for t in range(12)]
+        digests = stream_digests(case_id, cfg, 12, (1, 2, 3))
         for group in dim_groups(digests):
             columns = draw_stack(group)
             for i, d in enumerate(group):
@@ -159,8 +167,7 @@ class TestStreams:
     def test_stack_rows_equal_stacks_of_one(self, case_id, cfg):
         # every map over a stack's rows (exp, the clustered law, the complex
         # entries) gives each row the bits it gives that row alone
-        cfg = {"dims": (1, 2, 3, 5, 8), **cfg}
-        digests = [make_digest(case_id, RunConfig(**cfg), t) for t in range(60)]
+        digests = stream_digests(case_id, cfg, 60, (1, 2, 3, 5, 8))
         for group in dim_groups(digests):
             columns = draw_stack(group)
             for i, d in enumerate(group):
