@@ -11,8 +11,8 @@ c(la_i, mu_j) on the cells, so that a norm is
 sqrt(sum_ij c(la_i, mu_j)^2 |y_ij|^2) (the Schur-multiplier form of the
 hs norm).  The two routes must agree tightly (ORACLE_TOL); the cell form
 also localizes a failure to the most damaging eigenvalue pair.  Both
-routes take a stack of triples (k, n, n) at once and treat each triple as
-they treat it alone, bit for bit.
+routes take a stack of triples (k, n, n) at once, with a (k,) array of
+weights, and treat each triple as they treat it alone, bit for bit.
 
 Chains whose hypotheses demand a positive semidefinite X enforce that
 hypothesis by default; a lenient mode accepts arbitrary X and records
@@ -36,18 +36,18 @@ ORACLE_TOL = 1e-10
 
 
 class HsContext:
-    """The decompositions of one (A, B, X) triple, or of a stack (k, n, n) of them,
-    and the blocks and coefficients the chains are built from: the direct
-    route's interpreter of a chain, whose ``norm`` is the Frobenius norm.
+    """The decompositions of a stack (k, n, n) of (A, B, X) triples, and the
+    blocks and coefficients the chains are built from: the direct route's
+    interpreter of a chain, whose ``norm`` is the Frobenius norm.
 
-    A weight ``nu`` is a float, for every triple, or a 1-D array with one
-    per triple of a stack.  Every block, coefficient and norm of a triple
-    equals its value for that triple alone, bit for bit; a norm or a
-    coefficient that depends on the matrices is a (k, 1, 1) column for a
-    stack, (1, 1) for one triple.  Each method computes afresh: a chain
-    that reads a block twice computes it once itself.  ``oracle``
-    optionally supplies construction-time decompositions ((la, Ua), (mu, Ub))
-    of A and B, stacked like them, making the cell route independent of the
+    A weight ``nu`` is a (k,) array with one per triple.  Every block,
+    coefficient and norm of a triple equals its value for that triple
+    alone, bit for bit; a norm or a coefficient that depends on the
+    matrices is a (k, 1, 1) column.  One triple (n, n) is held as a stack
+    of one.  Each method computes afresh: a chain that reads a block twice
+    computes it once itself.  ``oracle`` optionally supplies
+    construction-time decompositions ((la, Ua), (mu, Ub)) of A and B,
+    stacked like them, making the cell route independent of the
     eigensolver; otherwise the context's own decompositions are used.
     """
 
@@ -64,25 +64,28 @@ class HsContext:
             )
         if not np.isfinite(X).all():
             raise DomainError("X contains non-finite entries")
-        self.X = X
         if oracle is not None:
             shapes = [np.shape(part) for pair in oracle for part in pair]
             if shapes != [shape[:-1], shape] * 2:
                 raise DomainError(f"oracle ((la, Ua), (mu, Ub)) has shapes {shapes}, "
                                   f"not those of eigendecompositions of A and B {shape}")
+        if X.ndim == 2:
+            self.pa, self.pb = (Powers(p.matrix[None], hermitian=True) for p in (self.pa, self.pb))
+            X = X[None]
+            if oracle is not None:
+                oracle = tuple((np.asarray(lam)[None], np.asarray(q)[None]) for lam, q in oracle)
+        self.X = X
         self._oracle = oracle
         # both operands feed fractional powers, so demand PSD up front
         clamp_psd(self.pa.eigenvalues, "A")
         clamp_psd(self.pb.eigenvalues, "B")
 
     def heinz_block(self, nu) -> np.ndarray:
-        """A^nu X B^(1-nu) + A^(1-nu) X B^nu for nu, or each row's nu, in [0, 1];
-        at 1x1 it is 2 * heinz(a, b, nu) * x."""
-        checked_weight("nu", nu)
-        pa, pb, X = self.pa, self.pb, self.X
-        rows = isinstance(nu, np.ndarray)  # one weight per triple
-        pa_pow, pb_pow = (pa.pow_rows, pb.pow_rows) if rows else (pa.pow, pb.pow)
-        return pa_pow(nu) @ X @ pb_pow(1.0 - nu) + pa_pow(1.0 - nu) @ X @ pb_pow(nu)
+        """A^nu X B^(1-nu) + A^(1-nu) X B^nu for nu in [0, 1], one float for every
+        triple or one per triple; at 1x1 it is 2 * heinz(a, b, nu) * x."""
+        nu = checked_weight("nu", nu, len(self.X))
+        pa, pb, X, rest = self.pa, self.pb, self.X, 1.0 - nu
+        return pa.pow_rows(nu) @ X @ pb.pow_rows(rest) + pa.pow_rows(rest) @ X @ pb.pow_rows(nu)
 
     def geom_block(self) -> np.ndarray:
         """A^(1/2) X B^(1/2)."""
@@ -130,24 +133,14 @@ def _qs(coef: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return np.sqrt((coef * coef * y2).sum(axis=(-2, -1), keepdims=True))
 
 
-def _pows(v: np.ndarray, e) -> np.ndarray:
-    """v ** e, where e is one exponent or one per row of v (see ``power_rows``).
-
-    A triple alone takes ``**`` on a float, so a stack's rows whose exponent
-    numpy takes a shortcut for (a square root for 0.5) run ``**`` again.
-    """
-    if not isinstance(e, np.ndarray):
-        return v ** e
-    return power_rows(v, e, operator.pow)
-
-
 class Cells:
     """The oracle route's reading of the blocks of ``HsContext``: each block
     is its coefficient c(la_i, mu_j) on the eigenvalue cells, an (n, n)
     array per triple, and its norm sums c^2 against y2 = |Ua* X Ub|^2.
 
-    la and mu are the clamped spectra of A and B, (k, n) for a stack, as
-    ``HsContext.cell_parts`` returns them with y2.
+    la and mu are the clamped spectra (k, n) of A and B, as
+    ``HsContext.cell_parts`` returns them with y2.  A power of a spectrum
+    is ``**``'s, as for a triple alone, which takes a square root at 0.5.
     """
 
     def __init__(self, la: np.ndarray, mu: np.ndarray, y2: np.ndarray):
@@ -156,11 +149,11 @@ class Cells:
     def norm(self, coef: np.ndarray) -> np.ndarray:
         return _qs(coef, self.y2)
 
-    def heinz_block(self, nu) -> np.ndarray:
+    def heinz_block(self, nu: np.ndarray) -> np.ndarray:
         rest = 1.0 - nu
-        la, mu = self.la, self.mu
-        return (_pows(la, nu)[..., :, None] * _pows(mu, rest)[..., None, :]
-                + _pows(la, rest)[..., :, None] * _pows(mu, nu)[..., None, :])
+        la, mu, pw = self.la, self.mu, operator.pow
+        return (power_rows(la, nu, pw)[..., :, None] * power_rows(mu, rest, pw)[..., None, :]
+                + power_rows(la, rest, pw)[..., :, None] * power_rows(mu, nu, pw)[..., None, :])
 
     def geom_block(self) -> np.ndarray:
         return np.sqrt(self.la[..., :, None] * self.mu[..., None, :])
@@ -188,7 +181,7 @@ class HsCase(Case):
     returns (sides, (lhs, rhs)): each side as a column of the context's
     shape, and the two blocks of the diagnosed link (link 0; the final link
     for hs-cor), which the cell route's worst-cell diagnosis reads.  nu is
-    a float, or one weight per triple of a stack.
+    a (k,) array, one weight per triple of the stack.
     """
 
     kind: ClassVar[str] = "hs"
@@ -354,14 +347,12 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
         if oracle is not None:
             oracle = tuple((np.asarray(lam)[None], np.asarray(q)[None]) for lam, q in oracle)
     nus = [float(v) for v in nu]
-    weights = dict.fromkeys(nus)
-    for v in weights:
+    for v in dict.fromkeys(nus):
         case.check_nu(v)
     k = len(nus)
     met = _x_hypothesis(case, X, lenient)
     ctx = HsContext(A, B, X, oracle=oracle)
-    # a weight shared by every triple goes in as a float, as for one triple
-    w = nus[0] if len(weights) == 1 else np.array(nus)
+    w = np.array(nus)
     # each side is a (k, 1, 1) column; the chains of the stack are the rows of (k, m)
     sides = np.concatenate(case.chain(ctx, w)[0], axis=-1).reshape(k, -1)
     _, slacks, worst = judge_chains(sides, f"the direct route of {case.case_id}")

@@ -28,9 +28,11 @@ Conventions
 * Each function takes one matrix (n, n) or a stack (k, n, n) and treats
   every matrix of a stack as it would treat that matrix alone, bit for
   bit: checks run per matrix, and an error reports the first that fails.
+  Inside, a power takes a (k,) array of exponents, one per matrix.
 """
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -55,29 +57,25 @@ def _first(bad: np.ndarray) -> int:
     return int(np.flatnonzero(bad)[0])
 
 
-def each(nu, f):
-    """f(nu) for one weight; for a stack's weights (a 1-D array), f of each, as an array.
+def col(nu: np.ndarray, f=None):
+    """A stack's (k,) weights ``nu``, or their coefficients f(v), as (k, 1, 1)
+    columns that scale each matrix of the stack; a weight that every matrix
+    shares gives one Python float, which scales them all alike.
 
-    f runs on Python floats: numpy's array power rounds some chain
-    coefficients, such as nu**(nu - 2), differently in the last bit.
+    f runs on each weight as a Python float: numpy's array power rounds some
+    chain coefficients, such as nu**(nu - 2), differently in the last bit.
+    When f returns a tuple, the result unpacks into one column per value.
     """
-    if not isinstance(nu, np.ndarray):
-        return f(nu)
-    return np.array([f(v) for v in nu.tolist()])
+    vals = nu.tolist()
+    if len(set(vals)) == 1:
+        return vals[0] if f is None else f(vals[0])
+    got = nu if f is None else np.array([f(v) for v in vals])
+    return got.T[..., None, None]
 
 
-def col(nu, f=None):
-    """nu, or the coefficient f(nu), shaped to scale each matrix of a stack.
-
-    For a stack's weights this is a (k, 1, 1) column, or a tuple of
-    columns when f returns a tuple; for one weight, the plain value.
-    """
-    got = nu if f is None else each(nu, f)
-    if not isinstance(nu, np.ndarray):
-        return got
-    if got.ndim == 1:
-        return got[:, None, None]
-    return tuple(got[:, j, None, None] for j in range(got.shape[1]))
+def _four_times(q: float):
+    """4 * q, as a Decimal where that is past the range of floats."""
+    return 4 * q if 4 * q < np.inf else 4 * Decimal(q)
 
 
 def hermitianize(M: np.ndarray) -> np.ndarray:
@@ -112,19 +110,21 @@ def validate_hermitian(M, *, hermitian: bool = False) -> np.ndarray:
         raise DomainError("matrix contains non-finite entries")
     if hermitian:
         return M
-    asym = np.abs(M - M.conj().swapaxes(-1, -2))
-    top = asym.max()
-    if top == 0.0:
+    Mh = M.conj().swapaxes(-1, -2)
+    if not (M != Mh).any():
         return M.copy()
-    if top > HERMITIAN_TOL:  # past the smallest window: judge each on its own scale
-        scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
-        asym = asym.max(axis=(-2, -1))
-        bad = asym > HERMITIAN_TOL * scale
+    # a quarter of |M - M*| and of max(1, max|entry|), exactly, as neither can overflow
+    quarter = np.abs(M / 4 - Mh / 4)
+    if quarter.max() > HERMITIAN_TOL / 4:  # past the smallest window: judge each on its own scale
+        scale = np.maximum(0.25, np.abs(M / 4).max(axis=(-2, -1)))
+        quarter = quarter.max(axis=(-2, -1))
+        bad = quarter > HERMITIAN_TOL * scale
         if bad.any():
             i = _first(bad)
+            asym, top = (_four_times(float(q.flat[i])) for q in (quarter, scale))
             raise DomainError(
-                f"matrix is not Hermitian: max asymmetry {float(asym.flat[i]):.3e} "
-                f"exceeds {HERMITIAN_TOL:.1e} * {float(scale.flat[i]):.3e}"
+                f"matrix is not Hermitian: max asymmetry {asym:.3e} "
+                f"exceeds {HERMITIAN_TOL:.1e} * {top:.3e}"
             )
     with np.errstate(over="ignore", invalid="ignore"):
         H = hermitianize(M)
@@ -161,54 +161,44 @@ def clamp_psd(w: np.ndarray, who: str) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def _pow_base(w: np.ndarray, neg, t: str) -> np.ndarray:
-    """Eigenvalue rows ``w`` clamped for a fractional or negative power ``t``.
+def _pow_base(w: np.ndarray, exps: list[float]) -> np.ndarray:
+    """Eigenvalue rows ``w`` clamped for their fractional or negative powers ``exps``.
 
     Fractional p >= 0 requires PSD up to the clamp window.  Any p < 0
-    requires strictly positive eigenvalues after clamping: ``neg`` says
-    which rows have p < 0, as one bool for all or as a mask of rows.
+    requires strictly positive eigenvalues after clamping.  Every row is
+    clamped before any is tested for p < 0, and an error is the one the
+    first row that fails raises alone, naming its own p.
     """
-    w = clamp_psd(w, f"the base of {t}")
-    if neg.any() if isinstance(neg, np.ndarray) else neg:
-        lo = w.min(axis=-1)
-        bad = neg & (lo <= 0.0)
-        if bad.any():
-            raise DomainError(
-                f"eigenvalue {float(lo.flat[_first(bad)]):.6e} blocks {t}; "
-                "a positive definite matrix is required"
-            )
+    try:
+        w = clamp_psd(w, "the base of t**p")
+    except DomainError:
+        for row, p in zip(w, exps):
+            clamp_psd(row, f"the base of t**{p}")
+        raise
+    if min(exps) < 0.0:
+        for low, p in zip(w.min(axis=-1).tolist(), exps):
+            if p < 0.0 and low <= 0.0:
+                raise DomainError(
+                    f"eigenvalue {low:.6e} blocks t**{p}; a positive definite matrix is required"
+                )
     return w
-
-
-def _pow_spectrum(w: np.ndarray, p) -> np.ndarray:
-    """Domain-check eigenvalue rows for t -> t**p and return w**p.
-
-    Integer p >= 0 works on any spectrum (with 0**0 = 1); see ``_pow_base``
-    for the other exponents.  ``p`` is one Python float for all rows, or a
-    float array with one per row: the rows are then checked in one pass,
-    and raised in one broadcast power (``power_rows``).
-    """
-    if not isinstance(p, np.ndarray):
-        p = float(p)
-        if p < 0 or not p.is_integer():
-            w = _pow_base(w, p < 0, f"t**{p}")
-        return np.power(w, p)
-    checked = (p < 0) | (p != np.floor(p))
-    if checked.any():
-        w = w.copy()
-        w[checked] = _pow_base(w[checked], p[checked] < 0, "t**p")
-    return power_rows(w, p)
 
 
 def power_rows(v: np.ndarray, ps: np.ndarray, power=np.power) -> np.ndarray:
     """power(v[i], ps[i]) for each row i of v, as a contiguous array, bit for bit:
-    one np.power of the C-contiguous base by the column of exponents, whose rows
-    at numpy's float-exponent shortcuts (``FAST_POWERS``) run ``power`` again."""
+    ``power`` on the Python float that every row shares, or else one np.power
+    of the C-contiguous base by the column of exponents, whose rows at numpy's
+    float-exponent shortcuts (``FAST_POWERS``) run ``power`` again.  The
+    exponents are told apart as Python floats, with no numpy reduction."""
     v = np.ascontiguousarray(v)
+    exps = ps.tolist()
+    distinct = set(exps)
+    if len(distinct) == 1:
+        return power(v, exps[0])
     out = np.power(v, ps[:, None])
     for p in FAST_POWERS:
-        rows = ps == p
-        if rows.any():
+        if p in distinct:
+            rows = ps == p
             out[rows] = power(v[rows], p)
     return out
 
@@ -307,30 +297,45 @@ class Powers:
         p = float(p)
         got = self._cache.get(p)
         if got is None:
-            got = self._cache[p] = self._power(p)
+            count = self.matrix.size // self.matrix.shape[-1] ** 2  # 1 for one matrix
+            got = self._cache[p] = self._power(np.array([p] * count))
         return got
 
     def pow_rows(self, ps) -> np.ndarray:
-        """M_i**p_i for each matrix i of a stack, with one exponent p_i per matrix."""
+        """M_i**p_i for each matrix i of a stack; an exponent they share goes through ``pow``."""
         ps = np.asarray(ps, dtype=float)
-        if (ps == ps[0]).all():
-            return self.pow(ps[0])
+        exps = ps.tolist()
+        if len(set(exps)) == 1:
+            return self.pow(exps[0])
         return self._power(ps)
 
-    def _power(self, p) -> np.ndarray:
-        """M**p; ``p`` is a float, or an array of one exponent per matrix."""
-        rows = isinstance(p, np.ndarray)
-        if not rows and p == 1.0:
+    def _power(self, ps: np.ndarray) -> np.ndarray:
+        """M_i**p_i, with one exponent per matrix (one for a lone matrix).
+
+        Integer p >= 0 works on any spectrum (with 0**0 = 1); the spectra of
+        every other exponent are checked at once, as ``_pow_base`` says.
+        """
+        exps = ps.tolist()
+        distinct = set(exps)
+        if distinct == {1.0}:
             return self.matrix
-        if not rows and p == 0.0:
+        if distinct == {0.0}:
             # 0^0 = 1 convention: M^0 is the identity even on PSD kernels.
             eye = np.eye(self.dim, dtype=self.matrix.dtype)
             return np.broadcast_to(eye, self.matrix.shape).copy()
-        wp = _pow_spectrum(self.eigenvalues, p)
-        V = self.eigenvectors
+        w, V = self._decomposed()
+        w = w.reshape(-1, w.shape[-1])
+        checked = [p < 0 or not p.is_integer() for p in exps]
+        if all(checked):
+            w = _pow_base(w, exps)
+        elif any(checked):
+            w = w.copy()
+            w[checked] = _pow_base(w[checked], [p for p, c in zip(exps, checked) if c])
+        wp = power_rows(w, ps).reshape(V.shape[:-1])
         out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))
-        if rows:
-            # matrices of exponent 1 or 0 among others: exactly M, or the identity
-            out[p == 1.0] = self.matrix[p == 1.0]
-            out[p == 0.0] = np.eye(self.dim)
+        # matrices of exponent 1 or 0 among others: exactly M, or the identity
+        if 1.0 in distinct:
+            out[ps == 1.0] = self.matrix[ps == 1.0]
+        if 0.0 in distinct:
+            out[ps == 0.0] = np.eye(self.dim)
         return out

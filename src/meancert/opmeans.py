@@ -29,45 +29,47 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from . import scalar
-from .linalg import (CERT_PSD_TOL, DomainError, Powers, col, each,
-                     hermitianize, is_psd)
+from .linalg import CERT_PSD_TOL, DomainError, Powers, col, hermitianize, is_psd
 from .scalar import Case, check_unit
 
 
-def checked_weight(name: str, t):
-    """Check a weight in [0, 1], or each of a stack's weights (one per matrix).
+def checked_weight(name: str, t, k: int) -> np.ndarray:
+    """The weight of each of k matrices, checked in [0, 1], as a (k,) float array.
 
-    Returns a float, or a 1-D float array for a sequence of weights.  A stack
-    is checked in one pass, and walked only to report its first bad weight.
+    ``t`` is one weight for all k, or a sequence with one per matrix.  The
+    weights are checked in one pass, and walked only to report the first
+    bad one, as ``check_unit`` reports it alone.
     """
-    if np.ndim(t) == 0:
-        check_unit(name, t)
-        return float(t)
-    t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t <= 1.0)).all():
+    t = np.full(k, t, dtype=float)
+    if not all((t >= 0.0) & (t <= 1.0)):
         for v in t.tolist():
             check_unit(name, v)
     return t
 
 
 class PairContext:
-    """Shared eigendecomposition cache for one (A, B) pair, or a stack of pairs.
+    """Shared eigendecomposition cache for a stack (k, n, n) of (A, B) pairs.
 
     Building the context validates both operands; each derived quantity
     (powers of A and B, powers of X = A^(-1/2) B A^(-1/2), the congruence
     corrections) is computed once and reused across the means and across
-    the registered cases.  A and B may be stacks (k, n, n); a weight is
-    then a float for every pair or a 1-D array with one per pair, and each
-    pair's result equals its result alone, bit for bit.
+    the registered cases.  Each pair's result equals its result alone, bit
+    for bit.  A weight of a public mean is a float for every pair or an
+    array with one per pair.  One pair (n, n) is held as a stack of one,
+    whose public means drop the stack axis again.
     """
 
     def __init__(self, A, B):
         self.pa = Powers(A)
         self.pb = Powers(B)
-        if self.pa.matrix.shape != self.pb.matrix.shape:
+        self._shape = self.pa.matrix.shape
+        if self.pb.matrix.shape != self._shape:
             raise DomainError(
-                f"operand shapes differ: {self.pa.matrix.shape} vs {self.pb.matrix.shape}"
+                f"operand shapes differ: {self._shape} vs {self.pb.matrix.shape}"
             )
+        if self.pa.matrix.ndim == 2:
+            self.pa, self.pb = (Powers(p.matrix[None], hermitian=True) for p in (self.pa, self.pb))
+        self._half = np.array([0.5] * len(self.pa.matrix))  # the weight 1/2 of every pair
         self._px: Powers | None = None
 
     @property
@@ -85,48 +87,47 @@ class PairContext:
         return self._px
 
     def nabla(self, nu=0.5) -> np.ndarray:
-        return self._nabla(checked_weight("nu", nu))
+        return self._nabla(checked_weight("nu", nu, len(self.A))).reshape(self._shape)
 
     def geom(self, nu=0.5) -> np.ndarray:
-        return self._geom(checked_weight("nu", nu))
+        return self._geom(checked_weight("nu", nu, len(self.A))).reshape(self._shape)
 
     def heinz(self, nu) -> np.ndarray:
         """Heinz mean (geom(nu) + geom(1-nu)) / 2, symmetric in nu <-> 1-nu."""
-        return self._heinz(checked_weight("nu", nu))
+        return self._heinz(checked_weight("nu", nu, len(self.A))).reshape(self._shape)
 
     def heron(self, alpha) -> np.ndarray:
         """Heron mean (1-alpha) geom(0.5) + alpha nabla(0.5)."""
-        return self._heron(checked_weight("alpha", alpha))
+        a = checked_weight("alpha", alpha, len(self.A))
+        return self._heron(col(a)).reshape(self._shape)
 
-    # The kernels of the means take checked weights: a float, or a float array.
+    # The kernels of the means take checked weights, a (k,) float array.
 
-    def _nabla(self, nu) -> np.ndarray:
+    def _nabla(self, nu: np.ndarray) -> np.ndarray:
         w = col(nu)
         return (1.0 - w) * self.A + w * self.B
 
-    def _geom(self, nu) -> np.ndarray:
+    def _geom(self, nu: np.ndarray) -> np.ndarray:
         # Boundary identities are exact; the congruence route would only
-        # reconstruct A or B through kappa(A)-amplified rounding.
-        if not isinstance(nu, np.ndarray):
-            if nu == 0.0:
-                return self.A
-            if nu == 1.0:
-                return self.B
+        # reconstruct A or B through kappa(A)-amplified rounding.  So X is
+        # built only for a weight strictly between 0 and 1.
+        weights = set(nu.tolist())
+        if weights <= {0.0, 1.0}:
+            g = self.B
+        else:
             ah = self.pa.pow(0.5)
-            return hermitianize(ah @ self._x().pow(nu) @ ah)
-        ah = self.pa.pow(0.5)
-        g = hermitianize(ah @ self._x().pow_rows(nu) @ ah)
-        lo, hi = (nu == 0.0)[:, None, None], (nu == 1.0)[:, None, None]
-        if lo.any() or hi.any():  # those pairs take A or B exactly, as alone
+            g = hermitianize(ah @ self._x().pow_rows(nu) @ ah)
+        if weights & {0.0, 1.0}:  # those pairs take A or B exactly, as alone
+            lo, hi = (nu == 0.0)[:, None, None], (nu == 1.0)[:, None, None]
             g = np.where(lo, self.A, np.where(hi, self.B, g))
         return g
 
-    def _heinz(self, nu) -> np.ndarray:
+    def _heinz(self, nu: np.ndarray) -> np.ndarray:
         return (self._geom(nu) + self._geom(1.0 - nu)) / 2.0
 
-    def _heron(self, alpha) -> np.ndarray:
-        a = col(alpha)
-        return (1.0 - a) * self._geom(0.5) + a * self._nabla(0.5)
+    def _heron(self, a: np.ndarray) -> np.ndarray:
+        """The Heron mean at the weights ``a``, as ``col`` gives them."""
+        return (1.0 - a) * self._geom(self._half) + a * self._nabla(self._half)
 
     def corr_lower(self) -> np.ndarray:
         """B - 2A + A B^(-1) A, the PSD correction attached to the lower Heinz bound."""
@@ -146,7 +147,7 @@ def geom(A, B, nu: float = 0.5) -> np.ndarray:
 class OperatorCase(Case):
     """One Loewner chain: gaps(ctx, nu) yields RHS - LHS per link, all PSD when true.
 
-    nu is a float, or one weight per pair of a stacked context.
+    nu is a (k,) array, one weight per pair of the context's stack.
     """
 
     kind: ClassVar[str] = "operator"
@@ -155,12 +156,12 @@ class OperatorCase(Case):
     # law) or "general-pd" (A and B drawn alike)
     structure: str
     links: tuple[str, ...]
-    gaps: Callable[[PairContext, float], tuple[np.ndarray, ...]]
+    gaps: Callable[[PairContext, np.ndarray], tuple[np.ndarray, ...]]
 
 
 def _gaps_23(ctx: PairContext, nu):
     k, w = col(nu, scalar.heinz_weight), col(nu, scalar.cubic_weight)
-    return (k * ctx._heinz(nu) - w * ctx._nabla(0.5) - 2.0 * ctx._geom(0.5),)
+    return (k * ctx._heinz(nu) - w * ctx._nabla(ctx._half) - 2.0 * ctx._geom(ctx._half),)
 
 
 def _cubic_gap(ctx: PairContext, nu, first, second, g):
@@ -168,7 +169,7 @@ def _cubic_gap(ctx: PairContext, nu, first, second, g):
     k = col(nu, scalar.heinz_weight)
     p, q = col(nu, scalar.cubic_side_weights)
     lhs = p * first + q * second
-    return k * g + ctx.A + ctx.B - 2.0 * ctx._geom(0.5) - lhs
+    return k * g + ctx.A + ctx.B - 2.0 * ctx._geom(ctx._half) - lhs
 
 
 def _gaps_25(ctx: PairContext, nu):
@@ -186,21 +187,21 @@ def _corr_weight(nu: float) -> float:
 
 def _gaps_27_left(ctx: PairContext, nu):
     c = col(nu, _corr_weight)
-    return (ctx._nabla(0.5) - ctx._heinz(nu) - c * ctx.corr_lower(),)
+    return (ctx._nabla(ctx._half) - ctx._heinz(nu) - c * ctx.corr_lower(),)
 
 
 def _gaps_27_right(ctx: PairContext, nu):
     c = col(nu, _corr_weight)
-    return (ctx._heinz(nu) + c * ctx.corr_upper() - ctx._nabla(0.5),)
+    return (ctx._heinz(nu) + c * ctx.corr_upper() - ctx._nabla(ctx._half),)
 
 
 def _gaps_27_refine(ctx: PairContext, nu):
-    return (ctx.corr_lower(), ctx._nabla(0.5) - ctx._heinz(nu))
+    return (ctx.corr_lower(), ctx._nabla(ctx._half) - ctx._heinz(nu))
 
 
 def _gaps_210(ctx: PairContext, nu):
     r, R, rr, RR = col(nu, scalar.tail_weights)
-    g, h, n = ctx._geom(0.5), ctx._heinz(nu), ctx._nabla(0.5)
+    g, h, n = ctx._geom(ctx._half), ctx._heinz(nu), ctx._nabla(ctx._half)
     return (
         2.0 * r * r * g - rr * h - (2.0 * r - 1.0) * n,
         (2.0 * R * R - 2.0 * r * r) * g,
@@ -209,7 +210,7 @@ def _gaps_210(ctx: PairContext, nu):
 
 
 def _gaps_heron_zhao(ctx: PairContext, nu):
-    return (ctx._heron(each(nu, scalar._alpha)) - ctx._heinz(nu),)
+    return (ctx._heron(col(nu, scalar._alpha)) - ctx._heinz(nu),)
 
 
 def _build_registry() -> tuple[OperatorCase, ...]:
@@ -345,8 +346,7 @@ def certify_operator(case: OperatorCase, A, B, nu,
     if one:
         A, B, nu = A[None], np.asarray(B)[None], [nu]
     nus = [float(v) for v in nu]
-    weights = dict.fromkeys(nus)
-    for v in weights:
+    for v in dict.fromkeys(nus):
         case.check_nu(v)
     ctx = PairContext(A, B)
     if case.requires_ordered:
@@ -357,8 +357,7 @@ def certify_operator(case: OperatorCase, A, B, nu,
                 f"case {case.case_id} requires A <= B in Loewner order; "
                 f"lam_min(B - A) = {order.lam_min[i]:.6e} at scale {order.scale[i]:.3e}"
             )
-    # a weight shared by every pair goes in as a float, as for one pair
-    gaps = case.gaps(ctx, nus[0] if len(weights) == 1 else np.array(nus))
+    gaps = case.gaps(ctx, np.array(nus))
     links = [is_psd(gap, tol, hermitian=True) for gap in gaps]
     # each link's checks over the stack, then each trial's first smallest slack
     rows = [[LinkCheck(name, low, sc, low / sc, ok)

@@ -41,7 +41,7 @@ class TestHeinzBlock:
     def test_scalar_factor_two(self):
         # at 1x1 the block carries a factor 2 against the Heinz mean
         got = HsContext(np.array([[9.0]]), np.array([[4.0]]),
-                        np.array([[1.7]])).heinz_block(0.25)[0, 0]
+                        np.array([[1.7]])).heinz_block(0.25)[0, 0, 0]
         assert got == pytest.approx(2.0 * scalar.heinz(9.0, 4.0, 0.25) * 1.7,
                                     rel=1e-14)
 
@@ -226,10 +226,10 @@ class TestWorstCell:
         t = certify_hs(case_by_id("hs-2.13"), a, b, x, 0.5)
         i, j, lam, mu, damage = t.worst_cell
         ctx = HsContext(a, b, x)
-        la, mu_all, y2 = ctx.cell_parts()
-        assert lam == la[i] and mu == mu_all[j]
-        _, (lhs, rhs) = case_by_id("hs-2.13").chain(Cells(la, mu_all, y2), 0.5)
-        full = (rhs * rhs - lhs * lhs) * y2
+        la, mu_all, y2 = ctx.cell_parts()  # of the stack of one that holds the triple
+        assert lam == la[0, i] and mu == mu_all[0, j]
+        _, (lhs, rhs) = case_by_id("hs-2.13").chain(Cells(la, mu_all, y2), np.array([0.5]))
+        full = ((rhs * rhs - lhs * lhs) * y2)[0]
         assert damage == full[i, j] == full.min()
 
     def test_registry(self):

@@ -5,16 +5,18 @@ by dim and certifies each stack at once; ``run_trial`` and replay run the
 same code on a stack of one.  These tests hold the two to each other,
 field by field, and check the error and memory rules of the stacks.
 """
+import ast
 import dataclasses
 import hashlib
 import json
+import pathlib
 import random
 import sys
 
 import numpy as np
 import pytest
 
-from meancert import hsnorm, opmeans, runner, scalar
+from meancert import hsnorm, linalg, opmeans, runner, scalar
 from meancert.cli import main
 from meancert.linalg import CERT_PSD_TOL, DomainError
 from meancert.report import canonical_json, strip_volatile
@@ -137,6 +139,10 @@ def test_trials_that_draw_differently_never_share_a_stack(monkeypatch):
 # ordered-only case, and one for B only where a link reads B^-1
 EIGH_PER_STACK = {"op-2.3": 3, "op-2.5": 3, "op-2.6": 3, "op-2.7-left": 5,
                   "op-2.7-right": 4, "op-2.7-refine": 5, "op-2.10": 5, "op-heron-zhao": 3}
+# at a weight of 0 or 1 shared by the whole stack every mean is A or B exactly,
+# so X is never built, and A and B are decomposed only where a link reads A^-1
+# or B^-1; the other cases still read A^1/2 and X through A # B
+EIGH_PER_STACK_AT_AN_END = {"op-2.7-left": 3, "op-2.7-right": 3, "op-2.7-refine": 3}
 
 # sha256 of replay's record of trial 5 (seed 0, dim 3) of each operator case,
 # as written when every operand was decomposed on construction: deciding
@@ -155,16 +161,22 @@ REPLAY_SHA256 = {
 
 @pytest.mark.parametrize("case_id", OPERATOR)
 def test_a_stack_decomposes_only_what_its_links_read(monkeypatch, case_id):
-    digests = [make_digest(case_id, RunConfig(dims=(3,)), t) for t in range(8)]
-    stack = runner.build_inputs(digests, runner.draw_stack(digests))
-    calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
-    records = opmeans.certify_operator(CASES[case_id], stack["A"], stack["B"], stack["nu"])
-    assert calls == [(8, 3, 3)] * EIGH_PER_STACK[case_id]
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    assert_same_record(records[5], run_trial(digests[5], CERT_PSD_TOL))
-    record = canonical_json(runner.replay_trial(digests[5]))
+    for nu in (None, 0.0, 0.5, 1.0):  # cycling the grid, then shared by the stack
+        if nu is not None and not CASES[case_id].in_domain(nu):
+            continue
+        digests = [make_digest(case_id, RunConfig(dims=(3,), nu=nu), t) for t in range(8)]
+        stack = runner.build_inputs(digests, runner.draw_stack(digests))
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        records = opmeans.certify_operator(CASES[case_id], stack["A"], stack["B"], stack["nu"])
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        want = EIGH_PER_STACK[case_id]
+        if nu in (0.0, 1.0):
+            want = EIGH_PER_STACK_AT_AN_END.get(case_id, want)
+        assert calls == [(8, 3, 3)] * want, nu
+        assert_same_record(records[5], run_trial(digests[5], CERT_PSD_TOL))
+    record = canonical_json(runner.replay_trial(make_digest(case_id, RunConfig(dims=(3,)), 5)))
     assert hashlib.sha256(record.encode()).hexdigest() == REPLAY_SHA256[case_id]
 
 
@@ -244,6 +256,91 @@ STACKED_SWEEP_SHA256 = {
 }
 
 
+# the same, for the cases whose domain holds nu, at nu shared by every trial
+SHARED_SWEEP_SHA256 = {
+    False: {
+        0.0: {
+            "op-2.10": "764f7936c6ebadc2bcf8d221aae474e722ed4d1ba079a3ed32469e6c53a262d2",
+            "op-2.7-left": "39838f3b4a5ba69716d629dd66512f104d7eb2fdff9ff42101171619e57ea268",
+            "op-2.7-refine": "902d3f15e88608909eb9d357ea5534ddc4a157bc097c50ab69de4296f8cac651",
+            "op-2.7-right": "8b0b7b4d939a58c18e7a571e99d70b282fe575f27ac7b14ac329042d79d55dd1",
+            "op-heron-zhao": "58e39c1b6083367a82e03c46a0217d75aa660620be7cf2d5bcf50853fa4816f3",
+            "hs-2.14": "b43648a53061a818497cc3d700d647fe5cec739c91fa4b8c2c94176f535ab6a2",
+            "hs-cor": "8a5092316f62e34a1ba946c3876bcd5846a8cf146fbd931c785ec510d3c6491a",
+            "hs-thm8": "e7056dbf1b525e50941d038b398330fcb79518d80bba0553969f9912b8f1893f",
+        },
+        0.5: {
+            "op-2.10": "fd617cd7ea548fa871bc6b2cec682c03efed797ed339b2d5298815fb10dc9cdf",
+            "op-2.3": "08a8a4ea6867876a37a262a7927d34145e66b833d2720cc34d5b212bb0d930d3",
+            "op-2.5": "11d8d36ebf8de53842e66aa7b4be26b685e1d6994698ecca29c2769b33d85f6f",
+            "op-2.6": "915dd1947a3d2713ffaf6301d61285262bc82c5e28d40e174f911bad088b817d",
+            "op-2.7-left": "81fe6921cea48e9a3d7bfd517bb27c00b7dbb8e41047589da1c52d5894fd2f60",
+            "op-2.7-refine": "7a06cd450ead679964b8f0d2932f3a520df545f763279218836251c30b7137bf",
+            "op-2.7-right": "01d2c336384081ed690fbe31a50161eec8a09ddb5c6389ae672a624fc9b315db",
+            "op-heron-zhao": "4e2899b8ccf5a5e7bd0aac8a8ad03eddb23befaf7c36668925f0e85dadb74fa5",
+            "hs-2.13": "af2e71f4a0e08cc1d71ae84ba6931e0e07d12efafb1daff5e953dbb3d780d943",
+            "hs-2.14": "29119991e81c33d19e188996b31be4a7c777ca5648106601b09526135d749b71",
+            "hs-cor": "8a515aa6008b095cd9b847b1c180ab4d34d095e23433375032bbdcc856bf449a",
+            "hs-thm8": "be240a210db09f65441cdd10d544ffff6953cde39532866b113e88b947023237",
+        },
+        1.0: {
+            "op-2.10": "3842ef11edfca5c15f7561d8a83fdb752265cecae5b4210d8b5f67c6a1a9e194",
+            "op-2.3": "315e7ba8aecb6650926d24bba0f4bc5e905ce608becb43161c59708ca9c46f65",
+            "op-2.5": "900511e57493d78b50b47c8d1d426d8174683c4b424ae2e0a60b8fab551b8913",
+            "op-2.6": "649a11425c307d4a3953b04eb8ff57d9d16069b29f3584cbe6e824b3927db746",
+            "op-2.7-left": "b07346a1a99f78407a315035d64aaeb781f9c348d85450be0f91e29092e463ad",
+            "op-2.7-refine": "6755b05e938c5c2a0f065f604ea2e57895bad8e2f2f0313876397890f01eb91d",
+            "op-2.7-right": "c390488e1cf44405a69fdbdd3d3dcadf7f3be06a604c33ed8844b7f6dfd0ddfd",
+            "op-heron-zhao": "03efaff931abacf5feecc438b96a4118960bc9520b44fd2adcb84e0154417782",
+            "hs-2.13": "604a315fd367f9ede12f6168f67638bd524f81139cbc10ded883007c324690ef",
+            "hs-2.14": "069a19492cb4bb15b27760631cf8c2387e64882e81253d069faf2550c7b4a23a",
+            "hs-cor": "cc40e9296882f0beb29e6ca6d0cd341444e14945e4836a5b0ad995742cd410eb",
+            "hs-thm8": "0724e8d11ed319a71ccfb65b3f996bb7e22a34588bab4930c586b2d97564b96e",
+        },
+    },
+    True: {
+        0.0: {
+            "op-2.10": "83648e19f07d18da861feca5dac12eecae3282385ca730b6fbe2a082091763ad",
+            "op-2.7-left": "92a2557388833077152f589b5118fb5bae1f6895df364ddc95807a753b622a04",
+            "op-2.7-refine": "d42b0bbcc393212de363fe78e9271fc1bcc375b8fddf3d15e5ccbb74763b066d",
+            "op-2.7-right": "0a0b85622b6963aabf94fe5c0cc6390f87301afcdf75550306331d3e24a02974",
+            "op-heron-zhao": "5478d579c7057630defb717307f0879373e3b0f92305279087595522414cc9b1",
+            "hs-2.14": "cf19ba1f152771bced10b5007aaf454ba61c4b09172af90822a1c75fec22647b",
+            "hs-cor": "6b3e090e387ab08d84e6ba497d1911e31e7585b48a8b2799b263ba42c62e7ba2",
+            "hs-thm8": "f80d1018bc4380dfdd85f40cab7a7ed270731c80d49d2d700fbe8570e6d0b7f3",
+        },
+        0.5: {
+            "op-2.10": "18e80895b263a55df1bc2cc364699e013fc3cfcb30e35c9d2d3eafb5976af1d8",
+            "op-2.3": "cc959f7d2e7917ff6ecca6ad921dde9db8943df43e4981109f21d0b904dca500",
+            "op-2.5": "ba1f666dc022ab0add9d4ba3b25839b2d967ce47d508c08263136545d7d7d002",
+            "op-2.6": "63d4ddade63eced4bdbab6242eaa2ec1d1de7db13a6f7e1728849a96d1c98a7b",
+            "op-2.7-left": "4826e4b1ff44d1a42a5d7e4ebfee75e36b9b813e54fa647c53b14a915d415cb9",
+            "op-2.7-refine": "f89ea387044c396e064f8503a3ec62d47f933b7e340d1c56d3ecbe19d7631f83",
+            "op-2.7-right": "d57295b2635dc13710632de37d261a472456830bc841b31132d8b072cdd77758",
+            "op-heron-zhao": "64b7a057673a5fe8cb8b58f1dfdbe7cae6494f7e6d3f9121b80c992d38b91d48",
+            "hs-2.13": "84c836cd3a4c0f3c64b086fed516e6700f55cb3194ab47fa1fb4f2ecb4721234",
+            "hs-2.14": "d050da3da8714339f38dfebf6497c247d02c5947f8e94cfb6654c4e76424fc56",
+            "hs-cor": "f16196761d3c433787923b0d75e42d1c9ae6133a6d8b1f7dc3da3f2855db8514",
+            "hs-thm8": "d6c39ad579e34549f9b7a51f13576f123f935e36854dcfa96ea00aef36148ed5",
+        },
+        1.0: {
+            "op-2.10": "f52a503366a8dbebe97d7ba19cebbf8bddaf3d31e6cf320260951b70b02ec081",
+            "op-2.3": "5fdc5eb9cb9c3598bdcfee024eb0961db24a642d38d915571aa523956da5f9d9",
+            "op-2.5": "92a35da68c6fccac0331444950dd65771698ae68bd9d2bf55f3004a0b40efb99",
+            "op-2.6": "05ee2fa7e5a72941d930b932d62967f08d883a60b56007e86642ad5f4a43de60",
+            "op-2.7-left": "d9792206b1f94b827a380801a176ac3ba2da902a4571465f0e6618ad9dc928b6",
+            "op-2.7-refine": "6e3812bb026ae398949c49d878ea917fb61d22a3e01cebe23b2941b515d93003",
+            "op-2.7-right": "db2d832faf732da15c2c7a77060a7dfe407d4b70beb17a4d9d9db64b85a77acb",
+            "op-heron-zhao": "05fbcc3bfd1db40d1d9b8c911ab7a82ee762772269df43dcd7cd63095fd87f97",
+            "hs-2.13": "b956d5f097a4b5875e7ab6c0f9f400bd81331e26233c7f7277bfc96fab5a0c25",
+            "hs-2.14": "bede5978afc58956e6fd26a2e5c31ae52ed79165aff09c929abac88919ea59b3",
+            "hs-cor": "b4f5a6f2a7d4e5126fc014cb531aa880424878882a34d9a355eb689c45b175f8",
+            "hs-thm8": "afaed75c0fc5d16d9c9d4ebd68318d9c940fc15893a4d9d60f927c3a051a2fda",
+        },
+    },
+}
+
+
 def record_bits(rec) -> str:
     """Every field of a trial record: floats by ``float.hex``, arrays by their bytes."""
     def enc(v):
@@ -267,11 +364,14 @@ def test_stacked_sweep_records_are_pinned(monkeypatch, cx):
         fold(agg, digest, trial_no, rec, kind)
 
     monkeypatch.setattr(runner._Agg, "fold_trial", spy)
-    runner.run_matrix_suite(OPERATOR + HS, RunConfig(trials=128, seed=0, complex_entries=cx))
-    assert {cid: len(recs) for cid, recs in seen.items()} == dict.fromkeys(OPERATOR + HS, 128)
-    got = {cid: hashlib.sha256("\n".join(recs).encode()).hexdigest()
-           for cid, recs in seen.items()}
-    assert got == STACKED_SWEEP_SHA256[cx]
+    for nu, want in ((None, STACKED_SWEEP_SHA256[cx]), *SHARED_SWEEP_SHA256[cx].items()):
+        seen.clear()
+        runner.run_matrix_suite(list(want), RunConfig(trials=128, seed=0, nu=nu,
+                                                      complex_entries=cx))
+        assert {cid: len(recs) for cid, recs in seen.items()} == dict.fromkeys(want, 128)
+        got = {cid: hashlib.sha256("\n".join(recs).encode()).hexdigest()
+               for cid, recs in seen.items()}
+        assert got == want, nu
 
 
 # inputs past the range of floats: matrices drawn not finite (op), and hs sides
@@ -486,6 +586,23 @@ def test_python_calls_per_trial_stay_bounded(case_id):
     assert per_trial <= CALLS_PER_TRIAL[case_id]
 
 
+# Python-level calls of one runner._certify on a stack of one (trial 5 at dim 3),
+# which is what replay runs, as counted when a shared weight went in as a float.
+# Every replay is a stack of one, so this count shows a rise in its fixed cost
+# that a noisy host hides in the timings.
+CALLS_PER_STACK_OF_ONE = {
+    "op-2.10": 278, "op-2.3": 216, "op-2.5": 202, "op-2.6": 202, "op-2.7-left": 256,
+    "op-2.7-refine": 253, "op-2.7-right": 243, "op-heron-zhao": 213,
+    "hs-2.13": 240, "hs-2.14": 246, "hs-cor": 254, "hs-thm8": 244,
+}
+
+
+@pytest.mark.parametrize("case_id", OPERATOR + HS)
+def test_python_calls_of_a_stack_of_one_stay_bounded(case_id):
+    digests = [make_digest(case_id, RunConfig(dims=(3,)), 5)]
+    assert python_calls(CASES[case_id], digests) <= CALLS_PER_STACK_OF_ONE[case_id]
+
+
 @pytest.mark.parametrize("case_id", OPERATOR + HS)
 def test_each_distinct_weight_is_checked_once(monkeypatch, case_id):
     # check_nu checks each distinct nu once, in order of first appearance, and
@@ -504,3 +621,61 @@ def test_each_distinct_weight_is_checked_once(monkeypatch, case_id):
                           oracle=stack["oracle"] if "oracle" in stack else None)
     assert seen == list(dict.fromkeys(stack["nu"]))
     assert len(seen) < len(digests)
+
+
+# The functions that may branch on the shape of their input: the public entries
+# that take one matrix or one float and add or drop the stack axis once, the
+# check of outside input, and scalar's float/array namespace, where one formula
+# serves a float and an array alike.  Below them every function takes a stack
+# (k, n, n) and a (k,) float array of weights.
+SHAPE_ENTRIES = {
+    "linalg.validate_hermitian", "linalg.is_psd",
+    "opmeans.PairContext.__init__", "opmeans.certify_operator",
+    "hsnorm.HsContext.__init__", "hsnorm.certify_hs",
+    "scalar._pow", "scalar._sqrt", "scalar._where",
+}
+
+
+def shape_branches(sources: dict[str, str], allowed=()) -> list[str]:
+    """``module.function: expression`` of each ``isinstance(..., np.ndarray)``,
+    ``np.ndim(...)`` or comparison of an ``.ndim`` in a function or method of
+    ``sources`` (module name -> source) that ``allowed`` does not name."""
+    found = []
+    for module, source in sources.items():
+        units = []
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                units.append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                units += [(f"{module}.{node.name}.{f.name}", f) for f in node.body
+                          if isinstance(f, ast.FunctionDef)]
+        for name, unit in units:
+            if name in allowed:
+                continue
+            for n in ast.walk(unit):
+                if (isinstance(n, ast.Call) and ast.unparse(n.func) == "isinstance"
+                        and "ndarray" in ast.unparse(n.args[-1])
+                        or isinstance(n, ast.Call) and ast.unparse(n.func) == "np.ndim"
+                        or isinstance(n, ast.Compare)
+                        and any(isinstance(x, ast.Attribute) and x.attr == "ndim"
+                                for x in [n.left, *n.comparators])):
+                    found.append(f"{name}: {ast.unparse(n)}")
+    return found
+
+
+def test_the_scan_sees_a_shape_branch():
+    source = ("def entry(M):\n    return M[None] if M.ndim == 2 else M\n"
+              "def inner(nu):\n    return nu if isinstance(nu, np.ndarray) else [nu]\n"
+              "class C:\n    def f(self, t):\n        return np.ndim(t) == 0\n"
+              "    def g(self, M):\n        return 3 > M.ndim\n"
+              "    def h(self, M):\n        return M.reshape(M.ndim * (1,))\n")
+    assert shape_branches({"m": source}, allowed={"m.entry"}) == [
+        "m.inner: isinstance(nu, np.ndarray)", "m.C.f: np.ndim(t)", "m.C.g: 3 > M.ndim"]
+
+
+def test_only_the_public_entries_branch_on_shape():
+    sources = {m.__name__.rsplit(".", 1)[-1]: pathlib.Path(m.__file__).read_text(encoding="utf-8")
+               for m in (linalg, opmeans, hsnorm, scalar)}
+    assert shape_branches(sources, SHAPE_ENTRIES) == []
+    # and each entry named still branches, so the list names no more than it must
+    assert {hit.split(":")[0] for hit in shape_branches(sources)} == SHAPE_ENTRIES

@@ -19,6 +19,15 @@ def rand_pd(dim, seed, lo=0.1, hi=10.0, complex_entries=False):
     return hermitianize((q * lam) @ q.conj().T)
 
 
+def error_of(f, *args):
+    """The text of the DomainError that f(*args) raises, or None."""
+    try:
+        f(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
 class TestValidateHermitian:
     def test_accepts_symmetric(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -84,6 +93,25 @@ class TestValidateHermitian:
                 validate_hermitian(got)
             with pytest.raises(DomainError, match=r"Hermitian part \(M \+ M\*\)/2"):
                 is_psd(got)
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1e308], [-1e308, 0.0]]),
+        np.array([[0.0, 1e308j], [1e308j, 0.0]]),
+        np.stack([np.eye(2), np.array([[0.0, 1e308], [-1e308, 0.0]])]),
+    ], ids=["real", "complex", "stacked"])
+    def test_an_asymmetry_past_the_range_of_floats_is_measured(self, m):
+        # |M - M*| is 2e308, which M - M* overflows to inf with a warning
+        with pytest.raises(DomainError, match=r"^matrix is not Hermitian: max asymmetry "
+                                              r"2\.000e\+308 exceeds 1\.0e-08 \* 1\.000e\+308$"):
+            validate_hermitian(m)
+
+    def test_a_complex_entry_whose_modulus_is_past_the_range_of_floats_is_measured(self):
+        # the modulus of each entry, 2.1e308, once made the tolerance infinite, so
+        # this matrix passed as Hermitian, with the Hermitian part 0
+        m = np.array([[0.0, 1.5e308 + 1.5e308j], [-1.5e308 + 1.5e308j, 0.0]])
+        with pytest.raises(DomainError, match=r"^matrix is not Hermitian: max asymmetry "
+                                              r"4\.243e\+308 exceeds 1\.0e-08 \* 2\.121e\+308$"):
+            validate_hermitian(m)
 
     def test_a_built_matrix_is_checked_only_for_finiteness(self):
         m = rand_pd(3, 61)
@@ -273,6 +301,18 @@ class TestStacks:
         with pytest.raises(DomainError) as stacked:
             clamp_psd(w, "B")
         assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("exps", [(0.3, 0.7), (-0.5, 0.25), (0.5, -1.0), (2.0, -0.5),
+                                      (0.3, 0.3)])
+    @pytest.mark.parametrize("bad_rows", [(0,), (1,), (0, 1)])
+    def test_a_bad_base_in_a_stack_reads_as_that_power_alone(self, exps, bad_rows):
+        # each matrix of a stack with one exponent per matrix is checked as it is
+        # alone, and the first that fails names its own exponent
+        for bad in (np.diag([-1.0, 2.0]), np.diag([0.0, 2.0])):
+            mats = [bad if i in bad_rows else rand_pd(2, 43 + i) for i in range(2)]
+            alone = [error_of(Powers(m).pow, p) for m, p in zip(mats, exps)]
+            want = next((e for e in alone if e is not None), None)
+            assert error_of(Powers(np.stack(mats)).pow_rows, list(exps)) == want
 
     def test_zero_imaginary_matrix_keeps_complex_dtype(self):
         real = rand_pd(3, 41).astype(complex)  # complex dtype, zero imaginary part

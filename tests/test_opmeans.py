@@ -20,6 +20,11 @@ def pair(seed, dim=4, complex_entries=False, case="op-2.3", trial=0,
     return got["A"], got["B"]
 
 
+def gaps_of(case, ctx, nu):
+    """A case's gaps on the stack of one of a pair's context, at one weight, each (n, n)."""
+    return [gap[0] for gap in case.gaps(ctx, np.array([nu]))]
+
+
 def rel_close(x, y, tol):
     norm = np.linalg.norm
     return norm(x - y, 2) <= tol * max(1.0, norm(x, 2), norm(y, 2))
@@ -112,14 +117,14 @@ class TestGapStructure:
     def test_op23_at_nu_one_is_twice_arith_minus_geom(self):
         a, b = pair(10)
         ctx = PairContext(a, b)
-        (gap,) = case_by_id("op-2.3").gaps(ctx, 1.0)
+        (gap,) = gaps_of(case_by_id("op-2.3"), ctx, 1.0)
         want = 2.0 * (ctx.nabla(0.5) - ctx.geom(0.5))
         assert np.allclose(gap, want, atol=1e-10 * np.linalg.norm(want, 2))
 
     def test_op210_collapses_at_half(self):
         a, b = pair(11)
         ctx = PairContext(a, b)
-        for gap in case_by_id("op-2.10").gaps(ctx, 0.5):
+        for gap in gaps_of(case_by_id("op-2.10"), ctx, 0.5):
             assert np.linalg.norm(gap, 2) == 0.0
 
     def test_diagonal_gaps_match_scalar_cells(self):
@@ -129,7 +134,7 @@ class TestGapStructure:
         ctx = PairContext(np.diag(lams), np.diag(mus))
         for case in registry():
             nu = 0.3125 if case.in_domain(0.3125) else 0.5
-            gaps = case.gaps(ctx, nu)
+            gaps = gaps_of(case, ctx, nu)
             for k, gap in enumerate(gaps):
                 got = np.diag(gap)
                 want = [CELLS[case.case_id](la, mu, nu)[k] for la, mu in zip(lams, mus)]
@@ -147,7 +152,7 @@ class TestCoefficientBinding:
         def reads():
             t = certify_hs(case_by_id("hs-2.13"), a, b, x, 0.25)
             return (scalar.evaluate(case_by_id("new-2.1"), 2.0, 3.0, 0.25).sides,
-                    case_by_id("op-2.3").gaps(PairContext(a, b), 0.25)[0],
+                    gaps_of(case_by_id("op-2.3"), PairContext(a, b), 0.25)[0],
                     t.sides, t.oracle_sides)
 
         before = reads()
@@ -171,7 +176,7 @@ class TestCertify:
         t = certify_operator(case, a, b, 0.25)
         ctx = PairContext(a, b)
         idx = case.links.index(t.worst_link)
-        gap = case.gaps(ctx, 0.25)[idx]
+        gap = gaps_of(case, ctx, 0.25)[idx]
         w = t.witness
         assert np.linalg.norm(w) == pytest.approx(1.0)
         lam = float(np.real(w.conj() @ gap @ w))
@@ -241,7 +246,7 @@ class TestStacks:
                               np.stack([pairs[i][1] for i in keep]))
             gaps = case.gaps(ctx, nus[keep])
             for row, i in enumerate(keep):
-                alone = case.gaps(PairContext(*pairs[i]), float(nus[i]))
+                alone = gaps_of(case, PairContext(*pairs[i]), float(nus[i]))
                 for gap, one in zip(gaps, alone, strict=True):
                     assert gap[row].tobytes() == one.tobytes(), (case.case_id, nus[i])
 
@@ -256,7 +261,7 @@ class TestStacks:
             keep = [i for i, nu in enumerate(nus) if case.in_domain(nu)]
             ctx = PairContext(np.stack([pairs[i][0] for i in keep]),
                               np.stack([pairs[i][1] for i in keep]))
-            for w in (nus[keep], float(nus[keep[1]])):
+            for w in (nus[keep], np.full(len(keep), nus[keep[1]])):
                 for m in (*case.gaps(ctx, w), ctx._x().matrix, ctx.B - ctx.A):
                     assert np.array_equal(m, m.conj().swapaxes(-1, -2)), case.case_id
 
