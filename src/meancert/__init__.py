@@ -9,8 +9,7 @@ from .scalar import (SCALAR_TOL, ScalarCase, ScalarTrial, alpha_of_nu,
 from .opmeans import (LinkCheck, OperatorCase, OperatorTrial, PairContext,
                       certify_operator, geom)
 from .hsnorm import ORACLE_TOL, HsCase, HsContext, HsTrial, certify_hs
-from .randgen import (DEFAULT_LAW, derive_seed, parse_law, sample_spectrum,
-                      trial_rng)
+from .randgen import DEFAULT_LAW, derive_seed, parse_law
 from .runner import case_by_id
 
 __all__ = [
@@ -22,6 +21,6 @@ __all__ = [
     "LinkCheck", "OperatorCase", "OperatorTrial", "PairContext",
     "certify_operator", "geom",
     "ORACLE_TOL", "HsCase", "HsContext", "HsTrial", "certify_hs",
-    "DEFAULT_LAW", "derive_seed", "parse_law", "sample_spectrum", "trial_rng",
+    "DEFAULT_LAW", "derive_seed", "parse_law",
     "case_by_id",
 ]

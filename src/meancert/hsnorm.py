@@ -27,8 +27,8 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from . import scalar
-from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
-                     power_rows, validate_hermitian)
+from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, count_error,
+                     hs_norms, power_rows, validate_hermitian)
 from .opmeans import checked_weight
 from .scalar import Case, judge_chains, require_finite
 
@@ -152,8 +152,11 @@ class Cells:
     def heinz_block(self, nu: np.ndarray) -> np.ndarray:
         rest = 1.0 - nu
         la, mu, pw = self.la, self.mu, operator.pow
-        return (power_rows(la, nu, pw)[..., :, None] * power_rows(mu, rest, pw)[..., None, :]
-                + power_rows(la, rest, pw)[..., :, None] * power_rows(mu, nu, pw)[..., None, :])
+        d_nu, d_rest = set(nu.tolist()), set(rest.tolist())
+        return (power_rows(la, nu, d_nu, pw)[..., :, None]
+                * power_rows(mu, rest, d_rest, pw)[..., None, :]
+                + power_rows(la, rest, d_rest, pw)[..., :, None]
+                * power_rows(mu, nu, d_nu, pw)[..., None, :])
 
     def geom_block(self) -> np.ndarray:
         return np.sqrt(self.la[..., :, None] * self.mu[..., None, :])
@@ -338,7 +341,8 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
     When the case hypothesizes a PSD X, a violating X raises DomainError
     unless ``lenient`` is set, in which case the trial is marked advisory:
     the verdict is recorded but carries no certification weight.  A side of
-    either route that is not finite raises DomainError naming the route.
+    either route that is not finite raises DomainError naming the route, and
+    a count of nu that is not the count of triples raises DomainError.
     """
     A, X = np.asarray(A), np.asarray(X)
     one = A.ndim == 2
@@ -352,6 +356,8 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
     k = len(nus)
     met = _x_hypothesis(case, X, lenient)
     ctx = HsContext(A, B, X, oracle=oracle)
+    if k != len(X):
+        raise count_error("nu", k, len(X))
     w = np.array(nus)
     # each side is a (k, 1, 1) column; the chains of the stack are the rows of (k, m)
     sides = np.concatenate(case.chain(ctx, w)[0], axis=-1).reshape(k, -1)

@@ -52,6 +52,11 @@ class DomainError(ValueError):
     """An input fell outside an operation's mathematical domain."""
 
 
+def count_error(name: str, n: int, k: int) -> DomainError:
+    """The error of ``n`` values of ``name`` given to a stack of ``k`` matrices."""
+    return DomainError(f"{name} has {n} values for a stack of {k}")
+
+
 def _first(bad: np.ndarray) -> int:
     """Index of the first True entry of a per-matrix mask (0-d for one matrix)."""
     return int(np.flatnonzero(bad)[0])
@@ -162,7 +167,8 @@ def clamp_psd(w: np.ndarray, who: str) -> np.ndarray:
 
 
 def _pow_base(w: np.ndarray, exps: list[float]) -> np.ndarray:
-    """Eigenvalue rows ``w`` clamped for their fractional or negative powers ``exps``.
+    """Eigenvalues ``w``, one spectrum (n,) or a row of (k, n) per exponent
+    of ``exps``, clamped for their fractional or negative powers.
 
     Fractional p >= 0 requires PSD up to the clamp window.  Any p < 0
     requires strictly positive eigenvalues after clamping.  Every row is
@@ -172,11 +178,11 @@ def _pow_base(w: np.ndarray, exps: list[float]) -> np.ndarray:
     try:
         w = clamp_psd(w, "the base of t**p")
     except DomainError:
-        for row, p in zip(w, exps):
+        for row, p in zip(w.reshape(len(exps), -1), exps):
             clamp_psd(row, f"the base of t**{p}")
         raise
     if min(exps) < 0.0:
-        for low, p in zip(w.min(axis=-1).tolist(), exps):
+        for low, p in zip(w.min(axis=-1).reshape(-1).tolist(), exps):
             if p < 0.0 and low <= 0.0:
                 raise DomainError(
                     f"eigenvalue {low:.6e} blocks t**{p}; a positive definite matrix is required"
@@ -184,17 +190,19 @@ def _pow_base(w: np.ndarray, exps: list[float]) -> np.ndarray:
     return w
 
 
-def power_rows(v: np.ndarray, ps: np.ndarray, power=np.power) -> np.ndarray:
-    """power(v[i], ps[i]) for each row i of v, as a contiguous array, bit for bit:
-    ``power`` on the Python float that every row shares, or else one np.power
-    of the C-contiguous base by the column of exponents, whose rows at numpy's
-    float-exponent shortcuts (``FAST_POWERS``) run ``power`` again.  The
-    exponents are told apart as Python floats, with no numpy reduction."""
+def power_rows(v: np.ndarray, ps: np.ndarray, distinct: set[float],
+               power=np.power) -> np.ndarray:
+    """power(v[i], ps[i]) for each row i of v, as a contiguous array, bit for bit.
+
+    ``distinct`` is the set of the exponents as Python floats, so they are
+    told apart with no numpy reduction.  When it holds one, ``power`` raises
+    all of v, of any shape, to that float; else one np.power raises the
+    C-contiguous rows (k, n) by the column of exponents, and the rows at
+    numpy's float-exponent shortcuts (``FAST_POWERS``) run ``power`` again.
+    """
     v = np.ascontiguousarray(v)
-    exps = ps.tolist()
-    distinct = set(exps)
     if len(distinct) == 1:
-        return power(v, exps[0])
+        return power(v, *distinct)
     out = np.power(v, ps[:, None])
     for p in FAST_POWERS:
         if p in distinct:
@@ -265,6 +273,7 @@ class Powers:
 
     def __init__(self, M, *, hermitian: bool = False):
         self.matrix = validate_hermitian(M, hermitian=hermitian)
+        self._count = self.matrix.size // self.matrix.shape[-1] ** 2  # 1 for one matrix
         self._eigh: tuple[np.ndarray, np.ndarray] | None = None
         self._cache: dict[float, np.ndarray] = {}
 
@@ -297,26 +306,30 @@ class Powers:
         p = float(p)
         got = self._cache.get(p)
         if got is None:
-            count = self.matrix.size // self.matrix.shape[-1] ** 2  # 1 for one matrix
-            got = self._cache[p] = self._power(np.array([p] * count))
+            exps = [p] * self._count
+            got = self._cache[p] = self._power(np.array(exps), exps, {p})
         return got
 
     def pow_rows(self, ps) -> np.ndarray:
-        """M_i**p_i for each matrix i of a stack; an exponent they share goes through ``pow``."""
+        """M_i**p_i for each matrix i of a stack; an exponent they share goes
+        through ``pow``, and other exponents must give one per matrix."""
         ps = np.asarray(ps, dtype=float)
         exps = ps.tolist()
-        if len(set(exps)) == 1:
+        distinct = set(exps)
+        if len(distinct) == 1:
             return self.pow(exps[0])
-        return self._power(ps)
+        if len(exps) != self._count:
+            raise count_error("the exponent", len(exps), self._count)
+        return self._power(ps, exps, distinct)
 
-    def _power(self, ps: np.ndarray) -> np.ndarray:
-        """M_i**p_i, with one exponent per matrix (one for a lone matrix).
+    def _power(self, ps: np.ndarray, exps: list[float], distinct: set[float]) -> np.ndarray:
+        """M_i**p_i, with one exponent per matrix (one for a lone matrix):
+        ``exps`` are the exponents ``ps`` as Python floats, and ``distinct``
+        their set.
 
         Integer p >= 0 works on any spectrum (with 0**0 = 1); the spectra of
         every other exponent are checked at once, as ``_pow_base`` says.
         """
-        exps = ps.tolist()
-        distinct = set(exps)
         if distinct == {1.0}:
             return self.matrix
         if distinct == {0.0}:
@@ -324,14 +337,13 @@ class Powers:
             eye = np.eye(self.dim, dtype=self.matrix.dtype)
             return np.broadcast_to(eye, self.matrix.shape).copy()
         w, V = self._decomposed()
-        w = w.reshape(-1, w.shape[-1])
         checked = [p < 0 or not p.is_integer() for p in exps]
         if all(checked):
             w = _pow_base(w, exps)
         elif any(checked):
             w = w.copy()
             w[checked] = _pow_base(w[checked], [p for p, c in zip(exps, checked) if c])
-        wp = power_rows(w, ps).reshape(V.shape[:-1])
+        wp = power_rows(w, ps, distinct)
         out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))
         # matrices of exponent 1 or 0 among others: exactly M, or the identity
         if 1.0 in distinct:

@@ -29,18 +29,22 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from . import scalar
-from .linalg import CERT_PSD_TOL, DomainError, Powers, col, hermitianize, is_psd
+from .linalg import CERT_PSD_TOL, DomainError, Powers, col, count_error, hermitianize, is_psd
 from .scalar import Case, check_unit
 
 
 def checked_weight(name: str, t, k: int) -> np.ndarray:
     """The weight of each of k matrices, checked in [0, 1], as a (k,) float array.
 
-    ``t`` is one weight for all k, or a sequence with one per matrix.  The
-    weights are checked in one pass, and walked only to report the first
-    bad one, as ``check_unit`` reports it alone.
+    ``t`` is one weight for all k, or a sequence with one per matrix; any
+    other count is a DomainError.  The weights are checked in one pass, and
+    walked only to report the first bad one, as ``check_unit`` reports it
+    alone.
     """
-    t = np.full(k, t, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if t.size not in (1, k):
+        raise count_error(name, t.size, k)
+    t = np.full(k, t)
     if not all((t >= 0.0) & (t <= 1.0)):
         for v in t.tolist():
             check_unit(name, v)
@@ -338,8 +342,9 @@ def certify_operator(case: OperatorCase, A, B, nu,
     pair alone, which is how one pair is judged: as a stack of one.
 
     Domain violations (nu outside the case's range, an unordered pair fed
-    to an ordered-only case, operands that are not PD where required)
-    raise DomainError naming the violated predicate.
+    to an ordered-only case, operands that are not PD where required, a
+    count of nu that is not the count of pairs) raise DomainError naming
+    the violated predicate.
     """
     A = np.asarray(A)
     one = A.ndim == 2
@@ -357,6 +362,8 @@ def certify_operator(case: OperatorCase, A, B, nu,
                 f"case {case.case_id} requires A <= B in Loewner order; "
                 f"lam_min(B - A) = {order.lam_min[i]:.6e} at scale {order.scale[i]:.3e}"
             )
+    if len(nus) != len(A):
+        raise count_error("nu", len(nus), len(A))
     gaps = case.gaps(ctx, np.array(nus))
     links = [is_psd(gap, tol, hermitian=True) for gap in gaps]
     # each link's checks over the stack, then each trial's first smallest slack

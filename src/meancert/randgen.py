@@ -4,34 +4,26 @@ A trial's draws are a pure function of (seed, trial index): each trial
 gets its own counter-based Philox stream (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011), so draws never depend on evaluation
 order or parallelism.  The stream of trial t under entropy e (the case's
-``derive_seed``) is keyed by ``SeedSequence(e, spawn_key=(t,))
-.generate_state(2, np.uint64)``, numpy's documented seeding hash after
-O'Neill's ``seed_seq_fe``.  ``trial_keys`` computes those keys itself,
-for a stack's trials in one call: the pool mixed from e alone is cached
-per entropy, and a trial mixes in its one 32-bit word and hashes the pool
-out.  A Philox generator set to counter 0 under that key, with an empty
-buffer, is in the state ``Philox(SeedSequence(e, spawn_key=(t,)))``
-starts in, so a process keeps one generator for all its trials:
-``stream_template`` gives it with one such state whose key slot takes
-each trial's key in turn, and ``seek`` (``trial_rng``) resets it to one
-trial's stream.  The keys depend on numpy's algorithm staying as it is;
-``tests/test_randgen.py::TestStreams`` pins them against
-``np.random.SeedSequence``.  ``runner.draw_stack`` fixes what each trial
-draws and in which order, and ``runner.inputs`` rebuilds a trial's
-matrices from its digest alone.
+``derive_seed``) is ``Philox(SeedSequence(e, spawn_key=(t,)))``.
+``trial_keys`` computes the keys of a stack's trials in one call, after
+numpy's documented seeding hash (O'Neill's ``seed_seq_fe``): the pool mixed
+from e alone is cached per entropy, and a trial mixes in its one 32-bit
+word and hashes the pool out.  The keys depend on numpy's algorithm
+staying as it is; ``tests/test_randgen.py::TestStreams`` pins them against
+``np.random.SeedSequence``.  ``runner.draw_stack`` is the one reader of a
+trial's stream: it fixes what each trial draws and in which order, and
+``runner.inputs`` rebuilds a trial's matrices from its digest alone.
 
-A stack draws in one pass.  Each trial's uniforms are drawn raw, doubles
-in [0, 1) from ``Generator.random``, into its row of a (k, n) array;
-``random`` takes from the stream what ``uniform`` takes.  After the
-draws, each law is parsed once and ``spectra`` maps all rows at once: to
-the law's bounds (``uniform_bounds``: a log-uniform law's take one log
-each) as lo + (hi - lo) * u, numpy's own formula for ``uniform``, then on
-to the spectrum, with the elementwise operations one row alone would
-take.  So a stack's rows equal the same trials drawn as stacks of one,
-and each equals numpy's ``uniform`` draw, bit for bit; the latter holds
-as long as numpy's C does not fuse its formula into one multiply-add,
-which ``tests/test_randgen.py`` checks over a law that spans 1e-300 to
-1e300.  ``sample_spectrum`` is ``spectra`` on a stack of one.
+A stack's uniforms are drawn raw, doubles in [0, 1) from
+``Generator.random``, which takes from the stream what ``uniform`` takes.
+``spectra`` maps all rows of a law at once: to the law's bounds
+(``uniform_bounds``) as lo + (hi - lo) * u, numpy's own formula for
+``uniform``, then on to the spectrum, with the elementwise operations one
+row alone would take.  So a stack's rows equal the same trials drawn as
+stacks of one, and each equals numpy's ``uniform`` draw, bit for bit; the
+latter holds as long as numpy's C does not fuse its formula into one
+multiply-add, which ``tests/test_randgen.py`` checks over a law that spans
+1e-300 to 1e300.
 
 Positive definite matrices are assembled as Q diag(lam) Q* with lam drawn
 from a configurable spectrum law and Q orthogonal (or unitary) from a QR
@@ -178,13 +170,9 @@ def trial_keys(entropy: int, trials) -> list[tuple[int, int]]:
     return [(w0 | w1 << 32, w2 | w3 << 32) for w0, w1, w2, w3 in zip(*quads)]
 
 
-def trial_key(entropy: int, trial: int) -> tuple[int, int]:
-    """The Philox key of trial ``trial``'s stream under ``entropy`` (``trial_keys``)."""
-    return trial_keys(entropy, (trial,))[0]
-
-
-# One generator serves the process: ``seek`` overwrites its whole state, so a
-# new one would cost its SeedSequence seeding (11-18 us) for nothing.
+# One generator serves the process: ``runner.draw_stack`` overwrites its whole
+# state for each trial, so a new one would cost its SeedSequence seeding
+# (11-18 us) for nothing.
 _RNG = np.random.Generator(np.random.Philox(0))
 
 
@@ -194,11 +182,9 @@ def stream_template() -> tuple[np.random.Generator, dict[str, Any], dict[str, An
 
     The state is counter 0 and an empty buffer, the state
     ``Philox(SeedSequence(e, spawn_key=(t,)))`` starts in once ``slot["key"]``
-    holds trial t's key (``trial_keys``).  Assigning it to a generator's
+    holds trial t's key (``trial_keys``).  Assigning it to the generator's
     ``bit_generator.state`` starts that stream; the setter copies what it
-    reads, so one state serves every trial of a stack, at no call per
-    trial.  The generator is the one ``trial_rng`` resets, so draw from it
-    before the next reset.
+    reads, so one state serves every trial of a stack.
     """
     state = {
         "bit_generator": "Philox",
@@ -206,24 +192,6 @@ def stream_template() -> tuple[np.random.Generator, dict[str, Any], dict[str, An
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return _RNG, state, state["state"]
-
-
-def seek(rng: np.random.Generator, entropy: int, trial: int) -> np.random.Generator:
-    """Reset ``rng``, a Philox generator, to the start of trial ``trial``'s stream."""
-    _, state, slot = stream_template()
-    slot["key"] = trial_key(entropy, trial)
-    rng.bit_generator.state = state
-    return rng
-
-
-def trial_rng(entropy: int, trial: int) -> np.random.Generator:
-    """The process's generator, reset to the start of trial ``trial``'s stream.
-
-    There is one per process, so the next ``trial_rng`` call, or the next
-    stack that ``runner.draw_stack`` draws, resets it again: draw from it
-    before that.
-    """
-    return seek(_RNG, entropy, trial)
 
 
 @functools.lru_cache(maxsize=256)
@@ -262,13 +230,6 @@ def spectra(law: str, u: np.ndarray) -> np.ndarray:
     if len(params) not in (1, u.shape[-1]):
         raise DomainError(f"explicit law lists {len(params)} values but dim={u.shape[-1]}")
     return np.broadcast_to(np.array(params), u.shape).copy()
-
-
-def sample_spectrum(rng: np.random.Generator, law: str, dim: int) -> np.ndarray:
-    """One spectrum of ``dim`` eigenvalues under ``law``, drawn from ``rng``:
-    ``spectra`` on a stack of one."""
-    u = np.empty((1, dim)) if uniform_bounds(law) is None else rng.random((1, dim))
-    return spectra(law, u)[0]
 
 
 def orthonormalize(z: np.ndarray) -> np.ndarray:

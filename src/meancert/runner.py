@@ -235,9 +235,10 @@ def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
     spectrum's uniforms are drawn raw, doubles in [0, 1) (``random``, which
     takes from the stream what ``uniform`` takes), and each law is parsed
     once per stack and mapped once over all rows, to its bounds and on to
-    its spectra (``randgen.spectra``), after the draws.  A W whose law
-    cannot be drawn at this dim raises DomainError after A's spectra are
-    checked, as A is drawn first.
+    its spectra (``randgen.spectra``), after the draws.  The spectra of each
+    positive definite operand (all but the W of an ordered pair) are checked
+    right after they are mapped, in one reduction, so an error names the
+    first operand that fails in draw order.
     """
     first, k = digests[0], len(digests)
     n, cx = first["dim"], first["complex"]
@@ -266,12 +267,10 @@ def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
     bases = entries[:, 0] + 1j * entries[:, 1] if cx else entries[:, 0]
     columns: list[np.ndarray] = []
     for j, law in enumerate(laws):
-        try:
-            columns += [spectra(law, uniforms[j]), bases[j]]
-        except DomainError:
-            if columns:  # A was drawn first, so its check comes first
-                check_positive(columns[0])
-            raise
+        lam = spectra(law, uniforms[j])
+        if not (ordered and j == 1):  # the W of an ordered pair may be 0
+            check_positive(lam)
+        columns += [lam, bases[j]]
     if general_x:
         columns.append(bases[-1] / np.sqrt(2.0) if cx else bases[-1])
     return columns
@@ -280,19 +279,15 @@ def draw_stack(digests: list[dict[str, Any]]) -> list[np.ndarray]:
 def build_inputs(digests: list[dict[str, Any]], columns: list[np.ndarray]) -> dict[str, Any]:
     """The exact inputs of a stack of trials, stacked (k, n, n).
 
-    ``columns`` is the stack's ``draw_stack``.  The spectra of each positive
-    definite operand (all but the W of an ordered pair) are checked at once,
-    in draw order, and every basis of the stack is factored in one QR call.
-    For hs trials on a general pair, ``oracle`` holds the construction-time
-    ((lam_a, Q_a), (lam_b, Q_b)), stacked like A and B.
+    ``columns`` is the stack's ``draw_stack``, which has checked its spectra.
+    Every basis of the stack is factored in one QR call.  For hs trials on
+    a general pair, ``oracle`` holds the construction-time ((lam_a, Q_a),
+    (lam_b, Q_b)), stacked like A and B.
     """
     first, k = digests[0], len(digests)
     ordered = first["structure"] == "ordered-pair"
     npd = len(columns) // 2  # a (spectrum, basis) pair per PD operand; a general X adds one
     lams = columns[0:2 * npd:2]
-    for i, lam in enumerate(lams):
-        if not (ordered and i == 1):
-            check_positive(lam)
     q = orthonormalize(np.concatenate(columns[1:2 * npd:2]))
     qs = [q[i * k:(i + 1) * k] for i in range(npd)]
     a, second, *rest = [assemble(lam, q) for lam, q in zip(lams, qs)]

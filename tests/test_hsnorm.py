@@ -285,6 +285,24 @@ class TestStacks:
                                                       for i in range(6)]
 
 
+    @pytest.mark.parametrize("nus", [[0.25, 0.5], [0.5, 0.5], [0.25, 0.5, 0.75, 1.0]])
+    @pytest.mark.parametrize("case_id", sorted(ALL_IDS))
+    def test_certify_takes_one_nu_per_triple(self, case_id, nus):
+        a, b, x = (np.array(m) for m in zip(*[triple(36 + i, dim=3, x_pd=True)
+                                              for i in range(3)]))
+        with pytest.raises(DomainError) as exc:
+            certify_hs(case_by_id(case_id), a, b, x, nus)
+        assert str(exc.value) == f"nu has {len(nus)} values for a stack of 3"
+
+    @pytest.mark.parametrize("nus", [[0.5, 0.25], [0.5, 0.25, 0.75, 1.0]])
+    def test_heinz_block_takes_one_weight_or_one_per_triple(self, nus):
+        ctx = HsContext(*(np.array(m) for m in zip(*[triple(39 + i, dim=3) for i in range(3)])))
+        with pytest.raises(DomainError) as exc:
+            ctx.heinz_block(nus)
+        assert str(exc.value) == f"nu has {len(nus)} values for a stack of 3"
+        assert ctx.heinz_block([0.25]).tobytes() == ctx.heinz_block(0.25).tobytes()
+
+
 class TestSharedSides:
     """hs-cor's last two sides are hs-2.14's, built from the same blocks on both routes."""
 

@@ -314,6 +314,17 @@ class TestStacks:
             want = next((e for e in alone if e is not None), None)
             assert error_of(Powers(np.stack(mats)).pow_rows, list(exps)) == want
 
+    @pytest.mark.parametrize("k, exps", [(1, [0.3, 0.7]), (3, [0.3, 0.7]),
+                                         (3, [0.3, 0.7, 0.5, 0.25])])
+    def test_exponents_of_the_wrong_count_are_a_domain_error(self, k, exps):
+        mats = [rand_pd(3, 50 + i) for i in range(k)]
+        powers = Powers(mats[0] if k == 1 else np.stack(mats))
+        with pytest.raises(DomainError) as exc:
+            powers.pow_rows(exps)
+        assert str(exc.value) == f"the exponent has {len(exps)} values for a stack of {k}"
+        # an exponent that every matrix shares is still one exponent
+        assert bits(powers.pow_rows([0.3] * (k + 1))) == bits(powers.pow(0.3))
+
     def test_zero_imaginary_matrix_keeps_complex_dtype(self):
         real = rand_pd(3, 41).astype(complex)  # complex dtype, zero imaginary part
         cplx = rand_pd(3, 42, complex_entries=True)
@@ -363,7 +374,7 @@ def row_exponents(k, seed):
 
 @np.errstate(all="ignore")  # zero to a negative power, 1e300 cubed
 def assert_rows_alone(v, ps, power):
-    got = power_rows(v, ps, power)
+    got = power_rows(v, ps, set(ps.tolist()), power)
     for i, p in enumerate(ps.tolist()):
         assert u64(got[i]).tolist() == u64(power(np.ascontiguousarray(v[i]), p)).tolist(), p
 

@@ -298,6 +298,27 @@ class TestStacks:
                 stacked(weights)
             assert str(many.value) == str(one.value), name
 
+    @pytest.mark.parametrize("nus", [[0.25, 0.5], [0.5, 0.5], [0.25, 0.5, 0.75, 1.0]])
+    @pytest.mark.parametrize("case_id", ["op-2.3", "op-2.7-refine"])
+    def test_certify_takes_one_nu_per_pair(self, case_id, nus):
+        # a shared nu given for fewer pairs than the stack holds is an error,
+        # not a shorter list of trials
+        pairs = [pair(26, case="op-2.7-left", trial=t) for t in range(3)]
+        A, B = (np.stack(m) for m in zip(*pairs))
+        with pytest.raises(DomainError) as exc:
+            certify_operator(case_by_id(case_id), A, B, nus)
+        assert str(exc.value) == f"nu has {len(nus)} values for a stack of 3"
+
+    @pytest.mark.parametrize("weights", [[0.25, 0.5], [0.25, 0.5, 0.75, 1.0]])
+    def test_a_mean_takes_one_weight_or_one_per_pair(self, weights):
+        pairs = [pair(27 + t) for t in range(3)]
+        ctx = PairContext(*(np.stack(m) for m in zip(*pairs)))
+        for mean in (ctx.nabla, ctx.geom, ctx.heinz, ctx.heron):
+            with pytest.raises(DomainError) as exc:
+                mean(weights)
+            assert str(exc.value).endswith(f" has {len(weights)} values for a stack of 3")
+            assert mean([0.25]).tobytes() == mean(0.25).tobytes()
+
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.71875, 1.0])
     def test_equal_weights_per_pair_are_one_weight(self, nu):
         # the per-pair path takes each distinct weight once, as a float, and

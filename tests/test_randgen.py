@@ -6,8 +6,8 @@ import pytest
 
 from meancert import runner
 from meancert.linalg import DomainError, is_psd
-from meancert.randgen import (assemble, derive_seed, parse_law, sample_spectrum, seek, trial_key,
-                              trial_rng)
+from meancert.randgen import (assemble, derive_seed, parse_law, spectra, stream_template,
+                              trial_keys)
 from meancert.runner import CASES, RunConfig, build_inputs, draw_stack, inputs, make_digest
 
 MATRIX = [cid for cid, case in CASES.items() if case.kind != "scalar"]
@@ -128,7 +128,8 @@ class TestStreams:
             for trial in [*range(601), 2**32 - 1]:
                 want = np.random.SeedSequence(entropy, spawn_key=(trial,)).generate_state(
                     2, np.uint64)
-                assert trial_key(entropy, trial) == tuple(int(w) for w in want), (seed, trial)
+                got = trial_keys(entropy, [trial])
+                assert got == [tuple(int(w) for w in want)], (seed, trial)
 
     def test_seeds_cover_one_to_five_entropy_words(self):
         words = [-(-derive_seed(seed, "op-2.3").bit_length() // 32) for seed in self.SEEDS]
@@ -136,22 +137,22 @@ class TestStreams:
 
     def test_trial_index_is_one_word(self):
         with pytest.raises(DomainError, match="trial index"):
-            trial_key(5, 2**32)
+            trial_keys(5, [2**32])
         with pytest.raises(DomainError, match="trial index"):
-            trial_key(5, -1)
+            trial_keys(5, [0, -1])
 
-    def test_seek_equals_a_fresh_stream(self):
-        rng = trial_rng(0, 0)
-        rng.standard_normal(3)  # a used generator, its buffer partly spent
-        for entropy, trial in ((derive_seed(7, "hs-2.14"), 12),
-                               (derive_seed(2**100, "x"), 2**32 - 1)):
-            ref = reference_rng(entropy, trial)
-            seek(rng, entropy, trial)
-            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
-            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
-            assert rng.uniform(size=3).tobytes() == ref.uniform(size=3).tobytes()
-            assert trial_rng(entropy, trial).random(4).tobytes() == reference_rng(
-                entropy, trial).random(4).tobytes()
+    def test_a_stack_drawn_after_a_used_generator_equals_fresh_streams(self):
+        # every trial starts its stream afresh, whatever the process's one
+        # generator was left holding: a partly spent buffer, a spare uint32
+        for seed, case, trial in ((7, "hs-2.14", 12), (2**100, "op-2.7-left", 2**32 - 1)):
+            rng = stream_template()[0]
+            rng.integers(10, dtype=np.uint32)  # half of a uint64 is kept for the next one
+            if rng.bit_generator.state["buffer_pos"] == 4:
+                rng.random()  # a buffer of four uint64s, one of them spent
+            state = rng.bit_generator.state
+            assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+            d = digest(case, trial=trial, dim=3, seed=seed)
+            assert raw(fresh(d)) == raw(reference_draws(d)), d
 
     @pytest.mark.parametrize("case_id", MATRIX)
     @pytest.mark.parametrize("cfg", STREAM_CONFIGS.values(), ids=STREAM_CONFIGS)
@@ -175,29 +176,37 @@ class TestStreams:
 
 
 class TestPositiveSpectra:
-    """Spectra are checked once per stack, in build_inputs, in draw order."""
+    """draw_stack checks each spectrum once per stack, as it maps it, in draw order."""
 
-    def build(self, case_id, changes, **cfg):
+    def build(self, monkeypatch, case_id, changes, **cfg):
+        """The inputs of one trial at dim 3 whose operand i, in draw order,
+        maps its uniforms to the spectrum ``changes[i]`` where that is given."""
+        mapped = runner.spectra
+        operands = iter(range(3))
+
+        def plant(law, u):
+            i = next(operands)
+            return np.array([changes[i]]) if i in changes else mapped(law, u)
+
+        monkeypatch.setattr(runner, "spectra", plant)
         d = digest(case_id, dim=3, **cfg)
-        columns = draw_stack([d])
-        for index, lam in changes.items():
-            columns[index] = np.array([lam])
-        return build_inputs([d], columns)
+        return build_inputs([d], draw_stack([d]))
 
     @pytest.mark.parametrize("case_id, changes, got", [
         ("op-2.3", {0: [1.0, 0.0, 2.0]}, "0.0"),  # A
-        ("op-2.3", {2: [1.0, -1.5, 2.0]}, "-1.5"),  # B
-        ("hs-2.14", {4: [-2.0, 1.0, 1.0]}, "-2.0"),  # a positive definite X
-        ("hs-2.14", {0: [1.0, 0.0, 1.0], 4: [-2.0, 1.0, 1.0]}, "0.0"),  # A comes first
+        ("op-2.3", {1: [1.0, -1.5, 2.0]}, "-1.5"),  # B
+        ("hs-2.14", {2: [-2.0, 1.0, 1.0]}, "-2.0"),  # a positive definite X
+        ("hs-2.14", {0: [1.0, 0.0, 1.0], 2: [-2.0, 1.0, 1.0]}, "0.0"),  # A comes first
+        ("hs-2.14", {1: [1.0, -0.5, 1.0], 2: [-2.0, 1.0, 1.0]}, "-0.5"),  # then B
     ])
-    def test_error_names_the_first_operand_that_fails(self, case_id, changes, got):
+    def test_error_names_the_first_operand_that_fails(self, monkeypatch, case_id, changes, got):
         with pytest.raises(DomainError) as exc:
-            self.build(case_id, changes)
+            self.build(monkeypatch, case_id, changes)
         assert str(exc.value) == (
             f"positive definite generation needs a positive spectrum, got {got}")
 
-    def test_w_of_an_ordered_pair_is_exempt(self):
-        built = self.build("op-2.7-left", {2: [0.0, 0.0, 0.0]})
+    def test_w_of_an_ordered_pair_is_exempt(self, monkeypatch):
+        built = self.build(monkeypatch, "op-2.7-left", {1: [0.0, 0.0, 0.0]})
         assert np.array_equal(built["A"], built["B"])
 
     def test_a_comes_before_a_w_that_cannot_be_drawn(self):
@@ -212,9 +221,11 @@ class TestPositiveSpectra:
         check = runner.check_positive
         monkeypatch.setattr(runner, "check_positive", lambda lam: seen.append(lam.shape)
                             or check(lam))
-        ds = [digest("hs-2.14", trial=t, dim=3) for t in range(6)]
-        build_inputs(ds, draw_stack(ds))
-        assert seen == [(6, 3)] * 3
+        for case_id, checks in (("hs-2.14", 3), ("op-2.7-left", 1)):  # W is not checked
+            seen.clear()
+            ds = [digest(case_id, trial=t, dim=3) for t in range(6)]
+            build_inputs(ds, draw_stack(ds))
+            assert seen == [(6, 3)] * checks, case_id
 
 
 class TestDeterminism:
@@ -253,13 +264,6 @@ class TestDeterminism:
         with pytest.raises(DomainError):
             derive_seed(-1, "x")
 
-    def test_trial_rng_reproducible(self):
-        r1 = trial_rng(42, 3).standard_normal(8)
-        r2 = trial_rng(42, 3).standard_normal(8)
-        r3 = trial_rng(42, 4).standard_normal(8)
-        assert np.array_equal(r1, r2)
-        assert not np.array_equal(r1, r3)
-
 
 class TestSpectraAndBases:
     def test_explicit_diagonal_exact(self):
@@ -268,25 +272,27 @@ class TestSpectraAndBases:
         assert np.array_equal(assemble(lam, np.eye(3)), np.diag([2.0, 3.0, 4.0]))
 
     def test_explicit_broadcast(self):
-        rng = trial_rng(0, 0)
-        assert np.array_equal(sample_spectrum(rng, "explicit:5", 4), np.full(4, 5.0))
+        assert np.array_equal(spectra("explicit:5", np.empty((2, 4))), np.full((2, 4), 5.0))
+        assert np.array_equal(fresh(digest(dim=4, law="explicit:5"))[0], np.full(4, 5.0))
 
     def test_explicit_length_mismatch(self):
-        with pytest.raises(DomainError, match="dim"):
-            sample_spectrum(trial_rng(0, 0), "explicit:1,2", 3)
+        with pytest.raises(DomainError, match="lists 2 values but dim=3"):
+            spectra("explicit:1,2", np.empty((1, 3)))
+        with pytest.raises(DomainError, match="lists 2 values but dim=3"):
+            fresh(digest(dim=3, law="explicit:1,2"))
 
     def test_spectrum_fidelity(self):
         w = np.linalg.eigvalsh(inputs(digest(law="explicit:0.5,1,2,8"))["A"])
         assert np.allclose(sorted(w), [0.5, 1.0, 2.0, 8.0], rtol=1e-10)
 
     def test_log_uniform_range(self):
-        rng = trial_rng(1, 0)
-        w = sample_spectrum(rng, "log-uniform:0.01:100.0", 500)
+        w = draw_stack([digest(trial=t, dim=5, seed=1, law="log-uniform:0.01:100.0")
+                        for t in range(100)])[0]
         assert w.min() >= 0.01 and w.max() <= 100.0
 
     def test_clustered_range(self):
-        rng = trial_rng(2, 0)
-        w = sample_spectrum(rng, "clustered:5.0:0.2", 500)
+        w = draw_stack([digest(trial=t, dim=5, seed=2, law="clustered:5.0:0.2")
+                        for t in range(100)])[0]
         assert np.all((w >= 4.0) & (w <= 6.0))
 
     def test_basis_orthonormal(self):
