@@ -28,7 +28,7 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from . import scalar
-from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms,
+from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms, lapack,
                      one_per_matrix, power_rows, validate_hermitian)
 from .opmeans import checked_weight
 from .scalar import Case, Verdicts, judge_chains, require_finite
@@ -335,7 +335,7 @@ def _x_hypothesis(case: HsCase, X: np.ndarray, lenient: bool) -> list[bool]:
         return [True] * len(X)
     try:
         xh = validate_hermitian(X)
-        clamp_psd(np.linalg.eigvalsh(xh), "X")
+        clamp_psd(lapack("eigvalsh", xh), "X")
         return [True] * len(X)
     except DomainError as exc:
         if not lenient:

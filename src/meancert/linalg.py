@@ -2,9 +2,9 @@
 
 Every matrix computation downstream (operator means, norm chains,
 certification) funnels through this module, so the contracts are kept
-strict: inputs are validated and symmetrized once, eigendecompositions go
-through a single wrapper with diagnostic errors, and PSD verdicts always
-come with an eigenvalue witness.
+strict: inputs are validated and symmetrized once, every LAPACK call goes
+through one entry (``lapack``) with diagnostic errors, and PSD verdicts
+always come with an eigenvalue witness.
 
 Conventions
 -----------
@@ -32,6 +32,7 @@ Conventions
 """
 from __future__ import annotations
 
+import functools
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -147,6 +148,92 @@ def validate_hermitian(M, *, hermitian: bool = False) -> np.ndarray:
     if not np.isfinite(H).all():
         raise DomainError("the Hermitian part (M + M*)/2 of the matrix is not finite")
     return H
+
+
+@functools.lru_cache(maxsize=64)
+def _loop(dtype: np.dtype) -> tuple[bool, np.dtype, type]:
+    """numpy.linalg's LAPACK loop for ``dtype``, once per dtype: whether it is
+    complex, and the real and the full dtype of its results.
+
+    A type that is not inexact goes through the double loop and single
+    precision comes back single, as in numpy.linalg; any other inexact type
+    is numpy.linalg's TypeError.
+    """
+    t = dtype.type if issubclass(dtype.type, np.inexact) else np.float64
+    if t not in (np.float32, np.float64, np.complex64, np.complex128):
+        raise TypeError(f"array type {dtype.name} is unsupported in linalg")
+    return issubclass(t, np.complexfloating), np.finfo(t).dtype, t
+
+
+def _operations(umath) -> dict:
+    """The function that runs each LAPACK operation on a matrix or stack.
+
+    An operation calls the gufuncs of ``umath`` (numpy.linalg's
+    ``_umath_linalg``, or None) that numpy.linalg's function calls, with the
+    same loop and result dtypes, and so gives its bits; where ``umath`` lacks
+    one of them, it is numpy.linalg's function.  "qr" gives (Q, F), R being
+    the upper triangle of F's first min(m, n) rows.
+    """
+    ops = {"eigh": np.linalg.eigh, "eigvalsh": np.linalg.eigvalsh, "qr": np.linalg.qr}
+    if hasattr(umath, "eigh_lo"):
+        eigh_lo = umath.eigh_lo
+
+        def eigh(M):
+            c, real, result = _loop(M.dtype)
+            w, V = eigh_lo(M, signature="D->dD" if c else "d->dd")
+            return w.astype(real, copy=False), V.astype(result, copy=False)
+        ops["eigh"] = eigh
+    if hasattr(umath, "eigvalsh_lo"):
+        eigvalsh_lo = umath.eigvalsh_lo
+
+        def eigvalsh(M):
+            c, real, _ = _loop(M.dtype)
+            return eigvalsh_lo(M, signature="D->d" if c else "d->d").astype(real, copy=False)
+        ops["eigvalsh"] = eigvalsh
+    if hasattr(umath, "qr_r_raw") and hasattr(umath, "qr_reduced"):
+        raw, reduced = umath.qr_r_raw, umath.qr_reduced
+
+        def qr(M):
+            c, _, result = _loop(M.dtype)
+            # LAPACK factors a copy in place: R on and above the diagonal, reflectors below
+            F = M.astype(np.complex128 if c else np.float64)
+            tau = raw(F, signature="D->D" if c else "d->d")
+            Q = reduced(F, tau, signature="DD->D" if c else "dd->d")
+            return Q.astype(result, copy=False), F.astype(result, copy=False)
+        ops["qr"] = qr
+    return ops
+
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy without it: every operation is numpy.linalg's function
+    _umath_linalg = None
+_LAPACK = _operations(_umath_linalg)
+# what a failed operation is called, and numpy.linalg's reason for the failure
+_FAILURES = {"eigh": ("eigendecomposition", "Eigenvalues did not converge"),
+             "eigvalsh": ("eigendecomposition", "Eigenvalues did not converge"),
+             "qr": ("QR factorization",
+                    "Incorrect argument found while performing QR factorization")}
+
+
+# numpy.linalg's error state: LAPACK's failure sets the invalid flag
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def lapack(op: str, M: np.ndarray):
+    """The package's one LAPACK call: "eigh" (w, V), "eigvalsh" w or "qr"
+    (Q, F) of a matrix or stack ``M`` that the caller has checked (square
+    for eigh and eigvalsh), bit for bit and dtype for dtype as numpy.linalg's
+    function of that name (for "qr", see ``_operations``).
+
+    A failure raises DomainError naming the operation and the matrix size.
+    """
+    try:
+        return _LAPACK[op](M)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        what, reason = _FAILURES[op]
+        raise DomainError(
+            f"{what} failed for a {M.shape[-2]}x{M.shape[-1]} matrix "
+            f"(max |entry| {np.abs(M).max():.3e}): {reason}"
+        ) from exc
 
 
 def eigh(M) -> tuple[np.ndarray, np.ndarray]:
@@ -275,9 +362,10 @@ class Powers:
     eigendecomposition, on first read of ``eigenvalues``, ``eigenvectors``
     or a power other than M**1 and M**0, backs every requested power,
     keeping repeated mean evaluations on the same operand cheap and
-    mutually consistent.  It holds the one LAPACK eigendecomposition call:
-    eigh is a one-off Powers.  Every operation acts on each matrix of a
-    stack as it would on that matrix alone, bit for bit.
+    mutually consistent.  It holds the one eigendecomposition call
+    (``lapack("eigh", ...)``): eigh is a one-off Powers.  Every operation
+    acts on each matrix of a stack as it would on that matrix alone, bit
+    for bit.
 
     ``hermitian`` is as for ``validate_hermitian``.
     """
@@ -290,14 +378,7 @@ class Powers:
 
     def _decomposed(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eigh is None:
-            H = self.matrix
-            try:
-                self._eigh = np.linalg.eigh(H)
-            except np.linalg.LinAlgError as exc:
-                raise DomainError(
-                    f"eigendecomposition failed for a {H.shape[-1]}x{H.shape[-1]} matrix "
-                    f"(max |entry| {np.abs(H).max():.3e}): {exc}"
-                ) from exc
+            self._eigh = lapack("eigh", self.matrix)
         return self._eigh
 
     @property

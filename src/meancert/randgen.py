@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import zlib
 from typing import Any
 
 import numpy as np
 
-from .linalg import DomainError, hermitianize
+from .linalg import DomainError, hermitianize, lapack
 
 DEFAULT_LAW = "log-uniform:0.001:1000.0"
 
@@ -53,6 +54,9 @@ def parse_law(law: str) -> tuple[str, tuple[float, ...]]:
       log-uniform:LO:HI     eigenvalues exp-uniform on [LO, HI], LO > 0
       explicit:V1,V2,...    fixed values >= 0 (a single value broadcasts)
       clustered:C:J         C * (1 + J * uniform(-1, 1)), C > 0, 0 <= J < 1
+
+    A number is a token that Python's ``float`` reads and that holds no
+    whitespace or ``_``.
     """
     kind, _, rest = str(law).partition(":")
     if kind not in ("log-uniform", "explicit", "clustered"):
@@ -61,11 +65,11 @@ def parse_law(law: str) -> tuple[str, tuple[float, ...]]:
         )
     # only the float parse is wrapped: a range check's DomainError is a ValueError too
     try:
-        if kind == "explicit":
-            params = tuple(float(v) for v in rest.split(","))
-        else:
-            first, _, second = rest.partition(":")
-            params = (float(first), float(second))
+        tokens = rest.split(",") if kind == "explicit" else rest.partition(":")[::2]
+        for token in tokens:
+            if re.search(r"[\s_]", token):
+                raise ValueError(f"whitespace or '_' in the number {token!r}")
+        params = tuple(map(float, tokens))
     except ValueError as exc:
         raise DomainError(f"malformed spectrum law {law!r}: {exc}") from exc
     if kind == "log-uniform" and not (0.0 < params[0] <= params[1] < math.inf):
@@ -238,8 +242,8 @@ def spectra(law: str, u: np.ndarray) -> np.ndarray:
 
 def orthonormalize(z: np.ndarray) -> np.ndarray:
     """Phase-fixed Q from the QR factorization of each matrix in z, (n, n) or (k, n, n)."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    q, f = lapack("qr", z)  # R is f's upper triangle
+    d = f.diagonal(0, -2, -1).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))[..., None, :]
 

@@ -636,6 +636,18 @@ BAD_SETTINGS = {
     "law-malformed": (["matrix-verify", "--case", "op-2.3", "--law", "log-uniform:1:x"],
                       "malformed spectrum law 'log-uniform:1:x': "
                       "could not convert string to float: 'x'"),
+    # float() reads these, but a law that writes one into its digests has a
+    # second spelling of the same draws
+    "law-underscore": (["matrix-verify", "--case", "op-2.3", "--law", "explicit:1_000"],
+                       "malformed spectrum law 'explicit:1_000': "
+                       "whitespace or '_' in the number '1_000'"),
+    "law-inner-space": (["matrix-verify", "--case", "op-2.3", "--law", "explicit: 1"],
+                        "malformed spectrum law 'explicit: 1': "
+                        "whitespace or '_' in the number ' 1'"),
+    "law-trailing-space": (["matrix-verify", "--case", "op-2.3",
+                            "--law", "log-uniform:1e-3:1e3 "],
+                           "malformed spectrum law 'log-uniform:1e-3:1e3 ': "
+                           "whitespace or '_' in the number '1e3 '"),
 }
 
 
@@ -649,6 +661,12 @@ class TestNonFiniteSettings:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []
+
+    def test_replay_of_a_law_with_an_underscore_exits_2(self, capsys):
+        code, err = replay_error(capsys, hs_digest(law="explicit:1_000"))
+        assert code == 2
+        assert ("malformed spectrum law 'explicit:1_000': "
+                "whitespace or '_' in the number '1_000'") in err
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     @pytest.mark.parametrize("case_id", ["op-2.3", "hs-2.14", "km-1.3"])

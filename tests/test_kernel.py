@@ -164,7 +164,7 @@ def test_trials_that_draw_differently_never_share_a_stack(monkeypatch):
         assert_same_record(rec, run_trial(digest, CERT_PSD_TOL))
 
 
-# np.linalg.eigh calls of one stacked certify_operator: one for A, one for
+# eigh calls (through linalg.lapack) of one stacked certify_operator: one for A, one for
 # X = A^-1/2 B A^-1/2, one per link, one for the order check of an
 # ordered-only case, and one for B only where a link reads B^-1
 EIGH_PER_STACK = {"op-2.3": 3, "op-2.5": 3, "op-2.6": 3, "op-2.7-left": 5,
@@ -191,7 +191,7 @@ REPLAY_SHA256 = {
 
 @pytest.mark.parametrize("case_id", OPERATOR)
 def test_a_stack_decomposes_only_what_its_links_read(monkeypatch, case_id):
-    eigh = np.linalg.eigh
+    lapack = linalg.lapack
     for nu in (None, 0.0, 0.5, 1.0):  # cycling the grid, then shared by the stack
         if nu is not None and not CASES[case_id].in_domain(nu):
             continue
@@ -199,9 +199,11 @@ def test_a_stack_decomposes_only_what_its_links_read(monkeypatch, case_id):
         built = runner.Stack.of(digests)
         stack = runner.build_inputs(built, runner.draw_stack(built))
         calls = []
-        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        # every LAPACK call is recorded, so one that is not an eigh shows too
+        monkeypatch.setattr(linalg, "lapack",
+                            lambda op, M: calls.append(M.shape) or lapack(op, M))
         records = opmeans.certify_operator(CASES[case_id], stack["A"], stack["B"], stack["nu"])
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(linalg, "lapack", lapack)
         want = EIGH_PER_STACK[case_id]
         if nu in (0.0, 1.0):
             want = EIGH_PER_STACK_AT_AN_END.get(case_id, want)
@@ -670,8 +672,8 @@ def test_zero_imaginary_matrix_stays_in_its_complex_stack(monkeypatch):
 # once per stack, and no record is built.  A helper called per trial in the
 # draw or verdict loops shows here as a count, where a timing could not tell it.
 CALLS_PER_TRIAL = {
-    "op-2.10": 4.52, "op-2.3": 3.12, "op-2.5": 3.56, "op-2.6": 3.56, "op-2.7-left": 6.0,
-    "op-2.7-refine": 6.0, "op-2.7-right": 5.48, "op-heron-zhao": 4.04,
+    "op-2.10": 4.52, "op-2.3": 3.12, "op-2.5": 3.56, "op-2.6": 3.56, "op-2.7-left": 5.2,
+    "op-2.7-refine": 5.2, "op-2.7-right": 5.08, "op-heron-zhao": 4.04,
     "hs-2.13": 3.04, "hs-2.14": 3.4, "hs-cor": 3.4, "hs-thm8": 3.88,
 }
 
@@ -712,13 +714,14 @@ def test_python_calls_per_trial_stay_bounded(case_id):
 
 # Python-level calls of one runner._certify on a stack of one (trial 5 at dim 3),
 # which is what replay runs, counted with every weight and exponent a (k,)
-# array inside the package, each power deciding its exponents once.  Every
+# array inside the package, each power deciding its exponents once, and each
+# LAPACK call going through linalg.lapack, past numpy.linalg's wrappers.  Every
 # replay is a stack of one, so this count shows a rise in its fixed cost
 # that a noisy host hides in the timings.
 CALLS_PER_STACK_OF_ONE = {
-    "op-2.10": 266, "op-2.3": 204, "op-2.5": 191, "op-2.6": 191, "op-2.7-left": 243,
-    "op-2.7-refine": 241, "op-2.7-right": 230, "op-heron-zhao": 202,
-    "hs-2.13": 224, "hs-2.14": 236, "hs-cor": 244, "hs-thm8": 223,
+    "op-2.10": 190, "op-2.3": 148, "op-2.5": 135, "op-2.6": 135, "op-2.7-left": 167,
+    "op-2.7-refine": 165, "op-2.7-right": 164, "op-heron-zhao": 146,
+    "hs-2.13": 178, "hs-2.14": 181, "hs-cor": 189, "hs-thm8": 177,
 }
 # The tolist and reshape calls of the same stack of one, which sys.setprofile
 # reports as "c_call" events and the count above leaves out.  A power turns

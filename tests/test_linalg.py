@@ -1,12 +1,18 @@
+import ast
 import operator
+import pathlib
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meancert import hsnorm, linalg, randgen
+from meancert.cli import main
 from meancert.linalg import (FAST_POWERS, DomainError, Powers, clamp_psd, eigh, hermitianize,
-                             hs_norms, is_psd, power_rows, validate_hermitian)
+                             hs_norms, is_psd, lapack, power_rows, validate_hermitian)
+from meancert.runner import CASES
 
 
 def rand_pd(dim, seed, lo=0.1, hi=10.0, complex_entries=False):
@@ -406,3 +412,173 @@ class TestPowerRows:
             differ = [p for p in EXPONENTS if u64(power(v, p)).tolist()
                       != u64(np.power(v, np.full_like(v, p))).tolist()]
         assert sorted(set(differ) - set(FAST_POWERS)) == []
+
+
+# the dtypes numpy.linalg takes, real and complex: an integer matrix goes
+# through the double loop, and single precision comes back single
+LAPACK_DTYPES = {False: (np.float64, np.float32, np.int64), True: (np.complex128, np.complex64)}
+LAPACK_GUFUNCS = ("eigh_lo", "eigvalsh_lo", "qr_r_raw", "qr_reduced")
+
+
+def lapack_inputs(n, cx, k, dtype, seed):
+    """A Hermitian and a general matrix of ``dtype``: one (n, n) when k is None,
+    else stacks (k, n, n)."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if k is None else (k, n, n)
+    z = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cx else 0.0)
+    if dtype is np.int64:
+        z = np.rint(9 * z)
+    return hermitianize(z).astype(dtype), z.astype(dtype)
+
+
+def invalid(M, *args, **kwargs):
+    """A stub gufunc whose loop sets the invalid flag, as a LAPACK failure does."""
+    return np.sqrt(np.full(M.shape[:-1], -1.0))
+
+
+def operations_with(**stubs):
+    """linalg's operations on this numpy's gufuncs, with ``stubs`` in place of some."""
+    umath = {name: getattr(np.linalg._umath_linalg, name) for name in LAPACK_GUFUNCS}
+    return linalg._operations(types.SimpleNamespace(**{**umath, **stubs}))
+
+
+class TestLapack:
+    """``linalg.lapack`` calls numpy's LAPACK gufuncs as numpy.linalg does, and
+    so gives its bits and dtypes."""
+
+    @pytest.mark.parametrize("k", [None, 1, 26], ids=["2d", "k1", "k26"])
+    @pytest.mark.parametrize("cx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
+    def test_bits_and_dtypes_equal_numpy_linalg(self, n, cx, k):
+        for dtype in LAPACK_DTYPES[cx]:
+            H, Z = lapack_inputs(n, cx, k, dtype, seed=100 * n + (k or 0))
+            w, V = lapack("eigh", H)
+            want_w, want_V = np.linalg.eigh(H)
+            assert bits(w) == bits(want_w) and bits(V) == bits(want_V), dtype
+            assert bits(lapack("eigvalsh", H)) == bits(np.linalg.eigvalsh(H)), dtype
+            Q, F = lapack("qr", Z)
+            want_Q, want_R = np.linalg.qr(Z)
+            assert bits(Q) == bits(want_Q), dtype
+            assert bits(F.diagonal(0, -2, -1)) == bits(want_R.diagonal(0, -2, -1)), dtype
+
+    def test_this_numpy_takes_the_gufunc_path(self):
+        assert all(hasattr(np.linalg._umath_linalg, name) for name in LAPACK_GUFUNCS)
+        assert {op: run.__qualname__ for op, run in linalg._LAPACK.items()} == {
+            "eigh": "_operations.<locals>.eigh", "eigvalsh": "_operations.<locals>.eigvalsh",
+            "qr": "_operations.<locals>.qr"}
+
+    def test_an_operation_whose_gufunc_is_missing_is_numpy_linalgs(self, monkeypatch):
+        assert linalg._operations(None) == {
+            "eigh": np.linalg.eigh, "eigvalsh": np.linalg.eigvalsh, "qr": np.linalg.qr}
+        umath = np.linalg._umath_linalg
+        ops = linalg._operations(types.SimpleNamespace(eigh_lo=umath.eigh_lo,
+                                                       qr_r_raw=umath.qr_r_raw))
+        assert ops["eigvalsh"] is np.linalg.eigvalsh and ops["qr"] is np.linalg.qr
+        assert ops["eigh"] is not np.linalg.eigh
+        # and the fallbacks serve the entry as the gufuncs do
+        H, Z = lapack_inputs(5, True, 3, np.complex128, seed=7)
+        want = lapack("eigh", H), lapack("eigvalsh", H), lapack("qr", Z)
+        monkeypatch.setattr(linalg, "_LAPACK", linalg._operations(None))
+        (w, V), e, (Q, F) = lapack("eigh", H), lapack("eigvalsh", H), lapack("qr", Z)
+        assert bits(w) == bits(want[0][0]) and bits(V) == bits(want[0][1])
+        assert bits(e) == bits(want[1]) and bits(Q) == bits(want[2][0])
+        assert bits(F.diagonal(0, -2, -1)) == bits(want[2][1].diagonal(0, -2, -1))
+
+    def test_an_unsupported_dtype_is_numpy_linalgs_type_error(self):
+        m = np.eye(3, dtype=np.float16)
+        for op in ("eigh", "eigvalsh", "qr"):
+            with pytest.raises(TypeError, match="array type float16 is unsupported in linalg"):
+                getattr(np.linalg, op)(m)
+            with pytest.raises(TypeError, match="array type float16 is unsupported in linalg"):
+                lapack(op, m)
+
+    @pytest.mark.parametrize("op", ["eigh", "eigvalsh"])
+    def test_a_failure_of_lapack_itself_is_a_domain_error(self, op):
+        # the entry fails where numpy.linalg does (this LAPACK fails on NaN),
+        # with numpy.linalg's reason
+        m = np.full((3, 3), np.nan)
+        try:
+            want = getattr(np.linalg, op)(m)
+        except np.linalg.LinAlgError as exc:
+            assert str(exc) == "Eigenvalues did not converge"
+            with pytest.raises(DomainError, match=r"^eigendecomposition failed for a 3x3 "
+                                                  r"matrix \(max \|entry\| nan\): Eigenvalues "
+                                                  r"did not converge$"):
+                lapack(op, m)
+        else:
+            got = lapack(op, m)
+            assert bits(got[0] if op == "eigh" else got) == bits(want[0] if op == "eigh" else want)
+
+    def test_powers_reports_a_failed_eigh(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_LAPACK", operations_with(eigh_lo=invalid))
+        with pytest.raises(DomainError, match=r"^eigendecomposition failed for a 3x3 matrix "
+                                              r"\(max \|entry\| 2\.000e\+00\): "
+                                              r"Eigenvalues did not converge$"):
+            Powers(2.0 * np.eye(3)).pow(0.5)
+
+    def test_the_hs_hypothesis_reports_a_failed_eigvalsh(self, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "_LAPACK", operations_with(eigvalsh_lo=invalid))
+        a = rand_pd(3, 1)
+        with pytest.raises(DomainError, match="^case hs-2.14 hypothesizes a positive "
+                                              "semidefinite X: eigendecomposition failed "
+                                              "for a 3x3 matrix"):
+            hsnorm.certify_hs(CASES["hs-2.14"], a, a, a, 0.5)
+        # a sweep exits 2 and says why, where numpy.linalg's LinAlgError escaped
+        capsys.readouterr()
+        assert main(["matrix-verify", "--case", "hs-2.14", "--trials", "2", "--dim", "3"]) == 2
+        assert "eigendecomposition failed for a 3x3 matrix" in capsys.readouterr().err
+
+    def test_orthonormalize_reports_a_failed_qr(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_LAPACK", operations_with(qr_r_raw=invalid))
+        with pytest.raises(DomainError, match=r"^QR factorization failed for a 3x3 matrix "
+                                              r"\(max \|entry\| 1\.000e\+00\): Incorrect "
+                                              r"argument found while performing QR "
+                                              r"factorization$"):
+            randgen.orthonormalize(np.eye(3))
+
+
+# numpy.linalg's names that the package may reference, and where; any other
+# one would run LAPACK past linalg.lapack (which takes numpy.linalg's
+# functions only where this numpy lacks a gufunc)
+NUMPY_LINALG_OK = {"LinAlgError": None, "_umath_linalg": "linalg",
+                   "eigh": "linalg._operations", "eigvalsh": "linalg._operations",
+                   "qr": "linalg._operations"}
+
+
+def numpy_linalg_uses(module: str, source: str) -> list[str]:
+    """``where: name`` for each name of numpy.linalg that ``source`` reads, as
+    ``np.linalg.name``, ``numpy.linalg.name`` or a ``from numpy.linalg``
+    import, where is ``module`` or ``module.function`` (its top-level def)."""
+    found = []
+    for top in ast.parse(source).body:
+        where = f"{module}.{top.name}" if isinstance(top, ast.FunctionDef) else module
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in ("np", "numpy")):
+                found.append(f"{where}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                    "numpy.linalg"):
+                found += [f"{where}: {a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [f"{where}: {a.name}" for a in node.names
+                          if a.name.startswith("numpy.linalg")]
+    return found
+
+
+def test_the_scan_sees_each_way_to_reach_numpy_linalg():
+    source = ("import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import qr\n"
+              "def f(m):\n    return np.linalg.eigvalsh(m), numpy.linalg.svd(m)\n"
+              "x = np.linalg.LinAlgError\n")
+    assert numpy_linalg_uses("m", source) == [
+        "m: numpy.linalg", "m: qr", "m.f: eigvalsh", "m.f: svd", "m: LinAlgError"]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_lapack_is_reached_only_through_the_entry(path):
+    for use in numpy_linalg_uses(path.stem, path.read_text(encoding="utf-8")):
+        where, name = use.split(": ")
+        assert name in NUMPY_LINALG_OK, use
+        allowed = NUMPY_LINALG_OK[name]
+        assert allowed is None or where == allowed, use
