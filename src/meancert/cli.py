@@ -19,7 +19,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
 from typing import Any
 
 from . import __version__, runner, scalar
@@ -295,27 +294,15 @@ def _profile_scalar(ids: list[str], nus: list[float],
 
 def _profile_matrix(ids: list[str], nus: list[float],
                     opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
-    header = ["nu"]
     cfg = runner.RunConfig(trials=1, seed=opts["seed"], dims=(opts["dim"],), law=opts["law"])
-    for cid in ids:
-        header.extend(f"{cid}:{name}" for name in runner.CASES[cid].links)
-    notes = [f"inputs: dim={opts['dim']} seed={opts['seed']} "
-             f"law={opts['law']} trial=0"]
-    # every point is trial 0 at its own nu: a case's points are one stack
-    digests = [runner.make_digest(cid, replace(cfg, nu=nu), 0)
-               for nu in nus for cid in ids if runner.CASES[cid].in_domain(nu)]
-    records = iter(runner.run_stacks(digests, CERT_PSD_TOL))
+    slacks = runner.profile(ids, cfg, nus, CERT_PSD_TOL)
+    header = ["nu"] + [f"{cid}:{name}" for cid in ids for name in runner.CASES[cid].links]
+    notes = [f"inputs: dim={opts['dim']} seed={opts['seed']} law={opts['law']} trial=0"]
     rows = []
     for nu in nus:
         row: list[Any] = [nu]
         for cid in ids:
-            case = runner.CASES[cid]
-            if not case.in_domain(nu):
-                row.extend([""] * len(case.links))
-            elif case.kind == "operator":
-                row.extend(lc.slack for lc in next(records).links)
-            else:
-                row.extend(next(records).slacks)
+            row.extend(slacks.get((cid, nu), [""] * len(runner.CASES[cid].links)))
         rows.append(row)
     return header, rows, notes
 

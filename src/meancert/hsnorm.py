@@ -66,7 +66,7 @@ class HsContext:
         if not np.isfinite(X).all():
             raise DomainError("X contains non-finite entries")
         if oracle is not None:
-            shapes = [np.shape(part) for pair in oracle for part in pair]
+            shapes = [np.asarray(part).shape for pair in oracle for part in pair]
             if shapes != [shape[:-1], shape] * 2:
                 raise DomainError(f"oracle ((la, Ua), (mu, Ub)) has shapes {shapes}, "
                                   f"not those of eigendecompositions of A and B {shape}")
@@ -87,7 +87,7 @@ class HsContext:
         return self._heinz_block(checked_weight("nu", nu, len(self.X)))
 
     def _heinz_block(self, nu: np.ndarray) -> np.ndarray:
-        """``heinz_block`` at the (k,) weights that certify_hs has checked: the
+        """``heinz_block`` at the (k,) weights that judge_hs has checked: the
         kernel that the chains read."""
         pa, pb, X, rest = self.pa, self.pb, self.X, 1.0 - nu
         return pa.pow_rows(nu) @ X @ pb.pow_rows(rest) + pa.pow_rows(rest) @ X @ pb.pow_rows(nu)
@@ -350,19 +350,16 @@ def _x_hypothesis(case: HsCase, X: np.ndarray, lenient: bool) -> list[bool]:
 # A result past the range of floats is a DomainError (a matrix or a chain side
 # that is not finite), never a verdict; numpy need not warn on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def certify_hs(case: HsCase, A, B, X, nu, *,
-               tol: float = CERT_PSD_TOL,
-               lenient: bool = False,
-               oracle=None,
-               records: bool = True):
-    """Judge one norm chain at (A, B, X, nu) through both evaluation routes.
-
-    A, B and X may be stacks (k, n, n), with one nu for every triple or one
-    per triple, and ``oracle`` stacked like them; the result is then a list
-    of k trials, each equal bit for bit to the trial of its triple alone,
-    which is how one triple is judged: as a stack of one.  With
-    ``records=False`` a stack gives its ``Verdicts`` instead: no trial
-    record is built and no worst cell is sought.
+def judge_hs(case: HsCase, A, B, X, nu, *,
+             tol: float = CERT_PSD_TOL,
+             lenient: bool = False,
+             oracle=None):
+    """Judge one norm chain through both routes on a stack (k, n, n) of triples,
+    with one nu for every triple or one per triple and ``oracle`` stacked like
+    A and B: ``(verdicts, (nus, met, sides, oracle_sides, cells, blocks))``,
+    the stack's ``Verdicts``, then each triple's nu and hypothesis, both
+    routes' sides (k, m), and the oracle's ``Cells`` with the two blocks of the
+    diagnosed link, where a record seeks its worst cell.
 
     When the case hypothesizes a PSD X, a violating X raises DomainError
     unless ``lenient`` is set, in which case the trial is marked advisory:
@@ -371,53 +368,70 @@ def certify_hs(case: HsCase, A, B, X, nu, *,
     a count of nu that is neither 1 nor the count of triples raises
     DomainError.
     """
-    A, X = np.asarray(A), np.asarray(X)
-    one = A.ndim == 2
-    if one:
-        A, B, X = A[None], np.asarray(B)[None], X[None]
-        if oracle is not None:
-            oracle = tuple((np.asarray(lam)[None], np.asarray(q)[None]) for lam, q in oracle)
+    X = np.asarray(X)
     nus = case.check_weights(nu)
     met = _x_hypothesis(case, X, lenient)
     ctx = HsContext(A, B, X, oracle=oracle)
-    k = len(X)
+    if X.ndim != 3:  # one triple is the stack of one that certify_hs makes of it
+        raise DomainError(f"judge_hs takes stacks (k, n, n), got X of shape {X.shape}")
+    k = len(ctx.X)
     nus = one_per_matrix("nu", nus, k)
     w = Weights(np.array(nus))
     # each side is a (k, 1, 1) column; the chains of the stack are the rows of (k, m)
     sides = np.concatenate(case.chain(ctx, w)[0], axis=-1).reshape(k, -1)
     _, slacks, worst = judge_chains(sides, f"the direct route of {case.case_id}")
     cells = Cells(*ctx.cell_parts())
-    osides, (lhs, rhs) = case.chain(cells, w)
+    osides, blocks = case.chain(cells, w)
     osides = np.concatenate(osides, axis=-1).reshape(k, -1)
     rel_errs = (np.abs(sides - osides) / np.maximum(np.abs(sides), 1.0)).max(axis=1)
     finite = np.isfinite(rel_errs)  # the direct sides are finite, so an oracle side is not
     if not finite.all():
         require_finite(osides[int(finite.argmin())].tolist(), "side",
                        f"the oracle route of {case.case_id}")
-    rows, links, errs = slacks.tolist(), worst.tolist(), rel_errs.tolist()
-    if not records:
-        mins = [row[j] for row, j in zip(rows, links)]
-        advisory = [not m for m in met] if lenient else [False] * k
-        return Verdicts(mins, [s >= -tol for s in mins], links, advisory, errs)
+    rows, at = slacks.tolist(), worst.tolist()
+    mins = [row[j] for row, j in zip(rows, at)]
+    v = Verdicts(mins, [s >= -tol for s in mins], at, list(map(list, zip(*rows))),
+                 [not m for m in met] if lenient else [False] * k, rel_errs.tolist())
+    return v, (nus, met, sides, osides, cells, blocks)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def certify_hs(case: HsCase, A, B, X, nu, *,
+               tol: float = CERT_PSD_TOL,
+               lenient: bool = False,
+               oracle=None):
+    """Judge one norm chain at (A, B, X, nu), as ``judge_hs``, into a record: a
+    trial's row of the ``Verdicts``, its nu and hypothesis, both routes' sides
+    and its worst cell.  Stacks (k, n, n), with ``oracle`` stacked like them,
+    give a list of k trials, each equal bit for bit to its triple's alone,
+    which is judged as a stack of one.
+    """
+    A, X = np.asarray(A), np.asarray(X)
+    one = A.ndim == 2
+    if one:
+        A, B, X = A[None], np.asarray(B)[None], X[None]
+        if oracle is not None:
+            oracle = tuple((np.asarray(lam)[None], np.asarray(q)[None]) for lam, q in oracle)
+    v, (nus, met, sides, osides, cells, (lhs, rhs)) = judge_hs(
+        case, A, B, X, nu, tol=tol, lenient=lenient, oracle=oracle)
     damage = (rhs * rhs - lhs * lhs) * cells.y2
-    n = damage.shape[-1]
+    k, n = len(damage), damage.shape[-1]
     worst_cells = damage.reshape(k, -1).argmin(axis=1).tolist()
     trials = []
-    for r, (s, o, row, link, rel_err) in enumerate(zip(
-            sides.tolist(), osides.tolist(), rows, links, errs)):
+    for r, (s, o, row) in enumerate(zip(sides.tolist(), osides.tolist(), zip(*v.slacks))):
         i, j = divmod(worst_cells[r], n)
         trials.append(HsTrial(
             case_id=case.case_id,
             nu=nus[r],
             sides=tuple(s),
-            slacks=tuple(row),
-            min_slack=row[link],
-            worst_link=case.links[link],
-            passed=row[link] >= -tol,
+            slacks=row,
+            min_slack=v.min_slack[r],
+            worst_link=case.links[v.worst_link[r]],
+            passed=v.passed[r],
             hypothesis_met=met[r],
-            advisory=lenient and not met[r],
+            advisory=v.advisory[r],
             oracle_sides=tuple(o),
-            oracle_rel_err=rel_err,
+            oracle_rel_err=v.oracle_rel_err[r],
             worst_cell=(i, j, float(cells.la[r, i]), float(cells.mu[r, j]),
                         float(damage[r, i, j])),
         ))

@@ -47,6 +47,8 @@ CERT_PSD_TOL = 1e-8
 # whose last bits differ from its power by an array of exponents; for every
 # other exponent a contiguous row's bits are the same either way
 FAST_POWERS = (-1.0, 0.5, 2.0)
+# the inexact types numpy.linalg's LAPACK loops take (an integer takes float64's)
+LAPACK_TYPES = (np.float32, np.float64, np.complex64, np.complex128)
 
 
 class DomainError(ValueError):
@@ -121,8 +123,9 @@ def validate_hermitian(M, *, hermitian: bool = False) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.size == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not issubclass(M.dtype.type, np.number):
-        raise DomainError(f"expected a numeric matrix, got dtype {M.dtype}")
+    if not issubclass(M.dtype.type, np.integer) and M.dtype.type not in LAPACK_TYPES:
+        raise DomainError("expected a matrix of integers or of float32, float64, complex64 "
+                          f"or complex128 entries, got dtype {M.dtype}")
     if not np.isfinite(M).all():
         raise DomainError("matrix contains non-finite entries")
     if hermitian:
@@ -160,7 +163,7 @@ def _loop(dtype: np.dtype) -> tuple[bool, np.dtype, type]:
     is numpy.linalg's TypeError.
     """
     t = dtype.type if issubclass(dtype.type, np.inexact) else np.float64
-    if t not in (np.float32, np.float64, np.complex64, np.complex128):
+    if t not in LAPACK_TYPES:
         raise TypeError(f"array type {dtype.name} is unsupported in linalg")
     return issubclass(t, np.complexfloating), np.finfo(t).dtype, t
 

@@ -16,7 +16,7 @@ positive definite while B may be positive semidefinite.
 Certification is pairwise: a chain M1 <= M2 <= ... is judged link by link
 through is_psd(M[i+1] - M[i]); each link reports its minimum eigenvalue,
 its tolerance scale, and the worst link ships an eigenvector witness.
-``certify_operator`` checks each weight once, and the gap builders take the
+``judge_operator`` checks each weight once, and the gap builders take the
 context's unchecked kernels (``_nabla``, ``_geom``, ``_heinz``, ``_heron``);
 the public means check their weights.  A gap, and X = A^(-1/2) B A^(-1/2),
 is exactly Hermitian by construction, so only its finiteness is checked.
@@ -336,25 +336,17 @@ class OperatorTrial:
 # A result past the range of floats is a DomainError (a matrix that is not
 # finite), never a verdict; numpy need not warn on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def certify_operator(case: OperatorCase, A, B, nu,
-                     tol: float = CERT_PSD_TOL, *, records: bool = True):
-    """Judge every link of one chain at (A, B, nu).
-
-    A and B may be stacks (k, n, n), with one nu for every pair or one per
-    pair; the result is then a list of k trials, each equal bit for bit to
-    the trial of its pair alone, which is how one pair is judged: as a stack
-    of one.  With ``records=False`` a stack gives its ``Verdicts`` instead,
-    read from the lists ``is_psd`` returns, and no trial record is built.
+def judge_operator(case: OperatorCase, A, B, nu, tol: float = CERT_PSD_TOL):
+    """Judge every link of one chain on a stack (k, n, n) of pairs, with one nu
+    for every pair or one per pair: the stack's ``Verdicts``, from the lists
+    ``is_psd`` returns, and what a record reads besides, each pair's nu and
+    each link's ``is_psd`` check, as ``(verdicts, (nus, checks))``.
 
     Domain violations (nu outside the case's range, an unordered pair fed
     to an ordered-only case, operands that are not PD where required, a
     count of nu that is neither 1 nor the count of pairs) raise DomainError
     naming the violated predicate.
     """
-    A = np.asarray(A)
-    one = A.ndim == 2
-    if one:
-        A, B = A[None], np.asarray(B)[None]
     nus = case.check_weights(nu)
     ctx = PairContext(A, B)
     if case.requires_ordered:
@@ -365,27 +357,43 @@ def certify_operator(case: OperatorCase, A, B, nu,
                 f"case {case.case_id} requires A <= B in Loewner order; "
                 f"lam_min(B - A) = {order.lam_min[i]:.6e} at scale {order.scale[i]:.3e}"
             )
-    k = len(A)
+    k = len(ctx.pa.matrix)
     nus = one_per_matrix("nu", nus, k)
-    gaps = case.gaps(ctx, np.array(nus))
-    links = [is_psd(gap, tol, hermitian=True) for gap in gaps]
-    # each link's slacks over the stack, then each trial's first smallest slack
-    slacks = [list(map(truediv, res.lam_min, res.scale))
-              for _, res in zip(case.links, links, strict=True)]
+    # each link's check and slacks over the stack, then each trial's first smallest slack
+    checks, slacks = [], []
+    for _, gap in zip(case.links, case.gaps(ctx, np.array(nus)), strict=True):
+        res = is_psd(gap, tol, hermitian=True)
+        checks.append(res)
+        slacks.append(list(map(truediv, res.lam_min, res.scale)))
     worst, at = slacks[0], [0] * k
-    if len(links) > 1:
+    if len(checks) > 1:
         worst = list(worst)
-        for j in range(1, len(links)):
+        for j in range(1, len(checks)):
             for i, s in enumerate(slacks[j]):
                 if s < worst[i]:
                     worst[i], at[i] = s, j
-        passed = list(map(all, zip(*[res.ok for res in links])))
+        passed = list(map(all, zip(*[res.ok for res in checks])))
     else:
-        passed = links[0].ok
-    if not records:
-        return Verdicts(worst, passed, at)
+        passed = checks[0].ok
+    return Verdicts(worst, passed, at, slacks), (nus, checks)
+
+
+def certify_operator(case: OperatorCase, A, B, nu, tol: float = CERT_PSD_TOL):
+    """Judge every link of one chain at (A, B, nu), as ``judge_operator``, into
+    a record: a trial's row of the ``Verdicts``, its nu, its link checks and
+    the witness of its worst link.  Stacks (k, n, n) give a list of k trials,
+    each equal bit for bit to its pair's alone, which is judged as a stack of one.
+    """
+    A = np.asarray(A)
+    one = A.ndim == 2
+    if one:
+        A, B = A[None], np.asarray(B)[None]
+    v, (nus, checks) = judge_operator(case, A, B, nu, tol)
     rows = zip(*[map(LinkCheck, repeat(name), res.lam_min, res.scale, s, res.ok)
-                 for name, res, s in zip(case.links, links, slacks)])
-    trials = [OperatorTrial(case.case_id, v, checks, slack, case.links[j], ok, links[j].witness[i])
-              for i, (v, checks, slack, j, ok) in enumerate(zip(nus, rows, worst, at, passed))]
+                 for name, res, s in zip(case.links, checks, v.slacks)])
+    trials = []
+    for i, (t_nu, links, slack, j, ok) in enumerate(
+            zip(nus, rows, v.min_slack, v.worst_link, v.passed)):
+        trials.append(OperatorTrial(case.case_id, t_nu, links, slack, case.links[j], ok,
+                                    checks[j].witness[i]))
     return trials[0] if one else trials

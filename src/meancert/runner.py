@@ -12,17 +12,17 @@ each stack (k, n, n) is one template digest with its trials' indices and
 nu (``Stack``), draws its trials, each from its own stream, then goes
 through generation and certification at once.  Every stacked operation
 treats each matrix as it would treat it alone, so a trial's verdict is the
-same bit for bit in any stack, and ``run_trial`` and replay run the same
-code on a stack of one, which gives its record.  A sweep's stack gives its
-``Verdicts`` instead, which ``_Agg.fold_stack`` folds at once: no record,
-digest or fold call is made per trial, and a digest is written only for
-the trials the fold keeps (its argmin and its first failures).
+same bit for bit in any stack.  A stack's one verdict is its ``Verdicts``,
+which ``_Agg.fold_stack`` folds at once: no record, digest or fold call is
+made per trial, and a digest is written only for the trials the fold keeps
+(its argmin and its first failures).  ``run_trial`` and replay build a
+stack of one's record from its ``Verdicts``.
 """
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -177,11 +177,6 @@ _DIGEST_TYPES = {
 }
 
 
-# what the trials of a stack share: every field of the case's digests but trial and nu
-_STACK_FIELDS = {cid: operator.itemgetter(*(key for key in types if key not in ("trial", "nu")))
-                 for cid, types in _DIGEST_TYPES.items()}
-
-
 def check_digest(digest: dict[str, Any]) -> dict[str, Any]:
     """Check a digest by writing it again from its own values; return the rewrite.
 
@@ -315,7 +310,7 @@ def build_inputs(stack: Stack, columns: list[np.ndarray]) -> dict[str, Any]:
     lams = columns[0:2 * npd:2]
     q = orthonormalize(np.concatenate(columns[1:2 * npd:2]))
     qs = [q[i * k:(i + 1) * k] for i in range(npd)]
-    a, second, *rest = [assemble(lam, q) for lam, q in zip(lams, qs)]
+    a, second, *rest = map(assemble, lams, qs)
     out: dict[str, Any] = {"A": a, "B": a + second if ordered else second, "nu": stack.nus}
     if first["kind"] == "hs":
         out["X"] = rest[0] if rest else columns[-1]
@@ -349,17 +344,18 @@ def _draw(stack: Stack) -> dict[str, Any]:
     return build_inputs(stack, draw_stack(stack))
 
 
-def _certify(case: scalar.Case, stack: Stack, tol: float, records: bool = True):
-    """The trial records of a stack, drawn and certified at once, or with
-    ``records=False`` its ``Verdicts``."""
+def _on_inputs(case: scalar.Case, stack: Stack, tol: float, op: Callable, hs: Callable):
+    """``op`` or ``hs``, by the case's kind, on a stack's inputs, drawn just before."""
     inputs = _draw(stack)
     if case.kind == "operator":
-        return opmeans.certify_operator(case, inputs["A"], inputs["B"], inputs["nu"], tol=tol,
-                                        records=records)
-    lenient = stack.template["x_kind"] != case.x_kind
-    return hsnorm.certify_hs(case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"],
-                             tol=tol, lenient=lenient, oracle=inputs.get("oracle"),
-                             records=records)
+        return op(case, inputs["A"], inputs["B"], inputs["nu"], tol=tol)
+    return hs(case, inputs["A"], inputs["B"], inputs["X"], inputs["nu"], tol=tol,
+              lenient=stack.template["x_kind"] != case.x_kind, oracle=inputs.get("oracle"))
+
+
+def _certify(case: scalar.Case, stack: Stack, tol: float) -> Verdicts:
+    """The ``Verdicts`` of a stack, drawn and judged at once."""
+    return _on_inputs(case, stack, tol, opmeans.judge_operator, hsnorm.judge_hs)[0]
 
 
 def run_trial(digest: dict[str, Any], tol: float, psd_tol: float = PSD_TOL):
@@ -371,7 +367,8 @@ def run_trial(digest: dict[str, Any], tol: float, psd_tol: float = PSD_TOL):
     if psd_tol != PSD_TOL:
         raise DomainError(f"the clamp window is fixed at PSD_TOL = {PSD_TOL:g}, got {psd_tol}")
     stack = Stack(digest, [digest["trial"]], [digest["nu"]])
-    return _certify(case_by_id(digest["case"]), stack, tol)[0]
+    return _on_inputs(case_by_id(digest["case"]), stack, tol,
+                      opmeans.certify_operator, hsnorm.certify_hs)[0]
 
 
 def _cut(group: Stack) -> list[Stack]:
@@ -383,44 +380,37 @@ def _cut(group: Stack) -> list[Stack]:
             for s in range(0, len(trials), size)]
 
 
-def _alone(digests: list[dict[str, Any]], tol: float) -> list:
-    """The record of each trial run alone through ``run_trial``, in order, as
-    replay runs its digest; the first DomainError is raised again naming the
-    trial's case, index and digest.  A stack that raises falls back to this."""
-    records = []
+def _alone(digests: list[dict[str, Any]], tol: float) -> list[Verdicts]:
+    """The ``Verdicts`` of each trial judged alone, as a stack of one, in order,
+    as replay judges its digest; the first DomainError is raised again naming
+    the trial's case, index and digest.  A stack that raises falls back to this."""
+    verdicts = []
     for digest in digests:
         try:
-            records.append(run_trial(digest, tol))
+            verdicts.append(_certify(case_by_id(digest["case"]), Stack.of([digest]), tol))
         except DomainError as exc:
             raise DomainError(f"case {digest['case']} trial {digest['trial']}: {exc}; "
                               f"digest: {json.dumps(digest, sort_keys=True)}") from exc
-    return records
+    return verdicts
 
 
-def run_stacks(digests: list[dict[str, Any]], tol: float) -> list:
-    """Records of the matrix trials of ``digests``, certified as stacks.
-
-    The trials are grouped by every digest field but trial and nu (all that
-    a stack's draws and certification read once for the stack), in order of
-    first appearance, and each group is cut, in trial order, into stacks of
-    STACK_BUDGET entries (k * n * n); a stack draws just before it is
-    certified.  If a stack raises DomainError, every trial runs again alone
-    (``_alone``).
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, digest in enumerate(digests):
-        groups.setdefault(_STACK_FIELDS[digest["case"]](digest), []).append(i)
-    records: list = [None] * len(digests)
+def profile(case_ids: list[str], cfg: RunConfig, nus: list[float],
+            tol: float) -> dict[tuple[str, float], list[float]]:
+    """The per-link slacks of trial 0 of ``cfg`` by (case id, nu), at each nu of
+    ``nus`` in the case's domain.  A case's points are one stack, cut by
+    ``_cut``; if a stack raises DomainError, every point is judged alone
+    (``_alone``) by nu, then case, so the error names the first that fails."""
+    points = {cid: [nu for nu in nus if case_by_id(cid).in_domain(nu)] for cid in case_ids}
+    stacks = [(cid, s) for cid, p in points.items()
+              for s in _cut(Stack(make_digest(cid, cfg, 0), [0] * len(p), p))]
     try:
-        for rows in groups.values():
-            case = case_by_id(digests[rows[0]]["case"])
-            at = iter(rows)
-            for stack in _cut(Stack.of([digests[i] for i in rows])):
-                for rec, i in zip(_certify(case, stack, tol), at):
-                    records[i] = rec
+        judged = [(cid, s.nus, _certify(CASES[cid], s, tol)) for cid, s in stacks]
     except DomainError:
-        return _alone(digests, tol)
-    return records
+        digests = [make_digest(cid, replace(cfg, nu=nu), 0)
+                   for nu in nus for cid in case_ids if CASES[cid].in_domain(nu)]
+        judged = [(d["case"], [d["nu"]], v) for d, v in zip(digests, _alone(digests, tol))]
+    return {(cid, nu): [link[i] for link in v.slacks]
+            for cid, points, v in judged for i, nu in enumerate(points)}
 
 
 _trial_of = operator.itemgetter(0)
@@ -477,14 +467,9 @@ class _Agg:
         slack = min(mins)
         self._fold_min(slack, trials[mins.index(slack)], None)
 
-    def fold_trial(self, digest, trial_no: int, rec, kind: str) -> None:
-        """Fold one trial's record: ``fold_stack`` of a stack of one, whose digest
-        is ``digest``."""
-        hs = kind == "hs"
-        self.fold_stack([trial_no], Verdicts([rec.min_slack], [rec.passed], [0],
-                                             [rec.advisory] if hs else None,
-                                             [rec.oracle_rel_err] if hs else None),
-                        [rec.worst_link])
+    def fold_trial(self, digest, trial_no: int, v: Verdicts, links: Sequence[str]) -> None:
+        """``fold_stack`` of a stack of one, trial ``trial_no`` with ``digest``."""
+        self.fold_stack([trial_no], v, links)
         self.write_digests({trial_no: digest}.get)
 
     def write_digests(self, digest_of: Callable[[int], dict[str, Any] | None]) -> None:
@@ -564,9 +549,9 @@ class _Agg:
 
 
 def _chunk_stacks(case_id: str, cfg: RunConfig, start: int, stop: int) -> list[Stack]:
-    """The stacks of trials start..stop-1 of a case, as ``run_stacks`` would cut
-    their digests: one group per dim, in order of first appearance, each cut
-    in trial order.  A group writes one template digest, its first trial's."""
+    """The stacks of trials start..stop-1 of a case: one group per dim, in order
+    of first appearance, each cut in trial order.  A group writes one template
+    digest, its first trial's."""
     grid = case_by_id(case_id).nu_grid if cfg.nu is None else nu_grid_for(case_id, cfg.nu)
     dims, g = cfg.dims, len(grid)
     groups: dict[int, list[int]] = {}
@@ -588,13 +573,12 @@ def _run_chunk(case_id: str, cfg: RunConfig, start: int, stop: int) -> _Agg:
     agg = _Agg()
     try:
         for stack in _chunk_stacks(case_id, cfg, start, stop):
-            agg.fold_stack(stack.trials, _certify(case, stack, cfg.tol, records=False),
-                           case.links)
+            agg.fold_stack(stack.trials, _certify(case, stack, cfg.tol), case.links)
     except DomainError:
         agg = _Agg()
         digests = [make_digest(case_id, cfg, t) for t in range(start, stop)]
-        for t, (digest, rec) in enumerate(zip(digests, _alone(digests, cfg.tol)), start):
-            agg.fold_trial(digest, t, rec, case.kind)
+        for t, (digest, v) in enumerate(zip(digests, _alone(digests, cfg.tol)), start):
+            agg.fold_trial(digest, t, v, case.links)
         return agg
     agg.write_digests(lambda t: make_digest(case_id, cfg, t))
     return agg

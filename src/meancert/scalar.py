@@ -241,7 +241,7 @@ class Case:
             values = iter((nu,) if isinstance(nu, str) else nu)
         except TypeError:  # one number for the whole stack
             values = iter((nu,))
-        nus = [float(v) for v in values]
+        nus = list(map(float, values))
         for v in dict.fromkeys(nus):
             self.check_nu(v)
         return nus
@@ -500,12 +500,14 @@ def registry() -> tuple[ScalarCase, ...]:
 
 
 class Verdicts(NamedTuple):
-    """The verdicts of a stack of matrix trials, one entry per trial: what a
-    sweep folds, where a caller that asks for records gets a record per trial."""
+    """The verdicts of a stack of matrix trials, one entry per trial (``slacks``:
+    one list per link, one entry per trial): what a sweep folds, what
+    ``gap-profile`` writes, and what each trial record is built from."""
 
     min_slack: list[float]  # each trial's smallest normalized slack
     passed: list[bool]
     worst_link: list[int]  # the index, in the case's links, of the first link at min_slack
+    slacks: list[list[float]]  # each link's normalized slacks
     advisory: list[bool] | None = None  # hs: lenient mode waived a failed hypothesis
     oracle_rel_err: list[float] | None = None  # hs: how far the oracle route's sides part
 

@@ -573,6 +573,14 @@ class TestSweepErrors:
         assert code == 2 and not out.exists()
         assert_replays_to_the_same_error(err)
 
+    def test_profile_error_names_the_first_point_in_row_order(self, capsys):
+        # every point fails to draw; op-2.3 has no point at nu = 0, so the first
+        # row's failure is op-2.10's, though op-2.3's stack is judged first
+        assert main(["gap-profile", "--case", "op-2.3,op-2.10", "--law", "explicit:1,2",
+                     "--dim", "3"]) == 2
+        digest = json.loads(capsys.readouterr().err.split("digest: ", 1)[1])
+        assert (digest["case"], digest["nu"]) == ("op-2.10", 0.0)
+
     @pytest.mark.parametrize("flags", PROFILE_ERRORS.values(), ids=PROFILE_ERRORS)
     def test_profile_error_replays_to_the_same_error(self, tmp_path, flags):
         out = tmp_path / "profile.csv"
@@ -943,7 +951,7 @@ class TestGapProfileVerb:
     @pytest.mark.parametrize("n", [1, MAX_NU_POINTS + 1, 10**9])
     def test_nu_points_bound(self, tmp_path, capsys, monkeypatch, n):
         started = []
-        monkeypatch.setattr(runner, "run_stacks", lambda *a: started.append(a))
+        monkeypatch.setattr(runner, "profile", lambda *a: started.append(a))
         want = f"error: nu_points must lie in 2..{MAX_NU_POINTS}, got {n}\n"
         assert main(["gap-profile", "--case", "op-2.3", "--nu-points", str(n)]) == 2
         assert capsys.readouterr().err == want

@@ -286,6 +286,16 @@ class TestStacks:
                                                       for i in range(6)]
 
 
+    def test_the_judge_takes_stacks_only(self):
+        a, b, x = triple(35, dim=3)
+        case = case_by_id("hs-2.14")
+        got = hsnorm.judge_hs(case, a[None], b[None], x[None], 0.5, lenient=True)[0]
+        rec = certify_hs(case, a, b, x, 0.5, lenient=True)
+        assert got.advisory == [rec.advisory] == [True]
+        assert got.slacks == [[s] for s in rec.slacks]
+        with pytest.raises(DomainError, match=r"stacks \(k, n, n\), got X of shape \(3, 3\)"):
+            hsnorm.judge_hs(case, a, b, x, 0.5, lenient=True)
+
     @pytest.mark.parametrize("nus", [[0.25, 0.5], [0.5, 0.5], [0.25, 0.5, 0.75, 1.0]])
     @pytest.mark.parametrize("case_id", sorted(ALL_IDS))
     def test_certify_takes_one_nu_per_triple(self, case_id, nus):

@@ -12,7 +12,6 @@ import json
 import pathlib
 import random
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -29,13 +28,26 @@ HS = [cid for cid, case in CASES.items() if case.kind == "hs"]
 LAWS = [{}, {"law": "clustered:1:0.5"}, {"w_law": "explicit:0"}]
 
 
-def verdicts_of(case, records) -> Verdicts:
-    """The verdicts a sweep folds, read from the records of the same stack."""
+def verdict_row(v: Verdicts, i: int) -> Verdicts:
+    """Row i of a stack's Verdicts, as the Verdicts of a stack of one."""
+    def one(column):
+        return None if column is None else [column[i]]
+    return Verdicts(one(v.min_slack), one(v.passed), one(v.worst_link),
+                    [[link[i]] for link in v.slacks], one(v.advisory), one(v.oracle_rel_err))
+
+
+def record_verdicts(case, rec) -> Verdicts:
+    """The verdict fields of a trial record, as the Verdicts of a stack of one."""
     hs = case.kind == "hs"
-    return Verdicts([r.min_slack for r in records], [r.passed for r in records],
-                    [case.links.index(r.worst_link) for r in records],
-                    [r.advisory for r in records] if hs else None,
-                    [r.oracle_rel_err for r in records] if hs else None)
+    slacks = rec.slacks if hs else [lc.slack for lc in rec.links]
+    return Verdicts([rec.min_slack], [rec.passed], [case.links.index(rec.worst_link)],
+                    [[s] for s in slacks], [rec.advisory] if hs else None,
+                    [rec.oracle_rel_err] if hs else None)
+
+
+def stack_records(case, stack, tol):
+    """The trial records of a stack, drawn and certified at once."""
+    return runner._on_inputs(case, stack, tol, opmeans.certify_operator, hsnorm.certify_hs)
 
 
 def row_digest(stack, i):
@@ -44,18 +56,18 @@ def row_digest(stack, i):
 
 
 def spy_stacks(monkeypatch, seen):
-    """Have every stack a sweep certifies give its records as well: append
-    (digest, record) of each of its trials to ``seen``, once the verdicts the
-    sweep folds are checked, bit for bit, against those records.  Returns
-    the unpatched ``runner._certify``."""
+    """Have every stack a sweep judges give its records as well: append
+    (digest, record, Verdicts row) of each of its trials to ``seen``, once
+    each record's verdict fields are checked, bit for bit, against its row of
+    the Verdicts the sweep folds.  Returns the unpatched ``runner._certify``."""
     certify = runner._certify
 
-    def spy(case, stack, tol, records=True):
-        got = certify(case, stack, tol, records)
-        if not records:
-            recs = certify(case, stack, tol)
-            assert repr(got) == repr(verdicts_of(case, recs))
-            seen.extend((row_digest(stack, i), rec) for i, rec in enumerate(recs))
+    def spy(case, stack, tol):
+        got = certify(case, stack, tol)
+        for i, rec in enumerate(stack_records(case, stack, tol)):
+            row = verdict_row(got, i)
+            assert repr(record_verdicts(case, rec)) == repr(row)
+            seen.append((row_digest(stack, i), rec, row))
         return got
 
     monkeypatch.setattr(runner, "_certify", spy)
@@ -63,14 +75,14 @@ def spy_stacks(monkeypatch, seen):
 
 
 def swept(monkeypatch, case_id, cfg):
-    """The summary of a sweep, and (digest, record) of every trial of it in
-    trial order, asked of the stacks the sweep certifies."""
+    """The summary of a sweep, and (digest, record, Verdicts row) of every trial
+    of it in trial order, asked of the stacks the sweep judges."""
     seen = []
     certify = spy_stacks(monkeypatch, seen)
     summary = run_case(case_id, cfg)
     monkeypatch.setattr(runner, "_certify", certify)
-    seen.sort(key=lambda pair: pair[0]["trial"])
-    assert [d for d, _ in seen] == [make_digest(case_id, cfg, t) for t in range(cfg.trials)]
+    seen.sort(key=lambda entry: entry[0]["trial"])
+    assert [d for d, _, _ in seen] == [make_digest(case_id, cfg, t) for t in range(cfg.trials)]
     return summary, seen
 
 
@@ -88,7 +100,7 @@ def assert_same_record(rec, ref):
 
 def assert_sweep_equals_run_trial(monkeypatch, case_id, cfg):
     _, seen = swept(monkeypatch, case_id, cfg)
-    for digest, rec in seen:
+    for digest, rec, _ in seen:
         assert_same_record(rec, run_trial(digest, cfg.tol, cfg.psd_tol))
 
 
@@ -141,27 +153,6 @@ def test_certifying_inputs_equals_run_trial(case_id, cx):
             rec = hsnorm.certify_hs(case, got["A"], got["B"], got["X"], got["nu"],
                                     tol=cfg.tol, oracle=got["oracle"])
         assert_same_record(rec, run_trial(digest, cfg.tol))
-
-
-def test_trials_that_draw_differently_never_share_a_stack(monkeypatch):
-    # one case and dim, but any field the draws read may differ: seed, law,
-    # w_law, complex entries and x_kind
-    configs = [{}, {"seed": 3}, {"law": "clustered:1:0.5"}, {"complex_entries": True},
-               {"lenient_x": True}, {"w_law": "explicit:0"}]
-    digests = [make_digest(case_id, RunConfig(dims=(3, 1), **cfg), t)
-               for case_id in ("op-2.3", "op-2.7-left", "hs-2.14", "hs-thm8")
-               for cfg in configs for t in range(6)]
-    random.Random(1).shuffle(digests)
-    stacks = []
-    of = runner.Stack.of
-    monkeypatch.setattr(runner.Stack, "of", lambda ds: stacks.append(ds) or of(ds))
-    records = runner.run_stacks(digests, CERT_PSD_TOL)
-    for stack in stacks:
-        drawn = [{k: v for k, v in d.items() if k not in ("trial", "nu")} for d in stack]
-        assert all(d == drawn[0] for d in drawn)
-    assert len(stacks) < len(digests)
-    for digest, rec in zip(digests, records):
-        assert_same_record(rec, run_trial(digest, CERT_PSD_TOL))
 
 
 # eigh calls (through linalg.lapack) of one stacked certify_operator: one for A, one for
@@ -251,6 +242,34 @@ def test_scalar_report_is_pinned(tmp_path, capsys, which):
     with open(out, encoding="utf-8") as fh:
         text = canonical_json(strip_volatile(json.load(fh)))
     assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_REPORT_SHA256[which]
+
+
+# sha256 of the matrix-verify report of every matrix case (seed 42, 600 trials)
+# without its timings, and of the gap-profile CSV of every matrix case at dim 3,
+# as written when each judge computed a trial's verdict twice, once for a
+# sweep's fold and once for its record, and gap-profile read records.  The
+# report holds the fold, the kept failures with their worst links, the argmins
+# and the oracle keys.  Like every hash pinned here, these hold only in one
+# numeric environment (README, Determinism).
+MATRIX_REPORT_SHA256 = "0e8917917f272b81bf41546d87cf77699f2372fbe0e635a03fb228eb4b36faa1"
+GAP_PROFILE_SHA256 = "27706356cd3fdeeedfa4cd5b55229b6d827ee82c2fa43021ab3a4a26eb70c381"
+
+
+def test_matrix_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["matrix-verify", "--case", "all", "--seed", "42", "--trials", "600",
+                 "--out", str(out)]) == 1  # hs-2.13 and hs-thm8 fail
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        text = canonical_json(strip_volatile(json.load(fh)))
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_REPORT_SHA256
+
+
+def test_gap_profile_csv_is_pinned(tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    assert main(["gap-profile", "--case", "op,hs", "--dim", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GAP_PROFILE_SHA256
 
 
 # sha256 of every trial record of a 128-trial sweep (seed 0, default dims and
@@ -396,7 +415,7 @@ def test_stacked_sweep_records_are_pinned(monkeypatch, cx):
         runner.run_matrix_suite(list(want), RunConfig(trials=128, seed=0, nu=nu,
                                                       complex_entries=cx))
         recs = {}
-        for digest, rec in sorted(seen, key=lambda pair: pair[0]["trial"]):
+        for digest, rec, _ in sorted(seen, key=lambda entry: entry[0]["trial"]):
             recs.setdefault(digest["case"], []).append(record_bits(rec))
         assert {cid: len(bits) for cid, bits in recs.items()} == dict.fromkeys(want, 128)
         got = {cid: hashlib.sha256("\n".join(bits).encode()).hexdigest()
@@ -404,13 +423,12 @@ def test_stacked_sweep_records_are_pinned(monkeypatch, cx):
         assert got == want, nu
 
 
-def folded_in_trial_order(case, seen):
-    """The summary of each trial's record folded alone through ``fold_trial``,
-    in trial order: how sweeps folded before a stack's verdicts went straight
-    to the fold."""
+def folded_in_trial_order(case, digests, verdicts):
+    """The summary of each trial's Verdicts, a stack of one, folded alone through
+    ``fold_trial`` in trial order, as the fallback folds them."""
     agg = runner._Agg()
-    for t, (digest, rec) in enumerate(seen):
-        agg.fold_trial(digest, t, rec, case.kind)
+    for t, (digest, v) in enumerate(zip(digests, verdicts)):
+        agg.fold_trial(digest, t, v, case.links)
     return agg.summary(case)
 
 
@@ -427,7 +445,7 @@ FOLD_SWEEPS = {
 @pytest.mark.parametrize("case_id, cfg", FOLD_SWEEPS.values(), ids=FOLD_SWEEPS)
 def test_the_stack_fold_of_a_sweep_is_the_fold_of_each_trial(monkeypatch, case_id, cfg):
     summary, seen = swept(monkeypatch, case_id, cfg)
-    want = folded_in_trial_order(CASES[case_id], seen)
+    want = folded_in_trial_order(CASES[case_id], *zip(*[(d, row) for d, _, row in seen]))
     assert repr(summary) == repr(want)
     # and so is the merge of chunks folded in two worker processes
     pooled = runner.run_matrix_suite([case_id], dataclasses.replace(cfg, jobs=2))
@@ -441,14 +459,20 @@ def test_the_stack_fold_of_any_stacks_is_the_fold_of_each_trial(kind):
     # pass and fail, and the oracle's error passes ORACLE_TOL
     case = CASES["op-2.10" if kind == "operator" else "hs-thm8"]
     rng = random.Random(7)
-    records = []
+    rows = []  # (min_slack, passed, worst_link, advisory, oracle_rel_err) of each trial
     for _ in range(300):
         slack = rng.choice([0.0, -0.0, 1e-9, -1e-9, -2e-8, -0.5, 0.25])
-        records.append(types.SimpleNamespace(
-            min_slack=slack, passed=slack >= -CERT_PSD_TOL, worst_link=rng.choice(case.links),
-            advisory=rng.random() < 0.2, oracle_rel_err=rng.choice([0.0, 1e-13, 2e-10])))
-    digest = [{"case": case.case_id, "trial": t} for t in range(len(records))]
-    want = folded_in_trial_order(case, list(zip(digest, records)))
+        rows.append((slack, slack >= -CERT_PSD_TOL, rng.randrange(len(case.links)),
+                     rng.random() < 0.2, rng.choice([0.0, 1e-13, 2e-10])))
+
+    def verdicts(trials):
+        mins, passed, at, advisory, errs = map(list, zip(*[rows[t] for t in trials]))
+        hs = kind == "hs"
+        return Verdicts(mins, passed, at, [mins] * len(case.links),
+                        advisory if hs else None, errs if hs else None)
+
+    digest = [{"case": case.case_id, "trial": t} for t in range(len(rows))]
+    want = folded_in_trial_order(case, digest, [verdicts([t]) for t in range(len(rows))])
     assert want["failures"] > runner.FAILURE_CAP
     if kind == "hs":
         assert want["advisory_trials"] > want["advisory_held"] > 0
@@ -466,8 +490,7 @@ def test_the_stack_fold_of_any_stacks_is_the_fold_of_each_trial(kind):
         rng.shuffle(stacks)
         chunk = runner._Agg()
         for trials in stacks:
-            chunk.fold_stack(trials, verdicts_of(case, [records[t] for t in trials]),
-                             case.links)
+            chunk.fold_stack(trials, verdicts(trials), case.links)
         chunk.write_digests(digest.__getitem__)
         agg.merge(chunk)
     assert repr(agg.summary(case)) == repr(want)
@@ -553,13 +576,13 @@ def test_inputs_of_a_scalar_digest_is_an_error():
 
 def test_hs_stack_is_certified_in_one_call(monkeypatch):
     sizes = []
-    certify = hsnorm.certify_hs
+    judge = hsnorm.judge_hs
 
     def spy(case, A, B, X, nu, **kwargs):
         sizes.append((np.shape(A), len(nu)))
-        return certify(case, A, B, X, nu, **kwargs)
+        return judge(case, A, B, X, nu, **kwargs)
 
-    monkeypatch.setattr(hsnorm, "certify_hs", spy)
+    monkeypatch.setattr(hsnorm, "judge_hs", spy)
     run_case("hs-cor", RunConfig(trials=20, dims=(3, 1)))
     assert sizes == [((10, 3, 3), 10), ((10, 1, 1), 10)]
 
@@ -658,19 +681,17 @@ def test_zero_imaginary_matrix_stays_in_its_complex_stack(monkeypatch):
                         lambda case, stack, *a, **kw: stacks.append(len(stack.trials))
                         or certify(case, stack, *a, **kw))
     assert_sweep_equals_run_trial(monkeypatch, "op-2.10", cfg)
-    # one stack, asked for its verdicts and then for its records, then only
-    # the comparison's run_trial calls
-    assert stacks == [16, 16] + [1] * 16
+    assert stacks == [16]  # one stack; its records and run_trial's are not judged here
 
 
 # Python-level calls a trial adds to a sweep's stack: (calls(26) - calls(1)) / 25
-# for runner._certify, asked for verdicts, on stacks of trials 0..25 and of
-# trial 0 alone, at dim 3, on CPython 3.11 (where a comprehension is a call of
-# its own).  What remains per trial is its weight's check, one per distinct nu
-# (three calls, and these 26 trials hold 26 nu), and the share of a stack's
-# calls that depends on its mix of nu; the chain coefficients are computed
-# once per stack, and no record is built.  A helper called per trial in the
-# draw or verdict loops shows here as a count, where a timing could not tell it.
+# for runner._certify, which gives a stack's Verdicts, on stacks of trials 0..25
+# and of trial 0 alone, at dim 3, on CPython 3.11 (where a comprehension is a
+# call of its own).  What remains per trial is its weight's check, one per
+# distinct nu (three calls, and these 26 trials hold 26 nu), and the share of a
+# stack's calls that depends on its mix of nu; the chain coefficients are
+# computed once per stack, and no record is built.  A helper called per trial in
+# the draw or verdict loops shows here as a count, where a timing could not tell it.
 CALLS_PER_TRIAL = {
     "op-2.10": 4.52, "op-2.3": 3.12, "op-2.5": 3.56, "op-2.6": 3.56, "op-2.7-left": 5.2,
     "op-2.7-refine": 5.2, "op-2.7-right": 5.08, "op-heron-zhao": 4.04,
@@ -678,14 +699,11 @@ CALLS_PER_TRIAL = {
 }
 
 
-def python_calls(case, digests, c_methods=(), records=True) -> int:
-    """Python-level calls (sys.setprofile "call" events) of one runner._certify
-    on the stack of ``digests``, or its calls of the C functions and methods
-    named in ``c_methods`` ("c_call" events), after a first run has filled
-    the caches it reads.  ``records=False`` counts a sweep's stack, which
-    gives its verdicts."""
-    stack = runner.Stack.of(digests)
-    runner._certify(case, stack, CERT_PSD_TOL, records)
+def python_calls(run, c_methods=()) -> int:
+    """Python-level calls (sys.setprofile "call" events) of ``run()``, or its
+    calls of the C functions and methods named in ``c_methods`` ("c_call"
+    events), after a first run has filled the caches it reads."""
+    run()
     calls = 0
 
     def count(frame, event, arg):
@@ -697,37 +715,43 @@ def python_calls(case, digests, c_methods=(), records=True) -> int:
 
     sys.setprofile(count)
     try:
-        runner._certify(case, stack, CERT_PSD_TOL, records)
+        run()
     finally:
         sys.setprofile(None)
     return calls
+
+
+def verdict_calls(case, digests) -> int:
+    """``python_calls`` of runner._certify on the stack of ``digests``, less the
+    one call of the counted function itself."""
+    stack = runner.Stack.of(digests)
+    return python_calls(lambda: runner._certify(case, stack, CERT_PSD_TOL)) - 1
 
 
 @pytest.mark.parametrize("case_id", OPERATOR + HS)
 def test_python_calls_per_trial_stay_bounded(case_id):
     digests = [make_digest(case_id, RunConfig(dims=(3,)), t) for t in range(26)]
     case = CASES[case_id]
-    per_trial = (python_calls(case, digests, records=False)
-                 - python_calls(case, digests[:1], records=False)) / 25
+    per_trial = (verdict_calls(case, digests) - verdict_calls(case, digests[:1])) / 25
     assert per_trial <= CALLS_PER_TRIAL[case_id]
 
 
-# Python-level calls of one runner._certify on a stack of one (trial 5 at dim 3),
-# which is what replay runs, counted with every weight and exponent a (k,)
-# array inside the package, each power deciding its exponents once, and each
-# LAPACK call going through linalg.lapack, past numpy.linalg's wrappers.  Every
-# replay is a stack of one, so this count shows a rise in its fixed cost
+# Python-level calls of replay's record path, runner.run_trial, on one digest
+# (trial 5 at dim 3), a stack of one, counted with every weight and exponent a
+# (k,) array inside the package, each power deciding its exponents once, and
+# each LAPACK call going through linalg.lapack, past numpy.linalg's wrappers.
+# Every replay is a stack of one, so this count shows a rise in its fixed cost
 # that a noisy host hides in the timings.
 CALLS_PER_STACK_OF_ONE = {
     "op-2.10": 190, "op-2.3": 148, "op-2.5": 135, "op-2.6": 135, "op-2.7-left": 167,
     "op-2.7-refine": 165, "op-2.7-right": 164, "op-heron-zhao": 146,
-    "hs-2.13": 178, "hs-2.14": 181, "hs-cor": 189, "hs-thm8": 177,
+    "hs-2.13": 176, "hs-2.14": 179, "hs-cor": 187, "hs-thm8": 175,
 }
-# The tolist and reshape calls of the same stack of one, which sys.setprofile
-# reports as "c_call" events and the count above leaves out.  A power turns
-# its exponents into Python floats and their set once, and raises its
-# spectrum in the shape it has; going through tolist/set again below
-# Powers.pow_rows, or reshaping the spectrum there and back, shows here.
+# The tolist and reshape calls of the same run, which sys.setprofile reports as
+# "c_call" events and the count above leaves out.  A power turns its exponents
+# into Python floats and their set once, and raises its spectrum in the shape
+# it has; going through tolist/set again below Powers.pow_rows, or reshaping
+# the spectrum there and back, shows here.
 ROUND_TRIPS_PER_STACK_OF_ONE = {
     "op-2.10": 22, "op-2.3": 15, "op-2.5": 12, "op-2.6": 12, "op-2.7-left": 18,
     "op-2.7-refine": 17, "op-2.7-right": 18, "op-heron-zhao": 14,
@@ -737,10 +761,13 @@ ROUND_TRIPS_PER_STACK_OF_ONE = {
 
 @pytest.mark.parametrize("case_id", OPERATOR + HS)
 def test_python_calls_of_a_stack_of_one_stay_bounded(case_id):
-    digests = [make_digest(case_id, RunConfig(dims=(3,)), 5)]
-    assert python_calls(CASES[case_id], digests) <= CALLS_PER_STACK_OF_ONE[case_id]
-    round_trips = python_calls(CASES[case_id], digests, ("tolist", "reshape"))
-    assert round_trips <= ROUND_TRIPS_PER_STACK_OF_ONE[case_id]
+    digest = make_digest(case_id, RunConfig(dims=(3,)), 5)
+
+    def replay():
+        run_trial(digest, CERT_PSD_TOL)
+
+    assert python_calls(replay) - 1 <= CALLS_PER_STACK_OF_ONE[case_id]
+    assert python_calls(replay, ("tolist", "reshape")) <= ROUND_TRIPS_PER_STACK_OF_ONE[case_id]
 
 
 @pytest.mark.parametrize("case_id", OPERATOR + HS)
@@ -774,7 +801,7 @@ def test_each_distinct_weight_is_checked_once(monkeypatch, case_id):
 SHAPE_ENTRIES = {
     "linalg.validate_hermitian", "linalg.is_psd",
     "opmeans.PairContext.__init__", "opmeans.certify_operator",
-    "hsnorm.HsContext.__init__", "hsnorm.certify_hs",
+    "hsnorm.HsContext.__init__", "hsnorm.certify_hs", "hsnorm.judge_hs",
     "scalar._pow", "scalar._sqrt", "scalar._where",
 }
 

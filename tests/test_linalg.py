@@ -57,6 +57,21 @@ class TestValidateHermitian:
         with pytest.raises(DomainError):
             validate_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.clongdouble])
+    @pytest.mark.parametrize("entry", [validate_hermitian, is_psd, eigh,
+                                       lambda M: Powers(M).pow(0.5)],
+                             ids=["validate_hermitian", "is_psd", "eigh", "pow"])
+    def test_a_dtype_no_lapack_loop_takes_is_a_domain_error(self, entry, dtype):
+        # numpy.linalg would raise its TypeError for these
+        for m in (np.eye(2, dtype=dtype), np.eye(2, dtype=dtype)[None]):
+            with pytest.raises(DomainError, match=f"dtype {np.dtype(dtype)}"):
+                entry(m)
+
+    def test_an_integer_matrix_takes_the_double_loop(self):
+        m = np.array([[2, 1], [1, 2]])
+        assert eigh(m)[0].dtype == np.float64
+        assert is_psd(m).ok and Powers(m).pow(0.5).dtype == np.float64
+
     def test_complex_hermitian_kept(self):
         m = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
         assert np.iscomplexobj(validate_hermitian(m))
