@@ -272,6 +272,58 @@ def test_gap_profile_csv_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GAP_PROFILE_SHA256
 
 
+# sha256 of the stdout of scalar gap-profile runs (the CSV, then the notes), and
+# of replay's record of each argmin digest of `scalar-sweep --case all`, as
+# written when each scalar point of gap-profile and replay was judged as a row
+# of Python floats and the grid was folded by its own fold.  The second profile
+# holds a case with no point in its domain.  They hold only in one numeric
+# environment (README, Determinism).
+SCALAR_PROFILE_SHA256 = {
+    "new-2.1,zw-1.5,zw-1.6": (
+        (), "d69159d48f53b3a0986450a151fc54109799136b00eaf0c8332012b140ae7300"),
+    "zw-1.5,young-1.1": (
+        ("--nu-points", "2"), "419b94b1495d10691cda7f5bf5e56b3c044451e813d15af4be5e4d984186a348"),
+}
+SCALAR_ARGMIN_REPLAY_SHA256 = {
+    "bhatia-heron": "9d2199174339ce2c8f83227dee2eb9f919b47ac9470dfb42e9ed580083e39bee",
+    "bk-1.11": "64b6f10b929f753f80a16dd969235c8e2bcc2d7e206e5e5537626d75b36b6c47",
+    "bk-1.12": "c50946649d85d9f60c45829cc477ec485e4260f084f7b2049357962cc1cd1384",
+    "cf-1.13": "b8b1da2c06c076b5c2dc486c625a04366bf4d19cdc7863e4503cd49e40341ef1",
+    "comb-2.11": "268cbb92309d45bccc9bd463a58838bc5c4646bff10d3bdce3834acfb54e290a",
+    "comb-2.12": "3de5e57af96cb04ca387322d7e36f941a0b896d2040762ecf4b162d8e1e2d836",
+    "heinz-1.14": "a79a40ab054a2c9b6f9e1bbe07aa480555a7837855f4e60062a497ff7389edab",
+    "heron-1.15": "5c0231e7296a7c7b03efd93c12fe6e4c8810ba64ab0f32f9547a21840b68ba22",
+    "kai-1.10": "c674f0bfa5a2f74cd8b14b841e9f9f3d4229df2056a1f62a697d2ff3a37afd61",
+    "kai-1.9": "ee961510690c149fa10aefcc9506030fc86517f159cd96bc793ef2907cdc134d",
+    "km-1.3": "7f76d1ed2c656037a8c8419384e59216806145144daff78e734e316a00026728",
+    "km-1.4": "a4d1928d1bb5683cfb46a227912fbfb700b101c0c86fd717fae8430ec43e04f8",
+    "km-heinz-1.16": "003e55ba09f39eb2b45372d1b26e5895299c466bb3d75009ae1ae15e3a92847f",
+    "new-2.1": "9cf78b744827f6b15171794dadde6c917943c38953da1dcd3648f2af37ca1f11",
+    "young-1.1": "ab7daccab7fdd20df5b309dd0df3c26fcfc161461f2026d8b8b720c36a44df0f",
+    "zj-1.17": "6ae7d728a2d1bbf4e9f8755445a3a738eb5537e0cd017e296492ff612e3d2102",
+    "zw-1.5": "234427460a281b8a84311ef31a4de8d62d59465f76a4d6844fb90303f2b665fe",
+    "zw-1.6": "92869c3e16d74bd0eccbd384d81fc76277211cd96b32e05a1517c06242aff5a1",
+}
+
+
+@pytest.mark.parametrize("cases", SCALAR_PROFILE_SHA256)
+def test_scalar_gap_profile_is_pinned(capsys, cases):
+    flags, want = SCALAR_PROFILE_SHA256[cases]
+    assert main(["gap-profile", "--case", cases, *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+def test_scalar_argmin_replays_are_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["scalar-sweep", "--case", "all", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        argmins = {entry["case"]: entry["argmin"] for entry in json.load(fh)["cases"]}
+    got = {cid: hashlib.sha256(canonical_json(runner.replay_trial(d)).encode()).hexdigest()
+           for cid, d in argmins.items()}
+    assert got == SCALAR_ARGMIN_REPLAY_SHA256
+
+
 # sha256 of every trial record of a 128-trial sweep (seed 0, default dims and
 # draws) of each matrix case, real and complex, as written when a stack raised
 # its spectra to each distinct exponent in a separate power call.  The replays
