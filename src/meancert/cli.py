@@ -247,33 +247,36 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0 if record["passed"] or record.get("advisory") else 1
 
 
-def _profile_scalar(ids: list[str], nus: list[float],
-                    opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
+# what each profile gives: each case's link names, the slacks of each link by
+# (case id, nu) at each nu of the case's domain, and the notes printed after it
+_Profile = tuple[dict[str, list[str]], dict[tuple[str, float], list[float]], list[str]]
+
+
+def _profile_scalar(ids: list[str], nus: list[float], opts: dict[str, Any]) -> _Profile:
     a, b = opts["a"], opts["b"]
-    scalar.check_pair(a, b)  # before the sides at nu = 0.5 count the links
+    scalar.check_pair(a, b)
     cases = {cid: runner.CASES[cid] for cid in ids}
-    nlinks = {cid: scalar.judge_row(case, [(a, b)], 0.5)[1].shape[1]
-              for cid, case in cases.items()}
-    header = ["nu"]
-    for cid in ids:
-        header.extend(f"{cid}:link{i}" for i in range(nlinks[cid]))
-    rows: list[list[Any]] = []
-    upper: dict[str, list[tuple[float, float]]] = {cid: [] for cid in ids}
-    for nu in nus:
-        row: list[Any] = [nu]
-        for cid, case in cases.items():
-            if case.in_domain(nu):
-                trial = scalar.evaluate(case, a, b, nu)
-                row.extend(trial.slacks)
-                upper[cid].append((nu, trial.slacks[-1]))
-            else:
-                row.extend([""] * nlinks[cid])
-        rows.append(row)
+    points = {cid: [nu for nu in nus if case.in_domain(nu)] for cid, case in cases.items()}
+    try:
+        # one grid per case; its first row, at nu = 0.5 in the domain or not, counts the links
+        raws = {cid: scalar.judge_grid(case, [0.5, *points[cid]], [a], [b])[1][1].tolist()
+                for cid, case in cases.items()}
+    except DomainError:  # the first error, as the points judged one at a time raise it
+        for case in cases.values():
+            scalar.judge_grid(case, [0.5], [a], [b])
+        for nu in nus:
+            for case in cases.values():
+                if case.in_domain(nu):
+                    scalar.evaluate(case, a, b, nu)
+        raise
+    links = {cid: [f"link{i}" for i in range(len(raws[cid][0]))] for cid in ids}
+    slacks = {(cid, nu): s for cid in ids for nu, s in zip(points[cid], raws[cid][1:])}
+    upper = {cid: {nu: slacks[cid, nu][-1] for nu in points[cid]} for cid in ids}
     notes: list[str] = []
     first = ids[0]
-    have = dict(upper[first])
+    have = upper[first]
     for other in ids[1:]:
-        shared = [(nu, have[nu], s) for nu, s in upper[other] if nu in have]
+        shared = [(nu, have[nu], s) for nu, s in upper[other].items() if nu in have]
         tighter_first = [(nu, f, s) for nu, f, s in shared if f < s]
         tighter_other = [(nu, f, s) for nu, f, s in shared if s < f]
         if tighter_first:
@@ -289,22 +292,14 @@ def _profile_scalar(ids: list[str], nus: list[float],
                 notes.append(f"crossing between nu={n0:g} and nu={n1:g}: "
                              f"{first}-{other} gap flips sign "
                              f"({f0 - s0:+.3g} to {f1 - s1:+.3g})")
-    return header, rows, notes
+    return links, slacks, notes
 
 
-def _profile_matrix(ids: list[str], nus: list[float],
-                    opts: dict[str, Any]) -> tuple[list[str], list[list[Any]], list[str]]:
+def _profile_matrix(ids: list[str], nus: list[float], opts: dict[str, Any]) -> _Profile:
     cfg = runner.RunConfig(trials=1, seed=opts["seed"], dims=(opts["dim"],), law=opts["law"])
     slacks = runner.profile(ids, cfg, nus, CERT_PSD_TOL)
-    header = ["nu"] + [f"{cid}:{name}" for cid in ids for name in runner.CASES[cid].links]
     notes = [f"inputs: dim={opts['dim']} seed={opts['seed']} law={opts['law']} trial=0"]
-    rows = []
-    for nu in nus:
-        row: list[Any] = [nu]
-        for cid in ids:
-            row.extend(slacks.get((cid, nu), [""] * len(runner.CASES[cid].links)))
-        rows.append(row)
-    return header, rows, notes
+    return {cid: list(runner.CASES[cid].links) for cid in ids}, slacks, notes
 
 
 def cmd_gap_profile(args: argparse.Namespace) -> int:
@@ -321,14 +316,16 @@ def cmd_gap_profile(args: argparse.Namespace) -> int:
     ids = runner.resolve_cases(tokens, ("scalar", "operator", "hs"))
     kinds = {runner.CASES[cid].kind for cid in ids}
     if kinds <= {"scalar"}:
-        header, rows, notes = _profile_scalar(ids, nus, opts)
+        links, slacks, notes = _profile_scalar(ids, nus, opts)
     elif "scalar" not in kinds:
-        header, rows, notes = _profile_matrix(ids, nus, opts)
+        links, slacks, notes = _profile_matrix(ids, nus, opts)
     else:
         raise DomainError("gap-profile cannot mix scalar and matrix cases")
+    rows = [[nu, *(v for cid in ids for v in slacks.get((cid, nu), [""] * len(links[cid])))]
+            for nu in nus]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(["nu"] + [f"{cid}:{name}" for cid in ids for name in links[cid]])
     for row in rows:
         writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
     if opts["out"] is None:

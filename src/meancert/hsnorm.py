@@ -63,7 +63,7 @@ class HsContext:
             raise DomainError(
                 f"shape mismatch: A is {shape}, B is {self.pb.matrix.shape}, X is {X.shape}"
             )
-        if not np.isfinite(X).all():
+        if not np.logical_and.reduce(np.isfinite(X), axis=None):
             raise DomainError("X contains non-finite entries")
         if oracle is not None:
             shapes = [np.asarray(part).shape for pair in oracle for part in pair]
@@ -109,7 +109,7 @@ class HsContext:
         """min(1/||A||, 1/||B||) for PSD operands, per triple."""
         # eigenvalues ascend, so each spectrum's largest is its last
         top = np.maximum(self.pa.eigenvalues[..., -1], self.pb.eigenvalues[..., -1])
-        if (top <= 0.0).any():
+        if np.logical_or.reduce(top <= 0.0, axis=None):
             raise DomainError("alpha undefined: both operands have zero spectral norm")
         return 1.0 / top[..., None, None]
 
@@ -135,7 +135,7 @@ class HsContext:
 
 def _qs(coef: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """sqrt(sum_ij coef_ij^2 y2_ij) per matrix, as a column like ``hs_norms``'s."""
-    return np.sqrt((coef * coef * y2).sum(axis=(-2, -1), keepdims=True))
+    return np.sqrt(np.add.reduce(coef * coef * y2, axis=(-2, -1), keepdims=True))
 
 
 class Cells:
@@ -175,7 +175,8 @@ class Cells:
     def curv_weight(self, v) -> np.ndarray:
         """v(1-v)/max(la, mu): alpha divides here, where ``HsContext`` multiplies
         by its reciprocal; each route keeps its own rounding."""
-        top = np.maximum(self.la.max(axis=-1), self.mu.max(axis=-1))[..., None, None]
+        top = np.maximum(np.maximum.reduce(self.la, axis=-1),
+                         np.maximum.reduce(self.mu, axis=-1))[..., None, None]
         return v * (1.0 - v) / top
 
 
@@ -383,9 +384,9 @@ def judge_hs(case: HsCase, A, B, X, nu, *,
     cells = Cells(*ctx.cell_parts())
     osides, blocks = case.chain(cells, w)
     osides = np.concatenate(osides, axis=-1).reshape(k, -1)
-    rel_errs = (np.abs(sides - osides) / np.maximum(np.abs(sides), 1.0)).max(axis=1)
+    rel_errs = np.maximum.reduce(np.abs(sides - osides) / np.maximum(np.abs(sides), 1.0), axis=1)
     finite = np.isfinite(rel_errs)  # the direct sides are finite, so an oracle side is not
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         require_finite(osides[int(finite.argmin())].tolist(), "side",
                        f"the oracle route of {case.case_id}")
     rows, at = slacks.tolist(), worst.tolist()

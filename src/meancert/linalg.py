@@ -126,20 +126,21 @@ def validate_hermitian(M, *, hermitian: bool = False) -> np.ndarray:
     if not issubclass(M.dtype.type, np.integer) and M.dtype.type not in LAPACK_TYPES:
         raise DomainError("expected a matrix of integers or of float32, float64, complex64 "
                           f"or complex128 entries, got dtype {M.dtype}")
-    if not np.isfinite(M).all():
+    if not np.logical_and.reduce(np.isfinite(M), axis=None):
         raise DomainError("matrix contains non-finite entries")
     if hermitian:
         return M
     Mh = M.conj().swapaxes(-1, -2)
-    if not (M != Mh).any():
+    if not np.logical_or.reduce(M != Mh, axis=None):
         return M.copy()
     # a quarter of |M - M*| and of max(1, max|entry|), exactly, as neither can overflow
     quarter = np.abs(M / 4 - Mh / 4)
-    if quarter.max() > HERMITIAN_TOL / 4:  # past the smallest window: judge each on its own scale
-        scale = np.maximum(0.25, np.abs(M / 4).max(axis=(-2, -1)))
-        quarter = quarter.max(axis=(-2, -1))
+    # past the smallest window: judge each on its own scale
+    if np.maximum.reduce(quarter, axis=None) > HERMITIAN_TOL / 4:
+        scale = np.maximum(0.25, np.maximum.reduce(np.abs(M / 4), axis=(-2, -1)))
+        quarter = np.maximum.reduce(quarter, axis=(-2, -1))
         bad = quarter > HERMITIAN_TOL * scale
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             i = _first(bad)
             asym, top = (_four_times(float(q.flat[i])) for q in (quarter, scale))
             raise DomainError(
@@ -148,7 +149,7 @@ def validate_hermitian(M, *, hermitian: bool = False) -> np.ndarray:
             )
     with np.errstate(over="ignore", invalid="ignore"):
         H = hermitianize(M)
-    if not np.isfinite(H).all():
+    if not np.logical_and.reduce(np.isfinite(H), axis=None):
         raise DomainError("the Hermitian part (M + M*)/2 of the matrix is not finite")
     return H
 
@@ -235,7 +236,7 @@ def lapack(op: str, M: np.ndarray):
         what, reason = _FAILURES[op]
         raise DomainError(
             f"{what} failed for a {M.shape[-2]}x{M.shape[-1]} matrix "
-            f"(max |entry| {np.abs(M).max():.3e}): {reason}"
+            f"(max |entry| {np.maximum.reduce(np.abs(M), axis=None):.3e}): {reason}"
         ) from exc
 
 
@@ -252,12 +253,12 @@ def clamp_psd(w: np.ndarray, who: str) -> np.ndarray:
     scale.  Anything more negative raises DomainError naming ``who`` and
     the offending eigenvalue of the first spectrum that has one.
     """
-    if w.min() > 0.0:  # nothing to clamp or to reject
+    if np.minimum.reduce(w, axis=None) > 0.0:  # nothing to clamp or to reject
         return w
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
-    lo = w.min(axis=-1)
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(w), axis=-1))
+    lo = np.minimum.reduce(w, axis=-1)
     bad = lo < -PSD_TOL * scale
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         i = _first(bad)
         raise DomainError(
             f"{who} has eigenvalue {float(lo.flat[i]):.6e}, negative beyond the clamp "
@@ -283,7 +284,7 @@ def _pow_base(w: np.ndarray, exps: list[float]) -> np.ndarray:
             clamp_psd(row, f"the base of t**{p}")
         raise
     if min(exps) < 0.0:
-        for low, p in zip(w.min(axis=-1).reshape(-1).tolist(), exps):
+        for low, p in zip(np.minimum.reduce(w, axis=-1).reshape(-1).tolist(), exps):
             if p < 0.0 and low <= 0.0:
                 raise DomainError(
                     f"eigenvalue {low:.6e} blocks t**{p}; a positive definite matrix is required"

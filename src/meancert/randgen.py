@@ -255,7 +255,8 @@ def assemble(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def check_positive(lam: np.ndarray) -> None:
     """DomainError unless every eigenvalue of ``lam`` (any shape) is positive."""
-    if lam.min() <= 0.0:
+    low = np.minimum.reduce(lam, axis=None)
+    if low <= 0.0:
         raise DomainError(
-            f"positive definite generation needs a positive spectrum, got {float(lam.min())}"
+            f"positive definite generation needs a positive spectrum, got {float(low)}"
         )

@@ -441,31 +441,39 @@ class _Agg:
     # (trial number, report entry) of each kept failure, in trial order
     kept: list[tuple[int, dict[str, Any]]] = field(default_factory=list)
 
-    def fold_stack(self, trials: list[int], v: Verdicts, links: Sequence[str]) -> None:
+    def fold_stack(self, trials: Sequence[int], v: Verdicts, links: Sequence[str]) -> None:
         """Fold the verdicts of a stack whose row i is trial ``trials[i]``, the
-        trials ascending; ``v.worst_link`` indexes ``links``."""
-        k = len(trials)
+        trials ascending, or of a scalar grid, whose trials are its point
+        indices.  The columns are read through numpy, as lists or arrays;
+        ``v.worst_link`` indexes ``links``, and a kept failure names its worst
+        link only if the case has links."""
+        mins, ok = np.asarray(v.min_slack, dtype=float), np.asarray(v.passed, dtype=bool)
+        k = len(mins)
         self.trials += k
-        passed, advisory, mins = v.passed, v.advisory, v.min_slack
-        if advisory is not None:  # an hs stack
-            errs = v.oracle_rel_err
-            self._fold_oracle_err(max(errs))
-            self.oracle_violations += sum(e > hsnorm.ORACLE_TOL for e in errs)
-            held = [ok for ok, waived in zip(passed, advisory) if waived]
-            self.advisory_trials += len(held)
-            self.advisory_held += sum(held)
-            k -= len(held)
-        # an advisory trial that fails is no failure
-        failed = [i for i, ok in enumerate(passed) if not (ok or advisory and advisory[i])]
+        if v.advisory is not None:  # an hs stack
+            errs = np.asarray(v.oracle_rel_err, dtype=float)
+            waived = np.asarray(v.advisory, dtype=bool)
+            self._fold_oracle_err(float(np.maximum.reduce(errs)))
+            self.oracle_violations += int(np.count_nonzero(errs > hsnorm.ORACLE_TOL))
+            self.advisory_held += int(np.count_nonzero(ok & waived))
+            held = int(np.count_nonzero(waived))
+            self.advisory_trials += held
+            k -= held
+            ok = ok | waived  # an advisory trial that fails is no failure
+        failed = (~ok).nonzero()[0]
         self.passes += k - len(failed)
         self.failures += len(failed)
-        if failed and (len(self.kept) < FAILURE_CAP or trials[failed[0]] < self.kept[-1][0]):
-            self._keep([(trials[i], {"digest": None, "min_slack": mins[i],
-                                     "worst_link": links[v.worst_link[i]]})
-                        for i in failed[:FAILURE_CAP]])
-        # the first smallest slack is the stack's candidate argmin
-        slack = min(mins)
-        self._fold_min(slack, trials[mins.index(slack)], None)
+        if len(failed) and (len(self.kept) < FAILURE_CAP or trials[failed[0]] < self.kept[-1][0]):
+            kept = []
+            for i in failed[:FAILURE_CAP].tolist():
+                entry = {"digest": None, "min_slack": mins[i].item()}
+                if links:
+                    entry["worst_link"] = links[v.worst_link[i]]
+                kept.append((trials[i], entry))
+            self._keep(kept)
+        # the first smallest slack is the stack's candidate argmin, its sign kept
+        i = int(mins.argmin())
+        self._fold_min(mins[i].item(), trials[i], None)
 
     def fold_trial(self, digest, trial_no: int, v: Verdicts, links: Sequence[str]) -> None:
         """``fold_stack`` of a stack of one, trial ``trial_no`` with ``digest``."""
@@ -481,21 +489,6 @@ class _Agg:
         t = self.argmin_trial
         if self.argmin_digest is None and self.min_slack is not None:
             self.argmin_digest = written[t] if t in written else digest_of(t)
-
-    def fold_row(self, slacks: np.ndarray, tol: float,
-                 digest_of: Callable[[int], dict[str, Any]]) -> None:
-        """Fold the next scalar grid points, in grid order: point i passes iff
-        ``slacks[i] >= -tol``, and ``digest_of(i)`` writes its digest."""
-        first_no = self.trials
-        failed = np.flatnonzero(slacks < -tol).tolist()
-        self.trials += len(slacks)
-        self.passes += len(slacks) - len(failed)
-        self.failures += len(failed)
-        self._keep([(first_no + i, {"digest": digest_of(i), "min_slack": slacks[i].item()})
-                    for i in failed[:FAILURE_CAP]])
-        # the first smallest slack is the points' candidate argmin
-        i = int(slacks.argmin())
-        self._fold_min(slacks[i].item(), first_no + i, digest_of(i))
 
     def _keep(self, failures: list[tuple[int, dict[str, Any]]]) -> None:
         self.kept = sorted(self.kept + failures, key=_trial_of)[:FAILURE_CAP]
@@ -619,7 +612,8 @@ def run_scalar_case(case_id: str,
                     tol: float = scalar.SCALAR_TOL) -> dict[str, Any]:
     """Deterministic grid sweep of one scalar chain: the grid is checked once, then
     every point at a nu in the domain is judged in one ``scalar.judge_grid`` call,
-    building no record, and folded at once."""
+    building no record, and folded by ``_Agg.fold_stack`` as one stack whose
+    trials are the point indices."""
     case = case_by_id(case_id)
     _check_kind(case_id, case.kind, ("scalar",))
     scalar.check_tol(tol)
@@ -632,13 +626,14 @@ def run_scalar_case(case_id: str,
     nus = [nu for nu in nu_values if case.in_domain(nu)]
     agg = _Agg(skipped=(len(nu_values) - len(nus)) * m * m)
     if nus and m:
-        _, _, norms, worst = scalar.judge_grid(case, nus, a_values)
+        verdicts, _ = scalar.judge_grid(case, nus, a_values, a_values, tol)
+        agg.fold_stack(range(len(nus) * m * m), verdicts, ())
 
         def digest_of(i: int) -> dict[str, Any]:
             j, point = divmod(i, m * m)
             return scalar_digest(case_id, a_values[point // m], a_values[point % m], nus[j])
 
-        agg.fold_row(norms[np.arange(len(norms)), worst], tol, digest_of)
+        agg.write_digests(digest_of)
     return agg.summary(case)
 
 

@@ -12,12 +12,12 @@ array, giving the raw adjacent slacks and the normalized ones used for the
 pass verdict: link i passes iff
 sides[i] <= sides[i+1] + tol * max(1, |sides[i]|, |sides[i+1]|).
 judge_grid() evaluates a chain's sides at a whole grid of points at once,
-on broadcast arrays, unchecked, and judges them in one call: the grid
-sweep checks its grid once and builds no record.  judge_row() evaluates
-them at a row of points (a, b) at one nu as Python floats; evaluate()
-checks its point and judges a row of one.  The means the chains call are
-unchecked kernels; weighted_geom() and the other public means are checked
-wrappers around them.
+on broadcast arrays, unchecked, and judges them in one call into the grid's
+Verdicts, the verdict type of every judge: the grid sweep and gap-profile
+check their points first and build no record.  evaluate() checks one
+point, evaluates its sides as Python floats and judges them.  The means
+the chains call are unchecked kernels; weighted_geom() and the other
+public means are checked wrappers around them.
 
 Every side and coefficient helper takes Python floats or numpy arrays and
 gives the same bits either way.  Each takes its powers, square roots,
@@ -500,14 +500,16 @@ def registry() -> tuple[ScalarCase, ...]:
 
 
 class Verdicts(NamedTuple):
-    """The verdicts of a stack of matrix trials, one entry per trial (``slacks``:
-    one list per link, one entry per trial): what a sweep folds, what
-    ``gap-profile`` writes, and what each trial record is built from."""
+    """The verdicts of a stack of matrix trials or of a scalar grid's points, one
+    entry per trial or point (``slacks``: one column per link, one entry per
+    trial): what a sweep folds, what ``gap-profile`` writes, and what each
+    trial record is built from.  A column is a list (the matrix judges) or a
+    numpy array (``judge_grid``)."""
 
-    min_slack: list[float]  # each trial's smallest normalized slack
-    passed: list[bool]
-    worst_link: list[int]  # the index, in the case's links, of the first link at min_slack
-    slacks: list[list[float]]  # each link's normalized slacks
+    min_slack: list[float] | np.ndarray  # each trial's smallest normalized slack
+    passed: list[bool] | np.ndarray
+    worst_link: list[int] | np.ndarray  # the first link at min_slack, by its index in links
+    slacks: list[list[float]] | np.ndarray  # each link's normalized slacks
     advisory: list[bool] | None = None  # hs: lenient mode waived a failed hypothesis
     oracle_rel_err: list[float] | None = None  # hs: how far the oracle route's sides part
 
@@ -537,73 +539,68 @@ def judge_chains(sides: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray, n
     scale = np.maximum(np.abs(sides), 1.0)
     norms = raws / np.maximum(scale[:, :-1], scale[:, 1:])
     # a side that is not finite makes the slacks next to it not finite
-    if not np.isfinite(raws).all():
-        r = int(np.isfinite(raws).all(axis=1).argmin())
+    if not np.logical_and.reduce(np.isfinite(raws), axis=None):
+        r = int(np.logical_and.reduce(np.isfinite(raws), axis=1).argmin())
         require_finite(sides[r].tolist(), "side", who)
         require_finite(raws[r].tolist(), "the slack of link", who)
     return raws, norms, norms.argmin(axis=1)
 
 
-def judge_row(case: ScalarCase, pairs: Sequence[tuple[float, float]],
-              nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sides, raws, norms, worst) of ``case`` at each (a, b) of ``pairs`` and one nu:
-    the sides (k, m), evaluated as Python floats, and their ``judge_chains``.
-
-    The points are not checked; callers check them first.  A side that
-    overflows is a DomainError naming its point, after the points before it
-    are judged, so the error is the first point's in the order of ``pairs``.
-    """
-    chain = case.sides
-    rows = []
+def _judge_point(case: ScalarCase, a: float, b: float,
+                 nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sides, raws, norms, worst) of ``case`` at one point, not checked: its sides
+    (1, m), evaluated as Python floats, and their ``judge_chains``.  A side that
+    overflows is a DomainError naming the point."""
     try:
-        for a, b in pairs:
-            rows.append(chain(a, b, nu))
+        sides = np.array([case.sides(a, b, nu)], dtype=float)
     except OverflowError as exc:  # a float power past the range of floats
-        if rows:
-            judge_chains(np.array(rows, dtype=float), case.case_id)
         raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
                           f"nu={nu!r}: {exc}") from exc
-    sides = np.array(rows, dtype=float)
     return (sides, *judge_chains(sides, case.case_id))
 
 
-def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sides, raws, norms, worst) of ``case`` at every point (a, b) of
-    ``a_values`` x ``a_values`` at every nu of ``nus``, one row per point in
-    (nu, a, b) order: the sides of one ``case.sides`` call on broadcast arrays
-    nu (k, 1, 1), a (1, m, 1) and b (1, 1, m), so a term of nu alone is taken
-    once per nu and a term of (a, b) alone once, and one ``judge_chains`` call.
+def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float],
+               b_values: Sequence[float], tol: float = SCALAR_TOL
+               ) -> tuple[Verdicts, tuple[np.ndarray, np.ndarray]]:
+    """Judge ``case`` at every point (a, b) of ``a_values`` x ``b_values`` at every
+    nu of ``nus``: ``(verdicts, (sides, raws))``, one row per point in (nu, a, b)
+    order.  The ``Verdicts`` columns are arrays, with ``slacks`` one row per
+    link; the sides (k, m) come from one ``case.sides`` call on broadcast arrays
+    nu (k, 1, 1), a (1, m, 1) and b (1, 1, m'), so a term of nu alone is taken
+    once per nu and a term of (a, b) alone once, and are judged in one
+    ``judge_chains`` call.
 
     The points are not checked; callers check them first.  The sides are
-    bit for bit those of ``judge_row``.  If a power overflows, the grid is
-    judged again through ``judge_row``, one nu at a time, so an error is the
-    first failing point's in (nu, a, b) order.
+    bit for bit those that ``evaluate`` takes as Python floats.  If a power
+    overflows, the points are judged again one at a time as ``evaluate``
+    judges them, in (nu, a, b) order, so an error is the first failing point's.
     """
     nu = np.array(nus, dtype=float).reshape(-1, 1, 1)
     a = np.array(a_values, dtype=float).reshape(1, -1, 1)
-    b = a.reshape(1, 1, -1)
+    b = np.array(b_values, dtype=float).reshape(1, 1, -1)
     try:
         # what is not finite raises in judge_chains instead
         with np.errstate(over="ignore", invalid="ignore"):
             columns = case.sides(a, b, nu)
     except OverflowError:  # a float power past the range of floats
-        pairs = [(x, y) for x in a_values for y in a_values]
-        rows = [judge_row(case, pairs, v) for v in nus]
-        return tuple(np.concatenate(parts) for parts in zip(*rows))
-    shape = (nu.size, a.size, a.size)
-    sides = np.stack([np.broadcast_to(c, shape) for c in columns], axis=-1)
-    sides = sides.reshape(-1, len(columns))
-    return (sides, *judge_chains(sides, case.case_id))
+        sides = np.concatenate([_judge_point(case, x, y, v)[0]
+                                for v in nus for x in a_values for y in b_values])
+    else:
+        shape = (nu.size, a.size, b.size)
+        sides = np.stack([np.broadcast_to(c, shape) for c in columns], axis=-1)
+        sides = sides.reshape(-1, len(columns))
+    raws, norms, worst = judge_chains(sides, case.case_id)
+    mins = norms[np.arange(len(norms)), worst]
+    return Verdicts(mins, mins >= -tol, worst, norms.T), (sides, raws)
 
 
 def evaluate(case: ScalarCase, a: float, b: float, nu: float,
              tol: float = SCALAR_TOL) -> ScalarTrial:
-    """Evaluate one chain at (a, b, nu) and judge every adjacent link: ``judge_row``
-    on one point, which the grid sweep runs on a row of them."""
+    """Evaluate one chain at (a, b, nu) as Python floats and judge every adjacent
+    link: replay's judge of a point, and the reference that ``judge_grid`` keeps."""
     check_pair(a, b)
     case.check_nu(nu)
-    sides, raws, norms, worst = judge_row(case, [(a, b)], nu)
+    sides, raws, norms, worst = _judge_point(case, a, b, nu)
     slack = norms[0, worst[0]].item()
     return ScalarTrial(case.case_id, a, b, nu, tuple(sides[0].tolist()),
                        tuple(raws[0].tolist()), slack, slack >= -tol)

@@ -250,7 +250,23 @@ REVERSED_YOUNG = scalar.ScalarCase(
     lambda a, b, v, young=CASES["young-1.1"].sides: young(a, b, v)[::-1])
 
 
+def spy_scalar_judges(monkeypatch):
+    """The case id of each ``scalar.judge_grid`` call, and "evaluate" for each
+    ``scalar.evaluate`` call, in order."""
+    calls = []
+    grid = scalar.judge_grid
+    monkeypatch.setattr(scalar, "judge_grid",
+                        lambda case, *a: calls.append(case.case_id) or grid(case, *a))
+    monkeypatch.setattr(scalar, "evaluate", lambda *a, **k: calls.append("evaluate"))
+    return calls
+
+
 class TestScalarSweep:
+    def test_each_case_is_one_grid_judged_once(self, monkeypatch, capsys):
+        calls = spy_scalar_judges(monkeypatch)
+        assert main(["scalar-sweep", "--case", "all"]) == 0
+        assert calls == resolve_cases(["all"], ("scalar",))
+
     @pytest.mark.parametrize("a_values, nu_values", [
         (scalar.A_GRID_13, scalar.NU_GRID_65), (scalar.A_GRID_13, (0.375,)),
         *((grid, WIDE_NUS) for grid in WIDE_GRIDS.values())], ids=["grid", "one-nu", *WIDE_GRIDS])
@@ -272,7 +288,7 @@ class TestScalarSweep:
         errors = []
         for run in (lambda: runner.run_scalar_case("cf-1.13", a_values=grid,
                                                    nu_values=nu_values),
-                    lambda: scalar.judge_row(CASES["cf-1.13"], [first[:2]], first[2]),
+                    lambda: scalar.evaluate(CASES["cf-1.13"], *first),
                     lambda: replay_trial(runner.scalar_digest("cf-1.13", *first))):
             with pytest.raises(DomainError) as exc:
                 run()
@@ -926,6 +942,13 @@ class TestGapProfileVerb:
         assert "tighter than" in text
         rows = list(csv.reader(open(out)))
         assert rows[0][0] == "nu" and len(rows) == 66
+
+    @pytest.mark.parametrize("flags", [[], ["--nu-points", "2"]], ids=["129", "2"])
+    def test_scalar_profile_is_one_grid_per_case(self, monkeypatch, capsys, flags):
+        calls = spy_scalar_judges(monkeypatch)
+        ids = ["new-2.1", "zw-1.5", "zw-1.6", "young-1.1"]  # zw-1.5 has no point at 2
+        assert main(["gap-profile", "--case", ",".join(ids), *flags]) == 0
+        assert calls == ids
 
     def test_scalar_profile_that_overflows_exits_2_as_replay_does(self, capsys):
         assert main(["gap-profile", "--case", "cf-1.13", "--a", "1e300", "--b", "1"]) == 2

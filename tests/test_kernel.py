@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 import random
 import sys
@@ -548,6 +549,60 @@ def test_the_stack_fold_of_any_stacks_is_the_fold_of_each_trial(kind):
     assert repr(agg.summary(case)) == repr(want)
 
 
+def as_arrays(v: Verdicts) -> Verdicts:
+    """``v`` with numpy array columns, as ``scalar.judge_grid`` gives them."""
+    return Verdicts(*(None if column is None else np.array(column) for column in v))
+
+
+def plain(value) -> bool:
+    """Whether a summary value is built of Python values only, no numpy scalar."""
+    if isinstance(value, (dict, list)):
+        return all(map(plain, value.values() if isinstance(value, dict) else value))
+    return type(value) in (int, float, bool, str, type(None))
+
+
+# made-up slacks of one stack: its smallest slack -0.0, tied with 0.0 after it,
+# or more failures than the fold keeps, with passing rows on both sides
+FOLD_STACKS = {"signed-zero-tie": [0.5, -0.0, 0.0, 1e-9, -0.0, 0.25],
+               "failure-cap": [0.1, 0.2, *[-1e-3 * i for i in range(1, 25)], 0.0]}
+
+
+@pytest.mark.parametrize("slacks", FOLD_STACKS.values(), ids=FOLD_STACKS)
+@pytest.mark.parametrize("case_id", ["op-2.10", "hs-2.14", "young-1.1"])
+def test_the_fold_reads_list_and_array_columns_alike(case_id, slacks):
+    case = CASES[case_id]
+    links = getattr(case, "links", ())  # a scalar case has none
+    hs, k = case.kind == "hs", len(slacks)
+    v = Verdicts(slacks, [s >= -CERT_PSD_TOL for s in slacks],
+                 [t % max(1, len(links)) for t in range(k)], [slacks] * max(1, len(links)),
+                 # advisory rows that pass and that fail, and oracle errors past ORACLE_TOL
+                 [t % 3 == 1 for t in range(k)] if hs else None,
+                 [2e-10 if t % 4 == 0 else 1e-13 for t in range(k)] if hs else None)
+    trials = list(range(10, 10 + k))
+    aggs = []
+    for columns in (v, as_arrays(v)):
+        agg = runner._Agg()
+        agg.fold_stack(trials, columns, links)
+        agg.write_digests(lambda t: {"case": case_id, "trial": t})
+        aggs.append(agg)
+    # the dataclass repr shows every field, and numpy scalars as np.float64(...)
+    assert repr(aggs[1]) == repr(aggs[0])
+    summary = aggs[1].summary(case)
+    assert plain(summary)
+    first = slacks.index(min(slacks))
+    assert (repr(summary["min_slack"]), summary["argmin"]) == (
+        repr(slacks[first]), {"case": case_id, "trial": trials[first]})
+    kept = summary["failure_digests"]
+    assert all(("worst_link" in entry) == bool(links) for entry in kept)
+    if len(slacks) > len(FOLD_STACKS["signed-zero-tie"]):
+        assert summary["failures"] > len(kept) == runner.FAILURE_CAP
+        if hs:
+            assert summary["advisory_trials"] > summary["advisory_held"] > 0
+            assert summary["oracle_violations"] > 0
+    else:
+        assert summary["min_slack"] == 0.0 and math.copysign(1.0, summary["min_slack"]) < 0
+
+
 @pytest.mark.parametrize("case_id", ["hs-2.13", "op-2.10"])
 def test_a_sweep_writes_a_digest_per_dim_and_per_kept_trial(monkeypatch, case_id):
     written = []
@@ -791,13 +846,14 @@ def test_python_calls_per_trial_stay_bounded(case_id):
 # Python-level calls of replay's record path, runner.run_trial, on one digest
 # (trial 5 at dim 3), a stack of one, counted with every weight and exponent a
 # (k,) array inside the package, each power deciding its exponents once, and
-# each LAPACK call going through linalg.lapack, past numpy.linalg's wrappers.
-# Every replay is a stack of one, so this count shows a rise in its fixed cost
-# that a noisy host hides in the timings.
+# each LAPACK call going through linalg.lapack, past numpy.linalg's wrappers,
+# and each reduction a ufunc's own, past the Python wrappers of ndarray.min,
+# .max, .all, .any and .sum.  Every replay is a stack of one, so this count
+# shows a rise in its fixed cost that a noisy host hides in the timings.
 CALLS_PER_STACK_OF_ONE = {
-    "op-2.10": 190, "op-2.3": 148, "op-2.5": 135, "op-2.6": 135, "op-2.7-left": 167,
-    "op-2.7-refine": 165, "op-2.7-right": 164, "op-heron-zhao": 146,
-    "hs-2.13": 176, "hs-2.14": 179, "hs-cor": 187, "hs-thm8": 175,
+    "op-2.10": 174, "op-2.3": 134, "op-2.5": 122, "op-2.6": 122, "op-2.7-left": 152,
+    "op-2.7-refine": 150, "op-2.7-right": 149, "op-heron-zhao": 132,
+    "hs-2.13": 152, "hs-2.14": 152, "hs-cor": 158, "hs-thm8": 152,
 }
 # The tolist and reshape calls of the same run, which sys.setprofile reports as
 # "c_call" events and the count above leaves out.  A power turns its exponents

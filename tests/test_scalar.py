@@ -12,8 +12,8 @@ from chain_judge import judge_chain
 from meancert.linalg import DomainError
 from meancert.runner import case_by_id
 from meancert import scalar
-from meancert.scalar import (A_GRID_13, NU_GRID_33, NU_GRID_65, ScalarCase, alpha_of_nu,
-                             evaluate, heinz, heron, judge_chains, judge_grid, judge_row,
+from meancert.scalar import (A_GRID_13, NU_GRID_33, NU_GRID_65, SCALAR_TOL, ScalarCase,
+                             alpha_of_nu, evaluate, heinz, heron, judge_chains, judge_grid,
                              registry, weighted_arith, weighted_geom)
 
 ALL_IDS = {
@@ -188,9 +188,12 @@ class TestStackedJudge:
         case = case_by_id(case_id)
         pairs = [(a, b) for a in A_GRID_13 for b in A_GRID_13]
         for nu in filter(case.in_domain, NU_GRID_65):
-            sides, raws, norms, worst = judge_row(case, pairs, nu)
+            trials = [evaluate(case, a, b, nu) for a, b in pairs]
             ref = [tuple(map(float, case.sides(a, b, nu))) for a, b in pairs]
-            assert [hexes(s) for s in sides.tolist()] == [hexes(s) for s in ref]
+            assert [hexes(t.sides) for t in trials] == [hexes(s) for s in ref]
+            sides = np.array(ref)
+            raws, norms, worst = judge_chains(sides, case_id)
+            assert [hexes(t.slacks) for t in trials] == [hexes(r) for r in raws.tolist()]
             assert_judged_as_reference(sides, raws.tolist(), norms.tolist(), worst, case_id)
 
     @pytest.mark.parametrize("rows", HAND_ROWS, ids=["2-sides", "3-sides", "4-sides"])
@@ -222,14 +225,20 @@ class TestStackedJudge:
             assert f"the slack of link {link} of op-x is inf" in str(exc.value)
 
     def test_the_error_is_the_first_failing_points(self):
-        # a * b is inf past the range of floats, and b ** 2.0 raises OverflowError
-        case = ScalarCase("t", "d", "f", "0 <= nu <= 1", lambda a, b, v: (a * b, b ** 2.0))
-        inf_side, overflow = (1e300, 1e10), (1.0, 1e200)
-        with pytest.raises(DomainError, match=r"^side 0 of t is inf, "):
-            judge_row(case, [(1.0, 1.0), inf_side, overflow], 0.5)
-        with pytest.raises(DomainError, match=r"^a side of t overflows at a=1\.0, b=1e\+200, "
-                                              r"nu=0\.5: "):
-            judge_row(case, [(1.0, 1.0), overflow, inf_side], 0.5)
+        # a * b is inf past the range of floats, and b ** (2 nu) raises OverflowError
+        # at (1, 1e200, 1), on floats and on arrays alike; both grids pass at (1, 1)
+        case = ScalarCase("t", "d", "f", "0 <= nu <= 1",
+                          lambda a, b, v: (a * b, scalar._pow(b, 2.0 * v)))
+        grid = ([1.0, 1e300], [1.0, 1e10, 1e200])
+        inf_side = r"^side 0 of t is inf, "
+        overflow = r"^a side of t overflows at a=1\.0, b=1e\+200, nu=1\.0: "
+        for nus, first in (([0.5, 1.0], inf_side), ([1.0, 0.5], overflow)):
+            with pytest.raises(DomainError, match=first):
+                judge_grid(case, nus, *grid)
+        with pytest.raises(DomainError, match=inf_side):
+            evaluate(case, 1e300, 1e10, 0.5)
+        with pytest.raises(DomainError, match=overflow):
+            evaluate(case, 1.0, 1e200, 1.0)
 
 
 def assert_same_bits(got, want):
@@ -239,7 +248,7 @@ def assert_same_bits(got, want):
 
 class TestGridPass:
     """``judge_grid`` reads each chain on broadcast arrays bit for bit as
-    ``judge_row`` reads it on Python floats."""
+    ``case.sides`` reads it on Python floats, and judges it as ``judge_chains``."""
 
     @pytest.mark.parametrize("grid", [A_GRID_13, *WIDE_GRIDS.values()],
                              ids=["a-grid-13", *WIDE_GRIDS])
@@ -247,10 +256,13 @@ class TestGridPass:
     def test_grid_equals_its_rows(self, case_id, grid):
         case = case_by_id(case_id)
         nus = [nu for nu in (*NU_GRID_65, *WIDE_NUS) if case.in_domain(nu)]
-        pairs = [(a, b) for a in grid for b in grid]
-        rows = [judge_row(case, pairs, nu) for nu in nus]
-        assert_same_bits(judge_grid(case, nus, grid),
-                         [np.concatenate(parts) for parts in zip(*rows)])
+        sides = np.array([case.sides(a, b, nu) for nu in nus for a in grid for b in grid])
+        raws, norms, worst = judge_chains(sides, case_id)
+        mins = np.array([row[w] for row, w in zip(norms.tolist(), worst.tolist())])
+        v, got = judge_grid(case, nus, grid, grid)
+        assert_same_bits([*got, v.slacks, v.worst_link, v.min_slack, v.passed],
+                         [sides, raws, norms.T, worst, mins, mins >= -SCALAR_TOL])
+        assert (v.advisory, v.oracle_rel_err) == (None, None)
 
     @pytest.mark.parametrize("helper", [scalar.heinz_weight, scalar.cubic_weight,
                                         scalar.cubic_side_weights, scalar.tail_weights])
