@@ -257,20 +257,19 @@ def _profile_scalar(ids: list[str], nus: list[float], opts: dict[str, Any]) -> _
     scalar.check_pair(a, b)
     cases = {cid: runner.CASES[cid] for cid in ids}
     points = {cid: [nu for nu in nus if case.in_domain(nu)] for cid, case in cases.items()}
-    try:
-        # one grid per case; its first row, at nu = 0.5 in the domain or not, counts the links
-        raws = {cid: scalar.judge_grid(case, [0.5, *points[cid]], [a], [b])[1][1].tolist()
+    # a case's link count, from its sides at a = b = 1, where every side is finite
+    links = {cid: [f"link{i}" for i in range(len(case.sides(1.0, 1.0, case.nu_grid[0])) - 1)]
+             for cid, case in cases.items()}
+    try:  # one grid per case, of its own points; its raws are one row per link
+        raws = {cid: scalar.judge_grid(case, points[cid], [a], [b])[1][1].T.tolist()
                 for cid, case in cases.items()}
     except DomainError:  # the first error, as the points judged one at a time raise it
-        for case in cases.values():
-            scalar.judge_grid(case, [0.5], [a], [b])
         for nu in nus:
             for case in cases.values():
                 if case.in_domain(nu):
                     scalar.evaluate(case, a, b, nu)
         raise
-    links = {cid: [f"link{i}" for i in range(len(raws[cid][0]))] for cid in ids}
-    slacks = {(cid, nu): s for cid in ids for nu, s in zip(points[cid], raws[cid][1:])}
+    slacks = {(cid, nu): s for cid in ids for nu, s in zip(points[cid], raws[cid])}
     upper = {cid: {nu: slacks[cid, nu][-1] for nu in points[cid]} for cid in ids}
     notes: list[str] = []
     first = ids[0]

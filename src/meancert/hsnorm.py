@@ -378,9 +378,9 @@ def judge_hs(case: HsCase, A, B, X, nu, *,
     k = len(ctx.X)
     nus = one_per_matrix("nu", nus, k)
     w = Weights(np.array(nus))
-    # each side is a (k, 1, 1) column; the chains of the stack are the rows of (k, m)
+    # each side is a (k, 1, 1) column: a chain per row of (k, m), a side per row of its .T
     sides = np.concatenate(case.chain(ctx, w)[0], axis=-1).reshape(k, -1)
-    _, slacks, worst = judge_chains(sides, f"the direct route of {case.case_id}")
+    _, slacks, worst = judge_chains(sides.T, f"the direct route of {case.case_id}")
     cells = Cells(*ctx.cell_parts())
     osides, blocks = case.chain(cells, w)
     osides = np.concatenate(osides, axis=-1).reshape(k, -1)
@@ -389,9 +389,9 @@ def judge_hs(case: HsCase, A, B, X, nu, *,
     if not np.logical_and.reduce(finite):
         require_finite(osides[int(finite.argmin())].tolist(), "side",
                        f"the oracle route of {case.case_id}")
-    rows, at = slacks.tolist(), worst.tolist()
-    mins = [row[j] for row, j in zip(rows, at)]
-    v = Verdicts(mins, [s >= -tol for s in mins], at, list(map(list, zip(*rows))),
+    links, at = slacks.tolist(), worst.tolist()
+    mins = [links[j][r] for r, j in enumerate(at)]
+    v = Verdicts(mins, [s >= -tol for s in mins], at, links,
                  [not m for m in met] if lenient else [False] * k, rel_errs.tolist())
     return v, (nus, met, sides, osides, cells, blocks)
 

@@ -7,9 +7,10 @@ opposite convention (weight on the second operand); diagonal reductions
 map nu there to 1 - nu here.
 
 Every registered case is a chain of sides expected to be nondecreasing on
-its domain.  judge_chains() judges a stack of chains, one per row of an
-array, giving the raw adjacent slacks and the normalized ones used for the
-pass verdict: link i passes iff
+its domain.  judge_chains() judges a stack of chains, one per column of a
+link-major array (one row per side), giving one row per link of the raw
+adjacent slacks and of the normalized ones used for the pass verdict: link
+i passes iff
 sides[i] <= sides[i+1] + tol * max(1, |sides[i]|, |sides[i+1]|).
 judge_grid() evaluates a chain's sides at a whole grid of points at once,
 on broadcast arrays, unchecked, and judges them in one call into the grid's
@@ -501,10 +502,10 @@ def registry() -> tuple[ScalarCase, ...]:
 
 class Verdicts(NamedTuple):
     """The verdicts of a stack of matrix trials or of a scalar grid's points, one
-    entry per trial or point (``slacks``: one column per link, one entry per
+    entry per trial or point (``slacks``: one row per link, one entry per
     trial): what a sweep folds, what ``gap-profile`` writes, and what each
     trial record is built from.  A column is a list (the matrix judges) or a
-    numpy array (``judge_grid``)."""
+    numpy array (``judge_grid``, whose ``slacks`` are C-contiguous rows)."""
 
     min_slack: list[float] | np.ndarray  # each trial's smallest normalized slack
     passed: list[bool] | np.ndarray
@@ -525,34 +526,43 @@ def require_finite(values: Sequence[float], label: str, who: str) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # what is not finite raises below instead
 def judge_chains(sides: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacent slacks of a stack of chains, one per row of ``sides`` (k, m),
-    whose sides should be nondecreasing.
+    """Adjacent slacks of a stack of k chains, whose sides should be
+    nondecreasing, given link-major: row i of ``sides`` (m, k) is side i of
+    every chain, so each step below runs on whole rows.
 
-    Returns (raws, norms, worst): the raw slacks sides[:, i+1] - sides[:, i],
-    the same divided by max(1, |sides[:, i]|, |sides[:, i+1]|), both (k, m-1),
-    and each row's index of its first smallest normalized slack (0.0 and -0.0
-    tie, so the first of them is the worst).  A side or a slack that is not
-    finite is a DomainError naming ``who`` (see ``require_finite``), for the
-    first row that holds one.
+    Returns (raws, norms, worst): the raw slacks sides[i+1] - sides[i], the
+    same divided by max(1, |sides[i]|, |sides[i+1]|), both (m-1, k), one row
+    per link, and each chain's index (k,) of its first smallest normalized
+    slack (0.0 and -0.0 tie, so the first of them is the worst).  A side or a
+    slack that is not finite is a DomainError naming ``who`` (see
+    ``require_finite``), for the first chain that holds one.
     """
-    raws = sides[:, 1:] - sides[:, :-1]
-    scale = np.maximum(np.abs(sides), 1.0)
-    norms = raws / np.maximum(scale[:, :-1], scale[:, 1:])
+    raws = sides[1:] - sides[:-1]
+    # in place where it can be: each large temporary costs page faults at every call
+    scale = np.abs(sides)
+    np.maximum(scale, 1.0, out=scale)
+    norms = np.maximum(scale[:-1], scale[1:])
+    np.divide(raws, norms, out=norms)
     # a side that is not finite makes the slacks next to it not finite
     if not np.logical_and.reduce(np.isfinite(raws), axis=None):
-        r = int(np.logical_and.reduce(np.isfinite(raws), axis=1).argmin())
-        require_finite(sides[r].tolist(), "side", who)
-        require_finite(raws[r].tolist(), "the slack of link", who)
-    return raws, norms, norms.argmin(axis=1)
+        r = int(np.logical_and.reduce(np.isfinite(raws), axis=0).argmin())
+        require_finite(sides[:, r].tolist(), "side", who)
+        require_finite(raws[:, r].tolist(), "the slack of link", who)
+    # a chain's worst link is the last that fell strictly below every link before it
+    worst, best = np.zeros(norms.shape[1], dtype=np.intp), norms[0]
+    for j in range(1, len(norms)):
+        worst[norms[j] < best] = j
+        best = np.minimum(best, norms[j])
+    return raws, norms, worst
 
 
 def _judge_point(case: ScalarCase, a: float, b: float,
                  nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(sides, raws, norms, worst) of ``case`` at one point, not checked: its sides
-    (1, m), evaluated as Python floats, and their ``judge_chains``.  A side that
+    (m, 1), evaluated as Python floats, and their ``judge_chains``.  A side that
     overflows is a DomainError naming the point."""
     try:
-        sides = np.array([case.sides(a, b, nu)], dtype=float)
+        sides = np.array([case.sides(a, b, nu)], dtype=float).T
     except OverflowError as exc:  # a float power past the range of floats
         raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
                           f"nu={nu!r}: {exc}") from exc
@@ -563,12 +573,12 @@ def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
                b_values: Sequence[float], tol: float = SCALAR_TOL
                ) -> tuple[Verdicts, tuple[np.ndarray, np.ndarray]]:
     """Judge ``case`` at every point (a, b) of ``a_values`` x ``b_values`` at every
-    nu of ``nus``: ``(verdicts, (sides, raws))``, one row per point in (nu, a, b)
-    order.  The ``Verdicts`` columns are arrays, with ``slacks`` one row per
-    link; the sides (k, m) come from one ``case.sides`` call on broadcast arrays
-    nu (k, 1, 1), a (1, m, 1) and b (1, 1, m'), so a term of nu alone is taken
-    once per nu and a term of (a, b) alone once, and are judged in one
-    ``judge_chains`` call.
+    nu of ``nus``: ``(verdicts, (sides, raws))``, one column per point in
+    (nu, a, b) order.  The ``Verdicts`` columns are arrays, with ``slacks`` one
+    row per link; the sides, one row per side, come from one ``case.sides``
+    call on broadcast arrays nu (len(nus), 1, 1), a (1, len(a_values), 1) and
+    b (1, 1, len(b_values)), so a term of nu alone is taken once per nu and a
+    term of (a, b) alone once, and are judged in one ``judge_chains`` call.
 
     The points are not checked; callers check them first.  The sides are
     bit for bit those that ``evaluate`` takes as Python floats.  If a power
@@ -584,14 +594,15 @@ def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
             columns = case.sides(a, b, nu)
     except OverflowError:  # a float power past the range of floats
         sides = np.concatenate([_judge_point(case, x, y, v)[0]
-                                for v in nus for x in a_values for y in b_values])
+                                for v in nus for x in a_values for y in b_values], axis=1)
     else:
         shape = (nu.size, a.size, b.size)
-        sides = np.stack([np.broadcast_to(c, shape) for c in columns], axis=-1)
-        sides = sides.reshape(-1, len(columns))
+        sides = np.stack([np.broadcast_to(c, shape) for c in columns]).reshape(len(columns), -1)
     raws, norms, worst = judge_chains(sides, case.case_id)
-    mins = norms[np.arange(len(norms)), worst]
-    return Verdicts(mins, mins >= -tol, worst, norms.T), (sides, raws)
+    # each point's slack read at its worst link, so that a zero keeps its sign
+    # (a flat index: norms is C-contiguous, as the sides stacked above are)
+    mins = norms.take(worst * len(worst) + np.arange(len(worst)))
+    return Verdicts(mins, mins >= -tol, worst, norms), (sides, raws)
 
 
 def evaluate(case: ScalarCase, a: float, b: float, nu: float,
@@ -601,6 +612,6 @@ def evaluate(case: ScalarCase, a: float, b: float, nu: float,
     check_pair(a, b)
     case.check_nu(nu)
     sides, raws, norms, worst = _judge_point(case, a, b, nu)
-    slack = norms[0, worst[0]].item()
-    return ScalarTrial(case.case_id, a, b, nu, tuple(sides[0].tolist()),
-                       tuple(raws[0].tolist()), slack, slack >= -tol)
+    slack = norms[worst[0], 0].item()
+    return ScalarTrial(case.case_id, a, b, nu, tuple(sides.ravel().tolist()),
+                       tuple(raws.ravel().tolist()), slack, slack >= -tol)

@@ -276,6 +276,37 @@ class TestScalarSweep:
         want = fold_of_evaluate(case_id, a_values, nu_values)
         assert {key: got[key] for key in want} == want
 
+    # a and b take the same values, so the first pair of the grid that fails is
+    # (a_values[0], b) for the first bad b, or (a_values[0], a_values[0])
+    @pytest.mark.parametrize("a_values, bad", [
+        ((-1.0, 2.0, 4.0), "a=-1.0, b=-1.0"),
+        ((1.0, 2.0, 0.0, math.nan), "a=1.0, b=0.0"),
+        ((*scalar.A_GRID_13, math.inf), "a=0.015625, b=inf"),
+    ], ids=["first", "later", "last"])
+    def test_a_bad_magnitude_is_the_first_failing_pair(self, monkeypatch, a_values, bad):
+        nested = []
+        for a in a_values:
+            for b in a_values:
+                try:
+                    scalar.check_pair(a, b)
+                except DomainError as exc:
+                    nested.append(str(exc))
+        pairs = []
+        check = scalar.check_pair
+        monkeypatch.setattr(scalar, "check_pair", lambda a, b: pairs.append((a, b)) or check(a, b))
+        with pytest.raises(DomainError) as exc:
+            runner.run_scalar_case("young-1.1", a_values=a_values)
+        assert str(exc.value) == nested[0] == f"means need finite a, b > 0, got {bad}"
+        assert pairs == [(a_values[0], b) for b in a_values[:len(pairs)]]
+
+    def test_the_grid_is_checked_once_per_magnitude(self, monkeypatch):
+        pairs = []
+        monkeypatch.setattr(scalar, "check_pair", lambda a, b: pairs.append((a, b)))
+        runner.run_scalar_case("young-1.1")
+        # then once more, for the argmin's digest (young-1.1 keeps no failure)
+        assert pairs[:-1] == [(scalar.A_GRID_13[0], b) for b in scalar.A_GRID_13]
+        assert len(pairs) == len(scalar.A_GRID_13) + 1
+
     # cf-1.13 at nu in (0, 1): (a, b) = (1e-300, 1e150) gives the side inf (a finite
     # curvature term over 2 min(a, b)), and (1e-300, 1e160) overflows (a - b) ** 2
     @pytest.mark.parametrize("nu_values, first", [
@@ -951,11 +982,17 @@ class TestGapProfileVerb:
         assert calls == ids
 
     def test_scalar_profile_that_overflows_exits_2_as_replay_does(self, capsys):
+        # the profile judges only its own points, so its first row, nu = 0, fails first
         assert main(["gap-profile", "--case", "cf-1.13", "--a", "1e300", "--b", "1"]) == 2
         err = capsys.readouterr().err
-        digest = {"case": "cf-1.13", "kind": "scalar", "a": 1e300, "b": 1.0, "nu": 0.5}
+        digest = {"case": "cf-1.13", "kind": "scalar", "a": 1e300, "b": 1.0, "nu": 0.0}
         assert replay_error(capsys, digest) == (2, err)
-        assert err.startswith("error: a side of cf-1.13 overflows at a=1e+300, b=1.0, nu=0.5")
+        assert err.startswith("error: a side of cf-1.13 overflows at a=1e+300, b=1.0, nu=0.0")
+
+    def test_a_case_without_points_keeps_its_header(self, capsys):
+        # zw-1.5 (0 < nu <= 1/2) holds neither 0 nor 1; its link count comes from the case
+        assert main(["gap-profile", "--case", "zw-1.5", "--nu-points", "2"]) == 0
+        assert capsys.readouterr().out == "nu,zw-1.5:link0,zw-1.5:link1\n0,,\n1,,\n"
 
     def test_mixed_kinds_rejected(self, capsys):
         assert main(["gap-profile", "--case", "op-2.3,young-1.1"]) == 2

@@ -325,6 +325,48 @@ def test_scalar_argmin_replays_are_pinned(tmp_path, capsys):
     assert got == SCALAR_ARGMIN_REPLAY_SHA256
 
 
+# sha256 of each scalar case's judge_grid over the full sweep grid (A_GRID_13
+# squared, NU_GRID_65 in the domain): min_slack, passed, worst_link (as int64),
+# the slack rows, then the extras (sides, raws), each as the bytes of its
+# C-contiguous link-major array (one row per side or link), as written when the
+# judge took its chains point-major, one row per point.  No other pin holds a
+# per-point bit of the grid: the report keeps only its fold.  The sides go
+# through CPython's float ``**`` (the C library's pow) and numpy's sqrt and
+# arithmetic, so these hold only in one numeric environment (README,
+# Determinism): here CPython 3.11, numpy 2.4 on x86-64 with AVX-512.
+SCALAR_GRID_SHA256 = {
+    "bhatia-heron": "934a2ea7355c5bc8f0fc2c52067b4a1a3bfc95518faff3c3e866618081afa251",
+    "bk-1.11": "a060f29237e95739ca532f452c3c8fc63661041ed7c97893715fe1bed44140cf",
+    "bk-1.12": "9430f00fff32a151d941143aac3eb1258967bac2da37f6921d8b3f12ae678b2d",
+    "cf-1.13": "565035fbbb2374472575ec4d9bae45ce0e2b66a15fe348f3cf7e590c064dbbe3",
+    "comb-2.11": "d2cdb0820165736d5f2d871334df345c046fa0e9a61fd8711ef8a14d192f72b4",
+    "comb-2.12": "f735b072ae395d610db61bc2eb95823555dadca9ab47ea49d6c93d3b6a25a1f1",
+    "heinz-1.14": "0f93a35c2f83e35990f7ee312282f4645a1c4acbe09f2b485209bd4e8a22754a",
+    "heron-1.15": "00476a248ebb6555303d9bd98b0fc7cefe4fed3a8c90d6ae211c8b7f1a60a0ed",
+    "kai-1.10": "53bff9b5a3a8baf437726efc980e1107294deb3f663ba030937af27104756e07",
+    "kai-1.9": "724cb726852a8676f6c6fe35d6a0efec93a82d2f8f21a371af1f160f19128036",
+    "km-1.3": "a45cd7c83d1c662ae15a0c1a5365117063924149f071b6273e97631926850ce6",
+    "km-1.4": "dad7c56d898ee448d161d5365b8cf923ef8f1a1d4f8dd61a553ca9dc87f38265",
+    "km-heinz-1.16": "6a3731b5dab08929d0629f97eea6978df732c268375b41fb4d86ae42957324f0",
+    "new-2.1": "317b1da7fc005bd146179b279c7a7b2ce9b826f88fed82fe350b35a01b2acb61",
+    "young-1.1": "3cddad733cd6a3eff9e158f7cd67d6b2fc5f2e52d3c5bb44cd8337bf2dd62224",
+    "zj-1.17": "4aa03e30fdbe65860a95c141a29f0e69a4b463c0116f5f13e2f1ca02fefae438",
+    "zw-1.5": "79379e507b19172907b55697a61c82f06632f81e41a4263c32bf0e6b55030d02",
+    "zw-1.6": "7d25396a665e8466cc03e5f4e3ecf3425d612918553f189d0a83583cfa283e95",
+}
+
+
+@pytest.mark.parametrize("case_id", SCALAR_GRID_SHA256)
+def test_scalar_grid_verdicts_are_pinned(case_id):
+    case = CASES[case_id]
+    nus = [nu for nu in scalar.NU_GRID_65 if case.in_domain(nu)]
+    v, (sides, raws) = scalar.judge_grid(case, nus, scalar.A_GRID_13, scalar.A_GRID_13)
+    h = hashlib.sha256()
+    for column in (v.min_slack, v.passed, v.worst_link.astype(np.int64), v.slacks, sides, raws):
+        h.update(np.ascontiguousarray(column).tobytes())
+    assert h.hexdigest() == SCALAR_GRID_SHA256[case_id]
+
+
 # sha256 of every trial record of a 128-trial sweep (seed 0, default dims and
 # draws) of each matrix case, real and complex, as written when a stack raised
 # its spectra to each distinct exponent in a separate power call.  The replays

@@ -128,20 +128,21 @@ class TestEvaluate:
             evaluate(case_by_id("new-2.1"), 1.0, 2.0, 0.0)
 
     def test_judge_chain_slacks_and_first_worst_link(self):
+        # two chains, given link-major: one row per side, one column per chain
         raws, norms, worst = judge_chains(np.array([(0.5, 0.25, 4.0, 2.0),
-                                                    (1.0, 0.0, 1.0, 0.0)]), "op-x")
-        assert raws[0].tolist() == [-0.25, 3.75, -2.0]
+                                                    (1.0, 0.0, 1.0, 0.0)]).T, "op-x")
+        assert raws[:, 0].tolist() == [-0.25, 3.75, -2.0]
         # below unit scale the slack is raw; above, it is relative to the larger side
-        assert norms[0].tolist() == [-0.25, 0.9375, -0.5]
+        assert norms[:, 0].tolist() == [-0.25, 0.9375, -0.5]
         # ties go to the first link
         assert worst.tolist() == [2, 0]
 
     def test_judge_chain_rejects_what_is_not_finite(self):
         with pytest.raises(DomainError, match="side 1 of op-x is nan"):
-            judge_chains(np.array([(1.0, 2.0, 3.0), (1.0, math.nan, 2.0)]), "op-x")
+            judge_chains(np.array([(1.0, 2.0, 3.0), (1.0, math.nan, 2.0)]).T, "op-x")
         # finite sides whose difference overflows
         with pytest.raises(DomainError, match="slack of link 0 of op-x is inf"):
-            judge_chains(np.array([(-1e308, 1e308)]), "op-x")
+            judge_chains(np.array([(-1e308, 1e308)]).T, "op-x")
 
     @given(pos, pos, st.sampled_from(NU_GRID_65))
     @settings(max_examples=300, deadline=None)
@@ -156,10 +157,14 @@ def hexes(values):
 
 
 def assert_judged_as_reference(sides, raws, norms, worst, who="op-x"):
-    """Each row of a stacked judgement equals the per-point reference, bit for bit."""
-    for row, (s, r, n, w) in enumerate(zip(sides.tolist(), raws, norms, worst.tolist())):
+    """Each chain (column) of a link-major judgement equals the per-point
+    reference, bit for bit, and so does its smallest slack read at its worst link."""
+    mins = norms[worst, np.arange(len(worst))]
+    for col, (s, r, n, w, least) in enumerate(zip(sides.T.tolist(), raws.T.tolist(),
+                                                  norms.T.tolist(), worst.tolist(), mins)):
         ref_raws, ref_norms, ref_worst = judge_chain(s, who)
-        assert (hexes(r), hexes(n), w) == (hexes(ref_raws), hexes(ref_norms), ref_worst), row
+        assert ((hexes(r), hexes(n), w, least.hex())
+                == (hexes(ref_raws), hexes(ref_norms), ref_worst, ref_norms[ref_worst].hex())), col
 
 
 def reference_error(sides, who="op-x"):
@@ -191,16 +196,32 @@ class TestStackedJudge:
             trials = [evaluate(case, a, b, nu) for a, b in pairs]
             ref = [tuple(map(float, case.sides(a, b, nu))) for a, b in pairs]
             assert [hexes(t.sides) for t in trials] == [hexes(s) for s in ref]
-            sides = np.array(ref)
+            sides = np.array(ref).T
             raws, norms, worst = judge_chains(sides, case_id)
-            assert [hexes(t.slacks) for t in trials] == [hexes(r) for r in raws.tolist()]
-            assert_judged_as_reference(sides, raws.tolist(), norms.tolist(), worst, case_id)
+            assert [hexes(t.slacks) for t in trials] == [hexes(r) for r in raws.T.tolist()]
+            assert_judged_as_reference(sides, raws, norms, worst, case_id)
 
     @pytest.mark.parametrize("rows", HAND_ROWS, ids=["2-sides", "3-sides", "4-sides"])
     def test_hand_rows_match_the_reference(self, rows):
-        sides = np.array(rows)
-        raws, norms, worst = judge_chains(sides, "op-x")
-        assert_judged_as_reference(sides, raws.tolist(), norms.tolist(), worst)
+        sides = np.array(rows).T
+        assert_judged_as_reference(sides, *judge_chains(sides, "op-x"))
+
+    def test_stacks_of_one_and_of_thousands_match_the_reference(self):
+        # chains of 4 sides whose links tie, 0.0 against -0.0 too, across links 0
+        # and 2 (link 1 above them), each way round, then seeded chains of small
+        # integers with zeros of either sign, so that most chains hold a tie
+        ties = [(0.0, -0.0, 1.0, 1.0), (-0.0, 0.0, 1.0, 1.0), (-1.0, -1.0, 0.0, -0.0),
+                (2.0, 2.0, 3.0, 3.0), (0.0, -0.0, 1.0, 0.5), (1.0, 0.0, 1.0, 0.0)]
+        rng = np.random.default_rng(3)
+        drawn = rng.integers(-2, 3, (4099, 4)).astype(float)
+        drawn[(drawn == 0.0) & (rng.random(drawn.shape) < 0.5)] = -0.0
+        chains = np.concatenate([np.array(ties), drawn])
+        assert len(chains) >= 4096
+        sides = chains.T.copy()
+        assert_judged_as_reference(sides, *judge_chains(sides, "op-x"))
+        for chain in chains[:200]:
+            one = chain[:, None].copy()
+            assert_judged_as_reference(one, *judge_chains(one, "op-x"))
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -208,9 +229,9 @@ class TestStackedJudge:
         for pos in range(m):
             row = [float(i) for i in range(m)]
             row[pos] = bad
-            later = [math.nan] * m  # a later row's error never comes first
+            later = [math.nan] * m  # a later chain's error never comes first
             with pytest.raises(DomainError) as exc:
-                judge_chains(np.array([list(range(m)), row, later], dtype=float), "op-x")
+                judge_chains(np.array([list(range(m)), row, later], dtype=float).T, "op-x")
             assert str(exc.value) == reference_error(row)
             assert f"side {pos} of op-x is {bad!r}" in str(exc.value)
 
@@ -220,7 +241,7 @@ class TestStackedJudge:
             # finite sides whose difference at ``link`` overflows
             row = [-1e308] * (link + 1) + [1e308] * (m - link - 1)
             with pytest.raises(DomainError) as exc:
-                judge_chains(np.array([[0.0] * m, row]), "op-x")
+                judge_chains(np.array([[0.0] * m, row]).T, "op-x")
             assert str(exc.value) == reference_error(row)
             assert f"the slack of link {link} of op-x is inf" in str(exc.value)
 
@@ -256,13 +277,20 @@ class TestGridPass:
     def test_grid_equals_its_rows(self, case_id, grid):
         case = case_by_id(case_id)
         nus = [nu for nu in (*NU_GRID_65, *WIDE_NUS) if case.in_domain(nu)]
-        sides = np.array([case.sides(a, b, nu) for nu in nus for a in grid for b in grid])
+        sides = np.array([case.sides(a, b, nu) for nu in nus for a in grid for b in grid]).T
         raws, norms, worst = judge_chains(sides, case_id)
-        mins = np.array([row[w] for row, w in zip(norms.tolist(), worst.tolist())])
+        mins = np.array([col[w] for col, w in zip(norms.T.tolist(), worst.tolist())])
         v, got = judge_grid(case, nus, grid, grid)
         assert_same_bits([*got, v.slacks, v.worst_link, v.min_slack, v.passed],
-                         [sides, raws, norms.T, worst, mins, mins >= -SCALAR_TOL])
+                         [sides, raws, norms, worst, mins, mins >= -SCALAR_TOL])
         assert (v.advisory, v.oracle_rel_err) == (None, None)
+
+    def test_slacks_are_contiguous_link_rows(self):
+        case = case_by_id("comb-2.12")
+        v, (sides, raws) = judge_grid(case, NU_GRID_65, A_GRID_13, A_GRID_13)
+        points = len(NU_GRID_65) * len(A_GRID_13) ** 2
+        assert [(x.shape, x.flags.c_contiguous) for x in (v.slacks, sides, raws)] == [
+            ((3, points), True), ((4, points), True), ((3, points), True)]
 
     @pytest.mark.parametrize("helper", [scalar.heinz_weight, scalar.cubic_weight,
                                         scalar.cubic_side_weights, scalar.tail_weights])
