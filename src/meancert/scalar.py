@@ -23,9 +23,10 @@ public means are checked wrappers around them.
 Every side and coefficient helper takes Python floats or numpy arrays and
 gives the same bits either way.  Each takes its powers, square roots,
 minima, maxima and branches through _pow, _sqrt, _min, _max and _where,
-which are the Python operations on floats.  On arrays _pow applies float
-``**`` to each element, because np.power rounds some pairs differently in
-the last bit; np.sqrt and comparisons are exact as they are.
+which are the Python operations on floats.  On arrays _pow takes the C
+library's pow through np.float_power, as float ``**`` does (never np.power,
+which rounds some pairs differently in the last bit), and float ``**`` again
+if a result is not finite; np.sqrt and comparisons are exact as they are.
 
 0**0 is taken as 1 throughout (Python float semantics already agree), so
 weights like r**(2r) extend continuously to r = 0.
@@ -70,10 +71,18 @@ def check_tol(tol: float) -> None:
 
 
 def _pow(x, y):
-    """x ** y as Python floats take it; on arrays, float ``**`` on each element
-    of their broadcast (never np.power, which differs in the last bit)."""
+    """x ** y as Python floats take it; on arrays, np.float_power, whose float64
+    loop calls the C library's pow as float ``**`` does.  If a result is not
+    finite, ``_pow_each`` takes them all again, so errors are float ``**``'s."""
     if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
         return x ** y
+    with np.errstate(all="ignore"):
+        z = np.float_power(x, y)
+    return z if np.isfinite(z).all() else _pow_each(x, y)
+
+
+def _pow_each(x, y):
+    """Float ``**`` on each element of the broadcast of x and y, in C order."""
     x, y = np.broadcast_arrays(x, y)
     return np.fromiter(map(operator.pow, x.ravel().tolist(), y.ravel().tolist()),
                        float, x.size).reshape(x.shape)
@@ -332,6 +341,23 @@ def _sides_comb212(a, b, nu):
     )
 
 
+def _sides_kai19(a, b, nu):
+    # bk-1.11 is this chain reversed, on the other half of [0, 1]
+    w = nu * nu
+    return _pow(w * a, nu) * _pow(b, 1.0 - nu) + w * _sq(a, b), w * a + _pow(1.0 - nu, 2) * b
+
+
+def _sides_kai110(a, b, nu):
+    # bk-1.12 is this chain reversed, on the other half of [0, 1]
+    w = _pow(1.0 - nu, 2)
+    return _pow(a, nu) * _pow(w * b, 1.0 - nu) + w * _sq(a, b), nu * nu * a + w * b
+
+
+def _sides_cf113(a, b, nu):
+    g, c = _geom(a, b, nu), nu * (1.0 - nu) * _pow(a - b, 2)
+    return (g + c / (2.0 * _max(a, b)), _arith(a, b, nu), g + c / (2.0 * _min(a, b)))
+
+
 def _build_registry() -> tuple[ScalarCase, ...]:
     cases = [
         ScalarCase(
@@ -382,40 +408,28 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "squared-weight Young refinement, lower weight range",
             "(v^2 a)^v b^(1-v) + v^2 (sqrt(a)-sqrt(b))^2 <= v^2 a + (1-v)^2 b",
             "0 <= nu <= 1/2",
-            lambda a, b, v: (
-                _pow(v * v * a, v) * _pow(b, 1.0 - v) + v * v * _sq(a, b),
-                v * v * a + _pow(1.0 - v, 2) * b,
-            ),
+            _sides_kai19,
         ),
         ScalarCase(
             "kai-1.10",
             "squared-weight Young refinement, upper weight range",
             "a^v ((1-v)^2 b)^(1-v) + (1-v)^2 (sqrt(a)-sqrt(b))^2 <= v^2 a + (1-v)^2 b",
             "1/2 <= nu <= 1",
-            lambda a, b, v: (
-                _pow(a, v) * _pow(_pow(1.0 - v, 2) * b, 1.0 - v) + _pow(1.0 - v, 2) * _sq(a, b),
-                v * v * a + _pow(1.0 - v, 2) * b,
-            ),
+            _sides_kai110,
         ),
         ScalarCase(
             "bk-1.11",
             "reversed squared-weight Young bound, upper weight range",
             "v^2 a + (1-v)^2 b <= v^2 (sqrt(a)-sqrt(b))^2 + (v^2 a)^v b^(1-v)",
             "1/2 <= nu <= 1",
-            lambda a, b, v: (
-                v * v * a + _pow(1.0 - v, 2) * b,
-                v * v * _sq(a, b) + _pow(v * v * a, v) * _pow(b, 1.0 - v),
-            ),
+            lambda a, b, v: _sides_kai19(a, b, v)[::-1],
         ),
         ScalarCase(
             "bk-1.12",
             "reversed squared-weight Young bound, lower weight range",
             "v^2 a + (1-v)^2 b <= (1-v)^2 (sqrt(a)-sqrt(b))^2 + a^v ((1-v)^2 b)^(1-v)",
             "0 <= nu <= 1/2",
-            lambda a, b, v: (
-                v * v * a + _pow(1.0 - v, 2) * b,
-                _pow(1.0 - v, 2) * _sq(a, b) + _pow(a, v) * _pow(_pow(1.0 - v, 2) * b, 1.0 - v),
-            ),
+            lambda a, b, v: _sides_kai110(a, b, v)[::-1],
         ),
         ScalarCase(
             "cf-1.13",
@@ -423,11 +437,7 @@ def _build_registry() -> tuple[ScalarCase, ...]:
             "a^v b^(1-v) + v(1-v)(a-b)^2/(2 max(a,b)) <= v a + (1-v) b "
             "<= a^v b^(1-v) + v(1-v)(a-b)^2/(2 min(a,b))",
             "0 <= nu <= 1",
-            lambda a, b, v: (
-                _geom(a, b, v) + v * (1.0 - v) * _pow(a - b, 2) / (2.0 * _max(a, b)),
-                _arith(a, b, v),
-                _geom(a, b, v) + v * (1.0 - v) * _pow(a - b, 2) / (2.0 * _min(a, b)),
-            ),
+            _sides_cf113,
         ),
         ScalarCase(
             "heinz-1.14",

@@ -307,6 +307,18 @@ class TestScalarSweep:
         assert pairs[:-1] == [(scalar.A_GRID_13[0], b) for b in scalar.A_GRID_13]
         assert len(pairs) == len(scalar.A_GRID_13) + 1
 
+    def test_the_pinned_grid_never_takes_float_pow_per_element(self, monkeypatch, capsys):
+        class PerElement(Exception):
+            pass
+        def sentinel(x, y):
+            raise PerElement
+        monkeypatch.setattr(scalar, "_pow_each", sentinel)
+        assert main(["scalar-sweep", "--case", "all"]) == 0
+        # a power that overflows still reaches float ** on each element, whose
+        # OverflowError sends judge_grid to its points one at a time
+        with pytest.raises(PerElement):
+            runner.run_scalar_case("cf-1.13", a_values=(1e-300, 1e160), nu_values=(0.0,))
+
     # cf-1.13 at nu in (0, 1): (a, b) = (1e-300, 1e150) gives the side inf (a finite
     # curvature term over 2 min(a, b)), and (1e-300, 1e160) overflows (a - b) ** 2
     @pytest.mark.parametrize("nu_values, first", [

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from chain_judge import judge_chain
 from meancert.linalg import DomainError
-from meancert.runner import case_by_id
+from meancert.runner import case_by_id, run_scalar_case
 from meancert import scalar
 from meancert.scalar import (A_GRID_13, NU_GRID_33, NU_GRID_65, SCALAR_TOL, ScalarCase,
                              alpha_of_nu, evaluate, heinz, heron, judge_chains, judge_grid,
@@ -309,8 +310,46 @@ class TestGridPass:
         want = np.array([[p ** q for q in WIDE_NUS] for p in x.ravel().tolist()])
         assert_same_bits([scalar._pow(x, y)], [want])
         assert scalar._pow(2.0, 0.5) == 2.0 ** 0.5
+        # what is not finite is taken again element by element, raising as float ** raises
         with pytest.raises(OverflowError):
             scalar._pow(np.array([1.0, 1e200]), 2)
+        with pytest.raises(ZeroDivisionError):
+            scalar._pow(np.array([2.0, 0.0]), -2.0)
+        with pytest.raises(TypeError) as exc:
+            np.fromiter([(-2.0) ** 0.5], float)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(exc.value))}$"):
+            scalar._pow(np.array([4.0, -2.0]), 0.5)
+        x = [math.nan, math.inf, 2.0, math.inf, -math.inf, 1.0]
+        y = [2.0, -1.0, math.nan, 0.5, 3.0, math.inf]
+        assert_same_bits([scalar._pow(np.array(x), np.array(y))],
+                         [np.array([p ** q for p, q in zip(x, y)])])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(min_value=1e-100, max_value=1e100),
+                              st.floats(min_value=-3.0, max_value=3.0)), min_size=1, max_size=40),
+           st.lists(st.tuples(st.floats(min_value=-1e100, max_value=-1e-100),
+                              st.sampled_from([2, 3])), max_size=40))
+    def test_pow_has_the_bits_of_float_pow(self, positive, negative):
+        # np.float_power's float64 loop is the C library's pow, as float ** is; a numpy
+        # that gives it a loop of its own (as np.power has) fails here
+        x, y = (np.array(col, dtype=float) for col in zip(*positive, *negative))
+        want = np.array([p ** q for p, q in zip(x.tolist(), y.tolist())])
+        assert_same_bits([scalar._pow(x, y)], [want])
+
+    def test_pow_has_the_bits_of_float_pow_on_a_sweeps_grid(self, monkeypatch):
+        pairs, pow_ = [], scalar._pow
+        def spy(x, y):
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                pairs.append([c.ravel() for c in np.broadcast_arrays(x, y)])
+            return pow_(x, y)
+        monkeypatch.setattr(scalar, "_pow", spy)
+        for case in registry():
+            run_scalar_case(case.case_id)
+        x, y = (np.concatenate(col) for col in zip(*pairs))
+        # new-2.1's nu**(nu - 2) at nu = 21/32, which np.power rounds differently
+        assert ((x == 0.65625) & (y == -1.34375)).any()
+        want = np.array([p ** q for p, q in zip(x.tolist(), y.tolist())])
+        assert_same_bits([pow_(x, y)], [want])
 
     def test_min_max_and_where_keep_pythons_rules(self):
         # ties of 0.0 and -0.0, and NaN, go as Python's min and max take them
@@ -328,9 +367,10 @@ EXACT_HELPERS = {"_pow", "_sqrt"}
 
 
 def inexact_ops(source: str) -> list[str]:
-    """``line: expression`` of each ``**``, ``math.sqrt``, ``np.power``, ``pow``,
-    ``min`` or ``max`` in a function or lambda of ``source`` other than the
-    exact helpers: on arrays each would round differently from floats, or fail."""
+    """``line: expression`` of each ``**``, ``math.sqrt``, ``np.power``,
+    ``np.float_power``, ``pow``, ``min`` or ``max`` in a function or lambda of
+    ``source`` other than the exact helpers: on arrays each would round
+    differently from floats, or fail, or bypass ``_pow``'s fallback."""
     tree = ast.parse(source)
     def inside(pick):
         return {id(n) for f in ast.walk(tree) if pick(f) for n in ast.walk(f)}
@@ -342,7 +382,8 @@ def inexact_ops(source: str) -> list[str]:
             continue
         if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
                 or isinstance(node, ast.Attribute)
-                and ast.unparse(node) in ("math.sqrt", "np.power", "numpy.power")
+                and ast.unparse(node) in ("math.sqrt", "np.power", "numpy.power",
+                                          "np.float_power", "numpy.float_power")
                 or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("min", "max", "pow")):
             found.append((node.lineno, node.col_offset, ast.unparse(node)))
@@ -354,9 +395,11 @@ def test_the_scan_sees_an_inexact_op():
               "def _pow(x, y):\n    return x ** y\n"
               "def _sqrt(x):\n    return math.sqrt(x)\n"
               "def side(a, b, v):\n    v **= 2\n    return a ** v, math.sqrt(a), min(a, b)\n"
-              "side2 = lambda a, b: max(a, b) + np.power(a, b)\n")
+              "side2 = lambda a, b: max(a, b) + np.power(a, b)\n"
+              "side3 = lambda a, b: np.float_power(a, b) * numpy.float_power(b, a)\n")
     assert inexact_ops(source) == ["7: v **= 2", "8: a ** v", "8: math.sqrt",
-                                   "8: min(a, b)", "9: max(a, b)", "9: np.power"]
+                                   "8: min(a, b)", "9: max(a, b)", "9: np.power",
+                                   "10: np.float_power", "10: numpy.float_power"]
 
 
 def test_sides_and_coefficients_take_exact_ops_only():
