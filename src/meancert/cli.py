@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -50,6 +51,14 @@ def _load_config(path: str | None) -> dict[str, Any]:
     if not isinstance(cfg, dict):
         raise DomainError(f"config {path!r} must hold a JSON object")
     return cfg
+
+
+def _write(path: str, what: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {what} {path!r}: {exc}") from exc
 
 
 _KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
@@ -145,8 +154,7 @@ def _finish(path: str | None, command: str, config: dict[str, Any],
         _print_case_line(s)
     if path is not None:
         rep = build_report(command, config, cases, wall, tool=TOOL)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(rep))
+        _write(path, "report", canonical_json(rep))
     return 0 if all(s["passed"] for s in cases) else 1
 
 
@@ -330,15 +338,16 @@ def cmd_gap_profile(args: argparse.Namespace) -> int:
     if opts["out"] is None:
         sys.stdout.write(buf.getvalue())
     else:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        _write(opts["out"], "CSV", buf.getvalue())
         print(f"wrote {len(rows)} rows to {opts['out']}")
     for note in notes:
         print(note)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="meancert",
         description="Certify scalar, operator and Hilbert-Schmidt mean "

@@ -867,6 +867,50 @@ class TestMatrixVerifyVerb:
 
 
 
+class TestUnwritableOut:
+    VERBS = {"scalar-sweep": ("report", ["scalar-sweep", "--case", "young-1.1"]),
+             "matrix-verify": ("report", ["matrix-verify", "--case", "op-2.3", "--trials", "5"]),
+             "gap-profile": ("CSV", ["gap-profile", "--case", "op-2.3"])}
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, verb, target):
+        # the job runs, then its output cannot be written: a usage error, not a failure
+        what, argv = self.VERBS[verb]
+        path = str(tmp_path / "missing" / "out") if target == "missing-dir" else str(tmp_path)
+        assert main([*argv, "--out", path]) == 2
+        err = capsys.readouterr().err
+        reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+        assert err.startswith(f"error: cannot write {what} {path!r}: ")
+        assert reason in err and err.count("\n") == 1
+
+
+class TestCachedParser:
+    def test_a_call_leaves_nothing_for_the_next(self, tmp_path):
+        # the second sweep gives neither --tol nor --config: its config is a fresh process's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nu": 0.5}))
+        first, second, fresh = (tmp_path / f"{name}.json" for name in ("first", "second", "fresh"))
+        assert main(["scalar-sweep", "--case", "young-1.1", "--tol", "1e-6",
+                     "--config", str(cfg), "--out", str(first)]) == 0
+        assert read_report(first)["config"]["nu"] == 0.5
+        assert main(["scalar-sweep", "--out", str(second)]) == 0
+        src = Path(meancert.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-m", "meancert.cli", "scalar-sweep", "--out", str(fresh)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert read_report(second)["config"] == read_report(fresh)["config"]
+
+    def test_repeated_flags_start_empty_on_each_call(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["matrix-verify", "--case", "op-2.3", "--case", "op-2.5", "--dim", "2",
+                     "--dim", "3", "--trials", "2", "--out", str(out)]) == 0
+        assert main(["matrix-verify", "--case", "op-2.6", "--dim", "1", "--trials", "2",
+                     "--out", str(out)]) == 0
+        config = read_report(out)["config"]
+        assert (config["case"], config["dims"]) == (["op-2.6"], [1])
+
+
 class TestConfigValues:
     """A config value must have the type its flag parses to (int may stand for float)."""
 
@@ -1059,25 +1103,48 @@ class TestReportModule:
                 build_report("matrix-verify", {}, [bad], 0.0, tool="t")
 
     def test_validator_is_built_once_on_first_use(self, tmp_path):
+        # a report that the compiled pass accepts never reaches jsonschema;
+        # the first one it refuses builds the validator, once
         import jsonschema
         from meancert import report
-        jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+        report._validator.cache_clear()
         out = tmp_path / "report.json"
         assert main(["matrix-verify", "--case", "op-2.3", "--trials", "5",
                      "--out", str(out)]) == 0
         rep = read_report(out)
-        assert report._validator.cache_info().currsize == 1
+        assert report._validator.cache_info().currsize == 0
         rep["cases"][0]["trials"] = -1
-        with pytest.raises(jsonschema.ValidationError, match="-1 is less than the minimum"):
-            validate_report(rep)
-        # importing the package builds nothing
+        for _ in range(2):
+            with pytest.raises(jsonschema.ValidationError, match="-1 is less than the minimum"):
+                validate_report(rep)
+        info = report._validator.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        # importing the package builds nothing: no validator, check or parser
         src = Path(meancert.__file__).resolve().parents[1]
         probe = subprocess.run(
-            [sys.executable, "-c", "import meancert.cli, meancert.report as r; "
-             "print(r._validator.cache_info().currsize)"],
+            [sys.executable, "-c", "import meancert.cli as c, meancert.report as r; "
+             "print(*(f.cache_info().currsize for f in "
+             "(r._validator, r._report_check, c.build_parser)))"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
             timeout=120)
-        assert probe.stdout == "0\n"
+        assert probe.stdout == "0 0 0\n"
+
+    def test_report_schema_is_a_valid_schema(self):
+        # no passing run checks the schema itself any more
+        import jsonschema
+        jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+
+    def test_a_passing_sweep_loads_no_jsonschema(self, tmp_path):
+        src = Path(meancert.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys; from meancert.cli import main; "
+             "rc = main(['scalar-sweep', '--case', 'young-1.1', '--out', sys.argv[1]]); "
+             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('jsonschema', 'referencing', 'rpds')))", str(tmp_path / "report.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120)
+        assert probe.stdout.splitlines()[-1] == "0 []"
+        read_report(tmp_path / "report.json")
 
     def test_importing_the_cli_loads_no_jsonschema(self):
         # nor the process pool, which only a sweep with --jobs > 1 starts, nor
