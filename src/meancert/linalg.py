@@ -84,12 +84,23 @@ def col(nu: np.ndarray, f=None):
     or an array and give each element the bits of its float (never numpy's
     array power, which rounds some, such as nu**(nu - 2), differently in the
     last bit); so it runs once, on all the weights.  When f returns a tuple,
-    the result unpacks into one column per value.
+    the result unpacks into one column per value.  A coefficient that is not
+    finite is a DomainError naming f and the first weight that gives one.
     """
     vals = nu.tolist()
-    if len(set(vals)) == 1:
-        return vals[0] if f is None else f(vals[0])
-    return np.asarray(nu if f is None else f(nu))[..., None, None]
+    shared = len(set(vals)) == 1
+    if f is None:
+        return vals[0] if shared else nu[..., None, None]
+    try:
+        got = f(vals[0] if shared else nu)
+    except OverflowError:  # float ** past the range of floats
+        got = np.inf
+    finite = np.isfinite(got)
+    if not np.logical_and.reduce(finite, axis=None):
+        bad = 0 if shared else _first(~np.logical_and.reduce(finite.reshape(-1, len(vals))))
+        raise DomainError(f"{f.__name__} is not finite at nu={vals[bad]!r}; this weight "
+                          "takes the arithmetic out of the range of floats")
+    return got if shared else np.asarray(got)[..., None, None]
 
 
 def _four_times(q: float):

@@ -4,9 +4,9 @@ Reports are plain JSON, validated against REPORT_SCHEMA (each digest is
 checked as replay checks it) before they are written, and serialized
 canonically (sorted keys, fixed indentation) so that two runs with
 identical inputs produce byte-identical files apart from the wall_time_s
-field.  A report is checked by one pass compiled from REPORT_SCHEMA;
-jsonschema is imported only to name the error of a report that pass
-refuses.
+field.  A report is checked by one pass compiled from REPORT_SCHEMA,
+which names the first error it finds in jsonschema's words; jsonschema
+itself is not needed to run.
 """
 from __future__ import annotations
 
@@ -91,14 +91,17 @@ def _strings(values: list[Any]) -> frozenset[str]:
     return frozenset(values)
 
 
-def compile_schema(schema: dict[str, Any], root: bool = True) -> Callable[[Any], bool]:
-    """One predicate that accepts a value only if jsonschema accepts it.
+def compile_schema(schema: dict[str, Any], root: bool = True) -> Callable[[Any], str | None]:
+    """One check that returns None for a value that jsonschema accepts, or
+    else its first error: the path to the value at fault, as in
+    ``['cases'][1]['trials']``, then ": " and jsonschema's message for it.
 
     It knows the keywords REPORT_SCHEMA uses, in their draft 2020-12
     meaning, and raises ValueError for any other keyword or form.  It
     checks exact types and refuses NaN under a minimum, so it may refuse a
     value that jsonschema accepts, but never accepts one that jsonschema
-    refuses.
+    refuses.  A missing key comes first of an object's errors, then the
+    rest in the object's order.
     """
     if type(schema) is not dict:
         raise ValueError(f"cannot compile schema {schema!r}")
@@ -111,88 +114,79 @@ def compile_schema(schema: dict[str, Any], root: bool = True) -> Callable[[Any],
         raise ValueError(f"cannot compile {sorted(schema.keys() & _TYPED)} without a type")
     if schema.get("additionalProperties", False) is not False:
         raise ValueError("cannot compile additionalProperties other than false")
-    checks: list[Callable[[Any], bool]] = []
+    checks: list[Callable[[Any], str | None]] = []
     if "type" in schema:
         names = schema["type"]
         names = [names] if type(names) is str else names
         if not all(name in _TYPES for name in names):
             raise ValueError(f"cannot compile type {schema['type']!r}")
         types = frozenset().union(*(_TYPES[name] for name in names))
-        checks.append(lambda v: type(v) in types)
+        wanted = ", ".join(map(repr, names))
+        checks.append(lambda v: None if type(v) in types else f": {v!r} is not of type {wanted}")
     if "const" in schema:
         const, = _strings([schema["const"]])
-        checks.append(lambda v: type(v) is str and v == const)
+        checks.append(lambda v: None if type(v) is str and v == const
+                      else f": {const!r} was expected")
     if "enum" in schema:
         members = _strings(schema["enum"])
-        checks.append(lambda v: type(v) is str and v in members)
+        checks.append(lambda v: None if type(v) is str and v in members
+                      else f": {v!r} is not one of {schema['enum']!r}")
     if "minimum" in schema:
         low = schema["minimum"]
         if type(low) not in _NUMBERS:
             raise ValueError(f"cannot compile minimum {low!r}")
-        checks.append(lambda v: type(v) not in _NUMBERS or v >= low)
+        checks.append(lambda v: None if type(v) not in _NUMBERS or v >= low
+                      else f": {v!r} is less than the minimum of {low!r}")
     if "items" in schema:
         item = compile_schema(schema["items"], root=False)
-        checks.append(lambda v: type(v) is not list or all(map(item, v)))
+        checks.append(lambda v: next(f"[{i}]{e}" for i, e in enumerate(map(item, v)) if e)
+                      if type(v) is list and any(map(item, v)) else None)
     if schema.keys() & {"properties", "required", "additionalProperties"}:
         props = {key: compile_schema(sub, root=False)
                  for key, sub in schema.get("properties", {}).items()}
-        required = frozenset(schema.get("required", ()))
+        required = schema.get("required", [])
+        needed = frozenset(required)
         closed = "additionalProperties" in schema
 
-        def check_object(v: Any) -> bool:
+        def check_object(v: Any) -> str | None:
             if type(v) is not dict:
-                return True
-            if not v.keys() >= required:
-                return False
+                return None
+            if not v.keys() >= needed:
+                return f": {next(key for key in required if key not in v)!r} is a required property"
             for key, value in v.items():
                 check = props.get(key)
                 if check is None:
                     if closed:
-                        return False
-                elif not check(value):
-                    return False
-            return True
+                        extra = sorted(v.keys() - props.keys(), key=str)
+                        return (": Additional properties are not allowed (%s %s unexpected)" % (
+                            ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"))
+                elif error := check(value):
+                    return f"[{key!r}]{error}"
+            return None
 
         checks.append(check_object)
     if not checks:
         raise ValueError("cannot compile a schema without keywords")
     # the checks in order, each run only on what every earlier one accepted
-    return functools.reduce(lambda first, then: lambda v: first(v) and then(v), checks)
+    return functools.reduce(lambda first, then: lambda v: first(v) or then(v), checks)
 
 
 @functools.cache
-def _report_check() -> Callable[[Any], bool]:
+def _report_check() -> Callable[[Any], str | None]:
     """REPORT_SCHEMA compiled, on first use."""
     return compile_schema(REPORT_SCHEMA)
-
-
-@functools.cache
-def _validator() -> Callable[[dict[str, Any]], Exception | None]:
-    """jsonschema's REPORT_SCHEMA check, built on first use: it returns the
-    best match of a report's schema errors, or None.  jsonschema is imported
-    here, as only a report that the compiled pass refuses reaches it, and
-    checking the schema itself costs ten times as much as checking a report
-    against it."""
-    import jsonschema
-
-    cls = jsonschema.validators.validator_for(REPORT_SCHEMA)
-    cls.check_schema(REPORT_SCHEMA)
-    validator = cls(REPORT_SCHEMA)
-    return lambda report: jsonschema.exceptions.best_match(validator.iter_errors(report))
 
 
 def validate_report(report: dict[str, Any]) -> None:
     """Check the report against REPORT_SCHEMA and each digest as replay does.
 
-    The pass compiled from REPORT_SCHEMA checks the report first; only a
-    report it refuses goes to jsonschema, which has the final say.  A
-    report off the schema raises ``jsonschema.ValidationError``, the error
-    that ``jsonschema.validate`` would raise.
+    A report off the schema raises ValueError "report off REPORT_SCHEMA:
+    report['cases'][1]['trials']: -1 is less than the minimum of 0": the
+    path of its first error and jsonschema's message for it.
     """
-    if not _report_check()(report):
-        error = _validator()(report)
-        if error is not None:
-            raise error
+    error = _report_check()(report)
+    if error is not None:
+        raise ValueError(f"report off REPORT_SCHEMA: report{error}")
     for case in report["cases"]:
         if case["argmin"] is not None:
             check_digest(case["argmin"])

@@ -25,8 +25,8 @@ gives the same bits either way.  Each takes its powers, square roots,
 minima, maxima and branches through _pow, _sqrt, _min, _max and _where,
 which are the Python operations on floats.  On arrays _pow takes the C
 library's pow through np.float_power, as float ``**`` does (never np.power,
-which rounds some pairs differently in the last bit), and float ``**`` again
-if a result is not finite; np.sqrt and comparisons are exact as they are.
+which rounds some pairs differently in the last bit), and give inf or nan
+where float ``**`` raises; np.sqrt and comparisons are exact as they are.
 
 0**0 is taken as 1 throughout (Python float semantics already agree), so
 weights like r**(2r) extend continuously to r = 0.
@@ -72,20 +72,13 @@ def check_tol(tol: float) -> None:
 
 def _pow(x, y):
     """x ** y as Python floats take it; on arrays, np.float_power, whose float64
-    loop calls the C library's pow as float ``**`` does.  If a result is not
-    finite, ``_pow_each`` takes them all again, so errors are float ``**``'s."""
+    loop calls the C library's pow as float ``**`` does.  Where float ``**``
+    raises, the array holds C's inf (a result past the range of floats, or 0
+    to a negative power); where it gives a complex number, nan."""
     if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
         return x ** y
     with np.errstate(all="ignore"):
-        z = np.float_power(x, y)
-    return z if np.isfinite(z).all() else _pow_each(x, y)
-
-
-def _pow_each(x, y):
-    """Float ``**`` on each element of the broadcast of x and y, in C order."""
-    x, y = np.broadcast_arrays(x, y)
-    return np.fromiter(map(operator.pow, x.ravel().tolist(), y.ravel().tolist()),
-                       float, x.size).reshape(x.shape)
+        return np.float_power(x, y)
 
 
 def _sqrt(x):
@@ -591,24 +584,25 @@ def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
     term of (a, b) alone once, and are judged in one ``judge_chains`` call.
 
     The points are not checked; callers check them first.  The sides are
-    bit for bit those that ``evaluate`` takes as Python floats.  If a power
-    overflows, the points are judged again one at a time as ``evaluate``
-    judges them, in (nu, a, b) order, so an error is the first failing point's.
+    bit for bit those that ``evaluate`` takes as Python floats, and a power
+    that float ``**`` overflows is inf here, which no chain hides.  So if a
+    side or slack is not finite, the first such point is judged again as
+    ``evaluate`` judges it, and the error is that point's own.
     """
     nu = np.array(nus, dtype=float).reshape(-1, 1, 1)
     a = np.array(a_values, dtype=float).reshape(1, -1, 1)
     b = np.array(b_values, dtype=float).reshape(1, 1, -1)
-    try:
-        # what is not finite raises in judge_chains instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            columns = case.sides(a, b, nu)
-    except OverflowError:  # a float power past the range of floats
-        sides = np.concatenate([_judge_point(case, x, y, v)[0]
-                                for v in nus for x in a_values for y in b_values], axis=1)
-    else:
-        shape = (nu.size, a.size, b.size)
+    shape = (nu.size, a.size, b.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # what is not finite raises below
+        columns = case.sides(a, b, nu)
         sides = np.stack([np.broadcast_to(c, shape) for c in columns]).reshape(len(columns), -1)
-    raws, norms, worst = judge_chains(sides, case.case_id)
+        try:
+            raws, norms, worst = judge_chains(sides, case.case_id)
+        except DomainError:  # the first point whose slacks are not finite, judged alone
+            finite = np.logical_and.reduce(np.isfinite(sides[1:] - sides[:-1]), axis=0)
+            v, i, j = np.unravel_index(int(finite.argmin()), shape)
+            _judge_point(case, a_values[i], b_values[j], nus[v])
+            raise
     # each point's slack read at its worst link, so that a zero keeps its sign
     # (a flat index: norms is C-contiguous, as the sides stacked above are)
     mins = norms.take(worst * len(worst) + np.arange(len(worst)))

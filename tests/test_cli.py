@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -307,18 +308,6 @@ class TestScalarSweep:
         assert pairs[:-1] == [(scalar.A_GRID_13[0], b) for b in scalar.A_GRID_13]
         assert len(pairs) == len(scalar.A_GRID_13) + 1
 
-    def test_the_pinned_grid_never_takes_float_pow_per_element(self, monkeypatch, capsys):
-        class PerElement(Exception):
-            pass
-        def sentinel(x, y):
-            raise PerElement
-        monkeypatch.setattr(scalar, "_pow_each", sentinel)
-        assert main(["scalar-sweep", "--case", "all"]) == 0
-        # a power that overflows still reaches float ** on each element, whose
-        # OverflowError sends judge_grid to its points one at a time
-        with pytest.raises(PerElement):
-            runner.run_scalar_case("cf-1.13", a_values=(1e-300, 1e160), nu_values=(0.0,))
-
     # cf-1.13 at nu in (0, 1): (a, b) = (1e-300, 1e150) gives the side inf (a finite
     # curvature term over 2 min(a, b)), and (1e-300, 1e160) overflows (a - b) ** 2
     @pytest.mark.parametrize("nu_values, first", [
@@ -586,6 +575,11 @@ SWEEP_ERRORS = {
     "hs-overflow": ["--case", "hs", "--law", "explicit:1e150", "--dim", "2", "--trials", "40"],
     "hs-underflow": ["--case", "hs-cor", "--law", "explicit:1e-160", "--dim", "2",
                      "--trials", "40"],
+    # nu**(nu - 2) is past the range of floats below nu of about 7.5e-155
+    "tiny-nu-op-2.3": ["--case", "op-2.3", "--nu", "1e-160", "--trials", "3"],
+    "tiny-nu-op-2.5": ["--case", "op-2.5", "--nu", "1e-300", "--trials", "3"],
+    "tiny-nu-op-2.6": ["--case", "op-2.6", "--nu", "1e-160", "--trials", "3"],
+    "tiny-nu-hs-2.13": ["--case", "hs-2.13", "--nu", "1e-300", "--trials", "3"],
 }
 
 # gap-profile runs each case's points as one stack of trial 0 at each nu: a
@@ -1086,64 +1080,58 @@ class TestGapProfileVerb:
 
 class TestReportModule:
     def test_schema_rejects_extra_fields(self):
-        import jsonschema
-        with pytest.raises(jsonschema.ValidationError):
-            validate_report({"schema": "meancert.report/1", "bogus": 1})
+        report = {"schema": "meancert.report/1", "tool": "t", "command": "scalar-sweep",
+                  "config": {}, "cases": [], "all_passed": True, "wall_time_s": 0.0}
+        validate_report(report)
+        with pytest.raises(ValueError) as raised:
+            validate_report(dict(report, bogus=1))
+        assert str(raised.value) == ("report off REPORT_SCHEMA: report: Additional properties "
+                                     "are not allowed ('bogus' was unexpected)")
 
     def test_schema_rejects_unknown_case_and_failure_fields(self):
-        import jsonschema
         from meancert.report import build_report
         hs = run_case("hs-2.13", RunConfig(trials=20, nu=0.5))
         scalar_case = runner.run_scalar_case("young-1.1")
         assert hs["failure_digests"]
         build_report("matrix-verify", {}, [hs], 0.0, tool="t")
-        for bad in (dict(hs, bogus=1), dict(scalar_case, bogus=1),
-                    dict(hs, failure_digests=[dict(hs["failure_digests"][0], bogus=1)])):
-            with pytest.raises(jsonschema.ValidationError, match="'bogus' was unexpected"):
+        unexpected = ": Additional properties are not allowed ('bogus' was unexpected)"
+        for bad, path in ((dict(hs, bogus=1), "['cases'][0]"),
+                          (dict(scalar_case, bogus=1), "['cases'][0]"),
+                          (dict(hs, failure_digests=[dict(hs["failure_digests"][0], bogus=1)]),
+                           "['cases'][0]['failure_digests'][0]")):
+            with pytest.raises(ValueError) as raised:
                 build_report("matrix-verify", {}, [bad], 0.0, tool="t")
-
-    def test_validator_is_built_once_on_first_use(self, tmp_path):
-        # a report that the compiled pass accepts never reaches jsonschema;
-        # the first one it refuses builds the validator, once
-        import jsonschema
-        from meancert import report
-        report._validator.cache_clear()
-        out = tmp_path / "report.json"
-        assert main(["matrix-verify", "--case", "op-2.3", "--trials", "5",
-                     "--out", str(out)]) == 0
-        rep = read_report(out)
-        assert report._validator.cache_info().currsize == 0
-        rep["cases"][0]["trials"] = -1
-        for _ in range(2):
-            with pytest.raises(jsonschema.ValidationError, match="-1 is less than the minimum"):
-                validate_report(rep)
-        info = report._validator.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        # importing the package builds nothing: no validator, check or parser
-        src = Path(meancert.__file__).resolve().parents[1]
-        probe = subprocess.run(
-            [sys.executable, "-c", "import meancert.cli as c, meancert.report as r; "
-             "print(*(f.cache_info().currsize for f in "
-             "(r._validator, r._report_check, c.build_parser)))"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120)
-        assert probe.stdout == "0 0 0\n"
+            assert str(raised.value) == f"report off REPORT_SCHEMA: report{path}{unexpected}"
 
     def test_report_schema_is_a_valid_schema(self):
-        # no passing run checks the schema itself any more
+        # no run checks the schema itself: meancert runs without jsonschema
         import jsonschema
         jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
 
-    def test_a_passing_sweep_loads_no_jsonschema(self, tmp_path):
+    def test_a_sweep_and_a_refused_report_load_no_jsonschema(self, tmp_path):
+        # importing the package builds nothing (no check, no parser); a passing
+        # sweep checks its report, and a refused report names its error, alone
         src = Path(meancert.__file__).resolve().parents[1]
-        probe = subprocess.run(
-            [sys.executable, "-c", "import sys; from meancert.cli import main; "
-             "rc = main(['scalar-sweep', '--case', 'young-1.1', '--out', sys.argv[1]]); "
-             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in "
-             "('jsonschema', 'referencing', 'rpds')))", str(tmp_path / "report.json")],
+        probe = subprocess.run([sys.executable, "-c", textwrap.dedent("""
+            import json, sys
+            import meancert.cli as c, meancert.report as r
+            print(*(f.cache_info().currsize for f in (r._report_check, c.build_parser)))
+            print(c.main(['scalar-sweep', '--case', 'young-1.1', '--out', sys.argv[1]]))
+            with open(sys.argv[1]) as fh:
+                report = json.load(fh)
+            report['cases'][0]['trials'] = -1
+            try:
+                r.validate_report(report)
+            except ValueError as exc:
+                print(type(exc).__name__, exc)
+            print(sorted(m for m in sys.modules
+                         if m.split('.')[0] in ('jsonschema', 'referencing', 'rpds')))
+            """), str(tmp_path / "report.json")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
             timeout=120)
-        assert probe.stdout.splitlines()[-1] == "0 []"
+        assert probe.stdout.splitlines()[:1] + probe.stdout.splitlines()[-3:] == [
+            "0 0", "0", "ValueError report off REPORT_SCHEMA: report['cases'][0]['trials']: "
+            "-1 is less than the minimum of 0", "[]"]
         read_report(tmp_path / "report.json")
 
     def test_importing_the_cli_loads_no_jsonschema(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meancert import hsnorm, linalg, randgen
+from meancert import hsnorm, linalg, randgen, scalar
 from meancert.cli import main
 from meancert.linalg import (FAST_POWERS, DomainError, Powers, clamp_psd, eigh, hermitianize,
                              hs_norms, is_psd, lapack, power_rows, validate_hermitian)
@@ -305,6 +305,20 @@ class TestStacks:
             one = is_psd(m - 0.5 * np.eye(4))
             assert (res.ok[i], res.lam_min[i], res.scale[i]) == (one.ok, one.lam_min, one.scale)
             assert bits(res.witness[i]) == bits(one.witness)
+
+    def test_a_coefficient_not_finite_names_the_first_weight(self):
+        # a shared weight takes float **, which raises OverflowError; a stack of
+        # weights takes an array power, which gives inf: both read alike
+        want = ("heinz_weight is not finite at nu=1e-160; this weight takes the "
+                "arithmetic out of the range of floats")
+        for nus in ([1e-160], [1e-160, 1e-160], [0.5, 1e-160, 1e-300]):
+            assert error_of(linalg.col, np.array(nus), scalar.heinz_weight) == want
+        def pair(nu):
+            return nu, scalar.heinz_weight(nu)
+        assert error_of(linalg.col, np.array([0.25, 1e-300, 0.5]), pair) == (
+            "pair is not finite at nu=1e-300; this weight takes the arithmetic out of "
+            "the range of floats")
+        assert linalg.col(np.array([0.25, 0.25]), scalar.heinz_weight) == 0.25 ** -1.75
 
     def test_errors_report_the_first_matrix_that_fails(self):
         good = rand_pd(3, 40)

@@ -250,6 +250,24 @@ class TestStacks:
                 for gap, one in zip(gaps, alone, strict=True):
                     assert gap[row].tobytes() == one.tobytes(), (case.case_id, nus[i])
 
+    @pytest.mark.parametrize("case_id", ["op-2.3", "op-2.5", "op-2.6", "hs-2.13"])
+    def test_a_weight_whose_coefficient_overflows_reads_as_that_weight_alone(self, case_id):
+        # nu**(nu - 2) at nu = 1e-160 is past the range of floats
+        case = case_by_id(case_id)
+        cfg = RunConfig(dims=(3,), seed=26)
+        trials = [inputs(make_digest(case_id, cfg, t)) for t in range(3)]
+        def certify(rows, nu):
+            A, B = (np.stack([trials[r][key] for r in rows]) for key in "AB")
+            if case.kind == "operator":
+                return certify_operator(case, A, B, nu)
+            return certify_hs(case, A, B, np.stack([trials[r]["X"] for r in rows]), nu)
+        with pytest.raises(DomainError) as one:
+            certify([1], [1e-160])
+        with pytest.raises(DomainError) as many:
+            certify([0, 1, 2], [0.5, 1e-160, 1e-300])
+        assert str(many.value) == str(one.value)
+        assert str(one.value).startswith("heinz_weight is not finite at nu=1e-160; ")
+
     @pytest.mark.parametrize("cx", [False, True])
     def test_every_gap_and_x_is_exactly_hermitian(self, cx):
         # certify_operator checks only the finiteness of X = A^-1/2 B A^-1/2, of

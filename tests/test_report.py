@@ -1,8 +1,9 @@
 """The report check compiled from REPORT_SCHEMA, against jsonschema.
 
 Real reports are mutated at every level. The compiled check must never
-accept a mutant that jsonschema refuses, and ``validate_report`` must raise
-the error that ``jsonschema.validate`` raises.
+accept a mutant that jsonschema refuses, and ``validate_report`` must name
+the error that ``jsonschema.validate`` names, at the same path, in a
+ValueError. jsonschema is the reference here only: meancert runs without it.
 """
 import contextlib
 import json
@@ -103,7 +104,7 @@ def mutated(container, key, value):
 def test_compiled_check_never_accepts_what_jsonschema_refuses(reports, name):
     report = reports[name]
     check = compile_schema(REPORT_SCHEMA)
-    assert check(report) and jsonschema_error(report) is None
+    assert check(report) is None and jsonschema_error(report) is None
     refused_more = set()
     todo = list(mutations(report))
     # every level is reached: the report, a case, a failure and a digest
@@ -115,19 +116,29 @@ def test_compiled_check_never_accepts_what_jsonschema_refuses(reports, name):
     for container, key, value in todo:
         with mutated(container, key, value):
             error = jsonschema_error(report)
-            if check(report):
+            refused = check(report)
+            if refused is None:
                 assert error is None, (key, value)
-            elif error is None:
-                refused_more.add(repr(value))
-            if error is None:
                 with contextlib.suppress(DomainError):  # a digest that replay rejects
                     validate_report(report)
                 continue
-            with pytest.raises(jsonschema.ValidationError) as raised:
+            with pytest.raises(ValueError) as raised:
                 validate_report(report)
-            assert str(raised.value) == str(error)
+            assert type(raised.value) is ValueError
+            if error is None:
+                refused_more.add(repr(value))
+                assert str(raised.value).endswith((f"{value!r} is not of type 'integer'",
+                                                   f"{value!r} is less than the minimum of 0"))
+            else:
+                assert str(raised.value) == "report off REPORT_SCHEMA: report" + where(error)
     # it refuses more only a float for an integer and NaN under a minimum
     assert refused_more <= {"1.0", "nan"}
+
+
+def where(error):
+    """jsonschema's ``error`` as the compiled check writes one: its path, as in
+    ['cases'][1]['trials'], then ": " and its message."""
+    return "".join(f"[{key!r}]" for key in error.absolute_path) + ": " + error.message
 
 
 def test_jsonschema_error_is_the_error_of_validate(reports):
@@ -161,7 +172,7 @@ def test_a_keyword_outside_the_supported_set_raises(schema):
 
 
 def test_each_supported_keyword_checks():
-    check = compile_schema({
+    schema = {
         "type": "object",
         "properties": {"n": {"type": "integer", "minimum": 0},
                        "x": {"type": ["number", "null"], "minimum": 0},
@@ -170,10 +181,25 @@ def test_each_supported_keyword_checks():
                        "l": {"type": "array", "items": {"type": "string"}}},
         "required": ["n"],
         "additionalProperties": False,
-    })
+    }
+    check = compile_schema(schema)
     good = {"n": 0, "x": None, "k": "a", "c": "v", "l": ["s"]}
-    assert check(good) and check({"n": 3, "x": 0.5})
-    for bad in ({"x": 1}, dict(good, n=-1), dict(good, n=True), dict(good, x=-0.5),
-                dict(good, k="z"), dict(good, c="w"), dict(good, l=["s", 1]),
-                dict(good, extra=1), [good]):
-        assert not check(bad), bad
+    assert check(good) is None and check({"n": 3, "x": 0.5}) is None
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    for bad, want in (
+            ({"x": 1}, ": 'n' is a required property"),
+            (dict(good, n=-1), "['n']: -1 is less than the minimum of 0"),
+            (dict(good, n=True), "['n']: True is not of type 'integer'"),
+            (dict(good, x=-0.5), "['x']: -0.5 is less than the minimum of 0"),
+            (dict(good, x="1"), "['x']: '1' is not of type 'number', 'null'"),
+            (dict(good, k="z"), "['k']: 'z' is not one of ['a', 'b']"),
+            (dict(good, c="w"), "['c']: 'v' was expected"),
+            (dict(good, l=["s", 1]), "['l'][1]: 1 is not of type 'string'"),
+            (dict(good, extra=1), ": Additional properties are not allowed "
+                                  "('extra' was unexpected)"),
+            (dict(good, y=1, extra=2), ": Additional properties are not allowed "
+                                       "('extra', 'y' were unexpected)"),
+            ([good], f": {[good]!r} is not of type 'object'")):
+        assert check(bad) == want, bad
+        error = jsonschema.exceptions.best_match(validator.iter_errors(bad))
+        assert where(error) == want

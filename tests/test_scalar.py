@@ -1,7 +1,6 @@
 import ast
 import math
 import pathlib
-import re
 
 import mpmath as mp
 import numpy as np
@@ -262,6 +261,31 @@ class TestStackedJudge:
         with pytest.raises(DomainError, match=overflow):
             evaluate(case, 1.0, 1e200, 1.0)
 
+    @pytest.mark.parametrize("case_id", sorted(ALL_IDS))
+    def test_the_grid_names_the_point_that_evaluate_names_first(self, case_id):
+        # past the range of floats a power is inf on arrays where float ** raises;
+        # a chain that hid one (behind a min, a where or a divisor) would let the
+        # grid pass a point that evaluate refuses, or name a later one.  On this
+        # grid cf-1.13 and new-2.1 overflow, five chains reach an inf or nan side
+        # and the rest pass.
+        case = case_by_id(case_id)
+        mags = (1e-300, 1.0, 1e160, 1e300)
+        nus = [nu for nu in (1e-300, 0.25, 0.5, 1.0) if case.in_domain(nu)]
+        errors = []
+        for nu in nus:
+            for a in mags:
+                for b in mags:
+                    try:
+                        evaluate(case, a, b, nu)
+                    except DomainError as exc:
+                        errors.append(str(exc))
+        try:
+            judge_grid(case, nus, mags, mags)
+            grid = None
+        except DomainError as exc:
+            grid = str(exc)
+        assert grid == (errors[0] if errors else None)
+
 
 def assert_same_bits(got, want):
     assert [(g.dtype, g.shape, g.tobytes()) for g in got] == [
@@ -310,15 +334,18 @@ class TestGridPass:
         want = np.array([[p ** q for q in WIDE_NUS] for p in x.ravel().tolist()])
         assert_same_bits([scalar._pow(x, y)], [want])
         assert scalar._pow(2.0, 0.5) == 2.0 ** 0.5
-        # what is not finite is taken again element by element, raising as float ** raises
+        # where float ** raises, an array holds C's pow: inf past the range of floats
+        # and for 0 to a negative power; where it gives a complex number, nan
         with pytest.raises(OverflowError):
-            scalar._pow(np.array([1.0, 1e200]), 2)
+            scalar._pow(1e200, 2)
         with pytest.raises(ZeroDivisionError):
-            scalar._pow(np.array([2.0, 0.0]), -2.0)
-        with pytest.raises(TypeError) as exc:
-            np.fromiter([(-2.0) ** 0.5], float)
-        with pytest.raises(TypeError, match=f"^{re.escape(str(exc.value))}$"):
-            scalar._pow(np.array([4.0, -2.0]), 0.5)
+            scalar._pow(0.0, -2.0)
+        assert isinstance(scalar._pow(-2.0, 0.5), complex)
+        assert_same_bits([scalar._pow(np.array([1.0, 1e200]), 2),
+                          scalar._pow(np.array([2.0, 0.0]), -2.0)],
+                         [np.array([1.0, math.inf]), np.array([0.25, math.inf])])
+        got = scalar._pow(np.array([4.0, -2.0]), 0.5)
+        assert got[0] == 2.0 and math.isnan(got[1])
         x = [math.nan, math.inf, 2.0, math.inf, -math.inf, 1.0]
         y = [2.0, -1.0, math.nan, 0.5, 3.0, math.inf]
         assert_same_bits([scalar._pow(np.array(x), np.array(y))],
@@ -370,7 +397,7 @@ def inexact_ops(source: str) -> list[str]:
     """``line: expression`` of each ``**``, ``math.sqrt``, ``np.power``,
     ``np.float_power``, ``pow``, ``min`` or ``max`` in a function or lambda of
     ``source`` other than the exact helpers: on arrays each would round
-    differently from floats, or fail, or bypass ``_pow``'s fallback."""
+    differently from floats, or fail."""
     tree = ast.parse(source)
     def inside(pick):
         return {id(n) for f in ast.walk(tree) if pick(f) for n in ast.walk(f)}
