@@ -1108,14 +1108,37 @@ class TestReportModule:
         import jsonschema
         jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
 
-    def test_a_sweep_and_a_refused_report_load_no_jsonschema(self, tmp_path):
-        # importing the package builds nothing (no check, no parser); a passing
-        # sweep checks its report, and a refused report names its error, alone
+    def test_validator_is_built_once_on_first_use(self, tmp_path):
+        # REPORT_SCHEMA is compiled on the first report checked, once, and
+        # the same check then refuses a report off the schema
+        from meancert import report
+        report._report_check.cache_clear()
+        out = tmp_path / "report.json"
+        assert main(["matrix-verify", "--case", "op-2.3", "--trials", "5",
+                     "--out", str(out)]) == 0
+        rep = read_report(out)
+        rep["cases"][0]["trials"] = -1
+        for _ in range(2):
+            with pytest.raises(ValueError, match="-1 is less than the minimum of 0"):
+                validate_report(rep)
+        info = report._report_check.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        # importing the package builds nothing: no check, no parser
+        src = Path(meancert.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", "import meancert.cli as c, meancert.report as r; "
+             "print(*(f.cache_info().currsize for f in (r._report_check, c.build_parser)))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120)
+        assert probe.stdout == "0 0\n"
+
+    def test_a_passing_sweep_loads_no_jsonschema(self, tmp_path):
+        # a passing sweep checks its report, and a refused report names its
+        # error, without jsonschema
         src = Path(meancert.__file__).resolve().parents[1]
         probe = subprocess.run([sys.executable, "-c", textwrap.dedent("""
             import json, sys
             import meancert.cli as c, meancert.report as r
-            print(*(f.cache_info().currsize for f in (r._report_check, c.build_parser)))
             print(c.main(['scalar-sweep', '--case', 'young-1.1', '--out', sys.argv[1]]))
             with open(sys.argv[1]) as fh:
                 report = json.load(fh)
@@ -1129,8 +1152,8 @@ class TestReportModule:
             """), str(tmp_path / "report.json")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
             timeout=120)
-        assert probe.stdout.splitlines()[:1] + probe.stdout.splitlines()[-3:] == [
-            "0 0", "0", "ValueError report off REPORT_SCHEMA: report['cases'][0]['trials']: "
+        assert probe.stdout.splitlines()[-3:] == [
+            "0", "ValueError report off REPORT_SCHEMA: report['cases'][0]['trials']: "
             "-1 is less than the minimum of 0", "[]"]
         read_report(tmp_path / "report.json")
 
