@@ -29,9 +29,9 @@ import numpy as np
 
 from . import scalar
 from .linalg import (CERT_PSD_TOL, DomainError, Powers, clamp_psd, col, hs_norms, lapack,
-                     one_per_matrix, power_rows, validate_hermitian)
+                     power_rows, validate_hermitian)
 from .opmeans import checked_weight
-from .scalar import Case, Verdicts, judge_chains, require_finite
+from .scalar import Case, Verdicts, judge_chains, require_finite, stack_weights
 
 ORACLE_TOL = 1e-10
 
@@ -366,17 +366,17 @@ def judge_hs(case: HsCase, A, B, X, nu, *,
     unless ``lenient`` is set, in which case the trial is marked advisory:
     the verdict is recorded but carries no certification weight.  A side of
     either route that is not finite raises DomainError naming the route, and
-    a count of nu that is neither 1 nor the count of triples raises
-    DomainError.
+    so do, before any matrix is checked, an X that is not a stack, then nu
+    outside the case's range, then a count of nu that is neither 1 nor the
+    count of triples (``stack_weights``).
     """
     X = np.asarray(X)
-    nus = case.check_weights(nu)
-    met = _x_hypothesis(case, X, lenient)
-    ctx = HsContext(A, B, X, oracle=oracle)
     if X.ndim != 3:  # one triple is the stack of one that certify_hs makes of it
         raise DomainError(f"judge_hs takes stacks (k, n, n), got X of shape {X.shape}")
-    k = len(ctx.X)
-    nus = one_per_matrix("nu", nus, k)
+    k = len(X)
+    nus = stack_weights(nu, k, case.check_nu)
+    met = _x_hypothesis(case, X, lenient)
+    ctx = HsContext(A, B, X, oracle=oracle)
     w = Weights(np.array(nus))
     # each side is a (k, 1, 1) column: a chain per row of (k, m), a side per row of its .T
     sides = np.concatenate(case.chain(ctx, w)[0], axis=-1).reshape(k, -1)

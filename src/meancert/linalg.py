@@ -3,8 +3,9 @@
 Every matrix computation downstream (operator means, norm chains,
 certification) funnels through this module, so the contracts are kept
 strict: inputs are validated and symmetrized once, every LAPACK call goes
-through one entry (``lapack``) with diagnostic errors, and PSD verdicts
-always come with an eigenvalue witness.
+through one entry (``lapack``) with diagnostic errors, which ``eigh``,
+``is_psd`` and ``Powers`` each call directly, and PSD verdicts always come
+with an eigenvalue witness.
 
 Conventions
 -----------
@@ -58,16 +59,6 @@ class DomainError(ValueError):
 def count_error(name: str, n: int, k: int) -> DomainError:
     """The error of ``n`` values of ``name`` given to a stack of ``k`` matrices."""
     return DomainError(f"{name} has {n} values for a stack of {k}")
-
-
-def one_per_matrix(name: str, values: list, k: int) -> list:
-    """``values`` for a stack of k matrices: a list of one stands for every
-    matrix, and any count but 1 and k is a DomainError (``count_error``)."""
-    if len(values) == k:
-        return values
-    if len(values) != 1:
-        raise count_error(name, len(values), k)
-    return values * k
 
 
 def _first(bad: np.ndarray) -> int:
@@ -253,8 +244,7 @@ def lapack(op: str, M: np.ndarray):
 
 def eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, V) of a Hermitian matrix or stack, eigenvalues ascending."""
-    p = Powers(M)
-    return p.eigenvalues, p.eigenvectors
+    return tuple(lapack("eigh", validate_hermitian(M)))
 
 
 def clamp_psd(w: np.ndarray, who: str) -> np.ndarray:
@@ -341,14 +331,14 @@ def is_psd(M, tol: float = PSD_TOL, *, hermitian: bool = False) -> PsdCheck:
     concrete direction along which positivity breaks.  A witness has the
     dtype of its matrix.  ``hermitian`` is as for ``validate_hermitian``.
     """
-    p = Powers(M, hermitian=hermitian)
-    n = p.dim
-    w = p.eigenvalues.reshape(-1, n)
-    lam = w[:, 0].tolist()  # ascending order, so max|w| is at one end
-    scale = [max(1.0, abs(low), abs(top)) for low, top in zip(lam, w[:, -1].tolist())]
+    w, V = lapack("eigh", validate_hermitian(M, hermitian=hermitian))
+    n = V.shape[-1]
+    rows = w.reshape(-1, n)
+    lam = rows[:, 0].tolist()  # ascending order, so max|w| is at one end
+    scale = [max(1.0, abs(low), abs(top)) for low, top in zip(lam, rows[:, -1].tolist())]
     ok = [low >= -tol * sc for low, sc in zip(lam, scale)]
-    witness = list(p.eigenvectors.reshape(-1, n, n)[:, :, 0])
-    if p.eigenvalues.ndim == 1:
+    witness = list(V.reshape(-1, n, n)[:, :, 0])
+    if w.ndim == 1:
         return PsdCheck(ok[0], lam[0], scale[0], witness[0])
     return PsdCheck(ok, lam, scale, witness)
 
@@ -377,16 +367,17 @@ class Powers:
     eigendecomposition, on first read of ``eigenvalues``, ``eigenvectors``
     or a power other than M**1 and M**0, backs every requested power,
     keeping repeated mean evaluations on the same operand cheap and
-    mutually consistent.  It holds the one eigendecomposition call
-    (``lapack("eigh", ...)``): eigh is a one-off Powers.  Every operation
-    acts on each matrix of a stack as it would on that matrix alone, bit
-    for bit.
+    mutually consistent.  It takes that decomposition from ``lapack``, the
+    module's one LAPACK entry, which ``eigh`` and ``is_psd`` call directly.
+    Every operation acts on each matrix of a stack as it would on that
+    matrix alone, bit for bit.
 
     ``hermitian`` is as for ``validate_hermitian``.
     """
 
     def __init__(self, M, *, hermitian: bool = False):
         self.matrix = validate_hermitian(M, hermitian=hermitian)
+        self.dim = self.matrix.shape[-1]
         self._count = self.matrix.size // self.matrix.shape[-1] ** 2  # 1 for one matrix
         self._eigh: tuple[np.ndarray, np.ndarray] | None = None
         self._cache: dict[float, np.ndarray] = {}
@@ -403,10 +394,6 @@ class Powers:
     @property
     def eigenvectors(self) -> np.ndarray:
         return self._decomposed()[1]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
 
     def pow(self, p: float) -> np.ndarray:
         """M**p for every matrix, cached per exponent."""

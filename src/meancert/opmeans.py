@@ -18,8 +18,9 @@ through is_psd(M[i+1] - M[i]); each link reports its minimum eigenvalue,
 its tolerance scale, and the worst link ships an eigenvector witness.
 ``judge_operator`` checks each weight once, and the gap builders take the
 context's unchecked kernels (``_nabla``, ``_geom``, ``_heinz``, ``_heron``);
-the public means check their weights.  A gap, and X = A^(-1/2) B A^(-1/2),
-is exactly Hermitian by construction, so only its finiteness is checked.
+the public means check their weights, all through ``scalar.stack_weights``.
+A gap, and X = A^(-1/2) B A^(-1/2), is exactly Hermitian by construction,
+so only its finiteness is checked.
 """
 from __future__ import annotations
 
@@ -31,27 +32,14 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from . import scalar
-from .linalg import (CERT_PSD_TOL, DomainError, Powers, col, count_error, hermitianize, is_psd,
-                     one_per_matrix)
-from .scalar import Case, Verdicts, check_unit
+from .linalg import CERT_PSD_TOL, DomainError, Powers, col, hermitianize, is_psd
+from .scalar import Case, Verdicts, check_unit, stack_weights
 
 
 def checked_weight(name: str, t, k: int) -> np.ndarray:
-    """The weight of each of k matrices, checked in [0, 1], as a (k,) float array.
-
-    ``t`` is one weight for all k, or a sequence with one per matrix; any
-    other count is a DomainError.  The weights are checked in one pass, and
-    walked only to report the first bad one, as ``check_unit`` reports it
-    alone.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.size not in (1, k):
-        raise count_error(name, t.size, k)
-    t = np.full(k, t)
-    if not all((t >= 0.0) & (t <= 1.0)):
-        for v in t.tolist():
-            check_unit(name, v)
-    return t
+    """The weight of each of k matrices, checked in [0, 1], as a (k,) float
+    array: ``stack_weights`` with ``check_unit``."""
+    return np.array(stack_weights(t, k, lambda v: check_unit(name, v), name))
 
 
 class PairContext:
@@ -76,16 +64,9 @@ class PairContext:
             )
         if self.pa.matrix.ndim == 2:
             self.pa, self.pb = (Powers(p.matrix[None], hermitian=True) for p in (self.pa, self.pb))
-        self._half = np.array([0.5] * len(self.pa.matrix))  # the weight 1/2 of every pair
+        self.A, self.B = self.pa.matrix, self.pb.matrix
+        self._half = np.array([0.5] * len(self.A))  # the weight 1/2 of every pair
         self._px: Powers | None = None
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.pa.matrix
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.pb.matrix
 
     def _x(self) -> Powers:
         if self._px is None:
@@ -342,12 +323,16 @@ def judge_operator(case: OperatorCase, A, B, nu, tol: float = CERT_PSD_TOL):
     ``is_psd`` returns, and what a record reads besides, each pair's nu and
     each link's ``is_psd`` check, as ``(verdicts, (nus, checks))``.
 
-    Domain violations (nu outside the case's range, an unordered pair fed
-    to an ordered-only case, operands that are not PD where required, a
-    count of nu that is neither 1 nor the count of pairs) raise DomainError
-    naming the violated predicate.
+    Domain violations raise DomainError naming the violated predicate: an A
+    that is not a stack, then nu outside the case's range, then a count of
+    nu that is neither 1 nor the count of pairs (``stack_weights``), then
+    the operands (not Hermitian, not ordered where required, not PD).
     """
-    nus = case.check_weights(nu)
+    A = np.asarray(A)
+    if A.ndim != 3:  # one pair is the stack of one that certify_operator makes of it
+        raise DomainError(f"judge_operator takes stacks (k, n, n), got A of shape {A.shape}")
+    k = len(A)
+    nus = stack_weights(nu, k, case.check_nu)
     ctx = PairContext(A, B)
     if case.requires_ordered:
         order = is_psd(ctx.B - ctx.A, tol, hermitian=True)
@@ -357,8 +342,6 @@ def judge_operator(case: OperatorCase, A, B, nu, tol: float = CERT_PSD_TOL):
                 f"case {case.case_id} requires A <= B in Loewner order; "
                 f"lam_min(B - A) = {order.lam_min[i]:.6e} at scale {order.scale[i]:.3e}"
             )
-    k = len(ctx.pa.matrix)
-    nus = one_per_matrix("nu", nus, k)
     # each link's check and slacks over the stack, then each trial's first smallest slack
     checks, slacks = [], []
     for _, gap in zip(case.links, case.gaps(ctx, np.array(nus)), strict=True):

@@ -42,7 +42,7 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DomainError
+from .linalg import DomainError, count_error
 
 SCALAR_TOL = 1e-12
 
@@ -62,6 +62,23 @@ def check_unit(name: str, t: float) -> None:
     """Reject a weight outside [0, 1] (or not finite) with DomainError."""
     if not math.isfinite(t) or t < 0.0 or t > 1.0:
         raise DomainError(f"{name}={t!r} outside [0, 1]")
+
+
+def stack_weights(nu, k: int, check: Callable[[float], None], name: str = "nu") -> list[float]:
+    """The weights of a stack of k matrices as k Python floats, from one number
+    for every matrix (or a string that ``float`` reads) or one per matrix.
+    Each distinct value passes ``check`` once, in order of first appearance;
+    then any count but 1 and k is a DomainError (``count_error``)."""
+    try:
+        values = iter((nu,) if isinstance(nu, str) else nu)
+    except TypeError:  # one number for the whole stack
+        values = iter((nu,))
+    nus = list(map(float, values))
+    for v in dict.fromkeys(nus):
+        check(v)
+    if len(nus) not in (1, k):
+        raise count_error(name, len(nus), k)
+    return nus if len(nus) == k else nus * k
 
 
 def check_tol(tol: float) -> None:
@@ -201,6 +218,8 @@ class Case:
     written: its leading ``lo op nu op hi`` defines ``in_domain`` and
     ``nu_grid``, the dyadic 33-grid restricted to the domain.  A label
     outside that grammar raises ValueError when the case is built.
+    ``check_nu`` checks one weight against it; a matrix judge checks a
+    stack's weights with ``stack_weights(nu, k, case.check_nu)``.
     """
 
     kind: ClassVar[str]  # "scalar", "operator" or "hs"
@@ -233,21 +252,6 @@ class Case:
             raise DomainError(
                 f"case {self.case_id} requires nu in {self.nu_domain}, got nu={nu!r}"
             )
-
-    def check_weights(self, nu) -> list[float]:
-        """The weights of a stack as Python floats: ``nu`` is one number for
-        every matrix (or a string that ``float`` reads), given back as a list
-        of one, or one value per matrix.  Each distinct value passes
-        ``check_nu`` once, in order of first appearance; the caller matches
-        the count to its stack (``linalg.one_per_matrix``)."""
-        try:
-            values = iter((nu,) if isinstance(nu, str) else nu)
-        except TypeError:  # one number for the whole stack
-            values = iter((nu,))
-        nus = list(map(float, values))
-        for v in dict.fromkeys(nus):
-            self.check_nu(v)
-        return nus
 
 
 @dataclass(frozen=True)

@@ -893,9 +893,9 @@ def test_python_calls_per_trial_stay_bounded(case_id):
 # .max, .all, .any and .sum.  Every replay is a stack of one, so this count
 # shows a rise in its fixed cost that a noisy host hides in the timings.
 CALLS_PER_STACK_OF_ONE = {
-    "op-2.10": 174, "op-2.3": 134, "op-2.5": 122, "op-2.6": 122, "op-2.7-left": 152,
-    "op-2.7-refine": 150, "op-2.7-right": 149, "op-heron-zhao": 132,
-    "hs-2.13": 152, "hs-2.14": 152, "hs-cor": 158, "hs-thm8": 152,
+    "op-2.10": 146, "op-2.3": 122, "op-2.5": 108, "op-2.6": 108, "op-2.7-left": 126,
+    "op-2.7-refine": 126, "op-2.7-right": 123, "op-heron-zhao": 120,
+    "hs-2.13": 151, "hs-2.14": 151, "hs-cor": 157, "hs-thm8": 151,
 }
 # The tolist and reshape calls of the same run, which sys.setprofile reports as
 # "c_call" events and the count above leaves out.  A power turns its exponents
@@ -943,14 +943,50 @@ def test_each_distinct_weight_is_checked_once(monkeypatch, case_id):
     assert len(seen) < len(digests)
 
 
+# Every entry that takes a stack's weights, with the name its weights go by:
+# each reads them through scalar.stack_weights, so all name a fault alike.
+WEIGHT_ENTRIES = {
+    "PairContext.nabla": ("nu", lambda A, B, X, nu: opmeans.PairContext(A, B).nabla(nu)),
+    "PairContext.geom": ("nu", lambda A, B, X, nu: opmeans.PairContext(A, B).geom(nu)),
+    "PairContext.heinz": ("nu", lambda A, B, X, nu: opmeans.PairContext(A, B).heinz(nu)),
+    "PairContext.heron": ("alpha", lambda A, B, X, nu: opmeans.PairContext(A, B).heron(nu)),
+    "HsContext.heinz_block": ("nu", lambda A, B, X, nu: hsnorm.HsContext(A, B, X).heinz_block(nu)),
+    "judge_operator": ("nu", lambda A, B, X, nu: opmeans.judge_operator(
+        CASES["op-2.3"], *(m if m.ndim == 3 else m[None] for m in (A, B)), nu)),
+    "judge_hs": ("nu", lambda A, B, X, nu: hsnorm.judge_hs(
+        CASES["hs-2.14"], *(m if m.ndim == 3 else m[None] for m in (A, B, X)), nu)),
+    "certify_operator": ("nu", lambda A, B, X, nu: opmeans.certify_operator(
+        CASES["op-2.3"], A, B, nu)),
+    "certify_hs": ("nu", lambda A, B, X, nu: hsnorm.certify_hs(CASES["hs-2.14"], A, B, X, nu)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRIES))
+def test_every_entry_names_a_bad_weight_before_a_wrong_count(entry, k):
+    # positive definite A, B and X, in every case's domain; k = 1 is one
+    # matrix, which the judges take as the stack of one
+    rows = [inputs(make_digest("hs-2.14", RunConfig(dims=(3,)), t)) for t in range(k)]
+    A, B, X = (np.stack([row[key] for row in rows]) for key in ("A", "B", "X"))
+    if k == 1:
+        A, B, X = A[0], B[0], X[0]
+    name, run = WEIGHT_ENTRIES[entry]
+    with pytest.raises(DomainError) as bad:
+        run(A, B, X, [0.5, 2.0])  # a weight outside [0, 1], and a count of 2
+    assert str(bad.value) == f"{name}=2.0 outside [0, 1]"
+    with pytest.raises(DomainError) as count:
+        run(A, B, X, [0.5, 0.25])
+    assert str(count.value) == f"{name} has 2 values for a stack of {k}"
+
+
 # The functions that may branch on the shape of their input: the public entries
-# that take one matrix or one float and add or drop the stack axis once, the
-# check of outside input, and scalar's float/array namespace, where one formula
-# serves a float and an array alike.  Below them every function takes a stack
+# that take one matrix or one float and add or drop the stack axis once, the two
+# judges, which refuse one matrix, the check of outside input, and scalar's
+# float/array namespace, where one formula serves a float and an array alike.  Below them every function takes a stack
 # (k, n, n) and a (k,) float array of weights.
 SHAPE_ENTRIES = {
     "linalg.validate_hermitian", "linalg.is_psd",
-    "opmeans.PairContext.__init__", "opmeans.certify_operator",
+    "opmeans.PairContext.__init__", "opmeans.certify_operator", "opmeans.judge_operator",
     "hsnorm.HsContext.__init__", "hsnorm.certify_hs", "hsnorm.judge_hs",
     "scalar._pow", "scalar._sqrt", "scalar._where",
 }

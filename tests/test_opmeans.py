@@ -5,7 +5,7 @@ from operator_cells import CELLS
 from meancert import scalar
 from meancert.hsnorm import certify_hs
 from meancert.linalg import DomainError, Powers, is_psd
-from meancert.opmeans import PairContext, certify_operator, geom, registry
+from meancert.opmeans import PairContext, certify_operator, geom, judge_operator, registry
 from meancert.runner import RunConfig, case_by_id, inputs, make_digest
 
 ALL_IDS = {"op-2.3", "op-2.5", "op-2.6", "op-2.7-left", "op-2.7-right",
@@ -221,6 +221,18 @@ class TestCertify:
 
 
 class TestStacks:
+    def test_the_judge_takes_stacks_only(self):
+        A = np.array([[2.0, 1.0], [1.0, 2.0]])
+        B = np.diag([3.0, 1.0])
+        case = case_by_id("op-2.3")
+        got = judge_operator(case, A[None], B[None], 0.5)[0]
+        rec = certify_operator(case, A, B, 0.5)
+        assert got.min_slack == [rec.min_slack] == [0.4775922500725171]
+        assert got.slacks == [[lc.slack] for lc in rec.links]
+        with pytest.raises(DomainError) as exc:
+            judge_operator(case, A, B, 0.5)
+        assert str(exc.value) == "judge_operator takes stacks (k, n, n), got A of shape (2, 2)"
+
     def test_certify_over_a_stack_equals_each_pair_alone(self):
         pairs = [pair(19, dim=3, case="op-2.7-left", trial=t, law="log-uniform:0.01:100.0")
                  for t in range(6)]
