@@ -265,11 +265,8 @@ def _profile_scalar(ids: list[str], nus: list[float], opts: dict[str, Any]) -> _
     scalar.check_pair(a, b)
     cases = {cid: runner.CASES[cid] for cid in ids}
     points = {cid: [nu for nu in nus if case.in_domain(nu)] for cid, case in cases.items()}
-    # a case's link count, from its sides at a = b = 1, where every side is finite
-    links = {cid: [f"link{i}" for i in range(len(case.sides(1.0, 1.0, case.nu_grid[0])) - 1)]
-             for cid, case in cases.items()}
-    try:  # one grid per case, of its own points; its raws are one row per link
-        raws = {cid: scalar.judge_grid(case, points[cid], [a], [b])[1][1].T.tolist()
+    try:  # one grid per case, of its own points (maybe none); its raws are one row per link
+        raws = {cid: scalar.judge_grid(case, points[cid], [a], [b])[1][1]
                 for cid, case in cases.items()}
     except DomainError:  # the first error, as the points judged one at a time raise it
         for nu in nus:
@@ -277,7 +274,8 @@ def _profile_scalar(ids: list[str], nus: list[float], opts: dict[str, Any]) -> _
                 if case.in_domain(nu):
                     scalar.evaluate(case, a, b, nu)
         raise
-    slacks = {(cid, nu): s for cid in ids for nu, s in zip(points[cid], raws[cid])}
+    links = {cid: [f"link{i}" for i in range(len(r))] for cid, r in raws.items()}
+    slacks = {(cid, nu): s for cid in ids for nu, s in zip(points[cid], raws[cid].T.tolist())}
     upper = {cid: {nu: slacks[cid, nu][-1] for nu in points[cid]} for cid in ids}
     notes: list[str] = []
     first = ids[0]

@@ -24,8 +24,8 @@ Conventions
 * Fractional powers clamp eigenvalues in [-PSD_TOL * scale, 0) to zero,
   where scale = max(1, spectral norm).  Anything more negative is a domain
   error that names the offending eigenvalue.
-* ``is_psd`` is tolerance-relative: it passes iff
-  lam_min >= -tol * max(1, ||M||_2).
+* ``is_psd`` is tolerance-relative: it passes iff its normalized slack
+  lam_min / max(1, ||M||_2) >= -tol, the rule every link passes by.
 * Each function takes one matrix (n, n) or a stack (k, n, n) and treats
   every matrix of a stack as it would treat that matrix alone, bit for
   bit: checks run per matrix, and an error reports the first that fails.
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import functools
 from decimal import Decimal
+from itertools import repeat
+from operator import ge, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -326,7 +328,8 @@ class PsdCheck(NamedTuple):
 def is_psd(M, tol: float = PSD_TOL, *, hermitian: bool = False) -> PsdCheck:
     """Tolerance-relative PSD test with an eigenvector witness.
 
-    Passes iff lam_min(M) >= -tol * max(1, ||M||_2).  The witness column
+    Passes iff lam_min(M) / max(1, ||M||_2) >= -tol: the slack a Loewner link
+    reports, judged by the rule every link passes by.  The witness column
     attains lam_min whether or not the check passes, so failures ship a
     concrete direction along which positivity breaks.  A witness has the
     dtype of its matrix.  ``hermitian`` is as for ``validate_hermitian``.
@@ -336,7 +339,7 @@ def is_psd(M, tol: float = PSD_TOL, *, hermitian: bool = False) -> PsdCheck:
     rows = w.reshape(-1, n)
     lam = rows[:, 0].tolist()  # ascending order, so max|w| is at one end
     scale = [max(1.0, abs(low), abs(top)) for low, top in zip(lam, rows[:, -1].tolist())]
-    ok = [low >= -tol * sc for low, sc in zip(lam, scale)]
+    ok = list(map(ge, map(truediv, lam, scale), repeat(-tol)))
     witness = list(V.reshape(-1, n, n)[:, :, 0])
     if w.ndim == 1:
         return PsdCheck(ok[0], lam[0], scale[0], witness[0])

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import truediv
+from operator import ge, truediv
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -355,10 +355,8 @@ def judge_operator(case: OperatorCase, A, B, nu, tol: float = CERT_PSD_TOL):
             for i, s in enumerate(slacks[j]):
                 if s < worst[i]:
                     worst[i], at[i] = s, j
-        passed = list(map(all, zip(*[res.ok for res in checks])))
-    else:
-        passed = checks[0].ok
-    return Verdicts(worst, passed, at, slacks), (nus, checks)
+    # a trial passes by its worst normalized slack, the rule of every link and judge
+    return Verdicts(worst, list(map(ge, worst, repeat(-tol))), at, slacks), (nus, checks)
 
 
 def certify_operator(case: OperatorCase, A, B, nu, tol: float = CERT_PSD_TOL):

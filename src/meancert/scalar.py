@@ -16,9 +16,9 @@ judge_grid() evaluates a chain's sides at a whole grid of points at once,
 on broadcast arrays, unchecked, and judges them in one call into the grid's
 Verdicts, the verdict type of every judge: the grid sweep and gap-profile
 check their points first and build no record.  evaluate() checks one
-point, evaluates its sides as Python floats and judges them.  The means
-the chains call are unchecked kernels; weighted_geom() and the other
-public means are checked wrappers around them.
+point and judges it as the one-point grid, so replay and the sweep share
+one judge.  The means the chains call are unchecked kernels;
+weighted_geom() and the other public means are checked wrappers around them.
 
 Every side and coefficient helper takes Python floats or numpy arrays and
 gives the same bits either way.  Each takes its powers, square roots,
@@ -563,19 +563,6 @@ def judge_chains(sides: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray, n
     return raws, norms, worst
 
 
-def _judge_point(case: ScalarCase, a: float, b: float,
-                 nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sides, raws, norms, worst) of ``case`` at one point, not checked: its sides
-    (m, 1), evaluated as Python floats, and their ``judge_chains``.  A side that
-    overflows is a DomainError naming the point."""
-    try:
-        sides = np.array([case.sides(a, b, nu)], dtype=float).T
-    except OverflowError as exc:  # a float power past the range of floats
-        raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
-                          f"nu={nu!r}: {exc}") from exc
-    return (sides, *judge_chains(sides, case.case_id))
-
-
 def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float],
                b_values: Sequence[float], tol: float = SCALAR_TOL
                ) -> tuple[Verdicts, tuple[np.ndarray, np.ndarray]]:
@@ -587,11 +574,11 @@ def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
     b (1, 1, len(b_values)), so a term of nu alone is taken once per nu and a
     term of (a, b) alone once, and are judged in one ``judge_chains`` call.
 
-    The points are not checked; callers check them first.  The sides are
-    bit for bit those that ``evaluate`` takes as Python floats, and a power
-    that float ``**`` overflows is inf here, which no chain hides.  So if a
-    side or slack is not finite, the first such point is judged again as
-    ``evaluate`` judges it, and the error is that point's own.
+    The points are not checked; callers check them first.  A power past the
+    range of floats is inf here (C's pow, where float ``**`` raises), which no
+    chain hides.  So if a side or slack is not finite, the first such point's
+    column is judged again under a name that gives the point, and the error
+    is that point's own: ``side 0 of cf-1.13 at a=1e+300, b=1.0, nu=0.5 is inf, ...``.
     """
     nu = np.array(nus, dtype=float).reshape(-1, 1, 1)
     a = np.array(a_values, dtype=float).reshape(1, -1, 1)
@@ -602,10 +589,11 @@ def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
         sides = np.stack([np.broadcast_to(c, shape) for c in columns]).reshape(len(columns), -1)
         try:
             raws, norms, worst = judge_chains(sides, case.case_id)
-        except DomainError:  # the first point whose slacks are not finite, judged alone
-            finite = np.logical_and.reduce(np.isfinite(sides[1:] - sides[:-1]), axis=0)
-            v, i, j = np.unravel_index(int(finite.argmin()), shape)
-            _judge_point(case, a_values[i], b_values[j], nus[v])
+        except DomainError:  # the first point whose slacks are not finite, named
+            r = int(np.logical_and.reduce(np.isfinite(sides[1:] - sides[:-1]), axis=0).argmin())
+            v, i, j = np.unravel_index(r, shape)
+            judge_chains(sides[:, r:r + 1], f"{case.case_id} at a={a_values[i]!r}, "
+                         f"b={b_values[j]!r}, nu={nus[v]!r}")
             raise
     # each point's slack read at its worst link, so that a zero keeps its sign
     # (a flat index: norms is C-contiguous, as the sides stacked above are)
@@ -615,11 +603,10 @@ def judge_grid(case: ScalarCase, nus: Sequence[float], a_values: Sequence[float]
 
 def evaluate(case: ScalarCase, a: float, b: float, nu: float,
              tol: float = SCALAR_TOL) -> ScalarTrial:
-    """Evaluate one chain at (a, b, nu) as Python floats and judge every adjacent
-    link: replay's judge of a point, and the reference that ``judge_grid`` keeps."""
+    """Check the point (a, b, nu), then judge ``case`` there as the one-point grid
+    ``judge_grid(case, [nu], [a], [b], tol)``: replay judges a point as the sweep does."""
     check_pair(a, b)
     case.check_nu(nu)
-    sides, raws, norms, worst = _judge_point(case, a, b, nu)
-    slack = norms[worst[0], 0].item()
+    v, (sides, raws) = judge_grid(case, [nu], [a], [b], tol)
     return ScalarTrial(case.case_id, a, b, nu, tuple(sides.ravel().tolist()),
-                       tuple(raws.ravel().tolist()), slack, slack >= -tol)
+                       tuple(raws.ravel().tolist()), v.min_slack.item(), v.passed.item())

@@ -1,14 +1,21 @@
-"""A per-point reference for the stacked chain judge, ``scalar.judge_chains``.
+"""Per-point references for the stacked judges, ``scalar.judge_chains`` and
+``scalar.judge_grid``.
 
-The package judges a stack of chains at once, one per row of an array.
-This is the judge it replaced, which took one chain at a time as Python
-floats, kept here word for word (with the two helpers it called) so that
-the stacked judge is held to it rather than to itself.
+The package judges a stack of chains at once, one per row of an array, and
+evaluates a chain's sides on arrays.  ``judge_chain`` is the judge that the
+stacked one replaced, which took one chain at a time as Python floats, and
+``judge_point`` the per-point judge that evaluated one point's sides as
+Python floats; both are kept here word for word (``judge_chain`` with the
+two helpers it called) so that the stacked judges are held to them rather
+than to themselves.
 """
 import math
 from typing import Sequence
 
+import numpy as np
+
 from meancert.linalg import DomainError
+from meancert.scalar import ScalarCase, judge_chains
 
 
 def first_worst(values: Sequence[float]) -> int:
@@ -49,3 +56,16 @@ def judge_chain(sides: Sequence[float],
         require_finite(sides, "side", who)
         require_finite(raws, "the slack of link", who)
     return raws, norms, first_worst(norms)
+
+
+def judge_point(case: ScalarCase, a: float, b: float,
+                nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sides, raws, norms, worst) of ``case`` at one point, not checked: its sides
+    (m, 1), evaluated as Python floats, and their ``judge_chains``.  A side that
+    overflows is a DomainError naming the point."""
+    try:
+        sides = np.array([case.sides(a, b, nu)], dtype=float).T
+    except OverflowError as exc:  # a float power past the range of floats
+        raise DomainError(f"a side of {case.case_id} overflows at a={a!r}, b={b!r}, "
+                          f"nu={nu!r}: {exc}") from exc
+    return (sides, *judge_chains(sides, case.case_id))

@@ -309,7 +309,8 @@ class TestScalarSweep:
         assert len(pairs) == len(scalar.A_GRID_13) + 1
 
     # cf-1.13 at nu in (0, 1): (a, b) = (1e-300, 1e150) gives the side inf (a finite
-    # curvature term over 2 min(a, b)), and (1e-300, 1e160) overflows (a - b) ** 2
+    # curvature term over 2 min(a, b)), and at (1e-300, 1e160) (a - b) ** 2 is past the
+    # range of floats, so at nu = 0 the curvature term is 0 * inf, nan
     @pytest.mark.parametrize("nu_values, first", [
         ((0.5, 0.0), (1e-300, 1e150, 0.5)),
         ((0.0, 0.5), (1e-300, 1e160, 0.0)),
@@ -326,8 +327,9 @@ class TestScalarSweep:
                 run()
             errors.append(str(exc.value))
         assert errors == [errors[0]] * 3
-        assert errors[0].startswith("side 2 of cf-1.13 is inf" if first[2] else
-                                    "a side of cf-1.13 overflows at a=1e-300, b=1e+160")
+        assert errors[0].startswith("side 2 of cf-1.13 at a=1e-300, b=1e+150, nu=0.5 is inf, "
+                                    if first[2] else
+                                    "side 0 of cf-1.13 at a=1e-300, b=1e+160, nu=0.0 is nan, ")
 
     def test_failures_are_counted_capped_and_replayed(self, monkeypatch):
         monkeypatch.setitem(CASES, "young-1.1", REVERSED_YOUNG)
@@ -348,9 +350,10 @@ class TestScalarSweep:
 
     @pytest.mark.parametrize("case_id, a_values, message", [
         ("cf-1.13", (1.0, 1e300),
-         r"^a side of cf-1\.13 overflows at a=1\.0, b=1e\+300, nu=0\.0: "),
+         r"^side 0 of cf-1\.13 at a=1\.0, b=1e\+300, nu=0\.0 is nan, "),
         ("heinz-1.14", (1.7e308,),
-         r"^side 0 of heinz-1\.14 is inf, not a finite number; "
+         r"^side 0 of heinz-1\.14 at a=1\.7e\+308, b=1\.7e\+308, nu=0\.0 is inf, "
+         r"not a finite number; "
          r"these inputs take the arithmetic out of the range of floats$"),
         # comb-2.11 takes its powers without a mean's check: the grid check must see these
         ("comb-2.11", (1.0, 0.0), r"^means need finite a, b > 0, got a=1\.0, b=0\.0$"),
@@ -1037,10 +1040,10 @@ class TestGapProfileVerb:
         err = capsys.readouterr().err
         digest = {"case": "cf-1.13", "kind": "scalar", "a": 1e300, "b": 1.0, "nu": 0.0}
         assert replay_error(capsys, digest) == (2, err)
-        assert err.startswith("error: a side of cf-1.13 overflows at a=1e+300, b=1.0, nu=0.0")
+        assert err.startswith("error: side 0 of cf-1.13 at a=1e+300, b=1.0, nu=0.0 is nan, ")
 
     def test_a_case_without_points_keeps_its_header(self, capsys):
-        # zw-1.5 (0 < nu <= 1/2) holds neither 0 nor 1; its link count comes from the case
+        # zw-1.5 (0 < nu <= 1/2) holds neither 0 nor 1; a grid of no point has its link rows
         assert main(["gap-profile", "--case", "zw-1.5", "--nu-points", "2"]) == 0
         assert capsys.readouterr().out == "nu,zw-1.5:link0,zw-1.5:link1\n0,,\n1,,\n"
 

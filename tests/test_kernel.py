@@ -266,6 +266,42 @@ def test_matrix_report_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_REPORT_SHA256
 
 
+# The design aim's byte-identity report, `matrix-verify --case all --seed 42` at its
+# full 10^4 trials, run with --jobs 2: its report equals the --jobs 1 report.  Each
+# case's compact row (passed, failures, repr(min_slack), and the argmin's dim, trial
+# and nu) is pinned beside the hash, so that a failure names the case that moved.
+# Like every hash pinned here, these hold only in one numeric environment.
+DESIGN_AIM_REPORT_SHA256 = "88e405f4d104fd43895fd456d58cb9d6ce77a024dd1796bf58a84e42c0ffe0dd"
+DESIGN_AIM_ROWS = {
+    "hs-2.13": (False, 5527, "-0.9950736158591214", 1, 6355, 0.625),
+    "hs-2.14": (True, 0, "0.0", 1, 0, 0.0),
+    "hs-cor": (True, 0, "0.0", 1, 0, 0.0),
+    "hs-thm8": (False, 7469, "-0.9999712396998093", 1, 8215, 0.96875),
+    "op-2.10": (True, 0, "0.0", 1, 0, 0.0),
+    "op-2.3": (True, 0, "2.081660115733575e-08", 3, 2367, 1.0),
+    "op-2.5": (True, 0, "1.6651399156207413e-08", 5, 3358, 0.96875),
+    "op-2.6": (True, 0, "4.342181018037482e-09", 8, 4319, 1.0),
+    "op-2.7-left": (True, 0, "-2.665043696663605e-10", 5, 5398, 0.59375),
+    "op-2.7-refine": (True, 0, "-1.0077005444141715e-11", 5, 4018, 0.78125),
+    "op-2.7-right": (True, 0, "-2.4599876604876943e-10", 2, 1531, 0.40625),
+    "op-heron-zhao": (True, 0, "-1.0114197306400849e-13", 3, 3747, 0.5625),
+}
+
+
+def test_the_design_aim_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["matrix-verify", "--case", "all", "--seed", "42", "--jobs", "2",
+                 "--out", str(out)]) == 1  # hs-2.13 and hs-thm8 fail
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        report = strip_volatile(json.load(fh))
+    rows = {c["case"]: (c["passed"], c["failures"], repr(c["min_slack"]),
+                        c["argmin"]["dim"], c["argmin"]["trial"], c["argmin"]["nu"])
+            for c in report["cases"]}
+    assert rows == DESIGN_AIM_ROWS
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == DESIGN_AIM_REPORT_SHA256
+
+
 def test_gap_profile_csv_is_pinned(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     assert main(["gap-profile", "--case", "op,hs", "--dim", "3", "--out", str(out)]) == 0
@@ -817,6 +853,33 @@ def test_stack_error_names_the_lowest_trial_that_fails_alone(monkeypatch):
                                 f"digest: {json.dumps(digest, sort_keys=True)}")
 
 
+def test_a_stack_that_raises_where_no_trial_alone_does_folds_each_trial_alone(monkeypatch):
+    # a stack builds X = A^-1/2 B A^-1/2 for every pair once any weight is interior,
+    # so trial 0's singular A makes its stack raise; alone, at nu = 0, it takes A
+    # and B exactly and passes.  The fallback then folds every trial's own verdicts.
+    def change(inputs, row, digest):
+        if digest["trial"] == 0:
+            inputs["A"][row] = np.diag([1.0, 0.0])
+            inputs["B"][row] = inputs["A"][row] + np.eye(2)
+
+    patch_rows(monkeypatch, change)
+    cfg, case = RunConfig(trials=33, dims=(2,)), CASES["op-2.7-refine"]
+    [stack] = runner._chunk_stacks(case.case_id, cfg, 0, cfg.trials)
+    with pytest.raises(DomainError, match=r"eigenvalue 0\.000000e\+00 blocks t\*\*-0\.5"):
+        runner._certify(case, stack, cfg.tol)
+    digests = [make_digest(case.case_id, cfg, t) for t in range(cfg.trials)]
+    assert digests[0]["nu"] == 0.0 and run_trial(digests[0], cfg.tol).passed
+    fallbacks = []
+    alone = runner._alone
+    monkeypatch.setattr(runner, "_alone",
+                        lambda ds, tol: fallbacks.append(len(ds)) or alone(ds, tol))
+    summary = run_case(case.case_id, cfg)
+    assert fallbacks == [cfg.trials]
+    assert (summary["passed"], summary["failures"], summary["passes"]) == (True, 0, 33)
+    each = [runner._certify(case, runner.Stack.of([d]), cfg.tol) for d in digests]
+    assert repr(summary) == repr(folded_in_trial_order(case, digests, each))
+
+
 def test_zero_imaginary_matrix_stays_in_its_complex_stack(monkeypatch):
     def change(inputs, row, digest):
         if digest["trial"] % 4 == 1:  # a complex matrix with no imaginary part
@@ -893,8 +956,8 @@ def test_python_calls_per_trial_stay_bounded(case_id):
 # .max, .all, .any and .sum.  Every replay is a stack of one, so this count
 # shows a rise in its fixed cost that a noisy host hides in the timings.
 CALLS_PER_STACK_OF_ONE = {
-    "op-2.10": 146, "op-2.3": 122, "op-2.5": 108, "op-2.6": 108, "op-2.7-left": 126,
-    "op-2.7-refine": 126, "op-2.7-right": 123, "op-heron-zhao": 120,
+    "op-2.10": 142, "op-2.3": 121, "op-2.5": 107, "op-2.6": 107, "op-2.7-left": 124,
+    "op-2.7-refine": 123, "op-2.7-right": 121, "op-heron-zhao": 119,
     "hs-2.13": 151, "hs-2.14": 151, "hs-cor": 157, "hs-thm8": 151,
 }
 # The tolist and reshape calls of the same run, which sys.setprofile reports as

@@ -5,7 +5,8 @@ from operator_cells import CELLS
 from meancert import scalar
 from meancert.hsnorm import certify_hs
 from meancert.linalg import DomainError, Powers, is_psd
-from meancert.opmeans import PairContext, certify_operator, geom, judge_operator, registry
+from meancert.opmeans import (OperatorCase, PairContext, certify_operator, geom,
+                              judge_operator, registry)
 from meancert.runner import RunConfig, case_by_id, inputs, make_digest
 
 ALL_IDS = {"op-2.3", "op-2.5", "op-2.6", "op-2.7-left", "op-2.7-right",
@@ -209,6 +210,24 @@ class TestCertify:
         t2 = certify_operator(case_by_id("op-2.6"), a, b, 0.25)
         assert t1.min_slack == t2.min_slack
         assert t1.links == t2.links
+
+    # one gap each whose normalized slack lam_min / scale lands on -tol's last bit:
+    # just below it, then exactly at it
+    @pytest.mark.parametrize("diag, slack", [
+        ((-2.2953345904918222e-06, 229.5334590491822), -1.0000000000000002e-08),
+        ((-5.704293345425039e-06, 570.4293345425039), -1e-08),
+    ], ids=["below", "at"])
+    def test_a_verdict_agrees_with_its_slack_at_the_tolerance(self, diag, slack):
+        tol, gap = 1e-8, np.diag(diag)
+        res = is_psd(gap, tol)
+        assert (res.lam_min / res.scale, res.ok) == (slack, slack >= -tol)
+        case = OperatorCase("op-x", "one fixed gap", "0 <= G", "0 <= nu <= 1", False,
+                            "general-pd", ("main",), lambda ctx, nu: (gap[None],))
+        eye = np.eye(2)[None]
+        v, _ = judge_operator(case, eye, eye, 0.5, tol)
+        assert (v.min_slack, v.passed) == ([slack], [slack >= -tol])
+        t = certify_operator(case, eye[0], eye[0], 0.5, tol)
+        assert (t.min_slack, t.passed, t.links[0].ok) == (slack, slack >= -tol, slack >= -tol)
 
     def test_all_true_cases_pass_spot_check(self):
         # each case on its own trial: an ordered pair for every op-2.7 variant

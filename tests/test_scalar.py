@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain_judge import judge_chain
+from chain_judge import judge_chain, judge_point
 from meancert.linalg import DomainError
 from meancert.runner import case_by_id, run_scalar_case
 from meancert import scalar
@@ -246,13 +246,14 @@ class TestStackedJudge:
             assert f"the slack of link {link} of op-x is inf" in str(exc.value)
 
     def test_the_error_is_the_first_failing_points(self):
-        # a * b is inf past the range of floats, and b ** (2 nu) raises OverflowError
-        # at (1, 1e200, 1), on floats and on arrays alike; both grids pass at (1, 1)
+        # a * b is inf past the range of floats, and b ** (2 nu) is past it at
+        # (1, 1e200, 1), where float ** raises and an array holds inf; both grids
+        # pass at (1, 1), and each error names its point
         case = ScalarCase("t", "d", "f", "0 <= nu <= 1",
                           lambda a, b, v: (a * b, scalar._pow(b, 2.0 * v)))
         grid = ([1.0, 1e300], [1.0, 1e10, 1e200])
-        inf_side = r"^side 0 of t is inf, "
-        overflow = r"^a side of t overflows at a=1\.0, b=1e\+200, nu=1\.0: "
+        inf_side = r"^side 0 of t at a=1e\+300, b=10000000000\.0, nu=0\.5 is inf, "
+        overflow = r"^side 1 of t at a=1\.0, b=1e\+200, nu=1\.0 is inf, "
         for nus, first in (([0.5, 1.0], inf_side), ([1.0, 0.5], overflow)):
             with pytest.raises(DomainError, match=first):
                 judge_grid(case, nus, *grid)
@@ -265,26 +266,36 @@ class TestStackedJudge:
     def test_the_grid_names_the_point_that_evaluate_names_first(self, case_id):
         # past the range of floats a power is inf on arrays where float ** raises;
         # a chain that hid one (behind a min, a where or a divisor) would let the
-        # grid pass a point that evaluate refuses, or name a later one.  On this
-        # grid cf-1.13 and new-2.1 overflow, five chains reach an inf or nan side
-        # and the rest pass.
+        # grid pass a point that the float reference refuses, or name a later one.
+        # On this grid cf-1.13 and new-2.1 overflow as floats, five chains reach an
+        # inf or nan side and the rest pass.
         case = case_by_id(case_id)
         mags = (1e-300, 1.0, 1e160, 1e300)
         nus = [nu for nu in (1e-300, 0.25, 0.5, 1.0) if case.in_domain(nu)]
-        errors = []
+        failures = []  # (point, error) wherever the float reference fails
         for nu in nus:
             for a in mags:
                 for b in mags:
                     try:
-                        evaluate(case, a, b, nu)
+                        judge_point(case, a, b, nu)
                     except DomainError as exc:
-                        errors.append(str(exc))
+                        failures.append(((a, b, nu), str(exc)))
         try:
             judge_grid(case, nus, mags, mags)
             grid = None
         except DomainError as exc:
             grid = str(exc)
-        assert grid == (errors[0] if errors else None)
+        if not failures:
+            assert grid is None
+            return
+        (a, b, nu), ref = failures[0]
+        at = f" of {case_id} at a={a!r}, b={b!r}, nu={nu!r} is "
+        assert at in grid
+        if not ref.startswith("a side of"):  # not finite as floats too: the same words
+            assert grid == ref.replace(f" of {case_id} is ", at)
+        with pytest.raises(DomainError) as exc:  # and evaluate, the one-point grid, agrees
+            evaluate(case, a, b, nu)
+        assert str(exc.value) == grid
 
 
 def assert_same_bits(got, want):
