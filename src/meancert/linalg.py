@@ -322,6 +322,7 @@ class PsdCheck(NamedTuple):
     ok: bool
     lam_min: float
     scale: float  # max(1, spectral norm), the tolerance reference
+    slack: float  # lam_min / scale, which ok compares with -tol
     witness: np.ndarray  # unit eigenvector attaining lam_min
 
 
@@ -339,11 +340,12 @@ def is_psd(M, tol: float = PSD_TOL, *, hermitian: bool = False) -> PsdCheck:
     rows = w.reshape(-1, n)
     lam = rows[:, 0].tolist()  # ascending order, so max|w| is at one end
     scale = [max(1.0, abs(low), abs(top)) for low, top in zip(lam, rows[:, -1].tolist())]
-    ok = list(map(ge, map(truediv, lam, scale), repeat(-tol)))
+    slack = list(map(truediv, lam, scale))
+    ok = list(map(ge, slack, repeat(-tol)))
     witness = list(V.reshape(-1, n, n)[:, :, 0])
     if w.ndim == 1:
-        return PsdCheck(ok[0], lam[0], scale[0], witness[0])
-    return PsdCheck(ok, lam, scale, witness)
+        return PsdCheck(ok[0], lam[0], scale[0], slack[0], witness[0])
+    return PsdCheck(ok, lam, scale, slack, witness)
 
 
 def hs_norms(M) -> np.ndarray:
@@ -426,6 +428,9 @@ class Powers:
 
         Integer p >= 0 works on any spectrum (with 0**0 = 1); the spectra of
         every other exponent are checked at once, as ``_pow_base`` says.
+        When every eigenvalue is positive, as ``clamp_psd``'s own first test
+        finds, that check would change nothing and block no p < 0, so one
+        reduction stands for it.
         """
         if distinct == {1.0}:
             return self.matrix
@@ -434,12 +439,13 @@ class Powers:
             eye = np.eye(self.dim, dtype=self.matrix.dtype)
             return np.broadcast_to(eye, self.matrix.shape).copy()
         w, V = self._decomposed()
-        checked = [p < 0 or not p.is_integer() for p in exps]
-        if all(checked):
-            w = _pow_base(w, exps)
-        elif any(checked):
-            w = w.copy()
-            w[checked] = _pow_base(w[checked], [p for p, c in zip(exps, checked) if c])
+        if not np.minimum.reduce(w, axis=None) > 0.0:  # NaN takes this path too
+            checked = [p < 0 or not p.is_integer() for p in exps]
+            if all(checked):
+                w = _pow_base(w, exps)
+            elif any(checked):
+                w = w.copy()
+                w[checked] = _pow_base(w[checked], [p for p, c in zip(exps, checked) if c])
         wp = power_rows(w, ps, distinct)
         out = hermitianize((V * wp[..., None, :]) @ V.conj().swapaxes(-1, -2))
         # matrices of exponent 1 or 0 among others: exactly M, or the identity

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import ge, truediv
+from operator import ge
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -347,7 +347,7 @@ def judge_operator(case: OperatorCase, A, B, nu, tol: float = CERT_PSD_TOL):
     for _, gap in zip(case.links, case.gaps(ctx, np.array(nus)), strict=True):
         res = is_psd(gap, tol, hermitian=True)
         checks.append(res)
-        slacks.append(list(map(truediv, res.lam_min, res.scale)))
+        slacks.append(res.slack)
     worst, at = slacks[0], [0] * k
     if len(checks) > 1:
         worst = list(worst)

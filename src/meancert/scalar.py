@@ -67,15 +67,31 @@ def check_unit(name: str, t: float) -> None:
 def stack_weights(nu, k: int, check: Callable[[float], None], name: str = "nu") -> list[float]:
     """The weights of a stack of k matrices as k Python floats, from one number
     for every matrix (or a string that ``float`` reads) or one per matrix.
-    Each distinct value passes ``check`` once, in order of first appearance;
-    then any count but 1 and k is a DomainError (``count_error``)."""
+
+    Every ``check`` accepts an interval (``check_unit`` [0, 1], a case's
+    ``check_nu`` [0, 1] within its domain), so finite weights pass if and
+    only if the least and the greatest do, and when every weight is finite
+    only those two are checked.  Otherwise, or when either fails, each
+    distinct value passes ``check`` once, in order of first appearance, so
+    that an error names the first bad value.  Then any count but 1 and k is
+    a DomainError (``count_error``)."""
     try:
         values = iter((nu,) if isinstance(nu, str) else nu)
     except TypeError:  # one number for the whole stack
         values = iter((nu,))
     nus = list(map(float, values))
-    for v in dict.fromkeys(nus):
-        check(v)
+    passed = False
+    if math.isfinite(sum(nus)):  # a sum is finite only if every weight is
+        ordered = sorted(nus)
+        try:
+            for v in dict.fromkeys(ordered[:1] + ordered[-1:]):
+                check(v)
+            passed = True
+        except DomainError:
+            pass
+    if not passed:
+        for v in dict.fromkeys(nus):
+            check(v)
     if len(nus) not in (1, k):
         raise count_error(name, len(nus), k)
     return nus if len(nus) == k else nus * k

@@ -1,5 +1,5 @@
 """Per-point references for the stacked judges, ``scalar.judge_chains`` and
-``scalar.judge_grid``.
+``scalar.judge_grid``, and for the stack's weight check, ``scalar.stack_weights``.
 
 The package judges a stack of chains at once, one per row of an array, and
 evaluates a chain's sides on arrays.  ``judge_chain`` is the judge that the
@@ -7,15 +7,34 @@ stacked one replaced, which took one chain at a time as Python floats, and
 ``judge_point`` the per-point judge that evaluated one point's sides as
 Python floats; both are kept here word for word (``judge_chain`` with the
 two helpers it called) so that the stacked judges are held to them rather
-than to themselves.
+than to themselves.  ``stack_weights`` is likewise the weight check that
+passed every distinct value to ``check``, before a valid stack was checked
+at its least and greatest weight alone.
 """
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from meancert.linalg import DomainError
+from meancert.linalg import DomainError, count_error
 from meancert.scalar import ScalarCase, judge_chains
+
+
+def stack_weights(nu, k: int, check: Callable[[float], None], name: str = "nu") -> list[float]:
+    """The weights of a stack of k matrices as k Python floats, from one number
+    for every matrix (or a string that ``float`` reads) or one per matrix.
+    Each distinct value passes ``check`` once, in order of first appearance;
+    then any count but 1 and k is a DomainError (``count_error``)."""
+    try:
+        values = iter((nu,) if isinstance(nu, str) else nu)
+    except TypeError:  # one number for the whole stack
+        values = iter((nu,))
+    nus = list(map(float, values))
+    for v in dict.fromkeys(nus):
+        check(v)
+    if len(nus) not in (1, k):
+        raise count_error(name, len(nus), k)
+    return nus if len(nus) == k else nus * k
 
 
 def first_worst(values: Sequence[float]) -> int:

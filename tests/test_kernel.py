@@ -16,7 +16,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import chain_judge
 from meancert import hsnorm, linalg, opmeans, runner, scalar
 from meancert.cli import main
 from meancert.linalg import CERT_PSD_TOL, DomainError
@@ -899,15 +902,26 @@ def test_zero_imaginary_matrix_stays_in_its_complex_stack(monkeypatch):
 # Python-level calls a trial adds to a sweep's stack: (calls(26) - calls(1)) / 25
 # for runner._certify, which gives a stack's Verdicts, on stacks of trials 0..25
 # and of trial 0 alone, at dim 3, on CPython 3.11 (where a comprehension is a
-# call of its own).  What remains per trial is its weight's check, one per
-# distinct nu (three calls, and these 26 trials hold 26 nu), and the share of a
-# stack's calls that depends on its mix of nu; the chain coefficients are
-# computed once per stack, and no record is built.  A helper called per trial in
-# the draw or verdict loops shows here as a count, where a timing could not tell it.
+# call of its own).  No call remains per trial: a stack's weights are checked
+# at their two ends, whatever its length, so what is left is the share of a
+# stack's calls that depends on its mix of nu (which powers it needs), and it
+# may be negative.  The chain coefficients
+# are computed once per stack, and no record is built.  A helper called per
+# trial in the draw or verdict loops shows here as a count, where a timing
+# could not tell it.
 CALLS_PER_TRIAL = {
-    "op-2.10": 4.52, "op-2.3": 3.12, "op-2.5": 3.56, "op-2.6": 3.56, "op-2.7-left": 5.2,
-    "op-2.7-refine": 5.2, "op-2.7-right": 5.08, "op-heron-zhao": 4.04,
-    "hs-2.13": 3.04, "hs-2.14": 3.4, "hs-cor": 3.4, "hs-thm8": 3.88,
+    "op-2.10": 1.08, "op-2.3": 0.12, "op-2.5": 0.28, "op-2.6": 0.28, "op-2.7-left": 1.48,
+    "op-2.7-refine": 1.48, "op-2.7-right": 1.36, "op-heron-zhao": 0.76,
+    "hs-2.13": 0.04, "hs-2.14": -0.32, "hs-cor": -0.32, "hs-thm8": 0.0,
+}
+# Python-level calls of runner._certify on one stack of the full grid: trials
+# 0..32 at dim 3, which take every nu of the dyadic 33-grid in the case's
+# domain.  A check per distinct nu, or a decision per exponent of each power,
+# would add about a hundred calls here.
+CALLS_PER_FULL_GRID_STACK = {
+    "op-2.10": 133, "op-2.3": 108, "op-2.5": 99, "op-2.6": 98, "op-2.7-left": 109,
+    "op-2.7-refine": 107, "op-2.7-right": 106, "op-heron-zhao": 104,
+    "hs-2.13": 131, "hs-2.14": 134, "hs-cor": 140, "hs-thm8": 138,
 }
 
 
@@ -948,17 +962,25 @@ def test_python_calls_per_trial_stay_bounded(case_id):
     assert per_trial <= CALLS_PER_TRIAL[case_id]
 
 
+@pytest.mark.parametrize("case_id", OPERATOR + HS)
+def test_python_calls_of_a_full_grid_stack_stay_bounded(case_id):
+    digests = [make_digest(case_id, RunConfig(dims=(3,)), t) for t in range(33)]
+    assert {d["nu"] for d in digests} == set(CASES[case_id].nu_grid)
+    assert verdict_calls(CASES[case_id], digests) <= CALLS_PER_FULL_GRID_STACK[case_id]
+
+
 # Python-level calls of replay's record path, runner.run_trial, on one digest
 # (trial 5 at dim 3), a stack of one, counted with every weight and exponent a
-# (k,) array inside the package, each power deciding its exponents once, and
+# (k,) array inside the package, each power deciding its exponents once (and
+# not at all on a spectrum that one reduction finds positive), and
 # each LAPACK call going through linalg.lapack, past numpy.linalg's wrappers,
 # and each reduction a ufunc's own, past the Python wrappers of ndarray.min,
 # .max, .all, .any and .sum.  Every replay is a stack of one, so this count
 # shows a rise in its fixed cost that a noisy host hides in the timings.
 CALLS_PER_STACK_OF_ONE = {
-    "op-2.10": 142, "op-2.3": 121, "op-2.5": 107, "op-2.6": 107, "op-2.7-left": 124,
-    "op-2.7-refine": 123, "op-2.7-right": 121, "op-heron-zhao": 119,
-    "hs-2.13": 151, "hs-2.14": 151, "hs-cor": 157, "hs-thm8": 151,
+    "op-2.10": 127, "op-2.3": 106, "op-2.5": 95, "op-2.6": 95, "op-2.7-left": 109,
+    "op-2.7-refine": 108, "op-2.7-right": 106, "op-heron-zhao": 104,
+    "hs-2.13": 133, "hs-2.14": 137, "hs-cor": 143, "hs-thm8": 133,
 }
 # The tolist and reshape calls of the same run, which sys.setprofile reports as
 # "c_call" events and the count above leaves out.  A power turns its exponents
@@ -966,8 +988,8 @@ CALLS_PER_STACK_OF_ONE = {
 # it has; going through tolist/set again below Powers.pow_rows, or reshaping
 # the spectrum there and back, shows here.
 ROUND_TRIPS_PER_STACK_OF_ONE = {
-    "op-2.10": 22, "op-2.3": 15, "op-2.5": 12, "op-2.6": 12, "op-2.7-left": 18,
-    "op-2.7-refine": 17, "op-2.7-right": 18, "op-heron-zhao": 14,
+    "op-2.10": 20, "op-2.3": 13, "op-2.5": 10, "op-2.6": 10, "op-2.7-left": 14,
+    "op-2.7-refine": 13, "op-2.7-right": 14, "op-heron-zhao": 12,
     "hs-2.13": 21, "hs-2.14": 18, "hs-cor": 20, "hs-thm8": 19,
 }
 
@@ -985,8 +1007,10 @@ def test_python_calls_of_a_stack_of_one_stay_bounded(case_id):
 
 @pytest.mark.parametrize("case_id", OPERATOR + HS)
 def test_each_distinct_weight_is_checked_once(monkeypatch, case_id):
-    # check_nu checks each distinct nu once, in order of first appearance, and
-    # the gaps of an operator chain take the unchecked kernels of the means
+    # check_nu accepts an interval, so a valid stack's weights are checked at
+    # their ends alone, the least and then the greatest; a stack with a bad
+    # weight has each distinct nu checked in order of first appearance, so
+    # its error names the first bad one, not the least
     digests = [make_digest(case_id, RunConfig(dims=(2,)), t) for t in range(40)]
     built = runner.Stack.of(digests)
     stack = runner.build_inputs(built, runner.draw_stack(built))
@@ -997,13 +1021,23 @@ def test_each_distinct_weight_is_checked_once(monkeypatch, case_id):
     monkeypatch.setattr(opmeans, "checked_weight", None)
     monkeypatch.setattr(hsnorm, "checked_weight", None)
     case = CASES[case_id]
-    if case.kind == "operator":
-        opmeans.certify_operator(case, stack["A"], stack["B"], stack["nu"])
-    else:
-        hsnorm.certify_hs(case, stack["A"], stack["B"], stack["X"], stack["nu"],
-                          oracle=stack["oracle"] if "oracle" in stack else None)
-    assert seen == list(dict.fromkeys(stack["nu"]))
-    assert len(seen) < len(digests)
+
+    def certify(nus):
+        seen.clear()
+        if case.kind == "operator":
+            opmeans.certify_operator(case, stack["A"], stack["B"], nus)
+        else:
+            hsnorm.certify_hs(case, stack["A"], stack["B"], stack["X"], nus,
+                              oracle=stack["oracle"] if "oracle" in stack else None)
+
+    nus = list(stack["nu"])
+    certify(nus)
+    assert len(set(nus)) > 2 and seen == [min(nus), max(nus)]
+    bad = list(nus)
+    bad[7], bad[20] = 1.5, -0.5
+    with pytest.raises(DomainError, match=r"nu=1\.5 outside"):
+        certify(bad)
+    assert seen == [-0.5, *dict.fromkeys(bad[:8])]
 
 
 # Every entry that takes a stack's weights, with the name its weights go by:
@@ -1040,6 +1074,34 @@ def test_every_entry_names_a_bad_weight_before_a_wrong_count(entry, k):
     with pytest.raises(DomainError) as count:
         run(A, B, X, [0.5, 0.25])
     assert str(count.value) == f"{name} has 2 values for a stack of {k}"
+
+
+# Every check that scalar.stack_weights is given, each of which accepts an
+# interval: each case's check_nu (its domain within [0, 1]) and check_unit.
+WEIGHT_CHECKS = {**{cid: case.check_nu for cid, case in CASES.items()},
+                 "check_unit": lambda v: scalar.check_unit("nu", v)}
+# the ends of every domain, points just past them, and what is not finite
+EDGE_WEIGHTS = (0.0, -0.0, 0.5, 1.0, 0.25, 0.75, 5e-324, -5e-324, 0.5 - 2**-54, 0.5 + 2**-53,
+                1.0 - 2**-53, 1.0 + 2**-52, -1.0, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+WEIGHT_VALUES = st.one_of(st.sampled_from(EDGE_WEIGHTS), st.floats(0.0, 1.0), st.floats())
+
+
+@pytest.mark.parametrize("check", sorted(WEIGHT_CHECKS))
+@given(nu=st.one_of(WEIGHT_VALUES, st.lists(WEIGHT_VALUES, max_size=8)), k=st.integers(1, 8))
+@example(nu=[0.5, math.nan, 0.25], k=3)  # NaN between finite ends when sorted
+@example(nu=[0.25, 2.0, -1.0, 0.5], k=4)  # the first bad value is not the least
+@settings(max_examples=150, deadline=None)
+def test_stack_weights_checked_at_their_ends_equal_every_value_checked(check, nu, k):
+    # the reference checks each distinct value in order; the stack's check,
+    # which checks a finite stack at its least and greatest weight, must give
+    # the same weights or raise the same text
+    def outcome(stack_weights):
+        try:
+            return stack_weights(nu, k, WEIGHT_CHECKS[check])
+        except DomainError as exc:
+            return str(exc)
+
+    assert repr(outcome(scalar.stack_weights)) == repr(outcome(chain_judge.stack_weights))
 
 
 # The functions that may branch on the shape of their input: the public entries

@@ -6,8 +6,8 @@ import pytest
 
 from meancert import runner
 from meancert.linalg import DomainError, is_psd
-from meancert.randgen import (assemble, derive_seed, parse_law, spectra, stream_template,
-                              trial_keys)
+from meancert.randgen import (ARRAY_KEYS_FROM, assemble, derive_seed, parse_law, spectra,
+                              stream_template, trial_keys)
 from meancert.runner import CASES, RunConfig, Stack, build_inputs, draw_stack, inputs, make_digest
 
 MATRIX = [cid for cid, case in CASES.items() if case.kind != "scalar"]
@@ -140,6 +140,33 @@ class TestStreams:
             trial_keys(5, [2**32])
         with pytest.raises(DomainError, match="trial index"):
             trial_keys(5, [0, -1])
+
+    # stacks shorter than ARRAY_KEYS_FROM are hashed in a loop, the rest in one
+    # array pass; both must give numpy's keys, for entropies of 1 to 7 words
+    @pytest.mark.parametrize("k", [1, ARRAY_KEYS_FROM - 1, ARRAY_KEYS_FROM, 26, 2048])
+    def test_keys_of_either_path_equal_numpy_seed_sequence(self, k):
+        rng = random.Random(k)
+        middle = [rng.randrange(2**32) for _ in range(k - 2)]
+        stacks = [[0], [2**32 - 1]] if k == 1 else [[0, *middle, 2**32 - 1]]
+        seeds = self.SEEDS + (2**150, 2**190)
+        assert [-(-derive_seed(s, "hs-thm8").bit_length() // 32) for s in seeds] == [*range(1, 8)]
+        for seed in seeds:
+            entropy = derive_seed(seed, "hs-thm8")
+            for trials in stacks:
+                want = [tuple(int(w) for w in np.random.SeedSequence(
+                    entropy, spawn_key=(t,)).generate_state(2, np.uint64)) for t in trials]
+                assert trial_keys(entropy, trials) == want, (seed, k)
+
+    @pytest.mark.parametrize("k", [1, 2, ARRAY_KEYS_FROM - 1, ARRAY_KEYS_FROM, 26])
+    def test_either_path_names_the_first_bad_trial_index(self, k):
+        for bad, later in ((2**32, -1), (-1, 2**40)):
+            trials = list(range(k))
+            trials[(k - 1) // 2] = bad
+            if k > 1:
+                trials[-1] = later  # out of range by more, but later
+            with pytest.raises(DomainError) as exc:
+                trial_keys(5, trials)
+            assert str(exc.value) == f"a trial index must lie in 0..4294967295, got {bad}"
 
     def test_a_stack_drawn_after_a_used_generator_equals_fresh_streams(self):
         # every trial starts its stream afresh, whatever the process's one
